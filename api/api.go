@@ -13,7 +13,6 @@
 //	GET    /v1/records/{id}                  -> RecordResponse
 //	DELETE /v1/records/{id}                  -> RemoveResponse
 //	POST   /v1/snapshot/save                 -> SnapshotResponse
-//	POST   /v1/snapshot/load                 -> SnapshotResponse
 //	GET    /healthz                          -> HealthResponse
 //	GET    /metrics                          -> Prometheus text format
 //
@@ -249,15 +248,15 @@ type RemoveResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
-// SnapshotResponse reports a snapshot save or load.
+// SnapshotResponse reports a /v1/snapshot/save.
 type SnapshotResponse struct {
-	// Op is "save", "load" — or "checkpoint" when the server runs a
-	// durable data-dir database, where a save also truncates the
-	// write-ahead log it just covered.
+	// Op is "checkpoint" when the server runs a durable data-dir
+	// database (the save flushed the dirty records into a segment and
+	// truncated the write-ahead log it just covered), "save" under an
+	// embedder's own Snapshotter.
 	Op        string `json:"op"`
 	Sequences int    `json:"sequences"`
-	// Generation is the database generation after the operation (for a
-	// load: of the freshly restored database).
+	// Generation is the database generation after the operation.
 	Generation uint64 `json:"generation"`
 	// WALRecords/WALBytes report the write-ahead log's depth after a
 	// checkpoint (durable servers only; normally near zero — writes

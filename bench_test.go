@@ -8,7 +8,6 @@ package seqrep_test
 // on the same workloads seqbench prints.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -281,17 +280,43 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkPersistence measures snapshot save+load of a 16-record
-// database.
+// BenchmarkPersistence measures the persistence round trip of a
+// 16-record database: checkpoint into a fresh data directory, close, and
+// reopen from the segment tier.
 func BenchmarkPersistence(b *testing.B) {
-	db := ecgDB(b, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := db.SaveTo(&buf); err != nil {
+	rng := rand.New(rand.NewSource(42))
+	items := make([]seqrep.BatchItem, 16)
+	for i := range items {
+		s, _, err := seqrep.GenerateECG(rng, seqrep.ECGOpts{RRInterval: 110 + float64(i%10)*8, RRJitter: 2})
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := seqrep.Load(&buf, seqrep.Config{}); err != nil {
+		items[i] = seqrep.BatchItem{ID: fmt.Sprintf("ecg-%03d", i), Seq: s}
+	}
+	cfg := seqrep.Config{Epsilon: 10, Delta: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		db, err := seqrep.OpenDir(dir, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.IngestBatch(items); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		loaded, err := seqrep.OpenDir(dir, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := loaded.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

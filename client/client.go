@@ -381,19 +381,12 @@ func (c *Client) Remove(ctx context.Context, id string) (*api.RemoveResponse, er
 	return &out, nil
 }
 
-// SaveSnapshot persists a point-in-time snapshot on the server.
+// SaveSnapshot runs a checkpoint on the server: everything acknowledged
+// so far is flushed to its data directory and the write-ahead log is
+// truncated.
 func (c *Client) SaveSnapshot(ctx context.Context) (*api.SnapshotResponse, error) {
 	var out api.SnapshotResponse
 	if _, err := c.do(ctx, idemSafe, http.MethodPost, "/v1/snapshot/save", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// LoadSnapshot restores the server's database from its snapshot store.
-func (c *Client) LoadSnapshot(ctx context.Context) (*api.SnapshotResponse, error) {
-	var out api.SnapshotResponse
-	if _, err := c.do(ctx, idemSafe, http.MethodPost, "/v1/snapshot/load", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -63,31 +63,24 @@ func cmdGenerate(args []string) error {
 	return writeCSV(*out, s)
 }
 
-// openDB loads the database file, or returns a fresh one when absent.
-// cfg supplies the scalar parameters for a fresh database and the code
-// components (workers, archive, ...) in either case.
-func openDB(path string, cfg seqrep.Config) (*seqrep.DB, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return seqrep.New(cfg)
+// commit ends a writing command: checkpoint, then close. Commands open
+// their -db directory with seqrep.OpenDir, whose cfg supplies the scalar
+// parameters only while the directory has never been checkpointed. The
+// checkpoint here is what makes the manifest — not the next invocation's
+// flags — carry ε/δ/bucket: a directory holding only a write-ahead log
+// would be replayed and re-broken under whatever -epsilon the next
+// command happened to pass.
+func commit(db *seqrep.DB) error {
+	if err := db.Checkpoint(); err != nil {
+		db.Close()
+		return err
 	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return seqrep.Load(f, cfg)
-}
-
-// saveDB writes the database atomically: SaveFile stages the bytes in a
-// temporary file next to the destination (same filesystem, so the final
-// rename is atomic) and never clobbers an existing database on error.
-func saveDB(path string, db *seqrep.DB) error {
-	return seqrep.SaveFile(db, path, nil)
+	return db.Close()
 }
 
 func cmdIngest(args []string) error {
 	fs := newFlagSet("ingest")
-	dbPath := fs.String("db", "", "database file (required)")
+	dbPath := fs.String("db", "", "data directory (required)")
 	id := fs.String("id", "", "sequence id (required)")
 	in := fs.String("in", "", "input CSV (required)")
 	epsilon := fs.Float64("epsilon", 0, "breaking tolerance for a new database (0 = default 0.5)")
@@ -102,17 +95,18 @@ func cmdIngest(args []string) error {
 	if err != nil {
 		return err
 	}
-	db, err := openDB(*dbPath, seqrep.Config{Epsilon: *epsilon, Delta: *delta})
+	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{Epsilon: *epsilon, Delta: *delta})
 	if err != nil {
 		return err
 	}
 	if err := db.Ingest(*id, s); err != nil {
-		return err
-	}
-	if err := saveDB(*dbPath, db); err != nil {
+		db.Close()
 		return err
 	}
 	rec, _ := db.Record(*id)
+	if err := commit(db); err != nil {
+		return err
+	}
 	fmt.Printf("ingested %q: %d samples -> %d segments (symbols %s)\n",
 		*id, rec.N, rec.NumSegments(), rec.Profile.Symbols)
 	return nil
@@ -123,7 +117,7 @@ func cmdIngest(args []string) error {
 // its extension.
 func cmdIngestDir(args []string) error {
 	fs := newFlagSet("ingestdir")
-	dbPath := fs.String("db", "", "database file (required)")
+	dbPath := fs.String("db", "", "data directory (required)")
 	dir := fs.String("dir", "", "directory of CSV files (required)")
 	epsilon := fs.Float64("epsilon", 0, "breaking tolerance for a new database (0 = default 0.5)")
 	delta := fs.Float64("delta", 0, "slope threshold for a new database (0 = default 0.25)")
@@ -154,17 +148,16 @@ func cmdIngestDir(args []string) error {
 			Seq: s,
 		})
 	}
-	db, err := openDB(*dbPath, seqrep.Config{Epsilon: *epsilon, Delta: *delta, Workers: *workers})
+	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{Epsilon: *epsilon, Delta: *delta, Workers: *workers})
 	if err != nil {
 		return err
 	}
 	n, batchErr := db.IngestBatch(items)
-	if n > 0 {
-		if err := saveDB(*dbPath, db); err != nil {
-			return err
-		}
+	total := db.Len()
+	if err := commit(db); err != nil {
+		return err
 	}
-	fmt.Printf("ingested %d of %d sequences (%d total in database)\n", n, len(items), db.Len())
+	fmt.Printf("ingested %d of %d sequences (%d total in database)\n", n, len(items), total)
 	if batchErr != nil {
 		return fmt.Errorf("ingestdir: some items failed:\n%w", batchErr)
 	}
@@ -173,17 +166,18 @@ func cmdIngestDir(args []string) error {
 
 func cmdList(args []string) error {
 	fs := newFlagSet("list")
-	dbPath := fs.String("db", "", "database file (required)")
+	dbPath := fs.String("db", "", "data directory (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dbPath == "" {
 		return fmt.Errorf("list: -db is required")
 	}
-	db, err := openDB(*dbPath, seqrep.Config{})
+	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
 	if err != nil {
 		return err
 	}
+	defer db.Close()
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "id\tsamples\tsegments\tpeaks\tsymbols")
 	for _, id := range db.IDs() {
@@ -196,7 +190,7 @@ func cmdList(args []string) error {
 
 func cmdSegments(args []string) error {
 	fs := newFlagSet("segments")
-	dbPath := fs.String("db", "", "database file (required)")
+	dbPath := fs.String("db", "", "data directory (required)")
 	id := fs.String("id", "", "sequence id (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -204,10 +198,11 @@ func cmdSegments(args []string) error {
 	if *dbPath == "" || *id == "" {
 		return fmt.Errorf("segments: -db and -id are required")
 	}
-	db, err := openDB(*dbPath, seqrep.Config{})
+	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
 	if err != nil {
 		return err
 	}
+	defer db.Close()
 	rec, ok := db.Record(*id)
 	if !ok {
 		return fmt.Errorf("segments: unknown id %q", *id)
@@ -245,7 +240,7 @@ func cmdSegments(args []string) error {
 
 func cmdQuery(args []string) error {
 	fs := newFlagSet("query")
-	dbPath := fs.String("db", "", "database file (required)")
+	dbPath := fs.String("db", "", "data directory (required)")
 	q := fs.String("q", "", `query-language statement, e.g. 'MATCH PEAKS 2' or 'MATCH INTERVAL 135 +- 2'`)
 	pat := fs.String("pattern", "", "slope-sign pattern over U/F/D (full match)")
 	search := fs.String("search", "", "slope-sign pattern searched within sequences")
@@ -264,10 +259,11 @@ func cmdQuery(args []string) error {
 	if *limit < 0 {
 		return fmt.Errorf("query: negative -limit %d", *limit)
 	}
-	db, err := openDB(*dbPath, seqrep.Config{})
+	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
 	if err != nil {
 		return err
 	}
+	defer db.Close()
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -429,7 +425,7 @@ func reportTruncation(res *seqrep.QueryResult) {
 
 func cmdRemove(args []string) error {
 	fs := newFlagSet("remove")
-	dbPath := fs.String("db", "", "database file (required)")
+	dbPath := fs.String("db", "", "data directory (required)")
 	id := fs.String("id", "", "sequence id (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -437,23 +433,25 @@ func cmdRemove(args []string) error {
 	if *dbPath == "" || *id == "" {
 		return fmt.Errorf("remove: -db and -id are required")
 	}
-	db, err := openDB(*dbPath, seqrep.Config{})
+	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
 	if err != nil {
 		return err
 	}
 	if err := db.Remove(*id); err != nil {
+		db.Close()
 		return err
 	}
-	if err := saveDB(*dbPath, db); err != nil {
+	remain := db.Len()
+	if err := commit(db); err != nil {
 		return err
 	}
-	fmt.Printf("removed %q (%d sequences remain)\n", *id, db.Len())
+	fmt.Printf("removed %q (%d sequences remain)\n", *id, remain)
 	return nil
 }
 
 func cmdExport(args []string) error {
 	fs := newFlagSet("export")
-	dbPath := fs.String("db", "", "database file (required)")
+	dbPath := fs.String("db", "", "data directory (required)")
 	id := fs.String("id", "", "sequence id (required)")
 	out := fs.String("out", "", "output CSV (required)")
 	if err := fs.Parse(args); err != nil {
@@ -462,10 +460,11 @@ func cmdExport(args []string) error {
 	if *dbPath == "" || *id == "" || *out == "" {
 		return fmt.Errorf("export: -db, -id and -out are required")
 	}
-	db, err := openDB(*dbPath, seqrep.Config{})
+	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
 	if err != nil {
 		return err
 	}
+	defer db.Close()
 	s, err := db.Reconstruct(*id)
 	if err != nil {
 		return err
@@ -475,17 +474,18 @@ func cmdExport(args []string) error {
 
 func cmdStats(args []string) error {
 	fs := newFlagSet("stats")
-	dbPath := fs.String("db", "", "database file (required)")
+	dbPath := fs.String("db", "", "data directory (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dbPath == "" {
 		return fmt.Errorf("stats: -db is required")
 	}
-	db, err := openDB(*dbPath, seqrep.Config{})
+	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
 	if err != nil {
 		return err
 	}
+	defer db.Close()
 	cfg := db.Config()
 	st := db.Stats()
 	fmt.Printf("sequences:       %d\n", st.Sequences)

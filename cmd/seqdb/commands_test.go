@@ -252,7 +252,7 @@ func TestIngestDir(t *testing.T) {
 	if err := cmdIngestDir([]string{"-db", dbPath, "-dir", csvDir, "-workers", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	db, err := openDB(dbPath, seqrep.Config{})
+	db, err := seqrep.OpenDir(dbPath, seqrep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +261,9 @@ func TestIngestDir(t *testing.T) {
 	}
 	if _, ok := db.Record("fever"); !ok {
 		t.Error("sequence id not derived from file name")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 	// A second run fails on duplicates but leaves the database intact.
 	if err := cmdIngestDir([]string{"-db", dbPath, "-dir", csvDir}); err == nil {
@@ -280,7 +283,66 @@ func TestOpenDBRejectsCorrupt(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a database"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openDB(bad, seqrep.Config{}); err == nil {
-		t.Error("corrupt database accepted")
+	if err := cmdList([]string{"-db", bad}); err == nil {
+		t.Error("a regular file accepted as a data directory")
+	}
+}
+
+// TestIngestEpsilonCarriedByManifest: a writing command ends with a
+// checkpoint, so the parameters a database was created under travel in
+// its manifest — a later command (a second process, as far as the
+// directory can tell) that passes no -epsilon sees the record, under the
+// same segmentation, without replaying anything.
+func TestIngestEpsilonCarriedByManifest(t *testing.T) {
+	dir := withDir(t)
+	csvPath := filepath.Join(dir, "ecg.csv")
+	dbPath := filepath.Join(dir, "data")
+	if err := cmdGenerate([]string{"-kind", "ecg", "-out", csvPath, "-seed", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdIngest([]string{"-db", dbPath, "-id", "e1", "-in", csvPath, "-epsilon", "0.1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdSegments([]string{"-db", dbPath, "-id", "e1"}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := readCSV(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segmentsUnder := func(epsilon float64) int {
+		mem, err := seqrep.New(seqrep.Config{Epsilon: epsilon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Ingest("e1", s); err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := mem.Record("e1")
+		return rec.NumSegments()
+	}
+	fine, coarse := segmentsUnder(0.1), segmentsUnder(0)
+	if fine == coarse {
+		t.Fatalf("precondition: ε=0.1 and the default both give %d segments", fine)
+	}
+
+	db, err := seqrep.OpenDir(dbPath, seqrep.Config{}) // no -epsilon
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.Config().Epsilon; got != 0.1 {
+		t.Errorf("reopened ε = %g, want the 0.1 the database was created under", got)
+	}
+	if r := db.Recovery(); r.Replayed != 0 {
+		t.Errorf("reopen replayed %d log records; ingest must end checkpointed", r.Replayed)
+	}
+	rec, ok := db.Record("e1")
+	if !ok {
+		t.Fatal("record invisible to a plain reopen")
+	}
+	if rec.NumSegments() != fine {
+		t.Errorf("reopened record has %d segments, want the %d of ε=0.1 (default gives %d)", rec.NumSegments(), fine, coarse)
 	}
 }

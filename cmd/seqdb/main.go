@@ -5,21 +5,22 @@
 // Usage:
 //
 //	seqdb generate -kind fever -out fever.csv
-//	seqdb ingest   -db db.bin -id patient7 -in fever.csv
-//	seqdb ingestdir -db db.bin -dir ./csvs
-//	seqdb list     -db db.bin
-//	seqdb segments -db db.bin -id patient7
-//	seqdb query    -db db.bin -pattern "U+F*D"
-//	seqdb query    -db db.bin -peaks 2 -tol 1
-//	seqdb query    -db db.bin -interval 135 -eps 2
-//	seqdb query    -db db.bin -q 'EXPLAIN MATCH DISTANCE LIKE ecg1 METRIC l2 EPS 3'
-//	seqdb query    -db db.bin -q 'MATCH DISTANCE LIKE ecg1 TOP 5 BY DISTANCE' -timeout 2s
-//	seqdb query    -db db.bin -pattern "U+F*D" -limit 10
-//	seqdb stats    -db db.bin
+//	seqdb ingest   -db ./data -id patient7 -in fever.csv
+//	seqdb ingestdir -db ./data -dir ./csvs
+//	seqdb list     -db ./data
+//	seqdb segments -db ./data -id patient7
+//	seqdb query    -db ./data -pattern "U+F*D"
+//	seqdb query    -db ./data -peaks 2 -tol 1
+//	seqdb query    -db ./data -interval 135 -eps 2
+//	seqdb query    -db ./data -q 'EXPLAIN MATCH DISTANCE LIKE ecg1 METRIC l2 EPS 3'
+//	seqdb query    -db ./data -q 'MATCH DISTANCE LIKE ecg1 TOP 5 BY DISTANCE' -timeout 2s
+//	seqdb query    -db ./data -pattern "U+F*D" -limit 10
+//	seqdb stats    -db ./data
 //
-// The database file is created on first ingest. Scalar parameters
-// (-epsilon, -delta) apply when the database is created and are persisted
-// with it.
+// -db names a data directory (segments/ + wal/, see docs/STORAGE.md),
+// created on first ingest. Scalar parameters (-epsilon, -delta) apply
+// when the database is created and are persisted with it: every writing
+// command ends with a checkpoint, whose manifest carries them.
 package main
 
 import (

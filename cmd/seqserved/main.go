@@ -83,7 +83,6 @@ func run() error {
 		maxBody  = flag.Int64("max-body", 0, "request body cap in bytes (0 = default 32MiB, negative disables)")
 		queryTO  = flag.Duration("query-timeout", 0, "per-statement execution cap for /v1/query and /v1/query/stream (0 disables; exceeded queries answer 504 / an error frame)")
 		queryLim = flag.Int("query-limit", 0, "server-wide cap on results per statement (0 disables; capped answers report stats.truncated)")
-		drainOld = flag.Duration("drain", 15*time.Second, "deprecated alias for -drain-timeout")
 		drainTO  = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain timeout: in-flight requests get this long to finish before their connections are force-closed and the final checkpoint runs")
 		readTO   = flag.Duration("read-timeout", time.Minute, "per-request read timeout (headers + body; 0 disables)")
 		idleTO   = flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection timeout (0 disables)")
@@ -99,14 +98,6 @@ func run() error {
 		chaosCount = flag.Int64("chaos-wal-fail-count", 0, "TESTING ONLY: number of injected WAL sync failures; after the window the fault heals (negative = fail forever)")
 	)
 	flag.Parse()
-	// -drain-timeout wins when both are given; the old spelling still
-	// works alone.
-	drain := drainTO
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["drain"] && !set["drain-timeout"] {
-		drain = drainOld
-	}
 
 	cfg := seqrep.Config{
 		Epsilon:               *epsilon,
@@ -141,7 +132,7 @@ func run() error {
 			return fmt.Errorf("opening data dir: %w", err)
 		}
 		rec := db.Recovery()
-		log.Printf("recovered %s: %d sequences (wal replayed %d records: %d applied, %d covered by snapshot, %d failed)",
+		log.Printf("recovered %s: %d sequences (wal replayed %d records: %d applied, %d covered by segments, %d failed)",
 			*dataDir, db.Len(), rec.Replayed, rec.Applied, rec.SkippedDuplicate+rec.SkippedMissing, rec.Failed)
 	} else {
 		db, err = seqrep.New(cfg)
@@ -234,14 +225,14 @@ func run() error {
 	case err := <-errc:
 		return err
 	case sig := <-sigc:
-		log.Printf("received %s, draining (timeout %s)", sig, *drain)
+		log.Printf("received %s, draining (timeout %s)", sig, *drainTO)
 	}
 
 	// Shutdown closes the listener immediately (no new connections) and
 	// waits for in-flight requests; on timeout, Close force-drops the
 	// stragglers. Either way nothing is accepting or in flight by the
 	// time the final checkpoint runs — it never races live writes.
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("drain incomplete, force-closing connections: %v", err)

@@ -375,36 +375,3 @@ func TestFailedIngestReleasesReservation(t *testing.T) {
 		t.Fatalf("id not reusable after failed ingest: %v", err)
 	}
 }
-
-// Sharding is invisible to persistence: save/load round-trips across
-// different shard counts.
-func TestPersistAcrossShardCounts(t *testing.T) {
-	db := mustDB(t, Config{Shards: 3})
-	items := feverBatch(t, 9)
-	if _, err := db.IngestBatch(items); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := db.SaveTo(&nopWriter{&buf}); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(strings.NewReader(buf.String()), Config{Shards: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != db.Len() {
-		t.Errorf("loaded %d sequences, want %d", loaded.Len(), db.Len())
-	}
-	a, b := db.IDs(), loaded.IDs()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("ids diverge at %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-}
-
-// nopWriter adapts a strings.Builder to io.Writer (Builder already is
-// one; this keeps the byte path explicit for the test).
-type nopWriter struct{ b *strings.Builder }
-
-func (w *nopWriter) Write(p []byte) (int, error) { return w.b.Write(p) }

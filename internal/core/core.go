@@ -314,7 +314,7 @@ type DB struct {
 	// but never the other way around; queries take them alone.
 	findex *featIndex
 
-	// gen counts committed mutations (Ingest, Remove, snapshot adoption).
+	// gen counts committed mutations (Ingest, Remove, boot adoption).
 	// It only ever grows, so an observer holding a generation number can
 	// tell whether the database has changed since — the invalidation
 	// signal behind the serving layer's result cache.
@@ -329,7 +329,6 @@ type DB struct {
 	// ckptRun serializes whole checkpoints; lastCkpt, ckptFails, ckptErr
 	// and recovery feed health reporting.
 	wal      *wal.WAL
-	dataDir  string
 	ckptMu   sync.RWMutex
 	ckptRun  sync.Mutex
 	lastCkpt atomic.Pointer[time.Time]
@@ -343,9 +342,9 @@ type DB struct {
 	// dirtyMu guards the map itself: writers mark while holding ckptMu
 	// only for *reading*, so concurrent marks race with each other even
 	// though they cannot race the checkpoint's swap.
-	segs       *segment.Store
-	dirtyMu    sync.Mutex
-	dirty      map[string]bool
+	segs    *segment.Store
+	dirtyMu sync.Mutex
+	dirty   map[string]bool
 	// res is the residency tracker bounding resident representation
 	// bytes (OpenDir with Config.MemoryBudget > 0 only; nil keeps every
 	// representation resident). See residency.go. Lock order: tracker
@@ -428,7 +427,7 @@ func (db *DB) shardOf(id string) *shard {
 func (db *DB) Config() Config { return db.cfg }
 
 // Generation returns the database's mutation generation: a counter bumped
-// by every committed Ingest, Remove and snapshot adoption. Two equal
+// by every committed Ingest, Remove and boot adoption. Two equal
 // generations bracket a span in which no write was committed, so any
 // derived result (e.g. a cached query answer) computed at that generation
 // is still valid; a change invalidates it.

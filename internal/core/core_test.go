@@ -47,6 +47,14 @@ func feverDB(t *testing.T) *DB {
 	// The archive keeps raw sequences so value-based queries compare at
 	// full resolution, like the prior art the paper describes.
 	db := mustDB(t, Config{Archive: store.NewMemArchive()})
+	fillFever(t, db)
+	return db
+}
+
+// fillFever ingests the two-peak fever family plus a three-peak and a
+// flat distractor.
+func fillFever(t *testing.T, db *DB) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1996))
 	exemplar, variants, err := synth.TwoPeakFamily(rng, 97)
 	if err != nil {
@@ -63,7 +71,6 @@ func feverDB(t *testing.T) *DB {
 	mustIngest(t, db, "three-peaks", three)
 	flat := synth.Const(97, 98.0)
 	mustIngest(t, db, "flat", flat)
-	return db
 }
 
 func TestNewDefaults(t *testing.T) {

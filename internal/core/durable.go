@@ -29,14 +29,12 @@ import (
 
 // Data-directory layout.
 const (
-	// SnapshotFileName is the legacy monolithic snapshot inside an
-	// OpenDir data directory. Databases that last checkpointed before
-	// the segment tier existed boot from it once (every record enters
-	// the dirty set, so the first checkpoint migrates them into
-	// segments) and it is removed after that checkpoint commits.
-	SnapshotFileName = "snapshot.sdb"
 	// WALDirName is the write-ahead-log subdirectory.
 	WALDirName = "wal"
+	// legacySnapshotName is the monolithic snapshot that builds before the
+	// segment tier kept in the data directory. This build cannot read it;
+	// OpenDir refuses a directory that holds one and no manifest.
+	legacySnapshotName = "snapshot.sdb"
 )
 
 // WAL record ops. Payload layouts are versioned implicitly by these
@@ -47,7 +45,7 @@ const (
 )
 
 // RecoveryStats reports what a boot-time WAL replay did. Skips are the
-// normal overlap between a checkpoint snapshot and the log records it
+// normal overlap between a checkpoint's segments and the log records it
 // covers (replay is idempotent); Failed counts records whose pipeline
 // failed again during replay exactly as it did (unacknowledged) before
 // the crash.
@@ -56,7 +54,7 @@ type RecoveryStats struct {
 	Replayed int
 	// Applied is the number of operations re-executed.
 	Applied int
-	// SkippedDuplicate counts ingests whose id the snapshot already held.
+	// SkippedDuplicate counts ingests whose id the segments already held.
 	SkippedDuplicate int
 	// SkippedMissing counts removes whose id was already gone.
 	SkippedMissing int
@@ -67,21 +65,24 @@ type RecoveryStats struct {
 }
 
 // OpenDir opens (creating if needed) a durable database rooted at dir:
-// layout dir/segments/ + dir/wal/ (plus a legacy dir/snapshot.sdb the
-// first post-upgrade checkpoint migrates away). Boot loads the segment
-// manifest and adopts every live record, replays the write-ahead log
-// tail on top — truncating a torn final record, skipping records the
-// segments already cover — then reclaims any sealed log segments the
-// manifest's LSN shows are covered (the stranded leftovers of a
-// checkpoint that died between its rotation and its truncation). The
-// caller owns the returned database and must Close it to release the
-// log and the segment files.
+// layout dir/segments/ + dir/wal/. Boot loads the segment manifest and
+// adopts every live record, replays the write-ahead log tail on top —
+// truncating a torn final record, skipping records the segments already
+// cover — then reclaims any sealed log segments the manifest's LSN shows
+// are covered (the stranded leftovers of a checkpoint that died between
+// its rotation and its truncation). The caller owns the returned
+// database and must Close it to release the log and the segment files.
 //
-// cfg contributes the code components exactly as in Load; when a
-// manifest (or legacy snapshot) exists its stored scalar parameters win.
+// cfg contributes the code components (breaker, representer,
+// preprocessing, archive); when a manifest exists its stored scalar
+// parameters (ε, δ, bucket width, index coefficients, sketch block) win.
+// Raw sequences are not part of the directory: they live in cfg.Archive.
 func OpenDir(dir string, cfg Config) (*DB, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("core: empty data directory")
+	}
+	if err := refuseLegacySnapshot(dir); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating data dir: %w", err)
@@ -98,60 +99,27 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 		}
 	}()
 
-	snapPath := filepath.Join(dir, SnapshotFileName)
 	var (
 		db       *DB
 		ckptTime time.Time
-		migrated []string // legacy snapshot ids to seed the dirty set with
 	)
 	if segs.HasManifest() {
-		// The manifest is the commit point of the newest checkpoint: it
-		// wins over any leftover snapshot (a migration that crashed after
-		// its first segment flush but before deleting the old file).
 		if db, err = bootFromSegments(segs, cfg); err != nil {
 			return nil, err
 		}
-		if err := os.Remove(snapPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("core: removing stale snapshot %s: %w", snapPath, err)
-		}
-		if info, statErr := os.Stat(filepath.Join(filepath.Join(dir, SegmentsDirName), segment.ManifestFileName)); statErr == nil {
+		if info, statErr := os.Stat(filepath.Join(dir, SegmentsDirName, segment.ManifestFileName)); statErr == nil {
 			ckptTime = info.ModTime()
 		}
 	} else {
-		switch info, statErr := os.Stat(snapPath); {
-		case statErr == nil:
-			// Legacy layout: boot from the monolithic snapshot, then mark
-			// every record dirty so the first checkpoint migrates the whole
-			// database into the segment tier.
-			if db, err = LoadFile(snapPath, cfg); err != nil {
-				return nil, err
-			}
-			migrated = db.IDs()
-			ckptTime = info.ModTime()
-		case errors.Is(statErr, fs.ErrNotExist):
-			if db, err = New(cfg); err != nil {
-				return nil, err
-			}
-		default:
-			// "Cannot tell" must not silently boot empty: replaying the WAL
-			// over a fresh database when a snapshot actually exists would
-			// resurrect only the tail of the data.
-			return nil, fmt.Errorf("core: checking snapshot %s: %w", snapPath, statErr)
+		if db, err = New(cfg); err != nil {
+			return nil, err
 		}
-	}
-
-	// Attach the segment tier and arm residency before dirty tracking
-	// and replay: replayed links then register with the tracker like any
-	// live ingest (admitted pinned — their payloads are not in the tier
-	// yet). bootFromSegments already armed it on the manifest path; on
-	// the legacy-snapshot path every migrated record is about to be
-	// marked dirty, so each is admitted pinned here for the same reason.
-	db.segs = segs
-	db.armResidency()
-	for _, id := range migrated {
-		if rec, ok := db.Record(id); ok {
-			db.res.Admit(rec.ID, rec.repBytes, &rec.hot, true)
-		}
+		// Attach the segment tier and arm residency before replay: replayed
+		// links then register with the tracker like any live ingest
+		// (admitted pinned — their payloads are not in the tier yet).
+		// bootFromSegments already did both on the manifest path.
+		db.segs = segs
+		db.armResidency()
 	}
 
 	// Arm delta tracking after adoption (the manifest covers those
@@ -159,9 +127,6 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	// in a committed segment, so everything replay applies must flush at
 	// the next checkpoint — were it not marked, truncation would lose it.
 	db.enableDirtyTracking()
-	for _, id := range migrated {
-		db.markDirty(id, true)
-	}
 
 	w, err := wal.Open(filepath.Join(dir, WALDirName), wal.Options{})
 	if err != nil {
@@ -182,7 +147,6 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 		}
 	}
 	db.wal = w
-	db.dataDir = dir
 	db.probeStop = make(chan struct{})
 	if !ckptTime.IsZero() {
 		db.lastCkpt.Store(&ckptTime)
@@ -191,9 +155,30 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	return db, nil
 }
 
+// refuseLegacySnapshot fails the boot of a directory that a pre-segment-
+// tier build checkpointed into one snapshot file and no build since has
+// migrated (no manifest). Booting such a directory empty and replaying
+// only the WAL tail over it would silently drop every record the
+// snapshot holds, so its presence — or any doubt about it — is an error,
+// raised before OpenDir creates or changes anything. Beside a manifest
+// the file is a stray the manifest supersedes, and is left alone.
+func refuseLegacySnapshot(dir string) error {
+	snapPath := filepath.Join(dir, legacySnapshotName)
+	if _, err := os.Stat(snapPath); errors.Is(err, fs.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("core: checking for legacy snapshot %s: %w", snapPath, err)
+	}
+	manifest := filepath.Join(dir, SegmentsDirName, segment.ManifestFileName)
+	if _, err := os.Stat(manifest); errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("core: %s is a pre-segment-tier snapshot this build cannot read; open the directory once with the previous release, whose first checkpoint migrates it into %s/", snapPath, SegmentsDirName)
+	}
+	return nil
+}
+
 // applyWALRecord re-executes one logged operation during boot replay.
 // Replay is idempotent on top of any checkpoint state: an ingest whose
-// id is already stored is skipped (the snapshot covered it — per id,
+// id is already stored is skipped (a segment covered it — per id,
 // operations are serialized and only acknowledged ones are logged, so
 // the stored value is either this record's or that of a later logged
 // ingest that will overwrite it via the interleaved remove), and a
@@ -250,7 +235,7 @@ func (db *DB) Recovery() RecoveryStats { return db.recovery }
 // stamping the current mutation generation into the record. Called with
 // db.ckptMu held for reading: the append→commit window must complete
 // before a checkpoint may rotate the log (otherwise a record could land
-// in a sealed segment while its in-memory commit misses the snapshot —
+// in a sealed segment while its in-memory commit misses the flush —
 // truncation would then lose an acknowledged write).
 func (db *DB) walAppend(op byte, payload []byte) error {
 	if _, err := db.wal.Append(op, db.gen.Load(), payload); err != nil {
@@ -434,18 +419,10 @@ func (db *DB) checkpoint() error {
 	// The dirty records are durably in the
 	// segment tier, so the swapped-out set is retired for good. What
 	// follows is reclamation — a failure here leaves only garbage (extra
-	// sealed log segments, an uncompacted tier, a stale legacy snapshot),
-	// which boot and the next checkpoint clean up.
+	// sealed log segments, an uncompacted tier), which boot and the next
+	// checkpoint clean up.
 	if err := db.wal.TruncateBefore(base); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	snapPath := filepath.Join(db.dataDir, SnapshotFileName)
-	if err := os.Remove(snapPath); err == nil {
-		if err := store.SyncDir(db.dataDir); err != nil {
-			return fmt.Errorf("core: checkpoint: %w", err)
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("core: checkpoint: removing legacy snapshot: %w", err)
 	}
 	if _, err := db.segs.Compact(); err != nil {
 		return fmt.Errorf("core: checkpoint: compacting segments: %w", err)
@@ -464,7 +441,7 @@ type WALStats struct {
 	// Segments is the retained segment file count.
 	Segments int
 	// LastCheckpoint is when the last checkpoint completed — at boot,
-	// the loaded manifest's (or legacy snapshot's) modification time.
+	// the loaded manifest's modification time.
 	// Zero when this database has never checkpointed and booted empty.
 	LastCheckpoint time.Time
 	// CheckpointFailures counts Checkpoint calls that returned an error

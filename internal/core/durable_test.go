@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"seqrep/internal/segment"
 	"seqrep/internal/seq"
 )
 
@@ -51,8 +52,8 @@ func TestOpenDirFreshReplaysWAL(t *testing.T) {
 	}
 
 	// No checkpoint ever ran: boot state comes entirely from the log.
-	if _, err := os.Stat(filepath.Join(dir, SnapshotFileName)); !os.IsNotExist(err) {
-		t.Fatalf("snapshot exists before any checkpoint: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, SegmentsDirName, segment.ManifestFileName)); !os.IsNotExist(err) {
+		t.Fatalf("manifest exists before any checkpoint: %v", err)
 	}
 	db2 := mustOpenDir(t, dir)
 	defer db2.Close()
@@ -118,19 +119,38 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
+// crashWindowFlush reproduces what a checkpoint that died between its
+// manifest commit and its log truncation leaves on disk: the dirty
+// records land in the segment tier while the log still holds their
+// operations. Keeping the old manifest LSN mirrors the real window too —
+// boot's covered-segment reclaim must not cut the still-replaying
+// records.
+func crashWindowFlush(t *testing.T, db *DB) {
+	t.Helper()
+	entries, _, err := db.encodeDirty(db.swapDirty())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(db.manifestMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.segs.Flush(entries, db.segs.LSN(), meta); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplayIdempotentOverlap simulates a crash in the checkpoint window
-// after the snapshot was written but before the log was truncated: every
-// log record is also in the snapshot, and replay must skip them all —
-// no duplicate ingests.
+// after the flush committed but before the log was truncated: every log
+// record is also in the segment tier, and replay must skip them all — no
+// duplicate ingests.
 func TestReplayIdempotentOverlap(t *testing.T) {
 	dir := t.TempDir()
 	db := mustOpenDir(t, dir)
 	for i := 0; i < 3; i++ {
 		mustIngest(t, db, fmt.Sprintf("r%d", i), durSeq(i))
 	}
-	if err := db.SaveFile(filepath.Join(dir, SnapshotFileName), nil); err != nil {
-		t.Fatal(err)
-	}
+	crashWindowFlush(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,21 +179,9 @@ func TestReplaySkipsRemoveOfAbsent(t *testing.T) {
 	if err := db.Remove("victim"); err != nil {
 		t.Fatal(err)
 	}
-	// Crash-window flush: the tombstone lands in the segment tier, the
-	// log still holds the remove. Keeping the old manifest LSN mirrors
-	// the real window too — boot's covered-segment reclaim must not cut
-	// the still-replaying record.
-	entries, _, err := db.encodeDirty(db.swapDirty())
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := json.Marshal(db.manifestMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.segs.Flush(entries, db.segs.LSN(), meta); err != nil {
-		t.Fatal(err)
-	}
+	// The tombstone lands in the segment tier, the log still holds the
+	// remove.
+	crashWindowFlush(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

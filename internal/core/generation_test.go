@@ -1,21 +1,16 @@
 package core
 
-// Tests for the mutation generation counter, the structured batch-error
-// API, and the atomic snapshot file writer — the core contracts the
-// serving layer's result cache and /v1/snapshot endpoint build on.
+// Tests for the mutation generation counter and the structured
+// batch-error API — the core contracts the serving layer's result cache
+// and batch endpoint build on. (The generation a reboot starts from is
+// pinned in segments_test.go.)
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"seqrep/internal/seq"
-	"seqrep/internal/store"
 )
 
 func rampSeq(n int, shift float64) seq.Sequence {
@@ -64,24 +59,6 @@ func TestGenerationBumpsOnMutations(t *testing.T) {
 	}
 }
 
-func TestGenerationBumpsOnLoad(t *testing.T) {
-	db := mustDB(t, Config{})
-	for i := 0; i < 3; i++ {
-		mustIngest(t, db, fmt.Sprintf("s-%d", i), rampSeq(32, float64(i)))
-	}
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := loaded.Generation(); g == 0 {
-		t.Fatal("loaded database generation = 0, want > 0 (adoption is a mutation)")
-	}
-}
-
 func TestIngestBatchItemsStructuredErrors(t *testing.T) {
 	db := mustDB(t, Config{})
 	mustIngest(t, db, "taken", rampSeq(32, 0))
@@ -124,52 +101,5 @@ func TestIngestBatchItemsStructuredErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `item 1 ("taken")`) {
 		t.Errorf("joined error text lost the item position: %v", err)
-	}
-}
-
-// TestSaveFileAtomic pins the write-to-temp + rename contract: a save
-// whose writer fails mid-stream must leave the previous snapshot intact
-// and no temporary litter behind.
-func TestSaveFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.bin")
-
-	db := mustDB(t, Config{})
-	mustIngest(t, db, "keep", rampSeq(48, 0))
-	if err := db.SaveFile(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := mustDB(t, Config{})
-	mustIngest(t, db2, "other", rampSeq(48, 1))
-	failing := func(w io.Writer) io.Writer { return store.NewFailAfterWriter(w, 16) }
-	if err := db2.SaveFile(path, failing); err == nil {
-		t.Fatal("save over a failing writer unexpectedly succeeded")
-	}
-
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("failed save corrupted the existing snapshot")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory holds %d entries after failed save, want just the snapshot", len(entries))
-	}
-	restored, err := LoadFile(path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := restored.Record("keep"); !ok {
-		t.Fatal("old snapshot no longer loads its record")
 	}
 }

@@ -7,55 +7,28 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"seqrep/internal/feature"
 	"seqrep/internal/multires"
 	"seqrep/internal/rep"
-	"seqrep/internal/store"
 )
 
-// Database snapshot format. Representations and the query-planner feature
-// vectors are persisted — the symbol/interval indexes are cheap to rebuild
-// and doing so guarantees a loaded database always agrees with its
-// configuration, but the feature vectors are kept because they may derive
-// from archived raws the loading process cannot necessarily re-read (and
-// reloading must not change what the planner prunes).
-//
-//	magic   "SDB3" (4 bytes)
-//	epsilon f64
-//	delta   f64
-//	bucket  f64
-//	icoeffs i64 (IndexCoeffs; <= 0 means the feature index was disabled)
-//	fsource u8  (comparison source of the feature vectors: featSource*)
-//	sblock  i64 (SketchBlock; <= 0 means sketches were disabled)
-//	ssource u8  (comparison source of the sketches: featSource*)
-//	count   u32
-//	per record:
-//	  idLen u16, id bytes
-//	  blobLen u32, FunctionSeries blob
-//	  featLen u32, featLen f64s   (0 = record had no feature vector)
-//	  zfeatLen u32, zfeatLen f64s
-//	  sketch  u8 (0 = absent); if 1:
-//	    meanLen u32, meanLen f64s, r1 f64, r2 f64, rinf f64   (plain)
-//	    zmeanLen u32, zmeanLen f64s, zr1 f64, zr2 f64, zrinf f64
-//
-// Loading also accepts the legacy "SDB2" layout (no sketch block or
-// per-record sketches; sketches are rebuilt from each record's comparison
-// form) and "SDB1" (no icoeffs and no feature vectors either; both are
-// rebuilt).
-var (
-	dbMagic   = [4]byte{'S', 'D', 'B', '3'}
-	dbMagicV2 = [4]byte{'S', 'D', 'B', '2'}
-	dbMagicV1 = [4]byte{'S', 'D', 'B', '1'}
-)
+// Record payload codec: the one on-disk encoding of a stored record,
+// carried as the payload of a segment entry (internal/segment,
+// docs/STORAGE.md). Representations, query-planner feature vectors and
+// progressive sketches are persisted — the symbol/interval indexes are
+// cheap to rebuild and doing so guarantees a booted database always
+// agrees with its configuration, but the feature vectors are kept because
+// they may derive from archived raws the booting process cannot
+// necessarily re-read (and rebooting must not change what the planner
+// prunes).
 
 // Feature vectors lower-bound distances against the comparison form they
-// were computed from, so a snapshot records which source that was. A
-// load whose configuration implies a different source must rebuild the
-// vectors — restoring them verbatim would prune against one form while
-// verifying against another, which can falsely dismiss true matches.
+// were computed from, so the segment manifest records which source that
+// was (manifestMeta). A boot whose configuration implies a different
+// source must rebuild the vectors — restoring them verbatim would prune
+// against one form while verifying against another, which can falsely
+// dismiss true matches.
 const (
 	featSourceNone    = 0 // index disabled, no vectors
 	featSourceArchive = 1 // archived raw samples
@@ -89,111 +62,19 @@ func (db *DB) sketchSource() byte {
 	}
 }
 
-// SaveTo writes a snapshot of every stored representation and its feature
-// vectors. The snapshot is a point-in-time copy: records are collected
-// from the sorted id list first, so a save running concurrently with
-// writes sees each sequence either fully or not at all.
-func (db *DB) SaveTo(w io.Writer) error {
-	recs := make([]*Record, 0, db.Len())
-	for _, id := range db.IDs() {
-		if rec, ok := db.Record(id); ok {
-			recs = append(recs, rec)
-		}
-	}
-	// Materialize every representation before the record count is
-	// written: under a memory budget some may be cold, and a record
-	// removed mid-save must be dropped from the snapshot here, while the
-	// count can still exclude it.
-	series := make([]*rep.FunctionSeries, 0, len(recs))
-	live := recs[:0]
-	for _, rec := range recs {
-		fs, err := db.materialize(rec)
-		if err != nil {
-			if err = db.verifyReadError(rec, err); err != nil {
-				return fmt.Errorf("core: save %q: %w", rec.ID, err)
-			}
-			continue // removed mid-save
-		}
-		live = append(live, rec)
-		series = append(series, fs)
-	}
-	recs = live
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(dbMagic[:]); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	var f64 [8]byte
-	for _, v := range []float64{db.cfg.Epsilon, db.cfg.Delta, db.cfg.BucketWidth} {
-		binary.LittleEndian.PutUint64(f64[:], math.Float64bits(v))
-		if _, err := bw.Write(f64[:]); err != nil {
-			return fmt.Errorf("core: save: %w", err)
-		}
-	}
-	icoeffs := int64(db.cfg.IndexCoeffs)
-	if db.findex == nil {
-		icoeffs = -1
-	}
-	binary.LittleEndian.PutUint64(f64[:], uint64(icoeffs))
-	if _, err := bw.Write(f64[:]); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if err := bw.WriteByte(db.featSource()); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	sblock := int64(db.cfg.SketchBlock)
-	if sblock <= 0 {
-		sblock = -1
-	}
-	binary.LittleEndian.PutUint64(f64[:], uint64(sblock))
-	if _, err := bw.Write(f64[:]); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	if err := bw.WriteByte(db.sketchSource()); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(recs)))
-	if _, err := bw.Write(u32[:]); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	for i, rec := range recs {
-		id := rec.ID
-		if len(id) > math.MaxUint16 {
-			return fmt.Errorf("core: save: id %q too long", id[:32])
-		}
-		var u16 [2]byte
-		binary.LittleEndian.PutUint16(u16[:], uint16(len(id)))
-		if _, err := bw.Write(u16[:]); err != nil {
-			return fmt.Errorf("core: save: %w", err)
-		}
-		if _, err := bw.WriteString(id); err != nil {
-			return fmt.Errorf("core: save: %w", err)
-		}
-		body, err := encodeRecordPayload(series[i], rec)
-		if err != nil {
-			return fmt.Errorf("core: save %q: %w", id, err)
-		}
-		if _, err := bw.Write(body); err != nil {
-			return fmt.Errorf("core: save: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: save: %w", err)
-	}
-	return nil
-}
-
-// encodeRecordPayload serializes one record's body — the per-record
-// section of the snapshot format minus the id prefix:
+// encodeRecordPayload serializes one record's body:
 //
-//	blobLen u32 | FunctionSeries blob | featLen u32 | feats |
-//	zfeatLen u32 | zfeats | sketch marker (+ sketch halves)
+//	blobLen  u32, FunctionSeries blob (internal/rep codec)
+//	featLen  u32, featLen f64s    (0 = record had no feature vector)
+//	zfeatLen u32, zfeatLen f64s
+//	sketch   u8 (0 = absent); if 1:
+//	  meanLen  u32, meanLen f64s,  r1 f64,  r2 f64,  rinf f64   (plain)
+//	  zmeanLen u32, zmeanLen f64s, zr1 f64, zr2 f64, zrinf f64
 //
-// The same bytes are a record's payload in an on-disk segment
-// (internal/segment), so snapshot loading and segment boot share one
-// decoder and can never drift.
-// fs is the record's materialized representation — callers resolve it
-// (hot pointer or fault-in) so encoding itself never touches disk.
+// All integers and floats are little-endian. The id is not part of the
+// payload — the segment frame carries it. fs is the record's
+// materialized representation — callers resolve it (hot pointer or
+// fault-in) so encoding itself never touches disk.
 func encodeRecordPayload(fs *rep.FunctionSeries, rec *Record) ([]byte, error) {
 	blob, err := fs.MarshalBinary()
 	if err != nil {
@@ -223,269 +104,83 @@ func encodeRecordPayload(fs *rep.FunctionSeries, rec *Record) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// cursor walks an untrusted payload. Every length prefix is checked
+// against the bytes that remain before anything is allocated for it, so
+// a corrupt or hostile payload costs at most a small multiple of its own
+// size — never what its prefixes claim.
+type cursor struct{ b []byte }
+
+// take consumes the next n bytes (aliasing the payload, not copying).
+func (c *cursor) take(n uint64) ([]byte, error) {
+	if n > uint64(len(c.b)) {
+		return nil, fmt.Errorf("%d bytes claimed, %d remain: %w", n, len(c.b), io.ErrUnexpectedEOF)
+	}
+	out := c.b[:n]
+	c.b = c.b[n:]
+	return out, nil
+}
+
+func (c *cursor) u32() (uint32, error) {
+	b, err := c.take(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (c *cursor) f64s(n uint32) ([]float64, error) {
+	b, err := c.take(8 * uint64(n))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out, nil
+}
+
 // decodeRecordPayload parses a body written by encodeRecordPayload.
-// restoreVectors/restoreSketches mirror Load's comparison-source
-// soundness rule: when false, the stored vectors (or sketch) are parsed
-// but discarded so adopt rebuilds them from this configuration's
+// restoreVectors/restoreSketches carry the comparison-source soundness
+// rule (see featSource): when false, the stored vectors (or sketch) are
+// parsed but discarded so adopt rebuilds them from this configuration's
 // comparison form.
 func decodeRecordPayload(db *DB, id string, payload []byte, restoreVectors, restoreSketches bool) (*rep.FunctionSeries, []float64, []float64, *multires.Sketch, error) {
-	br := bytes.NewReader(payload)
-	var u32 [4]byte
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
+	c := &cursor{payload}
+	blobLen, err := c.u32()
+	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("core: record %q blob length: %w", id, err)
 	}
-	blobLen := binary.LittleEndian.Uint32(u32[:])
-	const maxBlob = 1 << 30
-	if blobLen > maxBlob {
-		return nil, nil, nil, nil, fmt.Errorf("core: record %q: implausible blob size %d", id, blobLen)
-	}
-	blob := make([]byte, blobLen)
-	if _, err := io.ReadFull(br, blob); err != nil {
+	blob, err := c.take(uint64(blobLen))
+	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("core: record %q blob: %w", id, err)
 	}
 	var fs rep.FunctionSeries
 	if err := fs.UnmarshalBinary(blob); err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("core: record %q: %w", id, err)
 	}
-	feats, err := loadVector(br, db, id)
+	feats, err := loadVector(c, db, id)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	zfeats, err := loadVector(br, db, id)
+	zfeats, err := loadVector(c, db, id)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if !restoreVectors {
 		feats, zfeats = nil, nil
 	}
-	sk, err := loadSketch(br, id, fs.N, db.cfg.SketchBlock)
+	sk, err := loadSketch(c, id, fs.N, db.cfg.SketchBlock)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if !restoreSketches {
 		sk = nil
 	}
-	if br.Len() != 0 {
-		return nil, nil, nil, nil, fmt.Errorf("core: record %q: %d trailing payload bytes", id, br.Len())
+	if len(c.b) != 0 {
+		return nil, nil, nil, nil, fmt.Errorf("core: record %q: %d trailing payload bytes", id, len(c.b))
 	}
 	return &fs, feats, zfeats, sk, nil
-}
-
-// SaveFile writes a snapshot to path atomically: the bytes go to a
-// temporary file in path's directory (so the final step is a same-
-// filesystem rename) and the destination is replaced only after the write
-// fully succeeds. A failure mid-write leaves any existing snapshot at path
-// untouched and removes the temporary file.
-//
-// wrap, when non-nil, decorates the underlying writer — the hook the
-// fault-injection and accounting tests use (compare store.CountingArchive);
-// production callers pass nil.
-func (db *DB) SaveFile(path string, wrap func(io.Writer) io.Writer) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: save %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	var w io.Writer = tmp
-	if wrap != nil {
-		w = wrap(tmp)
-	}
-	if err = db.SaveTo(w); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("core: save %s: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("core: save %s: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("core: save %s: %w", path, err)
-	}
-	// The rename put the snapshot's name into the directory, but that
-	// entry lives in directory metadata: without syncing the directory a
-	// power loss can forget the rename even though the file's bytes were
-	// fsync'd above.
-	if err = store.SyncDir(dir); err != nil {
-		return fmt.Errorf("core: save %s: %w", path, err)
-	}
-	return nil
-}
-
-// LoadFile reads a snapshot file written by SaveFile into a fresh
-// database (see Load for how cfg combines with the stored parameters).
-func LoadFile(path string, cfg Config) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: load %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f, cfg)
-}
-
-// Load reads a snapshot into a fresh database. The snapshot's scalar
-// parameters (ε, δ, bucket width, index coefficient count) are restored;
-// breaker, representer, preprocessing and archive come from cfg since
-// they are code, not data. Features and the interval index are rebuilt
-// from the representations; the query-planner feature vectors are
-// restored verbatim (current snapshots) or rebuilt from each record's
-// comparison form (legacy SDB1 snapshots).
-//
-// Snapshots do not carry raw sequences: those live in the archive. When
-// cfg supplies a persistent archive (e.g. a FileArchive over the same
-// directory as before), value queries keep working at full resolution;
-// with a fresh empty archive they fail for ids the archive lacks.
-func Load(r io.Reader, cfg Config) (*DB, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: load magic: %w", err)
-	}
-	legacy := magic == dbMagicV1
-	v2 := magic == dbMagicV2
-	if magic != dbMagic && !v2 && !legacy {
-		return nil, fmt.Errorf("core: bad snapshot magic %q", magic)
-	}
-	var f64 [8]byte
-	scalars := make([]float64, 3)
-	for i := range scalars {
-		if _, err := io.ReadFull(br, f64[:]); err != nil {
-			return nil, fmt.Errorf("core: load scalars: %w", err)
-		}
-		scalars[i] = math.Float64frombits(binary.LittleEndian.Uint64(f64[:]))
-	}
-	cfg.Epsilon, cfg.Delta, cfg.BucketWidth = scalars[0], scalars[1], scalars[2]
-	var source byte
-	if !legacy {
-		if _, err := io.ReadFull(br, f64[:]); err != nil {
-			return nil, fmt.Errorf("core: load index coefficients: %w", err)
-		}
-		icoeffs := int64(binary.LittleEndian.Uint64(f64[:]))
-		const maxCoeffs = 1 << 20
-		if icoeffs > maxCoeffs {
-			return nil, fmt.Errorf("core: implausible index coefficient count %d", icoeffs)
-		}
-		if icoeffs <= 0 {
-			cfg.IndexCoeffs = -1
-		} else {
-			cfg.IndexCoeffs = int(icoeffs)
-		}
-		var b [1]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return nil, fmt.Errorf("core: load feature source: %w", err)
-		}
-		source = b[0]
-		if source > featSourceRecon {
-			return nil, fmt.Errorf("core: unknown feature-vector source %d", source)
-		}
-	}
-	var ssource byte
-	hasSketches := magic == dbMagic
-	if hasSketches {
-		if _, err := io.ReadFull(br, f64[:]); err != nil {
-			return nil, fmt.Errorf("core: load sketch block: %w", err)
-		}
-		sblock := int64(binary.LittleEndian.Uint64(f64[:]))
-		const maxBlock = 1 << 20
-		if sblock > maxBlock {
-			return nil, fmt.Errorf("core: implausible sketch block size %d", sblock)
-		}
-		if sblock <= 0 {
-			cfg.SketchBlock = -1
-		} else {
-			cfg.SketchBlock = int(sblock)
-		}
-		var b [1]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return nil, fmt.Errorf("core: load sketch source: %w", err)
-		}
-		ssource = b[0]
-		if ssource > featSourceRecon {
-			return nil, fmt.Errorf("core: unknown sketch source %d", ssource)
-		}
-	}
-	db, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Stored vectors are only sound against the comparison form this
-	// configuration will verify with; on a source mismatch (archive added
-	// or dropped since the save) they are discarded and rebuilt by adopt.
-	// The same rule governs the progressive sketches.
-	restoreVectors := source == db.featSource()
-	restoreSketches := hasSketches && ssource == db.sketchSource()
-
-	var u32 [4]byte
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return nil, fmt.Errorf("core: load count: %w", err)
-	}
-	count := binary.LittleEndian.Uint32(u32[:])
-	const maxRecords = 1 << 24
-	if count > maxRecords {
-		return nil, fmt.Errorf("core: implausible record count %d", count)
-	}
-	for i := uint32(0); i < count; i++ {
-		var u16 [2]byte
-		if _, err := io.ReadFull(br, u16[:]); err != nil {
-			return nil, fmt.Errorf("core: load record %d id length: %w", i, err)
-		}
-		idLen := binary.LittleEndian.Uint16(u16[:])
-		idBytes := make([]byte, idLen)
-		if _, err := io.ReadFull(br, idBytes); err != nil {
-			return nil, fmt.Errorf("core: load record %d id: %w", i, err)
-		}
-		id := string(idBytes)
-		if id == "" {
-			return nil, fmt.Errorf("core: load record %d: empty id", i)
-		}
-		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return nil, fmt.Errorf("core: load %q blob length: %w", id, err)
-		}
-		blobLen := binary.LittleEndian.Uint32(u32[:])
-		const maxBlob = 1 << 30
-		if blobLen > maxBlob {
-			return nil, fmt.Errorf("core: load %q: implausible blob size %d", id, blobLen)
-		}
-		blob := make([]byte, blobLen)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return nil, fmt.Errorf("core: load %q blob: %w", id, err)
-		}
-		var fs rep.FunctionSeries
-		if err := fs.UnmarshalBinary(blob); err != nil {
-			return nil, fmt.Errorf("core: load %q: %w", id, err)
-		}
-		var feats, zfeats []float64
-		if !legacy {
-			if feats, err = loadVector(br, db, id); err != nil {
-				return nil, err
-			}
-			if zfeats, err = loadVector(br, db, id); err != nil {
-				return nil, err
-			}
-			if !restoreVectors {
-				feats, zfeats = nil, nil
-			}
-		}
-		var sk *multires.Sketch
-		if hasSketches {
-			if sk, err = loadSketch(br, id, fs.N, db.cfg.SketchBlock); err != nil {
-				return nil, err
-			}
-			if !restoreSketches {
-				sk = nil
-			}
-		}
-		if err := db.adopt(id, &fs, feats, zfeats, sk); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
 }
 
 // saveSketch writes one record's sketch payload (a presence byte, then
@@ -527,46 +222,40 @@ func saveSketch(bw *bufio.Writer, sk *multires.Sketch) error {
 }
 
 // loadSketch reads one record's sketch payload, validating the mean
-// counts against the record's length and the snapshot's block size.
-func loadSketch(br io.Reader, id string, n, block int) (*multires.Sketch, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(br, b[:]); err != nil {
-		return nil, fmt.Errorf("core: load %q sketch: %w", id, err)
+// counts against the record's length and the database's block size. n
+// comes from the same untrusted bytes, so a count that matches it is
+// still bounded by what the payload actually holds (cursor.f64s).
+func loadSketch(c *cursor, id string, n, block int) (*multires.Sketch, error) {
+	marker, err := c.take(1)
+	if err != nil {
+		return nil, fmt.Errorf("core: record %q sketch: %w", id, err)
 	}
-	if b[0] == 0 {
+	if marker[0] == 0 {
 		return nil, nil
 	}
-	if b[0] != 1 {
-		return nil, fmt.Errorf("core: load %q: bad sketch marker %d", id, b[0])
+	if marker[0] != 1 {
+		return nil, fmt.Errorf("core: record %q: bad sketch marker %d", id, marker[0])
 	}
 	want := 0
 	if block > 0 {
 		want = multires.NumBlocks(n, block)
 	}
 	sk := &multires.Sketch{N: n, Block: block}
-	var u32 [4]byte
-	var f64 [8]byte
 	for half := 0; half < 2; half++ {
-		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return nil, fmt.Errorf("core: load %q sketch: %w", id, err)
+		got, err := c.u32()
+		if err != nil {
+			return nil, fmt.Errorf("core: record %q sketch: %w", id, err)
 		}
-		got := binary.LittleEndian.Uint32(u32[:])
 		if int(got) != want {
-			return nil, fmt.Errorf("core: load %q: sketch has %d means, want %d", id, got, want)
+			return nil, fmt.Errorf("core: record %q: sketch has %d means, want %d", id, got, want)
 		}
-		means := make([]float64, got)
-		for i := range means {
-			if _, err := io.ReadFull(br, f64[:]); err != nil {
-				return nil, fmt.Errorf("core: load %q sketch: %w", id, err)
-			}
-			means[i] = math.Float64frombits(binary.LittleEndian.Uint64(f64[:]))
+		means, err := c.f64s(got)
+		if err != nil {
+			return nil, fmt.Errorf("core: record %q sketch means: %w", id, err)
 		}
-		norms := [3]float64{}
-		for i := range norms {
-			if _, err := io.ReadFull(br, f64[:]); err != nil {
-				return nil, fmt.Errorf("core: load %q sketch: %w", id, err)
-			}
-			norms[i] = math.Float64frombits(binary.LittleEndian.Uint64(f64[:]))
+		norms, err := c.f64s(3)
+		if err != nil {
+			return nil, fmt.Errorf("core: record %q sketch norms: %w", id, err)
 		}
 		if half == 0 {
 			sk.Means, sk.R1, sk.R2, sk.Rinf = means, norms[0], norms[1], norms[2]
@@ -580,12 +269,11 @@ func loadSketch(br io.Reader, id string, n, block int) (*multires.Sketch, error)
 // loadVector reads one length-prefixed feature vector, validating its
 // width against the database's coefficient count (real vectors are always
 // 2·IndexCoeffs wide; 0 marks an absent vector).
-func loadVector(br io.Reader, db *DB, id string) ([]float64, error) {
-	var u32 [4]byte
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return nil, fmt.Errorf("core: load %q feature length: %w", id, err)
+func loadVector(c *cursor, db *DB, id string) ([]float64, error) {
+	n, err := c.u32()
+	if err != nil {
+		return nil, fmt.Errorf("core: record %q feature length: %w", id, err)
 	}
-	n := binary.LittleEndian.Uint32(u32[:])
 	if n == 0 {
 		return nil, nil
 	}
@@ -594,25 +282,20 @@ func loadVector(br io.Reader, db *DB, id string) ([]float64, error) {
 		want = 2 * db.findex.k
 	}
 	if int(n) != want {
-		return nil, fmt.Errorf("core: load %q: feature vector has %d entries, want %d", id, n, want)
+		return nil, fmt.Errorf("core: record %q: feature vector has %d entries, want %d", id, n, want)
 	}
-	vec := make([]float64, n)
-	var f64 [8]byte
-	for i := range vec {
-		if _, err := io.ReadFull(br, f64[:]); err != nil {
-			return nil, fmt.Errorf("core: load %q feature vector: %w", id, err)
-		}
-		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(f64[:]))
+	vec, err := c.f64s(n)
+	if err != nil {
+		return nil, fmt.Errorf("core: record %q feature vector: %w", id, err)
 	}
 	return vec, nil
 }
 
 // adopt installs an already-built representation, rebuilding features and
-// index postings (used by Load). It follows the same reserve → commit →
-// link protocol as Ingest. Snapshot-supplied feature vectors and sketches
-// are restored verbatim; with none (legacy snapshots, or a comparison-
-// source mismatch), they are recomputed from the record's comparison
-// form.
+// index postings (used by the segment-tier boot). It follows the same
+// reserve → commit → link protocol as Ingest. Stored feature vectors and
+// sketches are restored verbatim; with none (a comparison-source
+// mismatch), they are recomputed from the record's comparison form.
 func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, sk *multires.Sketch) error {
 	profile, err := feature.Extract(fs, db.cfg.Delta)
 	if err != nil {
@@ -620,7 +303,7 @@ func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, 
 	}
 	sh := db.shardOf(id)
 	if !sh.reserve(id) {
-		return fmt.Errorf("core: duplicate id %q in snapshot", id)
+		return fmt.Errorf("core: duplicate id %q in segment tier", id)
 	}
 	rec := &Record{ID: id, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
 	rec.setRep(fs)

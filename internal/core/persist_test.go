@@ -1,442 +1,215 @@
 package core
 
+// Tests for the record payload codec — the one decoder that reads
+// record bytes back off disk (segment boot and cold-payload fault-in).
+// Segment frames are CRC-checked, but the decoder must still hold up on
+// its own against whatever bytes reach it: reject, never panic, and
+// never allocate what a length prefix claims rather than what the
+// payload holds.
+
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"math"
-	"reflect"
-	"sort"
+	"fmt"
+	"runtime"
 	"testing"
 
-	"seqrep/internal/dist"
+	"seqrep/internal/fit"
 	"seqrep/internal/multires"
-	"seqrep/internal/pattern"
-	"seqrep/internal/store"
+	"seqrep/internal/rep"
 	"seqrep/internal/synth"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := feverDB(t)
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{})
+// payloadFixture returns a default-configuration database (the decoding
+// side) and two real payloads: a record carrying feature vectors and a
+// sketch, and one from a database with both disabled.
+func payloadFixture(t testing.TB) (db *DB, full, bare []byte) {
+	t.Helper()
+	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != db.Len() {
-		t.Fatalf("loaded %d records, want %d", loaded.Len(), db.Len())
-	}
-	cfg := loaded.Config()
-	if cfg.Epsilon != 0.5 || cfg.Delta != 0.25 || cfg.BucketWidth != 1 {
-		t.Errorf("scalars not restored: %+v", cfg)
-	}
-
-	// Queries behave identically after the round trip.
-	before, err := db.MatchPattern(pattern.TwoPeak())
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := loaded.MatchPattern(pattern.TwoPeak())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(before) != len(after) {
-		t.Fatalf("pattern matches %d vs %d", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Errorf("match %d: %q vs %q", i, before[i], after[i])
+	encode := func(cfg Config) (*DB, []byte) {
+		db := mustDB(t, cfg)
+		mustIngest(t, db, "fever", fever)
+		rec, _ := db.Record("fever")
+		payload, err := encodeRecordPayload(rec.rep.Load(), rec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return db, payload
 	}
-
-	// Interval index rebuilt: same result set.
-	bm, err := db.IntervalQuery(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	am, err := loaded.IntervalQuery(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bm) != len(am) {
-		t.Fatalf("interval matches %d vs %d", len(bm), len(am))
-	}
-	for i := range bm {
-		if bm[i].ID != am[i].ID || len(bm[i].Positions) != len(am[i].Positions) {
-			t.Errorf("interval match %d differs", i)
-		}
-	}
+	db, full = encode(Config{})
+	_, bare = encode(Config{IndexCoeffs: -1, SketchBlock: -1})
+	return db, full, bare
 }
+
+// fieldBoundaries walks a valid payload and returns the offset at which
+// each field ends (every length prefix, every body, the sketch marker).
+func fieldBoundaries(payload []byte) []int {
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(payload[off:])) }
+	var ends []int
+	off := 0
+	field := func(n int) { off += n; ends = append(ends, off) }
+	blob := u32(off)
+	field(4)
+	field(blob)
+	for i := 0; i < 2; i++ { // feats, zfeats
+		n := u32(off)
+		field(4)
+		if n > 0 {
+			field(8 * n)
+		}
+	}
+	marker := payload[off]
+	field(1)
+	if marker == 1 {
+		for half := 0; half < 2; half++ {
+			n := u32(off)
+			field(4)
+			field(8 * n) // means
+			field(8 * 3) // residual norms
+		}
+	}
+	return ends
+}
+
+// allocated reports the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocBudget is what decoding an n-byte payload may allocate: a small
+// multiple of its size (decoded structs are wider than their encoding)
+// plus the decoder's fixed buffers.
+func allocBudget(n int) uint64 { return 16*uint64(n) + 64<<10 }
 
 func TestLoadRejectsCorruption(t *testing.T) {
-	db := feverDB(t)
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
+	db, full, bare := payloadFixture(t)
+	for _, p := range [][]byte{full, bare} {
+		fs, feats, zfeats, sk, err := decodeRecordPayload(db, "ok", p, true, true)
+		if err != nil {
+			t.Fatalf("valid payload rejected: %v", err)
+		}
+		again, err := encodeRecordPayload(fs, &Record{feats: feats, zfeats: zfeats, sketch: sk})
+		if err != nil || !bytes.Equal(again, p) {
+			t.Fatalf("decode→encode changed a valid payload (err %v)", err)
+		}
+	}
+
+	ends := fieldBoundaries(full)
+	if ends[len(ends)-1] != len(full) {
+		t.Fatalf("field walk ends at %d of %d bytes", ends[len(ends)-1], len(full))
+	}
+	blobEnd, featsEnd, marker := ends[1], ends[3], ends[5]
+	mutate := func(off int, b ...byte) []byte {
+		out := bytes.Clone(full)
+		copy(out[off:], b)
+		return out
+	}
+	cases := map[string][]byte{
+		"empty":                nil,
+		"trailing byte":        append(bytes.Clone(full), 0),
+		"blob magic":           mutate(4, 'X'),
+		"blob with slack":      bytes.Join([][]byte{binary.LittleEndian.AppendUint32(nil, uint32(blobEnd-4+1)), full[4:blobEnd], {0}, full[blobEnd:]}, nil),
+		"vector width":         mutate(blobEnd, 3, 0, 0, 0),
+		"second vector width":  mutate(featsEnd, 3, 0, 0, 0),
+		"sketch marker":        mutate(marker, 2),
+		"sketch mean count":    mutate(marker+1, 1, 0, 0, 0),
+		"sketch absent + tail": mutate(marker, 0),
+	}
+	for _, end := range ends[:len(ends)-1] {
+		cases[fmt.Sprintf("truncated at field boundary %d", end)] = full[:end]
+	}
+	for cut := 1; cut < len(full); cut += 7 {
+		cases[fmt.Sprintf("truncated at byte %d", cut)] = full[:cut]
+	}
+	for name, p := range cases {
+		if _, _, _, _, err := decodeRecordPayload(db, "bad", p, true, true); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestLoadHugeCountRejected feeds the decoder length prefixes that claim
+// far more than the payload holds. Each must be refused before anything
+// is allocated for it: the sketch mean count is the subtle one, because
+// it is validated only against a sample count read from the same bytes.
+func TestLoadHugeCountRejected(t *testing.T) {
+	db, full, _ := payloadFixture(t)
+	ends := fieldBoundaries(full)
+	blobEnd := ends[1]
+
+	// A valid one-segment representation claiming 2²⁷ samples: its sketch
+	// legitimately has 2²⁷/block means, which a short payload cannot hold.
+	const hugeN = 1 << 27
+	giant := rep.FunctionSeries{N: hugeN, Segments: []rep.Segment{{
+		Lo: 0, Hi: hugeN - 1, StartT: 0, EndT: hugeN - 1, Kind: fit.KindLine, Params: []float64{0, 0},
+	}}}
+	giantBlob, err := giant.MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	u32 := func(v int) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(v)) }
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	sketchOfGiant := join(u32(len(giantBlob)), giantBlob, u32(0), u32(0), []byte{1},
+		u32(multires.NumBlocks(hugeN, db.cfg.SketchBlock)))
 
 	cases := map[string][]byte{
-		"empty":     nil,
-		"bad magic": append([]byte("XXXX"), data[4:]...),
-		"truncated": data[:len(data)/3],
+		"blob length 1 GiB":      u32(1 << 30),
+		"blob length 4 GiB":      u32(1<<32 - 1),
+		"vector count":           join(full[:blobEnd], u32(2*db.findex.k)),
+		"vector count 4 Gi":      join(full[:blobEnd], u32(1<<32-1)),
+		"sketch means of 2^27":   sketchOfGiant,
+		"sketch mean count 4 Gi": join(full[:ends[6]], u32(1<<32-1)),
 	}
-	for name, blob := range cases {
-		if _, err := Load(bytes.NewReader(blob), Config{}); err == nil {
-			t.Errorf("%s accepted", name)
+	for name, p := range cases {
+		var err error
+		got := allocated(func() { _, _, _, _, err = decodeRecordPayload(db, "huge", p, true, true) })
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if budget := allocBudget(len(p)); got > budget {
+			t.Errorf("%s: decoding %d bytes allocated %d, budget %d", name, len(p), got, budget)
 		}
 	}
 }
 
-func TestLoadHugeCountRejected(t *testing.T) {
-	// magic + 3 scalars + icoeffs + fsource + count 0xffffffff. Zero
-	// stored coefficients mean "index disabled", which Load must
-	// tolerate.
-	blob := append([]byte{}, dbMagic[:]...)
-	blob = append(blob, make([]byte, 33)...)
-	blob = append(blob, 0xff, 0xff, 0xff, 0xff)
-	if _, err := Load(bytes.NewReader(blob), Config{}); err == nil {
-		t.Error("huge record count accepted")
+// FuzzRecordPayload: arbitrary bytes never panic the decoder, never make
+// it allocate past a small multiple of their own length, and whatever it
+// accepts re-encodes to exactly the bytes it was given (the codec has one
+// spelling per record, so a checkpoint rewrites what boot read).
+func FuzzRecordPayload(f *testing.F) {
+	db, full, bare := payloadFixture(f)
+	f.Add(full)
+	f.Add(bare)
+	for _, end := range fieldBoundaries(full) {
+		f.Add(full[:end])
 	}
-}
-
-// TestSaveLoadPreservesFeatureIndex is the planner's persistence
-// contract: a reloaded database answers indexed queries with the same
-// matches and the same plan statistics, without recomputing a single
-// feature vector (no archive reads during Load).
-func TestSaveLoadPreservesFeatureIndex(t *testing.T) {
-	counting := store.NewCountingArchive(store.NewMemArchive())
-	db := mustDB(t, Config{Archive: counting})
-	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustIngest(t, db, "fever", fever)
-	mustIngest(t, db, "near", fever.ShiftValue(0.05))
-	mustIngest(t, db, "far", fever.ShiftValue(50))
-
-	exemplar := fever.Clone()
-	before, beforeStats, err := db.DistanceQueryStats(exemplar, dist.Euclidean, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	counting.ResetStats()
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{Archive: counting})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reads := counting.Stats().Reads; reads != 0 {
-		t.Errorf("Load read the archive %d times: feature vectors were rebuilt, not restored", reads)
-	}
-	if got, want := loaded.Stats().FeatureIndexed, db.Stats().FeatureIndexed; got != want {
-		t.Errorf("FeatureIndexed = %d after load, want %d", got, want)
-	}
-
-	after, afterStats, err := loaded.DistanceQueryStats(exemplar, dist.Euclidean, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Errorf("matches changed across the round trip: %+v vs %+v", before, after)
-	}
-	if beforeStats != afterStats {
-		t.Errorf("stats changed across the round trip: %+v vs %+v", beforeStats, afterStats)
-	}
-	if afterStats.Plan != PlanIndex || afterStats.Pruned == 0 {
-		t.Errorf("loaded planner stats: %+v", afterStats)
-	}
-}
-
-// TestLoadRebuildsVectorsOnComparisonSourceChange covers the unsound
-// case: a snapshot saved from an archive-backed database (vectors over
-// raw samples) loaded without an archive (verification over
-// reconstructions). Restoring the raw-derived vectors verbatim would
-// prune against one form and verify against another — a false
-// dismissal. Load must rebuild instead, keeping the plans equivalent.
-func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
-	db := mustDB(t, Config{Archive: store.NewMemArchive()})
-	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustIngest(t, db, "fever", fever)
-	mustIngest(t, db, "far", fever.ShiftValue(50))
-
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{}) // no archive
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The exact reconstruction must match itself at every tolerance on
-	// both plans.
-	reconstruction, err := loaded.Reconstruct("fever")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []float64{0, 0.001, 0.01, 0.1, 1} {
-		indexed, istats, err := loaded.DistanceQueryStats(reconstruction, dist.Euclidean, eps)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var (
+			fs            *rep.FunctionSeries
+			feats, zfeats []float64
+			sk            *multires.Sketch
+			err           error
+		)
+		got := allocated(func() { fs, feats, zfeats, sk, err = decodeRecordPayload(db, "fuzz", payload, true, true) })
+		if budget := allocBudget(len(payload)); got > budget {
+			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(payload), got, budget)
+		}
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		scanned, _, err := loaded.distanceScan(reconstruction, dist.Euclidean, eps)
+		again, err := encodeRecordPayload(fs, &Record{feats: feats, zfeats: zfeats, sketch: sk})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("accepted payload does not re-encode: %v", err)
 		}
-		if !reflect.DeepEqual(indexed, scanned) {
-			t.Fatalf("eps=%g: indexed %+v != scan %+v (stale raw-derived vectors?)", eps, indexed, scanned)
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", payload, again)
 		}
-		if istats.Plan != PlanIndex {
-			t.Errorf("eps=%g: plan = %q, want index", eps, istats.Plan)
-		}
-		if len(indexed) == 0 {
-			t.Fatalf("eps=%g: self-match dismissed", eps)
-		}
-	}
-	if got := loaded.Stats().FeatureIndexed; got != 2 {
-		t.Errorf("FeatureIndexed = %d, want 2 (rebuilt from reconstructions)", got)
-	}
-}
-
-// TestLoadLegacySnapshotRebuildsFeatures feeds Load a hand-built SDB1
-// stream (the pre-feature-index layout) and checks the feature vectors
-// are rebuilt from the representations so the planner still prunes.
-func TestLoadLegacySnapshotRebuildsFeatures(t *testing.T) {
-	db := mustDB(t, Config{})
-	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustIngest(t, db, "fever", fever)
-	mustIngest(t, db, "far", fever.ShiftValue(50))
-
-	var buf bytes.Buffer
-	buf.Write(dbMagicV1[:])
-	var f64 [8]byte
-	for _, v := range []float64{db.cfg.Epsilon, db.cfg.Delta, db.cfg.BucketWidth} {
-		binary.LittleEndian.PutUint64(f64[:], math.Float64bits(v))
-		buf.Write(f64[:])
-	}
-	ids := db.IDs()
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(ids)))
-	buf.Write(u32[:])
-	for _, id := range ids {
-		rec, _ := db.Record(id)
-		var u16 [2]byte
-		binary.LittleEndian.PutUint16(u16[:], uint16(len(id)))
-		buf.Write(u16[:])
-		buf.WriteString(id)
-		blob, err := rec.rep.Load().MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(blob)))
-		buf.Write(u32[:])
-		buf.Write(blob)
-	}
-
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{})
-	if err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
-	}
-	if got := loaded.Stats().FeatureIndexed; got != 2 {
-		t.Errorf("FeatureIndexed = %d, want 2 (rebuilt)", got)
-	}
-	reconstructed, err := loaded.Reconstruct("fever")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := loaded.DistanceQueryStats(reconstructed, dist.Euclidean, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Plan != PlanIndex || stats.Pruned == 0 {
-		t.Errorf("legacy-loaded planner did not prune: %+v", stats)
-	}
-}
-
-func TestSaveEmptyDB(t *testing.T) {
-	db := mustDB(t, Config{})
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 0 {
-		t.Errorf("loaded %d records from empty snapshot", loaded.Len())
-	}
-}
-
-// TestSaveLoadRestoresSketches pins the SDB3 restore path: with the
-// comparison source unchanged across the round trip, every record's
-// progressive sketch is restored bit-for-bit from the snapshot rather
-// than rebuilt, and progressive queries on the loaded database behave
-// identically.
-func TestSaveLoadRestoresSketches(t *testing.T) {
-	db := mustDB(t, Config{}) // no archive: sketches over reconstructions
-	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustIngest(t, db, "fever", fever)
-	mustIngest(t, db, "near", fever.ShiftValue(0.5))
-	mustIngest(t, db, "far", fever.ShiftValue(50))
-
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Config().SketchBlock; got != db.cfg.SketchBlock {
-		t.Fatalf("SketchBlock = %d, want %d", got, db.cfg.SketchBlock)
-	}
-	for _, id := range db.IDs() {
-		orig, _ := db.Record(id)
-		got, ok := loaded.Record(id)
-		if !ok {
-			t.Fatalf("%q missing after load", id)
-		}
-		if orig.sketch == nil {
-			t.Fatalf("%q had no sketch before the save", id)
-		}
-		if !reflect.DeepEqual(got.sketch, orig.sketch) {
-			t.Errorf("%q: sketch not restored bit-for-bit:\n got  %+v\n want %+v", id, got.sketch, orig.sketch)
-		}
-	}
-
-	// The loaded database answers progressively with the same accepts.
-	exemplar, err := db.Reconstruct("fever")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var accepts []string
-	_, err = loaded.DistanceQueryProgressive(context.Background(), exemplar, dist.Euclidean, 5, QueryOptions{}, func(pm ProgressiveMatch) bool {
-		if pm.Final && pm.Match != nil {
-			accepts = append(accepts, pm.ID)
-		}
-		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(accepts)
-	matches, err := db.DistanceQuery(exemplar, dist.Euclidean, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, m := range matches {
-		want = append(want, m.ID)
-	}
-	sort.Strings(want)
-	if !reflect.DeepEqual(accepts, want) {
-		t.Errorf("progressive accepts after load %v, want %v", accepts, want)
-	}
-}
-
-// TestLoadRebuildsSketchesOnSourceChange pins the soundness rule for
-// sketches across a comparison-source change: a snapshot saved from an
-// archive-backed database loaded without the archive must not trust the
-// stored sketches (they band raw values the new configuration cannot
-// verify against) — it rebuilds them from the reconstructions instead.
-func TestLoadRebuildsSketchesOnSourceChange(t *testing.T) {
-	db := feverDB(t) // archive-backed: sketches over raw values
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := 0
-	for _, id := range loaded.IDs() {
-		rec, _ := loaded.Record(id)
-		if rec.sketch == nil {
-			t.Fatalf("%q: sketch missing after source-change load", id)
-		}
-		// The rebuilt sketch must equal one built fresh from the loaded
-		// database's own comparison form...
-		vals, ok := loaded.comparisonValues(rec, nil)
-		if !ok {
-			t.Fatalf("%q: no comparison values", id)
-		}
-		want := multires.BuildSketch(vals, loaded.cfg.SketchBlock)
-		if !reflect.DeepEqual(rec.sketch, want) {
-			t.Errorf("%q: sketch does not match the reconstruction form", id)
-		}
-		// ...and differ from the raw-value sketch wherever lossy
-		// representation actually moved the signal.
-		orig, _ := db.Record(id)
-		if !reflect.DeepEqual(rec.sketch, orig.sketch) {
-			rebuilt++
-		}
-	}
-	if rebuilt == 0 {
-		t.Error("every sketch survived a comparison-source change verbatim; rebuild path untested")
-	}
-}
-
-// TestSaveLoadSketchesDisabled pins the disabled configuration: a
-// snapshot from a SketchBlock<0 database round-trips with sketches still
-// off, and progressive queries degrade gracefully (uninformative sketch
-// tier, exact answers).
-func TestSaveLoadSketchesDisabled(t *testing.T) {
-	db := mustDB(t, Config{SketchBlock: -1})
-	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustIngest(t, db, "fever", fever)
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Config().SketchBlock; got > 0 {
-		t.Fatalf("SketchBlock = %d after disabled round trip", got)
-	}
-	rec, _ := loaded.Record("fever")
-	if rec.sketch != nil {
-		t.Error("disabled configuration restored a sketch")
-	}
-	exemplar, err := loaded.Reconstruct("fever")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	_, err = loaded.DistanceQueryProgressive(context.Background(), exemplar, dist.Euclidean, 5, QueryOptions{}, func(pm ProgressiveMatch) bool {
-		if pm.ID == "fever" && pm.Final && pm.Match != nil {
-			found = true
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Error("sketchless progressive query lost the matching record")
-	}
 }

@@ -37,9 +37,6 @@ import (
 // to page from. Called single-threaded during OpenDir boot, after
 // db.segs is attached and before any record is adopted or replayed.
 func (db *DB) armResidency() {
-	if db.res != nil {
-		return // already armed (bootFromSegments runs before OpenDir's call)
-	}
 	if db.cfg.MemoryBudget > 0 && db.segs != nil {
 		db.res = resident.New(db.cfg.MemoryBudget, db.onEvictRep)
 	}

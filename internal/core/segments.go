@@ -10,8 +10,8 @@ import (
 )
 
 // Segment-tier glue (docs/STORAGE.md): an OpenDir database checkpoints
-// into a tier of immutable on-disk segments under dir/segments instead
-// of rewriting one monolithic snapshot. Only the records dirtied since
+// into a tier of immutable on-disk segments under dir/segments — the
+// only on-disk form of a database. Only the records dirtied since
 // the last checkpoint are flushed — O(delta), not O(database) — with
 // removals becoming tombstones; the tier's MANIFEST records the WAL
 // offset the segments cover, which is both the replay resume point and
@@ -23,9 +23,10 @@ const SegmentsDirName = "segments"
 
 // manifestMeta is the configuration blob the checkpoint path stores in
 // the segment manifest: the scalar parameters a reboot must restore
-// before it can decode payloads and rebuild indexes — the same set the
-// legacy snapshot header carried, with the same comparison-source
-// soundness rule for feature vectors and sketches.
+// before it can decode payloads and rebuild indexes, plus the comparison
+// source the stored feature vectors and sketches were computed from
+// (featSource / sketchSource) — a boot under a different source rebuilds
+// them instead of restoring them.
 type manifestMeta struct {
 	Epsilon      float64 `json:"epsilon"`
 	Delta        float64 `json:"delta"`
@@ -55,8 +56,8 @@ func (db *DB) manifestMeta() manifestMeta {
 	return mm
 }
 
-// applyManifestMeta folds stored scalar parameters into cfg, mirroring
-// what Load does with a snapshot header: stored data parameters win,
+// applyManifestMeta folds stored scalar parameters into cfg: stored data
+// parameters win (the stored representations were built under them),
 // code components stay cfg's.
 func applyManifestMeta(cfg Config, mm manifestMeta) (Config, error) {
 	const maxCoeffs, maxBlock = 1 << 20, 1 << 20

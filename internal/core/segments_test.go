@@ -1,23 +1,33 @@
 package core
 
 // Segment-tier regression tests: a checkpoint flushes only the records
-// dirtied since the previous one, a legacy full snapshot migrates into
-// the segment tier on its first checkpoint, a checkpoint that fails
-// between log rotation and truncation strands sealed WAL segments that
-// the next successful checkpoint reclaims (without churning empty
-// segments in the meantime), and OpenDir refuses each corrupt boot
-// state loudly instead of booting empty over it.
+// dirtied since the previous one, a checkpoint that fails between log
+// rotation and truncation strands sealed WAL segments that the next
+// successful checkpoint reclaims (without churning empty segments in the
+// meantime), OpenDir refuses each corrupt boot state loudly instead of
+// booting empty over it, and the OpenDir → ingest → Checkpoint → Close →
+// OpenDir round trip — the only way a database reaches disk and comes
+// back — preserves answers, vectors, sketches and configuration.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
+	"seqrep/internal/dist"
+	"seqrep/internal/multires"
+	"seqrep/internal/pattern"
 	"seqrep/internal/segment"
 	"seqrep/internal/seq"
 	"seqrep/internal/store"
+	"seqrep/internal/synth"
 	"seqrep/internal/wal"
 )
 
@@ -102,55 +112,6 @@ func TestCheckpointFlushesOnlyDelta(t *testing.T) {
 	}
 }
 
-func TestLegacySnapshotMigration(t *testing.T) {
-	dir := t.TempDir()
-	mem, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		mustIngest(t, mem, fmt.Sprintf("legacy-%d", i), durSeq(i))
-	}
-	if err := mem.SaveFile(filepath.Join(dir, SnapshotFileName), nil); err != nil {
-		t.Fatal(err)
-	}
-	mem.Close()
-
-	// Boot adopts the pre-segment-tier snapshot as-is...
-	db := mustOpenDir(t, dir)
-	if db.Len() != 3 {
-		t.Fatalf("migrated boot Len = %d, want 3", db.Len())
-	}
-	if st := segStats(t, db); st.Segments != 0 {
-		t.Fatalf("boot from a legacy snapshot fabricated segments: %+v", st)
-	}
-	// ...and the first checkpoint moves everything into the segment
-	// tier and deletes the legacy file.
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("migrating checkpoint: %v", err)
-	}
-	if st := segStats(t, db); st.Segments != 1 || st.Entries != 3 {
-		t.Fatalf("after migrating checkpoint SegmentStats = %+v; want all 3 records", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotFileName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot survived its migration: %v", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := mustOpenDir(t, dir)
-	defer db2.Close()
-	if db2.Len() != 3 {
-		t.Fatalf("post-migration reboot Len = %d, want 3", db2.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := db2.Record(fmt.Sprintf("legacy-%d", i)); !ok {
-			t.Fatalf("legacy-%d lost by the migration", i)
-		}
-	}
-}
-
 // TestCheckpointFailureStrandsAndReclaims pins the rotate-then-fail
 // crash window: a checkpoint that rotates the log but dies before
 // truncating it leaves a sealed WAL segment behind. That segment must
@@ -172,8 +133,9 @@ func TestCheckpointFailureStrandsAndReclaims(t *testing.T) {
 	db.WrapCheckpointWriter(func(w io.Writer) io.Writer {
 		return store.NewFailAfterWriter(w, 1)
 	})
-	if err := db.Checkpoint(); err == nil {
-		t.Fatal("checkpoint with a failing segment writer succeeded")
+	// The injected error itself must surface, not some secondary failure.
+	if err := db.Checkpoint(); !errors.Is(err, store.ErrInjectedWrite) {
+		t.Fatalf("checkpoint with a failing segment writer = %v, want ErrInjectedWrite", err)
 	}
 	// Rotation happened, truncation did not: the sealed segment is
 	// stranded — and must be, because the flush that would have covered
@@ -235,16 +197,53 @@ func TestCheckpointFailureStrandsAndReclaims(t *testing.T) {
 }
 
 func TestOpenDirBootErrorMatrix(t *testing.T) {
+	// A directory last written by a pre-segment-tier build holds its data
+	// in snapshot.sdb, which this build cannot read — whatever the file
+	// contains. Booting empty and replaying the WAL tail over it would
+	// silently drop every record it holds, so the boot refuses, names the
+	// file, and touches nothing.
 	t.Run("corrupt snapshot magic", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, SnapshotFileName), []byte("XXXX not a snapshot"), 0o644); err != nil {
+		snap := filepath.Join(dir, legacySnapshotName)
+		content := []byte("XXXX not a snapshot")
+		if err := os.WriteFile(snap, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenDir(dir, Config{}); err == nil {
-			t.Fatal("OpenDir booted over a corrupt snapshot")
+		_, err := OpenDir(dir, Config{})
+		if err == nil {
+			t.Fatal("OpenDir booted empty over a legacy snapshot")
 		}
-		if n := countGlob(t, filepath.Join(dir, ".tmp-*")); n != 0 {
-			t.Fatalf("refused boot littered %d temp files", n)
+		if !strings.Contains(err.Error(), snap) {
+			t.Fatalf("refusal does not name the file: %v", err)
+		}
+		if got, err := os.ReadFile(snap); err != nil || string(got) != string(content) {
+			t.Fatalf("refused boot altered the legacy snapshot: %q, %v", got, err)
+		}
+		if n := countGlob(t, filepath.Join(dir, "*")); n != 1 {
+			t.Fatalf("refused boot left %d entries in the directory, want the snapshot alone", n)
+		}
+	})
+
+	// Beside a manifest the stray file is just a file: the manifest is
+	// the commit point, boot comes from it, and nothing deletes what this
+	// build does not own.
+	t.Run("snapshot beside a manifest is ignored", func(t *testing.T) {
+		dir := t.TempDir()
+		db := mustOpenDir(t, dir)
+		mustIngest(t, db, "kept", durSeq(1))
+		snap := filepath.Join(dir, legacySnapshotName)
+		if err := os.WriteFile(snap, []byte("stray"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db2 := reopen(t, db, dir, Config{})
+		if _, ok := db2.Record("kept"); !ok {
+			t.Fatal("record lost booting from the manifest beside a stray snapshot")
+		}
+		if err := db2.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(snap); err != nil || string(got) != "stray" {
+			t.Fatalf("stray snapshot was touched: %q, %v", got, err)
 		}
 	})
 
@@ -314,4 +313,381 @@ func TestOpenDirBootErrorMatrix(t *testing.T) {
 			t.Fatal("invalid record materialized from replay")
 		}
 	})
+}
+
+// ---- the persistence round trip ----
+
+// openTemp opens a durable database under cfg in a throwaway directory.
+func openTemp(t *testing.T, cfg Config) (*DB, string) {
+	t.Helper()
+	dir := t.TempDir()
+	db, err := OpenDir(dir, cfg)
+	if err != nil {
+		t.Fatalf("OpenDir(%s): %v", dir, err)
+	}
+	return db, dir
+}
+
+// reopen checkpoints and closes db, then boots its directory again under
+// cfg. The reboot must come from the segment tier alone.
+func reopen(t *testing.T, db *DB, dir string, cfg Config) *DB {
+	t.Helper()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	db2, err := OpenDir(dir, cfg)
+	if err != nil {
+		t.Fatalf("reopening %s: %v", dir, err)
+	}
+	t.Cleanup(func() { db2.Close() })
+	if rec := db2.Recovery(); rec.Replayed != 0 {
+		t.Fatalf("Recovery = %+v; a checkpointed boot must not replay", rec)
+	}
+	return db2
+}
+
+// ingestFevers stores a fever curve and value-shifted copies of it.
+func ingestFevers(t *testing.T, db *DB, shifts map[string]float64) seq.Sequence {
+	t.Helper()
+	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, shift := range shifts {
+		mustIngest(t, db, id, fever.ShiftValue(shift))
+	}
+	return fever
+}
+
+// progressiveAccepts returns the sorted ids a progressive distance query
+// finally accepts.
+func progressiveAccepts(t *testing.T, db *DB, exemplar seq.Sequence, eps float64) []string {
+	t.Helper()
+	var ids []string
+	_, err := db.DistanceQueryProgressive(context.Background(), exemplar, dist.Euclidean, eps, QueryOptions{}, func(pm ProgressiveMatch) bool {
+		if pm.Final && pm.Match != nil {
+			ids = append(ids, pm.ID)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	archive := store.NewMemArchive()
+	db, dir := openTemp(t, Config{Archive: archive})
+	fillFever(t, db)
+	before, err := db.MatchPattern(pattern.TwoPeak())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := db.IntervalQuery(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The manifest's scalars win over whatever the reopening process asks
+	// for: stored representations were broken under them.
+	loaded := reopen(t, db, dir, Config{Archive: archive, Epsilon: 9, Delta: 9, BucketWidth: 9})
+	if loaded.Len() != db.Len() {
+		t.Fatalf("reopened with %d records, want %d", loaded.Len(), db.Len())
+	}
+	if cfg := loaded.Config(); cfg.Epsilon != 0.5 || cfg.Delta != 0.25 || cfg.BucketWidth != 1 {
+		t.Errorf("scalars not restored: %+v", cfg)
+	}
+	after, err := loaded.MatchPattern(pattern.TwoPeak())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 || !reflect.DeepEqual(before, after) {
+		t.Errorf("pattern matches changed across the round trip: %v vs %v", before, after)
+	}
+	// Interval index rebuilt: same result set.
+	am, err := loaded.IntervalQuery(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bm) == 0 || !reflect.DeepEqual(bm, am) {
+		t.Errorf("interval matches changed across the round trip: %+v vs %+v", bm, am)
+	}
+}
+
+func TestSaveEmptyDB(t *testing.T) {
+	db, dir := openTemp(t, Config{})
+	if loaded := reopen(t, db, dir, Config{}); loaded.Len() != 0 {
+		t.Errorf("reopened an empty database with %d records", loaded.Len())
+	}
+}
+
+// TestSaveLoadPreservesFeatureIndex is the planner's persistence
+// contract: a reopened database answers indexed queries with the same
+// matches and the same plan statistics, without recomputing a single
+// feature vector or sketch (no archive reads during boot).
+func TestSaveLoadPreservesFeatureIndex(t *testing.T) {
+	counting := store.NewCountingArchive(store.NewMemArchive())
+	db, dir := openTemp(t, Config{Archive: counting})
+	exemplar := ingestFevers(t, db, map[string]float64{"fever": 0, "near": 0.05, "far": 50})
+	before, beforeStats, err := db.DistanceQueryStats(exemplar, dist.Euclidean, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	counting.ResetStats()
+	loaded := reopen(t, db, dir, Config{Archive: counting})
+	if reads := counting.Stats().Reads; reads != 0 {
+		t.Errorf("boot read the archive %d times: vectors or sketches were rebuilt, not restored", reads)
+	}
+	if got, want := loaded.Stats().FeatureIndexed, db.Stats().FeatureIndexed; got != want {
+		t.Errorf("FeatureIndexed = %d after reopen, want %d", got, want)
+	}
+	after, afterStats, err := loaded.DistanceQueryStats(exemplar, dist.Euclidean, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("matches changed across the round trip: %+v vs %+v", before, after)
+	}
+	if beforeStats != afterStats {
+		t.Errorf("stats changed across the round trip: %+v vs %+v", beforeStats, afterStats)
+	}
+	if afterStats.Plan != PlanIndex || afterStats.Pruned == 0 {
+		t.Errorf("reopened planner stats: %+v", afterStats)
+	}
+}
+
+// TestSaveLoadRestoresSketches: with the comparison source unchanged
+// across the round trip, every record's progressive sketch is restored
+// bit-for-bit rather than rebuilt, and progressive queries on the
+// reopened database behave identically.
+func TestSaveLoadRestoresSketches(t *testing.T) {
+	db, dir := openTemp(t, Config{}) // no archive: sketches over reconstructions
+	ingestFevers(t, db, map[string]float64{"fever": 0, "near": 0.5, "far": 50})
+	loaded := reopen(t, db, dir, Config{})
+	if got := loaded.Config().SketchBlock; got != db.cfg.SketchBlock {
+		t.Fatalf("SketchBlock = %d, want %d", got, db.cfg.SketchBlock)
+	}
+	for _, id := range db.IDs() {
+		orig, _ := db.Record(id)
+		got, ok := loaded.Record(id)
+		if !ok {
+			t.Fatalf("%q missing after reopen", id)
+		}
+		if orig.sketch == nil {
+			t.Fatalf("%q had no sketch before the checkpoint", id)
+		}
+		if !reflect.DeepEqual(got.sketch, orig.sketch) {
+			t.Errorf("%q: sketch not restored bit-for-bit:\n got  %+v\n want %+v", id, got.sketch, orig.sketch)
+		}
+	}
+	exemplar, err := loaded.Reconstruct("fever")
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, err := loaded.DistanceQuery(exemplar, dist.Euclidean, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, m := range matches {
+		want = append(want, m.ID)
+	}
+	sort.Strings(want)
+	if got := progressiveAccepts(t, loaded, exemplar, 5); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("progressive accepts after reopen %v, want %v", got, want)
+	}
+}
+
+// sourceChanges are the two ways a directory's comparison source can
+// differ between the run that checkpointed it and the run that boots it.
+// Stored vectors and sketches summarize the old form; restoring them
+// verbatim would prune against one form and verify against another — a
+// false dismissal — so boot must rebuild both from the new form
+// (restoreVectors / restoreSketches false).
+var sourceChanges = []struct {
+	name              string
+	archived, reopens bool // archive configured at first open / at reopen
+}{
+	{"archive dropped", true, false},
+	{"archive added", false, true},
+}
+
+// reopenAcrossSourceChange ingests two fevers on one side of a source
+// change and reopens on the other. The archive always holds the raws, so
+// the "added" direction has something to verify against.
+func reopenAcrossSourceChange(t *testing.T, archived, reopens bool) (orig, loaded *DB) {
+	t.Helper()
+	archive := store.NewMemArchive()
+	var first, second Config
+	if archived {
+		first.Archive = archive
+	}
+	if reopens {
+		second.Archive = archive
+	}
+	db, dir := openTemp(t, first)
+	shifts := map[string]float64{"fever": 0, "far": 50}
+	fever := ingestFevers(t, db, shifts)
+	if !archived {
+		for id, shift := range shifts {
+			if err := archive.Put(id, fever.ShiftValue(shift)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db, reopen(t, db, dir, second)
+}
+
+func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
+	for _, sc := range sourceChanges {
+		t.Run(sc.name, func(t *testing.T) {
+			orig, loaded := reopenAcrossSourceChange(t, sc.archived, sc.reopens)
+			if got := loaded.Stats().FeatureIndexed; got != 2 {
+				t.Errorf("FeatureIndexed = %d, want 2 (rebuilt from the new comparison form)", got)
+			}
+			rec, _ := loaded.Record("fever")
+			vals, ok := loaded.comparisonValues(rec, nil)
+			if !ok {
+				t.Fatal("no comparison values for fever")
+			}
+			var want Record
+			loaded.findex.computeFeatures(&want, vals)
+			if !reflect.DeepEqual(rec.feats, want.feats) || !reflect.DeepEqual(rec.zfeats, want.zfeats) {
+				t.Error("vectors do not derive from the reopened comparison form")
+			}
+			if before, _ := orig.Record("fever"); reflect.DeepEqual(rec.feats, before.feats) {
+				t.Error("vectors survived a comparison-source change verbatim; rebuild path untested")
+			}
+			// The comparison form must match itself at every tolerance on
+			// both plans.
+			self := seq.New(vals)
+			for _, eps := range []float64{0, 0.001, 0.01, 0.1, 1} {
+				indexed, istats, err := loaded.DistanceQueryStats(self, dist.Euclidean, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanned, _, err := loaded.distanceScan(self, dist.Euclidean, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(indexed, scanned) {
+					t.Fatalf("eps=%g: indexed %+v != scan %+v (stale vectors?)", eps, indexed, scanned)
+				}
+				if istats.Plan != PlanIndex {
+					t.Errorf("eps=%g: plan = %q, want index", eps, istats.Plan)
+				}
+				if len(indexed) == 0 {
+					t.Fatalf("eps=%g: self-match dismissed", eps)
+				}
+			}
+		})
+	}
+}
+
+func TestLoadRebuildsSketchesOnSourceChange(t *testing.T) {
+	for _, sc := range sourceChanges {
+		t.Run(sc.name, func(t *testing.T) {
+			orig, loaded := reopenAcrossSourceChange(t, sc.archived, sc.reopens)
+			rebuilt := 0
+			for _, id := range loaded.IDs() {
+				rec, _ := loaded.Record(id)
+				if rec.sketch == nil {
+					t.Fatalf("%q: sketch missing after a source-change reopen", id)
+				}
+				// The rebuilt sketch must equal one built fresh from the
+				// reopened database's own comparison form...
+				vals, ok := loaded.comparisonValues(rec, nil)
+				if !ok {
+					t.Fatalf("%q: no comparison values", id)
+				}
+				if want := multires.BuildSketch(vals, loaded.cfg.SketchBlock); !reflect.DeepEqual(rec.sketch, want) {
+					t.Errorf("%q: sketch does not match the reopened comparison form", id)
+				}
+				// ...and differ from the stored one wherever the lossy
+				// representation actually moved the signal.
+				if before, _ := orig.Record(id); !reflect.DeepEqual(rec.sketch, before.sketch) {
+					rebuilt++
+				}
+			}
+			if rebuilt == 0 {
+				t.Error("every sketch survived a comparison-source change verbatim; rebuild path untested")
+			}
+		})
+	}
+}
+
+// TestSaveLoadSketchesDisabled pins the disabled configurations: a
+// directory checkpointed with the sketch tier or the feature index off
+// reopens with it still off — whatever the reopening process asks for —
+// and queries degrade gracefully (uninformative sketch tier, scan plan)
+// to the same exact answers.
+func TestSaveLoadSketchesDisabled(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"SketchBlock<0", Config{SketchBlock: -1}},
+		{"IndexCoeffs<0", Config{IndexCoeffs: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, dir := openTemp(t, tc.cfg)
+			ingestFevers(t, db, map[string]float64{"fever": 0})
+			loaded := reopen(t, db, dir, Config{})
+			rec, _ := loaded.Record("fever")
+			if tc.cfg.SketchBlock < 0 && (loaded.Config().SketchBlock > 0 || rec.sketch != nil) {
+				t.Errorf("sketches came back enabled: block %d, sketch %v", loaded.Config().SketchBlock, rec.sketch)
+			}
+			if tc.cfg.IndexCoeffs < 0 && (loaded.findex != nil || rec.feats != nil || loaded.Stats().FeatureIndexed != 0) {
+				t.Errorf("feature index came back enabled: %+v", loaded.Stats())
+			}
+			exemplar, err := loaded.Reconstruct("fever")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := progressiveAccepts(t, loaded, exemplar, 5); !reflect.DeepEqual(got, []string{"fever"}) {
+				t.Errorf("progressive query after a disabled round trip accepted %v", got)
+			}
+			if m, err := loaded.DistanceQuery(exemplar, dist.Euclidean, 5); err != nil || len(m) != 1 {
+				t.Errorf("distance query after a disabled round trip: %+v, %v", m, err)
+			}
+		})
+	}
+}
+
+// Sharding is invisible to persistence: a directory reopens under a
+// different shard count.
+func TestPersistAcrossShardCounts(t *testing.T) {
+	db, dir := openTemp(t, Config{Shards: 3})
+	if _, err := db.IngestBatch(feverBatch(t, 9)); err != nil {
+		t.Fatal(err)
+	}
+	loaded := reopen(t, db, dir, Config{Shards: 11})
+	if a, b := db.IDs(), loaded.IDs(); len(a) != 9 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("ids diverge across shard counts: %v vs %v", a, b)
+	}
+}
+
+// TestGenerationBumpsOnLoad pins where a reboot's generation sequence
+// starts: adoption is a mutation, so it counts the adopted records, and
+// the next write moves past it. (The serving layer's result cache keys
+// freshness on this value alone.)
+func TestGenerationBumpsOnLoad(t *testing.T) {
+	db, dir := openTemp(t, Config{})
+	for i := 0; i < 3; i++ {
+		mustIngest(t, db, fmt.Sprintf("s-%d", i), rampSeq(32, float64(i)))
+	}
+	loaded := reopen(t, db, dir, Config{})
+	if g := loaded.Generation(); g != 3 {
+		t.Fatalf("reopened generation = %d, want 3 (one per adopted record)", g)
+	}
+	mustIngest(t, loaded, "s-3", rampSeq(32, 3))
+	if g := loaded.Generation(); g != 4 {
+		t.Fatalf("generation = %d after the first write on a reopened database, want 4", g)
+	}
 }

@@ -34,80 +34,6 @@ func BenchmarkFFT512(b *testing.B) {
 	}
 }
 
-func BenchmarkFIndexQuery(b *testing.B) {
-	ix, err := NewFIndex(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := ix.Add(string(rune('a'+i%26))+string(rune('0'+i/26)), seq.New(randVals(128, int64(i)))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q := seq.New(randVals(128, 999))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Query(q, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFIndexTreeVsLinear compares Query's vantage-point-tree
-// candidate generation against the linear columnar feature scan on a
-// clustered 20k-sequence corpus with a selective radius — the index-level
-// view of the hot-path speedup the core planner inherits.
-func BenchmarkFIndexTreeVsLinear(b *testing.B) {
-	const n = 20000
-	build := func(linear bool) (*FIndex, seq.Sequence) {
-		rng := rand.New(rand.NewSource(77))
-		ix, err := NewFIndex(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		items := make([]FItem, 0, n)
-		var query seq.Sequence
-		for i := 0; i < n; i++ {
-			base := make([]float64, 64)
-			level := float64(i%200) * 10 // 200 well-separated families
-			for j := range base {
-				base[j] = level + rng.NormFloat64()
-			}
-			s := seq.New(base)
-			if i == 0 {
-				query = s.Clone()
-			}
-			items = append(items, FItem{ID: string(rune('a'+i%26)) + string(rune('0'+i/26)), Seq: s})
-		}
-		ix.disableTree = linear
-		if err := ix.AddBatch(items); err != nil {
-			b.Fatal(err)
-		}
-		return ix, query
-	}
-	for _, mode := range []struct {
-		name   string
-		linear bool
-	}{{"vptree", false}, {"linear", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ix, q := build(mode.linear)
-			if _, _, err := ix.Query(q, 3); err != nil { // warm: builds the tree
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				matches, _, err := ix.Query(q, 3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(matches) == 0 {
-					b.Fatal("query family not found")
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkSubsequenceMatch(b *testing.B) {
 	stored := seq.New(randVals(2048, 5))
 	q := stored.Slice(700, 828).Clone()

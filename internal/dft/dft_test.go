@@ -216,102 +216,6 @@ func TestMainFrequency(t *testing.T) {
 	}
 }
 
-func TestFIndexBasics(t *testing.T) {
-	ix, err := NewFIndex(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFIndex(0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	base := synth.Sine(64, 10, 16, 0)
-	near := base.ShiftValue(0.1)
-	far := base.ShiftValue(50)
-	for id, s := range map[string]seq.Sequence{"base": base, "near": near, "far": far} {
-		if err := ix.Add(id, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ix.Len() != 3 {
-		t.Errorf("Len = %d", ix.Len())
-	}
-	if err := ix.Add("base", base); err == nil {
-		t.Error("duplicate id accepted")
-	}
-	if err := ix.Add("short", synth.Sine(32, 1, 8, 0)); err == nil {
-		t.Error("length mismatch accepted")
-	}
-
-	matches, candidates, err := ix.Query(base, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 2 {
-		t.Fatalf("matches = %v", matches)
-	}
-	if matches[0].ID != "base" || matches[1].ID != "near" {
-		t.Errorf("order: %v", matches)
-	}
-	if matches[0].Distance != 0 {
-		t.Errorf("self distance %g", matches[0].Distance)
-	}
-	if candidates < 2 {
-		t.Errorf("candidates = %d", candidates)
-	}
-	if _, _, err := ix.Query(synth.Sine(32, 1, 8, 0), 5); err == nil {
-		t.Error("bad query length accepted")
-	}
-	if _, _, err := ix.Query(base, -1); err == nil {
-		t.Error("negative eps accepted")
-	}
-}
-
-// The F-index may produce false candidates but never false dismissals:
-// query results equal brute-force results.
-func TestFIndexNoFalseDismissals(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	ix, _ := NewFIndex(2)
-	n := 32
-	stored := make(map[string][]float64)
-	for i := 0; i < 40; i++ {
-		vals := make([]float64, n)
-		for j := range vals {
-			vals[j] = rng.NormFloat64() * 10
-		}
-		id := string(rune('a'+i%26)) + string(rune('0'+i/26))
-		if err := ix.Add(id, seq.New(vals)); err != nil {
-			t.Fatal(err)
-		}
-		stored[id] = vals
-	}
-	q := make([]float64, n)
-	for j := range q {
-		q[j] = rng.NormFloat64() * 10
-	}
-	qs := seq.New(q)
-	for _, eps := range []float64{5, 20, 50, 80} {
-		matches, _, err := ix.Query(qs, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make(map[string]bool)
-		for _, m := range matches {
-			got[m.ID] = true
-		}
-		for id, vals := range stored {
-			var d float64
-			for j := range vals {
-				diff := vals[j] - q[j]
-				d += diff * diff
-			}
-			want := math.Sqrt(d) <= eps
-			if got[id] != want {
-				t.Errorf("eps=%g id=%s: index says %v, brute force says %v", eps, id, got[id], want)
-			}
-		}
-	}
-}
-
 func TestSubsequenceMatch(t *testing.T) {
 	// Plant the query inside a longer sequence at a known offset.
 	q := synth.Sine(32, 5, 8, 0)

@@ -103,7 +103,10 @@ func (fs *FunctionSeries) Encode(w io.Writer) error {
 
 // Decode reads a representation from r, validating structure.
 func Decode(r io.Reader) (*FunctionSeries, error) {
-	br := bufio.NewReader(r)
+	return decode(bufio.NewReader(r))
+}
+
+func decode(br *bufio.Reader) (*FunctionSeries, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("rep: decode magic: %w", err)
@@ -143,7 +146,9 @@ func Decode(r io.Reader) (*FunctionSeries, error) {
 	if k == 0 || k > n {
 		return nil, fmt.Errorf("rep: implausible segment count %d for %d samples", k, n)
 	}
-	fs := &FunctionSeries{N: int(n), Segments: make([]Segment, 0, k)}
+	// k is untrusted until the segments behind it have actually been
+	// read: reserve for a plausible few and let append follow the stream.
+	fs := &FunctionSeries{N: int(n), Segments: make([]Segment, 0, min(k, 64))}
 	for i := uint32(0); i < k; i++ {
 		var sg Segment
 		lo, err := getU32()
@@ -197,10 +202,16 @@ func (fs *FunctionSeries) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// data must hold exactly one encoded series: trailing bytes are rejected,
+// so every accepted blob re-encodes to itself.
 func (fs *FunctionSeries) UnmarshalBinary(data []byte) error {
-	decoded, err := Decode(bytes.NewReader(data))
+	br := bufio.NewReader(bytes.NewReader(data))
+	decoded, err := decode(br)
 	if err != nil {
 		return err
+	}
+	if _, err := br.Peek(1); err == nil {
+		return fmt.Errorf("rep: trailing bytes after the encoded series")
 	}
 	*fs = *decoded
 	return nil

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"seqrep"
 	"seqrep/api"
 )
 
@@ -12,12 +11,10 @@ import (
 // canonical form, invalidated by the database's mutation generation: an
 // entry is served only while the generation it was computed at is still
 // current. Mutations bump the generation, so a lookup after any committed
-// Ingest/Remove/Load misses (and drops the stale entry) without the cache
-// ever tracking which entries a write affected. Entries also remember
-// which database instance they were computed on: a snapshot load swaps
-// the instance and starts a fresh generation sequence, and the identity
-// check keeps an in-flight query on the old instance from seeding the
-// cache across the swap.
+// Ingest/Remove misses (and drops the stale entry) without the cache
+// ever tracking which entries a write affected. The server serves one
+// database instance for its whole life, so the generation alone decides
+// freshness.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -29,7 +26,6 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key  string
-	db   *seqrep.DB // instance the answer was computed on
 	gen  uint64
 	resp *api.QueryResponse // immutable once stored
 }
@@ -42,14 +38,14 @@ func newResultCache(max int) *resultCache {
 	}
 }
 
-// get returns the cached answer for key computed on db at generation
-// gen, or nil. A hit refreshes recency; an entry that is stale from the
-// caller's viewpoint (older generation, or another instance) is evicted
-// and counted as an invalidation plus a miss. An entry *newer* than the
-// caller's generation is left alone — the caller read its generation
-// before a write committed and merely lost that race; destroying the
-// fresher answer would waste the faster request's work.
-func (c *resultCache) get(key string, db *seqrep.DB, gen uint64) *api.QueryResponse {
+// get returns the cached answer for key computed at generation gen, or
+// nil. A hit refreshes recency; an entry that is stale from the caller's
+// viewpoint (older generation) is evicted and counted as an invalidation
+// plus a miss. An entry *newer* than the caller's generation is left
+// alone — the caller read its generation before a write committed and
+// merely lost that race; destroying the fresher answer would waste the
+// faster request's work.
+func (c *resultCache) get(key string, gen uint64) *api.QueryResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -58,12 +54,12 @@ func (c *resultCache) get(key string, db *seqrep.DB, gen uint64) *api.QueryRespo
 		return nil
 	}
 	ent := el.Value.(*cacheEntry)
-	if ent.db == db && ent.gen == gen {
+	if ent.gen == gen {
 		c.order.MoveToFront(el)
 		c.hits++
 		return ent.resp
 	}
-	if ent.db != db || ent.gen < gen {
+	if ent.gen < gen {
 		c.order.Remove(el)
 		delete(c.entries, key)
 		c.invalidations++
@@ -73,18 +69,17 @@ func (c *resultCache) get(key string, db *seqrep.DB, gen uint64) *api.QueryRespo
 }
 
 // put stores resp under key at generation gen, evicting the least
-// recently used entry when full. A same-instance entry computed at a
-// newer generation is kept: a slow request that read an old generation
-// before stalling must not clobber the fresher answer a faster request
-// cached meanwhile.
-func (c *resultCache) put(key string, db *seqrep.DB, gen uint64, resp *api.QueryResponse) {
+// recently used entry when full. An entry computed at a newer generation
+// is kept: a slow request that read an old generation before stalling
+// must not clobber the fresher answer a faster request cached meanwhile.
+func (c *resultCache) put(key string, gen uint64, resp *api.QueryResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		if ent := el.Value.(*cacheEntry); ent.db == db && ent.gen > gen {
+		if ent := el.Value.(*cacheEntry); ent.gen > gen {
 			return
 		}
-		el.Value = &cacheEntry{key: key, db: db, gen: gen, resp: resp}
+		el.Value = &cacheEntry{key: key, gen: gen, resp: resp}
 		c.order.MoveToFront(el)
 		return
 	}
@@ -93,16 +88,7 @@ func (c *resultCache) put(key string, db *seqrep.DB, gen uint64, resp *api.Query
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, db: db, gen: gen, resp: resp})
-}
-
-// clear drops every entry (snapshot load swaps the database out from
-// under the generation sequence, so nothing cached remains comparable).
-func (c *resultCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	clear(c.entries)
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, gen: gen, resp: resp})
 }
 
 // cacheStats is a snapshot of the counters for /metrics.

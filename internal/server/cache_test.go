@@ -4,45 +4,27 @@ import (
 	"fmt"
 	"testing"
 
-	"seqrep"
 	"seqrep/api"
 )
-
-func cacheDB(t *testing.T) *seqrep.DB {
-	t.Helper()
-	db, err := seqrep.New(seqrep.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
 
 // TestResultCacheKeepsFresher pins the slow-writer race: a put at an
 // older generation must not clobber a same-key entry already computed at
 // a newer one.
 func TestResultCacheKeepsFresher(t *testing.T) {
-	db := cacheDB(t)
 	c := newResultCache(4)
 	fresh := &api.QueryResponse{Generation: 5}
 	stale := &api.QueryResponse{Generation: 3}
 
-	c.put("k", db, 5, fresh)
-	c.put("k", db, 3, stale) // the straggler loses
-	if got := c.get("k", db, 5); got != fresh {
+	c.put("k", 5, fresh)
+	c.put("k", 3, stale) // the straggler loses
+	if got := c.get("k", 5); got != fresh {
 		t.Fatalf("get at gen 5 = %+v, want the fresher entry", got)
 	}
 	// The other direction still updates.
 	fresher := &api.QueryResponse{Generation: 7}
-	c.put("k", db, 7, fresher)
-	if got := c.get("k", db, 7); got != fresher {
+	c.put("k", 7, fresher)
+	if got := c.get("k", 7); got != fresher {
 		t.Fatal("newer-generation put did not replace")
-	}
-	// A different DB instance replaces regardless of generation order.
-	db2 := cacheDB(t)
-	other := &api.QueryResponse{Generation: 1}
-	c.put("k", db2, 1, other)
-	if got := c.get("k", db2, 1); got != other {
-		t.Fatal("cross-instance put did not replace")
 	}
 }
 
@@ -50,14 +32,13 @@ func TestResultCacheKeepsFresher(t *testing.T) {
 // stalled-request race: a reader holding an old generation must not
 // evict a same-key entry already computed at a newer one.
 func TestResultCacheGetSparesFresherEntry(t *testing.T) {
-	db := cacheDB(t)
 	c := newResultCache(4)
 	fresh := &api.QueryResponse{Generation: 6}
-	c.put("k", db, 6, fresh)
-	if got := c.get("k", db, 5); got != nil {
+	c.put("k", 6, fresh)
+	if got := c.get("k", 5); got != nil {
 		t.Fatal("stale reader was served a future-generation answer")
 	}
-	if got := c.get("k", db, 6); got != fresh {
+	if got := c.get("k", 6); got != fresh {
 		t.Fatal("stale reader evicted the fresher entry")
 	}
 	st := c.stats()
@@ -67,24 +48,23 @@ func TestResultCacheGetSparesFresherEntry(t *testing.T) {
 }
 
 // TestResultCacheLRUAndInvalidation pins capacity eviction and the
-// generation/instance invalidation bookkeeping.
+// generation invalidation bookkeeping.
 func TestResultCacheLRUAndInvalidation(t *testing.T) {
-	db := cacheDB(t)
 	c := newResultCache(2)
 	for i := 0; i < 3; i++ {
-		c.put(fmt.Sprintf("k%d", i), db, 1, &api.QueryResponse{})
+		c.put(fmt.Sprintf("k%d", i), 1, &api.QueryResponse{})
 	}
-	if c.get("k0", db, 1) != nil {
+	if c.get("k0", 1) != nil {
 		t.Fatal("oldest entry survived past capacity")
 	}
-	if c.get("k2", db, 1) == nil {
+	if c.get("k2", 1) == nil {
 		t.Fatal("newest entry evicted")
 	}
 	// Generation mismatch: evicts, counts an invalidation and a miss.
-	if c.get("k2", db, 2) != nil {
+	if c.get("k2", 2) != nil {
 		t.Fatal("stale-generation entry served")
 	}
-	if c.get("k2", db, 2) != nil { // really gone, not just skipped
+	if c.get("k2", 2) != nil { // really gone, not just skipped
 		t.Fatal("stale entry lingered after invalidation")
 	}
 	st := c.stats()

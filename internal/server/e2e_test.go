@@ -2,8 +2,8 @@ package server
 
 // The end-to-end harness of the serving subsystem: one lifecycle walking
 // ingest -> distance/value/pattern queries -> EXPLAIN stats -> cache
-// hit/miss across a Remove (generation invalidation) -> snapshot save ->
-// a second server restarted from the snapshot answering identically.
+// hit/miss across a Remove (generation invalidation) -> checkpoint ->
+// a second server restarted from the data directory answering identically.
 // Everything runs through the typed client over real HTTP (httptest).
 
 import (
@@ -30,17 +30,15 @@ func sortedIDs(ids []string) []string {
 func TestEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "db.bin")
 
-	// The archive persists on disk alongside the snapshot, so the
+	// The archive persists on disk alongside the data directory, so the
 	// restarted server compares the very same raw samples.
 	arch, err := seqrep.NewFileArchive(filepath.Join(dir, "raws"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := seqrep.Config{Archive: arch}
-	snap := &FileSnapshotter{Path: snapPath, Config: cfg}
-	db, err := seqrep.New(cfg)
+	snap := &DirSnapshotter{Dir: filepath.Join(dir, "data"), Config: seqrep.Config{Archive: arch}}
+	db, err := snap.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,19 +147,23 @@ func TestEndToEnd(t *testing.T) {
 	}
 	before = run(c) // the answer set the restarted server must match
 
-	// ---- snapshot, then restart from it ----
+	// ---- checkpoint, then restart from the directory ----
 	saved, err := c.SaveSnapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if saved.Sequences != len(items)-1 {
-		t.Fatalf("snapshot reports %d sequences, want %d", saved.Sequences, len(items)-1)
+		t.Fatalf("checkpoint reports %d sequences, want %d", saved.Sequences, len(items)-1)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	db2, err := snap.Load()
+	db2, err := snap.Open()
 	if err != nil {
-		t.Fatalf("restart: loading snapshot: %v", err)
+		t.Fatalf("restart: reopening the data directory: %v", err)
 	}
+	t.Cleanup(func() { db2.Close() })
 	_, c2 := testServer(t, Config{DB: db2, Snapshotter: snap})
 	h, err := c2.Health(ctx)
 	if err != nil {
@@ -195,61 +197,6 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if !contains(res.IDs, victim) {
 		t.Fatalf("re-ingested %q absent from %s", victim, wide)
-	}
-}
-
-// TestSnapshotLoadEndpoint exercises the in-place /v1/snapshot/load swap:
-// mutations after a save are rolled back by loading, and the cache does
-// not leak pre-load answers.
-func TestSnapshotLoadEndpoint(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	cfg := seqrep.Config{}
-	snap := &FileSnapshotter{Path: filepath.Join(dir, "db.bin"), Config: cfg}
-	db, err := seqrep.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, c := testServer(t, Config{DB: db, Snapshotter: snap})
-
-	for i := 0; i < 3; i++ {
-		if _, err := c.Ingest(ctx, feverItem(t, fmt.Sprintf("keep-%d", i), i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.SaveSnapshot(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Ingest(ctx, feverItem(t, "transient", 5)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Query(ctx, `MATCH PEAKS 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(res.IDs, "transient") {
-		t.Fatal("precondition: transient sequence should match")
-	}
-
-	loaded, err := c.LoadSnapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Sequences != 3 {
-		t.Fatalf("loaded snapshot holds %d sequences, want 3", loaded.Sequences)
-	}
-	res, err = c.Query(ctx, `MATCH PEAKS 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Fatal("post-load query served from the pre-load cache")
-	}
-	if contains(res.IDs, "transient") {
-		t.Fatal("rolled-back sequence still matches after snapshot load")
-	}
-	if len(res.IDs) != 3 {
-		t.Fatalf("post-load query matches %v, want the 3 kept sequences", res.IDs)
 	}
 }
 

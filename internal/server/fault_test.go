@@ -1,15 +1,14 @@
 package server
 
-// Fault injection on the snapshot path: /v1/snapshot/save runs against a
-// writer that dies mid-stream (store.FailAfterWriter, the write-side
-// sibling of CountingArchive) while ingest traffic is in flight. The save
-// must fail loudly (500) — and nothing else: the server keeps serving,
-// the previous snapshot file is byte-identical, no temp litter remains,
-// and the old snapshot still loads.
+// Fault injection on the checkpoint path: /v1/snapshot/save runs against
+// a segment writer that dies mid-stream (store.FailAfterWriter, the
+// write-side sibling of CountingArchive) while ingest traffic is in
+// flight. The save must fail loudly (500) — and nothing else: the server
+// keeps serving, the committed segment tier is byte-identical, no temp
+// litter remains, and a reboot still recovers every acknowledged write.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -23,26 +22,36 @@ import (
 	"seqrep/internal/store"
 )
 
-func TestSnapshotFaultInjectionUnderLoad(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	cfg := seqrep.Config{}
-	var failing atomic.Bool
-	snap := &FileSnapshotter{
-		Path:   filepath.Join(dir, "db.bin"),
-		Config: cfg,
-		WrapWriter: func(w io.Writer) io.Writer {
-			if failing.Load() {
-				return store.NewFailAfterWriter(w, 64)
-			}
-			return w
-		},
-	}
-	db, err := seqrep.New(cfg)
+// readTier returns the segment tier's files by name.
+func readTier(t *testing.T, dataDir string) map[string]string {
+	t.Helper()
+	dir := filepath.Join(dataDir, "segments")
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c := testServer(t, Config{DB: db, Snapshotter: snap})
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
+func TestSnapshotFaultInjectionUnderLoad(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	srv, c, snap := durableServer(t, dir)
+	var failing atomic.Bool
+	srv.DB().WrapCheckpointWriter(func(w io.Writer) io.Writer {
+		if failing.Load() {
+			return store.NewFailAfterWriter(w, 64)
+		}
+		return w
+	})
 
 	for i := 0; i < 4; i++ {
 		if _, err := c.Ingest(ctx, feverItem(t, fmt.Sprintf("keep-%d", i), i)); err != nil {
@@ -52,10 +61,7 @@ func TestSnapshotFaultInjectionUnderLoad(t *testing.T) {
 	if _, err := c.SaveSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
-	goodBytes, err := os.ReadFile(snap.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := readTier(t, dir)
 
 	// Ingest load runs while the failing save is attempted.
 	stop := make(chan struct{})
@@ -81,6 +87,11 @@ func TestSnapshotFaultInjectionUnderLoad(t *testing.T) {
 		}
 	}()
 
+	// One more acknowledged write that only the failing checkpoint would
+	// have flushed: it must survive in the log.
+	if _, err := c.Ingest(ctx, feverItem(t, "late", 9)); err != nil {
+		t.Fatal(err)
+	}
 	failing.Store(true)
 	_, saveErr := c.SaveSnapshot(ctx)
 	failing.Store(false)
@@ -94,79 +105,68 @@ func TestSnapshotFaultInjectionUnderLoad(t *testing.T) {
 		t.Fatalf("failing save = %v, want a 500 carrying the injected error", saveErr)
 	}
 
-	// The server is still healthy and serving.
+	// The server is still serving (the failure shows in /healthz, but one
+	// failed checkpoint is below the unhealthy streak).
 	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Sequences != 4 {
+	if h.Status != "ok" || h.Sequences != 5 || h.CheckpointFailures != 1 {
 		t.Fatalf("health after failed save = %+v", h)
 	}
 	if _, err := c.Query(ctx, `MATCH PEAKS 2`); err != nil {
 		t.Fatalf("query after failed save: %v", err)
 	}
 
-	// The previous snapshot is byte-identical and free of temp litter.
-	after, err := os.ReadFile(snap.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(goodBytes) {
-		t.Fatal("failed save corrupted the previous snapshot")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		names := make([]string, 0, len(entries))
-		for _, e := range entries {
-			names = append(names, e.Name())
+	// The committed tier is byte-identical and free of temp litter.
+	if after := readTier(t, dir); len(after) != len(good) {
+		t.Fatalf("segment dir litter after failed save: %d files, want %d", len(after), len(good))
+	} else {
+		for name, want := range good {
+			if after[name] != want {
+				t.Fatalf("failed save altered committed file %s", name)
+			}
 		}
-		t.Fatalf("snapshot dir litter after failed save: %v", names)
-	}
-	// ... and it still loads the pre-failure state.
-	restored, err := snap.Load()
-	if err != nil {
-		t.Fatalf("old snapshot no longer loads: %v", err)
-	}
-	if restored.Len() != 4 {
-		t.Fatalf("old snapshot restores %d sequences, want 4", restored.Len())
 	}
 
-	// With the fault gone, saving works again.
+	// With the fault gone, saving works again — and whether or not it
+	// had, a reboot holds every acknowledged write.
 	if _, err := c.SaveSnapshot(ctx); err != nil {
 		t.Fatalf("save after clearing the fault: %v", err)
+	}
+	if err := srv.DB().Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := snap.Open()
+	if err != nil {
+		t.Fatalf("reboot after the fault episode: %v", err)
+	}
+	defer restored.Close()
+	if _, ok := restored.Record("late"); !ok || restored.Len() != 5 {
+		t.Fatalf("reboot holds %d sequences (late present: %v), want all 5", restored.Len(), ok)
 	}
 }
 
 // TestStorageFaultAnswers500 pins the server-fault classification: a
 // stored record whose raw samples have vanished from the archive (here:
-// a snapshot load rolling the DB — but not the archive — back past a
-// Remove, the documented SERVER.md caveat) turns queries that must read
-// them into 500s, not 4xx, while the server itself stays healthy.
+// deleted behind the database's back, as a lost or restored-from-older-
+// backup archive directory would) turns queries that must read them into
+// 500s, not 4xx, while the server itself stays healthy.
 func TestStorageFaultAnswers500(t *testing.T) {
 	ctx := context.Background()
-	cfg := seqrep.Config{Archive: seqrep.NewMemArchive()}
-	snap := &FileSnapshotter{Path: filepath.Join(t.TempDir(), "db.bin"), Config: cfg}
-	db, err := seqrep.New(cfg)
+	arch := seqrep.NewMemArchive()
+	db, err := seqrep.New(seqrep.Config{Archive: arch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c := testServer(t, Config{DB: db, Snapshotter: snap})
+	_, c := testServer(t, Config{DB: db})
 
 	for _, id := range []string{"keep", "victim"} {
 		if _, err := c.Ingest(ctx, feverItem(t, id, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.SaveSnapshot(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Remove(ctx, "victim"); err != nil { // deletes its raws too
-		t.Fatal(err)
-	}
-	if _, err := c.LoadSnapshot(ctx); err != nil { // restores the record, not the raws
+	if err := arch.Delete("victim"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,29 +192,5 @@ func TestStorageFaultAnswers500(t *testing.T) {
 	}
 	if _, err := c.Query(ctx, `MATCH VALUE LIKE keep EPS 1000`); err != nil {
 		t.Fatalf("query after re-ingest: %v", err)
-	}
-}
-
-// errorsIsSanity pins that the injected error is what SaveFile surfaced
-// (not some secondary failure), via the exported sentinel.
-func TestFailAfterWriterSentinelThroughSaveFile(t *testing.T) {
-	db, err := seqrep.New(seqrep.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := seqrep.GenerateFever(seqrep.FeverOpts{Samples: 97})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Ingest("x", s); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "db.bin")
-	err = seqrep.SaveFile(db, path, func(w io.Writer) io.Writer { return store.NewFailAfterWriter(w, 8) })
-	if !errors.Is(err, store.ErrInjectedWrite) {
-		t.Fatalf("SaveFile error = %v, want ErrInjectedWrite", err)
-	}
-	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-		t.Fatal("failed first save left a file at the destination")
 	}
 }

@@ -1,14 +1,14 @@
 // Package server exposes a seqrep database over HTTP/JSON: the querylang
 // surface (/v1/query, including EXPLAIN), worker-pool batch ingestion,
-// record CRUD, snapshot save/load, health, and Prometheus metrics. Wire
+// record CRUD, checkpoint-on-demand, health, and Prometheus metrics. Wire
 // types live in package api; a typed Go client in package client.
 //
-// The server holds one live *seqrep.DB (swappable by a snapshot load)
-// and an LRU result cache keyed on each statement's canonical form. The
-// cache is invalidated by the database's mutation generation: every
-// committed Ingest/Remove/Load bumps the generation, every cache entry
-// remembers the generation it was computed at, and an entry is served
-// only while those agree. Canonicalization makes the key sound — spelling
+// The server holds one *seqrep.DB for its whole life and an LRU result
+// cache keyed on each statement's canonical form. The cache is
+// invalidated by the database's mutation generation: every committed
+// Ingest/Remove bumps the generation, every cache entry remembers the
+// generation it was computed at, and an entry is served only while
+// those agree. Canonicalization makes the key sound — spelling
 // variants of one statement share an entry — and the generation makes it
 // fresh without the cache knowing which entries a write affected.
 //
@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"seqrep"
@@ -61,7 +60,7 @@ const DefaultCheckpointFailLimit = 3
 type Config struct {
 	// DB is the database to serve (required).
 	DB *seqrep.DB
-	// Snapshotter enables the /v1/snapshot endpoints; nil disables them.
+	// Snapshotter enables /v1/snapshot/save; nil disables it.
 	Snapshotter Snapshotter
 	// CacheSize bounds the result cache in entries: 0 means
 	// DefaultCacheSize, negative disables caching.
@@ -96,9 +95,7 @@ type Config struct {
 // Server is the HTTP serving layer. Create with New, mount via Handler.
 // It is safe for any number of concurrent requests.
 type Server struct {
-	dbMu sync.RWMutex
-	db   *seqrep.DB
-
+	db           *seqrep.DB // fixed for the server's life
 	snap         Snapshotter
 	cache        *resultCache // nil when disabled
 	metrics      *metricsRegistry
@@ -165,7 +162,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/records/{id}", weightRecord, s.handleGetRecord)
 	s.route("DELETE /v1/records/{id}", weightRecord, s.handleRemoveRecord)
 	s.route("POST /v1/snapshot/save", weightSnapshot, s.handleSnapshotSave)
-	s.route("POST /v1/snapshot/load", weightSnapshot, s.handleSnapshotLoad)
 	s.route("GET /healthz", 0, s.handleHealth)
 	s.route("GET /metrics", 0, s.handleMetrics)
 	return s, nil
@@ -174,12 +170,8 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler serving every endpoint.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// DB returns the currently served database (a snapshot load swaps it).
-func (s *Server) DB() *seqrep.DB {
-	s.dbMu.RLock()
-	defer s.dbMu.RUnlock()
-	return s.db
-}
+// DB returns the served database.
+func (s *Server) DB() *seqrep.DB { return s.db }
 
 // Snapshot saves the current database through the configured
 // snapshotter — the graceful-shutdown path of cmd/seqserved.
@@ -326,7 +318,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// after that write — lookups compare against the then-current value.
 	gen := db.Generation()
 	if s.cache != nil {
-		if resp := s.cache.get(key, db, gen); resp != nil {
+		if resp := s.cache.get(key, gen); resp != nil {
 			hit := *resp
 			hit.Cached = true
 			writeJSON(w, http.StatusOK, &hit)
@@ -344,12 +336,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := toQueryResponse(res, key, gen)
-	// The put is skipped when a snapshot load swapped the database while
-	// this query ran: a stale-instance entry could never be served (get
-	// checks the instance) but would clobber fresher entries and keep the
-	// whole swapped-out database reachable from the cache.
-	if s.cache != nil && s.DB() == db {
-		s.cache.put(key, db, gen, resp)
+	if s.cache != nil {
+		s.cache.put(key, gen, resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -539,35 +527,6 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 		resp.WALBytes = st.Bytes
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
-	if s.snap == nil {
-		writeError(w, http.StatusConflict, fmt.Errorf("no snapshot store configured"))
-		return
-	}
-	db, err := s.snap.Load()
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, ErrSwapUnsupported) {
-			code = http.StatusConflict
-		}
-		writeError(w, code, err)
-		return
-	}
-	s.dbMu.Lock()
-	s.db = db
-	s.dbMu.Unlock()
-	// The new database starts its own generation sequence, which may
-	// collide with values cached from the old one — drop everything.
-	if s.cache != nil {
-		s.cache.clear()
-	}
-	writeJSON(w, http.StatusOK, api.SnapshotResponse{
-		Op:         "load",
-		Sequences:  db.Len(),
-		Generation: db.Generation(),
-	})
 }
 
 // ---- health + metrics ----

@@ -4,7 +4,7 @@ package server
 // structured batch-error response (the regression test for half-failing
 // batches), record CRUD, and the canonical-form + generation behavior of
 // the result cache. The end-to-end harness lives in e2e_test.go, the
-// concurrency soak in soak_test.go, the snapshot fault injection in
+// concurrency soak in soak_test.go, the storage fault injection in
 // fault_test.go.
 
 import (
@@ -419,9 +419,5 @@ func TestSnapshotUnconfigured(t *testing.T) {
 	_, err := c.SaveSnapshot(ctx)
 	if ae := apiErr(t, err); !ae.IsConflict() {
 		t.Fatalf("snapshot save without a store: status %d, want 409", ae.StatusCode)
-	}
-	_, err = c.LoadSnapshot(ctx)
-	if ae := apiErr(t, err); !ae.IsConflict() {
-		t.Fatalf("snapshot load without a store: status %d, want 409", ae.StatusCode)
 	}
 }

@@ -1,76 +1,28 @@
 package server
 
-import (
-	"errors"
-	"fmt"
-	"io"
-	"io/fs"
-	"os"
+import "seqrep"
 
-	"seqrep"
-)
-
-// Snapshotter persists and restores whole databases for the /v1/snapshot
-// endpoints and the graceful-shutdown save. Implementations must be safe
+// Snapshotter persists the served database for the /v1/snapshot/save
+// endpoint and the graceful-shutdown save. Implementations must be safe
 // for concurrent use with serving traffic: Save runs against a live,
-// mutating database (DB.SaveTo is a point-in-time copy), and a failed
-// Save must leave any previous snapshot intact.
+// mutating database, and a failed Save must leave the previously
+// persisted state intact.
 type Snapshotter interface {
-	// Save persists a point-in-time snapshot of db.
+	// Save persists everything db has acknowledged so far.
 	Save(db *seqrep.DB) error
-	// Load restores the most recent snapshot into a fresh database.
-	Load() (*seqrep.DB, error)
 }
-
-// FileSnapshotter stores snapshots in a single file, written atomically
-// (temp file + rename in the same directory), so a crash or failure
-// mid-save never corrupts the previous snapshot.
-type FileSnapshotter struct {
-	// Path is the snapshot file.
-	Path string
-	// Config supplies the code components (breaker, archive, workers ...)
-	// when loading; scalar parameters come from the snapshot itself.
-	Config seqrep.Config
-	// WrapWriter, when non-nil, decorates the file writer on every save —
-	// the instrumentation hook used by accounting and fault-injection
-	// tests (in the style of store.CountingArchive). Production callers
-	// leave it nil.
-	WrapWriter func(io.Writer) io.Writer
-}
-
-// Save implements Snapshotter.
-func (f *FileSnapshotter) Save(db *seqrep.DB) error {
-	if f.Path == "" {
-		return fmt.Errorf("server: snapshotter has no path")
-	}
-	return seqrep.SaveFile(db, f.Path, f.WrapWriter)
-}
-
-// Load implements Snapshotter.
-func (f *FileSnapshotter) Load() (*seqrep.DB, error) {
-	if f.Path == "" {
-		return nil, fmt.Errorf("server: snapshotter has no path")
-	}
-	return seqrep.LoadFile(f.Path, f.Config)
-}
-
-// ErrSwapUnsupported reports a /v1/snapshot/load against a durable
-// (data-dir) database: the live write-ahead log cannot be hot-swapped
-// out from under in-flight writers, and the state is already durable —
-// recovery happens at boot. The handler maps it to 409.
-var ErrSwapUnsupported = errors.New("server: a durable data-dir database cannot hot-swap snapshots; restart to recover")
 
 // DirSnapshotter adapts a durable data-dir database (seqrep.OpenDir) to
-// the Snapshotter surface: Save runs a checkpoint — snapshot, then
-// write-ahead-log truncation — instead of a bare file write, so
-// /v1/snapshot/save and the graceful-shutdown save also reclaim the log.
-// Load is unsupported (ErrSwapUnsupported): durable state recovers at
-// boot, not by swapping a live log.
+// the Snapshotter surface: Save runs a checkpoint — flush the records
+// dirtied since the last one into a new segment, then truncate the
+// write-ahead log — so /v1/snapshot/save and the graceful-shutdown save
+// also reclaim the log. There is no load counterpart: durable state
+// recovers at boot.
 type DirSnapshotter struct {
-	// Dir is the data directory (snapshot + wal/).
+	// Dir is the data directory (segments/ + wal/).
 	Dir string
 	// Config supplies the code components when opening; scalar
-	// parameters come from the snapshot itself.
+	// parameters come from the directory's manifest.
 	Config seqrep.Config
 }
 
@@ -80,30 +32,7 @@ func (d *DirSnapshotter) Open() (*seqrep.DB, error) {
 	return seqrep.OpenDir(d.Dir, d.Config)
 }
 
-// Save implements Snapshotter by checkpointing: the snapshot covers
-// every acknowledged write, then the covered log segments are truncated.
+// Save implements Snapshotter by checkpointing.
 func (d *DirSnapshotter) Save(db *seqrep.DB) error {
 	return db.Checkpoint()
-}
-
-// Load implements Snapshotter; it always fails with ErrSwapUnsupported.
-func (d *DirSnapshotter) Load() (*seqrep.DB, error) {
-	return nil, ErrSwapUnsupported
-}
-
-// Exists reports whether a snapshot file is present (used at boot to
-// decide between loading and starting fresh). A stat failure other than
-// plain absence is returned, not swallowed: treating "cannot tell" as
-// "absent" would boot an empty database whose shutdown snapshot could
-// then overwrite the real one.
-func (f *FileSnapshotter) Exists() (bool, error) {
-	_, err := os.Stat(f.Path)
-	switch {
-	case err == nil:
-		return true, nil
-	case errors.Is(err, fs.ErrNotExist):
-		return false, nil
-	default:
-		return false, fmt.Errorf("server: checking snapshot %s: %w", f.Path, err)
-	}
 }

@@ -12,7 +12,7 @@ var ErrInjectedWrite = fmt.Errorf("store: injected write failure")
 
 // FailAfterWriter wraps an io.Writer and fails every write after a byte
 // budget is spent — the write-side sibling of CountingArchive, used to
-// prove that multi-stage writers (snapshot save, archive spill) leave
+// prove that multi-stage writers (segment flush, archive spill) leave
 // existing data intact when the medium dies mid-stream. Safe for
 // concurrent use.
 type FailAfterWriter struct {

@@ -23,7 +23,7 @@ type FileArchive struct {
 
 	// WrapWriter, when non-nil, decorates the temp-file writer on every
 	// Put — the fault-injection hook used by the dying-writer tests (in
-	// the style of FileSnapshotter.WrapWriter and CountingArchive).
+	// the style of DB.WrapCheckpointWriter and CountingArchive).
 	// Production callers leave it nil.
 	WrapWriter func(io.Writer) io.Writer
 }

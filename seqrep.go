@@ -20,10 +20,11 @@
 //
 // The main entry points:
 //
-//   - DB: the database (New, Load); Ingest, IngestBatch (concurrent
-//     worker-pool ingestion), Remove, Raw, Reconstruct. The DB is sharded
-//     internally and safe for fully concurrent use; Config.Shards and
-//     Config.Workers tune the parallelism.
+//   - DB: the database (New in memory, OpenDir persistent); Ingest,
+//     IngestBatch (concurrent worker-pool ingestion), Remove, Raw,
+//     Reconstruct. The DB is sharded internally and safe for fully
+//     concurrent use; Config.Shards and Config.Workers tune the
+//     parallelism.
 //   - Queries: ValueQuery (prior-art ±ε matching), DistanceQuery (any
 //     named distance metric), MatchPattern / SearchPattern (slope-sign
 //     regular expressions), PeakCount, IntervalQuery (inverted-index
@@ -60,7 +61,6 @@ package seqrep
 
 import (
 	"context"
-	"io"
 
 	"seqrep/internal/breaking"
 	"seqrep/internal/core"
@@ -166,26 +166,9 @@ var (
 
 // New creates a database. A zero Config reproduces the paper's setup:
 // interpolation breaking with ε = 0.5, slope threshold δ = 0.25, unit
-// interval buckets, no preprocessing, no archive.
+// interval buckets, no preprocessing, no archive. The database lives in
+// memory only; OpenDir is the persistent form.
 func New(cfg Config) (*DB, error) { return core.New(cfg) }
-
-// Load restores a database snapshot written by DB.SaveTo. Scalar
-// parameters come from the snapshot; breaker, representer, preprocessing
-// and archive come from cfg.
-func Load(r io.Reader, cfg Config) (*DB, error) { return core.Load(r, cfg) }
-
-// SaveFile writes a database snapshot to path atomically (write to a
-// temporary file in the same directory, then rename): a failure mid-write
-// never corrupts an existing snapshot at path. The wrap hook, when
-// non-nil, decorates the underlying writer (accounting, fault injection);
-// production callers pass nil.
-func SaveFile(db *DB, path string, wrap func(io.Writer) io.Writer) error {
-	return db.SaveFile(path, wrap)
-}
-
-// LoadFile restores a database from a snapshot file written by SaveFile
-// (see Load for how cfg combines with the stored parameters).
-func LoadFile(path string, cfg Config) (*DB, error) { return core.LoadFile(path, cfg) }
 
 // OpenDir opens (creating if needed) a durable database rooted at a data
 // directory (layout: dir/segments/ + dir/wal/). It recovers the on-disk
@@ -197,7 +180,10 @@ func LoadFile(path string, cfg Config) (*DB, error) { return core.LoadFile(path,
 // flushes only the records mutated since the last checkpoint into a new
 // immutable segment (O(delta), not O(database)) and compacts the tier
 // at Config.CompactThreshold; release the log and segment files with
-// DB.Close. See docs/DURABILITY.md and docs/STORAGE.md.
+// DB.Close. When the directory already holds a checkpoint, its stored
+// scalar parameters (ε, δ, bucket width, index and sketch sizes) win
+// over cfg's; breaker, representer, preprocessing and archive always
+// come from cfg. See docs/DURABILITY.md and docs/STORAGE.md.
 func OpenDir(dir string, cfg Config) (*DB, error) { return core.OpenDir(dir, cfg) }
 
 // WALStats describes a durable database's write-ahead-log depth

@@ -1,7 +1,6 @@
 package seqrep_test
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -9,10 +8,12 @@ import (
 )
 
 // TestPublicAPIEndToEnd exercises the whole facade the way a downstream
-// user would: generate data, build a database, run every query type, save
-// and reload.
+// user would: generate data, build a database, run every query type,
+// checkpoint and reopen.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	db, err := seqrep.New(seqrep.Config{Archive: seqrep.NewMemArchive()})
+	dir := t.TempDir()
+	cfg := seqrep.Config{Archive: seqrep.NewMemArchive()}
+	db, err := seqrep.OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +69,23 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("ValueQuery = %+v", val)
 	}
 
-	// Persistence round trip.
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
+	// Persistence round trip: checkpoint, close, reopen the directory.
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := seqrep.Load(&buf, seqrep.Config{})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := seqrep.OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	if loaded.Len() != 2 {
-		t.Errorf("loaded %d records", loaded.Len())
+		t.Errorf("reopened with %d records", loaded.Len())
+	}
+	if again, err := loaded.ValueQuery(fever, 0.1); err != nil || len(again) != 1 || again[0].ID != val[0].ID {
+		t.Errorf("ValueQuery after reopen = %+v, %v", again, err)
 	}
 }
 

@@ -6,7 +6,6 @@ package seqrep_test
 // closest thing to the production usage the library targets.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,7 +17,9 @@ func TestSoakMixedCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	db, err := seqrep.New(seqrep.Config{Epsilon: 0.5, Delta: 0.25, Archive: seqrep.NewMemArchive()})
+	dir := t.TempDir()
+	cfg := seqrep.Config{Epsilon: 0.5, Delta: 0.25, Archive: seqrep.NewMemArchive()}
+	db, err := seqrep.OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +120,17 @@ func TestSoakMixedCorpus(t *testing.T) {
 	}
 
 	// Persistence round trip preserves every query result.
-	var buf bytes.Buffer
-	if err := db.SaveTo(&buf); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := seqrep.Load(&buf, seqrep.Config{})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := seqrep.OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	reIDs, err := loaded.MatchPattern(seqrep.TwoPeakPattern())
 	if err != nil {
 		t.Fatal(err)
