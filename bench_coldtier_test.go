@@ -10,7 +10,6 @@ package seqrep_test
 // SEQREP_BENCH_100K=1 for the 100k-record acceptance configuration.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
@@ -184,11 +183,5 @@ func BenchmarkColdTier(b *testing.B) {
 	b.ReportMetric(float64(report.ResidentBytesMax), "resident_bytes_max")
 	b.ReportMetric(float64(report.ColdHitsTotal), "cold_hits")
 
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_coldtier.json", append(blob, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_coldtier.json not written: %v", err)
-	}
+	writeBenchReport(b, "BENCH_coldtier.json", report)
 }

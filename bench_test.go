@@ -404,6 +404,18 @@ type benchQueryReport struct {
 	Matches       int     `json:"matches"`
 }
 
+// writeBenchReport leaves a benchmark's report beside the sources as
+// indented JSON; CI's gates read these files.
+func writeBenchReport(b *testing.B, file string, report any) {
+	blob, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(file, append(blob, '\n'), 0o644); err != nil {
+		b.Logf("%s not written: %v", file, err)
+	}
+}
+
 // BenchmarkDistanceQuery10k compares the planner's two DistanceQuery
 // plans (L2, 10k stored sequences): the DFT feature index against the
 // brute-force scan, reporting candidates-examined/pruned ratios and
@@ -424,7 +436,7 @@ func BenchmarkDistanceQuery10k(b *testing.B) {
 		var stats seqrep.QueryStats
 		for i := 0; i < b.N; i++ {
 			var err error
-			if _, stats, err = indexed.DistanceQueryStats(exemplar, metric, eps); err != nil {
+			if _, stats, err = indexed.DistanceQueryCtx(context.Background(), exemplar, metric, eps, seqrep.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -445,7 +457,7 @@ func BenchmarkDistanceQuery10k(b *testing.B) {
 		var stats seqrep.QueryStats
 		for i := 0; i < b.N; i++ {
 			var err error
-			if _, stats, err = scan.DistanceQueryStats(exemplar, metric, eps); err != nil {
+			if _, stats, err = scan.DistanceQueryCtx(context.Background(), exemplar, metric, eps, seqrep.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -458,13 +470,7 @@ func BenchmarkDistanceQuery10k(b *testing.B) {
 	if report.IndexedNsOp > 0 && report.ScanNsOp > 0 {
 		report.Speedup = report.ScanNsOp / report.IndexedNsOp
 		b.ReportMetric(report.Speedup, "speedup")
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_query.json", append(blob, '\n'), 0o644); err != nil {
-			b.Logf("BENCH_query.json not written: %v", err)
-		}
+		writeBenchReport(b, "BENCH_query.json", report)
 	}
 }
 
@@ -485,7 +491,7 @@ func BenchmarkTopK(b *testing.B) {
 	b.Run("epsband", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
-			if _, bandStats, err = indexed.DistanceQueryStats(exemplar, metric, eps); err != nil {
+			if _, bandStats, err = indexed.DistanceQueryCtx(context.Background(), exemplar, metric, eps, seqrep.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -524,7 +530,7 @@ func BenchmarkValueQuery10k(b *testing.B) {
 		var stats seqrep.QueryStats
 		for i := 0; i < b.N; i++ {
 			var err error
-			if _, stats, err = indexed.ValueQueryStats(exemplar, eps); err != nil {
+			if _, stats, err = indexed.ValueQueryCtx(context.Background(), exemplar, eps, seqrep.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -533,7 +539,7 @@ func BenchmarkValueQuery10k(b *testing.B) {
 	})
 	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := scan.ValueQueryStats(exemplar, eps); err != nil {
+			if _, _, err := scan.ValueQueryCtx(context.Background(), exemplar, eps, seqrep.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -663,14 +669,14 @@ func BenchmarkHotpath100k(b *testing.B) {
 		// Warm outside the timed region: the first query after ingest
 		// builds the length group's trees (a one-time cost amortized over
 		// the database's life, not a per-query one).
-		if _, _, err := vptree.DistanceQueryStats(queries[0], metric, eps); err != nil {
+		if _, _, err := vptree.DistanceQueryCtx(context.Background(), queries[0], metric, eps, seqrep.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var stats seqrep.QueryStats
 		for i := 0; i < b.N; i++ {
 			var err error
-			if _, stats, err = vptree.DistanceQueryStats(queries[0], metric, eps); err != nil {
+			if _, stats, err = vptree.DistanceQueryCtx(context.Background(), queries[0], metric, eps, seqrep.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -683,12 +689,12 @@ func BenchmarkHotpath100k(b *testing.B) {
 		report.Matches = stats.Matches
 	})
 	b.Run("query/linear", func(b *testing.B) {
-		if _, _, err := linear.DistanceQueryStats(queries[0], metric, eps); err != nil {
+		if _, _, err := linear.DistanceQueryCtx(context.Background(), queries[0], metric, eps, seqrep.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := linear.DistanceQueryStats(queries[0], metric, eps); err != nil {
+			if _, _, err := linear.DistanceQueryCtx(context.Background(), queries[0], metric, eps, seqrep.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -731,13 +737,7 @@ func BenchmarkHotpath100k(b *testing.B) {
 		report.SubseqSpeedup = report.SubseqRecomputeNs / report.SubseqIncrementalNs
 	}
 	if report.Speedup > 0 && report.SubseqSpeedup > 0 {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_hotpath.json", append(blob, '\n'), 0o644); err != nil {
-			b.Logf("BENCH_hotpath.json not written: %v", err)
-		}
+		writeBenchReport(b, "BENCH_hotpath.json", report)
 	}
 }
 
@@ -810,7 +810,7 @@ func BenchmarkProgressiveQuery(b *testing.B) {
 	}
 
 	// Ground truth and recall, outside the timed regions.
-	exact, _, err := scan.DistanceQueryStats(exemplar, metric, eps)
+	exact, _, err := scan.DistanceQueryCtx(context.Background(), exemplar, metric, eps, seqrep.QueryOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -868,7 +868,7 @@ func BenchmarkProgressiveQuery(b *testing.B) {
 		var stats seqrep.QueryStats
 		for i := 0; i < b.N; i++ {
 			var err error
-			if _, stats, err = scan.DistanceQueryStats(exemplar, metric, eps); err != nil {
+			if _, stats, err = scan.DistanceQueryCtx(context.Background(), exemplar, metric, eps, seqrep.QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -885,12 +885,6 @@ func BenchmarkProgressiveQuery(b *testing.B) {
 		if measured && report.Speedup < 10 {
 			b.Fatalf("sketch tier %.1fx faster than the exact scan, want >= 10x", report.Speedup)
 		}
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_progressive.json", append(blob, '\n'), 0o644); err != nil {
-			b.Logf("BENCH_progressive.json not written: %v", err)
-		}
+		writeBenchReport(b, "BENCH_progressive.json", report)
 	}
 }

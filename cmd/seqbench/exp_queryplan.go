@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,7 +64,7 @@ func expQueryPlan(out io.Writer) error {
 		var stats core.QueryStats
 		start := time.Now()
 		for r := 0; r < rounds; r++ {
-			_, st, err := db.DistanceQueryStats(exemplar, m, eps)
+			_, st, err := db.DistanceQueryCtx(context.Background(), exemplar, m, eps, core.QueryOptions{})
 			if err != nil {
 				return 0, stats, err
 			}
@@ -75,7 +76,7 @@ func expQueryPlan(out io.Writer) error {
 		var stats core.QueryStats
 		start := time.Now()
 		for r := 0; r < rounds; r++ {
-			_, st, err := db.ValueQueryStats(exemplar, eps)
+			_, st, err := db.ValueQueryCtx(context.Background(), exemplar, eps, core.QueryOptions{})
 			if err != nil {
 				return 0, stats, err
 			}

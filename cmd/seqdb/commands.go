@@ -78,6 +78,19 @@ func commit(db *seqrep.DB) error {
 	return db.Close()
 }
 
+// openExisting opens the data directory of a command that has nothing to
+// do without one (the read commands and remove): unlike seqrep.OpenDir,
+// which ingest and ingestdir use to create it, a missing directory is an
+// error and nothing is created.
+func openExisting(path string) (*seqrep.DB, error) {
+	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("no database at %s", path)
+	} else if err != nil {
+		return nil, err
+	}
+	return seqrep.OpenDir(path, seqrep.Config{})
+}
+
 func cmdIngest(args []string) error {
 	fs := newFlagSet("ingest")
 	dbPath := fs.String("db", "", "data directory (required)")
@@ -173,7 +186,7 @@ func cmdList(args []string) error {
 	if *dbPath == "" {
 		return fmt.Errorf("list: -db is required")
 	}
-	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
+	db, err := openExisting(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -198,7 +211,7 @@ func cmdSegments(args []string) error {
 	if *dbPath == "" || *id == "" {
 		return fmt.Errorf("segments: -db and -id are required")
 	}
-	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
+	db, err := openExisting(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -259,7 +272,7 @@ func cmdQuery(args []string) error {
 	if *limit < 0 {
 		return fmt.Errorf("query: negative -limit %d", *limit)
 	}
-	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
+	db, err := openExisting(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -433,7 +446,7 @@ func cmdRemove(args []string) error {
 	if *dbPath == "" || *id == "" {
 		return fmt.Errorf("remove: -db and -id are required")
 	}
-	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
+	db, err := openExisting(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -460,7 +473,7 @@ func cmdExport(args []string) error {
 	if *dbPath == "" || *id == "" || *out == "" {
 		return fmt.Errorf("export: -db, -id and -out are required")
 	}
-	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
+	db, err := openExisting(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -481,7 +494,7 @@ func cmdStats(args []string) error {
 	if *dbPath == "" {
 		return fmt.Errorf("stats: -db is required")
 	}
-	db, err := seqrep.OpenDir(*dbPath, seqrep.Config{})
+	db, err := openExisting(*dbPath)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"seqrep"
@@ -90,6 +91,15 @@ func TestCommandValidation(t *testing.T) {
 	}
 	if err := cmdQuery([]string{"-db", dbPath, "-q", "bogus"}); err == nil {
 		t.Error("bad query-language statement accepted")
+	}
+	// A read command pointed at a path that does not exist (a typo'd -db)
+	// reports it and leaves nothing behind.
+	err := cmdList([]string{"-db", dbPath})
+	if err == nil || !strings.Contains(err.Error(), "no database at "+dbPath) {
+		t.Errorf("list on a missing directory: err = %v", err)
+	}
+	if _, err := os.Stat(dbPath); !os.IsNotExist(err) {
+		t.Errorf("read commands created %s (stat err = %v)", dbPath, err)
 	}
 }
 

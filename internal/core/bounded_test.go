@@ -144,7 +144,7 @@ func TestTopKIndexExaminesFewer(t *testing.T) {
 	// first verified handful.
 	const eps = 5000
 
-	_, full, err := db.DistanceQueryStats(exemplar, dist.Euclidean, eps)
+	_, full, err := db.DistanceQueryCtx(context.Background(), exemplar, dist.Euclidean, eps, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestTopKIndexExaminesFewer(t *testing.T) {
 }
 
 // TestQueryLimit pins LIMIT semantics on both plans: at most n matches,
-// every one a member of the unbounded answer, truncation reported
-// exactly when the bound bit.
+// every one a member of the unbounded answer, truncation reported when
+// the bound was reached (see QueryStats.Truncated).
 func TestQueryLimit(t *testing.T) {
 	ctx := context.Background()
 	for _, coeffs := range []int{0, -1} {
@@ -187,19 +187,23 @@ func TestQueryLimit(t *testing.T) {
 		for _, m := range full {
 			members[m.ID] = true
 		}
-		limited, stats, err := db.DistanceQueryCtx(ctx, exemplar, dist.Euclidean, 64, QueryOptions{Limit: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(limited) != 3 {
-			t.Fatalf("coeffs=%d: limit 3 returned %d matches", coeffs, len(limited))
-		}
-		if !stats.Truncated {
-			t.Errorf("coeffs=%d: limit hit but Truncated not reported", coeffs)
-		}
-		for _, m := range limited {
-			if !members[m.ID] {
-				t.Errorf("coeffs=%d: limited result %q not in the unbounded answer", coeffs, m.ID)
+		// At exactly Limit matches the collector stops on delivering the
+		// Limit-th without looking for another: Truncated, nothing cut.
+		for _, limit := range []int{3, len(full)} {
+			limited, stats, err := db.DistanceQueryCtx(ctx, exemplar, dist.Euclidean, 64, QueryOptions{Limit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(limited) != limit {
+				t.Fatalf("coeffs=%d: limit %d returned %d matches", coeffs, limit, len(limited))
+			}
+			if !stats.Truncated {
+				t.Errorf("coeffs=%d: limit %d hit but Truncated not reported", coeffs, limit)
+			}
+			for _, m := range limited {
+				if !members[m.ID] {
+					t.Errorf("coeffs=%d: limited result %q not in the unbounded answer", coeffs, m.ID)
+				}
 			}
 		}
 		// A limit the answer never reaches changes nothing.
@@ -218,10 +222,11 @@ func TestQueryLimit(t *testing.T) {
 
 // slowDB builds an archived database whose reads cost readLatency, so a
 // query's verification phase is slow enough to cancel mid-flight.
-func slowDB(t testing.TB, n int, readLatency time.Duration) (*DB, seq.Sequence) {
+// coeffs is Config.IndexCoeffs (-1 pins the scan plan).
+func slowDB(t testing.TB, n int, readLatency time.Duration, coeffs int) (*DB, seq.Sequence) {
 	t.Helper()
 	arch := store.NewMemArchive()
-	db := mustDB(t, Config{Archive: arch, Workers: 2})
+	db := mustDB(t, Config{Archive: arch, Workers: 2, IndexCoeffs: coeffs})
 	rng := rand.New(rand.NewSource(5150))
 	var exemplar seq.Sequence
 	for i := 0; i < n; i++ {
@@ -255,38 +260,69 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestQueryCancellation is the cancellation-hygiene guard: a query
-// cancelled mid-scan returns ctx.Err() promptly — within one
-// verification batch, not after finishing the scan — and leaves zero
-// goroutines behind.
+// TestQueryCancellation is the cancellation-hygiene guard, one row per
+// candidate producer of the one executor: a query cancelled mid-flight
+// returns ctx.Err() promptly — within one verification batch, not after
+// finishing the scan — and leaves zero goroutines behind.
 func TestQueryCancellation(t *testing.T) {
 	const perRead = 2 * time.Millisecond
-	db, exemplar := slowDB(t, 400, perRead)
-	baseline := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	yielded := 0
-	start := time.Now()
-	_, err := db.DistanceQueryStream(ctx, exemplar, dist.Euclidean, math.Inf(1), QueryOptions{}, func(Match) bool {
-		yielded++
-		cancel() // cancel as soon as the first match arrives
-		return true
-	})
-	elapsed := time.Since(start)
-	if err != context.Canceled {
-		t.Fatalf("cancelled query returned %v, want context.Canceled (after %d yields)", err, yielded)
+	indexed, exemplar := slowDB(t, 400, perRead, 0)
+	scan, _ := slowDB(t, 400, perRead, -1)
+	spec := QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: dist.Euclidean, Eps: math.Inf(1)}
+	rows := []struct {
+		name        string
+		db          *DB
+		opts        QueryOptions
+		progressive bool
+	}{
+		{"index", indexed, QueryOptions{}, false},
+		{"scan", scan, QueryOptions{}, false},
+		{"top-k", indexed, QueryOptions{TopK: 300}, false},
+		{"progressive", indexed, QueryOptions{}, true},
 	}
-	// The full scan costs ~400 reads × 2ms / 2 workers ≈ 400ms; a prompt
-	// cancellation stops after a handful of in-flight verifications.
-	if elapsed > 250*time.Millisecond {
-		t.Errorf("cancelled query took %s, want well under the full-scan cost", elapsed)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if r.opts.TopK > 0 {
+				// Top-K delivers nothing before the search completes (300
+				// verifications here), so its cancel comes from outside.
+				defer time.AfterFunc(10*time.Millisecond, cancel).Stop()
+			}
+			var err error
+			start := time.Now()
+			if r.progressive {
+				_, err = r.db.QueryProgressive(ctx, spec, r.opts, func(pm ProgressiveMatch) bool {
+					if pm.Final { // the first exact verdict: mid-verification
+						cancel()
+					}
+					return true
+				})
+			} else {
+				_, err = r.db.Query(ctx, spec, r.opts, func(Match) bool {
+					cancel() // cancel as soon as the first match arrives
+					return true
+				})
+			}
+			elapsed := time.Since(start)
+			if err != context.Canceled {
+				t.Fatalf("cancelled query returned %v, want context.Canceled", err)
+			}
+			// The full scan costs ~400 reads × 2ms / 2 workers ≈ 400ms; a prompt
+			// cancellation stops after a handful of in-flight verifications.
+			if elapsed > 250*time.Millisecond {
+				t.Errorf("cancelled query took %s, want well under the full-scan cost", elapsed)
+			}
+			settleGoroutines(t, baseline)
+		})
 	}
-	settleGoroutines(t, baseline)
 
 	// A context cancelled before the query starts never scans at all.
-	pre, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if _, _, err := db.DistanceQueryCtx(pre, exemplar, dist.Euclidean, 1, QueryOptions{}); err != context.Canceled {
+	baseline := runtime.NumGoroutine()
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := indexed.DistanceQueryCtx(pre, exemplar, dist.Euclidean, 1, QueryOptions{}); err != context.Canceled {
 		t.Fatalf("pre-cancelled query returned %v", err)
 	}
 	settleGoroutines(t, baseline)
@@ -294,7 +330,7 @@ func TestQueryCancellation(t *testing.T) {
 
 // TestQueryDeadline: a deadline context surfaces DeadlineExceeded.
 func TestQueryDeadline(t *testing.T) {
-	db, exemplar := slowDB(t, 300, 2*time.Millisecond)
+	db, exemplar := slowDB(t, 300, 2*time.Millisecond, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, _, err := db.DistanceQueryCtx(ctx, exemplar, dist.Euclidean, math.Inf(1), QueryOptions{})
@@ -306,10 +342,11 @@ func TestQueryDeadline(t *testing.T) {
 // TestQuerySeqEarlyBreak: breaking out of the iterator form cancels the
 // underlying query and leaks nothing; the break is not an error.
 func TestQuerySeqEarlyBreak(t *testing.T) {
-	db, exemplar := slowDB(t, 300, time.Millisecond)
+	db, exemplar := slowDB(t, 300, time.Millisecond, 0)
+	spec := QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: dist.Euclidean, Eps: math.Inf(1)}
 	baseline := runtime.NumGoroutine()
 	seen := 0
-	for m, err := range db.DistanceQuerySeq(context.Background(), exemplar, dist.Euclidean, math.Inf(1), QueryOptions{}) {
+	for m, err := range db.QuerySeq(context.Background(), spec, QueryOptions{}) {
 		if err != nil {
 			t.Fatalf("unexpected error: %v", err)
 		}
@@ -326,7 +363,7 @@ func TestQuerySeqEarlyBreak(t *testing.T) {
 
 	// Full consumption delivers the whole (sorted, under TopK) answer.
 	var ids []string
-	for m, err := range db.DistanceQuerySeq(context.Background(), exemplar, dist.Euclidean, math.Inf(1), QueryOptions{TopK: 3}) {
+	for m, err := range db.QuerySeq(context.Background(), spec, QueryOptions{TopK: 3}) {
 		if err != nil {
 			t.Fatalf("unexpected error: %v", err)
 		}

@@ -7,6 +7,7 @@ package core
 // under concurrent Ingest/Remove churn (run them with -race).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -129,7 +130,7 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 					if leaf == 1 {
 						// Warm a query so the trees exist, then verify the
 						// tree path is actually engaged.
-						if _, _, err := db.DistanceQueryStats(exemplar, dist.Euclidean, 1); err != nil {
+						if _, _, err := db.DistanceQueryCtx(context.Background(), exemplar, dist.Euclidean, 1, QueryOptions{}); err != nil {
 							t.Fatal(err)
 						}
 						if g := db.findex.group(len(exemplar), false); g == nil || g.tree == nil {
@@ -139,7 +140,7 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 
 					for _, m := range dist.Metrics() {
 						for _, eps := range epsCands {
-							indexed, istats, err := db.DistanceQueryStats(exemplar, m, eps)
+							indexed, istats, err := db.DistanceQueryCtx(context.Background(), exemplar, m, eps, QueryOptions{})
 							if err != nil {
 								t.Fatalf("indexed %s eps=%g: %v", m.Name(), eps, err)
 							}
@@ -168,7 +169,7 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 					}
 
 					for _, eps := range epsCands {
-						indexed, istats, err := db.ValueQueryStats(exemplar, eps)
+						indexed, istats, err := db.ValueQueryCtx(context.Background(), exemplar, eps, QueryOptions{})
 						if err != nil {
 							t.Fatalf("indexed value eps=%g: %v", eps, err)
 						}
@@ -279,7 +280,7 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 			}
 		}
 		eps := float64(i%5) * 2
-		indexed, _, err := db.DistanceQueryStats(exemplar, dist.Euclidean, eps)
+		indexed, _, err := db.DistanceQueryCtx(context.Background(), exemplar, dist.Euclidean, eps, QueryOptions{})
 		if err != nil {
 			t.Fatalf("indexed: %v", err)
 		}
@@ -290,7 +291,7 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 		if got, want := stable(indexed), stable(scanned); !reflect.DeepEqual(got, want) {
 			t.Fatalf("eps=%g: stable sets diverge: indexed %+v, scan %+v", eps, got, want)
 		}
-		vIndexed, _, err := db.ValueQueryStats(exemplar, eps)
+		vIndexed, _, err := db.ValueQueryCtx(context.Background(), exemplar, eps, QueryOptions{})
 		if err != nil {
 			t.Fatalf("indexed value: %v", err)
 		}
@@ -307,7 +308,7 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 
 	// Quiesced: full equivalence, no filtering.
 	for _, eps := range []float64{0, 1, 8, 64} {
-		indexed, _, err := db.DistanceQueryStats(exemplar, dist.ZEuclidean, eps)
+		indexed, _, err := db.DistanceQueryCtx(context.Background(), exemplar, dist.ZEuclidean, eps, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

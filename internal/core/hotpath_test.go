@@ -8,6 +8,7 @@ package core
 // cost must not grow with database size.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -53,7 +54,7 @@ func TestFeatureStoreChurnRebuild(t *testing.T) {
 	exemplar := jitter(rng, base, 0.5)
 	check := func(stage string) QueryStats {
 		t.Helper()
-		indexed, stats, err := db.DistanceQueryStats(exemplar, dist.Euclidean, 6)
+		indexed, stats, err := db.DistanceQueryCtx(context.Background(), exemplar, dist.Euclidean, 6, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
@@ -152,7 +153,7 @@ func TestIndexedQuerySubLinear(t *testing.T) {
 	const n = 4000
 	db, items := clusteredDB(t, Config{}, n, 64)
 	exemplar := items[3].Seq // family 3
-	indexed, stats, err := db.DistanceQueryStats(exemplar, dist.Euclidean, 8)
+	indexed, stats, err := db.DistanceQueryCtx(context.Background(), exemplar, dist.Euclidean, 8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,16 +183,16 @@ func TestIndexedQueryAllocs(t *testing.T) {
 	db, items := clusteredDB(t, Config{Workers: 2}, 2000, 64)
 	exemplar := items[3].Seq
 	m := dist.Euclidean
-	if _, _, err := db.DistanceQueryStats(exemplar, m, 2); err != nil { // warm: trees + pool
+	if _, _, err := db.DistanceQueryCtx(context.Background(), exemplar, m, 2, QueryOptions{}); err != nil { // warm: trees + pool
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := db.DistanceQueryStats(exemplar, m, 2); err != nil {
+		if _, _, err := db.DistanceQueryCtx(context.Background(), exemplar, m, 2, QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const budget = 60
 	if allocs > budget {
-		t.Errorf("indexed DistanceQueryStats allocates %.0f per op over 2000 sequences, budget %d", allocs, budget)
+		t.Errorf("indexed DistanceQueryCtx allocates %.0f per op over 2000 sequences, budget %d", allocs, budget)
 	}
 }

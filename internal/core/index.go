@@ -264,77 +264,21 @@ func (g *featGroup) lockSearchable(ix *featIndex, lb lowerBound) (tree *dft.VPTr
 	return tree, pts
 }
 
-// collect appends every verification candidate for the exemplar's length
-// group to cands: rows whose feature distance to lb.qf is within
-// lb.bound (generated through the vantage-point tree when one is up,
-// falling back to a linear pass over the columnar rows), rows appended
-// since the last tree build, and every unindexed record. examined counts
-// feature vectors actually compared; pruned those compared and
-// discarded — candidates the caller never has to read. stop is the
-// cooperative-cancellation probe: when it reports true the collection
-// returns early with whatever it has (the caller discards the partial
-// result, so over-collection is harmless and under-collection fine).
-func (ix *featIndex) collect(n int, lb lowerBound, cands []*Record, stop func() bool) (_ []*Record, examined, pruned int) {
-	g := ix.group(n, false)
-	if g == nil {
-		return cands, 0, 0
-	}
-	tree, pts := g.lockSearchable(ix, lb)
-	defer g.mu.RUnlock()
-
-	linearFrom := 0
-	if tree != nil {
-		live := 0
-		// The radius is fixed at lb.bound; the probe only aborts (negative
-		// radius unwinds the traversal immediately).
-		radius := func() float64 {
-			if stop != nil && stop() {
-				return -1
-			}
-			return lb.bound
-		}
-		examined += tree.SearchShrink(lb.qf, radius, func(o int32, _ float64) {
-			if !g.dead[o] {
-				cands = append(cands, g.recs[o])
-				live++
-			}
-		})
-		// Tombstoned hits count as examined-and-discarded; so do the
-		// vectors the tree touched and rejected.
-		pruned += examined - live
-		linearFrom = g.treeN
-	}
-	dim := ix.dim
-	for o := linearFrom; o < len(g.recs); o++ {
-		if stop != nil && o%64 == 0 && stop() {
-			return cands, examined, pruned
-		}
-		if g.dead[o] {
-			continue
-		}
-		examined++
-		if dft.FeatureDist(lb.qf, pts[o*dim:(o+1)*dim]) > lb.bound {
-			pruned++
-			continue
-		}
-		cands = append(cands, g.recs[o])
-	}
-	for _, rec := range g.unindexed {
-		examined++
-		cands = append(cands, rec)
-	}
-	return cands, examined, pruned
-}
-
-// collectStream is collect's interleaved form for top-K searches: instead
-// of materializing the candidate set, it hands each candidate to emit
-// while the traversal is still running, re-reading bound() at every tree
-// node so a radius the caller tightens (the best-so-far K-th distance)
-// prunes subtrees mid-flight. A negative bound aborts the collection, as
-// does emit returning false. Runs under the group's read lock for its
-// whole duration — concurrent queries proceed, mutations of this length
-// group wait.
-func (ix *featIndex) collectStream(n int, lb lowerBound, bound func() float64, emit func(*Record) bool) (examined, pruned, cands int) {
+// collect hands every verification candidate for the exemplar's length
+// group to emit while the traversal is still running: rows whose feature
+// distance to lb.qf is within bound() (generated through the
+// vantage-point tree when one is up, falling back to a linear pass over
+// the columnar rows), rows appended since the last tree build, and every
+// unindexed record. bound is re-read at every tree node and every few
+// rows, so a radius the caller tightens (top-K's best-so-far K-th distance) prunes
+// subtrees mid-flight; a caller without feedback returns a fixed bound.
+// A negative bound aborts the collection — the
+// cooperative-cancellation hook — as does emit returning false. examined
+// counts feature vectors actually compared; pruned those compared and
+// discarded — candidates the caller never has to read; cands those
+// emitted. Runs under the group's read lock for its whole duration —
+// concurrent queries proceed, mutations of this length group wait.
+func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit func(*Record) bool) (examined, pruned, cands int) {
 	g := ix.group(n, false)
 	if g == nil {
 		return 0, 0, 0
@@ -364,13 +308,17 @@ func (ix *featIndex) collectStream(n int, lb lowerBound, bound func() float64, e
 		linearFrom = g.treeN
 	}
 	dim := ix.dim
+	b := 0.0
 	for o := linearFrom; o < len(g.recs); o++ {
+		// Re-read every 64 rows: a bound gone stale in between only lets
+		// through candidates that verification then rejects.
+		if (o-linearFrom)%64 == 0 {
+			if b = bound(); b < 0 {
+				return examined, pruned, cands
+			}
+		}
 		if g.dead[o] {
 			continue
-		}
-		b := bound()
-		if b < 0 {
-			return examined, pruned, cands
 		}
 		examined++
 		if dft.FeatureDist(lb.qf, pts[o*dim:(o+1)*dim]) > b {

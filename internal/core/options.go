@@ -28,10 +28,10 @@ import (
 //
 // When both are set the effective bound is min(TopK, Limit).
 //
-// MaxError and MaxTier only affect the progressive entry points
-// (DistanceQueryProgressive, ValueQueryProgressive); the exact query paths
-// ignore them. Progressive execution is incompatible with TopK — a
-// band-accepted answer has no exact distance to rank by.
+// MaxError and MaxTier only affect progressive delivery (QueryProgressive
+// and its DistanceQueryProgressive helper); match-level delivery ignores
+// them. Progressive delivery is incompatible with TopK — a band-accepted
+// answer has no exact distance to rank by.
 type QueryOptions struct {
 	// Limit caps the result count (0 = unlimited).
 	Limit int
@@ -88,12 +88,16 @@ func (h matchHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *matchHeap) Push(x any)        { *h = append(*h, x.(Match)) }
 func (h *matchHeap) Pop() any          { old := *h; n := len(old); m := old[n-1]; *h = old[:n-1]; return m }
 
-// collector funnels verified matches from the query workers into the
-// caller: it enforces Limit, maintains the TopK heap and its pruning
-// radius, serializes the yield callback, and carries the stop flag and
-// first hard error of a run. One collector lives per query execution.
+// collector funnels verdicts from the query workers into the caller: it
+// enforces Limit, maintains the TopK heap and its pruning radius,
+// serializes the caller's callback — match-level (yield) or, under
+// progressive delivery, frame-level (frames) — and carries the stop flags
+// and first hard error of a run. One collector lives per query execution.
 type collector struct {
-	yield func(Match) bool // serialized under mu; nil while heaping
+	spec *querySpec
+	// Exactly one sink is set; calls are serialized under mu.
+	yield  func(Match) bool
+	frames func(ProgressiveMatch) bool
 
 	k      int  // TopK heap size (0 = streaming mode)
 	limit  int  // emit cap in streaming mode (0 = unlimited)
@@ -104,10 +108,12 @@ type collector struct {
 	// fills. Read lock-free on the hot path; updated under mu.
 	radiusBits atomic.Uint64
 
-	// halted flags a voluntary stop (limit reached, or the yield callback
-	// returned false); haltCh unblocks channel-based producers. aborted
-	// flags an involuntary stop: a producer observed the caller's context
-	// done and bailed, so runQuery must report ctx.Err().
+	// halted tells producers to stop generating work (limit reached, the
+	// callback returned false, a hard error, or an abort); haltCh unblocks
+	// channel-based producers. aborted flags the involuntary stop: a
+	// producer observed done — the caller's context — closed and bailed,
+	// so runQuery must report ctx.Err().
+	done     <-chan struct{}
 	halted   atomic.Bool
 	haltOnce sync.Once
 	haltCh   chan struct{}
@@ -120,18 +126,21 @@ type collector struct {
 	firstErr  error
 }
 
-func newCollector(opts QueryOptions, initRadius float64, prunes bool, yield func(Match) bool) *collector {
+func newCollector(done <-chan struct{}, spec *querySpec, opts QueryOptions, yield func(Match) bool, frames func(ProgressiveMatch) bool) *collector {
 	c := &collector{
+		spec:   spec,
 		yield:  yield,
+		frames: frames,
 		limit:  opts.Limit,
-		prunes: prunes,
+		prunes: spec.prunes && opts.TopK > 0,
+		done:   done,
 		haltCh: make(chan struct{}),
 	}
 	if opts.TopK > 0 {
 		c.k = opts.bound()
 		c.limit = 0 // folded into k
 	}
-	c.radiusBits.Store(math.Float64bits(initRadius))
+	c.radiusBits.Store(math.Float64bits(spec.initEps))
 	return c
 }
 
@@ -145,12 +154,37 @@ func (c *collector) halt() {
 	c.haltOnce.Do(func() { close(c.haltCh) })
 }
 
-// stopped reports whether producers should stop generating work.
-func (c *collector) stopped() bool { return c.halted.Load() }
+// chanClosed is the cheap cooperative-cancellation probe: a non-blocking
+// receive on ctx.Done() (nil for background contexts, which never match).
+func chanClosed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
 
-// noteTruncated records that work beyond the result bound was discarded
-// (a candidate rejected at a radius the top-K feedback tightened below
-// the query's own tolerance — it might have been an unbounded match).
+// abort records that the caller's context ended and stops the run.
+func (c *collector) abort() {
+	c.aborted.Store(true)
+	c.halt()
+}
+
+// stopped is the probe every producer loop polls: it reports whether to
+// stop generating work, latching a cancelled context as an abort.
+func (c *collector) stopped() bool {
+	if c.halted.Load() {
+		return true
+	}
+	if chanClosed(c.done) {
+		c.abort()
+		return true
+	}
+	return false
+}
+
+// noteTruncated records that work beyond the result bound was discarded.
 func (c *collector) noteTruncated() {
 	c.mu.Lock()
 	c.truncated = true
@@ -198,19 +232,62 @@ func (c *collector) found(m Match) {
 		}
 		return
 	}
-	if c.limit > 0 && c.emitted >= c.limit {
-		c.truncated = true
-		c.halt()
+	c.delivered(c.yield(m))
+}
+
+// frame delivers one progressive frame; a final frame carrying a Match is
+// an accepted answer and counts against Limit like any other.
+func (c *collector) frame(pm ProgressiveMatch) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.halted.Load() {
 		return
 	}
+	more := c.frames(pm)
+	if pm.Final && pm.Match != nil {
+		c.delivered(more)
+	} else if !more {
+		c.halt()
+	}
+}
+
+// delivered accounts one match handed to the caller (callers hold mu) and
+// stops the run when the callback declined more or Limit is reached.
+func (c *collector) delivered(more bool) {
 	c.emitted++
-	if !c.yield(m) {
+	if !more {
 		c.halt()
-		return
-	}
-	if c.limit > 0 && c.emitted == c.limit {
+	} else if c.limit > 0 && c.emitted == c.limit {
 		c.truncated = true
 		c.halt()
+	}
+}
+
+// verify checks one candidate's exact samples at the current radius and
+// collects the verdict — the step every producer's fan-out ends in. band
+// is the candidate's cascade band; under progressive delivery every
+// candidate gets its final frame here: the exact distance as a point band
+// on an accept, the band it had been refined to on a reject.
+func (c *collector) verify(rec *Record, band Band) {
+	radius := c.radius()
+	m, ok, err := c.spec.verify(rec, radius)
+	switch {
+	case err != nil:
+		c.fail(err)
+	case c.frames != nil:
+		pm := ProgressiveMatch{ID: rec.ID, Tier: TierExact, Band: band, Final: true}
+		if ok {
+			accepted := m // copied so only accepted frames put a Match on the heap
+			d := m.Deviations[c.spec.devKey]
+			pm.Band, pm.Match = Band{Lo: d, Hi: d}, &accepted
+		}
+		c.frame(pm)
+	case ok:
+		c.found(m)
+	case radius < c.spec.initEps:
+		// Rejected at a radius the top-K feedback tightened below the
+		// query's own tolerance: it might have been an unbounded match.
+		c.noteTruncated()
 	}
 }
 

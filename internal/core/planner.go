@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,12 +32,13 @@ const (
 // below the length group's population, the rest having been discarded
 // wholesale by the tree's triangle-inequality pruning.
 type QueryStats struct {
-	// Query is the query family: "distance" or "value".
+	// Query is the query family: FamilyDistance, FamilyValue or
+	// FamilyShape.
 	Query string
 	// Metric is the distance metric name ("band" for ValueQuery's ±ε
 	// semantics).
 	Metric string
-	// Plan is PlanIndex or PlanScan.
+	// Plan is PlanIndex, PlanScan or PlanProgressive.
 	Plan string
 	// Examined counts the records the plan looked at: feature vectors
 	// compared (plus unindexed records) on the index plan, all records
@@ -60,11 +60,13 @@ type QueryStats struct {
 	// Truncated reports that a result bound (QueryOptions.Limit or TopK)
 	// took effect: the query stopped before enumerating the full match
 	// set, so the unbounded answer may hold more (or, under TopK, other)
-	// matches. It is exact for Limit; under TopK it is conservative —
-	// once the pruning radius has tightened, discarded work can no longer
-	// be told apart from true non-matches, so Truncated may be true even
-	// when the unbounded answer held exactly K matches. Counts above
-	// describe only the work actually performed.
+	// matches. It is conservative at the boundary: a Limit run sets it the
+	// moment the Limit-th match is delivered, without looking for a
+	// further one, and under TopK — once the pruning radius has tightened,
+	// discarded work can no longer be told apart from true non-matches —
+	// so Truncated may be true even when the unbounded answer held exactly
+	// Limit (or K) matches. It is never true when the answer held fewer.
+	// Counts above describe only the work actually performed.
 	Truncated bool
 }
 
@@ -82,12 +84,12 @@ func (st QueryStats) String() string {
 }
 
 // lowerBound is one metric's pruning rule on the feature index: the query
-// feature vector, the feature-space threshold, and whether it compares
-// against the z-normalized rows of the columnar store.
+// feature vector and whether it compares against the z-normalized rows of
+// the columnar store. The feature-space threshold comes from the query's
+// boundOf at the current verification radius.
 type lowerBound struct {
-	qf    []float64
-	bound float64
-	z     bool
+	qf []float64
+	z  bool
 }
 
 // lbSlack widens a lower-bound threshold by a whisker of floating-point
@@ -98,8 +100,8 @@ func lbSlack(bound float64) float64 { return bound*(1+1e-9) + 1e-12 }
 
 // distanceLowerBound returns the feature-space pruning rule for metric m
 // on this exemplar — plus the mapping from a verification radius onto
-// the feature-space bound, for top-K searches that tighten the radius
-// mid-flight — or ok=false when m admits no valid lower bound from the
+// the feature-space bound (top-K searches tighten the radius
+// mid-flight) — or ok=false when m admits no valid lower bound from the
 // stored features and the planner must scan.
 //
 // The metric is recognized by its canonical name, and the rule is sound
@@ -111,7 +113,7 @@ func lbSlack(bound float64) float64 { return bound*(1+1e-9) + 1e-12 }
 // L1 and L∞ fall through — the feature distance lower-bounds L2, which
 // neither bounds L∞ from below nor is worth routing for L1 — as do the
 // length-normalized variants and any custom metric.
-func (db *DB) distanceLowerBound(exemplar seq.Sequence, m dist.Metric, eps float64) (*lowerBound, func(float64) float64, bool) {
+func (db *DB) distanceLowerBound(exemplar seq.Sequence, m dist.Metric) (*lowerBound, func(float64) float64, bool) {
 	k := db.findex.k
 	switch m.Name() {
 	case dist.Euclidean.Name():
@@ -119,34 +121,15 @@ func (db *DB) distanceLowerBound(exemplar seq.Sequence, m dist.Metric, eps float
 		if err != nil {
 			return nil, nil, false
 		}
-		return &lowerBound{qf: qf, bound: lbSlack(eps)}, lbSlack, true
+		return &lowerBound{qf: qf}, lbSlack, true
 	case dist.ZEuclidean.Name():
 		qf, err := dft.Features(dist.ZNormalizeValues(exemplar.Values()), k)
 		if err != nil {
 			return nil, nil, false
 		}
-		return &lowerBound{qf: qf, bound: lbSlack(eps), z: true}, lbSlack, true
+		return &lowerBound{qf: qf, z: true}, lbSlack, true
 	}
 	return nil, nil, false
-}
-
-// DistanceQueryStats is DistanceQuery plus execution statistics. The
-// planner routes metrics with a feature-space lower bound (l2, zl2)
-// through the index — pruning candidates whose feature distance already
-// exceeds the tolerance, then verifying survivors exactly — and falls
-// back to the shard-parallel scan for everything else. Both plans return
-// byte-identical match sets.
-func (db *DB) DistanceQueryStats(exemplar seq.Sequence, m dist.Metric, eps float64) ([]Match, QueryStats, error) {
-	return db.DistanceQueryCtx(context.Background(), exemplar, m, eps, QueryOptions{})
-}
-
-// ValueQueryStats is ValueQuery plus execution statistics. The ±ε band
-// semantics admit an L2 detour: a sequence inside the band satisfies
-// L∞ ≤ ε, hence L2 ≤ ε·√n, hence feature distance ≤ ε·√n — so the index
-// prunes with the scaled bound and verifies survivors with the same
-// early-abandoning band kernel as the scan.
-func (db *DB) ValueQueryStats(exemplar seq.Sequence, eps float64) ([]Match, QueryStats, error) {
-	return db.ValueQueryCtx(context.Background(), exemplar, eps, QueryOptions{})
 }
 
 // verifyReadError classifies a storedSequence failure during query

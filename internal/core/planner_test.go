@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestPlannerRouting(t *testing.T) {
 		{dist.RMS, PlanScan},
 	}
 	for _, c := range cases {
-		_, stats, err := db.DistanceQueryStats(fever, c.metric, 1)
+		_, stats, err := db.DistanceQueryCtx(context.Background(), fever, c.metric, 1, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.metric.Name(), err)
 		}
@@ -59,7 +60,7 @@ func TestPlannerRouting(t *testing.T) {
 			t.Errorf("%s: stats labels %+v", c.metric.Name(), stats)
 		}
 	}
-	_, stats, err := db.ValueQueryStats(fever, 0.5)
+	_, stats, err := db.ValueQueryCtx(context.Background(), fever, 0.5, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestPlannerDisabledIndexFallsBack(t *testing.T) {
 		t.Errorf("disabled index reports coefficients: %+v", db.Stats())
 	}
 	fever, _ := db.Raw("fever")
-	matches, stats, err := db.DistanceQueryStats(fever, dist.Euclidean, 0.5)
+	matches, stats, err := db.DistanceQueryCtx(context.Background(), fever, dist.Euclidean, 0.5, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestPlannerDisabledIndexFallsBack(t *testing.T) {
 func TestPlannerPrunesAndCounts(t *testing.T) {
 	db := plannerDB(t, Config{})
 	fever, _ := db.Raw("fever")
-	matches, stats, err := db.DistanceQueryStats(fever, dist.Euclidean, 0.2)
+	matches, stats, err := db.DistanceQueryCtx(context.Background(), fever, dist.Euclidean, 0.2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +116,14 @@ func TestPlannerPrunesAndCounts(t *testing.T) {
 func TestPlannerSeesRemove(t *testing.T) {
 	db := plannerDB(t, Config{})
 	fever, _ := db.Raw("fever")
-	_, before, err := db.DistanceQueryStats(fever, dist.Euclidean, 1)
+	_, before, err := db.DistanceQueryCtx(context.Background(), fever, dist.Euclidean, 1, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Remove("far"); err != nil {
 		t.Fatal(err)
 	}
-	matches, after, err := db.DistanceQueryStats(fever, dist.Euclidean, 1)
+	matches, after, err := db.DistanceQueryCtx(context.Background(), fever, dist.Euclidean, 1, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,19 +140,19 @@ func TestPlannerSeesRemove(t *testing.T) {
 func TestPlannerValidation(t *testing.T) {
 	db := plannerDB(t, Config{})
 	fever, _ := db.Raw("fever")
-	if _, _, err := db.DistanceQueryStats(nil, dist.Euclidean, 1); err == nil {
+	if _, _, err := db.DistanceQueryCtx(context.Background(), nil, dist.Euclidean, 1, QueryOptions{}); err == nil {
 		t.Error("empty exemplar accepted")
 	}
-	if _, _, err := db.DistanceQueryStats(fever, nil, 1); err == nil {
+	if _, _, err := db.DistanceQueryCtx(context.Background(), fever, nil, 1, QueryOptions{}); err == nil {
 		t.Error("nil metric accepted")
 	}
-	if _, _, err := db.DistanceQueryStats(fever, dist.Euclidean, -1); err == nil {
+	if _, _, err := db.DistanceQueryCtx(context.Background(), fever, dist.Euclidean, -1, QueryOptions{}); err == nil {
 		t.Error("negative tolerance accepted")
 	}
-	if _, _, err := db.ValueQueryStats(nil, 1); err == nil {
+	if _, _, err := db.ValueQueryCtx(context.Background(), nil, 1, QueryOptions{}); err == nil {
 		t.Error("empty value exemplar accepted")
 	}
-	if _, _, err := db.ValueQueryStats(fever, -1); err == nil {
+	if _, _, err := db.ValueQueryCtx(context.Background(), fever, -1, QueryOptions{}); err == nil {
 		t.Error("negative value tolerance accepted")
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 // This file is the progressive query cascade: the coarse-to-fine
-// execution mode in which a similarity query answers first from compact
-// per-record sketches with a guaranteed two-sided error band, then
-// refines survivors through DFT feature-distance pruning, and finally
-// verifies what remains against exact samples — the Lernaean-Hydra-style
-// δ-ε progressive contract layered over the existing query machinery.
+// candidate producer runQuery selects under progressive delivery. A
+// similarity query answers first from compact per-record sketches with a
+// guaranteed two-sided error band, then refines survivors through DFT
+// feature-distance pruning, and finally hands what remains to the
+// executor's verification fan-out against exact samples — the
+// Lernaean-Hydra-style δ-ε progressive contract, in which the exact query
+// is the MaxError = 0 mode of the same procedure.
 //
 // The guarantee, relied on by the property suite and the serving layer:
 //
@@ -24,16 +26,13 @@ package core
 //     exact query's match set.
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"seqrep/internal/dft"
 	"seqrep/internal/dist"
 	"seqrep/internal/multires"
-	"seqrep/internal/seq"
 )
 
 // Tier is a progressive quality level: how far through the cascade an
@@ -114,13 +113,9 @@ type ProgressiveMatch struct {
 	Match *Match
 }
 
-// progSpec extends a compiled querySpec with the cascade's coarse tiers:
-// the query-side sketch and the feature-space lower-bound scaling.
-type progSpec struct {
-	spec *querySpec
-	// devKey is the Match.Deviations key of this query family ("value"
-	// for value queries, the metric name for distance queries).
-	devKey string
+// cascade is the query-side state of the coarse tiers: the exemplar's
+// sketch and its feature vector with the lower-bound scaling.
+type cascade struct {
 	// qsk is the exemplar's sketch; nil when sketches are disabled.
 	qsk *multires.Sketch
 	// qf is the exemplar's DFT feature vector (z-normalized when useZ)
@@ -168,13 +163,13 @@ func featureScale(metric string, n int) (scale float64, useZ bool) {
 	}
 }
 
-// progressiveSpec wraps a compiled querySpec for cascade execution,
-// computing the exemplar-side sketch and feature vector once.
-func (db *DB) progressiveSpec(spec *querySpec, exemplar seq.Sequence, devKey string) *progSpec {
-	ps := &progSpec{spec: spec, devKey: devKey}
-	vals := exemplar.Values()
+// cascadeOf computes the exemplar-side sketch and feature vector of one
+// cascade run.
+func (db *DB) cascadeOf(spec *querySpec) cascade {
+	var cs cascade
+	vals := spec.exemplar.Values()
 	if db.cfg.SketchBlock > 0 {
-		ps.qsk = multires.BuildSketch(vals, db.cfg.SketchBlock)
+		cs.qsk = multires.BuildSketch(vals, db.cfg.SketchBlock)
 	}
 	if db.findex != nil {
 		scale, useZ := featureScale(spec.metric, len(vals))
@@ -184,11 +179,11 @@ func (db *DB) progressiveSpec(spec *querySpec, exemplar seq.Sequence, devKey str
 				src = dist.ZNormalizeValues(vals)
 			}
 			if qf, err := dft.Features(src, db.findex.k); err == nil {
-				ps.qf, ps.fscale, ps.useZ = qf, scale, useZ
+				cs.qf, cs.fscale, cs.useZ = qf, scale, useZ
 			}
 		}
 	}
-	return ps
+	return cs
 }
 
 // finalizeAt reports whether the cascade stops refining a record at the
@@ -221,77 +216,19 @@ type progItem struct {
 	band Band
 }
 
-// runProgressive executes the cascade. yield is called with frames in
-// tier order per record (serialized, on unspecified goroutines);
-// returning false stops the query without error, as in runQuery.
-func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error) {
-	if err := opts.validate(); err != nil {
-		return QueryStats{}, err
-	}
-	if opts.TopK > 0 {
-		return QueryStats{}, fmt.Errorf("core: top-k is incompatible with progressive execution")
-	}
+// produceCascade is the progressive candidate producer: the sketch and
+// candidate tiers emit band frames through the collector — in tier order
+// per record — and dismiss, finalize or pass on each record; the
+// survivors go to the executor's verification fan-out, which gives each
+// its final exact-tier frame.
+func (db *DB) produceCascade(spec *querySpec, opts QueryOptions, col *collector, stats *QueryStats) {
 	maxTier := opts.MaxTier
 	if maxTier == TierNone {
 		maxTier = TierExact
 	}
-	spec := ps.spec
+	cs := db.cascadeOf(spec)
 	eps := spec.initEps
-	stats := QueryStats{Query: spec.kind, Metric: spec.metric, Plan: PlanProgressive}
-	done := ctx.Done()
-
-	var (
-		mu        sync.Mutex // serializes yield and the accept accounting
-		halted    atomic.Bool
-		aborted   atomic.Bool
-		accepted  int
-		truncated bool
-		firstErr  error
-	)
-	stopNow := func() bool {
-		if halted.Load() {
-			return true
-		}
-		if chanClosed(done) {
-			aborted.Store(true)
-			halted.Store(true)
-			return true
-		}
-		return false
-	}
-	emit := func(pm ProgressiveMatch) {
-		mu.Lock()
-		defer mu.Unlock()
-		if halted.Load() {
-			return
-		}
-		if pm.Final && pm.Match != nil && opts.Limit > 0 && accepted >= opts.Limit {
-			truncated = true
-			halted.Store(true)
-			return
-		}
-		if !yield(pm) {
-			halted.Store(true)
-			return
-		}
-		if pm.Final && pm.Match != nil {
-			accepted++
-			if opts.Limit > 0 && accepted == opts.Limit {
-				truncated = true
-				halted.Store(true)
-			}
-		}
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		halted.Store(true)
-	}
-
-	var examined, sketched, pruned, candidates, bandAccepted atomic.Int64
+	var examined, sketched, pruned, bandAccepted atomic.Int64
 
 	// Tier 1 — sketch: band every length-matching record against the
 	// exemplar's sketch; dismiss (silently) what the band already rules
@@ -301,13 +238,8 @@ func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOption
 	db.forEachClaimed(len(shardRecs), func(i int) {
 		var out []progItem
 		var ex, sk, pr int64
-		defer func() {
-			examined.Add(ex)
-			sketched.Add(sk)
-			pruned.Add(pr)
-		}()
 		for _, rec := range shardRecs[i] {
-			if stopNow() {
+			if col.stopped() {
 				break
 			}
 			ex++
@@ -315,8 +247,8 @@ func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOption
 				continue
 			}
 			band := Band{Lo: 0, Hi: math.Inf(1)}
-			if ps.qsk != nil && rec.sketch != nil {
-				if lo, hi, ok := multires.DistanceBand(ps.qsk, rec.sketch, spec.metric); ok && !math.IsNaN(lo) && !math.IsNaN(hi) {
+			if cs.qsk != nil && rec.sketch != nil {
+				if lo, hi, ok := multires.DistanceBand(cs.qsk, rec.sketch, spec.metric); ok && !math.IsNaN(lo) && !math.IsNaN(hi) {
 					band = Band{Lo: lo, Hi: hi}
 					sk++
 				}
@@ -327,16 +259,19 @@ func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOption
 			}
 			if finalizeAt(TierSketch, maxTier, band, opts.MaxError) {
 				bandAccepted.Add(1)
-				emit(ProgressiveMatch{ID: rec.ID, Tier: TierSketch, Band: band, Final: true,
-					Match: bandMatch(rec.ID, ps.devKey, band)})
+				col.frame(ProgressiveMatch{ID: rec.ID, Tier: TierSketch, Band: band, Final: true,
+					Match: bandMatch(rec.ID, spec.devKey, band)})
 				continue
 			}
-			emit(ProgressiveMatch{ID: rec.ID, Tier: TierSketch, Band: band})
+			col.frame(ProgressiveMatch{ID: rec.ID, Tier: TierSketch, Band: band})
 			out = append(out, progItem{rec: rec, band: band})
 		}
 		surv[i] = out
+		examined.Add(ex)
+		sketched.Add(sk)
+		pruned.Add(pr)
 	})
-	items := make([]progItem, 0)
+	var items []progItem
 	for _, s := range surv {
 		items = append(items, s...)
 	}
@@ -345,15 +280,15 @@ func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOption
 	// scaled DFT feature distance. Runs only when the feature index is up
 	// and the metric admits a sound scaling; records without feature
 	// vectors pass through untouched (and unannounced).
-	if len(items) > 0 && ps.qf != nil && ps.fscale > 0 {
+	if len(items) > 0 && cs.qf != nil && cs.fscale > 0 {
 		next := make([]progItem, len(items))
 		db.forEachClaimed(len(items), func(i int) {
-			if stopNow() {
+			if col.stopped() {
 				return
 			}
 			it := items[i]
 			feats := it.rec.feats
-			if ps.useZ {
+			if cs.useZ {
 				feats = it.rec.zfeats
 			}
 			if feats == nil {
@@ -361,7 +296,7 @@ func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOption
 				return
 			}
 			band := it.band
-			if flo := bandFloor(dft.FeatureDist(ps.qf, feats) * ps.fscale); flo > band.Lo {
+			if flo := bandFloor(dft.FeatureDist(cs.qf, feats) * cs.fscale); flo > band.Lo {
 				if flo > band.Hi {
 					flo = band.Hi // both edges are slacked; never invert the band
 				}
@@ -369,16 +304,16 @@ func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOption
 			}
 			if band.Lo > eps {
 				pruned.Add(1)
-				emit(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band, Final: true})
+				col.frame(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band, Final: true})
 				return
 			}
 			if finalizeAt(TierCandidate, maxTier, band, opts.MaxError) {
 				bandAccepted.Add(1)
-				emit(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band, Final: true,
-					Match: bandMatch(it.rec.ID, ps.devKey, band)})
+				col.frame(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band, Final: true,
+					Match: bandMatch(it.rec.ID, spec.devKey, band)})
 				return
 			}
-			emit(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band})
+			col.frame(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band})
 			next[i] = progItem{rec: it.rec, band: band}
 		})
 		items = items[:0]
@@ -387,86 +322,30 @@ func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOption
 				items = append(items, it)
 			}
 		}
-	} else if maxTier == TierCandidate && len(items) > 0 {
+	} else if maxTier == TierCandidate {
 		// The candidate tier cannot run (no index or no sound scaling)
 		// but the caller capped refinement here: finalize on the sketch
 		// bands, which is the best information this configuration has.
 		for _, it := range items {
 			bandAccepted.Add(1)
-			emit(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: it.band, Final: true,
-				Match: bandMatch(it.rec.ID, ps.devKey, it.band)})
+			col.frame(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: it.band, Final: true,
+				Match: bandMatch(it.rec.ID, spec.devKey, it.band)})
 		}
-		items = items[:0]
-	}
-	if maxTier != TierExact {
-		items = items[:0]
-	}
-
-	// Tier 3 — exact: verify the remaining survivors against their exact
-	// samples through the query's verification kernel; every survivor
-	// gets its final frame, accepted or not.
-	db.forEachClaimed(len(items), func(i int) {
-		if stopNow() {
-			return
-		}
-		it := items[i]
-		candidates.Add(1)
-		m, ok, err := spec.verify(it.rec, eps)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if !ok {
-			emit(ProgressiveMatch{ID: it.rec.ID, Tier: TierExact, Band: it.band, Final: true})
-			return
-		}
-		d := m.Deviations[ps.devKey]
-		emit(ProgressiveMatch{ID: m.ID, Tier: TierExact, Band: Band{Lo: d, Hi: d}, Final: true, Match: &m})
-	})
-
-	mu.Lock()
-	err := firstErr
-	stats.Matches, stats.Truncated = accepted, truncated
-	mu.Unlock()
-	if err != nil {
-		return QueryStats{}, err
-	}
-	if aborted.Load() {
-		if cerr := ctx.Err(); cerr != nil {
-			return QueryStats{}, cerr
-		}
-		return QueryStats{}, context.Canceled
 	}
 	stats.Examined = int(examined.Load())
 	stats.Sketched = int(sketched.Load())
 	stats.Pruned = int(pruned.Load())
-	stats.Candidates = int(candidates.Load())
 	stats.BandAccepted = int(bandAccepted.Load())
-	return stats, nil
-}
-
-// DistanceQueryProgressive runs a distance query as a progressive
-// cascade: frames stream through yield with per-record error bands that
-// tighten from the sketch tier through candidate pruning to exact
-// verification (see ProgressiveMatch for the frame contract and the file
-// comment for the guarantee). opts.MaxError and opts.MaxTier control how
-// early answers may finalize; opts.TopK is rejected. eps may be
-// math.Inf(1) to band every record.
-func (db *DB) DistanceQueryProgressive(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error) {
-	spec, err := db.distanceSpec(exemplar, m, eps)
-	if err != nil {
-		return QueryStats{}, err
+	if maxTier != TierExact {
+		return
 	}
-	return db.runProgressive(ctx, db.progressiveSpec(spec, exemplar, m.Name()), opts, yield)
-}
 
-// ValueQueryProgressive is the progressive form of the ±eps band query
-// (see DistanceQueryProgressive); bands bound the maximum per-sample
-// deviation, the "value" deviation exact verification reports.
-func (db *DB) ValueQueryProgressive(ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error) {
-	spec, err := db.valueSpec(exemplar, eps)
-	if err != nil {
-		return QueryStats{}, err
+	// Tier 3 — exact: every remaining survivor is verified against its
+	// exact samples through the query's verification kernel.
+	cands, bands := make([]*Record, len(items)), make([]Band, len(items))
+	for i, it := range items {
+		cands[i], bands[i] = it.rec, it.band
 	}
-	return db.runProgressive(ctx, db.progressiveSpec(spec, exemplar, "value"), opts, yield)
+	stats.Candidates = len(cands)
+	db.verifyAll(col, cands, bands)
 }

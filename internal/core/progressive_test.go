@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -99,7 +100,7 @@ func resampleTo(vals []float64, n int) []float64 {
 	return out
 }
 
-func progressiveDB(t testing.TB, cfg Config, corpus map[string]seq.Sequence) *DB {
+func cascadeDB(t testing.TB, cfg Config, corpus map[string]seq.Sequence) *DB {
 	t.Helper()
 	db := mustDB(t, cfg)
 	for id, s := range corpus {
@@ -110,10 +111,10 @@ func progressiveDB(t testing.TB, cfg Config, corpus map[string]seq.Sequence) *DB
 
 // collectFrames runs a progressive query and groups its frames per
 // record in arrival order.
-func collectFrames(t testing.TB, run func(yield func(ProgressiveMatch) bool) (QueryStats, error)) (map[string][]ProgressiveMatch, QueryStats) {
+func collectFrames(t testing.TB, db *DB, spec QuerySpec, opts QueryOptions) (map[string][]ProgressiveMatch, QueryStats) {
 	t.Helper()
 	frames := map[string][]ProgressiveMatch{}
-	stats, err := run(func(pm ProgressiveMatch) bool {
+	stats, err := db.QueryProgressive(context.Background(), spec, opts, func(pm ProgressiveMatch) bool {
 		frames[pm.ID] = append(frames[pm.ID], pm)
 		return true
 	})
@@ -199,57 +200,37 @@ func medianEps(truth map[string]float64) float64 {
 	for _, d := range truth {
 		ds = append(ds, d)
 	}
-	for i := 1; i < len(ds); i++ { // insertion sort; the slice is tiny
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
+	slices.Sort(ds)
 	return ds[len(ds)/2]
 }
 
-// progressiveRunner abstracts DistanceQueryProgressive vs
-// ValueQueryProgressive so the whole suite runs over both families.
+// progressiveRunner states one query family for QueryProgressive and
+// Query, so the whole suite runs over the value family and every metric.
 type progressiveRunner struct {
 	name string
-	// truth computes the family's exact deviation (metric distance; max
-	// pointwise deviation for value queries).
-	truth func(t testing.TB, corpus map[string]seq.Sequence, exemplar seq.Sequence) map[string]float64
-	run   func(db *DB, ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error)
-	// exact runs the family's non-progressive query for the equivalence
-	// property.
-	exact func(db *DB, ctx context.Context, exemplar seq.Sequence, eps float64) ([]Match, error)
+	// truth is the metric of the family's exact deviation (the maximum
+	// pointwise deviation — Chebyshev — for value queries).
+	truth dist.Metric
+	spec  func(exemplar seq.Sequence, eps float64) QuerySpec
 	// devKey is the Deviations key exact verification reports under.
 	devKey string
 }
 
 func progressiveRunners() []progressiveRunner {
 	runners := []progressiveRunner{{
-		name: "value",
-		truth: func(t testing.TB, corpus map[string]seq.Sequence, exemplar seq.Sequence) map[string]float64 {
-			return trueDistances(t, corpus, exemplar, dist.Chebyshev)
-		},
-		run: func(db *DB, ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error) {
-			return db.ValueQueryProgressive(ctx, exemplar, eps, opts, yield)
-		},
-		exact: func(db *DB, ctx context.Context, exemplar seq.Sequence, eps float64) ([]Match, error) {
-			ms, _, err := db.ValueQueryCtx(ctx, exemplar, eps, QueryOptions{})
-			return ms, err
+		name:  "value",
+		truth: dist.Chebyshev,
+		spec: func(exemplar seq.Sequence, eps float64) QuerySpec {
+			return QuerySpec{Family: FamilyValue, Exemplar: exemplar, Eps: eps}
 		},
 		devKey: "value",
 	}}
 	for _, m := range dist.Metrics() {
-		m := m
 		runners = append(runners, progressiveRunner{
-			name: m.Name(),
-			truth: func(t testing.TB, corpus map[string]seq.Sequence, exemplar seq.Sequence) map[string]float64 {
-				return trueDistances(t, corpus, exemplar, m)
-			},
-			run: func(db *DB, ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error) {
-				return db.DistanceQueryProgressive(ctx, exemplar, m, eps, opts, yield)
-			},
-			exact: func(db *DB, ctx context.Context, exemplar seq.Sequence, eps float64) ([]Match, error) {
-				ms, _, err := db.DistanceQueryCtx(ctx, exemplar, m, eps, QueryOptions{})
-				return ms, err
+			name:  m.Name(),
+			truth: m,
+			spec: func(exemplar seq.Sequence, eps float64) QuerySpec {
+				return QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: m, Eps: eps}
 			},
 			devKey: m.Name(),
 		})
@@ -283,7 +264,7 @@ func TestProgressiveGuarantees(t *testing.T) {
 				truthCorpus := corpus
 				if storage == "archive" {
 					cfg.Archive = store.NewMemArchive()
-					db = progressiveDB(t, cfg, corpus)
+					db = cascadeDB(t, cfg, corpus)
 				} else {
 					// Paged: durable database, no archive, 1-byte
 					// residency budget. After the checkpoint every exact
@@ -331,16 +312,13 @@ func reconCorpus(t testing.TB, db *DB, corpus map[string]seq.Sequence) map[strin
 }
 
 func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence, exemplar seq.Sequence, r progressiveRunner) {
-	ctx := context.Background()
-	truth := r.truth(t, corpus, exemplar)
+	truth := trueDistances(t, corpus, exemplar, r.truth)
 
 	// Property 1 — unbounded run: every length-matching record appears,
 	// every band contains the true distance, bands only tighten, and
 	// with MaxError 0 every final verdict is exact-tier with a point
 	// band at (within float slack of) the true distance.
-	frames, stats := collectFrames(t, func(yield func(ProgressiveMatch) bool) (QueryStats, error) {
-		return r.run(db, ctx, exemplar, math.Inf(1), QueryOptions{}, yield)
-	})
+	frames, stats := collectFrames(t, db, r.spec(exemplar, math.Inf(1)), QueryOptions{})
 	checkFrameContract(t, frames, truth)
 	if len(frames) != len(truth) {
 		t.Errorf("unbounded run banded %d records, corpus has %d length-matching", len(frames), len(truth))
@@ -366,12 +344,10 @@ func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence
 	// Property 2 — exact equivalence: a finite-eps MaxError=0 run
 	// returns exactly the exact query's match set, deviations included.
 	eps := medianEps(truth)
-	frames, _ = collectFrames(t, func(yield func(ProgressiveMatch) bool) (QueryStats, error) {
-		return r.run(db, ctx, exemplar, eps, QueryOptions{}, yield)
-	})
+	frames, _ = collectFrames(t, db, r.spec(exemplar, eps), QueryOptions{})
 	checkFrameContract(t, frames, truth)
 	accepted := acceptedOf(frames)
-	exact, err := r.exact(db, ctx, exemplar, eps)
+	exact, _, err := db.querySorted(context.Background(), r.spec(exemplar, eps), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +370,7 @@ func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence
 	// within eps + accepted width. Exact matches must all still appear.
 	w := eps / 2
 	if w > 0 {
-		frames, _ = collectFrames(t, func(yield func(ProgressiveMatch) bool) (QueryStats, error) {
-			return r.run(db, ctx, exemplar, eps, QueryOptions{MaxError: w}, yield)
-		})
+		frames, _ = collectFrames(t, db, r.spec(exemplar, eps), QueryOptions{MaxError: w})
 		checkFrameContract(t, frames, truth)
 		for id, fs := range frames {
 			last := fs[len(fs)-1]
@@ -422,9 +396,7 @@ func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence
 	// every surviving record at (or before) the cap, with bands still
 	// containing the truth and exact matches never dismissed.
 	for _, tierCap := range []Tier{TierSketch, TierCandidate} {
-		frames, _ = collectFrames(t, func(yield func(ProgressiveMatch) bool) (QueryStats, error) {
-			return r.run(db, ctx, exemplar, eps, QueryOptions{MaxTier: tierCap}, yield)
-		})
+		frames, _ = collectFrames(t, db, r.spec(exemplar, eps), QueryOptions{MaxTier: tierCap})
 		checkFrameContract(t, frames, truth)
 		accepted = acceptedOf(frames)
 		for id, fs := range frames {
@@ -445,7 +417,7 @@ func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence
 // band-accepted answer has no exact distance to rank by.
 func TestProgressiveRejectsTopK(t *testing.T) {
 	corpus := progressiveCorpus(t)
-	db := progressiveDB(t, Config{Archive: store.NewMemArchive()}, corpus)
+	db := cascadeDB(t, Config{Archive: store.NewMemArchive()}, corpus)
 	_, err := db.DistanceQueryProgressive(context.Background(), corpus["exemplar"], dist.Euclidean, 1,
 		QueryOptions{TopK: 3}, func(ProgressiveMatch) bool { return true })
 	if err == nil {
@@ -454,23 +426,18 @@ func TestProgressiveRejectsTopK(t *testing.T) {
 }
 
 // TestProgressiveLimit pins Limit semantics on the cascade: the run
-// stops after Limit final accepts and reports truncation.
+// stops after Limit final accepts and reports truncation — also at
+// exactly Limit accepts, where nothing was cut (see TestQueryLimit).
 func TestProgressiveLimit(t *testing.T) {
 	corpus := progressiveCorpus(t)
-	db := progressiveDB(t, Config{Archive: store.NewMemArchive()}, corpus)
-	accepts := 0
-	stats, err := db.DistanceQueryProgressive(context.Background(), corpus["exemplar"], dist.Euclidean, math.Inf(1),
-		QueryOptions{Limit: 2}, func(pm ProgressiveMatch) bool {
-			if pm.Final && pm.Match != nil {
-				accepts++
-			}
-			return true
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accepts != 2 || stats.Matches != 2 || !stats.Truncated {
-		t.Fatalf("limit run: accepts=%d stats=%+v", accepts, stats)
+	db := cascadeDB(t, Config{Archive: store.NewMemArchive()}, corpus)
+	spec := QuerySpec{Family: FamilyDistance, Exemplar: corpus["exemplar"], Metric: dist.Euclidean, Eps: math.Inf(1)}
+	full := len(trueDistances(t, corpus, spec.Exemplar, dist.Euclidean))
+	for _, limit := range []int{2, full} {
+		frames, stats := collectFrames(t, db, spec, QueryOptions{Limit: limit})
+		if accepts := len(acceptedOf(frames)); accepts != limit || stats.Matches != limit || !stats.Truncated {
+			t.Fatalf("limit %d run: accepts=%d stats=%+v", limit, accepts, stats)
+		}
 	}
 }
 
@@ -478,7 +445,7 @@ func TestProgressiveLimit(t *testing.T) {
 // with ctx.Err().
 func TestProgressiveCancellation(t *testing.T) {
 	corpus := progressiveCorpus(t)
-	db := progressiveDB(t, Config{Archive: store.NewMemArchive()}, corpus)
+	db := cascadeDB(t, Config{Archive: store.NewMemArchive()}, corpus)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := db.DistanceQueryProgressive(ctx, corpus["exemplar"], dist.Euclidean, math.Inf(1),
@@ -516,9 +483,10 @@ func progressiveChurn(t *testing.T, paged bool) {
 		}
 		corpus = reconCorpus(t, db, corpus)
 	} else {
-		db = progressiveDB(t, Config{Archive: store.NewMemArchive()}, corpus)
+		db = cascadeDB(t, Config{Archive: store.NewMemArchive()}, corpus)
 	}
 	truth := trueDistances(t, corpus, exemplar, dist.Euclidean)
+	spec := QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: dist.Euclidean, Eps: math.Inf(1)}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -559,15 +527,7 @@ func progressiveChurn(t *testing.T, paged bool) {
 				t.Fatal(err)
 			}
 		}
-		frames := map[string][]ProgressiveMatch{}
-		_, err := db.DistanceQueryProgressive(context.Background(), exemplar, dist.Euclidean, math.Inf(1),
-			QueryOptions{}, func(pm ProgressiveMatch) bool {
-				frames[pm.ID] = append(frames[pm.ID], pm)
-				return true
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
+		frames, _ := collectFrames(t, db, spec, QueryOptions{})
 		// The contract holds per record even mid-churn; ground truth is
 		// only checked for the stable base corpus.
 		stable := map[string][]ProgressiveMatch{}

@@ -107,12 +107,12 @@ func (db *DB) storedSequence(rec *Record) (seq.Sequence, error) {
 // the exemplar's length participate; comparison uses raw samples from the
 // archive when available and representation reconstructions otherwise.
 //
-// The query is routed through the planner (see ValueQueryStats): when the
-// feature index is enabled, candidates are pruned by the DFT lower bound
-// before the early-abandoning band verification; otherwise the query runs
-// as a shard-parallel scan.
+// The query is routed through the planner (see ValueQueryCtx, which also
+// reports the plan): when the feature index is enabled, candidates are
+// pruned by the DFT lower bound before the early-abandoning band
+// verification; otherwise the query runs as a shard-parallel scan.
 func (db *DB) ValueQuery(exemplar seq.Sequence, eps float64) ([]Match, error) {
-	matches, _, err := db.ValueQueryStats(exemplar, eps)
+	matches, _, err := db.ValueQueryCtx(context.Background(), exemplar, eps, QueryOptions{})
 	return matches, err
 }
 
@@ -135,11 +135,12 @@ func (db *DB) valueScan(exemplar seq.Sequence, eps float64) ([]Match, QueryStats
 // when an archive is configured and reconstructions otherwise, and skips
 // sequences whose length differs from the exemplar's.
 //
-// The query is routed through the planner (see DistanceQueryStats):
-// metrics with a feature-space lower bound (l2, zl2) run through the DFT
-// feature index, everything else as a shard-parallel scan.
+// The query is routed through the planner (see DistanceQueryCtx, which
+// also reports the plan): metrics with a feature-space lower bound (l2,
+// zl2) run through the DFT feature index, everything else as a
+// shard-parallel scan.
 func (db *DB) DistanceQuery(exemplar seq.Sequence, m dist.Metric, eps float64) ([]Match, error) {
-	matches, _, err := db.DistanceQueryStats(exemplar, m, eps)
+	matches, _, err := db.DistanceQueryCtx(context.Background(), exemplar, m, eps, QueryOptions{})
 	return matches, err
 }
 

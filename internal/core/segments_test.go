@@ -434,7 +434,7 @@ func TestSaveLoadPreservesFeatureIndex(t *testing.T) {
 	counting := store.NewCountingArchive(store.NewMemArchive())
 	db, dir := openTemp(t, Config{Archive: counting})
 	exemplar := ingestFevers(t, db, map[string]float64{"fever": 0, "near": 0.05, "far": 50})
-	before, beforeStats, err := db.DistanceQueryStats(exemplar, dist.Euclidean, 1)
+	before, beforeStats, err := db.DistanceQueryCtx(context.Background(), exemplar, dist.Euclidean, 1, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestSaveLoadPreservesFeatureIndex(t *testing.T) {
 	if got, want := loaded.Stats().FeatureIndexed, db.Stats().FeatureIndexed; got != want {
 		t.Errorf("FeatureIndexed = %d after reopen, want %d", got, want)
 	}
-	after, afterStats, err := loaded.DistanceQueryStats(exemplar, dist.Euclidean, 1)
+	after, afterStats, err := loaded.DistanceQueryCtx(context.Background(), exemplar, dist.Euclidean, 1, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
 			// both plans.
 			self := seq.New(vals)
 			for _, eps := range []float64{0, 0.001, 0.01, 0.1, 1} {
-				indexed, istats, err := loaded.DistanceQueryStats(self, dist.Euclidean, eps)
+				indexed, istats, err := loaded.DistanceQueryCtx(context.Background(), self, dist.Euclidean, eps, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

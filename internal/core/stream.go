@@ -1,17 +1,16 @@
 package core
 
-// This file is the streaming, cancellable, bounded query engine. Every
-// similarity query — DistanceQuery, ValueQuery, ShapeQuery, and the
-// planner routes behind them — flows through one internal path,
-// runQuery: candidate generation (feature index or shard scan) feeds a
-// verification fan-out whose accepted matches pass through a collector
+// This file is the query executor. Every similarity query — distance,
+// value and shape, match-level or progressive — flows through one
+// internal path, runQuery: a candidate producer (the feature index, the
+// shard scan, or the progressive cascade's sketch and candidate tiers)
+// feeds a verification fan-out whose verdicts pass through a collector
 // that enforces QueryOptions (Limit, TopK), tightens the top-K pruning
-// radius, and hands results to the caller's yield callback.
-// Cancellation is cooperative: the caller's context is checked in shard
-// scans, in vantage-point-tree traversal, and before every verification,
-// and the worker pool always drains before runQuery returns — a
-// cancelled query returns ctx.Err() promptly with no goroutine left
-// behind.
+// radius, and hands results to the caller's callback. Cancellation is
+// cooperative: the caller's context is checked in shard scans, in
+// vantage-point-tree traversal, and before every verification, and the
+// worker pool always drains before runQuery returns — a cancelled query
+// returns ctx.Err() promptly with no goroutine left behind.
 
 import (
 	"context"
@@ -26,15 +25,49 @@ import (
 	"seqrep/internal/seq"
 )
 
-// querySpec is one similarity query, compiled for runQuery: the stats
-// labels, the candidate filter, the optional index route, and the
-// verification kernel.
+// Query families: QuerySpec.Family, and QueryStats.Query on the way out.
+const (
+	// FamilyDistance matches sequences within Eps of the exemplar under
+	// Metric.
+	FamilyDistance = "distance"
+	// FamilyValue matches sequences whose every sample lies within ±Eps of
+	// the exemplar's (the prior-art semantics of the paper's Figure 1).
+	FamilyValue = "value"
+	// FamilyShape is the generalized approximate query: the exemplar's
+	// feature profile under the per-dimension Shape tolerances.
+	FamilyShape = "shape"
+)
+
+// QuerySpec states one similarity query for DB.Query, DB.QueryProgressive
+// and DB.QuerySeq.
+type QuerySpec struct {
+	Family   string
+	Exemplar seq.Sequence
+	// Metric is FamilyDistance's distance kernel.
+	Metric dist.Metric
+	// Eps is the tolerance of FamilyDistance and FamilyValue; math.Inf(1)
+	// is allowed (pure nearest-neighbour search under TopK, band every
+	// record under progressive delivery).
+	Eps float64
+	// Shape holds FamilyShape's per-dimension tolerances.
+	Shape ShapeTolerance
+}
+
+// querySpec is a QuerySpec compiled for runQuery: the stats labels, the
+// candidate filter, the optional index route, and the verification
+// kernel.
 type querySpec struct {
 	kind   string
 	metric string
-	// n is the exemplar length; > 0 restricts candidates to records of
-	// that length (and selects the feature-index group).
-	n int
+	// exemplar is the query sequence; n is its length, and > 0 restricts
+	// candidates to records of that length (and selects the feature-index
+	// group).
+	exemplar seq.Sequence
+	n        int
+	// devKey is the Match.Deviations key holding the distance the radius
+	// bounds ("value", or the metric name); empty for families without one,
+	// which therefore have no progressive form.
+	devKey string
 	// lb is the feature-space pruning rule; nil forces the scan plan.
 	lb *lowerBound
 	// boundOf maps a verification radius onto the feature-space bound —
@@ -49,43 +82,46 @@ type querySpec struct {
 	verify func(rec *Record, radius float64) (Match, bool, error)
 }
 
-// chanClosed is the cheap cooperative-cancellation probe: a non-blocking
-// receive on ctx.Done() (nil for background contexts, which never match).
-func chanClosed(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
-// runQuery executes spec under opts, calling yield once per match. It is
-// the single execution path of every similarity query.
+// runQuery executes spec under opts. It is the single execution path of
+// every similarity query, and the one place that knows the run protocol:
+// validate, produce candidates, verify, collect, resolve cancellation
+// into the result.
 //
-// yield is called from the query's worker goroutines — never
+// Exactly one of yield (match-level delivery) and frames (progressive
+// delivery, which selects the cascade producer; see progressive.go) is
+// set. Either is called from the query's worker goroutines — never
 // concurrently, but on an unspecified goroutine — and returning false
 // stops the query early (not an error). Without TopK, matches arrive as
 // they are found, in no particular order; with TopK they arrive
 // nearest-first after the search completes. On cancellation runQuery
-// returns ctx.Err(); matches already yielded are valid members of the
+// returns ctx.Err(); matches already delivered are valid members of the
 // full answer.
-func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, yield func(Match) bool) (QueryStats, error) {
+func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, yield func(Match) bool, frames func(ProgressiveMatch) bool) (QueryStats, error) {
 	if err := opts.validate(); err != nil {
 		return QueryStats{}, err
 	}
+	if frames != nil && opts.TopK > 0 {
+		return QueryStats{}, fmt.Errorf("core: top-k is incompatible with progressive execution")
+	}
+	if frames != nil && spec.devKey == "" {
+		return QueryStats{}, fmt.Errorf("core: %s queries have no progressive form", spec.kind)
+	}
 	stats := QueryStats{Query: spec.kind, Metric: spec.metric}
-	col := newCollector(opts, spec.initEps, spec.prunes && opts.TopK > 0, yield)
-	if db.findex != nil && spec.lb != nil {
+	col := newCollector(ctx.Done(), spec, opts, yield, frames)
+	indexed := db.findex != nil && spec.lb != nil
+	switch {
+	case frames != nil:
+		stats.Plan = PlanProgressive
+		db.produceCascade(spec, opts, col, &stats)
+	case indexed && opts.TopK > 0:
 		stats.Plan = PlanIndex
-		if opts.TopK > 0 {
-			db.produceIndexedTopK(ctx, spec, col, &stats)
-		} else {
-			db.produceIndexed(ctx, spec, col, &stats)
-		}
-	} else {
+		db.produceIndexedTopK(spec, col, &stats)
+	case indexed:
+		stats.Plan = PlanIndex
+		db.produceIndexed(spec, col, &stats)
+	default:
 		stats.Plan = PlanScan
-		db.produceScan(ctx, spec, col, &stats)
+		db.produceScan(spec, col, &stats)
 	}
 	if err := col.err(); err != nil {
 		return QueryStats{}, err
@@ -107,9 +143,8 @@ func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, 
 // produceScan is the shard-parallel full-scan producer: workers claim
 // whole shard snapshots and verify every length-matching record, checking
 // the stop conditions between records.
-func (db *DB) produceScan(ctx context.Context, spec *querySpec, col *collector, stats *QueryStats) {
+func (db *DB) produceScan(spec *querySpec, col *collector, stats *QueryStats) {
 	shardRecs := db.snapshotRecords()
-	done := ctx.Done()
 	var examined, candidates atomic.Int64
 	db.forEachClaimed(len(shardRecs), func(i int) {
 		var ex, cand int64
@@ -117,29 +152,12 @@ func (db *DB) produceScan(ctx context.Context, spec *querySpec, col *collector, 
 			if col.stopped() {
 				break
 			}
-			if chanClosed(done) {
-				col.aborted.Store(true)
-				break
-			}
 			ex++
 			if spec.n > 0 && rec.N != spec.n {
 				continue
 			}
 			cand++
-			radius := col.radius()
-			m, ok, err := spec.verify(rec, radius)
-			if err != nil {
-				col.fail(err)
-				break
-			}
-			if ok {
-				col.found(m)
-			} else if radius < spec.initEps {
-				// Rejected at a tightened radius: it may have matched the
-				// query's own tolerance, so the bounded answer is (possibly)
-				// short of the unbounded one.
-				col.noteTruncated()
-			}
+			col.verify(rec, Band{})
 		}
 		examined.Add(ex)
 		candidates.Add(cand)
@@ -148,39 +166,42 @@ func (db *DB) produceScan(ctx context.Context, spec *querySpec, col *collector, 
 	stats.Candidates = int(candidates.Load())
 }
 
+// verifyAll fans the exact verification of a materialized candidate set
+// across the worker pool, outside every lock (it is the archive- and
+// reconstruction-reading part). bands, when non-nil, holds each
+// candidate's cascade band.
+func (db *DB) verifyAll(col *collector, cands []*Record, bands []Band) {
+	db.forEachClaimed(len(cands), func(i int) {
+		if col.stopped() {
+			return
+		}
+		var band Band
+		if bands != nil {
+			band = bands[i]
+		}
+		col.verify(cands[i], band)
+	})
+}
+
 // produceIndexed is the two-phase index producer used when no radius
 // feedback is possible: candidates are generated under the length group's
-// read lock into pooled scratch, then verified by the worker pool outside
-// every lock (the archive- and reconstruction-reading part).
-func (db *DB) produceIndexed(ctx context.Context, spec *querySpec, col *collector, stats *QueryStats) {
-	done := ctx.Done()
-	stop := func() bool {
-		if col.stopped() {
-			return true
-		}
-		if chanClosed(done) {
-			col.aborted.Store(true)
-			return true
-		}
-		return false
-	}
+// read lock into pooled scratch at the query's fixed bound, then verified
+// by the worker pool.
+func (db *DB) produceIndexed(spec *querySpec, col *collector, stats *QueryStats) {
 	scratch := candPool.Get().(*[]*Record)
 	cands := (*scratch)[:0]
-	cands, stats.Examined, stats.Pruned = db.findex.collect(spec.n, *spec.lb, cands, stop)
-	stats.Candidates = len(cands)
-	db.forEachClaimed(len(cands), func(i int) {
-		if stop() {
-			return
+	fixed := spec.boundOf(spec.initEps)
+	bound := func() float64 {
+		if col.stopped() {
+			return -1
 		}
-		m, ok, err := spec.verify(cands[i], col.radius())
-		if err != nil {
-			col.fail(err)
-			return
-		}
-		if ok {
-			col.found(m)
-		}
+		return fixed
+	}
+	stats.Examined, stats.Pruned, stats.Candidates = db.findex.collect(spec.n, *spec.lb, bound, func(rec *Record) bool {
+		cands = append(cands, rec)
+		return true
 	})
+	db.verifyAll(col, cands, nil)
 	clear(cands) // drop record pointers before pooling the scratch
 	*scratch = cands[:0]
 	candPool.Put(scratch)
@@ -192,8 +213,7 @@ func (db *DB) produceIndexed(ctx context.Context, spec *querySpec, col *collecto
 // so the best K verified so far shrink the search mid-flight — the
 // search examines strictly fewer vectors than the equivalent unbounded
 // query whenever the K-th best distance drops below the tolerance.
-func (db *DB) produceIndexedTopK(ctx context.Context, spec *querySpec, col *collector, stats *QueryStats) {
-	done := ctx.Done()
+func (db *DB) produceIndexedTopK(spec *querySpec, col *collector, stats *QueryStats) {
 	workers := db.cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -205,23 +225,8 @@ func (db *DB) produceIndexedTopK(ctx context.Context, spec *querySpec, col *coll
 		go func() {
 			defer wg.Done()
 			for rec := range candCh {
-				if col.stopped() {
-					continue // drain
-				}
-				if chanClosed(done) {
-					col.aborted.Store(true)
-					continue
-				}
-				radius := col.radius()
-				m, ok, err := spec.verify(rec, radius)
-				if err != nil {
-					col.fail(err)
-					continue
-				}
-				if ok {
-					col.found(m)
-				} else if radius < spec.initEps {
-					col.noteTruncated() // see produceScan
+				if !col.stopped() { // else drain
+					col.verify(rec, Band{})
 				}
 			}
 		}()
@@ -229,10 +234,6 @@ func (db *DB) produceIndexedTopK(ctx context.Context, spec *querySpec, col *coll
 	var shrunk atomic.Bool
 	bound := func() float64 {
 		if col.stopped() {
-			return -1
-		}
-		if chanClosed(done) {
-			col.aborted.Store(true)
 			return -1
 		}
 		r := col.radius()
@@ -245,14 +246,14 @@ func (db *DB) produceIndexedTopK(ctx context.Context, spec *querySpec, col *coll
 		select {
 		case candCh <- rec:
 			return true
-		case <-done:
-			col.aborted.Store(true)
+		case <-col.done:
+			col.abort()
 			return false
 		case <-col.haltCh:
 			return false
 		}
 	}
-	stats.Examined, stats.Pruned, stats.Candidates = db.findex.collectStream(spec.n, *spec.lb, bound, emit)
+	stats.Examined, stats.Pruned, stats.Candidates = db.findex.collect(spec.n, *spec.lb, bound, emit)
 	close(candCh)
 	wg.Wait()
 	// A feature-pruned row under a tightened bound may have been an
@@ -289,17 +290,19 @@ func (db *DB) distanceSpec(exemplar seq.Sequence, m dist.Metric, eps float64) (*
 		return nil, err
 	}
 	spec := &querySpec{
-		kind:    "distance",
-		metric:  m.Name(),
-		n:       len(exemplar),
-		initEps: eps,
-		prunes:  true,
+		kind:     FamilyDistance,
+		metric:   m.Name(),
+		exemplar: exemplar,
+		n:        len(exemplar),
+		devKey:   m.Name(),
+		initEps:  eps,
+		prunes:   true,
 		verify: func(rec *Record, radius float64) (Match, bool, error) {
 			return db.distanceVerify(rec, exemplar, m, radius)
 		},
 	}
 	if db.findex != nil {
-		if lb, boundOf, ok := db.distanceLowerBound(exemplar, m, eps); ok {
+		if lb, boundOf, ok := db.distanceLowerBound(exemplar, m); ok {
 			spec.lb, spec.boundOf = lb, boundOf
 		}
 	}
@@ -316,11 +319,13 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 		return nil, err
 	}
 	spec := &querySpec{
-		kind:    "value",
-		metric:  "band",
-		n:       len(exemplar),
-		initEps: eps,
-		prunes:  true,
+		kind:     FamilyValue,
+		metric:   "band",
+		exemplar: exemplar,
+		n:        len(exemplar),
+		devKey:   "value",
+		initEps:  eps,
+		prunes:   true,
 		verify: func(rec *Record, radius float64) (Match, bool, error) {
 			return db.valueVerify(rec, exemplar, radius)
 		},
@@ -329,7 +334,7 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 		if qf, err := dft.Features(exemplar.Values(), db.findex.k); err == nil {
 			scale := math.Sqrt(float64(len(exemplar)))
 			boundOf := func(r float64) float64 { return lbSlack(r * scale) }
-			spec.lb = &lowerBound{qf: qf, bound: boundOf(eps)}
+			spec.lb = &lowerBound{qf: qf}
 			spec.boundOf = boundOf
 		}
 	}
@@ -352,7 +357,7 @@ func (db *DB) shapeSpec(exemplar seq.Sequence, tol ShapeTolerance) (*querySpec, 
 		return nil, fmt.Errorf("core: exemplar: %w", err)
 	}
 	return &querySpec{
-		kind:    "shape",
+		kind:    FamilyShape,
 		initEps: math.Inf(1),
 		verify: func(rec *Record, _ float64) (Match, bool, error) {
 			// Shape verification reads segment boundaries, so the
@@ -370,106 +375,72 @@ func (db *DB) shapeSpec(exemplar seq.Sequence, tol ShapeTolerance) (*querySpec, 
 	}, nil
 }
 
-// ---- exported context-first variants ----
+// ---- entry points ----
 
-// collectSorted materializes a streamed query into the classic sorted
-// slice.
-func (db *DB) collectSorted(ctx context.Context, spec *querySpec, opts QueryOptions) ([]Match, QueryStats, error) {
-	var out []Match
-	stats, err := db.runQuery(ctx, spec, opts, func(m Match) bool {
-		out = append(out, m)
-		return true
-	})
-	if err != nil {
-		return nil, QueryStats{}, err
+// compile validates q and builds its executable form.
+func (db *DB) compile(q QuerySpec) (*querySpec, error) {
+	switch q.Family {
+	case FamilyDistance:
+		return db.distanceSpec(q.Exemplar, q.Metric, q.Eps)
+	case FamilyValue:
+		return db.valueSpec(q.Exemplar, q.Eps)
+	case FamilyShape:
+		return db.shapeSpec(q.Exemplar, q.Shape)
 	}
-	SortMatches(out)
-	return out, stats, nil
+	return nil, fmt.Errorf("core: unknown query family %q", q.Family)
 }
 
-// DistanceQueryCtx is DistanceQuery with a context and result bounds: the
-// query stops at ctx's deadline or cancellation (returning ctx.Err()),
-// after opts.Limit matches, or — with opts.TopK — returns the K nearest
-// matches, feeding the best-so-far distance back into the index search as
-// a shrinking pruning radius. eps may be math.Inf(1) under TopK for pure
-// nearest-neighbour search.
-func (db *DB) DistanceQueryCtx(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts QueryOptions) ([]Match, QueryStats, error) {
-	spec, err := db.distanceSpec(exemplar, m, eps)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return db.collectSorted(ctx, spec, opts)
-}
-
-// ValueQueryCtx is ValueQuery with a context and result bounds (see
-// DistanceQueryCtx).
-func (db *DB) ValueQueryCtx(ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions) ([]Match, QueryStats, error) {
-	spec, err := db.valueSpec(exemplar, eps)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return db.collectSorted(ctx, spec, opts)
-}
-
-// ShapeQueryCtx is ShapeQuery with a context and result bounds (see
-// DistanceQueryCtx; the shape dimensions admit no pruning radius, so
-// TopK bounds the answer without accelerating the scan).
-func (db *DB) ShapeQueryCtx(ctx context.Context, exemplar seq.Sequence, tol ShapeTolerance, opts QueryOptions) ([]Match, QueryStats, error) {
-	spec, err := db.shapeSpec(exemplar, tol)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return db.collectSorted(ctx, spec, opts)
-}
-
-// ---- exported streaming variants ----
-
-// DistanceQueryStream streams a distance query's matches through yield as
-// they are verified (see runQuery for the yield contract: serialized
-// calls on unspecified goroutines; unordered unless opts.TopK is set;
-// returning false stops the query without error). The returned stats
-// describe the work actually performed, including early termination.
-func (db *DB) DistanceQueryStream(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts QueryOptions, yield func(Match) bool) (QueryStats, error) {
-	spec, err := db.distanceSpec(exemplar, m, eps)
+// Query runs one similarity query, streaming its matches through yield as
+// they are verified: calls are serialized but arrive on unspecified
+// goroutines, unordered unless opts.TopK is set (then nearest-first), and
+// returning false stops the query without error. The query also stops at
+// ctx's deadline or cancellation (returning ctx.Err()) and after
+// opts.Limit matches; with opts.TopK it keeps the K nearest, feeding the
+// best-so-far distance back into the index search as a shrinking pruning
+// radius. The returned stats describe the work actually performed,
+// including early termination.
+func (db *DB) Query(ctx context.Context, q QuerySpec, opts QueryOptions, yield func(Match) bool) (QueryStats, error) {
+	spec, err := db.compile(q)
 	if err != nil {
 		return QueryStats{}, err
 	}
-	return db.runQuery(ctx, spec, opts, yield)
+	return db.runQuery(ctx, spec, opts, yield, nil)
 }
 
-// ValueQueryStream streams a ±eps band query (see DistanceQueryStream).
-func (db *DB) ValueQueryStream(ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions, yield func(Match) bool) (QueryStats, error) {
-	spec, err := db.valueSpec(exemplar, eps)
+// QueryProgressive runs a distance or value query as a progressive
+// cascade: frames stream through yield (under Query's callback contract)
+// with per-record error bands that tighten from the sketch tier through
+// candidate pruning to exact verification — see ProgressiveMatch for the
+// frame contract and progressive.go for the guarantee. opts.MaxError and
+// opts.MaxTier control how early answers may finalize; opts.TopK and
+// shape queries are rejected. For value queries the bands bound the
+// maximum per-sample deviation, the "value" deviation exact verification
+// reports.
+func (db *DB) QueryProgressive(ctx context.Context, q QuerySpec, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error) {
+	spec, err := db.compile(q)
 	if err != nil {
 		return QueryStats{}, err
 	}
-	return db.runQuery(ctx, spec, opts, yield)
+	return db.runQuery(ctx, spec, opts, nil, yield)
 }
 
-// ShapeQueryStream streams a generalized approximate query (see
-// DistanceQueryStream).
-func (db *DB) ShapeQueryStream(ctx context.Context, exemplar seq.Sequence, tol ShapeTolerance, opts QueryOptions, yield func(Match) bool) (QueryStats, error) {
-	spec, err := db.shapeSpec(exemplar, tol)
-	if err != nil {
-		return QueryStats{}, err
-	}
-	return db.runQuery(ctx, spec, opts, yield)
-}
-
-// ---- iterator (range-over-func) variants ----
-
-// seqOf adapts a streamed query into an iter.Seq2 whose yield runs on the
-// consumer's goroutine: a bridge goroutine executes the query and feeds a
-// channel; breaking out of the range loop cancels the query and waits for
-// it to unwind, so no goroutine outlives the loop.
-func seqOf(ctx context.Context, run func(ctx context.Context, yield func(Match) bool) error) iter.Seq2[Match, error] {
+// QuerySeq is Query as a Go 1.23 range-over-func iterator whose body runs
+// on the consumer's goroutine: a bridge goroutine executes the query and
+// feeds a channel. A query failure or cancellation arrives as the final
+// pair's non-nil error; breaking out of the loop cancels the query and
+// waits for it to unwind, so no goroutine outlives the loop.
+//
+//	for m, err := range db.QuerySeq(ctx, spec, opts) {
+//		if err != nil { ... }
+//	}
+func (db *DB) QuerySeq(ctx context.Context, q QuerySpec, opts QueryOptions) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		ch := make(chan Match)
 		errc := make(chan error, 1)
 		go func() {
-			err := run(ctx, func(m Match) bool {
+			_, err := db.Query(ctx, q, opts, func(m Match) bool {
 				select {
 				case ch <- m:
 					return true
@@ -496,34 +467,59 @@ func seqOf(ctx context.Context, run func(ctx context.Context, yield func(Match) 
 	}
 }
 
-// DistanceQuerySeq returns the distance query as a Go 1.23 range-over-func
-// iterator: matches stream as they are verified (nearest-first under
-// opts.TopK, unordered otherwise), and a query failure or cancellation
-// arrives as the final pair's non-nil error. Breaking out of the loop
-// cancels the underlying query.
-//
-//	for m, err := range db.DistanceQuerySeq(ctx, exemplar, metric, eps, opts) {
-//		if err != nil { ... }
-//	}
-func (db *DB) DistanceQuerySeq(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts QueryOptions) iter.Seq2[Match, error] {
-	return seqOf(ctx, func(ctx context.Context, yield func(Match) bool) error {
-		_, err := db.DistanceQueryStream(ctx, exemplar, m, eps, opts, yield)
-		return err
-	})
+// collectSorted materializes a streamed query into the classic sorted
+// slice.
+func (db *DB) collectSorted(ctx context.Context, spec *querySpec, opts QueryOptions) ([]Match, QueryStats, error) {
+	var out []Match
+	stats, err := db.runQuery(ctx, spec, opts, func(m Match) bool {
+		out = append(out, m)
+		return true
+	}, nil)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	SortMatches(out)
+	return out, stats, nil
 }
 
-// ValueQuerySeq is the iterator form of ValueQuery (see DistanceQuerySeq).
-func (db *DB) ValueQuerySeq(ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions) iter.Seq2[Match, error] {
-	return seqOf(ctx, func(ctx context.Context, yield func(Match) bool) error {
-		_, err := db.ValueQueryStream(ctx, exemplar, eps, opts, yield)
-		return err
-	})
+// querySorted is Query materialized in the canonical order — the body of
+// the per-family helpers below.
+func (db *DB) querySorted(ctx context.Context, q QuerySpec, opts QueryOptions) ([]Match, QueryStats, error) {
+	spec, err := db.compile(q)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return db.collectSorted(ctx, spec, opts)
 }
 
-// ShapeQuerySeq is the iterator form of ShapeQuery (see DistanceQuerySeq).
-func (db *DB) ShapeQuerySeq(ctx context.Context, exemplar seq.Sequence, tol ShapeTolerance, opts QueryOptions) iter.Seq2[Match, error] {
-	return seqOf(ctx, func(ctx context.Context, yield func(Match) bool) error {
-		_, err := db.ShapeQueryStream(ctx, exemplar, tol, opts, yield)
-		return err
-	})
+// DistanceQueryCtx is DistanceQuery with a context, result bounds and
+// execution statistics (see Query). The planner routes metrics with a
+// feature-space lower bound (l2, zl2) through the index — pruning
+// candidates whose feature distance already exceeds the tolerance, then
+// verifying survivors exactly — and falls back to the shard-parallel scan
+// for everything else; both plans return byte-identical match sets.
+func (db *DB) DistanceQueryCtx(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts QueryOptions) ([]Match, QueryStats, error) {
+	return db.querySorted(ctx, QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: m, Eps: eps}, opts)
+}
+
+// ValueQueryCtx is ValueQuery with a context, result bounds and execution
+// statistics (see Query). The ±ε band semantics admit an L2 detour: a
+// sequence inside the band satisfies L∞ ≤ ε, hence L2 ≤ ε·√n, hence
+// feature distance ≤ ε·√n — so the index prunes with the scaled bound and
+// verifies survivors with the same early-abandoning band kernel as the
+// scan.
+func (db *DB) ValueQueryCtx(ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions) ([]Match, QueryStats, error) {
+	return db.querySorted(ctx, QuerySpec{Family: FamilyValue, Exemplar: exemplar, Eps: eps}, opts)
+}
+
+// ShapeQueryCtx is ShapeQuery with a context, result bounds and execution
+// statistics (see Query; the shape dimensions admit no pruning radius, so
+// TopK bounds the answer without accelerating the scan).
+func (db *DB) ShapeQueryCtx(ctx context.Context, exemplar seq.Sequence, tol ShapeTolerance, opts QueryOptions) ([]Match, QueryStats, error) {
+	return db.querySorted(ctx, QuerySpec{Family: FamilyShape, Exemplar: exemplar, Shape: tol}, opts)
+}
+
+// DistanceQueryProgressive is QueryProgressive for a distance query.
+func (db *DB) DistanceQueryProgressive(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error) {
+	return db.QueryProgressive(ctx, QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: m, Eps: eps}, opts, yield)
 }

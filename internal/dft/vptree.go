@@ -168,15 +168,13 @@ func vpTraverseSlack(x float64) float64 { return x*(1+1e-9) + 1e-12 }
 // tree order, not sorted by distance). It returns the number of distance
 // computations performed — the "vectors examined" measure a caller's
 // query statistics report; examined - |found| points were examined but
-// rejected, and everything else was pruned wholesale by the tree.
+// rejected, and everything else was pruned wholesale by the tree. It is
+// SearchShrink under a constant radius, so a negative eps visits nothing.
 func (t *VPTree) Search(q []float64, eps float64, found func(ord int32, d float64)) (examined int) {
-	if t.root < 0 || len(q) != t.dim {
-		return 0
-	}
-	return t.search(t.root, q, eps, found)
+	return t.SearchShrink(q, func() float64 { return eps }, found)
 }
 
-// All comparisons in the traversals below are inverted ("not provably
+// All comparisons in the traversal below are inverted ("not provably
 // excludable") so a NaN distance — a non-finite point or query — falls
 // through to visitation and to the found callback rather than silently
 // pruning subtrees or dropping points the linear feature scan would
@@ -188,8 +186,7 @@ func (t *VPTree) Search(q []float64, eps float64, found func(ord int32, d float6
 // caller that tightens it as verified results accumulate — the kNN
 // best-so-far loop — prunes subtrees the initial radius would have
 // visited. A negative radius aborts the traversal immediately, which
-// doubles as the cooperative-cancellation hook. With a constant radius
-// the visited set and examined count are identical to Search's.
+// doubles as the cooperative-cancellation hook.
 func (t *VPTree) SearchShrink(q []float64, radius func() float64, found func(ord int32, d float64)) (examined int) {
 	if t.root < 0 || len(q) != t.dim {
 		return 0
@@ -225,39 +222,11 @@ func (t *VPTree) searchShrink(ni int32, q []float64, radius func() float64, foun
 			return examined
 		}
 	}
-	// Same inverted, NaN-robust descent tests as search (see below).
 	if node.inside >= 0 && !(d > vpTraverseSlack(node.inR+eps)) {
 		examined += t.searchShrink(node.inside, q, radius, found)
 	}
 	if node.outside >= 0 && !(vpTraverseSlack(d+eps) < node.outR) {
 		examined += t.searchShrink(node.outside, q, radius, found)
-	}
-	return examined
-}
-
-func (t *VPTree) search(ni int32, q []float64, eps float64, found func(int32, float64)) int {
-	node := &t.nodes[ni]
-	if node.vp < 0 { // leaf
-		examined := 0
-		for _, o := range t.ords[node.lo:node.hi] {
-			d := pointDist(q, t.row(o))
-			examined++
-			if !(d > eps) {
-				found(o, d)
-			}
-		}
-		return examined
-	}
-	d := pointDist(q, t.row(node.vp))
-	examined := 1
-	if !(d > eps) {
-		found(node.vp, d)
-	}
-	if node.inside >= 0 && !(d > vpTraverseSlack(node.inR+eps)) {
-		examined += t.search(node.inside, q, eps, found)
-	}
-	if node.outside >= 0 && !(vpTraverseSlack(d+eps) < node.outR) {
-		examined += t.search(node.outside, q, eps, found)
 	}
 	return examined
 }

@@ -15,46 +15,22 @@ import (
 // Database is the engine surface the language executes against; *core.DB
 // satisfies it. Defined as an interface so the language can be tested with
 // fakes and reused over facades. The similarity queries are exposed in
-// their streaming, context-first form — the language's materialized
+// their spec-taking streaming form — the language's materialized
 // statements collect and sort, its streamed statements pass the caller's
-// yield through.
+// callback through.
 type Database interface {
 	MatchPattern(pattern string) ([]string, error)
 	SearchPattern(pattern string) ([]core.PatternHit, error)
 	PeakCount(k, tol int) ([]core.Match, error)
 	IntervalQuery(n, eps float64) ([]core.IntervalMatch, error)
-	ValueQueryStream(ctx context.Context, exemplar seq.Sequence, eps float64, opts core.QueryOptions, yield func(core.Match) bool) (core.QueryStats, error)
-	DistanceQueryStream(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts core.QueryOptions, yield func(core.Match) bool) (core.QueryStats, error)
-	ShapeQueryStream(ctx context.Context, exemplar seq.Sequence, tol core.ShapeTolerance, opts core.QueryOptions, yield func(core.Match) bool) (core.QueryStats, error)
+	Query(ctx context.Context, spec core.QuerySpec, opts core.QueryOptions, yield func(core.Match) bool) (core.QueryStats, error)
+	QueryProgressive(ctx context.Context, spec core.QuerySpec, opts core.QueryOptions, yield func(core.ProgressiveMatch) bool) (core.QueryStats, error)
 	Raw(id string) (seq.Sequence, error)
 	Reconstruct(id string) (seq.Sequence, error)
 	Config() core.Config
 }
 
 var _ Database = (*core.DB)(nil)
-
-// ProgressiveDatabase is the optional engine surface behind the
-// WITHIN ERROR / APPROX clauses: coarse-to-fine execution delivering
-// per-record error bands that only tighten (see core/progressive.go).
-// It is a separate interface so Database fakes without a progressive
-// engine keep compiling; statements carrying a progressive clause fail
-// with a clear error against a plain Database.
-type ProgressiveDatabase interface {
-	Database
-	ValueQueryProgressive(ctx context.Context, exemplar seq.Sequence, eps float64, opts core.QueryOptions, yield func(core.ProgressiveMatch) bool) (core.QueryStats, error)
-	DistanceQueryProgressive(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts core.QueryOptions, yield func(core.ProgressiveMatch) bool) (core.QueryStats, error)
-}
-
-var _ ProgressiveDatabase = (*core.DB)(nil)
-
-// progressiveDB narrows a Database to its progressive surface.
-func progressiveDB(db Database) (ProgressiveDatabase, error) {
-	pd, ok := db.(ProgressiveDatabase)
-	if !ok {
-		return nil, fmt.Errorf("querylang: database does not support progressive answers (WITHIN ERROR / APPROX)")
-	}
-	return pd, nil
-}
 
 // Result is the uniform answer of every query kind: the distinct matching
 // ids plus the kind-specific detail.
@@ -117,26 +93,53 @@ func Canonical(src string) (string, error) {
 // returning false stops the statement early without error.
 type StreamFunc func(m core.Match) bool
 
-// Streamer is implemented by statements whose matches can be produced
-// incrementally (the similarity statements, their bounded forms, and
-// EXPLAIN wrappers around them). RunStream yields every match through
-// yield instead of materializing it; the returned Result carries the
-// kind, stats and EXPLAIN flag with Matches and IDs left empty.
-type Streamer interface {
-	RunStream(ctx context.Context, db Database, yield StreamFunc) (*Result, error)
+// similarity is what the three similarity statements (MATCH VALUE /
+// DISTANCE / SHAPE) contribute to the shared runners below.
+type similarity interface {
+	Query
+	// spec loads the exemplar and states the statement as an engine query;
+	// Eps is as written (negative = absent, see engineSpec).
+	spec(db Database) (core.QuerySpec, error)
+	// quality returns the WITHIN ERROR bound (negative = absent) and the
+	// APPROX tier ("" = absent); either one present routes the statement
+	// through the progressive cascade.
+	quality() (maxErr float64, approx string)
 }
 
-// RunStream executes q with incremental match delivery: statements that
-// implement Streamer yield each match as the engine verifies it; all
-// other statements materialize normally, then deliver their matches (if
-// the kind has any) through yield for a uniform consumption model. In
-// both cases the returned Result has Matches and IDs stripped — matches
-// travelled through yield — while kind-specific payloads without a
-// streamed form (pattern ids, FIND hits, interval matches) stay on the
-// Result.
+// asSimilarity unwraps q — through a BoundedQuery, whose bounds become
+// engine options — to its similarity statement.
+func asSimilarity(q Query) (similarity, core.QueryOptions, bool) {
+	var opts core.QueryOptions
+	if b, ok := q.(*BoundedQuery); ok {
+		q, opts = b.Inner, b.opts()
+	}
+	s, ok := q.(similarity)
+	return s, opts, ok
+}
+
+func progressive(s similarity) bool {
+	maxErr, approx := s.quality()
+	return maxErr >= 0 || approx != ""
+}
+
+// RunStream executes q with incremental match delivery: similarity
+// statements (bounded or not, under EXPLAIN or not) yield each match as
+// the engine verifies it; all other statements materialize normally, then
+// deliver their matches (if the kind has any) through yield for a uniform
+// consumption model. In both cases the returned Result has Matches and
+// IDs stripped — matches travelled through yield — while kind-specific
+// payloads without a streamed form (pattern ids, FIND hits, interval
+// matches) stay on the Result.
 func RunStream(ctx context.Context, db Database, q Query, yield StreamFunc) (*Result, error) {
-	if st, ok := q.(Streamer); ok {
-		return st.RunStream(ctx, db, yield)
+	if e, ok := q.(*ExplainQuery); ok {
+		res, err := RunStream(ctx, db, e.Inner, yield)
+		if err != nil {
+			return nil, err
+		}
+		return explain(res), nil
+	}
+	if s, opts, ok := asSimilarity(q); ok {
+		return streamMatches(ctx, db, s, opts, yield)
 	}
 	res, err := q.Run(ctx, db)
 	if err != nil {
@@ -158,17 +161,11 @@ type ProgressiveFunc func(core.ProgressiveMatch) bool
 // MATCH body canonicalize differently, keeping canonical-form caches
 // sound.
 func IsProgressive(q Query) bool {
-	switch t := q.(type) {
-	case *ExplainQuery:
-		return IsProgressive(t.Inner)
-	case *BoundedQuery:
-		return IsProgressive(t.Inner)
-	case *ValueQuery:
-		return t.progressive()
-	case *DistanceQuery:
-		return t.progressive()
+	if e, ok := q.(*ExplainQuery); ok {
+		return IsProgressive(e.Inner)
 	}
-	return false
+	s, _, ok := asSimilarity(q)
+	return ok && progressive(s)
 }
 
 // RunProgressive executes a progressive statement with frame-level
@@ -179,38 +176,79 @@ func IsProgressive(q Query) bool {
 // and IDs left empty (matches travelled through yield inside their
 // final frames).
 func RunProgressive(ctx context.Context, db Database, q Query, yield ProgressiveFunc) (*Result, error) {
-	switch t := q.(type) {
-	case *ExplainQuery:
-		res, err := RunProgressive(ctx, db, t.Inner, yield)
+	if e, ok := q.(*ExplainQuery); ok {
+		res, err := RunProgressive(ctx, db, e.Inner, yield)
 		if err != nil {
 			return nil, err
 		}
 		return explain(res), nil
-	case *BoundedQuery:
-		return runProgressiveInner(ctx, db, t.Inner, t.opts(), yield)
-	default:
-		return runProgressiveInner(ctx, db, q, core.QueryOptions{}, yield)
 	}
-}
-
-func runProgressiveInner(ctx context.Context, db Database, q Query, opts core.QueryOptions, yield ProgressiveFunc) (*Result, error) {
-	switch t := q.(type) {
-	case *ValueQuery:
-		if t.progressive() {
-			return t.streamProgressive(ctx, db, opts, yield)
-		}
-	case *DistanceQuery:
-		if t.progressive() {
-			return t.streamProgressive(ctx, db, opts, yield)
-		}
+	if s, opts, ok := asSimilarity(q); ok && progressive(s) {
+		return streamFrames(ctx, db, s, opts, yield)
 	}
 	return nil, fmt.Errorf("querylang: statement %q is not progressive (no WITHIN ERROR or APPROX clause)", q.String())
+}
+
+// streamFrames runs a progressive similarity statement through the
+// cascade with frame-level delivery.
+func streamFrames(ctx context.Context, db Database, s similarity, opts core.QueryOptions, yield ProgressiveFunc) (*Result, error) {
+	opts = progressiveOpts(opts, s)
+	spec, err := engineSpec(db, s, opts)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := db.QueryProgressive(ctx, spec, opts, yield)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Kind: spec.Family, Stats: &stats}, nil
+}
+
+// streamMatches runs a similarity statement with match-level delivery.
+// Under a quality clause the cascade's intermediate band frames are
+// dropped and only final accepted matches flow through — the view a
+// non-progressive-aware consumer expects.
+func streamMatches(ctx context.Context, db Database, s similarity, opts core.QueryOptions, yield StreamFunc) (*Result, error) {
+	if progressive(s) {
+		return streamFrames(ctx, db, s, opts, func(pm core.ProgressiveMatch) bool {
+			if pm.Final && pm.Match != nil {
+				return yield(*pm.Match)
+			}
+			return true
+		})
+	}
+	spec, err := engineSpec(db, s, opts)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := db.Query(ctx, spec, opts, yield)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Kind: spec.Family, Stats: &stats}, nil
+}
+
+// materialize runs a similarity statement to a complete Result: collect,
+// sort into the canonical order.
+func materialize(ctx context.Context, db Database, s similarity, opts core.QueryOptions) (*Result, error) {
+	var matches []core.Match
+	res, err := streamMatches(ctx, db, s, opts, func(m core.Match) bool {
+		matches = append(matches, m)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	core.SortMatches(matches)
+	res.IDs, res.Matches = matchIDs(matches), matches
+	return res, nil
 }
 
 // progressiveOpts folds a statement's quality clauses into the engine
 // options: WITHIN ERROR sets the acceptance band width, APPROX caps the
 // cascade depth.
-func progressiveOpts(opts core.QueryOptions, maxErr float64, approx string) core.QueryOptions {
+func progressiveOpts(opts core.QueryOptions, s similarity) core.QueryOptions {
+	maxErr, approx := s.quality()
 	if maxErr > 0 {
 		opts.MaxError = maxErr
 	}
@@ -358,32 +396,22 @@ func (q *IntervalQuery) Run(ctx context.Context, db Database) (*Result, error) {
 	return &Result{Kind: "interval", IDs: ids, Intervals: matches}, nil
 }
 
-// effectiveEps resolves a statement's tolerance: an explicit EPS wins;
-// without one, TOP n BY DISTANCE means pure nearest-neighbour search
-// (unbounded radius) and everything else inherits the database's ε.
-func effectiveEps(db Database, eps float64, opts core.QueryOptions) float64 {
-	if eps >= 0 {
-		return eps
-	}
-	if opts.TopK > 0 {
-		return math.Inf(1)
-	}
-	return db.Config().Epsilon
-}
-
-// collectMatches materializes a streamed similarity statement: collect,
-// sort into the canonical order, build the Result.
-func collectMatches(kind string, run func(yield StreamFunc) (core.QueryStats, error)) (*Result, error) {
-	var matches []core.Match
-	stats, err := run(func(m core.Match) bool {
-		matches = append(matches, m)
-		return true
-	})
+// engineSpec states s as an engine query under opts, resolving its
+// tolerance: an explicit EPS wins; without one, TOP n BY DISTANCE means
+// pure nearest-neighbour search (unbounded radius) and everything else
+// inherits the database's ε.
+func engineSpec(db Database, s similarity, opts core.QueryOptions) (core.QuerySpec, error) {
+	spec, err := s.spec(db)
 	if err != nil {
-		return nil, err
+		return spec, err
 	}
-	core.SortMatches(matches)
-	return &Result{Kind: kind, IDs: matchIDs(matches), Matches: matches, Stats: &stats}, nil
+	if !(spec.Eps >= 0) { // absent (or NaN)
+		spec.Eps = db.Config().Epsilon
+		if opts.TopK > 0 {
+			spec.Eps = math.Inf(1)
+		}
+	}
+	return spec, nil
 }
 
 // appendProgressive renders the canonical progressive clauses: WITHIN
@@ -395,48 +423,6 @@ func appendProgressive(b *strings.Builder, maxErr float64, approx string) {
 	if approx != "" {
 		fmt.Fprintf(b, " APPROX %s", quoteIdent(approx))
 	}
-}
-
-// finalMatchesOnly adapts a match-level StreamFunc to the frame-level
-// cascade: intermediate band frames are dropped and only final accepted
-// matches flow through — the view a non-progressive-aware consumer
-// expects.
-func finalMatchesOnly(yield StreamFunc) ProgressiveFunc {
-	return func(pm core.ProgressiveMatch) bool {
-		if pm.Final && pm.Match != nil {
-			return yield(*pm.Match)
-		}
-		return true
-	}
-}
-
-// collectProgressive materializes a progressive statement: final
-// accepted matches are collected and sorted into the canonical order,
-// intermediate frames discarded.
-func collectProgressive(kind string, run func(yield ProgressiveFunc) (*Result, error)) (*Result, error) {
-	var matches []core.Match
-	res, err := run(func(pm core.ProgressiveMatch) bool {
-		if pm.Final && pm.Match != nil {
-			matches = append(matches, *pm.Match)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	core.SortMatches(matches)
-	res.Kind = kind
-	res.IDs = matchIDs(matches)
-	res.Matches = matches
-	return res, nil
-}
-
-// streamResult wraps a streamed similarity statement's stats.
-func streamResult(kind string, stats core.QueryStats, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Kind: kind, Stats: &stats}, nil
 }
 
 // ValueQuery is MATCH VALUE LIKE id [EPS e] [WITHIN ERROR w] [APPROX t]:
@@ -457,9 +443,6 @@ type ValueQuery struct {
 	Approx string
 }
 
-// progressive reports whether the statement carries a quality clause.
-func (q *ValueQuery) progressive() bool { return q.MaxError >= 0 || q.Approx != "" }
-
 // String implements Query.
 func (q *ValueQuery) String() string {
 	var b strings.Builder
@@ -473,56 +456,15 @@ func (q *ValueQuery) String() string {
 
 // Run implements Query.
 func (q *ValueQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	return q.runBounded(ctx, db, core.QueryOptions{})
+	return materialize(ctx, db, q, core.QueryOptions{})
 }
 
-func (q *ValueQuery) runBounded(ctx context.Context, db Database, opts core.QueryOptions) (*Result, error) {
-	if q.progressive() {
-		return collectProgressive("value", func(yield ProgressiveFunc) (*Result, error) {
-			return q.streamProgressive(ctx, db, opts, yield)
-		})
-	}
+func (q *ValueQuery) spec(db Database) (core.QuerySpec, error) {
 	exemplar, err := loadExemplar(db, q.ExemplarID)
-	if err != nil {
-		return nil, err
-	}
-	return collectMatches("value", func(yield StreamFunc) (core.QueryStats, error) {
-		return db.ValueQueryStream(ctx, exemplar, effectiveEps(db, q.Eps, opts), opts, yield)
-	})
+	return core.QuerySpec{Family: core.FamilyValue, Exemplar: exemplar, Eps: q.Eps}, err
 }
 
-// RunStream implements Streamer.
-func (q *ValueQuery) RunStream(ctx context.Context, db Database, yield StreamFunc) (*Result, error) {
-	return q.streamBounded(ctx, db, core.QueryOptions{}, yield)
-}
-
-func (q *ValueQuery) streamBounded(ctx context.Context, db Database, opts core.QueryOptions, yield StreamFunc) (*Result, error) {
-	if q.progressive() {
-		return q.streamProgressive(ctx, db, opts, finalMatchesOnly(yield))
-	}
-	exemplar, err := loadExemplar(db, q.ExemplarID)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := db.ValueQueryStream(ctx, exemplar, effectiveEps(db, q.Eps, opts), opts, yield)
-	return streamResult("value", stats, err)
-}
-
-// streamProgressive runs the statement through the cascade with
-// frame-level delivery.
-func (q *ValueQuery) streamProgressive(ctx context.Context, db Database, opts core.QueryOptions, yield ProgressiveFunc) (*Result, error) {
-	pd, err := progressiveDB(db)
-	if err != nil {
-		return nil, err
-	}
-	exemplar, err := loadExemplar(db, q.ExemplarID)
-	if err != nil {
-		return nil, err
-	}
-	opts = progressiveOpts(opts, q.MaxError, q.Approx)
-	stats, err := pd.ValueQueryProgressive(ctx, exemplar, effectiveEps(db, q.Eps, opts), opts, yield)
-	return streamResult("value", stats, err)
-}
+func (q *ValueQuery) quality() (float64, string) { return q.MaxError, q.Approx }
 
 // DistanceQuery is MATCH DISTANCE LIKE id [METRIC m] [EPS e]: a
 // whole-sequence similarity query under a named distance metric, routed
@@ -542,9 +484,6 @@ type DistanceQuery struct {
 	Approx string
 }
 
-// progressive reports whether the statement carries a quality clause.
-func (q *DistanceQuery) progressive() bool { return q.MaxError >= 0 || q.Approx != "" }
-
 // String implements Query.
 func (q *DistanceQuery) String() string {
 	var b strings.Builder
@@ -558,68 +497,19 @@ func (q *DistanceQuery) String() string {
 
 // Run implements Query.
 func (q *DistanceQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	return q.runBounded(ctx, db, core.QueryOptions{})
+	return materialize(ctx, db, q, core.QueryOptions{})
 }
 
-func (q *DistanceQuery) runBounded(ctx context.Context, db Database, opts core.QueryOptions) (*Result, error) {
-	if q.progressive() {
-		return collectProgressive("distance", func(yield ProgressiveFunc) (*Result, error) {
-			return q.streamProgressive(ctx, db, opts, yield)
-		})
-	}
-	m, exemplar, err := q.operands(db)
-	if err != nil {
-		return nil, err
-	}
-	return collectMatches("distance", func(yield StreamFunc) (core.QueryStats, error) {
-		return db.DistanceQueryStream(ctx, exemplar, m, effectiveEps(db, q.Eps, opts), opts, yield)
-	})
-}
-
-// RunStream implements Streamer.
-func (q *DistanceQuery) RunStream(ctx context.Context, db Database, yield StreamFunc) (*Result, error) {
-	return q.streamBounded(ctx, db, core.QueryOptions{}, yield)
-}
-
-func (q *DistanceQuery) streamBounded(ctx context.Context, db Database, opts core.QueryOptions, yield StreamFunc) (*Result, error) {
-	if q.progressive() {
-		return q.streamProgressive(ctx, db, opts, finalMatchesOnly(yield))
-	}
-	m, exemplar, err := q.operands(db)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := db.DistanceQueryStream(ctx, exemplar, m, effectiveEps(db, q.Eps, opts), opts, yield)
-	return streamResult("distance", stats, err)
-}
-
-// streamProgressive runs the statement through the cascade with
-// frame-level delivery.
-func (q *DistanceQuery) streamProgressive(ctx context.Context, db Database, opts core.QueryOptions, yield ProgressiveFunc) (*Result, error) {
-	pd, err := progressiveDB(db)
-	if err != nil {
-		return nil, err
-	}
-	m, exemplar, err := q.operands(db)
-	if err != nil {
-		return nil, err
-	}
-	opts = progressiveOpts(opts, q.MaxError, q.Approx)
-	stats, err := pd.DistanceQueryProgressive(ctx, exemplar, m, effectiveEps(db, q.Eps, opts), opts, yield)
-	return streamResult("distance", stats, err)
-}
-
-func (q *DistanceQuery) operands(db Database) (dist.Metric, seq.Sequence, error) {
+func (q *DistanceQuery) spec(db Database) (core.QuerySpec, error) {
 	m, err := dist.ByName(q.Metric)
 	if err != nil {
-		return nil, nil, fmt.Errorf("querylang: %w", err)
+		return core.QuerySpec{}, fmt.Errorf("querylang: %w", err)
 	}
 	exemplar, err := loadExemplar(db, q.ExemplarID)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, exemplar, nil
+	return core.QuerySpec{Family: core.FamilyDistance, Exemplar: exemplar, Metric: m, Eps: q.Eps}, err
 }
+
+func (q *DistanceQuery) quality() (float64, string) { return q.MaxError, q.Approx }
 
 // ShapeQuery is MATCH SHAPE LIKE id [PEAKS p] [HEIGHT h] [SPACING s]: the
 // generalized approximate query anchored at a stored sequence.
@@ -646,38 +536,19 @@ func (q *ShapeQuery) String() string {
 	return b.String()
 }
 
-func (q *ShapeQuery) tolerance() core.ShapeTolerance {
-	return core.ShapeTolerance{Peaks: q.PeaksTol, Height: q.HeightTol, Spacing: q.SpacingTol}
-}
-
 // Run implements Query.
 func (q *ShapeQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	return q.runBounded(ctx, db, core.QueryOptions{})
+	return materialize(ctx, db, q, core.QueryOptions{})
 }
 
-func (q *ShapeQuery) runBounded(ctx context.Context, db Database, opts core.QueryOptions) (*Result, error) {
+func (q *ShapeQuery) spec(db Database) (core.QuerySpec, error) {
 	exemplar, err := loadExemplar(db, q.ExemplarID)
-	if err != nil {
-		return nil, err
-	}
-	return collectMatches("shape", func(yield StreamFunc) (core.QueryStats, error) {
-		return db.ShapeQueryStream(ctx, exemplar, q.tolerance(), opts, yield)
-	})
+	tol := core.ShapeTolerance{Peaks: q.PeaksTol, Height: q.HeightTol, Spacing: q.SpacingTol}
+	return core.QuerySpec{Family: core.FamilyShape, Exemplar: exemplar, Shape: tol}, err
 }
 
-// RunStream implements Streamer.
-func (q *ShapeQuery) RunStream(ctx context.Context, db Database, yield StreamFunc) (*Result, error) {
-	return q.streamBounded(ctx, db, core.QueryOptions{}, yield)
-}
-
-func (q *ShapeQuery) streamBounded(ctx context.Context, db Database, opts core.QueryOptions, yield StreamFunc) (*Result, error) {
-	exemplar, err := loadExemplar(db, q.ExemplarID)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := db.ShapeQueryStream(ctx, exemplar, q.tolerance(), opts, yield)
-	return streamResult("shape", stats, err)
-}
+// quality: the shape statement has no quality clauses.
+func (q *ShapeQuery) quality() (float64, string) { return -1, "" }
 
 // BoundedQuery wraps a statement with the result bounds of its trailing
 // clauses: TOP n BY DISTANCE (the n nearest matches, nearest-first, with
@@ -713,36 +584,14 @@ func (q *BoundedQuery) opts() core.QueryOptions {
 
 // Run implements Query.
 func (q *BoundedQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	switch inner := q.Inner.(type) {
-	case *ValueQuery:
-		return inner.runBounded(ctx, db, q.opts())
-	case *DistanceQuery:
-		return inner.runBounded(ctx, db, q.opts())
-	case *ShapeQuery:
-		return inner.runBounded(ctx, db, q.opts())
+	if s, ok := q.Inner.(similarity); ok {
+		return materialize(ctx, db, s, q.opts())
 	}
 	res, err := q.Inner.Run(ctx, db)
 	if err != nil {
 		return nil, err
 	}
 	return q.truncate(res), nil
-}
-
-// RunStream implements Streamer.
-func (q *BoundedQuery) RunStream(ctx context.Context, db Database, yield StreamFunc) (*Result, error) {
-	switch inner := q.Inner.(type) {
-	case *ValueQuery:
-		return inner.streamBounded(ctx, db, q.opts(), yield)
-	case *DistanceQuery:
-		return inner.streamBounded(ctx, db, q.opts(), yield)
-	case *ShapeQuery:
-		return inner.streamBounded(ctx, db, q.opts(), yield)
-	}
-	res, err := q.Run(ctx, db)
-	if err != nil {
-		return nil, err
-	}
-	return drainMatches(res, yield), nil
 }
 
 // truncate applies the bounds to a materialized fixed-path result. The
@@ -830,15 +679,6 @@ func explain(res *Result) *Result {
 // Run implements Query.
 func (q *ExplainQuery) Run(ctx context.Context, db Database) (*Result, error) {
 	res, err := q.Inner.Run(ctx, db)
-	if err != nil {
-		return nil, err
-	}
-	return explain(res), nil
-}
-
-// RunStream implements Streamer.
-func (q *ExplainQuery) RunStream(ctx context.Context, db Database, yield StreamFunc) (*Result, error) {
-	res, err := RunStream(ctx, db, q.Inner, yield)
 	if err != nil {
 		return nil, err
 	}

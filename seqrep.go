@@ -35,16 +35,18 @@
 //     columnar feature store searched by vantage-point trees — sub-linear
 //     in the stored population, with guaranteed zero false dismissals —
 //     before exact early-abandoning verification; everything else runs
-//     as a shard-parallel scan. The *Stats variants (ValueQueryStats,
-//     DistanceQueryStats) report the chosen plan and its examined/
+//     as a shard-parallel scan. The *Ctx variants (ValueQueryCtx,
+//     DistanceQueryCtx) also report the chosen plan and its examined/
 //     candidate/pruned counts; Config.IndexCoeffs sizes the index
 //     (negative disables it) and Config.IndexLeaf tunes the trees
 //     (negative pins the linear feature scan). See docs/PERFORMANCE.md.
-//   - Bounded, cancellable, streaming queries: every similarity query
-//     has context-first variants taking QueryOptions — materialized
-//     (DistanceQueryCtx, ValueQueryCtx, ShapeQueryCtx), streaming with
-//     a yield callback (DistanceQueryStream, ...), and Go 1.23
-//     iterators (DistanceQuerySeq, ...). QueryOptions.Limit stops after
+//   - Bounded, cancellable, streaming queries: one QuerySpec (family,
+//     exemplar, metric, tolerances) runs three ways under a context and
+//     QueryOptions — streamed through a yield callback (DB.Query), as
+//     a Go 1.23 iterator (DB.QuerySeq), or as a progressive cascade of
+//     tightening error bands (DB.QueryProgressive); DistanceQueryCtx,
+//     ValueQueryCtx and ShapeQueryCtx are the materialized per-family
+//     helpers. QueryOptions.Limit stops after
 //     N matches; QueryOptions.TopK returns the K nearest, feeding the
 //     best-so-far distance back into the index as a shrinking pruning
 //     radius. Cancelling the context aborts the scan, tree traversal
@@ -103,14 +105,18 @@ type (
 	// Match is one query result with per-dimension deviations.
 	Match = core.Match
 	// QueryStats reports how a planner-routed query executed: the chosen
-	// plan (index vs scan), its examined/candidate/pruned counts, and
-	// whether a result bound truncated the answer (DB.DistanceQueryStats,
-	// DB.ValueQueryStats, the *Ctx/*Stream variants, EXPLAIN statements).
+	// plan (index, scan or progressive), its examined/candidate/pruned
+	// counts, and whether a result bound truncated the answer (DB.Query
+	// and its variants, the *Ctx helpers, EXPLAIN statements).
 	QueryStats = core.QueryStats
+	// QuerySpec states one similarity query — family (FamilyDistance,
+	// FamilyValue, FamilyShape), exemplar, metric and tolerances — for
+	// DB.Query, DB.QuerySeq and DB.QueryProgressive.
+	QuerySpec = core.QuerySpec
 	// QueryOptions bounds a similarity query's answer: Limit stops after
 	// N matches, TopK keeps the K nearest (ordered by distance, with
 	// best-so-far pruning fed back into the index search). Accepted by
-	// every *Ctx, *Stream and *Seq query variant on DB.
+	// DB.Query, DB.QuerySeq, DB.QueryProgressive and the *Ctx helpers.
 	QueryOptions = core.QueryOptions
 	// Tier names one quality level of the progressive cascade: TierSketch,
 	// TierCandidate, TierExact (TierNone = no cap).
@@ -236,37 +242,15 @@ func ExecQuery(db *DB, src string) (*QueryResult, error) {
 	return querylang.Exec(db, src)
 }
 
-// ExecQueryCtx is ExecQuery under a context: the similarity statements
-// (MATCH VALUE / DISTANCE / SHAPE, bounded or not) stop at the context's
-// cancellation or deadline and return ctx.Err().
-func ExecQueryCtx(ctx context.Context, db *DB, src string) (*QueryResult, error) {
-	return querylang.ExecContext(ctx, db, src)
-}
-
-// CanonicalQuery parses one query-language statement and returns its
-// canonical rendering — the spelling every equivalent statement
-// normalizes to. Statements with equal canonical forms execute
-// identically, so the canonical form is a sound cache key for query
-// results (the serving layer keys its generation-invalidated result
-// cache on it).
-func CanonicalQuery(src string) (string, error) {
-	return querylang.Canonical(src)
-}
-
 // ParsedQuery is one compiled query-language statement: String() is its
-// canonical form, Run executes it. Parsing once and reusing the value
-// avoids re-parsing on hot paths that need both (the serving layer's
-// cache key + execution).
+// canonical form — the spelling every equivalent statement normalizes
+// to, and so a sound cache key for query results — and Run executes it.
+// Parsing once and reusing the value avoids re-parsing on hot paths that
+// need both (the serving layer's cache key + execution).
 type ParsedQuery = querylang.Query
 
 // ParseQuery compiles one statement without running it.
 func ParseQuery(src string) (ParsedQuery, error) { return querylang.Parse(src) }
-
-// RunQuery executes a compiled statement against db without cancellation
-// (see RunQueryCtx).
-func RunQuery(db *DB, q ParsedQuery) (*QueryResult, error) {
-	return q.Run(context.Background(), db)
-}
 
 // RunQueryCtx executes a compiled statement under ctx: the similarity
 // statements stop at the context's cancellation or deadline and return
@@ -289,6 +273,13 @@ func RunQueryCtx(ctx context.Context, db *DB, q ParsedQuery) (*QueryResult, erro
 func StreamQuery(ctx context.Context, db *DB, q ParsedQuery, yield func(Match) bool) (*QueryResult, error) {
 	return querylang.RunStream(ctx, db, q, querylang.StreamFunc(yield))
 }
+
+// Query families (QuerySpec.Family, QueryStats.Query).
+const (
+	FamilyDistance = core.FamilyDistance
+	FamilyValue    = core.FamilyValue
+	FamilyShape    = core.FamilyShape
+)
 
 // Progressive cascade tiers, re-exported for switch statements over
 // ProgressiveMatch.Tier and QueryOptions.MaxTier.
