@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"seqrep/internal/dist"
@@ -194,5 +195,81 @@ func TestIndexedQueryAllocs(t *testing.T) {
 	const budget = 60
 	if allocs > budget {
 		t.Errorf("indexed DistanceQueryCtx allocates %.0f per op over 2000 sequences, budget %d", allocs, budget)
+	}
+}
+
+// TestProgressiveSubLinear is the same property for the cascade: a
+// progressive query takes its records from the feature index, so it
+// compares exactly the feature vectors the exact indexed query compares,
+// bands only the tree's survivors, and accounts for every record it
+// examined.
+func TestProgressiveSubLinear(t *testing.T) {
+	const n = 4000
+	db, items := clusteredDB(t, Config{}, n, 64)
+	spec := QuerySpec{Family: FamilyDistance, Exemplar: items[3].Seq, Metric: dist.Euclidean, Eps: 8}
+	exact, exactStats, err := db.querySorted(context.Background(), spec, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, stats := collectFrames(t, db, spec, QueryOptions{})
+	if stats.Plan != PlanProgressive {
+		t.Fatalf("plan = %q", stats.Plan)
+	}
+	if stats.Examined >= n/4 {
+		t.Errorf("examined %d of %d records: the cascade is not sub-linear", stats.Examined, n)
+	}
+	if stats.Examined != exactStats.Examined {
+		t.Errorf("cascade examined %d, the exact indexed query %d", stats.Examined, exactStats.Examined)
+	}
+	if stats.Sketched != exactStats.Candidates {
+		t.Errorf("sketched %d records, the index handed over %d survivors", stats.Sketched, exactStats.Candidates)
+	}
+	if stats.Examined != stats.Pruned+stats.BandAccepted+stats.Candidates {
+		t.Errorf("stats don't add up: %+v", stats)
+	}
+	if len(frames) > exactStats.Candidates {
+		t.Errorf("%d records framed, only %d survived the index", len(frames), exactStats.Candidates)
+	}
+	accepted := acceptedOf(frames)
+	if len(accepted) != len(exact) || len(exact) == 0 {
+		t.Fatalf("cascade accepted %d, exact query matched %d", len(accepted), len(exact))
+	}
+	for _, m := range exact {
+		if got, ok := accepted[m.ID]; !ok || !reflect.DeepEqual(got, m) {
+			t.Errorf("%s: cascade %+v, exact %+v", m.ID, got, m)
+		}
+	}
+}
+
+// TestProgressiveQueryAllocs is TestIndexedQueryAllocs for the cascade:
+// the exemplar's sketch, the pooled candidate scratch, three fan-outs and
+// a frame trail per survivor — nothing proportional to N, in count or in
+// bytes (a per-query snapshot of the shards is few allocations but 8 N
+// bytes).
+func TestProgressiveQueryAllocs(t *testing.T) {
+	const n = 2000
+	db, items := clusteredDB(t, Config{Workers: 2}, n, 64)
+	spec := QuerySpec{Family: FamilyDistance, Exemplar: items[3].Seq, Metric: dist.Euclidean, Eps: 2}
+	run := func() {
+		if _, err := db.QueryProgressive(context.Background(), spec, QueryOptions{}, func(ProgressiveMatch) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: trees + pool
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, run)
+	runtime.ReadMemStats(&after)
+	const (
+		budget     = 90
+		byteBudget = 8 * n / 2 // half of one pointer per record
+	)
+	if allocs > budget {
+		t.Errorf("progressive query allocates %.0f per op over %d sequences, budget %d", allocs, n, budget)
+	}
+	// AllocsPerRun runs once more than asked, to warm up.
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); bytes > byteBudget {
+		t.Errorf("progressive query allocates %d bytes per op over %d sequences, budget %d", bytes, n, byteBudget)
 	}
 }

@@ -269,16 +269,19 @@ func (g *featGroup) lockSearchable(ix *featIndex, lb lowerBound) (tree *dft.VPTr
 // distance to lb.qf is within bound() (generated through the
 // vantage-point tree when one is up, falling back to a linear pass over
 // the columnar rows), rows appended since the last tree build, and every
-// unindexed record. bound is re-read at every tree node and every few
-// rows, so a radius the caller tightens (top-K's best-so-far K-th distance) prunes
-// subtrees mid-flight; a caller without feedback returns a fixed bound.
-// A negative bound aborts the collection — the
-// cooperative-cancellation hook — as does emit returning false. examined
+// unindexed record. emit also receives the row's feature distance as
+// computed for the pruning decision (-1 for an unindexed record, which has
+// no row), so a caller that bands on it need not compute it again. bound
+// is re-read at every tree node and every few rows, so a radius the
+// caller tightens (top-K's best-so-far K-th distance) prunes subtrees
+// mid-flight; a caller without feedback returns a fixed bound. A negative
+// bound aborts the collection — the cooperative-cancellation hook — as
+// does emit returning false. examined
 // counts feature vectors actually compared; pruned those compared and
 // discarded — candidates the caller never has to read; cands those
 // emitted. Runs under the group's read lock for its whole duration —
 // concurrent queries proceed, mutations of this length group wait.
-func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit func(*Record) bool) (examined, pruned, cands int) {
+func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit func(rec *Record, fd float64) bool) (examined, pruned, cands int) {
 	g := ix.group(n, false)
 	if g == nil {
 		return 0, 0, 0
@@ -290,11 +293,11 @@ func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit fu
 	if tree != nil {
 		live := 0
 		aborted := false
-		examined += tree.SearchShrink(lb.qf, bound, func(o int32, _ float64) {
+		examined += tree.SearchShrink(lb.qf, bound, func(o int32, fd float64) {
 			if aborted || g.dead[o] {
 				return
 			}
-			if !emit(g.recs[o]) {
+			if !emit(g.recs[o], fd) {
 				aborted = true
 				return
 			}
@@ -321,11 +324,12 @@ func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit fu
 			continue
 		}
 		examined++
-		if dft.FeatureDist(lb.qf, pts[o*dim:(o+1)*dim]) > b {
+		fd := dft.FeatureDist(lb.qf, pts[o*dim:(o+1)*dim])
+		if fd > b {
 			pruned++
 			continue
 		}
-		if !emit(g.recs[o]) {
+		if !emit(g.recs[o], fd) {
 			return examined, pruned, cands
 		}
 		cands++
@@ -335,7 +339,7 @@ func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit fu
 			return examined, pruned, cands
 		}
 		examined++
-		if !emit(rec) {
+		if !emit(rec, -1) {
 			return examined, pruned, cands
 		}
 		cands++

@@ -19,8 +19,10 @@ const (
 	PlanIndex = "index"
 	// PlanScan is the shard-parallel full scan.
 	PlanScan = "scan"
-	// PlanProgressive is the coarse-to-fine cascade: sketch bands, then
-	// DFT candidate pruning, then exact verification (see progressive.go).
+	// PlanProgressive is the coarse-to-fine cascade over the feature
+	// index's candidates (or, without an index route, over every record):
+	// sketch bands, then the DFT feature bound, then exact verification
+	// (see progressive.go).
 	PlanProgressive = "progressive"
 )
 
@@ -31,6 +33,16 @@ const (
 // actually compared — with a vantage-point tree up, that is typically far
 // below the length group's population, the rest having been discarded
 // wholesale by the tree's triangle-inequality pruning.
+//
+// The progressive plan takes its records from one of two sources and
+// counts accordingly. Index-driven (the metric has an index route: l2,
+// zl2, value) it examines exactly what the index plan would, and every
+// examined record is accounted for: Examined = Pruned + BandAccepted +
+// Candidates on a run that neither Limit nor the caller cut short.
+// Linear (any other metric, or no index) it visits every record like the
+// scan plan; the records of other lengths are in Examined and in no
+// other counter, and Sketched = Pruned + BandAccepted + Candidates when
+// every record carries a sketch.
 type QueryStats struct {
 	// Query is the query family: FamilyDistance, FamilyValue or
 	// FamilyShape.
@@ -41,18 +53,23 @@ type QueryStats struct {
 	// Plan is PlanIndex, PlanScan or PlanProgressive.
 	Plan string
 	// Examined counts the records the plan looked at: feature vectors
-	// compared (plus unindexed records) on the index plan, all records
-	// on the scan plan.
+	// compared (plus unindexed records) on the index plan and the
+	// index-driven progressive plan, all records on the scan plan and the
+	// linear progressive plan.
 	Examined int
 	// Candidates counts the records whose exact samples were compared.
 	Candidates int
-	// Pruned counts the records eliminated by the feature lower bound
-	// without reading their samples.
+	// Pruned counts the records eliminated without reading their samples:
+	// by the feature lower bound on the index plan; on the progressive plan
+	// by the index's feature bound (when it is the source), a sketch band
+	// or a candidate-tier band whose lower edge exceeds the tolerance.
 	Pruned int
 	// Matches counts the results returned.
 	Matches int
-	// Sketched counts the records banded at the progressive sketch tier
-	// (0 on non-progressive plans and when sketches are disabled).
+	// Sketched counts the records banded from their sketch at the
+	// progressive sketch tier: the index's survivors when it is the
+	// source, every length-matching record on the linear source (0 on
+	// non-progressive plans and when sketches are disabled).
 	Sketched int
 	// BandAccepted counts matches accepted on their error band alone —
 	// finalized at a non-exact tier without reading samples.
@@ -200,7 +217,7 @@ func (db *DB) valueVerify(rec *Record, exemplar seq.Sequence, eps float64) (Matc
 // queries allocate nothing for candidate generation.
 var candPool = sync.Pool{
 	New: func() any {
-		s := make([]*Record, 0, 128)
+		s := make([]candidate, 0, 128)
 		return &s
 	},
 }

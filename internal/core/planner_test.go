@@ -113,6 +113,51 @@ func TestPlannerPrunesAndCounts(t *testing.T) {
 	}
 }
 
+// TestProgressiveCounts pins what the cascade's counters mean under each
+// record source. Index-driven (l2): Examined is the feature vectors the
+// index compared, and every one of them is pruned (by the index or a
+// band), band-accepted or verified. Linear (l1): Examined is every record
+// the sketch pass visited, the off-length one included.
+func TestProgressiveCounts(t *testing.T) {
+	db := plannerDB(t, Config{})
+	fever, _ := db.Raw("fever")
+	spec := QuerySpec{Family: FamilyDistance, Exemplar: fever, Metric: dist.Euclidean, Eps: 0.6}
+	_, exact, err := db.querySorted(context.Background(), spec, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []QueryOptions{{}, {MaxError: 0.3}, {MaxTier: TierSketch}, {MaxTier: TierCandidate}} {
+		frames, stats := collectFrames(t, db, spec, opts)
+		if stats.Examined != exact.Examined || stats.Examined != 4 {
+			t.Errorf("%+v: Examined = %d, want the exact plan's %d (the length group)", opts, stats.Examined, exact.Examined)
+		}
+		if stats.Pruned < exact.Pruned {
+			t.Errorf("%+v: Pruned = %d, the index alone prunes %d", opts, stats.Pruned, exact.Pruned)
+		}
+		if stats.Examined != stats.Pruned+stats.BandAccepted+stats.Candidates {
+			t.Errorf("%+v: stats don't add up: %+v", opts, stats)
+		}
+		if stats.Sketched != exact.Candidates {
+			t.Errorf("%+v: Sketched = %d, want the index's %d survivors", opts, stats.Sketched, exact.Candidates)
+		}
+		if opts.MaxTier != TierNone && (stats.Candidates != 0 || stats.BandAccepted != len(frames)) {
+			t.Errorf("%+v: capped run verified or dropped records: %+v, %d framed", opts, stats, len(frames))
+		}
+		if stats.Matches != len(acceptedOf(frames)) {
+			t.Errorf("%+v: Matches = %d, accepted %d", opts, stats.Matches, len(acceptedOf(frames)))
+		}
+	}
+
+	spec.Metric = dist.Manhattan
+	_, stats := collectFrames(t, db, spec, QueryOptions{})
+	if stats.Examined != 5 || stats.Sketched != 4 {
+		t.Errorf("linear source: Examined = %d, Sketched = %d, want 5 visited and 4 banded", stats.Examined, stats.Sketched)
+	}
+	if stats.Sketched != stats.Pruned+stats.BandAccepted+stats.Candidates {
+		t.Errorf("linear source: stats don't add up: %+v", stats)
+	}
+}
+
 func TestPlannerSeesRemove(t *testing.T) {
 	db := plannerDB(t, Config{})
 	fever, _ := db.Raw("fever")

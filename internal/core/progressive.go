@@ -2,12 +2,15 @@ package core
 
 // This file is the progressive query cascade: the coarse-to-fine
 // candidate producer runQuery selects under progressive delivery. A
-// similarity query answers first from compact per-record sketches with a
-// guaranteed two-sided error band, then refines survivors through DFT
-// feature-distance pruning, and finally hands what remains to the
-// executor's verification fan-out against exact samples — the
-// Lernaean-Hydra-style δ-ε progressive contract, in which the exact query
-// is the MaxError = 0 mode of the same procedure.
+// similarity query takes its records from the source the exact plan uses
+// — the feature index's candidates when the metric has an index route,
+// every record otherwise — answers first from their compact per-record
+// sketches with a guaranteed two-sided error band, then tightens the
+// survivors' bands with the DFT feature distance, and finally hands what
+// remains to the executor's verification fan-out against exact samples —
+// the Lernaean-Hydra-style δ-ε progressive contract, in which the exact
+// query is the MaxError = 0 mode of the same procedure and the
+// approximate mode is a cheaper traversal of the same index.
 //
 // The guarantee, relied on by the property suite and the serving layer:
 //
@@ -31,7 +34,6 @@ import (
 	"sync/atomic"
 
 	"seqrep/internal/dft"
-	"seqrep/internal/dist"
 	"seqrep/internal/multires"
 )
 
@@ -43,11 +45,14 @@ const (
 	// TierNone is the zero value; as QueryOptions.MaxTier it means "no
 	// cap" (refine all the way to TierExact).
 	TierNone Tier = iota
-	// TierSketch answers from the per-record multiresolution sketches
-	// alone: one band per record, no sample or feature reads.
+	// TierSketch answers from the per-record multiresolution sketches: one
+	// band per record the candidate source hands over, no sample reads.
+	// (The source itself reads feature vectors when it is the index; a
+	// record the index dismisses is never banded.)
 	TierSketch
 	// TierCandidate tightens sketch bands with the DFT feature-distance
-	// lower bound (Parseval), still without reading samples.
+	// lower bound (Parseval) — the distance the index already computed
+	// when it is the source — still without reading samples.
 	TierCandidate
 	// TierExact verifies against exact samples; its bands are points.
 	TierExact
@@ -120,7 +125,8 @@ type cascade struct {
 	qsk *multires.Sketch
 	// qf is the exemplar's DFT feature vector (z-normalized when useZ)
 	// and fscale maps feature distance onto a lower bound of the query
-	// metric; fscale 0 disables the candidate tier.
+	// metric. They are set together: fscale 0 means no vector and no
+	// tightening at the candidate tier.
 	qf     []float64
 	fscale float64
 	useZ   bool
@@ -164,23 +170,27 @@ func featureScale(metric string, n int) (scale float64, useZ bool) {
 }
 
 // cascadeOf computes the exemplar-side sketch and feature vector of one
-// cascade run.
+// cascade run. A query the feature index serves already carries its
+// feature vector (spec.lb.qf, the one the tree search prunes with), so
+// only the metrics the index cannot route — whose feature bound needs a
+// different scaling, never a different vector — compute one here.
 func (db *DB) cascadeOf(spec *querySpec) cascade {
 	var cs cascade
 	vals := spec.exemplar.Values()
 	if db.cfg.SketchBlock > 0 {
 		cs.qsk = multires.BuildSketch(vals, db.cfg.SketchBlock)
 	}
-	if db.findex != nil {
-		scale, useZ := featureScale(spec.metric, len(vals))
-		if scale > 0 {
-			src := vals
-			if useZ {
-				src = dist.ZNormalizeValues(vals)
-			}
-			if qf, err := dft.Features(src, db.findex.k); err == nil {
-				cs.qf, cs.fscale, cs.useZ = qf, scale, useZ
-			}
+	if db.findex == nil {
+		return cs
+	}
+	scale, useZ := featureScale(spec.metric, len(vals))
+	switch {
+	case scale == 0:
+	case spec.lb != nil:
+		cs.qf, cs.fscale, cs.useZ = spec.lb.qf, scale, spec.lb.z
+	case !useZ:
+		if qf, err := dft.Features(vals, db.findex.k); err == nil {
+			cs.qf, cs.fscale = qf, scale
 		}
 	}
 	return cs
@@ -210,10 +220,149 @@ func bandMatch(id string, devKey string, band Band) *Match {
 	return &Match{ID: id, Exact: band.Hi == 0, Deviations: map[string]float64{devKey: dev}}
 }
 
-// progItem is one cascade survivor between tiers.
-type progItem struct {
-	rec  *Record
-	band Band
+// cascadeRun is one execution of the coarse tiers: the query-side state,
+// the run's parameters and its counters.
+type cascadeRun struct {
+	cascade
+	spec     *querySpec
+	col      *collector
+	maxTier  Tier
+	maxError float64
+
+	sketched, pruned, bandAccepted atomic.Int64
+}
+
+// cascadeTally is one worker's share of a run's counters, merged once
+// per chunk of records so the tiers' inner loops touch no shared word.
+type cascadeTally struct{ sketched, pruned, bandAccepted int64 }
+
+func (cr *cascadeRun) merge(t cascadeTally) {
+	cr.sketched.Add(t.sketched)
+	cr.pruned.Add(t.pruned)
+	cr.bandAccepted.Add(t.bandAccepted)
+}
+
+// settle delivers tier's verdict on c's band and reports whether the
+// record goes on to the next tier: a band whose lower edge already
+// exceeds the tolerance dismisses it (silently at the sketch tier, where
+// the record has no frame yet; with its final reject frame after), a
+// decisive band finalizes it as a band accept, and anything else is
+// announced with a non-final frame and refined further.
+func (cr *cascadeRun) settle(c *candidate, tier Tier, t *cascadeTally) bool {
+	pm := ProgressiveMatch{ID: c.rec.ID, Tier: tier, Band: c.band}
+	switch {
+	case c.band.Lo > cr.spec.initEps:
+		t.pruned++
+		if tier == TierSketch {
+			return false
+		}
+		pm.Final = true
+	case finalizeAt(tier, cr.maxTier, c.band, cr.maxError):
+		t.bandAccepted++
+		pm.Final, pm.Match = true, bandMatch(c.rec.ID, cr.spec.devKey, c.band)
+	}
+	cr.col.frame(pm)
+	return !pm.Final
+}
+
+// sketchStep is tier 1 for one record: band it against the exemplar's
+// sketch (unbounded when either side has none), then settle.
+func (cr *cascadeRun) sketchStep(c *candidate, t *cascadeTally) bool {
+	c.band = Band{Lo: 0, Hi: math.Inf(1)}
+	if cr.qsk != nil && c.rec.sketch != nil {
+		if lo, hi, ok := multires.DistanceBand(cr.qsk, c.rec.sketch, cr.spec.metric); ok && !math.IsNaN(lo) && !math.IsNaN(hi) {
+			c.band = Band{Lo: lo, Hi: hi}
+			t.sketched++
+		}
+	}
+	return cr.settle(c, TierSketch, t)
+}
+
+// candidateStep is tier 2 for one record: lift the band's lower edge to
+// the scaled DFT feature distance — the one the index computed while
+// generating the candidate, or computed here on the linear source — then
+// settle. A record without feature vectors, or any record when the
+// metric admits no feature bound, keeps its negative fd, which floors to
+// zero and lifts nothing: it is settled on its sketch band, so a cap at
+// this tier still gives it its final frame.
+func (cr *cascadeRun) candidateStep(c *candidate, t *cascadeTally) bool {
+	if c.fd < 0 && cr.fscale > 0 {
+		feats := c.rec.feats
+		if cr.useZ {
+			feats = c.rec.zfeats
+		}
+		if feats != nil {
+			c.fd = dft.FeatureDist(cr.qf, feats)
+		}
+	}
+	if flo := bandFloor(c.fd * cr.fscale); flo > c.band.Lo {
+		c.band.Lo = min(flo, c.band.Hi) // both edges are slacked; never invert the band
+	}
+	return cr.settle(c, TierCandidate, t)
+}
+
+// cascadeChunk is how many records a worker claims at a time in a tier
+// pass: enough to amortize the claim and the tally merge, and a selective
+// query's few dozen survivors run on one goroutine.
+const cascadeChunk = 64
+
+// refine runs one tier's step over items across the worker pool and
+// compacts the records that go on in place.
+func (db *DB) refine(cr *cascadeRun, items []candidate, step func(*candidate, *cascadeTally) bool) []candidate {
+	db.forEachClaimed((len(items)+cascadeChunk-1)/cascadeChunk, func(ci int) {
+		var t cascadeTally
+		part := items[ci*cascadeChunk : min((ci+1)*cascadeChunk, len(items))]
+		for i := range part {
+			if cr.col.stopped() || !step(&part[i], &t) {
+				part[i].rec = nil
+			}
+		}
+		cr.merge(t)
+	})
+	kept := items[:0]
+	for _, c := range items {
+		if c.rec != nil {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+// sketchPass is the linear candidate source: every shard is snapshotted
+// and every length-matching record banded at the sketch tier. It is what
+// the cascade runs on when the feature index cannot generate the
+// candidates — a metric without an index route (l1, linf, norml1,
+// norml2) or a database without the index. examined counts every record
+// visited, of any length, as on the scan plan.
+func (db *DB) sketchPass(cr *cascadeRun) (items []candidate, examined int) {
+	shardRecs := db.snapshotRecords()
+	surv := make([][]candidate, len(shardRecs))
+	var visited atomic.Int64
+	db.forEachClaimed(len(shardRecs), func(i int) {
+		var out []candidate
+		var t cascadeTally
+		var ex int64
+		for _, rec := range shardRecs[i] {
+			if cr.col.stopped() {
+				break
+			}
+			ex++
+			if cr.spec.n > 0 && rec.N != cr.spec.n {
+				continue
+			}
+			c := candidate{rec: rec, fd: -1}
+			if cr.sketchStep(&c, &t) {
+				out = append(out, c)
+			}
+		}
+		surv[i] = out
+		visited.Add(ex)
+		cr.merge(t)
+	})
+	for _, s := range surv {
+		items = append(items, s...)
+	}
+	return items, int(visited.Load())
 }
 
 // produceCascade is the progressive candidate producer: the sketch and
@@ -221,131 +370,48 @@ type progItem struct {
 // per record — and dismiss, finalize or pass on each record; the
 // survivors go to the executor's verification fan-out, which gives each
 // its final exact-tier frame.
-func (db *DB) produceCascade(spec *querySpec, opts QueryOptions, col *collector, stats *QueryStats) {
-	maxTier := opts.MaxTier
-	if maxTier == TierNone {
-		maxTier = TierExact
-	}
-	cs := db.cascadeOf(spec)
-	eps := spec.initEps
-	var examined, sketched, pruned, bandAccepted atomic.Int64
-
-	// Tier 1 — sketch: band every length-matching record against the
-	// exemplar's sketch; dismiss (silently) what the band already rules
-	// out, finalize what it already settles, pass the rest on.
-	shardRecs := db.snapshotRecords()
-	surv := make([][]progItem, len(shardRecs))
-	db.forEachClaimed(len(shardRecs), func(i int) {
-		var out []progItem
-		var ex, sk, pr int64
-		for _, rec := range shardRecs[i] {
-			if col.stopped() {
-				break
-			}
-			ex++
-			if spec.n > 0 && rec.N != spec.n {
-				continue
-			}
-			band := Band{Lo: 0, Hi: math.Inf(1)}
-			if cs.qsk != nil && rec.sketch != nil {
-				if lo, hi, ok := multires.DistanceBand(cs.qsk, rec.sketch, spec.metric); ok && !math.IsNaN(lo) && !math.IsNaN(hi) {
-					band = Band{Lo: lo, Hi: hi}
-					sk++
-				}
-			}
-			if band.Lo > eps {
-				pr++
-				continue
-			}
-			if finalizeAt(TierSketch, maxTier, band, opts.MaxError) {
-				bandAccepted.Add(1)
-				col.frame(ProgressiveMatch{ID: rec.ID, Tier: TierSketch, Band: band, Final: true,
-					Match: bandMatch(rec.ID, spec.devKey, band)})
-				continue
-			}
-			col.frame(ProgressiveMatch{ID: rec.ID, Tier: TierSketch, Band: band})
-			out = append(out, progItem{rec: rec, band: band})
-		}
-		surv[i] = out
-		examined.Add(ex)
-		sketched.Add(sk)
-		pruned.Add(pr)
-	})
-	var items []progItem
-	for _, s := range surv {
-		items = append(items, s...)
+//
+// The records come from the same source the exact plan uses. When the
+// query is indexed (it carries a feature lower bound and the index is up)
+// the feature index generates them (collectIndexed, shared with
+// produceIndexed): the tree search's dismissals are a sound lower bound,
+// so they are silent pre-first-frame dismissals like the sketch tier's
+// own, and the tiers run over the index's survivors only. Otherwise the
+// linear sketch pass bands every record. The source follows from what
+// the spec carries, never from an option.
+func (db *DB) produceCascade(spec *querySpec, opts QueryOptions, indexed bool, col *collector, stats *QueryStats) {
+	cr := &cascadeRun{cascade: db.cascadeOf(spec), spec: spec, col: col,
+		maxTier: opts.MaxTier, maxError: opts.MaxError}
+	if cr.maxTier == TierNone {
+		cr.maxTier = TierExact
 	}
 
-	// Tier 2 — candidate: tighten each survivor's lower edge with the
-	// scaled DFT feature distance. Runs only when the feature index is up
-	// and the metric admits a sound scaling; records without feature
-	// vectors pass through untouched (and unannounced).
-	if len(items) > 0 && cs.qf != nil && cs.fscale > 0 {
-		next := make([]progItem, len(items))
-		db.forEachClaimed(len(items), func(i int) {
-			if col.stopped() {
-				return
-			}
-			it := items[i]
-			feats := it.rec.feats
-			if cs.useZ {
-				feats = it.rec.zfeats
-			}
-			if feats == nil {
-				next[i] = it
-				return
-			}
-			band := it.band
-			if flo := bandFloor(dft.FeatureDist(cs.qf, feats) * cs.fscale); flo > band.Lo {
-				if flo > band.Hi {
-					flo = band.Hi // both edges are slacked; never invert the band
-				}
-				band.Lo = flo
-			}
-			if band.Lo > eps {
-				pruned.Add(1)
-				col.frame(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band, Final: true})
-				return
-			}
-			if finalizeAt(TierCandidate, maxTier, band, opts.MaxError) {
-				bandAccepted.Add(1)
-				col.frame(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band, Final: true,
-					Match: bandMatch(it.rec.ID, spec.devKey, band)})
-				return
-			}
-			col.frame(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: band})
-			next[i] = progItem{rec: it.rec, band: band}
-		})
-		items = items[:0]
-		for _, it := range next {
-			if it.rec != nil {
-				items = append(items, it)
-			}
-		}
-	} else if maxTier == TierCandidate {
-		// The candidate tier cannot run (no index or no sound scaling)
-		// but the caller capped refinement here: finalize on the sketch
-		// bands, which is the best information this configuration has.
-		for _, it := range items {
-			bandAccepted.Add(1)
-			col.frame(ProgressiveMatch{ID: it.rec.ID, Tier: TierCandidate, Band: it.band, Final: true,
-				Match: bandMatch(it.rec.ID, spec.devKey, it.band)})
-		}
+	// Tier 1 — sketch, over the source's records.
+	var items []candidate
+	if indexed {
+		scratch := db.collectIndexed(spec, col, stats)
+		defer releaseCands(scratch)
+		items = db.refine(cr, *scratch, cr.sketchStep)
+	} else {
+		items, stats.Examined = db.sketchPass(cr)
 	}
-	stats.Examined = int(examined.Load())
-	stats.Sketched = int(sketched.Load())
-	stats.Pruned = int(pruned.Load())
-	stats.BandAccepted = int(bandAccepted.Load())
-	if maxTier != TierExact {
+
+	// Tier 2 — candidate. Runs when the feature index is up and the metric
+	// admits a sound scaling — and when it cannot but the caller capped
+	// refinement here, to finalize on the sketch bands, the best
+	// information such a configuration has.
+	if cr.fscale > 0 || cr.maxTier == TierCandidate {
+		items = db.refine(cr, items, cr.candidateStep)
+	}
+	stats.Sketched = int(cr.sketched.Load())
+	stats.Pruned += int(cr.pruned.Load())
+	stats.BandAccepted = int(cr.bandAccepted.Load())
+	if cr.maxTier != TierExact {
 		return
 	}
 
 	// Tier 3 — exact: every remaining survivor is verified against its
 	// exact samples through the query's verification kernel.
-	cands, bands := make([]*Record, len(items)), make([]Band, len(items))
-	for i, it := range items {
-		cands[i], bands[i] = it.rec, it.band
-	}
-	stats.Candidates = len(cands)
-	db.verifyAll(col, cands, bands)
+	stats.Candidates = len(items)
+	db.verifyAll(col, items)
 }

@@ -13,11 +13,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"seqrep/internal/breaking"
+	"seqrep/internal/dft"
 	"seqrep/internal/dist"
 	"seqrep/internal/seq"
 	"seqrep/internal/store"
@@ -295,6 +298,141 @@ func TestProgressiveGuarantees(t *testing.T) {
 	}
 }
 
+// treeCorpus is the guarantee suite's tree-sized workload: clusteredDB's
+// amplitude families at one length (ids in ingest order, so a test can
+// build the trees over a prefix and append the rest as a tail) plus
+// off-length records the cascade must never frame.
+func treeCorpus() (ids []string, corpus map[string]seq.Sequence) {
+	rng := rand.New(rand.NewSource(97))
+	corpus = map[string]seq.Sequence{}
+	for i := 0; i < 260; i++ {
+		s := smoothWalk(rng, 64)
+		for j := range s {
+			s[j].V += float64(i%12) * 40
+		}
+		id := fmt.Sprintf("t-%03d", i)
+		ids, corpus[id] = append(ids, id), s
+	}
+	for i := 0; i < 6; i++ {
+		id := fmt.Sprintf("off-%d", i)
+		ids, corpus[id] = append(ids, id), smoothWalk(rng, 32)
+	}
+	return ids, corpus
+}
+
+// treeStateDB ingests treeCorpus so that its length-64 group is in every
+// state candidate generation distinguishes: trees built over the first
+// 200 rows, 60 rows appended past their coverage, 10 tree-covered rows
+// tombstoned, and one record re-filed without feature vectors (what a
+// record whose comparison form was unreadable at build time looks like).
+// It returns the surviving corpus. With the index disabled only the
+// removals apply.
+func treeStateDB(t *testing.T, db *DB) map[string]seq.Sequence {
+	t.Helper()
+	ids, corpus := treeCorpus()
+	const treeRows, unindexedID = 200, "t-052"
+	for _, id := range ids[:treeRows] {
+		mustIngest(t, db, id, corpus[id])
+	}
+	if db.findex != nil { // the first indexed query builds the trees
+		if _, err := db.DistanceQuery(corpus[ids[0]], dist.Euclidean, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids[treeRows:] {
+		mustIngest(t, db, id, corpus[id])
+	}
+	for i := 0; i < 10; i++ {
+		id := ids[7*i+1]
+		if err := db.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(corpus, id)
+	}
+	if db.findex != nil {
+		rec, _ := db.Record(unindexedID)
+		db.findex.remove(rec)
+		rec.feats, rec.zfeats = nil, nil
+		db.findex.add(rec)
+		assertTreeState(t, db, treeRows)
+	}
+	return corpus
+}
+
+// assertTreeState checks that the length-64 group still is what
+// treeStateDB left: nothing compacted, rebuilt or re-indexed since.
+func assertTreeState(t *testing.T, db *DB, treeRows int) {
+	t.Helper()
+	g := db.findex.group(64, false)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if g.tree == nil || g.ztree == nil || g.treeN != treeRows || len(g.recs) <= g.treeN || g.deadCount != 11 || len(g.unindexed) != 1 {
+		t.Fatalf("group state: trees=%v/%v treeN=%d rows=%d dead=%d unindexed=%d",
+			g.tree != nil, g.ztree != nil, g.treeN, len(g.recs), g.deadCount, len(g.unindexed))
+	}
+}
+
+// TestProgressiveGuaranteesTree runs the property suite where
+// TestProgressiveGuarantees cannot reach: through a built vantage-point
+// tree with a tail, tombstones and an unindexed record, resident and
+// paged — and checks the index-driven cascade against the linear one
+// (IndexCoeffs -1) bit for bit at MaxError 0.
+func TestProgressiveGuaranteesTree(t *testing.T) {
+	for _, storage := range []string{"archive", "paged"} {
+		t.Run(storage, func(t *testing.T) {
+			open := func(cfg Config) (*DB, map[string]seq.Sequence) {
+				if storage == "archive" {
+					cfg.Archive = store.NewMemArchive()
+					db := mustDB(t, cfg)
+					return db, treeStateDB(t, db)
+				}
+				db := pagedDB(t, cfg)
+				corpus := treeStateDB(t, db)
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				return db, reconCorpus(t, db, corpus)
+			}
+			db, corpus := open(Config{})
+			linear, _ := open(Config{IndexCoeffs: -1})
+			exemplar := corpus["t-003"]
+			for _, r := range progressiveRunners() {
+				t.Run(r.name, func(t *testing.T) {
+					checkProgressiveFamily(t, db, corpus, exemplar, r)
+					// Own family only, then half the corpus: the tree
+					// prunes most of the group at the first, little at
+					// the second.
+					truth := trueDistances(t, corpus, exemplar, r.truth)
+					ds := make([]float64, 0, len(truth))
+					for _, d := range truth {
+						ds = append(ds, d)
+					}
+					slices.Sort(ds)
+					for _, eps := range []float64{ds[len(ds)/20], ds[len(ds)/2]} {
+						got, stats := collectFrames(t, db, r.spec(exemplar, eps), QueryOptions{})
+						want, _ := collectFrames(t, linear, r.spec(exemplar, eps), QueryOptions{})
+						if a, b := acceptedOf(got), acceptedOf(want); len(a) == 0 || !reflect.DeepEqual(a, b) {
+							t.Errorf("eps=%v: index-driven cascade accepted %d, linear %d, or they differ", eps, len(a), len(b))
+						}
+						for id, fs := range got { // same bands wherever both sources framed the record
+							if ws, ok := want[id]; ok && fs[0].Tier == TierSketch && fs[0].Band != ws[0].Band {
+								t.Errorf("%s: sketch band %+v, linear %+v", id, fs[0].Band, ws[0].Band)
+							}
+						}
+						if len(got) > len(want) {
+							t.Errorf("eps=%v: index-driven cascade framed %d records, linear %d", eps, len(got), len(want))
+						}
+						if stats.Plan != PlanProgressive {
+							t.Errorf("plan = %q", stats.Plan)
+						}
+					}
+				})
+			}
+			assertTreeState(t, db, 200)
+		})
+	}
+}
+
 // reconCorpus replaces each corpus sequence with the database's stored
 // reconstruction: without an archive, exact verification compares
 // reconstructions, so ground truth must be computed on them too.
@@ -455,18 +593,100 @@ func TestProgressiveCancellation(t *testing.T) {
 	}
 }
 
+// TestProgressiveDoesNotBlockIngest pins the index producers' lock scope:
+// the length group's read lock covers candidate generation only, so a
+// consumer that parks mid-delivery — on a progressive frame, or on an
+// exact indexed query's match — cannot stall an Ingest or a Remove at the
+// query's own length. (An interleaved producer that delivered under the
+// lock stalled writers for as long as its slowest consumer.)
+func TestProgressiveDoesNotBlockIngest(t *testing.T) {
+	db, items := clusteredDB(t, Config{Workers: 2}, 200, 64)
+	spec := QuerySpec{Family: FamilyDistance, Exemplar: items[3].Seq, Metric: dist.Euclidean, Eps: 8}
+	for i, name := range []string{"progressive", "indexed"} {
+		t.Run(name, func(t *testing.T) {
+			parked, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			park := func() bool {
+				once.Do(func() {
+					close(parked)
+					<-release
+				})
+				return true
+			}
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				if name == "progressive" {
+					_, err = db.QueryProgressive(context.Background(), spec, QueryOptions{}, func(ProgressiveMatch) bool { return park() })
+				} else {
+					_, err = db.Query(context.Background(), spec, QueryOptions{}, func(Match) bool { return park() })
+				}
+				done <- err
+			}()
+			<-parked
+
+			wrote := make(chan error, 1)
+			start := time.Now()
+			go func() {
+				if err := db.Ingest("beside-"+name, items[5].Seq); err != nil {
+					wrote <- err
+					return
+				}
+				wrote <- db.Remove(items[10+i].ID)
+			}()
+			select {
+			case err := <-wrote:
+				if err != nil {
+					t.Errorf("write beside a parked %s query: %v", name, err)
+				}
+				if d := time.Since(start); d > 100*time.Millisecond {
+					t.Errorf("Ingest+Remove beside a parked %s query took %s", name, d)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("Ingest+Remove blocked behind a parked %s query", name)
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestProgressiveChurn runs the cascade concurrently with ingest/remove
 // churn (meaningful under -race): the per-record frame contract must
 // hold throughout, and records outside the churn set keep their band
 // guarantee against the stable ground truth.
 func TestProgressiveChurn(t *testing.T) {
-	t.Run("resident", func(t *testing.T) { progressiveChurn(t, false) })
-	t.Run("paged", func(t *testing.T) { progressiveChurn(t, true) })
+	t.Run("resident", func(t *testing.T) { progressiveChurn(t, false, 0, 8) })
+	t.Run("paged", func(t *testing.T) { progressiveChurn(t, true, 0, 8) })
 }
 
-func progressiveChurn(t *testing.T, paged bool) {
+// TestProgressiveChurnTree is TestProgressiveChurn against a length group
+// large enough to carry vantage-point trees, with enough churn ids that
+// appended tails and tombstones keep invalidating them: the index-driven
+// cascade collects its candidates while the trees it reads are being
+// dropped, compacted and rebuilt.
+func TestProgressiveChurnTree(t *testing.T) {
+	t.Run("resident", func(t *testing.T) { progressiveChurn(t, false, 80, 64) })
+	t.Run("paged", func(t *testing.T) { progressiveChurn(t, true, 80, 64) })
+}
+
+// progressiveChurn runs the churn against progressiveCorpus plus extra
+// stable walks at the exemplar's length; each of the two writers cycles
+// through churnIDs ids. With extra > 0 it also demands that the group's
+// trees were rebuilt under the queries at least twice.
+func progressiveChurn(t *testing.T, paged bool, extra, churnIDs int) {
 	corpus := progressiveCorpus(t)
 	exemplar := corpus["exemplar"]
+	stableRng := rand.New(rand.NewSource(7))
+	for i := 0; i < extra; i++ {
+		walk, err := synth.RandomWalk(stableRng, 97)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus[fmt.Sprintf("stable-%03d", i)] = walk
+	}
 	var db *DB
 	if paged {
 		// Durable, archiveless, 1-byte budget: the churn recycles ids
@@ -501,7 +721,7 @@ func progressiveChurn(t *testing.T, paged bool) {
 					return
 				default:
 				}
-				id := fmt.Sprintf("churn-%d-%d", g, i%8)
+				id := fmt.Sprintf("churn-%d-%d", g, i%churnIDs)
 				walk, err := synth.RandomWalk(rng, 97)
 				if err != nil {
 					t.Error(err)
@@ -521,13 +741,25 @@ func progressiveChurn(t *testing.T, paged bool) {
 		}(g)
 	}
 
-	for i := 0; i < 30; i++ {
+	// rebuilds counts the distinct trees the queries ran on, beyond the
+	// first.
+	var lastTree *dft.VPTree
+	rebuilds := -1
+	for i := 0; i < 30 || (extra > 0 && rebuilds < 2 && i < 5000); i++ {
 		if paged && i%10 == 5 {
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		frames, _ := collectFrames(t, db, spec, QueryOptions{})
+		if g := db.findex.group(97, false); g != nil {
+			g.mu.RLock()
+			if g.tree != nil && g.tree != lastTree {
+				lastTree = g.tree
+				rebuilds++
+			}
+			g.mu.RUnlock()
+		}
 		// The contract holds per record even mid-churn; ground truth is
 		// only checked for the stable base corpus.
 		stable := map[string][]ProgressiveMatch{}
@@ -552,4 +784,7 @@ func progressiveChurn(t *testing.T, paged bool) {
 	}
 	close(stop)
 	wg.Wait()
+	if extra > 0 && rebuilds < 2 {
+		t.Errorf("trees rebuilt %d times under the cascade, want at least 2", rebuilds)
+	}
 }

@@ -47,7 +47,7 @@ type QuerySpec struct {
 	Metric dist.Metric
 	// Eps is the tolerance of FamilyDistance and FamilyValue; math.Inf(1)
 	// is allowed (pure nearest-neighbour search under TopK, band every
-	// record under progressive delivery).
+	// length-matching record under progressive delivery).
 	Eps float64
 	// Shape holds FamilyShape's per-dimension tolerances.
 	Shape ShapeTolerance
@@ -112,7 +112,7 @@ func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, 
 	switch {
 	case frames != nil:
 		stats.Plan = PlanProgressive
-		db.produceCascade(spec, opts, col, &stats)
+		db.produceCascade(spec, opts, indexed, col, &stats)
 	case indexed && opts.TopK > 0:
 		stats.Plan = PlanIndex
 		db.produceIndexedTopK(spec, col, &stats)
@@ -166,29 +166,38 @@ func (db *DB) produceScan(spec *querySpec, col *collector, stats *QueryStats) {
 	stats.Candidates = int(candidates.Load())
 }
 
+// candidate is one record on its way from a producer to verification.
+type candidate struct {
+	rec *Record
+	// fd is the feature distance to the exemplar that the index computed
+	// while generating the candidate; negative when nothing did (an
+	// unindexed record, or the cascade's linear source).
+	fd float64
+	// band is the band the cascade has refined the record to; zero outside
+	// progressive delivery.
+	band Band
+}
+
 // verifyAll fans the exact verification of a materialized candidate set
 // across the worker pool, outside every lock (it is the archive- and
-// reconstruction-reading part). bands, when non-nil, holds each
-// candidate's cascade band.
-func (db *DB) verifyAll(col *collector, cands []*Record, bands []Band) {
+// reconstruction-reading part).
+func (db *DB) verifyAll(col *collector, cands []candidate) {
 	db.forEachClaimed(len(cands), func(i int) {
 		if col.stopped() {
 			return
 		}
-		var band Band
-		if bands != nil {
-			band = bands[i]
-		}
-		col.verify(cands[i], band)
+		col.verify(cands[i].rec, cands[i].band)
 	})
 }
 
-// produceIndexed is the two-phase index producer used when no radius
-// feedback is possible: candidates are generated under the length group's
-// read lock into pooled scratch at the query's fixed bound, then verified
-// by the worker pool.
-func (db *DB) produceIndexed(spec *querySpec, col *collector, stats *QueryStats) {
-	scratch := candPool.Get().(*[]*Record)
+// collectIndexed generates the feature index's candidates at the query's
+// fixed bound — no radius feedback — into pooled scratch, and records the
+// traversal's Examined and Pruned. The length group's read lock is held
+// only inside: whatever the caller then does with the candidates (band
+// tiers, frame delivery, verification) cannot stall a mutation of the
+// group. The caller hands the scratch back with releaseCands.
+func (db *DB) collectIndexed(spec *querySpec, col *collector, stats *QueryStats) *[]candidate {
+	scratch := candPool.Get().(*[]candidate)
 	cands := (*scratch)[:0]
 	fixed := spec.boundOf(spec.initEps)
 	bound := func() float64 {
@@ -197,14 +206,32 @@ func (db *DB) produceIndexed(spec *querySpec, col *collector, stats *QueryStats)
 		}
 		return fixed
 	}
-	stats.Examined, stats.Pruned, stats.Candidates = db.findex.collect(spec.n, *spec.lb, bound, func(rec *Record) bool {
-		cands = append(cands, rec)
+	stats.Examined, stats.Pruned, _ = db.findex.collect(spec.n, *spec.lb, bound, func(rec *Record, fd float64) bool {
+		cands = append(cands, candidate{rec: rec, fd: fd})
 		return true
 	})
-	db.verifyAll(col, cands, nil)
-	clear(cands) // drop record pointers before pooling the scratch
-	*scratch = cands[:0]
+	*scratch = cands
+	return scratch
+}
+
+// releaseCands returns collectIndexed's scratch to the pool. It clears
+// the slice at the length collectIndexed left it, so callers may compact
+// it in place but not grow it.
+func releaseCands(scratch *[]candidate) {
+	clear(*scratch) // drop record pointers before pooling the scratch
+	*scratch = (*scratch)[:0]
 	candPool.Put(scratch)
+}
+
+// produceIndexed is the two-phase index producer used when no radius
+// feedback is possible: candidates are generated under the length group's
+// read lock into pooled scratch at the query's fixed bound, then verified
+// by the worker pool.
+func (db *DB) produceIndexed(spec *querySpec, col *collector, stats *QueryStats) {
+	scratch := db.collectIndexed(spec, col, stats)
+	stats.Candidates = len(*scratch)
+	db.verifyAll(col, *scratch)
+	releaseCands(scratch)
 }
 
 // produceIndexedTopK is the interleaved index producer behind top-K:
@@ -242,7 +269,7 @@ func (db *DB) produceIndexedTopK(spec *querySpec, col *collector, stats *QuerySt
 		}
 		return spec.boundOf(r)
 	}
-	emit := func(rec *Record) bool {
+	emit := func(rec *Record, _ float64) bool {
 		select {
 		case candCh <- rec:
 			return true
