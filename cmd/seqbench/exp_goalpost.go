@@ -14,7 +14,6 @@ import (
 	"seqrep/internal/pattern"
 	"seqrep/internal/rep"
 	"seqrep/internal/seq"
-	"seqrep/internal/store"
 	"seqrep/internal/synth"
 )
 
@@ -22,9 +21,9 @@ import (
 const familySeed = 1996
 
 // buildFamilyDB ingests the exemplar, the Figure 5 family, the three-peak
-// control and a flat control into a fresh database backed by an archive.
+// control and a flat control into a fresh database.
 func buildFamilyDB() (*core.DB, seq.Sequence, map[string]seq.Sequence, error) {
-	db, err := core.New(core.Config{Archive: store.NewMemArchive()})
+	db, err := core.New(core.Config{})
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -18,9 +18,6 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Fatalf("duplicate experiment name %q", e.name)
 			}
 			seen[e.name] = true
-			// Experiments that drop artifacts (queryplan's
-			// BENCH_query.json) must not litter the source tree.
-			t.Chdir(t.TempDir())
 			var buf bytes.Buffer
 			if err := e.run(&buf); err != nil {
 				t.Fatalf("experiment failed: %v", err)

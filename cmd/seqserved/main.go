@@ -70,7 +70,7 @@ func run() error {
 		compact  = flag.Int("compact-threshold", 0, "segment count at which a checkpoint compacts the on-disk tier (0 = default 8, negative disables compaction)")
 		segCach  = flag.Int64("segment-cache", 0, "segment payload LRU cache bytes (0 = default 32MiB, negative disables)")
 		memBudg  = flag.Int64("memory-budget", 0, "resident record-payload byte budget for -data-dir servers: cold payloads are evicted to the segment tier and paged back in on demand (<= 0 keeps every record fully resident)")
-		archive  = flag.String("archive", "", "directory for a file-backed raw-sequence archive (empty = no archive)")
+		archive  = flag.String("archive", "", "directory for a file-backed archive of the ingested originals (empty = none); no query reads it")
 		epsilon  = flag.Float64("epsilon", 0, "breaking tolerance for a new database (0 = default 0.5)")
 		delta    = flag.Float64("delta", 0, "slope threshold for a new database (0 = default 0.25)")
 		bucket   = flag.Float64("bucket", 0, "interval-index bucket width for a new database (0 = default 1)")

@@ -24,7 +24,7 @@ func main() {
 }
 
 func run() error {
-	db, err := seqrep.New(seqrep.Config{Archive: seqrep.NewMemArchive()})
+	db, err := seqrep.New(seqrep.Config{})
 	if err != nil {
 		return err
 	}

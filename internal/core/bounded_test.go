@@ -19,7 +19,6 @@ import (
 
 	"seqrep/internal/dist"
 	"seqrep/internal/seq"
-	"seqrep/internal/store"
 )
 
 // peakySeq builds a two-peak curve riding at the given baseline shift, so
@@ -56,7 +55,7 @@ func TestTopKEquivalence(t *testing.T) {
 	for _, coeffs := range []int{0, -1} { // 0 = default index on, -1 = off
 		t.Run(fmt.Sprintf("coeffs=%d", coeffs), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(4242))
-			db := mustDB(t, Config{IndexCoeffs: coeffs, Archive: store.NewMemArchive()})
+			db := mustDB(t, Config{IndexCoeffs: coeffs})
 			exemplar := equivalenceWorkload(t, db, rng, 64)
 
 			for _, m := range dist.Metrics() {
@@ -220,24 +219,26 @@ func TestQueryLimit(t *testing.T) {
 	}
 }
 
-// slowDB builds an archived database whose reads cost readLatency, so a
-// query's verification phase is slow enough to cancel mid-flight.
+// slowDB builds a paged database — 1-byte budget, checkpointed, so every
+// representation is cold — whose segment-tier reads cost readLatency:
+// production's slow path, slow enough to cancel a query mid-verification.
 // coeffs is Config.IndexCoeffs (-1 pins the scan plan).
 func slowDB(t testing.TB, n int, readLatency time.Duration, coeffs int) (*DB, seq.Sequence) {
 	t.Helper()
-	arch := store.NewMemArchive()
-	db := mustDB(t, Config{Archive: arch, Workers: 2, IndexCoeffs: coeffs})
+	db := pagedDB(t, Config{Workers: 2, IndexCoeffs: coeffs})
 	rng := rand.New(rand.NewSource(5150))
-	var exemplar seq.Sequence
-	for i := 0; i < n; i++ {
-		s := smoothWalk(rng, 48)
-		if i == 0 {
-			exemplar = s.Clone()
-		}
-		mustIngest(t, db, fmt.Sprintf("slow-%04d", i), s)
+	items := make([]BatchItem, n)
+	for i := range items {
+		items[i] = BatchItem{ID: fmt.Sprintf("slow-%04d", i), Seq: smoothWalk(rng, 48)}
 	}
-	arch.ReadLatency = readLatency // after ingest: only query reads pay it
-	return db, exemplar
+	if _, err := db.IngestBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.SetSegmentReadFault(func() error { time.Sleep(readLatency); return nil })
+	return db, items[0].Seq
 }
 
 // settleGoroutines polls until the goroutine count returns to (near) the

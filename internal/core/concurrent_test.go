@@ -319,14 +319,17 @@ func TestValueQueryMatchesLInfScan(t *testing.T) {
 }
 
 func TestDistanceQueryMetrics(t *testing.T) {
-	// The archive matters: z-normalized comparisons run on raw samples,
-	// where value-shifted copies are exactly equivalent.
-	db := mustDB(t, Config{Archive: store.NewMemArchive()})
+	db := mustDB(t, Config{})
 	items := feverBatch(t, 8)
 	if _, err := db.IngestBatch(items); err != nil {
 		t.Fatal(err)
 	}
-	exemplar := items[0].Seq
+	// Breaking is shift-invariant: the value-shifted copies reconstruct
+	// to shifted copies of the exemplar's own comparison form.
+	exemplar, err := db.Reconstruct(items[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Generous Euclidean tolerance: everything matches, exemplar's own
 	// variant first (distance ≈ 0 to its reconstruction).

@@ -67,8 +67,9 @@ type Config struct {
 	Representer fit.Fitter
 	// Preprocess is an optional pipeline applied before breaking (§7).
 	Preprocess *filter.Chain
-	// Archive optionally stores the raw sequences; required only by
-	// value-based queries at full resolution.
+	// Archive optionally keeps the raw sequences for Raw(id). It is
+	// slow storage for originals (§2.3): no query, feature vector or
+	// sketch ever reads it, so setting it changes no answer.
 	Archive store.Archive
 	// Shards is the number of lock-striped record shards (default 16).
 	// More shards reduce contention between concurrent ingests and
@@ -166,10 +167,11 @@ var (
 	// ErrUnknownID reports an operation on an id the database does not
 	// hold.
 	ErrUnknownID = errors.New("unknown sequence id")
-	// ErrStorage reports a server-side storage fault while answering a
-	// query: the comparison form of a *stored* record could not be read
-	// (archive read failure, missing raws, reconstruction failure) or a
-	// raw sequence could not be written to or removed from the archive.
+	// ErrStorage reports a server-side storage fault: the comparison
+	// form of a *stored* record could not be read while answering a query
+	// (a cold payload that fails to page in or decode, a reconstruction
+	// failure) or a raw sequence could not be written to or removed from
+	// the archive. A lost or stale archive breaks Raw(id) only.
 	// The request was fine; the data layer was not.
 	ErrStorage = errors.New("storage fault")
 	// ErrDegraded reports a write rejected because the database is in
@@ -500,9 +502,8 @@ func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
 	rec.setRep(fs)
 	if db.findex != nil || db.cfg.SketchBlock > 0 {
 		// The DFT feature vectors and the progressive sketch are part of
-		// the build so they, too, run outside every lock; s is the raw
-		// sequence just archived, saving the archive round-trip.
-		if vals, ok := db.comparisonValues(rec, s); ok {
+		// the build so they, too, run outside every lock.
+		if vals, ok := comparisonValues(rec); ok {
 			if db.findex != nil {
 				db.findex.computeFeatures(rec, vals)
 			}

@@ -44,9 +44,7 @@ func mustIngest(t testing.TB, db *DB, id string, s seq.Sequence) {
 
 func feverDB(t *testing.T) *DB {
 	t.Helper()
-	// The archive keeps raw sequences so value-based queries compare at
-	// full resolution, like the prior art the paper describes.
-	db := mustDB(t, Config{Archive: store.NewMemArchive()})
+	db := mustDB(t, Config{})
 	fillFever(t, db)
 	return db
 }

@@ -76,7 +76,8 @@ type RecoveryStats struct {
 // cfg contributes the code components (breaker, representer,
 // preprocessing, archive); when a manifest exists its stored scalar
 // parameters (ε, δ, bucket width, index coefficients, sketch block) win.
-// Raw sequences are not part of the directory: they live in cfg.Archive.
+// Raw sequences are not part of the directory: they live in cfg.Archive,
+// which boot never reads.
 func OpenDir(dir string, cfg Config) (*DB, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("core: empty data directory")
@@ -101,10 +102,11 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 
 	var (
 		db       *DB
+		legacy   bool
 		ckptTime time.Time
 	)
 	if segs.HasManifest() {
-		if db, err = bootFromSegments(segs, cfg); err != nil {
+		if db, legacy, err = bootFromSegments(segs, cfg); err != nil {
 			return nil, err
 		}
 		if info, statErr := os.Stat(filepath.Join(dir, SegmentsDirName, segment.ManifestFileName)); statErr == nil {
@@ -127,6 +129,17 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	// in a committed segment, so everything replay applies must flush at
 	// the next checkpoint — were it not marked, truncation would lose it.
 	db.enableDirtyTracking()
+	if legacy {
+		// The tier still holds raw-derived vectors and sketches under a
+		// manifest that says so. Every checkpoint rewrites the manifest with
+		// this binary's source, so the payloads must be rewritten by the
+		// same commit: schedule them all, once, before replay (whose marks
+		// then win). They stay unpinned — the tier's copy of each
+		// representation is still good, only the derived fields are stale.
+		for _, id := range db.IDs() {
+			db.markDirty(id, true)
+		}
+	}
 
 	w, err := wal.Open(filepath.Join(dir, WALDirName), wal.Options{})
 	if err != nil {

@@ -3,8 +3,9 @@ package core
 // The planner's contract: both plans of a routed query return
 // byte-identical match sets — the feature index prunes but never
 // dismisses a true match. These tests check the contract on randomized
-// workloads across every breaker × every metric × archive on/off, and
-// under concurrent Ingest/Remove churn (run them with -race).
+// workloads across every breaker × every metric × resident/paged, with an
+// archive configured and without (it must change nothing), and under
+// concurrent Ingest/Remove churn (run them with -race).
 
 import (
 	"context"
@@ -19,6 +20,24 @@ import (
 	"seqrep/internal/seq"
 	"seqrep/internal/store"
 )
+
+// valueScan and distanceScan pin the full-scan plan regardless of the
+// index configuration: the reference the planner's answer must equal.
+func (db *DB) valueScan(exemplar seq.Sequence, eps float64) ([]Match, QueryStats, error) {
+	return db.scanPlan(db.valueSpec(exemplar, eps))
+}
+
+func (db *DB) distanceScan(exemplar seq.Sequence, m dist.Metric, eps float64) ([]Match, QueryStats, error) {
+	return db.scanPlan(db.distanceSpec(exemplar, m, eps))
+}
+
+func (db *DB) scanPlan(spec *querySpec, err error) ([]Match, QueryStats, error) {
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	spec.lb = nil
+	return db.collectSorted(context.Background(), spec, QueryOptions{})
+}
 
 // smoothWalk builds a random but breaker-friendly sequence: a random walk
 // whose step size is small against the breaking tolerance, riding on a
@@ -81,11 +100,11 @@ func breakersUnderTest() map[string]breaking.Breaker {
 var leafConfigs = []int{0, 1, -1}
 
 // storageModes is the residency/storage dimension of the equivalence
-// suite: fully resident in-memory ("mem"), archive-backed verification
-// ("archive"), and a durable database under a 1-byte memory budget
-// ("paged") where every exact verification pages its payload back in
-// from the segment tier — the answers must be bit-identical in all
-// three.
+// suite: fully resident in-memory ("mem"), the same with an archive
+// configured ("archive" — it keeps originals and must change nothing),
+// and a durable database under a 1-byte memory budget ("paged") where
+// every exact verification pages its payload back in from the segment
+// tier — the answers must be bit-identical in all three.
 var storageModes = []string{"mem", "archive", "paged"}
 
 // TestIndexedQueryEquivalence is the zero-false-dismissal property suite:
@@ -215,13 +234,13 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 	rng := rand.New(rand.NewSource(42))
 	var db *DB
 	if paged {
-		// Paged: no archive (verification reads reconstructions through
-		// the residency layer), 1-byte budget, durable tier to page
-		// from. Checkpoints below race the churn, so eviction, paging,
+		// Paged: verification reads reconstructions through the
+		// residency layer, 1-byte budget, durable tier to page from.
+		// Checkpoints below race the churn, so eviction, paging,
 		// pinning and tombstoning all run under the race detector.
 		db = pagedDB(t, Config{IndexCoeffs: 4, IndexLeaf: leaf})
 	} else {
-		db = mustDB(t, Config{Archive: store.NewMemArchive(), IndexCoeffs: 4, IndexLeaf: leaf})
+		db = mustDB(t, Config{IndexCoeffs: 4, IndexLeaf: leaf})
 	}
 	base := smoothWalk(rng, 64)
 	for i := 0; i < 16; i++ {
@@ -319,5 +338,71 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 		if !reflect.DeepEqual(indexed, scanned) {
 			t.Errorf("quiesced eps=%g: indexed %+v != scan %+v", eps, indexed, scanned)
 		}
+	}
+}
+
+// TestArchiveDoesNotChangeAnswers pins the one comparison form: the same
+// corpus with and without an archive answers every query family
+// identically — ids, deviations, exactness, order, frames and QueryStats —
+// and neither boot nor any query reads the archive. One worker, so which
+// matches a bound keeps and how much work it saves are deterministic too.
+func TestArchiveDoesNotChangeAnswers(t *testing.T) {
+	archive := store.NewCountingArchive(store.NewMemArchive())
+	var exemplar seq.Sequence
+	open := func(cfg Config) *DB {
+		cfg.Workers = 1
+		db, dir := openTemp(t, cfg)
+		exemplar = equivalenceWorkload(t, db, rand.New(rand.NewSource(99)), 64)
+		for i := 0; i < 6; i++ {
+			mustIngest(t, db, fmt.Sprintf("peak-%d", i), peakySeq(float64(i)))
+		}
+		archive.ResetStats() // ingest wrote; from here on nothing may read
+		return reopen(t, db, dir, cfg)
+	}
+	plain, archived := open(Config{}), open(Config{Archive: archive})
+
+	type row struct {
+		name        string
+		spec        QuerySpec
+		opts        QueryOptions
+		progressive bool
+	}
+	l2 := QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: dist.Euclidean, Eps: 16}
+	rows := []row{
+		{"shape", QuerySpec{Family: FamilyShape, Exemplar: peakySeq(0.5), Shape: ShapeTolerance{Peaks: 2, Height: 1, Spacing: 1}}, QueryOptions{}, false},
+		{"top-k", l2, QueryOptions{TopK: 5}, false},
+		{"bounded", l2, QueryOptions{Limit: 3}, false},
+	}
+	for _, r := range progressiveRunners() { // the value family and every metric
+		spec := r.spec(exemplar, 16)
+		rows = append(rows,
+			row{r.name, spec, QueryOptions{}, false},
+			row{r.name + "/progressive", spec, QueryOptions{MaxError: 2}, true},
+			row{r.name + "/sketch", spec, QueryOptions{MaxTier: TierSketch}, true})
+	}
+	answer := func(t *testing.T, db *DB, r row) (any, QueryStats) {
+		if r.progressive {
+			return collectFrames(t, db, r.spec, r.opts)
+		}
+		matches, stats, err := db.querySorted(context.Background(), r.spec, r.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matches, stats
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			want, wantStats := answer(t, plain, r)
+			got, gotStats := answer(t, archived, r)
+			if reflect.ValueOf(want).Len() == 0 || !reflect.DeepEqual(got, want) || gotStats != wantStats {
+				t.Errorf("archived %+v (%v)\n != plain %+v (%v)", got, gotStats, want, wantStats)
+			}
+		})
+	}
+	if reads := archive.Stats().Reads; reads != 0 {
+		t.Errorf("boot and queries read the archive %d times", reads)
+	}
+	if _, err := archived.Raw("a-00"); err != nil || archive.Stats().Reads != 1 {
+		t.Errorf("Raw through the archive: %v, %d reads", err, archive.Stats().Reads)
 	}
 }

@@ -5,16 +5,15 @@ import (
 
 	"seqrep/internal/dft"
 	"seqrep/internal/dist"
-	"seqrep/internal/seq"
 )
 
 // featIndex is the DB's whole-sequence DFT feature index: per sequence,
 // the first-IndexCoeffs-DFT-coefficient feature vectors of the comparison
-// form (the exact samples queries verify against — archive raws when an
-// archive is configured, representation reconstructions otherwise) and of
-// its z-normalized variant. By Parseval the Euclidean distance between
-// two feature vectors lower-bounds the Euclidean distance between the
-// underlying sample vectors, so the planner can discard sequences whose
+// form (the exact samples queries verify against: the representation's
+// reconstruction) and of its z-normalized variant. By Parseval the
+// Euclidean distance between two feature vectors lower-bounds the
+// Euclidean distance between the underlying sample vectors, so the
+// planner can discard sequences whose
 // feature distance already exceeds a query's tolerance without reading
 // them — with zero false dismissals (the Agrawal/Faloutsos/Swami
 // F-index guarantee; see internal/dft).
@@ -375,22 +374,11 @@ func (ix *featIndex) computeFeatures(rec *Record, vals []float64) {
 }
 
 // comparisonValues returns the samples queries verify rec against: the
-// archived raw sequence when an archive is configured, the representation
-// reconstruction otherwise. The bool reports success; on failure the
-// record stays unindexed (nil features) and is always a verification
-// candidate, so the planner's behaviour degrades to the scan's for
-// exactly the records the scan would also have trouble reading.
-func (db *DB) comparisonValues(rec *Record, raw seq.Sequence) ([]float64, bool) {
-	if db.cfg.Archive != nil {
-		if raw == nil {
-			got, err := db.cfg.Archive.Get(rec.ID)
-			if err != nil {
-				return nil, false
-			}
-			raw = got
-		}
-		return raw.Values(), true
-	}
+// reconstruction of its representation. The bool reports success; on
+// failure the record stays unindexed (nil features) and is always a
+// verification candidate, so the planner's behaviour degrades to the
+// scan's for exactly the records the scan would also have trouble reading.
+func comparisonValues(rec *Record) ([]float64, bool) {
 	// Only called at build/adopt time, when the representation was just
 	// installed — a nil pointer would mean a construction bug, and the
 	// record then simply stays unindexed.

@@ -18,49 +18,25 @@ import (
 // docs/STORAGE.md). Representations, query-planner feature vectors and
 // progressive sketches are persisted — the symbol/interval indexes are
 // cheap to rebuild and doing so guarantees a booted database always
-// agrees with its configuration, but the feature vectors are kept because
-// they may derive from archived raws the booting process cannot
-// necessarily re-read (and rebooting must not change what the planner
-// prunes).
+// agrees with its configuration, but the feature vectors and sketches
+// are kept so a boot does not reconstruct every record to re-derive them.
 
-// Feature vectors lower-bound distances against the comparison form they
-// were computed from, so the segment manifest records which source that
-// was (manifestMeta). A boot whose configuration implies a different
-// source must rebuild the vectors — restoring them verbatim would prune
-// against one form while verifying against another, which can falsely
-// dismiss true matches.
+// Feature vectors and sketches bound distances against the form they
+// were computed from, and the segment manifest records which that was
+// (manifestMeta). This binary only ever derives them from the
+// representation's reconstruction — the one comparison form — and
+// writes featSourceRecon (or None when the tier is disabled). An older
+// binary run with an archive derived them from archived raws and wrote
+// featSourceLegacyRaw: restoring those verbatim would prune against one
+// form while verifying against another and could falsely dismiss true
+// matches, so such a directory boots with them discarded and rebuilt, and
+// its first checkpoint rewrites every payload in the same manifest commit
+// that records the new source (OpenDir marks them all dirty).
 const (
-	featSourceNone    = 0 // index disabled, no vectors
-	featSourceArchive = 1 // archived raw samples
-	featSourceRecon   = 2 // representation reconstructions
+	featSourceNone      = 0 // tier disabled, nothing stored
+	featSourceLegacyRaw = 1 // archived raw samples (read-side only)
+	featSourceRecon     = 2 // representation reconstructions
 )
-
-// featSource names the comparison source the db's vectors derive from.
-func (db *DB) featSource() byte {
-	switch {
-	case db.findex == nil:
-		return featSourceNone
-	case db.cfg.Archive != nil:
-		return featSourceArchive
-	default:
-		return featSourceRecon
-	}
-}
-
-// sketchSource names the comparison source the db's progressive sketches
-// derive from — the same soundness rule as featSource: a sketch bands
-// distances against the form it summarized, so restoring one against a
-// different comparison form could dismiss true matches.
-func (db *DB) sketchSource() byte {
-	switch {
-	case db.cfg.SketchBlock <= 0:
-		return featSourceNone
-	case db.cfg.Archive != nil:
-		return featSourceArchive
-	default:
-		return featSourceRecon
-	}
-}
 
 // encodeRecordPayload serializes one record's body:
 //
@@ -141,11 +117,7 @@ func (c *cursor) f64s(n uint32) ([]float64, error) {
 }
 
 // decodeRecordPayload parses a body written by encodeRecordPayload.
-// restoreVectors/restoreSketches carry the comparison-source soundness
-// rule (see featSource): when false, the stored vectors (or sketch) are
-// parsed but discarded so adopt rebuilds them from this configuration's
-// comparison form.
-func decodeRecordPayload(db *DB, id string, payload []byte, restoreVectors, restoreSketches bool) (*rep.FunctionSeries, []float64, []float64, *multires.Sketch, error) {
+func decodeRecordPayload(db *DB, id string, payload []byte) (*rep.FunctionSeries, []float64, []float64, *multires.Sketch, error) {
 	c := &cursor{payload}
 	blobLen, err := c.u32()
 	if err != nil {
@@ -167,15 +139,9 @@ func decodeRecordPayload(db *DB, id string, payload []byte, restoreVectors, rest
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if !restoreVectors {
-		feats, zfeats = nil, nil
-	}
 	sk, err := loadSketch(c, id, fs.N, db.cfg.SketchBlock)
 	if err != nil {
 		return nil, nil, nil, nil, err
-	}
-	if !restoreSketches {
-		sk = nil
 	}
 	if len(c.b) != 0 {
 		return nil, nil, nil, nil, fmt.Errorf("core: record %q: %d trailing payload bytes", id, len(c.b))
@@ -294,8 +260,8 @@ func loadVector(c *cursor, db *DB, id string) ([]float64, error) {
 // adopt installs an already-built representation, rebuilding features and
 // index postings (used by the segment-tier boot). It follows the same
 // reserve → commit → link protocol as Ingest. Stored feature vectors and
-// sketches are restored verbatim; with none (a comparison-source
-// mismatch), they are recomputed from the record's comparison form.
+// sketches are restored verbatim; with none (a legacy raw-derived
+// directory), they are recomputed from the record's comparison form.
 func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, sk *multires.Sketch) error {
 	profile, err := feature.Extract(fs, db.cfg.Delta)
 	if err != nil {
@@ -310,7 +276,7 @@ func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, 
 	needFeats := db.findex != nil && rec.feats == nil
 	needSketch := db.cfg.SketchBlock > 0 && rec.sketch == nil
 	if needFeats || needSketch {
-		if vals, ok := db.comparisonValues(rec, nil); ok {
+		if vals, ok := comparisonValues(rec); ok {
 			if needFeats {
 				db.findex.computeFeatures(rec, vals)
 			}

@@ -91,7 +91,7 @@ func allocBudget(n int) uint64 { return 16*uint64(n) + 64<<10 }
 func TestLoadRejectsCorruption(t *testing.T) {
 	db, full, bare := payloadFixture(t)
 	for _, p := range [][]byte{full, bare} {
-		fs, feats, zfeats, sk, err := decodeRecordPayload(db, "ok", p, true, true)
+		fs, feats, zfeats, sk, err := decodeRecordPayload(db, "ok", p)
 		if err != nil {
 			t.Fatalf("valid payload rejected: %v", err)
 		}
@@ -129,7 +129,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		cases[fmt.Sprintf("truncated at byte %d", cut)] = full[:cut]
 	}
 	for name, p := range cases {
-		if _, _, _, _, err := decodeRecordPayload(db, "bad", p, true, true); err == nil {
+		if _, _, _, _, err := decodeRecordPayload(db, "bad", p); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -169,7 +169,7 @@ func TestLoadHugeCountRejected(t *testing.T) {
 	}
 	for name, p := range cases {
 		var err error
-		got := allocated(func() { _, _, _, _, err = decodeRecordPayload(db, "huge", p, true, true) })
+		got := allocated(func() { _, _, _, _, err = decodeRecordPayload(db, "huge", p) })
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -197,7 +197,7 @@ func FuzzRecordPayload(f *testing.F) {
 			sk            *multires.Sketch
 			err           error
 		)
-		got := allocated(func() { fs, feats, zfeats, sk, err = decodeRecordPayload(db, "fuzz", payload, true, true) })
+		got := allocated(func() { fs, feats, zfeats, sk, err = decodeRecordPayload(db, "fuzz", payload) })
 		if budget := allocBudget(len(payload)); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(payload), got, budget)
 		}

@@ -6,13 +6,11 @@ import (
 	"testing"
 
 	"seqrep/internal/dist"
-	"seqrep/internal/store"
 	"seqrep/internal/synth"
 )
 
 func plannerDB(t *testing.T, cfg Config) *DB {
 	t.Helper()
-	cfg.Archive = store.NewMemArchive()
 	db := mustDB(t, cfg)
 	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
 	if err != nil {
@@ -36,7 +34,7 @@ func plannerDB(t *testing.T, cfg Config) *DB {
 
 func TestPlannerRouting(t *testing.T) {
 	db := plannerDB(t, Config{})
-	fever, _ := db.Raw("fever")
+	fever, _ := db.Reconstruct("fever")
 	cases := []struct {
 		metric dist.Metric
 		plan   string
@@ -74,7 +72,7 @@ func TestPlannerDisabledIndexFallsBack(t *testing.T) {
 	if db.Stats().IndexCoeffs != 0 {
 		t.Errorf("disabled index reports coefficients: %+v", db.Stats())
 	}
-	fever, _ := db.Raw("fever")
+	fever, _ := db.Reconstruct("fever")
 	matches, stats, err := db.DistanceQueryCtx(context.Background(), fever, dist.Euclidean, 0.5, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +87,7 @@ func TestPlannerDisabledIndexFallsBack(t *testing.T) {
 
 func TestPlannerPrunesAndCounts(t *testing.T) {
 	db := plannerDB(t, Config{})
-	fever, _ := db.Raw("fever")
+	fever, _ := db.Reconstruct("fever")
 	matches, stats, err := db.DistanceQueryCtx(context.Background(), fever, dist.Euclidean, 0.2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +118,7 @@ func TestPlannerPrunesAndCounts(t *testing.T) {
 // the sketch pass visited, the off-length one included.
 func TestProgressiveCounts(t *testing.T) {
 	db := plannerDB(t, Config{})
-	fever, _ := db.Raw("fever")
+	fever, _ := db.Reconstruct("fever")
 	spec := QuerySpec{Family: FamilyDistance, Exemplar: fever, Metric: dist.Euclidean, Eps: 0.6}
 	_, exact, err := db.querySorted(context.Background(), spec, QueryOptions{})
 	if err != nil {
@@ -160,7 +158,7 @@ func TestProgressiveCounts(t *testing.T) {
 
 func TestPlannerSeesRemove(t *testing.T) {
 	db := plannerDB(t, Config{})
-	fever, _ := db.Raw("fever")
+	fever, _ := db.Reconstruct("fever")
 	_, before, err := db.DistanceQueryCtx(context.Background(), fever, dist.Euclidean, 1, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +182,7 @@ func TestPlannerSeesRemove(t *testing.T) {
 
 func TestPlannerValidation(t *testing.T) {
 	db := plannerDB(t, Config{})
-	fever, _ := db.Raw("fever")
+	fever, _ := db.Reconstruct("fever")
 	if _, _, err := db.DistanceQueryCtx(context.Background(), nil, dist.Euclidean, 1, QueryOptions{}); err == nil {
 		t.Error("empty exemplar accepted")
 	}

@@ -264,18 +264,15 @@ func TestProgressiveGuarantees(t *testing.T) {
 					cfg.IndexCoeffs = -1
 				}
 				var db *DB
-				truthCorpus := corpus
-				if storage == "archive" {
+				if storage == "archive" { // resident, and the archive must change nothing
 					cfg.Archive = store.NewMemArchive()
 					db = cascadeDB(t, cfg, corpus)
 				} else {
-					// Paged: durable database, no archive, 1-byte
-					// residency budget. After the checkpoint every exact
-					// verification pages its payload in from the segment
-					// tier; ground truth is computed on reconstructions,
-					// because that is what archiveless verification
-					// compares — the progressive contract must hold
-					// bit-identically through the paging layer.
+					// Paged: durable database, 1-byte residency budget.
+					// After the checkpoint every exact verification
+					// pages its payload in from the segment tier — the
+					// progressive contract must hold bit-identically
+					// through the paging layer.
 					db = pagedDB(t, cfg)
 					for id, s := range corpus {
 						mustIngest(t, db, id, s)
@@ -283,8 +280,8 @@ func TestProgressiveGuarantees(t *testing.T) {
 					if err := db.Checkpoint(); err != nil {
 						t.Fatal(err)
 					}
-					truthCorpus = reconCorpus(t, db, corpus)
 				}
+				truthCorpus := reconCorpus(t, db, corpus)
 				t.Run(fmt.Sprintf("%s/indexed=%v/%s", b.name, indexed, storage), func(t *testing.T) {
 					for _, r := range progressiveRunners() {
 						r := r
@@ -381,10 +378,10 @@ func TestProgressiveGuaranteesTree(t *testing.T) {
 	for _, storage := range []string{"archive", "paged"} {
 		t.Run(storage, func(t *testing.T) {
 			open := func(cfg Config) (*DB, map[string]seq.Sequence) {
-				if storage == "archive" {
+				if storage == "archive" { // resident, and the archive must change nothing
 					cfg.Archive = store.NewMemArchive()
 					db := mustDB(t, cfg)
-					return db, treeStateDB(t, db)
+					return db, reconCorpus(t, db, treeStateDB(t, db))
 				}
 				db := pagedDB(t, cfg)
 				corpus := treeStateDB(t, db)
@@ -434,8 +431,8 @@ func TestProgressiveGuaranteesTree(t *testing.T) {
 }
 
 // reconCorpus replaces each corpus sequence with the database's stored
-// reconstruction: without an archive, exact verification compares
-// reconstructions, so ground truth must be computed on them too.
+// reconstruction: exact verification compares reconstructions, so ground
+// truth must be computed on them too.
 func reconCorpus(t testing.TB, db *DB, corpus map[string]seq.Sequence) map[string]seq.Sequence {
 	t.Helper()
 	out := make(map[string]seq.Sequence, len(corpus))
@@ -555,7 +552,7 @@ func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence
 // band-accepted answer has no exact distance to rank by.
 func TestProgressiveRejectsTopK(t *testing.T) {
 	corpus := progressiveCorpus(t)
-	db := cascadeDB(t, Config{Archive: store.NewMemArchive()}, corpus)
+	db := cascadeDB(t, Config{}, corpus)
 	_, err := db.DistanceQueryProgressive(context.Background(), corpus["exemplar"], dist.Euclidean, 1,
 		QueryOptions{TopK: 3}, func(ProgressiveMatch) bool { return true })
 	if err == nil {
@@ -568,7 +565,7 @@ func TestProgressiveRejectsTopK(t *testing.T) {
 // exactly Limit accepts, where nothing was cut (see TestQueryLimit).
 func TestProgressiveLimit(t *testing.T) {
 	corpus := progressiveCorpus(t)
-	db := cascadeDB(t, Config{Archive: store.NewMemArchive()}, corpus)
+	db := cascadeDB(t, Config{}, corpus)
 	spec := QuerySpec{Family: FamilyDistance, Exemplar: corpus["exemplar"], Metric: dist.Euclidean, Eps: math.Inf(1)}
 	full := len(trueDistances(t, corpus, spec.Exemplar, dist.Euclidean))
 	for _, limit := range []int{2, full} {
@@ -583,7 +580,7 @@ func TestProgressiveLimit(t *testing.T) {
 // with ctx.Err().
 func TestProgressiveCancellation(t *testing.T) {
 	corpus := progressiveCorpus(t)
-	db := cascadeDB(t, Config{Archive: store.NewMemArchive()}, corpus)
+	db := cascadeDB(t, Config{}, corpus)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := db.DistanceQueryProgressive(ctx, corpus["exemplar"], dist.Euclidean, math.Inf(1),
@@ -689,7 +686,7 @@ func progressiveChurn(t *testing.T, paged bool, extra, churnIDs int) {
 	}
 	var db *DB
 	if paged {
-		// Durable, archiveless, 1-byte budget: the churn recycles ids
+		// Durable, 1-byte budget: the churn recycles ids
 		// (remove then re-ingest the same id), so the tracker's
 		// ref-identity rules and the tombstone-authoritative fault-in
 		// path run under the race detector while checkpoints below
@@ -701,10 +698,10 @@ func progressiveChurn(t *testing.T, paged bool, extra, churnIDs int) {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		corpus = reconCorpus(t, db, corpus)
 	} else {
-		db = cascadeDB(t, Config{Archive: store.NewMemArchive()}, corpus)
+		db = cascadeDB(t, Config{}, corpus)
 	}
+	corpus = reconCorpus(t, db, corpus)
 	truth := trueDistances(t, corpus, exemplar, dist.Euclidean)
 	spec := QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: dist.Euclidean, Eps: math.Inf(1)}
 

@@ -72,24 +72,17 @@ func SortMatches(matches []Match) {
 	slices.SortFunc(matches, matchCompare)
 }
 
-// storedSequence reads the comparison form of a record: raw samples from
-// the archive when one is configured, the representation reconstruction
-// otherwise. Under a memory budget the representation may be cold —
-// materialize pages it back in from the segment tier, so this is the
-// one place the query verification fan-out touches disk. A failure here
-// is a storage fault, not a bad query — the record is committed but its
-// comparison form is unreadable — so the error wraps ErrStorage for
-// callers (the serving layer) to classify; a record removed mid-scan
-// surfaces the fault-in's ErrUnknownID, which verifyReadError turns
-// into a skip.
+// storedSequence reads the comparison form of a record: the
+// reconstruction of its stored representation, in every configuration
+// (the archive keeps originals for Raw and answers no query). Under a
+// memory budget the representation may be cold — materialize pages it
+// back in from the segment tier, so this is the one place the query
+// verification fan-out touches disk. A failure here is a storage fault,
+// not a bad query — the record is committed but its comparison form is
+// unreadable — so the error wraps ErrStorage for callers (the serving
+// layer) to classify; a record removed mid-scan surfaces the fault-in's
+// ErrUnknownID, which verifyReadError turns into a skip.
 func (db *DB) storedSequence(rec *Record) (seq.Sequence, error) {
-	if db.cfg.Archive != nil {
-		s, err := db.Raw(rec.ID)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w: %w", ErrStorage, err)
-		}
-		return s, nil
-	}
 	fs, err := db.materialize(rec)
 	if err != nil {
 		return nil, err
@@ -104,8 +97,8 @@ func (db *DB) storedSequence(rec *Record) (seq.Sequence, error) {
 // ValueQuery implements the prior-art semantics the paper generalizes away
 // from (their Figure 1): a stored sequence matches when every sample lies
 // within ±eps of the exemplar's corresponding sample. Only sequences of
-// the exemplar's length participate; comparison uses raw samples from the
-// archive when available and representation reconstructions otherwise.
+// the exemplar's length participate; comparison is against the stored
+// representation's reconstruction.
 //
 // The query is routed through the planner (see ValueQueryCtx, which also
 // reports the plan): when the feature index is enabled, candidates are
@@ -116,24 +109,11 @@ func (db *DB) ValueQuery(exemplar seq.Sequence, eps float64) ([]Match, error) {
 	return matches, err
 }
 
-// valueScan is ValueQuery's full-scan plan: shard-parallel across the
-// configured worker pool, early-abandoning each candidate at the first
-// sample outside the band. It exists for tests and benchmarks that pin
-// the scan plan regardless of the index configuration.
-func (db *DB) valueScan(exemplar seq.Sequence, eps float64) ([]Match, QueryStats, error) {
-	spec, err := db.valueSpec(exemplar, eps)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	spec.lb = nil // pin the scan plan
-	return db.collectSorted(context.Background(), spec, QueryOptions{})
-}
-
 // DistanceQuery queries the database under an arbitrary distance metric
 // (see package dist): a stored sequence matches when m's distance from
-// the exemplar is at most eps. Like ValueQuery it compares raw samples
-// when an archive is configured and reconstructions otherwise, and skips
-// sequences whose length differs from the exemplar's.
+// the exemplar is at most eps. Like ValueQuery it compares against
+// reconstructions and skips sequences whose length differs from the
+// exemplar's.
 //
 // The query is routed through the planner (see DistanceQueryCtx, which
 // also reports the plan): metrics with a feature-space lower bound (l2,
@@ -142,18 +122,6 @@ func (db *DB) valueScan(exemplar seq.Sequence, eps float64) ([]Match, QueryStats
 func (db *DB) DistanceQuery(exemplar seq.Sequence, m dist.Metric, eps float64) ([]Match, error) {
 	matches, _, err := db.DistanceQueryCtx(context.Background(), exemplar, m, eps, QueryOptions{})
 	return matches, err
-}
-
-// distanceScan is DistanceQuery's full-scan plan, shard-parallel across
-// the configured worker pool. It exists for tests and benchmarks that
-// pin the scan plan regardless of the index configuration.
-func (db *DB) distanceScan(exemplar seq.Sequence, m dist.Metric, eps float64) ([]Match, QueryStats, error) {
-	spec, err := db.distanceSpec(exemplar, m, eps)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	spec.lb = nil // pin the scan plan
-	return db.collectSorted(context.Background(), spec, QueryOptions{})
 }
 
 // MatchPattern returns the ids of sequences whose whole slope-sign symbol

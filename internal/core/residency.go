@@ -3,8 +3,8 @@
 // database, record representations become a bounded hot cache: a
 // resident.Tracker accounts every representation's bytes, evicts cold
 // clean payloads when the budget is exceeded (Record.rep flips to nil),
-// and the exact-verification / GetRecord / archive paths page missing
-// payloads back in from the segment tier through materialize.
+// and the exact-verification / GetRecord paths page missing payloads
+// back in from the segment tier through materialize.
 //
 // Invariants (see docs/STORAGE.md "Residency & paging"):
 //
@@ -12,7 +12,9 @@
 //     while dirty (WAL-covered, not yet checkpointed) and unpinned only
 //     after a checkpoint's manifest commit puts its payload in the
 //     tier. A cold record is therefore always clean, and a clean record
-//     is always readable from the tier.
+//     is always readable from the tier. (The rewrite OpenDir schedules
+//     after a legacy-source boot marks records dirty without pinning
+//     them: their representations are already in the tier.)
 //   - Tombstoned ids stay authoritative: a fault-in that finds a
 //     tombstone (the record was removed under the scan) classifies as
 //     ErrUnknownID, which query verification treats exactly like the
@@ -105,7 +107,7 @@ func (db *DB) faultIn(rec *Record) (*rep.FunctionSeries, error) {
 		// durable invariant broke somewhere — never skip silently.
 		return nil, fmt.Errorf("core: paging %q: payload missing from segment tier: %w", rec.ID, ErrStorage)
 	}
-	fs, _, _, _, err := decodeRecordPayload(db, rec.ID, payload, false, false)
+	fs, _, _, _, err := decodeRecordPayload(db, rec.ID, payload)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding paged payload of %q: %w: %w", rec.ID, ErrStorage, err)
 	}

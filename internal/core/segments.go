@@ -23,10 +23,10 @@ const SegmentsDirName = "segments"
 
 // manifestMeta is the configuration blob the checkpoint path stores in
 // the segment manifest: the scalar parameters a reboot must restore
-// before it can decode payloads and rebuild indexes, plus the comparison
-// source the stored feature vectors and sketches were computed from
-// (featSource / sketchSource) — a boot under a different source rebuilds
-// them instead of restoring them.
+// before it can decode payloads and rebuild indexes, plus the source the
+// stored feature vectors and sketches were computed from (persist.go's
+// featSource constants) — a boot that finds the legacy raw source
+// rebuilds them instead of restoring them.
 type manifestMeta struct {
 	Epsilon      float64 `json:"epsilon"`
 	Delta        float64 `json:"delta"`
@@ -43,15 +43,15 @@ func (db *DB) manifestMeta() manifestMeta {
 		Delta:        db.cfg.Delta,
 		Bucket:       db.cfg.BucketWidth,
 		IndexCoeffs:  int64(db.cfg.IndexCoeffs),
-		FeatSource:   db.featSource(),
+		FeatSource:   featSourceRecon,
 		SketchBlock:  int64(db.cfg.SketchBlock),
-		SketchSource: db.sketchSource(),
+		SketchSource: featSourceRecon,
 	}
 	if db.findex == nil {
-		mm.IndexCoeffs = -1
+		mm.IndexCoeffs, mm.FeatSource = -1, featSourceNone
 	}
 	if db.cfg.SketchBlock <= 0 {
-		mm.SketchBlock = -1
+		mm.SketchBlock, mm.SketchSource = -1, featSourceNone
 	}
 	return mm
 }
@@ -182,8 +182,10 @@ func (db *DB) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Record, er
 			continue
 		}
 		// A dirty record is pinned resident, so this is a pointer load,
-		// never a fault-in; the defensive error path covers a remove
-		// racing between the lookup above and here.
+		// not a fault-in — except the one-time rewrite after a legacy-
+		// source boot (OpenDir), whose records are clean in the tier and
+		// may be cold. The error path also covers a remove racing between
+		// the lookup above and here.
 		fs, err := db.materialize(rec)
 		if err != nil {
 			if err = db.verifyReadError(rec, err); err != nil {
@@ -207,22 +209,25 @@ func (db *DB) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Record, er
 // every live record is decoded and adopted. Runs before dirty tracking
 // is enabled — the manifest already covers these records, so re-flushing
 // them at the next checkpoint would defeat the O(delta) contract.
-func bootFromSegments(segs *segment.Store, cfg Config) (*DB, error) {
+//
+// legacy reports a directory whose stored vectors or sketches derive from
+// archived raws (featSourceLegacyRaw): those were discarded and rebuilt
+// in memory, and the caller must schedule every record for a rewrite so
+// the manifest never claims featSourceRecon over raw-derived payloads.
+func bootFromSegments(segs *segment.Store, cfg Config) (db *DB, legacy bool, err error) {
 	var mm manifestMeta
 	meta := segs.Meta()
 	if len(meta) == 0 {
-		return nil, fmt.Errorf("core: segment manifest carries no configuration metadata")
+		return nil, false, fmt.Errorf("core: segment manifest carries no configuration metadata")
 	}
 	if err := json.Unmarshal(meta, &mm); err != nil {
-		return nil, fmt.Errorf("core: segment manifest metadata: %w", err)
+		return nil, false, fmt.Errorf("core: segment manifest metadata: %w", err)
 	}
-	cfg, err := applyManifestMeta(cfg, mm)
-	if err != nil {
-		return nil, err
+	if cfg, err = applyManifestMeta(cfg, mm); err != nil {
+		return nil, false, err
 	}
-	db, err := New(cfg)
-	if err != nil {
-		return nil, err
+	if db, err = New(cfg); err != nil {
+		return nil, false, err
 	}
 	// Attach the tier and arm residency before adoption: each adopted
 	// record is admitted clean (dirty tracking is still off and its
@@ -231,19 +236,25 @@ func bootFromSegments(segs *segment.Store, cfg Config) (*DB, error) {
 	// boot never materializes more than the budget plus one record.
 	db.segs = segs
 	db.armResidency()
-	restoreVectors := mm.FeatSource == db.featSource()
-	restoreSketches := mm.SketchSource == db.sketchSource()
 	err = segs.Iterate(func(id string, payload []byte) error {
-		fs, feats, zfeats, sk, err := decodeRecordPayload(db, id, payload, restoreVectors, restoreSketches)
+		fs, feats, zfeats, sk, err := decodeRecordPayload(db, id, payload)
 		if err != nil {
 			return err
+		}
+		// Raw-derived vectors and sketches would bound a form no query
+		// verifies against: drop them and let adopt rebuild.
+		if mm.FeatSource == featSourceLegacyRaw {
+			feats, zfeats = nil, nil
+		}
+		if mm.SketchSource == featSourceLegacyRaw {
+			sk = nil
 		}
 		return db.adopt(id, fs, feats, zfeats, sk)
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return db, nil
+	return db, mm.FeatSource == featSourceLegacyRaw || mm.SketchSource == featSourceLegacyRaw, nil
 }
 
 // SegmentStats reports the on-disk segment tier's footprint — segment

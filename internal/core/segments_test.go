@@ -11,9 +11,11 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -428,21 +430,22 @@ func TestSaveEmptyDB(t *testing.T) {
 
 // TestSaveLoadPreservesFeatureIndex is the planner's persistence
 // contract: a reopened database answers indexed queries with the same
-// matches and the same plan statistics, without recomputing a single
-// feature vector or sketch (no archive reads during boot).
+// matches and the same plan statistics, from vectors and sketches restored
+// out of the payloads rather than recomputed — a one-ulp nudge to the
+// stored copies, which a rebuild would erase, survives the boot.
 func TestSaveLoadPreservesFeatureIndex(t *testing.T) {
-	counting := store.NewCountingArchive(store.NewMemArchive())
-	db, dir := openTemp(t, Config{Archive: counting})
+	db, dir := openTemp(t, Config{})
 	exemplar := ingestFevers(t, db, map[string]float64{"fever": 0, "near": 0.05, "far": 50})
 	before, beforeStats, err := db.DistanceQueryCtx(context.Background(), exemplar, dist.Euclidean, 1, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	counting.ResetStats()
-	loaded := reopen(t, db, dir, Config{Archive: counting})
-	if reads := counting.Stats().Reads; reads != 0 {
-		t.Errorf("boot read the archive %d times: vectors or sketches were rebuilt, not restored", reads)
+	far, _ := db.Record("far")
+	far.feats[0] = math.Nextafter(far.feats[0], math.Inf(1))
+	far.sketch.R2 = math.Nextafter(far.sketch.R2, math.Inf(1))
+	loaded := reopen(t, db, dir, Config{})
+	if got, _ := loaded.Record("far"); !reflect.DeepEqual(got.feats, far.feats) || !reflect.DeepEqual(got.sketch, far.sketch) {
+		t.Error("boot recomputed far's feature vector or sketch instead of restoring the stored ones")
 	}
 	if got, want := loaded.Stats().FeatureIndexed, db.Stats().FeatureIndexed; got != want {
 		t.Errorf("FeatureIndexed = %d after reopen, want %d", got, want)
@@ -462,12 +465,11 @@ func TestSaveLoadPreservesFeatureIndex(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRestoresSketches: with the comparison source unchanged
-// across the round trip, every record's progressive sketch is restored
-// bit-for-bit rather than rebuilt, and progressive queries on the
-// reopened database behave identically.
+// TestSaveLoadRestoresSketches: across the round trip every record's
+// progressive sketch is restored bit-for-bit, and progressive queries on
+// the reopened database behave identically.
 func TestSaveLoadRestoresSketches(t *testing.T) {
-	db, dir := openTemp(t, Config{}) // no archive: sketches over reconstructions
+	db, dir := openTemp(t, Config{})
 	ingestFevers(t, db, map[string]float64{"fever": 0, "near": 0.5, "far": 50})
 	loaded := reopen(t, db, dir, Config{})
 	if got := loaded.Config().SketchBlock; got != db.cfg.SketchBlock {
@@ -504,88 +506,111 @@ func TestSaveLoadRestoresSketches(t *testing.T) {
 	}
 }
 
-// sourceChanges are the two ways a directory's comparison source can
-// differ between the run that checkpointed it and the run that boots it.
-// Stored vectors and sketches summarize the old form; restoring them
-// verbatim would prune against one form and verify against another — a
-// false dismissal — so boot must rebuild both from the new form
-// (restoreVectors / restoreSketches false).
+// sourceChanges are the boots whose stored vectors and sketches might not
+// bound the one comparison form. legacy is the directory an older binary
+// run with an archive left behind — payloads derived from the archived
+// raws, manifest sources 1: restoring those verbatim would prune against
+// one form and verify against another (a false dismissal), so boot must
+// discard and rebuild both, archive configured or not (the dropped row's
+// 1-byte memory budget makes its rewrite page cold records). An archive
+// added to this binary's own directory changes nothing. No boot reads it.
 var sourceChanges = []struct {
-	name              string
-	archived, reopens bool // archive configured at first open / at reopen
+	name            string
+	legacy, reopens bool // raw-derived directory / archive configured at reboot
+	budget          int64
 }{
-	{"archive dropped", true, false},
-	{"archive added", false, true},
+	{"archive kept", true, true, 0},
+	{"archive dropped", true, false, 1},
+	{"archive added", false, true, 0},
 }
 
-// reopenAcrossSourceChange ingests two fevers on one side of a source
-// change and reopens on the other. The archive always holds the raws, so
-// the "added" direction has something to verify against.
-func reopenAcrossSourceChange(t *testing.T, archived, reopens bool) (orig, loaded *DB) {
+// acrossSourceChange checkpoints two fevers on one side of a source
+// change, boots the directory on the other and runs check against orig,
+// which still holds the records as checkpointed. Then it checkpoints,
+// closes, boots again and re-runs check: every checkpoint writes this
+// binary's sources into the manifest, so the first must rewrite the legacy
+// payloads in the same commit or the second boot restores them verbatim.
+func acrossSourceChange(t *testing.T, legacy, reopens bool, budget int64, check func(t *testing.T, orig, loaded *DB)) {
 	t.Helper()
-	archive := store.NewMemArchive()
-	var first, second Config
-	if archived {
+	archive := store.NewCountingArchive(store.NewMemArchive())
+	first, second := Config{}, Config{MemoryBudget: budget}
+	if legacy {
 		first.Archive = archive
 	}
 	if reopens {
 		second.Archive = archive
 	}
-	db, dir := openTemp(t, first)
+	orig, dir := openTemp(t, first)
 	shifts := map[string]float64{"fever": 0, "far": 50}
-	fever := ingestFevers(t, db, shifts)
-	if !archived {
+	fever := ingestFevers(t, orig, shifts)
+	mm := orig.manifestMeta()
+	if legacy {
 		for id, shift := range shifts {
-			if err := archive.Put(id, fever.ShiftValue(shift)); err != nil {
-				t.Fatal(err)
-			}
+			rec, _ := orig.Record(id)
+			raw := fever.ShiftValue(shift).Values()
+			orig.findex.computeFeatures(rec, raw)
+			rec.sketch = multires.BuildSketch(raw, orig.cfg.SketchBlock)
 		}
+		mm.FeatSource, mm.SketchSource = featSourceLegacyRaw, featSourceLegacyRaw
 	}
-	return db, reopen(t, db, dir, second)
+	if err := orig.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	meta, _ := json.Marshal(mm) // recommit the manifest under mm's sources
+	if err := orig.segs.Flush(nil, orig.segs.LSN(), meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.Close(); err != nil {
+		t.Fatal(err)
+	}
+	archive.ResetStats()
+	loaded, err := OpenDir(dir, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, orig, loaded)
+	check(t, orig, reopen(t, loaded, dir, second))
+	if reads := archive.Stats().Reads; reads != 0 {
+		t.Errorf("the boots and their queries read the archive %d times", reads)
+	}
 }
 
 func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
 	for _, sc := range sourceChanges {
 		t.Run(sc.name, func(t *testing.T) {
-			orig, loaded := reopenAcrossSourceChange(t, sc.archived, sc.reopens)
-			if got := loaded.Stats().FeatureIndexed; got != 2 {
-				t.Errorf("FeatureIndexed = %d, want 2 (rebuilt from the new comparison form)", got)
-			}
-			rec, _ := loaded.Record("fever")
-			vals, ok := loaded.comparisonValues(rec, nil)
-			if !ok {
-				t.Fatal("no comparison values for fever")
-			}
-			var want Record
-			loaded.findex.computeFeatures(&want, vals)
-			if !reflect.DeepEqual(rec.feats, want.feats) || !reflect.DeepEqual(rec.zfeats, want.zfeats) {
-				t.Error("vectors do not derive from the reopened comparison form")
-			}
-			if before, _ := orig.Record("fever"); reflect.DeepEqual(rec.feats, before.feats) {
-				t.Error("vectors survived a comparison-source change verbatim; rebuild path untested")
-			}
-			// The comparison form must match itself at every tolerance on
-			// both plans.
-			self := seq.New(vals)
-			for _, eps := range []float64{0, 0.001, 0.01, 0.1, 1} {
-				indexed, istats, err := loaded.DistanceQueryCtx(context.Background(), self, dist.Euclidean, eps, QueryOptions{})
+			acrossSourceChange(t, sc.legacy, sc.reopens, sc.budget, func(t *testing.T, orig, loaded *DB) {
+				if got := loaded.Stats().FeatureIndexed; got != 2 {
+					t.Errorf("FeatureIndexed = %d, want 2", got)
+				}
+				self, err := loaded.Reconstruct("fever")
 				if err != nil {
 					t.Fatal(err)
 				}
-				scanned, _, err := loaded.distanceScan(self, dist.Euclidean, eps)
-				if err != nil {
-					t.Fatal(err)
+				rec, _ := loaded.Record("fever")
+				var want Record
+				loaded.findex.computeFeatures(&want, self.Values())
+				if !reflect.DeepEqual(rec.feats, want.feats) || !reflect.DeepEqual(rec.zfeats, want.zfeats) {
+					t.Error("vectors do not derive from the reconstruction")
 				}
-				if !reflect.DeepEqual(indexed, scanned) {
-					t.Fatalf("eps=%g: indexed %+v != scan %+v (stale vectors?)", eps, indexed, scanned)
+				if before, _ := orig.Record("fever"); reflect.DeepEqual(rec.feats, before.feats) == sc.legacy {
+					t.Errorf("stored vectors restored verbatim = %v, want %v", sc.legacy, !sc.legacy)
 				}
-				if istats.Plan != PlanIndex {
-					t.Errorf("eps=%g: plan = %q, want index", eps, istats.Plan)
+				// The comparison form must match itself at every tolerance on
+				// both plans.
+				for _, eps := range []float64{0, 0.001, 0.01, 0.1, 1} {
+					indexed, istats, err := loaded.DistanceQueryCtx(context.Background(), self, dist.Euclidean, eps, QueryOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					scanned, _, err := loaded.distanceScan(self, dist.Euclidean, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(indexed) == 0 || !reflect.DeepEqual(indexed, scanned) || istats.Plan != PlanIndex {
+						t.Fatalf("eps=%g: indexed %+v (plan %q) != scan %+v (stale vectors dismissed the self-match?)", eps, indexed, istats.Plan, scanned)
+					}
 				}
-				if len(indexed) == 0 {
-					t.Fatalf("eps=%g: self-match dismissed", eps)
-				}
-			}
+			})
 		})
 	}
 }
@@ -593,31 +618,32 @@ func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
 func TestLoadRebuildsSketchesOnSourceChange(t *testing.T) {
 	for _, sc := range sourceChanges {
 		t.Run(sc.name, func(t *testing.T) {
-			orig, loaded := reopenAcrossSourceChange(t, sc.archived, sc.reopens)
-			rebuilt := 0
-			for _, id := range loaded.IDs() {
-				rec, _ := loaded.Record(id)
-				if rec.sketch == nil {
-					t.Fatalf("%q: sketch missing after a source-change reopen", id)
+			acrossSourceChange(t, sc.legacy, sc.reopens, sc.budget, func(t *testing.T, orig, loaded *DB) {
+				rebuilt := 0
+				for _, id := range loaded.IDs() {
+					rec, _ := loaded.Record(id)
+					if rec.sketch == nil {
+						t.Fatalf("%q: sketch missing after the reboot", id)
+					}
+					// The sketch must equal one built fresh from the
+					// reconstruction...
+					recon, err := loaded.Reconstruct(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := multires.BuildSketch(recon.Values(), loaded.cfg.SketchBlock); !reflect.DeepEqual(rec.sketch, want) {
+						t.Errorf("%q: sketch does not match the reconstruction", id)
+					}
+					// ...and a raw-derived one differs from it wherever the
+					// lossy representation actually moved the signal.
+					if before, _ := orig.Record(id); !reflect.DeepEqual(rec.sketch, before.sketch) {
+						rebuilt++
+					}
 				}
-				// The rebuilt sketch must equal one built fresh from the
-				// reopened database's own comparison form...
-				vals, ok := loaded.comparisonValues(rec, nil)
-				if !ok {
-					t.Fatalf("%q: no comparison values", id)
+				if (rebuilt > 0) != sc.legacy {
+					t.Errorf("%d sketches rebuilt, legacy directory = %v", rebuilt, sc.legacy)
 				}
-				if want := multires.BuildSketch(vals, loaded.cfg.SketchBlock); !reflect.DeepEqual(rec.sketch, want) {
-					t.Errorf("%q: sketch does not match the reopened comparison form", id)
-				}
-				// ...and differ from the stored one wherever the lossy
-				// representation actually moved the signal.
-				if before, _ := orig.Record(id); !reflect.DeepEqual(rec.sketch, before.sketch) {
-					rebuilt++
-				}
-			}
-			if rebuilt == 0 {
-				t.Error("every sketch survived a comparison-source change verbatim; rebuild path untested")
-			}
+			})
 		})
 	}
 }

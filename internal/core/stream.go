@@ -179,8 +179,8 @@ type candidate struct {
 }
 
 // verifyAll fans the exact verification of a materialized candidate set
-// across the worker pool, outside every lock (it is the archive- and
-// reconstruction-reading part).
+// across the worker pool, outside every lock (it is the part that
+// reconstructs, and under a memory budget pages in, representations).
 func (db *DB) verifyAll(col *collector, cands []candidate) {
 	db.forEachClaimed(len(cands), func(i int) {
 		if col.stopped() {

@@ -69,5 +69,5 @@ func BenchmarkSubsequenceIncrementalVsRecompute(b *testing.B) {
 		}
 	}
 	b.Run("incremental", func(b *testing.B) { run(b, SubsequenceMatch) })
-	b.Run("recompute", func(b *testing.B) { run(b, SubsequenceMatchRecompute) })
+	b.Run("recompute", func(b *testing.B) { run(b, subsequenceMatchRecompute) })
 }

@@ -20,14 +20,18 @@ import (
 // DFT returns the orthonormal discrete Fourier transform of vals,
 // X[k] = (1/√n) Σ_j x[j]·e^(-2πi·jk/n), computed directly in O(n²).
 // Kept as the reference implementation; FFT is the fast path.
-func DFT(vals []float64) []complex128 {
+func DFT(vals []float64) []complex128 { return dftPrefix(vals, len(vals)) }
+
+// dftPrefix returns the first m <= len(vals) coefficients of DFT(vals),
+// each computed exactly as the full transform computes it, in O(n·m).
+func dftPrefix(vals []float64, m int) []complex128 {
 	n := len(vals)
-	out := make([]complex128, n)
+	out := make([]complex128, m)
 	if n == 0 {
 		return out
 	}
 	scale := 1 / math.Sqrt(float64(n))
-	for k := 0; k < n; k++ {
+	for k := 0; k < m; k++ {
 		var sum complex128
 		for j := 0; j < n; j++ {
 			angle := -2 * math.Pi * float64(j) * float64(k) / float64(n)
@@ -130,12 +134,19 @@ func Transform(vals []float64) []complex128 {
 // Features returns the 2k-dimensional feature vector of the first k DFT
 // coefficients (real and imaginary parts interleaved), the mapping the
 // F-index uses. Sequences shorter than required pad conceptually with the
-// available coefficients; k must be >= 1.
+// available coefficients; k must be >= 1. A power-of-two length goes
+// through the FFT, which yields every coefficient anyway; any other
+// length computes only the coefficients kept, not the O(n²) transform.
 func Features(vals []float64, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("dft: feature count %d must be >= 1", k)
 	}
-	coeffs := Transform(vals)
+	var coeffs []complex128
+	if n := len(vals); n&(n-1) == 0 {
+		coeffs = Transform(vals)
+	} else {
+		coeffs = dftPrefix(vals, min(k, n))
+	}
 	out := make([]float64, 0, 2*k)
 	for i := 0; i < k; i++ {
 		var c complex128

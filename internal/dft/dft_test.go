@@ -164,6 +164,31 @@ func TestFeatures(t *testing.T) {
 	}
 }
 
+// TestFeaturesPrefixBitIdentical: off the FFT path Features computes only
+// the coefficients it keeps, and each must equal the full transform's bit
+// for bit — stored feature vectors must not notice the shortcut.
+func TestFeaturesPrefixBitIdentical(t *testing.T) {
+	for _, n := range []int{1, 7, 97, 100} {
+		vals := randVals(n, 15)
+		full := DFT(vals)
+		for _, k := range []int{1, 8, n, n + 3} {
+			want := make([]float64, 2*k) // k > n pads with zeros
+			for i := 0; i < min(k, n); i++ {
+				want[2*i], want[2*i+1] = real(full[i]), imag(full[i])
+			}
+			got, err := Features(vals, k)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("n=%d k=%d: len %d err %v", n, k, len(got), err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d k=%d entry %d: %v != %v", n, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestFeatureDistanceLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 50; trial++ {

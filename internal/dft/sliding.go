@@ -176,51 +176,3 @@ func SubsequenceMatch(id string, stored, q seq.Sequence, k int, eps float64) ([]
 	}
 	return out, nil
 }
-
-// SubsequenceMatchRecompute is the pre-incremental baseline: a fresh
-// O(w·k) transform per window. Kept as the oracle the equivalence tests
-// compare against and the yardstick the benchmarks measure the
-// incremental path's speedup over.
-func SubsequenceMatchRecompute(id string, stored, q seq.Sequence, k int, eps float64) ([]WindowMatch, error) {
-	w := len(q)
-	if w == 0 {
-		return nil, fmt.Errorf("dft: empty query")
-	}
-	if len(stored) < w {
-		return nil, nil
-	}
-	if eps < 0 {
-		return nil, fmt.Errorf("dft: negative tolerance %g", eps)
-	}
-	qf, err := Features(q.Values(), k)
-	if err != nil {
-		return nil, err
-	}
-	var out []WindowMatch
-	qv := q.Values()
-	buf := make([]float64, w)
-	for off := 0; off+w <= len(stored); off++ {
-		for i := 0; i < w; i++ {
-			buf[i] = stored[off+i].V
-		}
-		wf, err := Features(buf, k)
-		if err != nil {
-			return nil, err
-		}
-		fd, err := FeatureDistance(qf, wf)
-		if err != nil {
-			return nil, err
-		}
-		if fd > eps {
-			continue
-		}
-		d, err := dist.L2Values(buf, qv)
-		if err != nil {
-			return nil, err
-		}
-		if d <= eps {
-			out = append(out, WindowMatch{ID: id, Offset: off, Distance: d})
-		}
-	}
-	return out, nil
-}

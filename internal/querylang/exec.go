@@ -25,7 +25,6 @@ type Database interface {
 	IntervalQuery(n, eps float64) ([]core.IntervalMatch, error)
 	Query(ctx context.Context, spec core.QuerySpec, opts core.QueryOptions, yield func(core.Match) bool) (core.QueryStats, error)
 	QueryProgressive(ctx context.Context, spec core.QuerySpec, opts core.QueryOptions, yield func(core.ProgressiveMatch) bool) (core.QueryStats, error)
-	Raw(id string) (seq.Sequence, error)
 	Reconstruct(id string) (seq.Sequence, error)
 	Config() core.Config
 }
@@ -736,12 +735,10 @@ func quoteIdent(id string) string {
 	return `"` + id + `"`
 }
 
-// loadExemplar fetches a stored sequence at full resolution when an archive
-// exists, falling back to the representation reconstruction.
+// loadExemplar reconstructs a stored sequence from its representation:
+// the same form the query verifies against, so LIKE id at EPS 0 finds id
+// as an exact match.
 func loadExemplar(db Database, id string) (seq.Sequence, error) {
-	if raw, err := db.Raw(id); err == nil {
-		return raw, nil
-	}
 	s, err := db.Reconstruct(id)
 	if err != nil {
 		return nil, fmt.Errorf("querylang: exemplar %q: %w", id, err)

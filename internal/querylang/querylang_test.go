@@ -216,11 +216,13 @@ func TestExecInterval(t *testing.T) {
 
 func TestExecValue(t *testing.T) {
 	db := testDB(t)
-	res, err := Exec(db, `MATCH VALUE LIKE two EPS 0.1`)
+	// LIKE id reconstructs the exemplar — the form it is compared against —
+	// so at EPS 0 a record finds exactly itself.
+	res, err := Exec(db, `MATCH VALUE LIKE two EPS 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind != "value" || len(res.IDs) != 1 || res.IDs[0] != "two" {
+	if res.Kind != "value" || len(res.IDs) != 1 || res.IDs[0] != "two" || !res.Matches[0].Exact {
 		t.Errorf("result %+v", res)
 	}
 	// Default EPS comes from the database config (0.5): still only "two"
@@ -255,7 +257,7 @@ func TestExecShape(t *testing.T) {
 	}
 }
 
-// Without an archive the exemplar loads from the representation.
+// With or without an archive the exemplar loads from the representation.
 func TestExecShapeWithoutArchive(t *testing.T) {
 	db, err := core.New(core.Config{})
 	if err != nil {

@@ -24,7 +24,7 @@ const benchCorpusN = 512
 
 func benchServers(b *testing.B) (hot, cold *client.Client) {
 	b.Helper()
-	db, err := seqrep.New(seqrep.Config{Archive: seqrep.NewMemArchive()})
+	db, err := seqrep.New(seqrep.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func BenchmarkServerQueryHotpath(b *testing.B) {
 		leaf int
 	}{{"vptree", 0}, {"linear", -1}} {
 		b.Run(mode.name, func(b *testing.B) {
-			db, err := seqrep.New(seqrep.Config{Archive: seqrep.NewMemArchive(), IndexLeaf: mode.leaf})
+			db, err := seqrep.New(seqrep.Config{IndexLeaf: mode.leaf})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -31,8 +31,8 @@ func TestEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
-	// The archive persists on disk alongside the data directory, so the
-	// restarted server compares the very same raw samples.
+	// The archive keeps the originals on disk alongside the data
+	// directory; every answer below comes from the data directory alone.
 	arch, err := seqrep.NewFileArchive(filepath.Join(dir, "raws"))
 	if err != nil {
 		t.Fatal(err)

@@ -147,11 +147,13 @@ func TestSnapshotFaultInjectionUnderLoad(t *testing.T) {
 	}
 }
 
-// TestStorageFaultAnswers500 pins the server-fault classification: a
-// stored record whose raw samples have vanished from the archive (here:
-// deleted behind the database's back, as a lost or restored-from-older-
-// backup archive directory would) turns queries that must read them into
-// 500s, not 4xx, while the server itself stays healthy.
+// TestStorageFaultAnswers500 pins what a lost or stale archive (here: a
+// raw deleted behind the database's back, as an older backup would leave
+// it) can and cannot break. Queries read the stored representation only,
+// so they keep answering 200 with every record; Raw reports the loss;
+// Remove's archive delete unlinks the record and answers 500, not 4xx.
+// The 500 for an unreadable comparison form (a cold payload that fails to
+// page in) is TestResidencyColdReadFaultAnswers500.
 func TestStorageFaultAnswers500(t *testing.T) {
 	ctx := context.Background()
 	arch := seqrep.NewMemArchive()
@@ -170,27 +172,27 @@ func TestStorageFaultAnswers500(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = c.Query(ctx, `MATCH VALUE LIKE keep EPS 1000`)
-	if ae := apiErr(t, err); ae.StatusCode != 500 || !strings.Contains(ae.Message, "storage fault") {
-		t.Fatalf("query over a raw-less record = %v, want a 500 storage fault", err)
+	for _, stmt := range []string{`MATCH VALUE LIKE keep EPS 1000`, `MATCH DISTANCE LIKE victim METRIC l2 EPS 1000`} {
+		if res, err := c.Query(ctx, stmt); err != nil || len(res.IDs) != 2 {
+			t.Fatalf("%s over a raw-less record = %+v, %v, want both records", stmt, res, err)
+		}
 	}
-	// The fault is per-query, not per-server.
+	if _, err := db.Raw("victim"); err == nil {
+		t.Fatal("Raw hid the lost original")
+	}
+	// The remove unlinks the record but errors on the already-gone raw —
+	// the record must be gone regardless, and the id reusable.
+	_, err = c.Remove(ctx, "victim")
+	if ae := apiErr(t, err); ae.StatusCode != 500 || !strings.Contains(ae.Message, "storage fault") {
+		t.Fatalf("removing a raw-less record = %v, want a 500 storage fault", err)
+	}
 	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
 		t.Fatalf("health after storage fault = %+v, %v", h, err)
-	}
-	// Re-ingesting the id heals it, after removing the stale record. The
-	// remove unlinks the record but errors on the already-gone raws — the
-	// record must be gone regardless.
-	if _, err := c.Remove(ctx, "victim"); err == nil {
-		t.Fatal("removing a raw-less record hid the archive inconsistency")
 	}
 	if _, err := c.Record(ctx, "victim"); !apiErr(t, err).IsNotFound() {
 		t.Fatal("failed archive delete left the record linked")
 	}
 	if _, err := c.Ingest(ctx, feverItem(t, "victim", 0)); err != nil {
 		t.Fatalf("re-ingest after heal: %v", err)
-	}
-	if _, err := c.Query(ctx, `MATCH VALUE LIKE keep EPS 1000`); err != nil {
-		t.Fatalf("query after re-ingest: %v", err)
 	}
 }

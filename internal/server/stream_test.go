@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,27 +349,45 @@ func TestRefineFrameHiEncoding(t *testing.T) {
 	}
 }
 
+// slowPagedDB ingests n walks ("<prefix>-000"…) into a paged database —
+// 1-byte budget, checkpointed, so every representation is cold — whose
+// segment-tier reads cost perRead each (production's slow path); reads
+// counts them.
+func slowPagedDB(t *testing.T, prefix string, n int, perRead time.Duration) (db *seqrep.DB, reads *atomic.Int64) {
+	t.Helper()
+	db, err := seqrep.OpenDir(t.TempDir(), seqrep.Config{MemoryBudget: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	rng := rand.New(rand.NewSource(11))
+	items := make([]seqrep.BatchItem, n)
+	for i := range items {
+		items[i] = seqrep.BatchItem{ID: fmt.Sprintf("%s-%03d", prefix, i), Seq: smoothWalk(rng, 32)}
+	}
+	if n, err := db.IngestBatch(items); err != nil || n != len(items) {
+		t.Fatalf("ingest: %d, %v", n, err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reads = new(atomic.Int64)
+	db.SetSegmentReadFault(func() error {
+		reads.Add(1)
+		time.Sleep(perRead)
+		return nil
+	})
+	return db, reads
+}
+
 // TestQueryStreamDisconnect pins the handler-release contract: a client
 // that walks away mid-stream frees the handler promptly — the query's
 // context aborts the scan instead of burning through the remaining
 // records. Handler completion is observed through the metrics
 // middleware, which records a request only when its handler returns.
 func TestQueryStreamDisconnect(t *testing.T) {
-	arch := seqrep.NewMemArchive()
-	db, err := seqrep.New(seqrep.Config{Archive: arch, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	var items []seqrep.BatchItem
-	for i := 0; i < 400; i++ {
-		items = append(items, seqrep.BatchItem{ID: fmt.Sprintf("s-%03d", i), Seq: smoothWalk(rng, 32)})
-	}
-	if n, err := db.IngestBatch(items); err != nil || n != len(items) {
-		t.Fatalf("ingest: %d, %v", n, err)
-	}
-	arch.ReadLatency = 2 * time.Millisecond // slow verification from here on
-
+	const n = 400
+	db, reads := slowPagedDB(t, "s", n, 2*time.Millisecond)
 	ts, c := streamServer(t, Config{DB: db})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -383,19 +402,24 @@ func TestQueryStreamDisconnect(t *testing.T) {
 	cancel()
 	qs.Close()
 
-	// The full scan would take ~400 × 2ms / 2 workers ≈ 400ms of archive
+	// The full scan would take ~400 × 2ms / 2 workers ≈ 400ms of cold
 	// reads alone; a released handler shows up in the metrics much
 	// sooner. Poll for the stream request being recorded.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		metrics, err := client.New(ts.URL).Metrics(context.Background())
 		if err == nil && strings.Contains(metrics, `endpoint="POST /v1/query/stream"`) {
-			return // handler returned and was observed
+			break // handler returned and was observed
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("stream handler not released within 3s of client disconnect")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	// Not vacuous: a handler that returned because the scan finished
+	// inside the deadline has paid every record's cold read.
+	if got := reads.Load(); got >= n {
+		t.Fatalf("handler returned after %d cold reads: the scan ran to completion", got)
 	}
 }
 
@@ -426,21 +450,8 @@ func TestQueryServerBounds(t *testing.T) {
 		t.Errorf("capped answer did not cache: cached=%v matches=%d", again.Cached, len(again.Matches))
 	}
 
-	// Timeout: a slow archive makes the scan outrun a 10ms budget.
-	arch := seqrep.NewMemArchive()
-	db, err := seqrep.New(seqrep.Config{Archive: arch, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	var items []seqrep.BatchItem
-	for i := 0; i < 200; i++ {
-		items = append(items, seqrep.BatchItem{ID: fmt.Sprintf("t-%03d", i), Seq: smoothWalk(rng, 32)})
-	}
-	if n, err := db.IngestBatch(items); err != nil || n != len(items) {
-		t.Fatalf("ingest: %d, %v", n, err)
-	}
-	arch.ReadLatency = 2 * time.Millisecond
+	// Timeout: slow cold reads make the scan outrun a 10ms budget.
+	db, _ := slowPagedDB(t, "t", 200, 2*time.Millisecond)
 	_, slow := streamServer(t, Config{DB: db, QueryTimeout: 10 * time.Millisecond, CacheSize: -1})
 	_, err = slow.Query(ctx, `MATCH DISTANCE LIKE t-000 METRIC l2 EPS 999999`)
 	apiErr, ok := err.(*client.APIError)

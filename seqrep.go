@@ -29,8 +29,12 @@
 //     named distance metric), MatchPattern / SearchPattern (slope-sign
 //     regular expressions), PeakCount, IntervalQuery (inverted-index
 //     interval search), ShapeQuery (generalized approximate query with
-//     per-dimension tolerances). ValueQuery and DistanceQuery are routed
-//     through a query planner: metrics with a DFT feature-space lower
+//     per-dimension tolerances). Every query reads the stored
+//     representation only: ValueQuery and DistanceQuery compare against
+//     its reconstruction, in every configuration. Config.Archive keeps
+//     the originals for Raw(id) and answers nothing. ValueQuery and
+//     DistanceQuery are routed through a query planner: metrics with a
+//     DFT feature-space lower
 //     bound (l2, zl2, the ±ε band) generate candidates through a
 //     columnar feature store searched by vantage-point trees — sub-linear
 //     in the stored population, with guaranteed zero false dismissals —
@@ -152,7 +156,7 @@ type (
 	Curve = fit.Curve
 	// PreprocessChain is an ordered preprocessing pipeline.
 	PreprocessChain = filter.Chain
-	// Archive stores raw sequences.
+	// Archive keeps raw sequences for DB.Raw; no query reads it.
 	Archive = store.Archive
 )
 
@@ -162,8 +166,9 @@ var (
 	ErrDuplicateID = core.ErrDuplicateID
 	// ErrUnknownID reports an operation on an id the database lacks.
 	ErrUnknownID = core.ErrUnknownID
-	// ErrStorage reports a server-side storage fault answering a query:
-	// a stored record's comparison form could not be read.
+	// ErrStorage reports a server-side storage fault: a stored record's
+	// representation could not be paged in or reconstructed for a query,
+	// or an archive write or delete failed.
 	ErrStorage = core.ErrStorage
 	// ErrDegraded reports a write rejected because the database is in
 	// storage-fault read-only mode (DB.DegradedStatus, DB.Recover).

@@ -60,8 +60,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("ShapeQuery = %+v", shape)
 	}
 
-	// Value query via archive.
-	val, err := db.ValueQuery(fever, 0.1)
+	// Value query: a record's reconstruction is an exact match of itself.
+	stored, err := db.Reconstruct("two")
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := db.ValueQuery(stored, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if loaded.Len() != 2 {
 		t.Errorf("reopened with %d records", loaded.Len())
 	}
-	if again, err := loaded.ValueQuery(fever, 0.1); err != nil || len(again) != 1 || again[0].ID != val[0].ID {
+	if again, err := loaded.ValueQuery(stored, 0.1); err != nil || len(again) != 1 || again[0].ID != "two" {
 		t.Errorf("ValueQuery after reopen = %+v, %v", again, err)
 	}
 }
