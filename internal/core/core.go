@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,11 +38,8 @@ import (
 	"seqrep/internal/index/inverted"
 	"seqrep/internal/multires"
 	"seqrep/internal/rep"
-	"seqrep/internal/resident"
-	"seqrep/internal/segment"
 	"seqrep/internal/seq"
 	"seqrep/internal/store"
-	"seqrep/internal/wal"
 )
 
 // Config parameterizes a DB. The zero value is usable: it yields the
@@ -151,9 +149,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.SketchBlock == 0 {
 		out.SketchBlock = 16
-	}
-	if out.RecoveryProbeInterval == 0 {
-		out.RecoveryProbeInterval = 2 * time.Second
 	}
 	return out
 }
@@ -322,55 +317,9 @@ type DB struct {
 	// signal behind the serving layer's result cache.
 	gen atomic.Uint64
 
-	// Durable write path (OpenDir; nil/zero otherwise). wal is the
-	// write-ahead log every Ingest/Remove appends to — and waits for the
-	// fsync — before its in-memory commit. ckptMu brackets each
-	// append→commit window for reading; Checkpoint takes it exclusively
-	// around the log rotation so every record in a sealed (about to be
-	// flushed and truncated) segment is committed in memory first.
-	// ckptRun serializes whole checkpoints; lastCkpt, ckptFails, ckptErr
-	// and recovery feed health reporting.
-	wal      *wal.WAL
-	ckptMu   sync.RWMutex
-	ckptRun  sync.Mutex
-	lastCkpt atomic.Pointer[time.Time]
-	recovery RecoveryStats
-
-	// segs is the on-disk segment tier checkpoints flush into (OpenDir
-	// only). dirty is the id set mutated since the last checkpoint — true
-	// for a live upsert, false for a removal that must become a tombstone
-	// — making checkpoint cost O(delta); nil disables tracking (non-
-	// durable databases, and the boot window while segments are adopted).
-	// dirtyMu guards the map itself: writers mark while holding ckptMu
-	// only for *reading*, so concurrent marks race with each other even
-	// though they cannot race the checkpoint's swap.
-	segs    *segment.Store
-	dirtyMu sync.Mutex
-	dirty   map[string]bool
-	// res is the residency tracker bounding resident representation
-	// bytes (OpenDir with Config.MemoryBudget > 0 only; nil keeps every
-	// representation resident). See residency.go. Lock order: tracker
-	// calls may take a shard read lock (the eviction callback) but never
-	// dirtyMu or imu, and no tracker method is called while holding
-	// dirtyMu or a shard lock.
-	res        *resident.Tracker
-	ckptFails  atomic.Uint64
-	ckptStreak atomic.Uint64 // consecutive checkpoint failures; reset on success
-	ckptErr    atomic.Pointer[string]
-
-	// Storage-fault read-only mode (degraded.go): degraded flips when a
-	// WAL append/fsync fault poisons the log; writes then fail fast with
-	// ErrDegraded while reads keep serving. degCause/degSince describe
-	// the episode, degTotal/recoveries count transitions, and the probe
-	// fields run the supervised disk-recovery loop OpenDir arms.
-	degraded   atomic.Bool
-	degCause   atomic.Pointer[string]
-	degSince   atomic.Pointer[time.Time]
-	degTotal   atomic.Uint64
-	recoveries atomic.Uint64
-	probeStop  chan struct{}
-	probeHalt  sync.Once
-	probeWG    sync.WaitGroup
+	// storage is where records live beyond the catalogue: volatile for
+	// New, the directory-backed dirStore for OpenDir (storage.go).
+	storage storage
 
 	imu     sync.RWMutex
 	ids     []string // sorted
@@ -381,8 +330,13 @@ type DB struct {
 	symIndex map[string][]string
 }
 
-// New creates a database from cfg (zero value = paper defaults).
-func New(cfg Config) (*DB, error) {
+// New creates a volatile database from cfg (zero value = paper
+// defaults): nothing reaches disk and every representation stays
+// resident. OpenDir creates a durable one.
+func New(cfg Config) (*DB, error) { return newDB(cfg, volatile{}) }
+
+// newDB validates cfg and builds an empty catalogue over st.
+func newDB(cfg Config, st storage) (*DB, error) {
 	c := cfg.withDefaults()
 	if c.Epsilon < 0 {
 		return nil, fmt.Errorf("core: negative epsilon %g", c.Epsilon)
@@ -411,6 +365,7 @@ func New(cfg Config) (*DB, error) {
 		cfg:      c,
 		seed:     maphash.MakeSeed(),
 		shards:   shards,
+		storage:  st,
 		rrIndex:  ix,
 		symIndex: make(map[string][]string),
 	}
@@ -533,22 +488,7 @@ func (db *DB) link(rec *Record) error {
 		db.findex.add(rec)
 	}
 	db.gen.Add(1)
-	// Register the representation with the residency tracker. A record
-	// about to be marked dirty is admitted pinned in the same tracker
-	// critical section: its payload is not in the segment tier yet, so
-	// eviction must not touch it until a checkpoint flushes it (the
-	// checkpoint unpins after its manifest commit). During boot adoption
-	// dirty tracking is off and the payload came from the tier, so the
-	// record is admitted clean — immediately evictable, which bounds
-	// resident bytes while the tier streams in.
-	if db.res != nil {
-		db.res.Admit(rec.ID, rec.repBytes, &rec.hot, db.dirtyTracking())
-	}
-	// The record is now committed: mark it for the next checkpoint's
-	// delta flush. For WAL'd writes this runs inside the caller's ckptMu
-	// read window, so the mark lands in the same dirty epoch as the log
-	// record (the checkpoint's rotate+swap cannot fall between them).
-	db.markDirty(rec.ID, true)
+	db.storage.linked(rec)
 	return nil
 }
 
@@ -579,7 +519,7 @@ func (db *DB) IngestRecord(id string, s seq.Sequence) (*Record, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: ingesting %q: %w", id, err)
 	}
-	if err := db.writable(); err != nil {
+	if err := db.storage.writable(); err != nil {
 		// Fail fast before the pipeline runs: a degraded database cannot
 		// make the write durable, so spending CPU on it only deepens the
 		// overload that usually accompanies a storage fault.
@@ -594,25 +534,11 @@ func (db *DB) IngestRecord(id string, s seq.Sequence) (*Record, error) {
 		sh.abort(id)
 		return nil, err
 	}
-	if db.wal != nil {
-		// Write-ahead: the operation is fsync-durable before the commit
-		// that makes it observable, so an acknowledged ingest can always
-		// be replayed. ckptMu (read) spans append→commit: a checkpoint
-		// may not seal this record away into a truncatable segment until
-		// the commit it describes is snapshot-visible.
-		payload, err := encodeWALIngest(id, s)
-		if err != nil {
-			sh.abort(id)
-			return nil, err
-		}
-		db.ckptMu.RLock()
-		if err := db.walAppend(walOpIngest, payload); err != nil {
-			db.ckptMu.RUnlock()
-			sh.abort(id)
-			return nil, err
-		}
-		defer db.ckptMu.RUnlock()
+	if err := db.storage.logIngest(id, s); err != nil {
+		sh.abort(id)
+		return nil, err
 	}
+	defer db.storage.endWrite()
 	sh.commit(rec)
 	if err := db.link(rec); err != nil {
 		sh.drop(id)
@@ -722,7 +648,7 @@ func (db *DB) forEachClaimed(n int, fn func(i int)) {
 // fails with the duplicate error rather than interleaving with the
 // removal; once Remove returns, the id is free to reuse.
 func (db *DB) Remove(id string) error {
-	if err := db.writable(); err != nil {
+	if err := db.storage.writable(); err != nil {
 		return err
 	}
 	sh := db.shardOf(id)
@@ -742,34 +668,13 @@ func (db *DB) Remove(id string) error {
 	sh.mu.Unlock()
 	defer sh.abort(id) // release the hold when the unlink is done
 
-	if db.wal != nil {
-		// Write-ahead, mirroring Ingest: the removal is fsync-durable
-		// before it becomes observable. The record stays in its shard
-		// (pending blocks re-ingest) until the log record lands — were it
-		// dropped first, a checkpoint in that window would snapshot the
-		// state without the record and truncate the covering ingest while
-		// no remove was yet logged, so a crash (or a failed append) could
-		// lose the acknowledged ingest for a removal never acknowledged.
-		// ckptMu (read) then spans append→unlink, as in Ingest.
-		payload, err := encodeWALRemove(id)
-		if err != nil {
-			return err
-		}
-		db.ckptMu.RLock()
-		if err := db.walAppend(walOpRemove, payload); err != nil {
-			db.ckptMu.RUnlock()
-			return err
-		}
-		defer db.ckptMu.RUnlock()
+	// The record stays in its shard until the removal is durable.
+	if err := db.storage.logRemove(id); err != nil {
+		return err
 	}
+	defer db.storage.endWrite()
 
 	sh.drop(id)
-	// Withdraw the record from the residency tracker. The ref pointer
-	// scopes the drop to exactly this record object: a later re-ingest
-	// under the same id carries a different ref, so a racing stale drop
-	// cannot touch the successor's entry.
-	db.res.Drop(id, &rec.hot)
-
 	db.imu.Lock()
 	db.ids = removeSorted(db.ids, id)
 	db.rrIndex.RemoveID(id)
@@ -783,11 +688,7 @@ func (db *DB) Remove(id string) error {
 	}
 	db.gen.Add(1)
 	db.imu.Unlock()
-
-	// Mark the removal for the next checkpoint (a tombstone in the delta
-	// flush). As in link, the WAL'd path runs this inside the ckptMu read
-	// window taken above, pinning the mark to the log record's epoch.
-	db.markDirty(id, false)
+	db.storage.unlinked(rec)
 
 	if db.cfg.Archive != nil {
 		if err := db.cfg.Archive.Delete(id); err != nil {
@@ -879,4 +780,16 @@ func (db *DB) snapshotRecords() [][]*Record {
 		out[i] = recs
 	}
 	return out
+}
+
+func insertSorted(ids []string, id string) []string {
+	i, _ := slices.BinarySearch(ids, id)
+	return slices.Insert(ids, i, id)
+}
+
+func removeSorted(ids []string, id string) []string {
+	if i, ok := slices.BinarySearch(ids, id); ok {
+		return slices.Delete(ids, i, i+1)
+	}
+	return ids
 }

@@ -22,6 +22,7 @@ import (
 // directory (wal.Probe), then a rescan-and-reopen of the log's active
 // segment (wal.Reset) that discards only never-acknowledged tail bytes.
 // When both succeed the database re-enters write service by itself.
+// Only the directory-backed storage has a log, so only it degrades.
 
 // DegradedStatus describes the storage-fault read-only state for health
 // reporting.
@@ -39,121 +40,85 @@ type DegradedStatus struct {
 	Recoveries uint64
 }
 
-// DegradedStatus reports whether the database is in storage-fault
-// read-only mode, why, and for how long.
-func (db *DB) DegradedStatus() DegradedStatus {
-	st := DegradedStatus{
-		Degraded:    db.degraded.Load(),
-		Transitions: db.degTotal.Load(),
-		Recoveries:  db.recoveries.Load(),
-	}
-	if c := db.degCause.Load(); c != nil {
-		st.Cause = *c
-	}
-	if t := db.degSince.Load(); t != nil {
-		st.Since = *t
-	}
-	return st
+func (d *dirStore) degradedStatus() DegradedStatus {
+	d.healthMu.Lock()
+	defer d.healthMu.Unlock()
+	return d.deg
 }
 
-// writable fails fast with ErrDegraded while the database is in
-// storage-fault read-only mode; nil otherwise.
-func (db *DB) writable() error {
-	if !db.degraded.Load() {
+func (d *dirStore) writable() error {
+	if !d.degraded.Load() {
 		return nil
 	}
-	cause := "storage fault"
-	if c := db.degCause.Load(); c != nil {
-		cause = *c
-	}
-	return fmt.Errorf("core: %w (%s)", ErrDegraded, cause)
+	return fmt.Errorf("core: %w (%s)", ErrDegraded, d.degradedStatus().Cause)
 }
 
 // enterDegraded transitions the database into read-only mode (idempotent
-// while an episode is running) and, when OpenDir armed a probe interval,
-// starts the supervised recovery loop for this episode.
-func (db *DB) enterDegraded(cause error) {
-	if !db.degraded.CompareAndSwap(false, true) {
+// while an episode is running) and, unless the probe is disabled, starts
+// the supervised recovery loop for this episode. The episode is described
+// before the flag flips, so a writer that sees the flag finds its cause.
+func (d *dirStore) enterDegraded(cause error) {
+	d.healthMu.Lock()
+	defer d.healthMu.Unlock()
+	if d.deg.Degraded {
 		return
 	}
-	msg := cause.Error()
-	now := time.Now()
-	db.degCause.Store(&msg)
-	db.degSince.Store(&now)
-	db.degTotal.Add(1)
-	if db.cfg.RecoveryProbeInterval > 0 && db.probeStop != nil {
-		db.probeWG.Add(1)
-		go db.probeLoop()
+	d.deg.Degraded, d.deg.Cause, d.deg.Since = true, cause.Error(), time.Now()
+	d.deg.Transitions++
+	d.degraded.Store(true)
+	if d.db.cfg.RecoveryProbeInterval > 0 {
+		d.probeWG.Add(1)
+		go d.probeLoop()
 	}
 }
 
-// probeLoop retries Recover every RecoveryProbeInterval until the disk
-// comes back or the database closes. One loop runs per degraded
+// probeLoop retries tryRecover every RecoveryProbeInterval until the
+// disk comes back or the database closes. One loop runs per degraded
 // episode.
-func (db *DB) probeLoop() {
-	defer db.probeWG.Done()
-	ticker := time.NewTicker(db.cfg.RecoveryProbeInterval)
+func (d *dirStore) probeLoop() {
+	defer d.probeWG.Done()
+	ticker := time.NewTicker(d.db.cfg.RecoveryProbeInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-db.probeStop:
+		case <-d.probeStop:
 			return
 		case <-ticker.C:
-			if db.Recover() == nil && !db.degraded.Load() {
+			if d.tryRecover() == nil && !d.degraded.Load() {
 				return
 			}
 		}
 	}
 }
 
-// Recover attempts to bring a degraded database back into write
-// service: it probes the disk with a scratch append+fsync in the log
-// directory, then resets the write-ahead log (rescanning the active
-// segment's acknowledged prefix and truncating the unknowable tail —
-// see wal.Reset). On success the database immediately accepts writes
-// again. On a healthy database Recover is a no-op. The supervised
-// probe loop calls this on a timer; operators and tests may call it
-// directly for an immediate attempt.
-func (db *DB) Recover() error {
-	if db.wal == nil {
-		return fmt.Errorf("core: database has no write-ahead log (not opened via OpenDir)")
-	}
-	if !db.degraded.Load() {
+// tryRecover is DB.Recover: probe the disk, reset the log, clear the
+// degraded state. A no-op while healthy.
+func (d *dirStore) tryRecover() error {
+	if !d.degraded.Load() {
 		return nil
 	}
-	if err := db.wal.Probe(); err != nil {
+	if err := d.wal.Probe(); err != nil {
 		return fmt.Errorf("core: recovery probe: %w", err)
 	}
-	if err := db.wal.Reset(); err != nil {
+	if err := d.wal.Reset(); err != nil {
 		return fmt.Errorf("core: recovery reset: %w", err)
 	}
 	// Order matters: the log accepts appends before degraded clears, so
 	// a writer that observes the healthy state always finds a working
 	// log.
-	db.degCause.Store(nil)
-	db.degSince.Store(nil)
-	db.degraded.Store(false)
-	db.recoveries.Add(1)
+	d.healthMu.Lock()
+	d.deg.Degraded, d.deg.Cause, d.deg.Since = false, "", time.Time{}
+	d.deg.Recoveries++
+	d.degraded.Store(false)
+	d.healthMu.Unlock()
 	return nil
 }
 
-// SetWALFault arms (nils disarm) the write-ahead log's fault-injection
-// hooks: write runs before every frame write, sync before every data
-// fsync; a non-nil return is treated as the device failing there,
-// poisoning the log and degrading the database exactly like a real
-// fault. No-op on a database without a log. For chaos tests only.
-func (db *DB) SetWALFault(write, sync func() error) {
-	if db.wal != nil {
-		db.wal.SetFault(write, sync)
-	}
-}
+func (d *dirStore) setWALFault(write, sync func() error) { d.wal.SetFault(write, sync) }
 
 // stopProbe halts the supervised recovery loop, if one is running; part
-// of Close.
-func (db *DB) stopProbe() {
-	if db.probeStop == nil {
-		return
-	}
-	db.probeHalt.Do(func() { close(db.probeStop) })
-	db.probeWG.Wait()
+// of close.
+func (d *dirStore) stopProbe() {
+	d.probeHalt.Do(func() { close(d.probeStop) })
+	d.probeWG.Wait()
 }

@@ -9,8 +9,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"seqrep/internal/resident"
 	"seqrep/internal/segment"
 	"seqrep/internal/seq"
 	"seqrep/internal/store"
@@ -44,6 +47,63 @@ const (
 	walOpRemove byte = 2 // idLen u16 | id
 )
 
+// bootPhase is where an OpenDir boot stands; it only moves forward, and
+// only before OpenDir returns.
+type bootPhase uint8
+
+const (
+	adopting  bootPhase = iota // records from the tier: admitted clean, not marked dirty
+	replaying                  // records from the log: marked dirty, admitted pinned, not re-appended
+	live                       // every write is appended before it is published
+)
+
+// dirStore is the directory-backed storage (see storage): the write-ahead
+// log, the segment tier, the dirty set, residency and degraded mode.
+type dirStore struct {
+	db    *DB
+	phase bootPhase
+
+	// wal is the log every Ingest/Remove appends to — and waits for the
+	// fsync — before its in-memory commit. ckptMu brackets each
+	// append→publish window for reading; a checkpoint takes it
+	// exclusively around the log rotation so every record in a sealed
+	// (about to be flushed and truncated) segment is committed in memory
+	// first. ckptRun serializes whole checkpoints.
+	wal      *wal.WAL
+	ckptMu   sync.RWMutex
+	ckptRun  sync.Mutex
+	recovery RecoveryStats
+
+	// segs is the segment tier checkpoints flush into. dirty is the id set
+	// mutated since the last checkpoint — true for a live upsert, false
+	// for a removal that must become a tombstone — making checkpoint cost
+	// O(delta). dirtyMu guards the map itself: writers mark while holding
+	// ckptMu only for reading, so concurrent marks race with each other
+	// even though they cannot race the checkpoint's swap. Lock order:
+	// ckptMu → dirtyMu.
+	segs    *segment.Store
+	dirtyMu sync.Mutex
+	dirty   map[string]bool
+	// res bounds resident representation bytes (Config.MemoryBudget > 0;
+	// nil keeps every representation resident — the tracker's methods
+	// are no-ops on nil). See residency.go. Lock order: tracker → shard;
+	// no tracker method is called while holding dirtyMu or a shard lock.
+	res *resident.Tracker
+
+	// Storage-fault read-only mode (degraded.go): degraded is the write
+	// path's fast check, flipped when a WAL append/fsync fault poisons the
+	// log. healthMu guards what health reporting reads: deg, the episode
+	// and its transition counts, and ckpt, the checkpoint history fields
+	// of WALStats. The probe fields run the supervised recovery loop.
+	degraded  atomic.Bool
+	healthMu  sync.Mutex
+	deg       DegradedStatus
+	ckpt      WALStats
+	probeStop chan struct{}
+	probeHalt sync.Once
+	probeWG   sync.WaitGroup
+}
+
 // RecoveryStats reports what a boot-time WAL replay did. Skips are the
 // normal overlap between a checkpoint's segments and the log records it
 // covers (replay is idempotent); Failed counts records whose pipeline
@@ -70,8 +130,10 @@ type RecoveryStats struct {
 // truncating a torn final record, skipping records the segments already
 // cover — then reclaims any sealed log segments the manifest's LSN shows
 // are covered (the stranded leftovers of a checkpoint that died between
-// its rotation and its truncation). The caller owns the returned
-// database and must Close it to release the log and the segment files.
+// its rotation and its truncation). A storage fault while replaying an
+// ingest refuses boot instead of skipping the record. The caller owns the
+// returned database and must Close it to release the log and the segment
+// files.
 //
 // cfg contributes the code components (breaker, representer,
 // preprocessing, archive); when a manifest exists its stored scalar
@@ -88,48 +150,65 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating data dir: %w", err)
 	}
-	cache := segment.NewCache(segCacheBytes(cfg.SegmentCacheBytes))
-	segs, err := segment.Open(filepath.Join(dir, SegmentsDirName), cache, cfg.CompactThreshold)
+	cacheBytes := cfg.SegmentCacheBytes
+	if cacheBytes == 0 {
+		cacheBytes = 32 << 20 // negative disables the cache
+	}
+	segs, err := segment.Open(filepath.Join(dir, SegmentsDirName), segment.NewCache(cacheBytes), cfg.CompactThreshold)
 	if err != nil {
 		return nil, err
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			segs.Close()
-		}
-	}()
+	d := &dirStore{segs: segs, dirty: make(map[string]bool), probeStop: make(chan struct{})}
+	db, err := d.boot(dir, cfg)
+	if err != nil {
+		segs.Close()
+		return nil, err
+	}
+	return db, nil
+}
 
-	var (
-		db       *DB
-		legacy   bool
-		ckptTime time.Time
-	)
-	if segs.HasManifest() {
-		if db, legacy, err = bootFromSegments(segs, cfg); err != nil {
+// boot builds the database over the opened tier, one bootPhase at a
+// time, and attaches the log.
+func (d *dirStore) boot(dir string, cfg Config) (*DB, error) {
+	var mm manifestMeta
+	if d.segs.HasManifest() {
+		var err error
+		if mm, err = readManifestMeta(d.segs); err != nil {
 			return nil, err
 		}
-		if info, statErr := os.Stat(filepath.Join(dir, SegmentsDirName, segment.ManifestFileName)); statErr == nil {
-			ckptTime = info.ModTime()
-		}
-	} else {
-		if db, err = New(cfg); err != nil {
+		if cfg, err = applyManifestMeta(cfg, mm); err != nil {
 			return nil, err
 		}
-		// Attach the segment tier and arm residency before replay: replayed
-		// links then register with the tracker like any live ingest
-		// (admitted pinned — their payloads are not in the tier yet).
-		// bootFromSegments already did both on the manifest path.
-		db.segs = segs
-		db.armResidency()
+	}
+	if cfg.RecoveryProbeInterval == 0 {
+		cfg.RecoveryProbeInterval = 2 * time.Second
+	}
+	db, err := newDB(cfg, d)
+	if err != nil {
+		return nil, err
+	}
+	d.db = db
+	if cfg.MemoryBudget > 0 {
+		// Armed before adoption, so under a budget the eviction sweep
+		// bounds resident bytes while the tier streams in — boot never
+		// materializes more than the budget plus one record.
+		d.res = resident.New(cfg.MemoryBudget, d.onEvict)
 	}
 
-	// Arm delta tracking after adoption (the manifest covers those
-	// records) and before replay: a WAL record is by definition not yet
-	// in a committed segment, so everything replay applies must flush at
-	// the next checkpoint — were it not marked, truncation would lose it.
-	db.enableDirtyTracking()
-	if legacy {
+	if d.segs.HasManifest() {
+		if err := d.adoptSegments(mm); err != nil {
+			return nil, err
+		}
+		if info, err := os.Stat(filepath.Join(dir, SegmentsDirName, segment.ManifestFileName)); err == nil {
+			d.ckpt.LastCheckpoint = info.ModTime()
+		}
+	}
+
+	// A WAL record is by definition not yet in a committed segment, so
+	// everything replay applies must flush at the next checkpoint — were
+	// it not marked, truncation would lose it.
+	d.phase = replaying
+	if mm.FeatSource == featSourceLegacyRaw || mm.SketchSource == featSourceLegacyRaw {
 		// The tier still holds raw-derived vectors and sketches under a
 		// manifest that says so. Every checkpoint rewrites the manifest with
 		// this binary's source, so the payloads must be rewritten by the
@@ -137,15 +216,15 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 		// then win). They stay unpinned — the tier's copy of each
 		// representation is still good, only the derived fields are stale.
 		for _, id := range db.IDs() {
-			db.markDirty(id, true)
+			d.dirty[id] = true
 		}
 	}
-
 	w, err := wal.Open(filepath.Join(dir, WALDirName), wal.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Replay(db.applyWALRecord); err != nil {
+	d.wal = w
+	if err := w.Replay(d.applyWALRecord); err != nil {
 		w.Close()
 		return nil, fmt.Errorf("core: replaying wal: %w", err)
 	}
@@ -153,18 +232,13 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	// crash window between a checkpoint's rotation and its truncation
 	// strands them; their records were just replayed idempotently (and
 	// any that actually mattered are in the dirty set now).
-	if segs.HasManifest() {
-		if err := w.TruncateBefore(segs.LSN()); err != nil {
+	if d.segs.HasManifest() {
+		if err := w.TruncateBefore(d.segs.LSN()); err != nil {
 			w.Close()
 			return nil, fmt.Errorf("core: reclaiming covered wal segments: %w", err)
 		}
 	}
-	db.wal = w
-	db.probeStop = make(chan struct{})
-	if !ckptTime.IsZero() {
-		db.lastCkpt.Store(&ckptTime)
-	}
-	ok = true
+	d.phase = live
 	return db, nil
 }
 
@@ -195,25 +269,33 @@ func refuseLegacySnapshot(dir string) error {
 // operations are serialized and only acknowledged ones are logged, so
 // the stored value is either this record's or that of a later logged
 // ingest that will overwrite it via the interleaved remove), and a
-// remove of an absent id is skipped likewise. db.wal is still nil here,
-// so the re-executed operations do not re-append themselves.
-func (db *DB) applyWALRecord(r wal.Record) error {
-	db.recovery.Replayed++
+// remove of an absent id is skipped likewise. The phase is replaying, so
+// the re-executed operations do not re-append themselves.
+func (d *dirStore) applyWALRecord(r wal.Record) error {
+	d.recovery.Replayed++
 	switch r.Op {
 	case walOpIngest:
 		id, s, err := decodeWALIngest(r.Payload)
 		if err != nil {
 			return fmt.Errorf("core: wal record %d: %w", r.LSN, err)
 		}
-		if _, ok := db.Record(id); ok {
-			db.recovery.SkippedDuplicate++
+		if _, ok := d.db.Record(id); ok {
+			d.recovery.SkippedDuplicate++
 			return nil
 		}
-		if _, err := db.IngestRecord(id, s); err != nil {
+		if _, err := d.db.IngestRecord(id, s); err != nil {
+			if errors.Is(err, ErrStorage) {
+				// An archive fault is not deterministic: skipping the record
+				// would leave it out of the dirty set, and the next
+				// checkpoint would truncate its only copy. Refuse boot —
+				// nothing is committed or truncated, and a boot with a
+				// healthy archive replays it.
+				return fmt.Errorf("core: wal record %d: replaying ingest of %q: %w", r.LSN, id, err)
+			}
 			// The same deterministic failure the original caller saw: the
 			// operation was logged but never acknowledged, so skipping it
 			// reproduces the pre-crash state.
-			db.recovery.Failed++
+			d.recovery.Failed++
 			return nil
 		}
 	case walOpRemove:
@@ -221,49 +303,102 @@ func (db *DB) applyWALRecord(r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("core: wal record %d: %w", r.LSN, err)
 		}
-		if _, ok := db.Record(id); !ok {
-			db.recovery.SkippedMissing++
+		if _, ok := d.db.Record(id); !ok {
+			d.recovery.SkippedMissing++
 			return nil
 		}
-		if err := db.Remove(id); err != nil && !errors.Is(err, store.ErrNotFound) {
+		if err := d.db.Remove(id); err != nil && !errors.Is(err, store.ErrNotFound) {
 			// The in-memory removal succeeded (the id was present above);
 			// only an archive fault can land here. A missing raw is the
 			// expected replay overlap — the original remove already
 			// deleted it — anything else is a real storage fault.
-			db.recovery.Failed++
+			d.recovery.Failed++
 			return nil
 		}
 	default:
 		return fmt.Errorf("core: wal record %d: unknown op %d", r.LSN, r.Op)
 	}
-	db.recovery.Applied++
+	d.recovery.Applied++
 	return nil
 }
 
-// Recovery reports what the boot-time replay did (zero value when the
-// database was not opened via OpenDir or had nothing to replay).
-func (db *DB) Recovery() RecoveryStats { return db.recovery }
+func (d *dirStore) recoveryStats() RecoveryStats { return d.recovery }
 
-// walAppend logs one operation and waits until it is fsync-durable,
-// stamping the current mutation generation into the record. Called with
-// db.ckptMu held for reading: the append→commit window must complete
-// before a checkpoint may rotate the log (otherwise a record could land
-// in a sealed segment while its in-memory commit misses the flush —
-// truncation would then lose an acknowledged write).
-func (db *DB) walAppend(op byte, payload []byte) error {
-	if _, err := db.wal.Append(op, db.gen.Load(), payload); err != nil {
+// logIngest is write-ahead: the ingest is fsync-durable before the
+// commit that makes it observable, so an acknowledged ingest can always
+// be replayed.
+func (d *dirStore) logIngest(id string, s seq.Sequence) error {
+	payload, err := encodeWALIngest(id, s)
+	if err != nil {
+		return err
+	}
+	return d.logWrite(walOpIngest, payload)
+}
+
+// logRemove mirrors logIngest. The caller keeps the record in its shard
+// until the log record lands: were it dropped first, a checkpoint in that
+// window could truncate the covering ingest while no remove was logged,
+// losing an acknowledged ingest for a removal never acknowledged.
+func (d *dirStore) logRemove(id string) error {
+	payload, err := encodeWALRemove(id)
+	if err != nil {
+		return err
+	}
+	return d.logWrite(walOpRemove, payload)
+}
+
+// logWrite appends one operation, stamped with the mutation generation,
+// and waits until it is fsync-durable. It returns holding ckptMu for
+// reading until endWrite: a checkpoint may not rotate the log between the
+// append and the publish, or a record could land in a sealed segment
+// while its commit misses the flush, and truncation would lose it.
+func (d *dirStore) logWrite(op byte, payload []byte) error {
+	d.ckptMu.RLock()
+	if d.phase == replaying {
+		return nil // the operation being replayed is already in the log
+	}
+	if _, err := d.wal.Append(op, d.db.gen.Load(), payload); err != nil {
+		d.ckptMu.RUnlock()
 		// A poisoned log means the device failed (not a per-call problem
 		// like an oversized payload or a racing Close): transition to
 		// storage-fault read-only mode, and classify this very write's
 		// failure as the degradation so the serving layer answers 503,
 		// not 500 — the write was rejected, not half-applied.
-		if poison := db.wal.Err(); poison != nil {
-			db.enterDegraded(poison)
+		if poison := d.wal.Err(); poison != nil {
+			d.enterDegraded(poison)
 			return fmt.Errorf("core: %w: wal append: %w", ErrDegraded, err)
 		}
 		return fmt.Errorf("core: wal append: %w", err)
 	}
 	return nil
+}
+
+func (d *dirStore) endWrite() { d.ckptMu.RUnlock() }
+
+// linked registers a record link just published (called under imu,
+// inside the write window). An adopted record came from the tier: it is
+// admitted clean — immediately evictable — and not marked. Any other is
+// admitted pinned in the same tracker critical section, since its
+// payload is not in the tier until a checkpoint flushes it (which unpins
+// it after its manifest commit), and marked dirty in the same epoch as
+// its log record (the checkpoint's rotate+swap cannot fall between
+// them).
+func (d *dirStore) linked(rec *Record) {
+	dirty := d.phase != adopting
+	d.res.Admit(rec.ID, rec.repBytes, &rec.hot, dirty)
+	if dirty {
+		d.markDirty(rec.ID, true)
+	}
+}
+
+// unlinked withdraws a removed record from the tracker and marks its
+// tombstone for the next checkpoint, inside the remove's write window.
+// The ref pointer scopes the drop to exactly this record object: a later
+// re-ingest under the same id carries a different ref, so a racing stale
+// drop cannot touch the successor's entry.
+func (d *dirStore) unlinked(rec *Record) {
+	d.res.Drop(rec.ID, &rec.hot)
+	d.markDirty(rec.ID, false)
 }
 
 func encodeWALIngest(id string, s seq.Sequence) ([]byte, error) {
@@ -325,11 +460,31 @@ func decodeWALRemove(payload []byte) (string, error) {
 	return string(payload[2:]), nil
 }
 
-// Checkpoint flushes the records dirtied since the last checkpoint into
-// a new immutable segment and truncates the write-ahead log:
+// checkpoint runs one checkpoint with failure accounting: a failure is
+// counted and retained for WALStats until a checkpoint succeeds.
+// Checkpoints serialize.
+func (d *dirStore) checkpoint() error {
+	d.ckptRun.Lock()
+	defer d.ckptRun.Unlock()
+	err := d.runCheckpoint()
+	d.healthMu.Lock()
+	defer d.healthMu.Unlock()
+	if err != nil {
+		d.ckpt.CheckpointFailures++
+		d.ckpt.CheckpointFailStreak++
+		d.ckpt.LastCheckpointError = err.Error()
+		return err
+	}
+	d.ckpt.CheckpointFailStreak, d.ckpt.LastCheckpointError = 0, ""
+	d.ckpt.LastCheckpoint = time.Now()
+	return nil
+}
+
+// runCheckpoint flushes the records dirtied since the last checkpoint
+// into a new immutable segment and truncates the write-ahead log:
 //
 //  1. rotate the log and swap out the dirty set, atomically (briefly
-//     excluding the append→commit windows, so every record in the
+//     excluding the append→publish windows, so every record in the
 //     sealed log segments is committed in memory and marked dirty),
 //  2. encode the dirty records — current payload for live ids,
 //     tombstones for removed ones — and flush them as one segment, the
@@ -343,35 +498,12 @@ func decodeWALRemove(payload []byte) (string, error) {
 // acknowledged state; after it, truncation is bookkeeping boot redoes
 // from the manifest's LSN. On failure the swapped-out dirty set is
 // merged back (the next attempt re-flushes those records — without this
-// a later checkpoint would truncate their log entries unflushed) and
-// the error is retained for WALStats until a checkpoint succeeds.
-// Checkpoints serialize; concurrent writes keep committing throughout
-// except during the rotation itself.
-func (db *DB) Checkpoint() error {
-	if db.wal == nil {
-		return fmt.Errorf("core: database has no write-ahead log (not opened via OpenDir)")
-	}
-	db.ckptRun.Lock()
-	defer db.ckptRun.Unlock()
-	if err := db.checkpoint(); err != nil {
-		db.ckptFails.Add(1)
-		db.ckptStreak.Add(1)
-		msg := err.Error()
-		db.ckptErr.Store(&msg)
-		return err
-	}
-	db.ckptErr.Store(nil)
-	db.ckptStreak.Store(0)
-	now := time.Now()
-	db.lastCkpt.Store(&now)
-	return nil
-}
-
-// checkpoint is Checkpoint's body, with failure accounting left to the
-// caller. ckptRun is held.
-func (db *DB) checkpoint() error {
-	degradedFlush := db.degraded.Load()
-	db.ckptMu.Lock()
+// a later checkpoint would truncate their log entries unflushed).
+// Concurrent writes keep committing throughout except during the
+// rotation itself. ckptRun is held.
+func (d *dirStore) runCheckpoint() error {
+	degradedFlush := d.degraded.Load()
+	d.ckptMu.Lock()
 	var (
 		base uint64
 		err  error
@@ -385,39 +517,39 @@ func (db *DB) checkpoint() error {
 		// ErrDegraded, so every acknowledged record below NextLSN is
 		// covered by this flush plus the existing segments; what the log
 		// holds beyond that was never acknowledged.
-		base = db.wal.Stats().NextLSN
+		base = d.wal.Stats().NextLSN
 	} else {
-		base, err = db.wal.Rotate()
+		base, err = d.wal.Rotate()
 		if err != nil {
 			// A rotation fault poisons the log just like an append fault:
 			// enter read-only mode so the next write fails fast instead of
 			// discovering the dead log itself.
-			if poison := db.wal.Err(); poison != nil {
-				db.enterDegraded(poison)
+			if poison := d.wal.Err(); poison != nil {
+				d.enterDegraded(poison)
 			}
 		}
 	}
 	var dirty map[string]bool
 	if err == nil {
-		dirty = db.swapDirty()
+		dirty = d.swapDirty()
 	}
-	db.ckptMu.Unlock()
+	d.ckptMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 
-	entries, flushed, err := db.encodeDirty(dirty)
+	entries, flushed, err := d.encodeDirty(dirty)
 	if err != nil {
-		db.restoreDirty(dirty)
+		d.restoreDirty(dirty)
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	meta, err := json.Marshal(db.manifestMeta())
+	meta, err := json.Marshal(d.manifestMeta())
 	if err != nil {
-		db.restoreDirty(dirty)
+		d.restoreDirty(dirty)
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if err := db.segs.Flush(entries, base, meta); err != nil {
-		db.restoreDirty(dirty)
+	if err := d.segs.Flush(entries, base, meta); err != nil {
+		d.restoreDirty(dirty)
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	// The manifest has committed: every flushed record's payload is
@@ -427,17 +559,16 @@ func (db *DB) checkpoint() error {
 	// a same-id successor from a remove+re-ingest (necessarily in a
 	// later dirty epoch) holds its own pin under its own ref.
 	for _, rec := range flushed {
-		db.res.Unpin(rec.ID, &rec.hot)
+		d.res.Unpin(rec.ID, &rec.hot)
 	}
-	// The dirty records are durably in the
-	// segment tier, so the swapped-out set is retired for good. What
-	// follows is reclamation — a failure here leaves only garbage (extra
-	// sealed log segments, an uncompacted tier), which boot and the next
-	// checkpoint clean up.
-	if err := db.wal.TruncateBefore(base); err != nil {
+	// The dirty records are durably in the segment tier, so the
+	// swapped-out set is retired for good. What follows is reclamation —
+	// a failure here leaves only garbage (extra sealed log segments, an
+	// uncompacted tier), which boot and the next checkpoint clean up.
+	if err := d.wal.TruncateBefore(base); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if _, err := db.segs.Compact(); err != nil {
+	if _, err := d.segs.Compact(); err != nil {
 		return fmt.Errorf("core: checkpoint: compacting segments: %w", err)
 	}
 	return nil
@@ -472,43 +603,21 @@ type WALStats struct {
 	LastCheckpointError string
 }
 
-// WALStats reports the write-ahead log's depth; ok is false when the
-// database has no log (not opened via OpenDir).
-func (db *DB) WALStats() (WALStats, bool) {
-	if db.wal == nil {
-		return WALStats{}, false
-	}
-	st := db.wal.Stats()
-	out := WALStats{
-		Records:              st.Records,
-		Bytes:                st.Bytes,
-		Segments:             st.Segments,
-		CheckpointFailures:   db.ckptFails.Load(),
-		CheckpointFailStreak: db.ckptStreak.Load(),
-	}
-	if t := db.lastCkpt.Load(); t != nil {
-		out.LastCheckpoint = *t
-	}
-	if msg := db.ckptErr.Load(); msg != nil {
-		out.LastCheckpointError = *msg
-	}
+func (d *dirStore) walStats() (WALStats, bool) {
+	st := d.wal.Stats()
+	d.healthMu.Lock()
+	out := d.ckpt
+	d.healthMu.Unlock()
+	out.Records, out.Bytes, out.Segments = st.Records, st.Bytes, st.Segments
 	return out, true
 }
 
-// Close releases the write-ahead log (flushing and syncing its tail)
-// and the segment tier's open files. Writes racing with Close fail
-// unacknowledged; queries against resident records are unaffected. A
-// database without a log closes trivially.
-func (db *DB) Close() error {
-	db.stopProbe()
-	var first error
-	if db.wal != nil {
-		first = db.wal.Close()
-	}
-	if db.segs != nil {
-		if err := db.segs.Close(); err != nil && first == nil {
-			first = err
-		}
+// close stops the recovery probe, then closes the log and the tier.
+func (d *dirStore) close() error {
+	d.stopProbe()
+	first := d.wal.Close()
+	if err := d.segs.Close(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }

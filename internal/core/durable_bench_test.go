@@ -6,7 +6,7 @@ package core
 // its own fsync). Representation building shares the clock with the
 // fsyncs here, so the batch/serial gap is a lower bound on the
 // group-commit win — internal/wal's BenchmarkWALIngest isolates it at
-// the log layer and is the one BENCH_wal.json and the CI gate use.
+// the log layer and enforces the 5x floor.
 
 import (
 	"fmt"

@@ -5,15 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"seqrep/internal/segment"
 	"seqrep/internal/seq"
+	"seqrep/internal/store"
 )
 
 // durSeq builds a small but non-trivial sequence (two bumps over a
@@ -37,6 +40,9 @@ func mustOpenDir(t *testing.T, dir string) *DB {
 	}
 	return db
 }
+
+// dirOf exposes an OpenDir database's storage for white-box tests.
+func dirOf(db *DB) *dirStore { return db.storage.(*dirStore) }
 
 func TestOpenDirFreshReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
@@ -127,15 +133,16 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 // records.
 func crashWindowFlush(t *testing.T, db *DB) {
 	t.Helper()
-	entries, _, err := db.encodeDirty(db.swapDirty())
+	d := dirOf(db)
+	entries, _, err := d.encodeDirty(d.swapDirty())
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := json.Marshal(db.manifestMeta())
+	meta, err := json.Marshal(d.manifestMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.segs.Flush(entries, db.segs.LSN(), meta); err != nil {
+	if err := d.segs.Flush(entries, d.segs.LSN(), meta); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -389,19 +396,113 @@ func TestWALCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableValidation pins what every storage entry point answers on
+// the volatile implementation (New) and on a closed directory-backed one
+// (OpenDir): the contract the storage seam keeps for each.
 func TestDurableValidation(t *testing.T) {
 	if _, err := OpenDir("", Config{}); err == nil {
 		t.Fatal("OpenDir(\"\") succeeded")
 	}
-	db := mustDB(t, Config{})
-	if err := db.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on a log-less database succeeded")
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) *DB
+		// dir: the directory implementation answers — a healthy Recover
+		// is a no-op and the log and tier stats exist (closed or not).
+		dir bool
+	}{
+		{"volatile", func(t *testing.T) *DB { return mustDB(t, Config{}) }, false},
+		{"closed dir", func(t *testing.T) *DB {
+			db := mustOpenDir(t, t.TempDir())
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.open(t)
+			if err := db.Checkpoint(); err == nil {
+				t.Error("Checkpoint succeeded")
+			}
+			if err := db.Recover(); (err != nil) == tc.dir {
+				t.Errorf("Recover = %v, want error %v", err, !tc.dir)
+			}
+			if _, ok := db.WALStats(); ok != tc.dir {
+				t.Errorf("WALStats ok = %v, want %v", ok, tc.dir)
+			}
+			if _, ok := db.SegmentStats(); ok != tc.dir {
+				t.Errorf("SegmentStats ok = %v, want %v", ok, tc.dir)
+			}
+			if _, ok := db.ResidencyStats(); ok {
+				t.Error("ResidencyStats ok without a memory budget")
+			}
+			if st := db.DegradedStatus(); st != (DegradedStatus{}) {
+				t.Errorf("DegradedStatus = %+v, want zero", st)
+			}
+			if rs := db.Recovery(); rs != (RecoveryStats{}) {
+				t.Errorf("Recovery = %+v, want zero", rs)
+			}
+			boom := func() error { return errors.New("injected") }
+			db.SetWALFault(boom, boom)
+			db.WrapCheckpointWriter(func(w io.Writer) io.Writer { return store.NewFailAfterWriter(w, 0) })
+			db.SetSegmentReadFault(boom)
+			if !tc.dir {
+				// The hooks had nothing to arm: writes and reads still work.
+				mustIngest(t, db, "a", durSeq(1))
+				if _, err := db.Representation("a"); err != nil {
+					t.Errorf("Representation after armed hooks: %v", err)
+				}
+				if st := db.DegradedStatus(); st.Degraded {
+					t.Error("a WAL fault hook degraded a volatile database")
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if err := db.Close(); err != nil {
+					t.Errorf("Close #%d: %v", i+1, err)
+				}
+			}
+		})
 	}
-	if _, ok := db.WALStats(); ok {
-		t.Fatal("WALStats ok on a log-less database")
+}
+
+// failPutArchive is an archive whose medium refuses every write.
+type failPutArchive struct{ store.Archive }
+
+func (failPutArchive) Put(string, seq.Sequence) error { return errors.New("archive medium offline") }
+
+// TestReplayArchiveFaultRefusesBoot: an archive fault while replaying an
+// acknowledged ingest is not the deterministic pipeline failure Failed
+// counts. Skipping it would leave the record out of the dirty set, and
+// the next checkpoint would truncate its only copy. Boot must refuse,
+// naming the record, and a later boot with a healthy archive replays it.
+func TestReplayArchiveFaultRefusesBoot(t *testing.T) {
+	dir := t.TempDir()
+	archive := store.NewMemArchive()
+	db, err := OpenDir(dir, Config{Archive: archive})
+	if err != nil {
+		t.Fatal(err)
 	}
+	mustIngest(t, db, "acked", durSeq(1))
 	if err := db.Close(); err != nil {
-		t.Fatalf("Close on a log-less database: %v", err)
+		t.Fatal(err)
+	}
+
+	if bad, err := OpenDir(dir, Config{Archive: failPutArchive{archive}}); err == nil {
+		bad.Close()
+		t.Fatalf("boot with a failing archive succeeded (Recovery %+v)", bad.Recovery())
+	} else if !errors.Is(err, ErrStorage) || !strings.Contains(err.Error(), `"acked"`) || !strings.Contains(err.Error(), "wal record 1") {
+		t.Fatalf("boot error %q: want ErrStorage naming wal record 1 and \"acked\"", err)
+	}
+
+	db2, err := OpenDir(dir, Config{Archive: archive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := db2.Recovery(); rs.Applied != 1 || rs.Failed != 0 {
+		t.Fatalf("healthy reboot Recovery = %+v, want the ingest applied", rs)
+	}
+	if _, ok := reopen(t, db2, dir, Config{Archive: archive}).Record("acked"); !ok {
+		t.Fatal("acknowledged ingest lost across the refused boot and a checkpoint")
 	}
 }
 
@@ -446,7 +547,7 @@ func TestRemoveInvisibleUntilDurable(t *testing.T) {
 	// Hold the checkpoint lock: Remove's append→unlink window takes it
 	// for reading, so the removal parks right before its WAL append —
 	// exactly where a crash or checkpoint could interleave.
-	db.ckptMu.Lock()
+	dirOf(db).ckptMu.Lock()
 	done := make(chan error, 1)
 	go func() { done <- db.Remove("x") }()
 
@@ -479,7 +580,7 @@ func TestRemoveInvisibleUntilDurable(t *testing.T) {
 	default:
 	}
 
-	db.ckptMu.Unlock()
+	dirOf(db).ckptMu.Unlock()
 	if err := <-done; err != nil {
 		t.Fatalf("Remove: %v", err)
 	}

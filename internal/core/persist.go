@@ -292,35 +292,3 @@ func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, 
 	}
 	return nil
 }
-
-func insertSorted(ids []string, id string) []string {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	ids = append(ids, "")
-	copy(ids[lo+1:], ids[lo:])
-	ids[lo] = id
-	return ids
-}
-
-func removeSorted(ids []string, id string) []string {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == id {
-		return append(ids[:lo], ids[lo+1:]...)
-	}
-	return ids
-}

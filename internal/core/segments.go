@@ -37,23 +37,37 @@ type manifestMeta struct {
 	SketchSource byte    `json:"sketch_source"`
 }
 
-func (db *DB) manifestMeta() manifestMeta {
+func (d *dirStore) manifestMeta() manifestMeta {
+	cfg := d.db.cfg
 	mm := manifestMeta{
-		Epsilon:      db.cfg.Epsilon,
-		Delta:        db.cfg.Delta,
-		Bucket:       db.cfg.BucketWidth,
-		IndexCoeffs:  int64(db.cfg.IndexCoeffs),
+		Epsilon:      cfg.Epsilon,
+		Delta:        cfg.Delta,
+		Bucket:       cfg.BucketWidth,
+		IndexCoeffs:  int64(cfg.IndexCoeffs),
 		FeatSource:   featSourceRecon,
-		SketchBlock:  int64(db.cfg.SketchBlock),
+		SketchBlock:  int64(cfg.SketchBlock),
 		SketchSource: featSourceRecon,
 	}
-	if db.findex == nil {
+	if d.db.findex == nil {
 		mm.IndexCoeffs, mm.FeatSource = -1, featSourceNone
 	}
-	if db.cfg.SketchBlock <= 0 {
+	if cfg.SketchBlock <= 0 {
 		mm.SketchBlock, mm.SketchSource = -1, featSourceNone
 	}
 	return mm
+}
+
+// readManifestMeta parses the configuration blob of a committed manifest.
+func readManifestMeta(segs *segment.Store) (manifestMeta, error) {
+	var mm manifestMeta
+	meta := segs.Meta()
+	if len(meta) == 0 {
+		return mm, fmt.Errorf("core: segment manifest carries no configuration metadata")
+	}
+	if err := json.Unmarshal(meta, &mm); err != nil {
+		return mm, fmt.Errorf("core: segment manifest metadata: %w", err)
+	}
+	return mm, nil
 }
 
 // applyManifestMeta folds stored scalar parameters into cfg: stored data
@@ -87,22 +101,8 @@ func applyManifestMeta(cfg Config, mm manifestMeta) (Config, error) {
 	return cfg, nil
 }
 
-// segCacheBytes resolves the Config.SegmentCacheBytes knob: zero means
-// the 32 MiB default, negative disables the cache.
-func segCacheBytes(v int64) int64 {
-	if v == 0 {
-		return 32 << 20
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // markDirty notes that id was mutated (live = an upsert, !live = a
-// removal that must flush as a tombstone). Last op wins. No-op while
-// tracking is disabled (non-durable databases; the segment-adoption
-// window at boot, whose records the manifest already covers).
+// removal that must flush as a tombstone). Last op wins.
 //
 // dirtyMu, not ckptMu, guards the map: writers call this holding ckptMu
 // only for reading, so two writers would otherwise race each other. The
@@ -110,30 +110,20 @@ func segCacheBytes(v int64) int64 {
 // rotate+swap (exclusive) cannot fall between a writer's WAL append and
 // its mark, so a mark always lands in the same dirty epoch as its log
 // record and truncation can never outrun the dirty set.
-func (db *DB) markDirty(id string, live bool) {
-	db.dirtyMu.Lock()
-	if db.dirty != nil {
-		db.dirty[id] = live
-	}
-	db.dirtyMu.Unlock()
-}
-
-// enableDirtyTracking arms checkpoint delta tracking (OpenDir boot,
-// after segment adoption and before WAL replay).
-func (db *DB) enableDirtyTracking() {
-	db.dirtyMu.Lock()
-	db.dirty = make(map[string]bool)
-	db.dirtyMu.Unlock()
+func (d *dirStore) markDirty(id string, live bool) {
+	d.dirtyMu.Lock()
+	d.dirty[id] = live
+	d.dirtyMu.Unlock()
 }
 
 // swapDirty exchanges the dirty set for a fresh one, returning the old.
-// Called by Checkpoint under ckptMu (exclusive), alongside the WAL
+// Called by the checkpoint under ckptMu (exclusive), alongside the WAL
 // rotation it must be atomic with.
-func (db *DB) swapDirty() map[string]bool {
-	db.dirtyMu.Lock()
-	old := db.dirty
-	db.dirty = make(map[string]bool, len(old))
-	db.dirtyMu.Unlock()
+func (d *dirStore) swapDirty() map[string]bool {
+	d.dirtyMu.Lock()
+	old := d.dirty
+	d.dirty = make(map[string]bool, len(old))
+	d.dirtyMu.Unlock()
 	return old
 }
 
@@ -143,16 +133,14 @@ func (db *DB) swapDirty() map[string]bool {
 // is correctness, not hygiene: the failed checkpoint did not truncate,
 // but a later successful one will truncate past these records' log
 // entries — they must be in its flush or they are lost.
-func (db *DB) restoreDirty(old map[string]bool) {
-	db.dirtyMu.Lock()
-	if db.dirty != nil {
-		for id, live := range old {
-			if _, ok := db.dirty[id]; !ok {
-				db.dirty[id] = live
-			}
+func (d *dirStore) restoreDirty(old map[string]bool) {
+	d.dirtyMu.Lock()
+	for id, live := range old {
+		if _, ok := d.dirty[id]; !ok {
+			d.dirty[id] = live
 		}
 	}
-	db.dirtyMu.Unlock()
+	d.dirtyMu.Unlock()
 }
 
 // encodeDirty builds the segment entries for one checkpoint: the
@@ -167,7 +155,7 @@ func (db *DB) restoreDirty(old map[string]bool) {
 // into the entries: once the checkpoint's manifest commits, these are
 // the records whose residency pins the checkpoint releases (their only
 // copy is no longer RAM + WAL).
-func (db *DB) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Record, error) {
+func (d *dirStore) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Record, error) {
 	ids := make([]string, 0, len(dirty))
 	for id := range dirty {
 		ids = append(ids, id)
@@ -176,7 +164,7 @@ func (db *DB) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Record, er
 	entries := make([]segment.Entry, 0, len(ids))
 	flushed := make([]*Record, 0, len(ids))
 	for _, id := range ids {
-		rec, ok := db.Record(id)
+		rec, ok := d.db.Record(id)
 		if !ok {
 			entries = append(entries, segment.Entry{ID: id, Tombstone: true})
 			continue
@@ -186,9 +174,9 @@ func (db *DB) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Record, er
 		// source boot (OpenDir), whose records are clean in the tier and
 		// may be cold. The error path also covers a remove racing between
 		// the lookup above and here.
-		fs, err := db.materialize(rec)
+		fs, err := d.db.materialize(rec)
 		if err != nil {
-			if err = db.verifyReadError(rec, err); err != nil {
+			if err = d.db.verifyReadError(rec, err); err != nil {
 				return nil, nil, fmt.Errorf("core: encoding %q: %w", id, err)
 			}
 			entries = append(entries, segment.Entry{ID: id, Tombstone: true})
@@ -204,85 +192,30 @@ func (db *DB) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Record, er
 	return entries, flushed, nil
 }
 
-// bootFromSegments populates a fresh database from the committed
-// segment tier: manifest meta resolves the scalar configuration, then
-// every live record is decoded and adopted. Runs before dirty tracking
-// is enabled — the manifest already covers these records, so re-flushing
-// them at the next checkpoint would defeat the O(delta) contract.
-//
-// legacy reports a directory whose stored vectors or sketches derive from
-// archived raws (featSourceLegacyRaw): those were discarded and rebuilt
-// in memory, and the caller must schedule every record for a rewrite so
-// the manifest never claims featSourceRecon over raw-derived payloads.
-func bootFromSegments(segs *segment.Store, cfg Config) (db *DB, legacy bool, err error) {
-	var mm manifestMeta
-	meta := segs.Meta()
-	if len(meta) == 0 {
-		return nil, false, fmt.Errorf("core: segment manifest carries no configuration metadata")
-	}
-	if err := json.Unmarshal(meta, &mm); err != nil {
-		return nil, false, fmt.Errorf("core: segment manifest metadata: %w", err)
-	}
-	if cfg, err = applyManifestMeta(cfg, mm); err != nil {
-		return nil, false, err
-	}
-	if db, err = New(cfg); err != nil {
-		return nil, false, err
-	}
-	// Attach the tier and arm residency before adoption: each adopted
-	// record is admitted clean (dirty tracking is still off and its
-	// payload is durably in the tier), so under a memory budget the
-	// eviction sweep bounds resident bytes while records stream in —
-	// boot never materializes more than the budget plus one record.
-	db.segs = segs
-	db.armResidency()
-	err = segs.Iterate(func(id string, payload []byte) error {
-		fs, feats, zfeats, sk, err := decodeRecordPayload(db, id, payload)
+// adoptSegments decodes and adopts every live record of the committed
+// tier (boot phase adopting). Vectors or sketches the manifest says
+// derive from archived raws (featSourceLegacyRaw) are dropped for adopt
+// to rebuild: they would bound a form no query verifies against.
+func (d *dirStore) adoptSegments(mm manifestMeta) error {
+	return d.segs.Iterate(func(id string, payload []byte) error {
+		fs, feats, zfeats, sk, err := decodeRecordPayload(d.db, id, payload)
 		if err != nil {
 			return err
 		}
-		// Raw-derived vectors and sketches would bound a form no query
-		// verifies against: drop them and let adopt rebuild.
 		if mm.FeatSource == featSourceLegacyRaw {
 			feats, zfeats = nil, nil
 		}
 		if mm.SketchSource == featSourceLegacyRaw {
 			sk = nil
 		}
-		return db.adopt(id, fs, feats, zfeats, sk)
+		return d.db.adopt(id, fs, feats, zfeats, sk)
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	return db, mm.FeatSource == featSourceLegacyRaw || mm.SketchSource == featSourceLegacyRaw, nil
 }
 
-// SegmentStats reports the on-disk segment tier's footprint — segment
-// and tombstone counts, bytes, compactions, payload-cache occupancy —
-// for health endpoints. ok is false when the database has no segment
-// tier (not opened via OpenDir).
-func (db *DB) SegmentStats() (segment.Stats, bool) {
-	if db.segs == nil {
-		return segment.Stats{}, false
-	}
-	return db.segs.Stats(), true
+func (d *dirStore) segmentStats() (segment.Stats, bool) { return d.segs.Stats(), true }
+
+func (d *dirStore) wrapCheckpointWriter(wrap func(io.Writer) io.Writer) {
+	d.segs.SetWrapWriter(wrap)
 }
 
-// WrapCheckpointWriter installs a writer decorator on segment flushes —
-// the checkpoint fault-injection hook tests use to make Checkpoint fail
-// mid-write (compare store.FileArchive.WrapWriter). Pass nil to remove.
-// No-op without a segment tier.
-func (db *DB) WrapCheckpointWriter(wrap func(io.Writer) io.Writer) {
-	if db.segs != nil {
-		db.segs.SetWrapWriter(wrap)
-	}
-}
-
-// SetSegmentReadFault installs a fault hook on the segment tier's point
-// lookups — the residency subsystem's cold-read path (chaos tests).
-// Pass nil to remove. No-op without a segment tier.
-func (db *DB) SetSegmentReadFault(hook func() error) {
-	if db.segs != nil {
-		db.segs.SetReadFault(hook)
-	}
-}
+func (d *dirStore) setSegmentReadFault(hook func() error) { d.segs.SetReadFault(hook) }

@@ -3,27 +3,17 @@ package core
 // BenchmarkCheckpointDelta quantifies what the segment tier buys: after
 // a base checkpoint of the full working set, each further checkpoint
 // writes a delta segment proportional to the churn since the last one —
-// not a full rewrite. The run emits BENCH_segment.json; CI gates on the
-// full/delta byte ratio staying at or above the 10x floor at 1% churn.
+// not a full rewrite. The benchmark fails itself when the full/delta
+// byte ratio drops below the 10x floor at 1% churn.
 //
 // The default 2000-record working set keeps the smoke run cheap; set
 // SEQREP_BENCH_100K=1 for the 100k-record acceptance configuration.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
 )
-
-type segmentBenchReport struct {
-	Benchmark            string  `json:"benchmark"`
-	Records              int     `json:"records"`
-	ChurnRecords         int     `json:"churn_records"`
-	FullSnapshotBytes    int64   `json:"full_snapshot_bytes"`
-	DeltaCheckpointBytes int64   `json:"delta_checkpoint_bytes"`
-	DeltaRatio           float64 `json:"delta_ratio"`
-}
 
 func BenchmarkCheckpointDelta(b *testing.B) {
 	n := 2000
@@ -102,21 +92,5 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	if ratio < 10 {
 		b.Errorf("delta checkpoint ratio %.1fx is below the 10x floor (full %d bytes, delta %d bytes at %d/%d churn)",
 			ratio, full, delta, churn, n)
-	}
-
-	report := segmentBenchReport{
-		Benchmark:            "BenchmarkCheckpointDelta",
-		Records:              n,
-		ChurnRecords:         churn,
-		FullSnapshotBytes:    full,
-		DeltaCheckpointBytes: delta,
-		DeltaRatio:           ratio,
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_segment.json", append(blob, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_segment.json not written: %v", err)
 	}
 }

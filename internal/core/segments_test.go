@@ -543,7 +543,7 @@ func acrossSourceChange(t *testing.T, legacy, reopens bool, budget int64, check 
 	orig, dir := openTemp(t, first)
 	shifts := map[string]float64{"fever": 0, "far": 50}
 	fever := ingestFevers(t, orig, shifts)
-	mm := orig.manifestMeta()
+	mm := dirOf(orig).manifestMeta()
 	if legacy {
 		for id, shift := range shifts {
 			rec, _ := orig.Record(id)
@@ -557,7 +557,7 @@ func acrossSourceChange(t *testing.T, legacy, reopens bool, budget int64, check 
 		t.Fatal(err)
 	}
 	meta, _ := json.Marshal(mm) // recommit the manifest under mm's sources
-	if err := orig.segs.Flush(nil, orig.segs.LSN(), meta); err != nil {
+	if err := dirOf(orig).segs.Flush(nil, dirOf(orig).segs.LSN(), meta); err != nil {
 		t.Fatal(err)
 	}
 	if err := orig.Close(); err != nil {

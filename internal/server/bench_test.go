@@ -4,15 +4,11 @@ package server
 // routed distance query against a 512-sequence corpus, hot (result cache
 // serving at a stable generation) versus cold (cache disabled, every
 // request re-executes). Both servers wrap the same database, so the gap
-// is purely the cache. The run emits BENCH_server.json, the serving
-// layer's perf-trajectory record (compare BENCH_query.json for the
-// engine-level planner).
+// is purely the cache, reported as the cache_speedup metric.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"seqrep"
@@ -50,27 +46,13 @@ func benchServers(b *testing.B) (hot, cold *client.Client) {
 	return hot, cold
 }
 
-type benchServerReport struct {
-	Benchmark string  `json:"benchmark"`
-	Sequences int     `json:"sequences"`
-	Statement string  `json:"statement"`
-	HotNsOp   float64 `json:"hot_ns_per_op"`
-	ColdNsOp  float64 `json:"cold_ns_per_op"`
-	Speedup   float64 `json:"cache_speedup"`
-	Matches   int     `json:"matches"`
-}
-
 func BenchmarkServerQuery(b *testing.B) {
 	ctx := context.Background()
 	hot, cold := benchServers(b)
 	const stmt = `MATCH DISTANCE LIKE fever-0000 METRIC l2 EPS 2`
-	report := benchServerReport{
-		Benchmark: "ServerQuery",
-		Sequences: benchCorpusN,
-		Statement: stmt,
-	}
+	var hotNs, coldNs float64
 
-	run := func(b *testing.B, c *client.Client, wantCached bool) *api.QueryResponse {
+	run := func(b *testing.B, c *client.Client, wantCached bool) {
 		b.Helper()
 		// Prime outside the timed region (fills the hot cache; for the
 		// cold server, warms connections).
@@ -88,29 +70,18 @@ func BenchmarkServerQuery(b *testing.B) {
 		if res.Cached != wantCached {
 			b.Fatalf("cached = %v, want %v", res.Cached, wantCached)
 		}
-		return res
 	}
 
 	b.Run("hot", func(b *testing.B) {
-		res := run(b, hot, true)
-		report.HotNsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		report.Matches = len(res.IDs)
+		run(b, hot, true)
+		hotNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
 	b.Run("cold", func(b *testing.B) {
 		run(b, cold, false)
-		report.ColdNsOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		coldNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
-
-	if report.HotNsOp > 0 && report.ColdNsOp > 0 {
-		report.Speedup = report.ColdNsOp / report.HotNsOp
-		b.ReportMetric(report.Speedup, "cache_speedup")
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_server.json", append(blob, '\n'), 0o644); err != nil {
-			b.Logf("BENCH_server.json not written: %v", err)
-		}
+	if hotNs > 0 && coldNs > 0 {
+		b.ReportMetric(coldNs/hotNs, "cache_speedup")
 	}
 }
 
