@@ -325,9 +325,18 @@ type DB struct {
 	ids     []string // sorted
 	rrIndex *inverted.Index
 	// symIndex groups sequence ids by their symbol string, so pattern
-	// queries evaluate each distinct string once no matter how many
-	// sequences share it.
-	symIndex map[string][]string
+	// and peak-count queries evaluate each distinct string once no matter
+	// how many sequences share it.
+	symIndex map[string]symGroup
+}
+
+// symGroup is the set of sequences sharing one symbol string. peaks is
+// the peak count every member has: feature.Peaks derives the count from
+// the symbol string alone, so the member that formed the group speaks
+// for all.
+type symGroup struct {
+	ids   []string // sorted
+	peaks int
 }
 
 // New creates a volatile database from cfg (zero value = paper
@@ -367,7 +376,7 @@ func newDB(cfg Config, st storage) (*DB, error) {
 		shards:   shards,
 		storage:  st,
 		rrIndex:  ix,
-		symIndex: make(map[string][]string),
+		symIndex: make(map[string]symGroup),
 	}
 	if c.IndexCoeffs > 0 {
 		db.findex = newFeatIndex(c.IndexCoeffs, c.IndexLeaf)
@@ -483,7 +492,12 @@ func (db *DB) link(rec *Record) error {
 		}
 	}
 	db.ids = insertSorted(db.ids, rec.ID)
-	db.symIndex[rec.Profile.Symbols] = insertSorted(db.symIndex[rec.Profile.Symbols], rec.ID)
+	g, ok := db.symIndex[rec.Profile.Symbols]
+	if !ok {
+		g.peaks = len(rec.Profile.Peaks)
+	}
+	g.ids = insertSorted(g.ids, rec.ID)
+	db.symIndex[rec.Profile.Symbols] = g
 	if db.findex != nil {
 		db.findex.add(rec)
 	}
@@ -679,9 +693,12 @@ func (db *DB) Remove(id string) error {
 	db.ids = removeSorted(db.ids, id)
 	db.rrIndex.RemoveID(id)
 	syms := rec.Profile.Symbols
-	db.symIndex[syms] = removeSorted(db.symIndex[syms], id)
-	if len(db.symIndex[syms]) == 0 {
-		delete(db.symIndex, syms)
+	if g, ok := db.symIndex[syms]; ok {
+		if g.ids = removeSorted(g.ids, id); len(g.ids) == 0 {
+			delete(db.symIndex, syms)
+		} else {
+			db.symIndex[syms] = g
+		}
 	}
 	if db.findex != nil {
 		db.findex.remove(rec)

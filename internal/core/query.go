@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -25,21 +26,8 @@ type Match struct {
 	Deviations map[string]float64
 }
 
-// matchLess orders matches: exact first, then by total deviation, then id.
-func matchLess(a, b Match) bool {
-	if a.Exact != b.Exact {
-		return a.Exact
-	}
-	da, dbv := totalDeviation(a), totalDeviation(b)
-	if da != dbv {
-		return da < dbv
-	}
-	return a.ID < b.ID
-}
-
-// matchCompare is matchLess as a three-way comparison for slices.SortFunc,
-// evaluating each key once per comparison (matchLess twice would walk the
-// Deviations maps up to four times).
+// matchCompare orders matches: exact first, then by total deviation, then
+// id.
 func matchCompare(a, b Match) int {
 	if a.Exact != b.Exact {
 		if a.Exact {
@@ -135,21 +123,15 @@ func (db *DB) MatchPattern(src string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	db.imu.RLock()
-	groups := make(map[string][]string, len(db.symIndex))
-	for symbols, ids := range db.symIndex {
-		// Deep-copy: insertSorted/removeSorted mutate the backing
-		// arrays in place under the write lock.
-		groups[symbols] = append([]string(nil), ids...)
-	}
-	db.imu.RUnlock()
 	var out []string
-	for symbols, ids := range groups {
+	db.imu.RLock()
+	for symbols, g := range db.symIndex {
 		if p.Match(symbols) {
-			out = append(out, ids...)
+			out = append(out, g.ids...)
 		}
 	}
-	sort.Strings(out)
+	db.imu.RUnlock()
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -172,23 +154,29 @@ func (db *DB) SearchPattern(src string) ([]PatternHit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	type groupHits struct {
+		symbols string
+		ids     []string
+		spans   [][2]int
+	}
+	var groups []groupHits
 	db.imu.RLock()
-	groups := make(map[string][]string, len(db.symIndex))
-	for symbols, ids := range db.symIndex {
-		// Deep-copy: insertSorted/removeSorted mutate the backing
-		// arrays in place under the write lock.
-		groups[symbols] = append([]string(nil), ids...)
+	for symbols, g := range db.symIndex {
+		if spans := p.FindAll(symbols); len(spans) > 0 {
+			// Copy: insertSorted/removeSorted shift the ids in place
+			// under the write lock.
+			groups = append(groups, groupHits{symbols, slices.Clone(g.ids), spans})
+		}
 	}
 	db.imu.RUnlock()
 	var out []PatternHit
-	for symbols, ids := range groups {
-		spans := p.FindAll(symbols)
-		if len(spans) == 0 {
-			continue
-		}
-		for _, id := range ids {
+	for _, g := range groups {
+		for _, id := range g.ids {
+			// The spans index the group's symbol string: a record that no
+			// longer carries it (removed, or removed and re-ingested with
+			// another shape) is skipped.
 			rec, ok := db.Record(id)
-			if !ok {
+			if !ok || rec.Profile.Symbols != g.symbols {
 				continue
 			}
 			// The hit spans are mapped to time through the representation,
@@ -201,11 +189,8 @@ func (db *DB) SearchPattern(src string) ([]PatternHit, error) {
 				}
 				continue
 			}
-			for _, span := range spans {
+			for _, span := range g.spans {
 				lo, hi := span[0], span[1]
-				if hi <= lo {
-					continue
-				}
 				out = append(out, PatternHit{
 					ID:     id,
 					SegLo:  lo,
@@ -236,22 +221,35 @@ func (db *DB) PeakCount(k, tol int) ([]Match, error) {
 	if tol < 0 {
 		return nil, fmt.Errorf("core: negative tolerance %d", tol)
 	}
-	var out []Match
-	for _, id := range db.IDs() {
-		rec, ok := db.Record(id)
-		if !ok {
-			continue
+	type hit struct {
+		dev int
+		id  string
+	}
+	var hits []hit
+	db.imu.RLock()
+	for _, g := range db.symIndex {
+		dev := g.peaks - k
+		if dev < 0 {
+			dev = -dev
 		}
-		dev := math.Abs(float64(len(rec.Profile.Peaks) - k))
-		if dev <= float64(tol) {
-			out = append(out, Match{
-				ID:         id,
-				Exact:      dev == 0,
-				Deviations: map[string]float64{"peaks": dev},
-			})
+		if dev <= tol {
+			for _, id := range g.ids {
+				hits = append(hits, hit{dev, id})
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return matchLess(out[i], out[j]) })
+	db.imu.RUnlock()
+	// The canonical order: exact first, then by deviation, then id.
+	slices.SortFunc(hits, func(a, b hit) int {
+		if a.dev != b.dev {
+			return cmp.Compare(a.dev, b.dev)
+		}
+		return strings.Compare(a.id, b.id)
+	})
+	var out []Match
+	for _, h := range hits {
+		out = append(out, Match{ID: h.id, Exact: h.dev == 0, Deviations: map[string]float64{"peaks": float64(h.dev)}})
+	}
 	return out, nil
 }
 

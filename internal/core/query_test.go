@@ -1,11 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"seqrep/internal/pattern"
+	"seqrep/internal/seq"
 	"seqrep/internal/synth"
 )
 
@@ -202,6 +208,145 @@ func TestPeakCount(t *testing.T) {
 	}
 }
 
+// shapeOf builds a piecewise-linear sequence whose symbol string is
+// symbols (runs of one letter merge into one segment): four samples of
+// slope 2.5 per U, 0 per F, -2.5 per D.
+func shapeOf(symbols string) seq.Sequence {
+	v := []float64{0}
+	for _, c := range symbols {
+		d := map[rune]float64{'U': 2.5, 'F': 0, 'D': -2.5}[c]
+		for j := 0; j < 4; j++ {
+			v = append(v, v[len(v)-1]+d)
+		}
+	}
+	return seq.New(v)
+}
+
+// PeakCount answers from the symbol groups' stored peak counts. It must
+// return exactly what a brute force over every record's own profile
+// returns — ids, order and deviations — while churn empties groups and
+// forms them again, and every group's count must be each member's.
+func TestPeakCountMatchesProfiles(t *testing.T) {
+	shapes := []string{"F", "FUF", "UFD", "FUDF", "UDUD", "UFDFUD", "DUDUD", "UDUDUD", "FUDUDUDF", "UDUDUDUD", "UDUDUDUDUD", "UDUDUDUDUDUD"}
+	db := mustDB(t, Config{})
+	rng := rand.New(rand.NewSource(27))
+	live := map[string]bool{}
+	seenGroups, emptied, reformed := map[string]bool{}, map[string]bool{}, 0
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 40; i++ {
+			id := fmt.Sprintf("s%03d", rng.Intn(60))
+			if live[id] {
+				if err := db.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, id)
+				continue
+			}
+			mustIngest(t, db, id, shapeOf(shapes[rng.Intn(len(shapes))]).ShiftValue(rng.Float64()))
+			live[id] = true
+		}
+		for syms := range seenGroups {
+			if _, ok := db.symIndex[syms]; !ok {
+				emptied[syms] = true
+			}
+		}
+		for syms, g := range db.symIndex {
+			if emptied[syms] {
+				delete(emptied, syms)
+				reformed++
+			}
+			seenGroups[syms] = true
+			for _, id := range g.ids {
+				rec, _ := db.Record(id)
+				if rec.Profile.Symbols != syms || len(rec.Profile.Peaks) != g.peaks {
+					t.Fatalf("group %q (%d peaks) holds %q: %q, %d peaks", syms, g.peaks, id, rec.Profile.Symbols, len(rec.Profile.Peaks))
+				}
+			}
+		}
+		for k := 0; k <= 6; k++ {
+			for _, tol := range []int{0, 1, 2, 3, 1 << 40} {
+				got, err := db.PeakCount(k, tol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []Match
+				for _, id := range db.IDs() {
+					rec, _ := db.Record(id)
+					if dev := math.Abs(float64(len(rec.Profile.Peaks) - k)); dev <= float64(tol) {
+						want = append(want, Match{ID: id, Exact: dev == 0, Deviations: map[string]float64{"peaks": dev}})
+					}
+				}
+				SortMatches(want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d, PeakCount(%d, %d):\n got %v\nwant %v", round, k, tol, got, want)
+				}
+			}
+		}
+	}
+	if reformed == 0 {
+		t.Error("no symbol group emptied and formed again")
+	}
+}
+
+// SearchPattern maps each group's spans onto the records that carried
+// the group's symbol string when the walk began. A record removed and
+// re-ingested with another shape meanwhile must be skipped: indexing its
+// new, 3-segment representation with the spans of the old 64-segment
+// string panicked.
+func TestSearchPatternReingestRace(t *testing.T) {
+	db := mustDB(t, Config{})
+	filler := make([]BatchItem, 3000)
+	for i := range filler {
+		filler[i] = BatchItem{ID: fmt.Sprintf("f%04d", i), Seq: shapeOf("FUDF").ShiftValue(float64(i) * 1e-3)}
+	}
+	if _, err := db.IngestBatch(filler); err != nil {
+		t.Fatal(err)
+	}
+	shapes := []seq.Sequence{shapeOf(strings.Repeat("UD", 32)), shapeOf("UFD")}
+	mustIngest(t, db, "x", shapes[0])
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			if err := db.Remove("x"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := db.Ingest("x", shapes[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		hits, err := db.SearchPattern("U+F*D+")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillerHits := 0
+		for _, h := range hits {
+			if h.ID != "x" {
+				fillerHits++
+			}
+		}
+		if fillerHits != len(filler) {
+			t.Fatalf("%d filler hits, want %d", fillerHits, len(filler))
+		}
+	}
+}
+
 // The ECG inverted-index query of §5.2 / Figure 10.
 func TestIntervalQueryECG(t *testing.T) {
 	db := mustDB(t, Config{Epsilon: 10, Delta: 1})
@@ -336,16 +481,16 @@ func TestShapeQueryValidation(t *testing.T) {
 func TestMatchOrdering(t *testing.T) {
 	a := Match{ID: "b", Exact: true, Deviations: map[string]float64{"x": 0}}
 	b := Match{ID: "a", Exact: false, Deviations: map[string]float64{"x": 1}}
-	if !matchLess(a, b) {
+	if matchCompare(a, b) >= 0 {
 		t.Error("exact should sort first")
 	}
 	c := Match{ID: "c", Deviations: map[string]float64{"x": 0.5}}
 	d := Match{ID: "d", Deviations: map[string]float64{"x": 0.9}}
-	if !matchLess(c, d) || matchLess(d, c) {
+	if matchCompare(c, d) >= 0 || matchCompare(d, c) <= 0 {
 		t.Error("deviation ordering")
 	}
 	e := Match{ID: "e", Deviations: map[string]float64{"x": 0.5}}
-	if !matchLess(c, e) {
+	if matchCompare(c, e) >= 0 {
 		t.Error("id tiebreak")
 	}
 }

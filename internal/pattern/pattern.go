@@ -9,9 +9,14 @@
 //
 // The engine is self-contained (no dependency on regexp, whose semantics
 // over bytes would admit no counted slope classes): patterns are parsed by
-// recursive descent into a syntax tree, compiled to a Thompson NFA with
-// ε-transitions, and simulated breadth-first — linear in input length,
-// immune to catastrophic backtracking.
+// recursive descent into a syntax tree and compiled to a Thompson NFA with
+// ε-transitions. Matching runs a DFA determinized lazily from that NFA:
+// each DFA state is an ε-closed set of NFA states, built the first time
+// the input reaches it, and its transitions are cached per byte class (the
+// bytes no NFA state tells apart — here U, F, D and everything else). The
+// cache is capped and flushed when full, as RE2 does, so a pattern whose
+// DFA is exponential in its NFA still runs in time linear in the input and
+// in bounded memory; no input can cause catastrophic backtracking.
 //
 // Supported syntax: literals, '.' (any symbol), character classes
 // "[UD]" / negated "[^U]", grouping "(..)", alternation '|', and the
@@ -19,13 +24,22 @@
 package pattern
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // maxCountedRepeat bounds {m,n} expansion so a hostile pattern cannot blow
 // up the compiled NFA.
 const maxCountedRepeat = 256
+
+// maxStates bounds the compiled NFA, which nested counted repeats would
+// otherwise multiply past any one repeat's bound ("((U{256}){256}){256}"
+// is 21 bytes and 16 million states).
+const maxStates = 1 << 16
 
 // Pattern is a compiled pattern, safe for concurrent use.
 type Pattern struct {
@@ -33,6 +47,15 @@ type Pattern struct {
 	states []state
 	start  int
 	accept int
+
+	// classOf maps every byte to its byte class. A DFA row holds
+	// 1<<rowShift classes: a power of two, and at least two.
+	classOf  [256]uint8
+	rowShift uint
+
+	// matchers hands each call a lazily built DFA of its own, so the
+	// Pattern itself is never written after Compile.
+	matchers sync.Pool
 }
 
 // state is one NFA state: either a consuming state with a byte-class edge,
@@ -80,11 +103,18 @@ func Compile(src string) (*Pattern, error) {
 	if ps.pos != len(src) {
 		return nil, fmt.Errorf("pattern: unexpected %q at position %d", src[ps.pos], ps.pos)
 	}
+	if nfaSize(ast) >= maxStates {
+		return nil, fmt.Errorf("pattern: compiles to more than %d states", maxStates)
+	}
 	c := &compiler{}
 	frag := c.compile(ast)
 	accept := c.newState(state{next1: -1, next2: -1})
 	c.patch(frag.out, accept)
-	return &Pattern{src: src, states: c.states, start: frag.start, accept: accept}, nil
+	p := &Pattern{src: src, states: c.states, start: frag.start, accept: accept}
+	classOf, nclass := byteClasses(p.states)
+	p.classOf, p.rowShift = classOf, uint(bits.Len(uint(max(nclass, 2)-1)))
+	p.matchers.New = func() any { return newMatcher(p) }
+	return p, nil
 }
 
 // ---- parser ----
@@ -416,106 +446,300 @@ func (c *compiler) compileStar(child node) frag {
 	return frag{start: split, out: []patchPoint{{split, 2}}}
 }
 
-// ---- simulation ----
-
-// addClosure adds state id and everything ε-reachable from it to the set.
-func (p *Pattern) addClosure(set []bool, id int) {
-	stack := []int{id}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if s < 0 || set[s] {
-			continue
+// nfaSize is the number of states compile creates for n, saturating just
+// past maxStates so that nested counted repeats cannot overflow it.
+func nfaSize(n node) int {
+	size := 0
+	switch v := n.(type) {
+	case litNode:
+		size = 1
+	case concatNode:
+		if len(v.parts) == 0 {
+			size = 1
 		}
-		set[s] = true
-		st := &p.states[s]
-		if st.class == nil { // split / ε state
-			stack = append(stack, st.next1, st.next2)
+		for _, part := range v.parts {
+			size += nfaSize(part)
+		}
+	case altNode:
+		size = len(v.choices) - 1
+		for _, ch := range v.choices {
+			size += nfaSize(ch)
+		}
+	case repeatNode:
+		body := nfaSize(v.child)
+		if v.max < 0 {
+			size = (v.min+1)*body + 1
+		} else {
+			size = v.max*body + v.max - v.min + 1
 		}
 	}
+	return min(size, maxStates+1)
+}
+
+// byteClasses partitions the 256 byte values into the classes no
+// consuming state tells apart, so that the DFA keeps one transition per
+// class rather than per byte. It returns every byte's class and the
+// number of classes.
+func byteClasses(states []state) (classOf [256]uint8, n int) {
+	n = 1
+	seen := make(map[classSet]bool)
+	for i := range states {
+		cs := states[i].class
+		if cs == nil || seen[*cs] {
+			continue
+		}
+		seen[*cs] = true
+		// Split every class in two by membership in cs.
+		var split [512]int16
+		for j := range split {
+			split[j] = -1
+		}
+		n = 0
+		for b := 0; b < 256; b++ {
+			k := 2 * int(classOf[b])
+			if cs.has(byte(b)) {
+				k++
+			}
+			if split[k] < 0 {
+				split[k] = int16(n)
+				n++
+			}
+			classOf[b] = uint8(split[k])
+		}
+	}
+	return classOf, n
+}
+
+// ---- lazily built DFA ----
+
+// The DFA cache of one matcher is flushed when it holds maxDFAStates
+// states or maxDFAWords words of NFA state sets and transitions (4 MiB),
+// so memory stays bounded while time stays linear in the input: a flush
+// costs at most one rebuilt state per input symbol.
+const (
+	maxDFAStates = 4096
+	maxDFAWords  = 1 << 20
+)
+
+// A DFA state is named by where its row starts in the transition table,
+// with the low bit set when the state accepts: rows are a power of two
+// wide and at least two, so the bit is free, and a step is one load.
+const (
+	deadState    int32 = 0  // row 0, the empty set: the match has failed
+	unknownState int32 = -1 // a transition not computed yet
+)
+
+// dstate is one DFA state: the ε-closed set of NFA consuming states
+// sets[lo:hi] of its matcher.
+type dstate struct{ lo, hi int32 }
+
+// matcher is one lazily built DFA over a Pattern's NFA, with the scratch
+// that builds it. One goroutine uses it at a time; Pattern keeps them in
+// a sync.Pool, so the DFA a call builds serves the calls after it.
+type matcher struct {
+	p      *Pattern
+	states []dstate // indexed by name>>p.rowShift
+	sets   []int32
+	trans  []int32          // [row start + byte class] → next state's name, or unknownState
+	index  map[string]int32 // key of a state's set → the state's name
+	start  int32            // unknownState until computed
+
+	seen  []uint32 // NFA state → the closure generation that last visited it
+	gen   uint32
+	stack []int
+	set   []int32 // the set under construction
+	key   []byte
+}
+
+func newMatcher(p *Pattern) *matcher {
+	m := &matcher{
+		p:     p,
+		index: make(map[string]int32),
+		seen:  make([]uint32, len(p.states)),
+	}
+	m.reset()
+	return m
+}
+
+// reset empties the cache down to the dead state, whose transitions all
+// lead back to itself.
+func (m *matcher) reset() {
+	m.states = append(m.states[:0], dstate{})
+	m.sets = m.sets[:0]
+	m.trans = append(m.trans[:0], make([]int32, 1<<m.p.rowShift)...)
+	clear(m.index)
+	m.index[""] = deadState
+	m.start = unknownState
+}
+
+// intern returns the name of the DFA state of the sorted NFA set m.set,
+// adding the state when new. Adding to a full cache flushes it first,
+// which invalidates every name the caller holds; flushed reports that.
+func (m *matcher) intern(accept bool) (name int32, flushed bool) {
+	m.key = m.key[:0]
+	for _, s := range m.set {
+		m.key = binary.LittleEndian.AppendUint32(m.key, uint32(s))
+	}
+	if accept {
+		m.key = append(m.key, 1)
+	}
+	if name, ok := m.index[string(m.key)]; ok {
+		return name, false
+	}
+	width := 1 << m.p.rowShift
+	if len(m.states) >= maxDFAStates || len(m.sets)+len(m.trans)+len(m.set)+width > maxDFAWords {
+		m.reset()
+		flushed = true
+	}
+	name = int32(len(m.trans))
+	if accept {
+		name |= 1
+	}
+	lo := int32(len(m.sets))
+	m.sets = append(m.sets, m.set...)
+	m.states = append(m.states, dstate{lo: lo, hi: int32(len(m.sets))})
+	for c := 0; c < width; c++ {
+		m.trans = append(m.trans, unknownState)
+	}
+	m.index[string(m.key)] = name
+	return name, flushed
+}
+
+// closure adds the consuming states ε-reachable from NFA state id to m.set
+// and reports whether accept is among the states reached.
+func (m *matcher) closure(id int) bool {
+	accept := false
+	m.stack = append(m.stack[:0], id)
+	for len(m.stack) > 0 {
+		s := m.stack[len(m.stack)-1]
+		m.stack = m.stack[:len(m.stack)-1]
+		if s < 0 || m.seen[s] == m.gen {
+			continue
+		}
+		m.seen[s] = m.gen
+		st := &m.p.states[s]
+		switch {
+		case st.class != nil:
+			m.set = append(m.set, int32(s))
+		case s == m.p.accept:
+			accept = true
+		default:
+			m.stack = append(m.stack, st.next2, st.next1)
+		}
+	}
+	return accept
+}
+
+// newSet starts building a set under a fresh closure generation.
+func (m *matcher) newSet() {
+	m.set = m.set[:0]
+	if m.gen++; m.gen == 0 {
+		clear(m.seen)
+		m.gen = 1
+	}
+}
+
+func (m *matcher) startState() int32 {
+	if m.start == unknownState {
+		m.buildStart()
+	}
+	return m.start
+}
+
+// buildStart is startState's slow path, kept out of line so that the check
+// inlines into the walks.
+func (m *matcher) buildStart() {
+	m.newSet()
+	accept := m.closure(m.p.start)
+	slices.Sort(m.set)
+	m.start, _ = m.intern(accept)
+}
+
+// step builds the transition of state d on byte b, and caches it for b's
+// whole byte class: no NFA state tells b from the rest of its class.
+func (m *matcher) step(d int32, b byte) int32 {
+	m.newSet()
+	accept := false
+	st := m.states[d>>m.p.rowShift]
+	for _, s := range m.sets[st.lo:st.hi] {
+		if ns := &m.p.states[s]; ns.class.has(b) && m.closure(ns.next1) {
+			accept = true
+		}
+	}
+	slices.Sort(m.set)
+	nd, flushed := m.intern(accept)
+	if !flushed {
+		m.trans[int(d&^1)+int(m.p.classOf[b])] = nd
+	}
+	return nd
+}
+
+// longest runs the DFA from input[start] until the input ends or the
+// match fails, and returns the end of the longest match starting there
+// (start itself for an empty one), or -1 when there is none.
+func (m *matcher) longest(input string, start int) int {
+	d := m.startState()
+	end := -1
+	if d&1 != 0 {
+		end = start
+	}
+	for i := start; i < len(input); i++ {
+		next := m.trans[int(d&^1)+int(m.p.classOf[input[i]])]
+		if next == unknownState {
+			next = m.step(d, input[i])
+		}
+		if d = next; d == deadState {
+			break
+		}
+		if d&1 != 0 {
+			end = i + 1
+		}
+	}
+	return end
 }
 
 // Match reports whether the pattern matches the whole input.
 func (p *Pattern) Match(input string) bool {
-	cur := make([]bool, len(p.states))
-	next := make([]bool, len(p.states))
-	p.addClosure(cur, p.start)
-	for i := 0; i < len(input); i++ {
-		b := input[i]
-		any := false
-		for s := range next {
-			next[s] = false
-		}
-		for s, on := range cur {
-			if !on {
-				continue
-			}
-			st := &p.states[s]
-			if st.class != nil && st.class.has(b) {
-				p.addClosure(next, st.next1)
-				any = true
-			}
-		}
-		cur, next = next, cur
-		if !any {
-			return false
-		}
-	}
-	return cur[p.accept]
+	m := p.matchers.Get().(*matcher)
+	defer p.matchers.Put(m)
+	return m.longest(input, 0) == len(input)
 }
 
 // FindAll returns the leftmost-longest non-overlapping matches as
-// [start, end) index pairs over the input.
+// [start, end) index pairs over the input. Empty matches are not
+// reported.
 func (p *Pattern) FindAll(input string) [][2]int {
+	m := p.matchers.Get().(*matcher)
+	defer p.matchers.Put(m)
 	var out [][2]int
-	cur := make([]bool, len(p.states))
-	next := make([]bool, len(p.states))
-	for start := 0; start <= len(input); {
-		for s := range cur {
-			cur[s] = false
+	for start := 0; start < len(input); {
+		// Most starts fail on their first symbol: rule those out without
+		// entering the walk.
+		if m.trans[int(m.startState()&^1)+int(m.p.classOf[input[start]])] == deadState {
+			start++
+			continue
 		}
-		p.addClosure(cur, p.start)
-		end := -1
-		if cur[p.accept] {
-			end = start
-		}
-		for i := start; i < len(input); i++ {
-			b := input[i]
-			alive := false
-			for s := range next {
-				next[s] = false
-			}
-			for s, on := range cur {
-				if !on {
-					continue
-				}
-				st := &p.states[s]
-				if st.class != nil && st.class.has(b) {
-					p.addClosure(next, st.next1)
-					alive = true
-				}
-			}
-			cur, next = next, cur
-			if !alive {
-				break
-			}
-			if cur[p.accept] {
-				end = i + 1
-			}
-		}
-		if end > start {
+		if end := m.longest(input, start); end > start {
 			out = append(out, [2]int{start, end})
 			start = end
 		} else {
-			start++ // empty or no match here; advance
+			start++
 		}
 	}
 	return out
 }
 
-// Contains reports whether the pattern matches anywhere in the input.
+// Contains reports whether the pattern matches a non-empty part of the
+// input.
 func (p *Pattern) Contains(input string) bool {
-	return len(p.FindAll(input)) > 0
+	m := p.matchers.Get().(*matcher)
+	defer p.matchers.Put(m)
+	for start := 0; start < len(input); start++ {
+		if m.longest(input, start) > start {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- canned patterns of the paper ----

@@ -1,10 +1,16 @@
 package pattern
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 func TestLiteralMatch(t *testing.T) {
 	p := MustCompile("UFD")
@@ -60,6 +66,7 @@ func TestCompileErrors(t *testing.T) {
 	bad := []string{
 		"(", ")", "(U", "U)", "[", "[]", "[^]", "U{", "U{2", "U{a}",
 		"U{3,2}", "*U", "+", "?", "|*", "U{999}", "U{1,999}", "]", "}",
+		"((U{256}){256}){256}", "(U{256}){256}", // nested repeats past maxStates
 	}
 	for _, src := range bad {
 		if _, err := Compile(src); err == nil {
@@ -170,7 +177,7 @@ func TestAtLeastPeaks(t *testing.T) {
 }
 
 // naiveMatch is an exponential-time reference matcher used to cross-check
-// the NFA on random small inputs.
+// the engine on random small inputs.
 func naiveMatch(n node, input string) bool {
 	ends := naiveEnds(n, input, 0)
 	for _, e := range ends {
@@ -221,56 +228,40 @@ func naiveEnds(n node, input string, pos int) []int {
 		}
 		return out
 	case repeatNode:
-		// BFS over repetition counts.
-		current := map[int]bool{pos: true}
-		reached := map[int]map[int]bool{0: current}
-		count := 0
-		for {
-			if v.max >= 0 && count >= v.max {
-				break
-			}
-			nextSet := map[int]bool{}
-			for p := range reached[count] {
+		// BFS over repetition counts: cur holds the positions reached with
+		// exactly count repetitions, reached those with min..count.
+		step := func(from map[int]bool) map[int]bool {
+			to := map[int]bool{}
+			for p := range from {
 				for _, e := range naiveEnds(v.child, input, p) {
-					nextSet[e] = true
+					to[e] = true
 				}
 			}
-			// Drop positions already reached at a lower count to ensure
-			// termination on ε-loops.
-			progress := false
-			for e := range nextSet {
-				fresh := true
-				for c := 0; c <= count; c++ {
-					if reached[c][e] {
-						fresh = false
-						break
-					}
-				}
-				if fresh {
-					progress = true
+			return to
+		}
+		cur := map[int]bool{pos: true}
+		for count := 0; count < v.min; count++ {
+			cur = step(cur)
+		}
+		reached := maps.Clone(cur)
+		for count := v.min; v.max < 0 || count < v.max; count++ {
+			// Once a count adds no position, no later count can: every
+			// later set is a step from positions already reached.
+			cur = step(cur)
+			grew := false
+			for e := range cur {
+				if !reached[e] {
+					reached[e] = true
+					grew = true
 				}
 			}
-			count++
-			reached[count] = nextSet
-			if len(nextSet) == 0 || (!progress && v.max < 0) {
-				break
-			}
-			if count > len(input)+2 && v.max < 0 {
+			if !grew {
 				break
 			}
 		}
-		seen := map[int]bool{}
 		var out []int
-		for c, set := range reached {
-			if c < v.min {
-				continue
-			}
-			for e := range set {
-				if !seen[e] {
-					seen[e] = true
-					out = append(out, e)
-				}
-			}
+		for e := range reached {
+			out = append(out, e)
 		}
 		return out
 	default:
@@ -278,42 +269,121 @@ func naiveEnds(n node, input string, pos int) []int {
 	}
 }
 
-// Property: NFA simulation agrees with the naive reference matcher on
-// random patterns and inputs over the slope alphabet.
+// naiveFindAll is FindAll's reference: at each start the longest
+// non-empty match naiveEnds admits, leftmost first, non-overlapping.
+func naiveFindAll(n node, input string) [][2]int {
+	var out [][2]int
+	for start := 0; start < len(input); {
+		end := start
+		for _, e := range naiveEnds(n, input, start) {
+			end = max(end, e)
+		}
+		if end > start {
+			out = append(out, [2]int{start, end})
+			start = end
+		} else {
+			start++
+		}
+	}
+	return out
+}
+
+// parseAST parses src the way Compile does, for the reference matcher.
+func parseAST(t testing.TB, src string) node {
+	t.Helper()
+	ps := &parser{src: src}
+	ast, err := ps.parseAlternation()
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	return ast
+}
+
+// agreesWithNaive checks Match and FindAll on one input against the
+// reference matcher.
+func agreesWithNaive(t *testing.T, p *Pattern, ast node, in string) {
+	t.Helper()
+	if got, want := p.Match(in), naiveMatch(ast, in); got != want {
+		t.Errorf("pattern %q input %q: Match %v, naive %v", p, in, got, want)
+	}
+	if got, want := p.FindAll(in), naiveFindAll(ast, in); !slices.Equal(got, want) {
+		t.Errorf("pattern %q input %q: FindAll %v, naive %v", p, in, got, want)
+	}
+}
+
+// randomPattern draws a pattern from a small grammar covering every
+// construct: literals, classes, negated classes, '.', groups, '|', '*',
+// '+', '?' and counted repeats.
+func randomPattern(rng *rand.Rand, depth int) string {
+	atoms := []string{"U", "F", "D", ".", "[UD]", "[FD]", "[UF]", "[^U]", "[^F]", "[^UD]"}
+	var b strings.Builder
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		if depth > 0 && rng.Intn(3) == 0 {
+			b.WriteString("(" + randomPattern(rng, depth-1))
+			if rng.Intn(2) == 0 {
+				b.WriteString("|" + randomPattern(rng, depth-1))
+			}
+			b.WriteString(")")
+		} else {
+			b.WriteString(atoms[rng.Intn(len(atoms))])
+		}
+		switch m := rng.Intn(3); rng.Intn(8) {
+		case 0:
+			b.WriteString("*")
+		case 1:
+			b.WriteString("+")
+		case 2:
+			b.WriteString("?")
+		case 3:
+			fmt.Fprintf(&b, "{%d,%d}", m, m+rng.Intn(3))
+		case 4:
+			fmt.Fprintf(&b, "{%d,}", m)
+		}
+	}
+	if depth > 0 && rng.Intn(4) == 0 {
+		b.WriteString("|" + randomPattern(rng, depth-1))
+	}
+	return b.String()
+}
+
+func randomInput(rng *rand.Rand, maxLen int) string {
+	b := make([]byte, rng.Intn(maxLen+1))
+	for i := range b {
+		b[i] = "UFD"[rng.Intn(3)]
+	}
+	return string(b)
+}
+
+// Property: the lazily built DFA agrees with the naive reference matcher,
+// for Match and for FindAll, on fixed and random patterns and inputs over
+// the slope alphabet; and nfaSize predicts exactly what Compile builds.
 func TestNFAAgreesWithNaiveMatcher(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	patterns := []string{
 		"UF*D", "U+F*D", "(U|D)*", "U?D?F?", "[UD]+F", "U{2,3}D",
-		"((U|F)+D)*", "U(FD)*U?", "[^F]+", "(UD|DU){1,2}",
+		"((U|F)+D)*", "U(FD)*U?", "[^F]+", "(UD|DU){1,2}", "", "()", "(|U)D*",
 	}
-	alphabet := "UFD"
+	for i := 0; i < 300; i++ {
+		patterns = append(patterns, randomPattern(rng, 2))
+	}
 	for _, src := range patterns {
 		p, err := Compile(src)
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", src, err)
 		}
-		ps := &parser{src: src}
-		ast, err := ps.parseAlternation()
-		if err != nil {
-			t.Fatal(err)
+		ast := parseAST(t, src)
+		if got := nfaSize(ast) + 1; got != len(p.states) {
+			t.Errorf("pattern %q: nfaSize predicts %d states, Compile built %d", src, got, len(p.states))
 		}
-		for trial := 0; trial < 200; trial++ {
-			n := rng.Intn(8)
-			var b strings.Builder
-			for i := 0; i < n; i++ {
-				b.WriteByte(alphabet[rng.Intn(len(alphabet))])
-			}
-			in := b.String()
-			got := p.Match(in)
-			want := naiveMatch(ast, in)
-			if got != want {
-				t.Errorf("pattern %q input %q: NFA %v, naive %v", src, in, got, want)
-			}
+		for trial := 0; trial < 60; trial++ {
+			agreesWithNaive(t, p, ast, randomInput(rng, 9))
 		}
 	}
 }
 
-// The NFA must be immune to patterns that would blow up a backtracker.
+// The engine must be immune to patterns that would blow up a backtracker,
+// and to patterns whose DFA is exponential in the NFA: the cache is
+// flushed when full, and the answers do not change.
 func TestNoCatastrophicBacktracking(t *testing.T) {
 	p := MustCompile("(U*)*D")
 	input := strings.Repeat("U", 2000) // no trailing D: must fail fast
@@ -324,6 +394,83 @@ func TestNoCatastrophicBacktracking(t *testing.T) {
 	if !p.Match(long) {
 		t.Error("should match")
 	}
+
+	// "a U 13 symbols from the end" needs 2^14 DFA states, four times the
+	// cap. One matcher, fed directly so no pool can drop it, must flush
+	// and go on agreeing with the reference.
+	const tail = 13
+	src := fmt.Sprintf(".*U.{%d}", tail)
+	p = MustCompile(src)
+	ast := parseAST(t, src)
+	m := newMatcher(p)
+	rng := rand.New(rand.NewSource(7))
+	// Each distinct placement of U in the last tail+1 symbols is a
+	// distinct DFA state.
+	placements := map[string]bool{}
+	for trial := 0; trial < 3000; trial++ {
+		in := randomInput(rng, 4*tail)
+		if got, want := m.longest(in, 0) == len(in), naiveMatch(ast, in); got != want {
+			t.Fatalf("%q on %q: DFA %v, naive %v", src, in, got, want)
+		}
+		for i := 0; i+tail+1 <= len(in); i++ {
+			placements[strings.ReplaceAll(in[i:i+tail+1], "D", "F")] = true
+		}
+		if len(m.states) > maxDFAStates {
+			t.Fatalf("cache holds %d states, cap %d", len(m.states), maxDFAStates)
+		}
+	}
+	if len(placements) <= maxDFAStates {
+		t.Fatalf("only %d states visited: the cap was never reached", len(placements))
+	}
+	for trial := 0; trial < 200; trial++ {
+		agreesWithNaive(t, p, ast, randomInput(rng, 2*tail))
+	}
+	// Linear even while flushing: a long input runs in one pass.
+	in := randomInput(rng, 200000)
+	if got, want := p.Match(in), len(in) > tail && in[len(in)-tail-1] == 'U'; got != want {
+		t.Errorf("%q on a %d-symbol input: %v, want %v", src, len(in), got, want)
+	}
+}
+
+// A warmed Pattern matches without allocating: the matcher comes from the
+// pool and every transition the input takes is cached.
+func TestMatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	p := MustCompile(TwoPeak())
+	in := "FUUDDFFUUDDF"
+	p.Match(in)
+	if allocs := testing.AllocsPerRun(100, func() { p.Match(in) }); allocs != 0 {
+		t.Errorf("Match allocates %.1f per call on a warmed pattern", allocs)
+	}
+}
+
+// FuzzPattern compiles arbitrary bytes; whatever compiles must match
+// fuzzed slope strings without panicking, and agree with the reference
+// matcher on inputs of at most 10 symbols.
+func FuzzPattern(f *testing.F) {
+	for _, src := range []string{"UF*D", TwoPeak(), AtLeastPeaks(2), "(U*)*D", "[^F]{2,3}", ".*U.{3}", "(UD|DU){1,2}", "(|U)D*", "x[^x]"} {
+		f.Add(src, []byte{0, 1, 2, 0, 2, 1})
+	}
+	f.Fuzz(func(t *testing.T, src string, raw []byte) {
+		p, err := Compile(src)
+		if err != nil {
+			return
+		}
+		in := make([]byte, len(raw))
+		for i, b := range raw {
+			in[i] = "UFD"[b%3]
+		}
+		p.Match(string(in))
+		p.FindAll(string(in))
+		// The reference is exponential in the pattern's nesting: keep it
+		// to small patterns and short inputs.
+		if len(in) > 10 || len(p.states) > 256 {
+			return
+		}
+		agreesWithNaive(t, p, parseAST(t, src), string(in))
+	})
 }
 
 func TestCountedRepetitionExpansionBound(t *testing.T) {

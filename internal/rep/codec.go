@@ -106,7 +106,14 @@ func Decode(r io.Reader) (*FunctionSeries, error) {
 	return decode(bufio.NewReader(r))
 }
 
-func decode(br *bufio.Reader) (*FunctionSeries, error) {
+// byteReader is what decode reads from: a bufio.Reader over a stream, or
+// a bytes.Reader over a payload already in memory.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+func decode(br byteReader) (*FunctionSeries, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("rep: decode magic: %w", err)
@@ -205,12 +212,12 @@ func (fs *FunctionSeries) MarshalBinary() ([]byte, error) {
 // data must hold exactly one encoded series: trailing bytes are rejected,
 // so every accepted blob re-encodes to itself.
 func (fs *FunctionSeries) UnmarshalBinary(data []byte) error {
-	br := bufio.NewReader(bytes.NewReader(data))
+	br := bytes.NewReader(data)
 	decoded, err := decode(br)
 	if err != nil {
 		return err
 	}
-	if _, err := br.Peek(1); err == nil {
+	if br.Len() > 0 {
 		return fmt.Errorf("rep: trailing bytes after the encoded series")
 	}
 	*fs = *decoded
