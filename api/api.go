@@ -124,6 +124,8 @@ type QueryResponse struct {
 	// Generation is the database mutation generation the answer was
 	// computed at; Cached reports whether it was served from the result
 	// cache (always at the current generation — a mutation invalidates).
+	// Cached stays the last field: the server caches each body up to its
+	// value.
 	Generation uint64 `json:"generation"`
 	Cached     bool   `json:"cached"`
 }

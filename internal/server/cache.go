@@ -3,18 +3,20 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"seqrep/api"
 )
 
-// resultCache is an LRU cache of query answers keyed by the statement's
-// canonical form, invalidated by the database's mutation generation: an
-// entry is served only while the generation it was computed at is still
-// current. Mutations bump the generation, so a lookup after any committed
-// Ingest/Remove misses (and drops the stale entry) without the cache
-// ever tracking which entries a write affected. The server serves one
-// database instance for its whole life, so the generation alone decides
-// freshness.
+// resultCache is an LRU cache of encoded query answers keyed by the
+// statement's canonical form, invalidated by the database's mutation
+// generation: an entry is served only while the generation it was
+// computed at is still current. Mutations bump the generation, so a
+// lookup after any committed Ingest/Remove misses (and drops the stale
+// entry) without the cache ever tracking which entries a write affected.
+// The server serves one database instance for its whole life, so the
+// generation alone decides freshness.
+//
+// An entry is the /v1/query body the answer was first served with, cut
+// just after its trailing "cached": key (see cachedPrefix): a hit writes
+// those bytes and the value true without encoding anything.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -27,7 +29,7 @@ type resultCache struct {
 type cacheEntry struct {
 	key  string
 	gen  uint64
-	resp *api.QueryResponse // immutable once stored
+	body []byte // immutable once stored
 }
 
 func newResultCache(max int) *resultCache {
@@ -38,14 +40,14 @@ func newResultCache(max int) *resultCache {
 	}
 }
 
-// get returns the cached answer for key computed at generation gen, or
+// get returns the cached body for key computed at generation gen, or
 // nil. A hit refreshes recency; an entry that is stale from the caller's
 // viewpoint (older generation) is evicted and counted as an invalidation
 // plus a miss. An entry *newer* than the caller's generation is left
 // alone — the caller read its generation before a write committed and
 // merely lost that race; destroying the fresher answer would waste the
 // faster request's work.
-func (c *resultCache) get(key string, gen uint64) *api.QueryResponse {
+func (c *resultCache) get(key string, gen uint64) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -57,7 +59,7 @@ func (c *resultCache) get(key string, gen uint64) *api.QueryResponse {
 	if ent.gen == gen {
 		c.order.MoveToFront(el)
 		c.hits++
-		return ent.resp
+		return ent.body
 	}
 	if ent.gen < gen {
 		c.order.Remove(el)
@@ -68,18 +70,19 @@ func (c *resultCache) get(key string, gen uint64) *api.QueryResponse {
 	return nil
 }
 
-// put stores resp under key at generation gen, evicting the least
-// recently used entry when full. An entry computed at a newer generation
-// is kept: a slow request that read an old generation before stalling
-// must not clobber the fresher answer a faster request cached meanwhile.
-func (c *resultCache) put(key string, gen uint64, resp *api.QueryResponse) {
+// put stores body under key at generation gen, evicting the least
+// recently used entry when full. The caller must not modify body
+// afterwards. An entry computed at a newer generation is kept: a slow
+// request that read an old generation before stalling must not clobber
+// the fresher answer a faster request cached meanwhile.
+func (c *resultCache) put(key string, gen uint64, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		if ent := el.Value.(*cacheEntry); ent.gen > gen {
 			return
 		}
-		el.Value = &cacheEntry{key: key, gen: gen, resp: resp}
+		el.Value = &cacheEntry{key: key, gen: gen, body: body}
 		c.order.MoveToFront(el)
 		return
 	}
@@ -88,7 +91,7 @@ func (c *resultCache) put(key string, gen uint64, resp *api.QueryResponse) {
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, gen: gen, resp: resp})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, gen: gen, body: body})
 }
 
 // cacheStats is a snapshot of the counters for /metrics.

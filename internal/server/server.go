@@ -17,6 +17,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -222,12 +223,46 @@ func (s *Server) route(pattern string, weight int, handler http.HandlerFunc) {
 
 // ---- JSON plumbing ----
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+// encodeJSON renders v as one line of JSON with HTML characters left
+// unescaped: the form of every JSON response body.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v) // the status line is already out; nothing to salvage
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// writeJSON encodes v before the status line goes out, so a value JSON
+// cannot represent (a non-finite float) answers 500 with the encoder's
+// message rather than an empty body under code.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = encodeJSON(api.ErrorResponse{Error: err.Error()}) // a string always encodes
+	}
+	writeBody(w, code, body)
+}
+
+// writeBody sends an encoded JSON body, given in parts, under an
+// explicit Content-Length.
+func writeBody(w http.ResponseWriter, code int, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(code)
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return // the client is gone
+		}
+	}
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -318,10 +353,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// after that write — lookups compare against the then-current value.
 	gen := db.Generation()
 	if s.cache != nil {
-		if resp := s.cache.get(key, gen); resp != nil {
-			hit := *resp
-			hit.Cached = true
-			writeJSON(w, http.StatusOK, &hit)
+		if body := s.cache.get(key, gen); body != nil {
+			writeBody(w, http.StatusOK, body, hitValue)
 			return
 		}
 	}
@@ -335,12 +368,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), err)
 		return
 	}
-	resp := toQueryResponse(res, key, gen)
-	if s.cache != nil {
-		s.cache.put(key, gen, resp)
+	body, err := encodeJSON(toQueryResponse(res, key, gen))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if s.cache != nil && bytes.HasSuffix(body, missTail) {
+		s.cache.put(key, gen, body[:len(body)-len(missValue)])
+	}
+	writeBody(w, http.StatusOK, body)
 }
+
+// A /v1/query body ends in Cached, the last field of api.QueryResponse:
+// a miss writes missTail, the cache keeps the body up to that field's
+// value, and a hit completes the stored bytes with hitValue.
+const missValue = "false}\n"
+
+var (
+	missTail = []byte(`"cached":` + missValue)
+	hitValue = []byte("true}\n")
+)
 
 // toQueryResponse converts an engine result into its wire form.
 func toQueryResponse(res *seqrep.QueryResult, canonical string, gen uint64) *api.QueryResponse {

@@ -233,6 +233,60 @@ func TestQueryErrorMapping(t *testing.T) {
 	}
 }
 
+// TestUnencodableAnswerIsAnError pins what a server does with an answer
+// JSON cannot represent (here a distance that overflowed to +Inf):
+// /v1/query answers 500 with the encoder's message and caches nothing,
+// and /v1/query/stream ends with an error frame instead of just stopping.
+func TestUnencodableAnswerIsAnError(t *testing.T) {
+	ctx := context.Background()
+	srv, c := testServer(t, Config{})
+	for _, it := range []struct {
+		id string
+		v  float64
+	}{{"a", 1e200}, {"b", -1e200}} {
+		vals := make([]float64, 64)
+		for i := range vals {
+			vals[i] = it.v
+		}
+		if _, err := c.Ingest(ctx, api.IngestRequest{ID: it.id, Values: vals}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const stmt = `MATCH DISTANCE LIKE a METRIC l2 TOP 2 BY DISTANCE`
+	for i := 0; i < 2; i++ { // the second request must not find a cached empty answer
+		_, err := c.Query(ctx, stmt)
+		if ae := apiErr(t, err); ae.StatusCode != 500 || !strings.Contains(ae.Message, "unsupported value") {
+			t.Fatalf("request %d: status %d %q, want 500 naming the unsupported value", i, ae.StatusCode, ae.Message)
+		}
+	}
+	if st := srv.cache.stats(); st.entries != 0 {
+		t.Fatalf("an unencodable answer was cached: %+v", st)
+	}
+
+	qs, err := c.StreamQuery(ctx, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qs.Close()
+	var frames int
+	for {
+		f, err := qs.Next()
+		if err != nil {
+			if ae := apiErr(t, err); !strings.Contains(ae.Message, "unsupported value") {
+				t.Fatalf("stream error frame %q, want the encoder's message", ae.Message)
+			}
+			break
+		}
+		if f == nil {
+			t.Fatalf("stream ended normally after %d frames", frames)
+		}
+		frames++
+	}
+	if qs.Trailer() != nil {
+		t.Fatal("a failed stream sent a trailer")
+	}
+}
+
 // TestQueryCache pins the canonical-key + generation contract at the unit
 // level: spelling variants share an entry, a committed mutation
 // invalidates, and disabling the cache disables Cached.

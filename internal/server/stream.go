@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -19,11 +20,16 @@ const streamFlushInterval = 100 * time.Millisecond
 // streamWriter serializes api.StreamFrame lines onto an NDJSON response
 // with periodic flushes. Frames may arrive from the engine's worker
 // goroutines (serialized by the engine) and then from the handler
-// goroutine — never concurrently. The first write error sticks: further
-// frames report failure, which propagates as a false yield into the
-// engine and cancels the query.
+// goroutine — never concurrently. Each frame is encoded into a reused
+// buffer before anything is written, so a frame JSON cannot represent is
+// told apart from a dead connection: the stream then ends with an error
+// frame naming the encoder's complaint. The first failure of either kind
+// sticks: further frames report failure, which propagates as a false
+// yield into the engine and cancels the query.
 type streamWriter struct {
-	enc       *json.Encoder
+	w         http.ResponseWriter
+	buf       bytes.Buffer
+	enc       *json.Encoder // writes into buf
 	fl        http.Flusher
 	lastFlush time.Time
 	err       error
@@ -31,7 +37,9 @@ type streamWriter struct {
 
 func newStreamWriter(w http.ResponseWriter) *streamWriter {
 	fl, _ := w.(http.Flusher)
-	return &streamWriter{enc: json.NewEncoder(w), fl: fl}
+	sw := &streamWriter{w: w, fl: fl}
+	sw.enc = json.NewEncoder(&sw.buf)
+	return sw
 }
 
 // frame writes one NDJSON line, flushing if the flush interval elapsed.
@@ -40,12 +48,30 @@ func (sw *streamWriter) frame(f *api.StreamFrame) bool {
 	if sw.err != nil {
 		return false
 	}
+	sw.buf.Reset()
 	if err := sw.enc.Encode(f); err != nil {
+		// An error frame is one string: it always encodes.
+		sw.buf.Reset()
+		_ = sw.enc.Encode(&api.StreamFrame{Error: err.Error()})
+		sw.write()
+		sw.flush()
 		sw.err = err
+		return false
+	}
+	if !sw.write() {
 		return false
 	}
 	if sw.fl != nil && time.Since(sw.lastFlush) >= streamFlushInterval {
 		sw.flush()
+	}
+	return true
+}
+
+// write sends the encoded frame in buf, recording a failed write.
+func (sw *streamWriter) write() bool {
+	if _, err := sw.w.Write(sw.buf.Bytes()); err != nil {
+		sw.err = err
+		return false
 	}
 	return true
 }
