@@ -198,6 +198,59 @@ func TestIndexedQueryAllocs(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds, whose
+// instrumentation allocates.
+var raceEnabled bool
+
+// verifySink keeps TestVerifyAllocs' reference map on the heap.
+var verifySink map[string]float64
+
+// TestVerifyAllocs guards the exact tier's per-candidate cost, shared by
+// the index, scan, top-K and cascade producers: the record is
+// reconstructed into pooled scratch, so a rejected candidate allocates
+// nothing and an accepted one no more than its Deviations map.
+func TestVerifyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	db := mustDB(t, Config{})
+	mustIngest(t, db, "r", smoothWalk(rand.New(rand.NewSource(31)), 160))
+	rec, ok := db.Record("r")
+	if !ok {
+		t.Fatal("record missing")
+	}
+	if fs, err := db.materialize(rec); err != nil || fs.NumSegments() < 10 {
+		t.Fatalf("want a resident record of >= 10 segments: %v, %v", fs, err)
+	}
+	near, err := db.Reconstruct("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mirrored and shifted: far under every metric, zl2 included.
+	far := near.Clone()
+	for i := range far {
+		far[i].V = 1000 - far[i].V
+	}
+	name := "value"
+	mapAllocs := testing.AllocsPerRun(100, func() { verifySink = map[string]float64{name: 1} })
+
+	check := func(what string, budget float64, verify func() (Match, bool, error), wantOK bool) {
+		t.Helper()
+		if _, ok, err := verify(); err != nil || ok != wantOK {
+			t.Fatalf("%s: ok=%v err=%v, want ok=%v", what, ok, err, wantOK)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { verify() }); allocs > budget {
+			t.Errorf("%s allocates %.0f per candidate, budget %.0f", what, allocs, budget)
+		}
+	}
+	for _, m := range dist.Metrics() {
+		check(m.Name()+" reject", 0, func() (Match, bool, error) { return db.distanceVerify(rec, far, m, 1e-3) }, false)
+		check(m.Name()+" accept", mapAllocs, func() (Match, bool, error) { return db.distanceVerify(rec, near, m, 1) }, true)
+	}
+	check("value reject", 0, func() (Match, bool, error) { return db.valueVerify(rec, far, 1e-3) }, false)
+	check("value accept", mapAllocs, func() (Match, bool, error) { return db.valueVerify(rec, near, 1) }, true)
+}
+
 // TestProgressiveSubLinear is the same property for the cascade: a
 // progressive query takes its records from the feature index, so it
 // compares exactly the feature vectors the exact indexed query compares,

@@ -167,8 +167,12 @@ func (db *DB) verifyReadError(rec *Record, err error) error {
 // comparison runs through the metric's early-abandoning threshold kernel
 // (squared-space accumulation, mid-loop bail; see dist.DistanceWithin),
 // which returns the same decisions and distances as a full evaluation.
+// The record is reconstructed into pooled scratch, so a reject allocates
+// nothing and an accept only its Deviations map.
 func (db *DB) distanceVerify(rec *Record, exemplar seq.Sequence, m dist.Metric, eps float64) (Match, bool, error) {
-	stored, err := db.storedSequence(rec)
+	buf := reconPool.Get().(*seq.Sequence)
+	defer reconPool.Put(buf)
+	stored, err := db.storedSequence(rec, buf)
 	if err != nil {
 		if err = db.verifyReadError(rec, err); err != nil {
 			return Match{}, false, fmt.Errorf("core: distance query reading %q: %w", rec.ID, err)
@@ -193,9 +197,12 @@ func (db *DB) distanceVerify(rec *Record, exemplar seq.Sequence, m dist.Metric, 
 }
 
 // valueVerify runs the early-abandoning ±eps band check on one record —
-// the shared verification step of both ValueQuery plans.
+// the shared verification step of both ValueQuery plans, on pooled
+// scratch like distanceVerify.
 func (db *DB) valueVerify(rec *Record, exemplar seq.Sequence, eps float64) (Match, bool, error) {
-	stored, err := db.storedSequence(rec)
+	buf := reconPool.Get().(*seq.Sequence)
+	defer reconPool.Put(buf)
+	stored, err := db.storedSequence(rec, buf)
 	if err != nil {
 		if err = db.verifyReadError(rec, err); err != nil {
 			return Match{}, false, fmt.Errorf("core: value query reading %q: %w", rec.ID, err)

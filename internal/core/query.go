@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"seqrep/internal/dist"
 	"seqrep/internal/feature"
@@ -29,19 +30,7 @@ type Match struct {
 // matchCompare orders matches: exact first, then by total deviation, then
 // id.
 func matchCompare(a, b Match) int {
-	if a.Exact != b.Exact {
-		if a.Exact {
-			return -1
-		}
-		return 1
-	}
-	if da, db := totalDeviation(a), totalDeviation(b); da != db {
-		if da < db {
-			return -1
-		}
-		return 1
-	}
-	return strings.Compare(a.ID, b.ID)
+	return keyedCompare(keyedMatch{a, totalDeviation(a)}, keyedMatch{b, totalDeviation(b)})
 }
 
 func totalDeviation(m Match) float64 {
@@ -52,33 +41,76 @@ func totalDeviation(m Match) float64 {
 	return t
 }
 
+// keyedMatch is a match with its total deviation computed once, so a sort
+// does not range over two Deviations maps per comparison.
+type keyedMatch struct {
+	m   Match
+	dev float64
+}
+
+// keyedCompare is matchCompare on precomputed total deviations.
+func keyedCompare(a, b keyedMatch) int {
+	if a.m.Exact != b.m.Exact {
+		if a.m.Exact {
+			return -1
+		}
+		return 1
+	}
+	if a.dev != b.dev {
+		if a.dev < b.dev {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.m.ID, b.m.ID)
+}
+
 // SortMatches orders matches the way every materialized query returns
 // them: exact matches first, then by total deviation, ties broken by id.
 // Callers of the streaming query forms (which yield in discovery order
 // unless TopK is set) use it to restore the canonical order.
 func SortMatches(matches []Match) {
-	slices.SortFunc(matches, matchCompare)
+	if len(matches) < 2 {
+		return
+	}
+	keyed := make([]keyedMatch, len(matches))
+	for i, m := range matches {
+		keyed[i] = keyedMatch{m, totalDeviation(m)}
+	}
+	slices.SortFunc(keyed, keyedCompare)
+	for i := range keyed {
+		matches[i] = keyed[i].m
+	}
 }
 
-// storedSequence reads the comparison form of a record: the
-// reconstruction of its stored representation, in every configuration
-// (the archive keeps originals for Raw and answers no query). Under a
-// memory budget the representation may be cold — materialize pages it
-// back in from the segment tier, so this is the one place the query
-// verification fan-out touches disk. A failure here is a storage fault,
-// not a bad query — the record is committed but its comparison form is
-// unreadable — so the error wraps ErrStorage for callers (the serving
-// layer) to classify; a record removed mid-scan surfaces the fault-in's
-// ErrUnknownID, which verifyReadError turns into a skip.
-func (db *DB) storedSequence(rec *Record) (seq.Sequence, error) {
+// reconPool recycles the verification tiers' reconstruction buffers: a
+// candidate is reconstructed into pooled scratch, compared, and the
+// buffer goes back, so steady-state verification allocates nothing per
+// candidate. Nothing a verification returns may alias the buffer — which
+// is why dist.Metric implementations must not retain their arguments.
+var reconPool = sync.Pool{New: func() any { return new(seq.Sequence) }}
+
+// storedSequence reads the comparison form of a record into *buf (reused
+// and grown as needed, and left holding the result): the reconstruction
+// of its stored representation, in every configuration (the archive keeps
+// originals for Raw and answers no query). Under a memory budget the
+// representation may be cold — materialize pages it back in from the
+// segment tier, so this is the one place the query verification fan-out
+// touches disk. A failure here is a storage fault, not a bad query — the
+// record is committed but its comparison form is unreadable — so the
+// error wraps ErrStorage for callers (the serving layer) to classify; a
+// record removed mid-scan surfaces the fault-in's ErrUnknownID, which
+// verifyReadError turns into a skip.
+func (db *DB) storedSequence(rec *Record, buf *seq.Sequence) (seq.Sequence, error) {
 	fs, err := db.materialize(rec)
 	if err != nil {
 		return nil, err
 	}
-	s, err := fs.Reconstruct()
+	s, err := fs.AppendReconstruction((*buf)[:0])
 	if err != nil {
 		return nil, fmt.Errorf("core: %w: %w", ErrStorage, err)
 	}
+	*buf = s
 	return s, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -492,6 +493,36 @@ func TestMatchOrdering(t *testing.T) {
 	e := Match{ID: "e", Deviations: map[string]float64{"x": 0.5}}
 	if matchCompare(c, e) >= 0 {
 		t.Error("id tiebreak")
+	}
+}
+
+// TestSortMatchesAgreesWithMatchCompare pins that SortMatches, which
+// computes each total deviation once, orders exactly as sorting by
+// matchCompare does: over random matches with exact flags, multi-key
+// deviations and many ties on (exact, total deviation) that the id
+// breaks. Deviations are multiples of 1/4, so a total is the same in any
+// map iteration order.
+func TestSortMatchesAgreesWithMatchCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	keys := []string{"l2", "peaks", "height", "spacing"}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(48)
+		ids := rng.Perm(1000)
+		ms := make([]Match, n)
+		for i := range ms {
+			devs := map[string]float64{}
+			for _, k := range keys[:1+rng.Intn(len(keys))] {
+				devs[k] = float64(rng.Intn(5)) / 4
+			}
+			ms[i] = Match{ID: fmt.Sprintf("m-%03d", ids[i]), Exact: rng.Intn(3) == 0, Deviations: devs}
+		}
+		want := slices.Clone(ms)
+		slices.SortFunc(want, matchCompare)
+		got := slices.Clone(ms)
+		SortMatches(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: SortMatches\n%+v\nmatchCompare order\n%+v", trial, got, want)
+		}
 	}
 }
 

@@ -448,6 +448,9 @@ func zl2Within(a, b seq.Sequence, eps float64) (float64, bool, error) {
 // Metric is a named distance kernel over sequences, the unit of run-time
 // parameterization: core.DB.DistanceQuery scans the database under any
 // Metric, and command-line tools resolve user-supplied names via ByName.
+// An implementation must not retain its arguments past the call: query
+// verification passes a reused buffer that the next candidate overwrites.
+// The built-in metrics comply.
 type Metric interface {
 	// Name returns the metric's canonical textual name (e.g. "l2").
 	Name() string
@@ -459,7 +462,8 @@ type Metric interface {
 // eps?" cheaper than computing the distance in full (early abandoning,
 // squared-space comparison). DistanceWithin must return exactly the same
 // decision as `Distance(a,b) <= eps` and, when within is true, the exact
-// distance; when within is false, d is only a lower bound.
+// distance; when within is false, d is only a lower bound. Like a
+// Metric, an implementation must not retain its arguments past the call.
 type Thresholded interface {
 	DistanceWithin(a, b seq.Sequence, eps float64) (d float64, within bool, err error)
 }

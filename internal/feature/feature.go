@@ -167,7 +167,6 @@ func Intervals(peaks []Peak) []float64 {
 // the query engine stores one per ingested sequence.
 type Profile struct {
 	Symbols   string
-	Slopes    []float64
 	Peaks     []Peak
 	Intervals []float64
 }
@@ -184,7 +183,6 @@ func Extract(fs *rep.FunctionSeries, delta float64) (*Profile, error) {
 	}
 	return &Profile{
 		Symbols:   symbols,
-		Slopes:    fs.Slopes(),
 		Peaks:     peaks,
 		Intervals: Intervals(peaks),
 	}, nil

@@ -245,9 +245,6 @@ func TestExtractProfileConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Slopes) != len(p.Symbols) {
-		t.Errorf("slopes %d vs symbols %d", len(p.Slopes), len(p.Symbols))
-	}
 	if len(p.Intervals) != len(p.Peaks)-1 {
 		t.Errorf("intervals %d for %d peaks", len(p.Intervals), len(p.Peaks))
 	}

@@ -12,6 +12,7 @@ package fit
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"seqrep/internal/seq"
 )
@@ -102,34 +103,70 @@ func RMSE(c Curve, pts []seq.Point) float64 {
 	return math.Sqrt(sum / float64(len(pts)))
 }
 
-// Decode reconstructs a curve from its persisted Kind and parameter
-// vector. It is the inverse of (Kind, Params) and is used by the
-// representation codec.
-func Decode(k Kind, params []float64) (Curve, error) {
+// CheckParams reports whether params is a valid parameter vector for a
+// curve of kind k: exactly the check Decode makes, without building the
+// curve, so it allocates nothing unless it fails. After it succeeds the
+// kind's ...FromParams constructor cannot fail.
+func CheckParams(k Kind, params []float64) error {
 	switch k {
 	case KindLine:
 		if len(params) != 2 {
-			return nil, fmt.Errorf("fit: line wants 2 params, got %d", len(params))
+			return fmt.Errorf("fit: line wants 2 params, got %d", len(params))
 		}
-		return Line{Slope: params[0], Intercept: params[1]}, nil
 	case KindPoly:
 		if len(params) < 2 {
-			return nil, fmt.Errorf("fit: poly wants >= 2 params, got %d", len(params))
+			return fmt.Errorf("fit: poly wants >= 2 params, got %d", len(params))
 		}
-		coeffs := make([]float64, len(params)-1)
-		copy(coeffs, params[1:])
-		return Polynomial{Origin: params[0], Coeffs: coeffs}, nil
 	case KindBezier:
 		if len(params) != 8 {
-			return nil, fmt.Errorf("fit: bezier wants 8 params, got %d", len(params))
+			return fmt.Errorf("fit: bezier wants 8 params, got %d", len(params))
 		}
-		var b Bezier
-		for i := 0; i < 4; i++ {
-			b.P[i] = vec2{params[2*i], params[2*i+1]}
-		}
-		return b, nil
 	default:
-		return nil, fmt.Errorf("fit: unknown curve kind %d", k)
+		return fmt.Errorf("fit: unknown curve kind %d", k)
+	}
+	return nil
+}
+
+// LineFromParams builds the line whose Params are params, which must have
+// passed CheckParams(KindLine, params).
+func LineFromParams(params []float64) Line {
+	return Line{Slope: params[0], Intercept: params[1]}
+}
+
+// PolynomialFromParams builds the polynomial whose Params are params,
+// which must have passed CheckParams(KindPoly, params). Its Coeffs alias
+// params[1:] rather than copying them, so the curve is only valid while
+// params is left unchanged.
+func PolynomialFromParams(params []float64) Polynomial {
+	return Polynomial{Origin: params[0], Coeffs: params[1:]}
+}
+
+// BezierFromParams builds the Bézier curve whose Params are params, which
+// must have passed CheckParams(KindBezier, params).
+func BezierFromParams(params []float64) Bezier {
+	var b Bezier
+	for i := 0; i < 4; i++ {
+		b.P[i] = vec2{params[2*i], params[2*i+1]}
+	}
+	return b
+}
+
+// Decode reconstructs a curve from its persisted Kind and parameter
+// vector. It is the inverse of (Kind, Params) and is used by the
+// representation codec. The returned curve owns its parameters.
+func Decode(k Kind, params []float64) (Curve, error) {
+	if err := CheckParams(k, params); err != nil {
+		return nil, err
+	}
+	switch k {
+	case KindLine:
+		return LineFromParams(params), nil
+	case KindPoly:
+		p := PolynomialFromParams(params)
+		p.Coeffs = slices.Clone(p.Coeffs)
+		return p, nil
+	default: // KindBezier: CheckParams refused every other kind
+		return BezierFromParams(params), nil
 	}
 }
 

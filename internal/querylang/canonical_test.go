@@ -72,3 +72,60 @@ func TestCanonical(t *testing.T) {
 		t.Error("Canonical accepted an unparseable statement")
 	}
 }
+
+// TestCanonicalExponentRoundTrip pins that a canonical form re-parses
+// when a number renders in exponent notation (%g turns 0.00001 into
+// 1e-05 and 10²¹ into 1e+21), and that exponent spellings canonicalize
+// like their decimal ones.
+func TestCanonicalExponentRoundTrip(t *testing.T) {
+	groups := [][]string{
+		{`MATCH VALUE LIKE ecg1 EPS 0.00001`, `MATCH VALUE LIKE ecg1 EPS 1e-5`, `MATCH VALUE LIKE ecg1 EPS 1E-05`},
+		{`MATCH VALUE LIKE ecg1 EPS 1000000000000000000000`, `MATCH VALUE LIKE ecg1 EPS 1e21`, `MATCH VALUE LIKE ecg1 EPS 1e+21`},
+		{`MATCH INTERVAL 0.00001 +- 0.5`, `MATCH INTERVAL 1e-5 +- 5e-1`},
+		{`MATCH INTERVAL -0.00001 +- 0.5`, `MATCH INTERVAL -1.0e-5 +- .5`},
+		{`MATCH DISTANCE LIKE ecg1 EPS 3 WITHIN ERROR 0.000002`, `MATCH DISTANCE LIKE ecg1 EPS 3e0 WITHIN ERROR 2e-6`},
+		{`MATCH SHAPE LIKE x HEIGHT 0.0000003`, `MATCH SHAPE LIKE x HEIGHT 3E-7`},
+	}
+	for _, group := range groups {
+		first, err := Canonical(group[0])
+		if err != nil {
+			t.Fatalf("Canonical(%q): %v", group[0], err)
+		}
+		again, err := Canonical(first)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not re-parse: %v", first, group[0], err)
+		}
+		if again != first {
+			t.Errorf("canonical form is not a fixed point: %q -> %q", first, again)
+		}
+		for _, src := range group[1:] {
+			got, err := Canonical(src)
+			if err != nil {
+				t.Fatalf("Canonical(%q): %v", src, err)
+			}
+			if got != first {
+				t.Errorf("Canonical(%q) = %q, want %q", src, got, first)
+			}
+		}
+	}
+
+	// An 'e' with no digits after it is not an exponent: it lexes as the
+	// next token, exactly as before exponents were accepted.
+	for src, want := range map[string][]string{
+		`5e`:    {"5", "e"},
+		`5eps`:  {"5", "eps"},
+		`2.5e-`: {"2.5", "e-"},
+		`7E-x`:  {"7", "E-x"},
+	} {
+		toks, err := lex(src)
+		if err != nil {
+			t.Fatalf("lex(%q): %v", src, err)
+		}
+		for i, w := range want {
+			if i >= len(toks) || toks[i].text != w {
+				t.Errorf("lex(%q) = %+v, want texts %q", src, toks, want)
+				break
+			}
+		}
+	}
+}

@@ -41,6 +41,10 @@ var queryLangSeeds = []string{
 	`match value like two approx exact limit 3`,
 	`EXPLAIN MATCH DISTANCE LIKE two METRIC zl2 EPS 3 WITHIN ERROR 0`,
 	`MATCH DISTANCE LIKE ecg1 APPROX candidate WITHIN ERROR 1.5`,
+	`MATCH VALUE LIKE ecg1 EPS 0.00001`,
+	`MATCH VALUE LIKE ecg1 EPS 1000000000000000000000`,
+	`MATCH INTERVAL 0.00001 +- 0.5`,
+	`MATCH DISTANCE LIKE two EPS 1e-05 WITHIN ERROR 2.5E+3`,
 }
 
 // fuzzDB lazily builds one small database per fuzz process so statements

@@ -115,6 +115,21 @@ func lex(src string) ([]token, error) {
 			if !digits {
 				return nil, fmt.Errorf("querylang: stray %q at position %d", c, i)
 			}
+			// An exponent, [eE][+-]?digits, directly after the mantissa: the
+			// spelling Canonical's %g gives very small and very large numbers.
+			// An 'e' not followed by digits is left to the next token.
+			if j < n && (src[j] == 'e' || src[j] == 'E') {
+				k := j + 1
+				if k < n && (src[k] == '+' || src[k] == '-') {
+					k++
+				}
+				if k < n && src[k] >= '0' && src[k] <= '9' {
+					for k < n && src[k] >= '0' && src[k] <= '9' {
+						k++
+					}
+					j = k
+				}
+			}
 			out = append(out, token{kind: tokNumber, text: src[i:j], pos: i})
 			i = j
 		case c == '=': // optional sugar: PEAKS = 2

@@ -12,6 +12,7 @@ package rep
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"seqrep/internal/breaking"
 	"seqrep/internal/fit"
@@ -112,7 +113,7 @@ func (fs *FunctionSeries) Validate() error {
 		if sg.Lo > 0 && sg.StartT <= fs.Segments[i-1].EndT {
 			return fmt.Errorf("rep: segment %d starts at time %g, not after %g", i, sg.StartT, fs.Segments[i-1].EndT)
 		}
-		if _, err := sg.Curve(); err != nil {
+		if err := fit.CheckParams(sg.Kind, sg.Params); err != nil {
 			return fmt.Errorf("rep: segment %d: %w", i, err)
 		}
 		prev = sg.Hi
@@ -128,26 +129,51 @@ func (fs *FunctionSeries) Validate() error {
 // uniformly sampled data) — the paper's point that continuity of the
 // representation "allows interpolation of unsampled points".
 func (fs *FunctionSeries) Reconstruct() (seq.Sequence, error) {
-	if err := fs.Validate(); err != nil {
+	out, err := fs.AppendReconstruction(nil)
+	if err != nil {
 		return nil, err
 	}
-	out := make(seq.Sequence, 0, fs.N)
+	return out, nil
+}
+
+// AppendReconstruction appends the Reconstruct samples to dst and returns
+// the extended slice, allocating only when dst lacks room for N more
+// points. It validates the representation on every call; on an error dst
+// is returned unchanged. The query path reconstructs every candidate
+// into reused scratch through it.
+func (fs *FunctionSeries) AppendReconstruction(dst seq.Sequence) (seq.Sequence, error) {
+	if err := fs.Validate(); err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, fs.N)
 	for i := range fs.Segments {
 		sg := &fs.Segments[i]
-		curve, err := sg.Curve()
-		if err != nil {
-			return nil, err
-		}
-		n := sg.Len()
-		for j := 0; j < n; j++ {
-			t := sg.StartT
-			if n > 1 {
-				t += (sg.EndT - sg.StartT) * float64(j) / float64(n-1)
-			}
-			out = append(out, seq.Point{T: t, V: curve.Eval(t)})
+		// Concrete curves, not the fit.Curve interface: nothing is boxed,
+		// and each Eval is the same arithmetic the interface would run.
+		switch sg.Kind {
+		case fit.KindLine:
+			dst = appendSegment(dst, sg, fit.LineFromParams(sg.Params))
+		case fit.KindPoly:
+			dst = appendSegment(dst, sg, fit.PolynomialFromParams(sg.Params))
+		case fit.KindBezier:
+			dst = appendSegment(dst, sg, fit.BezierFromParams(sg.Params))
 		}
 	}
-	return out, nil
+	return dst, nil
+}
+
+// appendSegment appends one segment's samples, evaluated on curve at
+// uniformly spaced times between its boundary points.
+func appendSegment[C interface{ Eval(float64) float64 }](dst seq.Sequence, sg *Segment, curve C) seq.Sequence {
+	n := sg.Len()
+	for j := 0; j < n; j++ {
+		t := sg.StartT
+		if n > 1 {
+			t += (sg.EndT - sg.StartT) * float64(j) / float64(n-1)
+		}
+		dst = append(dst, seq.Point{T: t, V: curve.Eval(t)})
+	}
+	return dst
 }
 
 // ValueAt evaluates the representation at an arbitrary time, choosing the

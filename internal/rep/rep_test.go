@@ -318,6 +318,133 @@ func clone(b []byte) []byte {
 	return c
 }
 
+// referenceReconstruct is Reconstruct through the fit.Curve interface:
+// one decoded curve per segment, evaluated at the same times.
+func referenceReconstruct(t *testing.T, fs *FunctionSeries) seq.Sequence {
+	t.Helper()
+	var out seq.Sequence
+	for i := range fs.Segments {
+		sg := &fs.Segments[i]
+		curve, err := sg.Curve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sg.Len()
+		for j := 0; j < n; j++ {
+			t := sg.StartT
+			if n > 1 {
+				t += (sg.EndT - sg.StartT) * float64(j) / float64(n-1)
+			}
+			out = append(out, seq.Point{T: t, V: curve.Eval(t)})
+		}
+	}
+	return out
+}
+
+// spiky is a smooth wave with isolated spikes, so breakers cut 1-sample
+// segments around them.
+func spiky(n int) seq.Sequence {
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 5*math.Sin(float64(i)/7) + 0.3*math.Cos(float64(i)*1.3)
+		if i%13 == 6 {
+			vals[i] += 40
+		}
+	}
+	return seq.New(vals)
+}
+
+// TestAppendReconstructionBitIdentical pins that the allocation-free
+// reconstruction, appended into nil or into a dirty reused buffer, is
+// bit-identical to evaluating each segment through the fit.Curve
+// interface, and that Reconstruct is too — for every breaker and every
+// curve family the representation stores.
+func TestAppendReconstructionBitIdentical(t *testing.T) {
+	breakers := map[string]func() breaking.Breaker{
+		"interpolation": func() breaking.Breaker { return breaking.Interpolation(0.5) },
+		"regression":    func() breaking.Breaker { return breaking.Regression(0.5) },
+		"bezier":        func() breaking.Breaker { return breaking.Bezier(0.5) },
+		"online":        func() breaking.Breaker { return breaking.NewOnline(0.5) },
+	}
+	representers := map[string]fit.Fitter{
+		"byproduct":     nil,
+		"interpolation": fit.InterpolationFitter{},
+		"regression":    fit.RegressionFitter{},
+		"poly1":         fit.PolynomialFitter{Degree: 1},
+		"poly2":         fit.PolynomialFitter{Degree: 2},
+		"poly3":         fit.PolynomialFitter{Degree: 3},
+		"bezier":        fit.BezierFitter{},
+	}
+	same := func(a, b seq.Sequence) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i].T) != math.Float64bits(b[i].T) || math.Float64bits(a[i].V) != math.Float64bits(b[i].V) {
+				return false
+			}
+		}
+		return true
+	}
+	dirty := make(seq.Sequence, 0, 64)
+	singles := 0
+	for bname, mk := range breakers {
+		for n := 1; n <= 300; n++ {
+			s := spiky(n)
+			segs, err := mk().Break(s)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", bname, n, err)
+			}
+			for rname, representer := range representers {
+				fs, err := Build(s, segs, representer)
+				if err != nil {
+					t.Fatalf("%s/%s n=%d: %v", bname, rname, n, err)
+				}
+				for i := range fs.Segments {
+					if fs.Segments[i].Len() == 1 {
+						singles++
+					}
+				}
+				want := referenceReconstruct(t, fs)
+				fromNil, err := fs.AppendReconstruction(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Leave stale samples past the length: a reused verification
+				// buffer is truncated, not cleared.
+				dirty = append(dirty[:0], s...)
+				dirty = append(dirty, s...)
+				reused, err := fs.AppendReconstruction(dirty[:0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				dirty = reused
+				whole, err := fs.Reconstruct()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(fromNil, want) || !same(reused, want) || !same(whole, want) {
+					t.Fatalf("%s/%s n=%d: reconstruction differs from the fit.Curve evaluation", bname, rname, n)
+				}
+			}
+		}
+	}
+	if singles == 0 {
+		t.Fatal("no 1-sample segment was exercised")
+	}
+
+	// An invalid series fails validation on every call and leaves dst as
+	// it was.
+	bad := &FunctionSeries{N: 2, Segments: []Segment{{Lo: 0, Hi: 1, EndT: 1, Kind: fit.KindPoly, Params: []float64{0}}}}
+	prefix := seq.Sequence{{T: 7, V: 7}}
+	for i := 0; i < 2; i++ {
+		got, err := bad.AppendReconstruction(prefix)
+		if err == nil || len(got) != 1 || got[0] != prefix[0] {
+			t.Fatalf("invalid series: %v, %v", got, err)
+		}
+	}
+}
+
 func TestValidateCatchesTimeOverlap(t *testing.T) {
 	fs := &FunctionSeries{N: 4, Segments: []Segment{
 		{Lo: 0, Hi: 1, StartT: 0, EndT: 5, Kind: fit.KindLine, Params: []float64{1, 0}},
