@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -186,59 +185,65 @@ func (db *DB) SearchPattern(src string) ([]PatternHit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	// Each matching symbol string's spans are found once; its members'
+	// ids, sorted together, then emit the hits in (id, segment) order,
+	// since each group's spans are already in segment order.
 	type groupHits struct {
 		symbols string
-		ids     []string
 		spans   [][2]int
 	}
-	var groups []groupHits
+	type member struct {
+		id    string
+		group int
+	}
+	var (
+		groups  []groupHits
+		members []member
+	)
 	db.imu.RLock()
 	for symbols, g := range db.symIndex {
 		if spans := p.FindAll(symbols); len(spans) > 0 {
-			// Copy: insertSorted/removeSorted shift the ids in place
-			// under the write lock.
-			groups = append(groups, groupHits{symbols, slices.Clone(g.ids), spans})
+			// Copy the ids out: insertSorted/removeSorted shift them in
+			// place under the write lock.
+			for _, id := range g.ids {
+				members = append(members, member{id, len(groups)})
+			}
+			groups = append(groups, groupHits{symbols, spans})
 		}
 	}
 	db.imu.RUnlock()
+	slices.SortFunc(members, func(a, b member) int { return strings.Compare(a.id, b.id) })
 	var out []PatternHit
-	for _, g := range groups {
-		for _, id := range g.ids {
-			// The spans index the group's symbol string: a record that no
-			// longer carries it (removed, or removed and re-ingested with
-			// another shape) is skipped.
-			rec, ok := db.Record(id)
-			if !ok || rec.Profile.Symbols != g.symbols {
-				continue
+	for _, m := range members {
+		g := groups[m.group]
+		// The spans index the group's symbol string: a record that no
+		// longer carries it (removed, or removed and re-ingested with
+		// another shape) is skipped.
+		rec, ok := db.Record(m.id)
+		if !ok || rec.Profile.Symbols != g.symbols {
+			continue
+		}
+		// The hit spans are mapped to time through the representation,
+		// which may need paging in; a record removed mid-walk is
+		// skipped, a genuine read fault aborts the search.
+		fs, err := db.materialize(rec)
+		if err != nil {
+			if err = db.verifyReadError(rec, err); err != nil {
+				return nil, fmt.Errorf("core: pattern search reading %q: %w", m.id, err)
 			}
-			// The hit spans are mapped to time through the representation,
-			// which may need paging in; a record removed mid-walk is
-			// skipped, a genuine read fault aborts the search.
-			fs, err := db.materialize(rec)
-			if err != nil {
-				if err = db.verifyReadError(rec, err); err != nil {
-					return nil, fmt.Errorf("core: pattern search reading %q: %w", id, err)
-				}
-				continue
-			}
-			for _, span := range g.spans {
-				lo, hi := span[0], span[1]
-				out = append(out, PatternHit{
-					ID:     id,
-					SegLo:  lo,
-					SegHi:  hi,
-					TimeLo: fs.Segments[lo].StartT,
-					TimeHi: fs.Segments[hi-1].EndT,
-				})
-			}
+			continue
+		}
+		for _, span := range g.spans {
+			lo, hi := span[0], span[1]
+			out = append(out, PatternHit{
+				ID:     m.id,
+				SegLo:  lo,
+				SegHi:  hi,
+				TimeLo: fs.Segments[lo].StartT,
+				TimeHi: fs.Segments[hi-1].EndT,
+			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].SegLo < out[j].SegLo
-	})
 	return out, nil
 }
 

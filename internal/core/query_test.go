@@ -150,6 +150,13 @@ func TestSearchPattern(t *testing.T) {
 	if counts["flat"] != 0 {
 		t.Errorf("flat hits = %d", counts["flat"])
 	}
+	// Hits are ordered by (id, segment), every span distinct.
+	for i := 1; i < len(hits); i++ {
+		a, b := hits[i-1], hits[i]
+		if a.ID > b.ID || a.ID == b.ID && a.SegLo >= b.SegLo {
+			t.Fatalf("hits out of (id, segment) order: %+v before %+v", a, b)
+		}
+	}
 	// Hit time spans should bracket the ground-truth peaks at 8h/16h.
 	var spans [][2]float64
 	for _, h := range hits {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"seqrep/internal/core"
@@ -754,15 +753,14 @@ func matchIDs(matches []core.Match) []string {
 	return ids
 }
 
+// distinctHitIDs lists each hit's id once. Hits arrive in (id, segment)
+// order, so an id's hits are adjacent.
 func distinctHitIDs(hits []core.PatternHit) []string {
-	seen := map[string]bool{}
 	var ids []string
-	for _, h := range hits {
-		if !seen[h.ID] {
-			seen[h.ID] = true
+	for i, h := range hits {
+		if i == 0 || h.ID != hits[i-1].ID {
 			ids = append(ids, h.ID)
 		}
 	}
-	sort.Strings(ids)
 	return ids
 }

@@ -7,7 +7,9 @@ package server
 // is purely the cache, reported as the cache_speedup metric. Its
 // hot-peaks case serves a large answer (MATCH PEAKS 2, one match per
 // record) from the cache in process, with no client decoding it, so its
-// ns/op and B/op are the server's cost of a hit.
+// ns/op and B/op are the server's cost of a hit; its cold-peaks case
+// serves the same answer with the cache off, so every request executes
+// and encodes it.
 
 import (
 	"context"
@@ -23,7 +25,7 @@ import (
 
 const benchCorpusN = 512
 
-func benchServers(b *testing.B) (hotSrv *Server, hot, cold *client.Client) {
+func benchServers(b *testing.B) (hotSrv, coldSrv *Server, hot, cold *client.Client) {
 	b.Helper()
 	db, err := seqrep.New(seqrep.Config{})
 	if err != nil {
@@ -47,13 +49,13 @@ func benchServers(b *testing.B) (hotSrv *Server, hot, cold *client.Client) {
 		b.Fatal(err)
 	}
 	hotSrv, hot = testServer(b, Config{DB: db})
-	_, cold = testServer(b, Config{DB: db, CacheSize: -1})
-	return hotSrv, hot, cold
+	coldSrv, cold = testServer(b, Config{DB: db, CacheSize: -1})
+	return hotSrv, coldSrv, hot, cold
 }
 
 func BenchmarkServerQuery(b *testing.B) {
 	ctx := context.Background()
-	hotSrv, hot, cold := benchServers(b)
+	hotSrv, coldSrv, hot, cold := benchServers(b)
 	const stmt = `MATCH DISTANCE LIKE fever-0000 METRIC l2 EPS 2`
 	var hotNs, coldNs float64
 
@@ -88,9 +90,9 @@ func BenchmarkServerQuery(b *testing.B) {
 	if hotNs > 0 && coldNs > 0 {
 		b.ReportMetric(coldNs/hotNs, "cache_speedup")
 	}
-	b.Run("hot-peaks", func(b *testing.B) {
-		h := hotSrv.Handler()
-		code, body, _ := postQuery(b, h, `MATCH PEAKS 2`) // the miss fills the cache
+	peaks := func(b *testing.B, srv *Server) {
+		h := srv.Handler()
+		code, body, _ := postQuery(b, h, `MATCH PEAKS 2`) // on the hot server the miss fills the cache
 		var resp api.QueryResponse
 		if err := json.Unmarshal(body, &resp); err != nil || code != http.StatusOK || len(resp.Matches) < benchCorpusN/2 {
 			b.Fatalf("MATCH PEAKS 2: status %d, %d matches, %v", code, len(resp.Matches), err)
@@ -101,7 +103,9 @@ func BenchmarkServerQuery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			serveDiscard(h, blob)
 		}
-	})
+	}
+	b.Run("hot-peaks", func(b *testing.B) { peaks(b, hotSrv) })
+	b.Run("cold-peaks", func(b *testing.B) { peaks(b, coldSrv) })
 }
 
 // BenchmarkServerIngest measures the HTTP ingest round trip (pipeline

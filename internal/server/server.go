@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -224,7 +225,8 @@ func (s *Server) route(pattern string, weight int, handler http.HandlerFunc) {
 // ---- JSON plumbing ----
 
 // encodeJSON renders v as one line of JSON with HTML characters left
-// unescaped: the form of every JSON response body.
+// unescaped: the form of every JSON response body. Query answers, the
+// large and frequent ones, are written by wireEncoder in the same form.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -368,7 +370,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), err)
 		return
 	}
-	body, err := encodeJSON(toQueryResponse(res, key, gen))
+	var enc wireEncoder
+	body, err := enc.response(nil, toQueryResponse(res, key, gen))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -401,14 +404,17 @@ func toQueryResponse(res *seqrep.QueryResult, canonical string, gen uint64) *api
 	if resp.IDs == nil {
 		resp.IDs = []string{}
 	}
+	resp.Matches = slices.Grow(resp.Matches, len(res.Matches))
 	for _, m := range res.Matches {
 		resp.Matches = append(resp.Matches, api.Match{ID: m.ID, Exact: m.Exact, Deviations: m.Deviations})
 	}
+	resp.Hits = slices.Grow(resp.Hits, len(res.Hits))
 	for _, h := range res.Hits {
 		resp.Hits = append(resp.Hits, api.PatternHit{
 			ID: h.ID, SegLo: h.SegLo, SegHi: h.SegHi, TimeLo: h.TimeLo, TimeHi: h.TimeHi,
 		})
 	}
+	resp.Intervals = slices.Grow(resp.Intervals, len(res.Intervals))
 	for _, iv := range res.Intervals {
 		resp.Intervals = append(resp.Intervals, api.IntervalMatch{
 			ID: iv.ID, Positions: iv.Positions, Intervals: iv.Intervals,

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"net/http"
 	"time"
@@ -11,48 +9,49 @@ import (
 	"seqrep/api"
 )
 
-// streamFlushInterval is how often the NDJSON stream is flushed to the
-// client while item frames are being produced; the header and trailer
-// flush unconditionally, so short streams arrive promptly and long ones
-// amortize the flush cost.
+// streamFlushInterval paces flushes while item frames are produced: a
+// frame written this long after the last flush flushes the buffer, so
+// long streams amortize the flush cost. The header, the first frame
+// carrying a match and the terminal frame (trailer or error) flush at
+// once, so a client sees the first answer as soon as the engine has
+// verified it, however short the stream.
 const streamFlushInterval = 100 * time.Millisecond
 
-// streamWriter serializes api.StreamFrame lines onto an NDJSON response
-// with periodic flushes. Frames may arrive from the engine's worker
-// goroutines (serialized by the engine) and then from the handler
-// goroutine — never concurrently. Each frame is encoded into a reused
-// buffer before anything is written, so a frame JSON cannot represent is
-// told apart from a dead connection: the stream then ends with an error
-// frame naming the encoder's complaint. The first failure of either kind
-// sticks: further frames report failure, which propagates as a false
-// yield into the engine and cancels the query.
+// streamWriter serializes api.StreamFrame lines onto an NDJSON response.
+// Frames may arrive from the engine's worker goroutines (serialized by
+// the engine) and then from the handler goroutine — never concurrently.
+// Each frame is encoded into a reused buffer before anything is written,
+// so a frame JSON cannot represent is told apart from a dead connection:
+// the stream then ends with an error frame naming the encoder's
+// complaint. The first failure of either kind sticks: further frames
+// report failure, which propagates as a false yield into the engine and
+// cancels the query.
 type streamWriter struct {
 	w         http.ResponseWriter
-	buf       bytes.Buffer
-	enc       *json.Encoder // writes into buf
 	fl        http.Flusher
+	enc       wireEncoder
+	buf       []byte
+	matched   bool // a frame carrying a match has been written
 	lastFlush time.Time
 	err       error
 }
 
 func newStreamWriter(w http.ResponseWriter) *streamWriter {
 	fl, _ := w.(http.Flusher)
-	sw := &streamWriter{w: w, fl: fl}
-	sw.enc = json.NewEncoder(&sw.buf)
-	return sw
+	return &streamWriter{w: w, fl: fl}
 }
 
-// frame writes one NDJSON line, flushing if the flush interval elapsed.
-// It reports whether the stream is still writable.
+// frame writes one NDJSON line and flushes it if it is the header, the
+// first match, a terminal frame, or the flush interval has elapsed. It
+// reports whether the stream is still writable.
 func (sw *streamWriter) frame(f *api.StreamFrame) bool {
 	if sw.err != nil {
 		return false
 	}
-	sw.buf.Reset()
-	if err := sw.enc.Encode(f); err != nil {
+	var err error
+	if sw.buf, err = sw.enc.frame(sw.buf[:0], f); err != nil {
 		// An error frame is one string: it always encodes.
-		sw.buf.Reset()
-		_ = sw.enc.Encode(&api.StreamFrame{Error: err.Error()})
+		sw.buf, _ = sw.enc.frame(sw.buf[:0], &api.StreamFrame{Error: err.Error()})
 		sw.write()
 		sw.flush()
 		sw.err = err
@@ -61,7 +60,11 @@ func (sw *streamWriter) frame(f *api.StreamFrame) bool {
 	if !sw.write() {
 		return false
 	}
-	if sw.fl != nil && time.Since(sw.lastFlush) >= streamFlushInterval {
+	now := f.Canonical != "" || f.Done || f.Error != ""
+	if f.Match != nil && !sw.matched {
+		sw.matched, now = true, true
+	}
+	if now || time.Since(sw.lastFlush) >= streamFlushInterval {
 		sw.flush()
 	}
 	return true
@@ -69,7 +72,7 @@ func (sw *streamWriter) frame(f *api.StreamFrame) bool {
 
 // write sends the encoded frame in buf, recording a failed write.
 func (sw *streamWriter) write() bool {
-	if _, err := sw.w.Write(sw.buf.Bytes()); err != nil {
+	if _, err := sw.w.Write(sw.buf); err != nil {
 		sw.err = err
 		return false
 	}
@@ -130,7 +133,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	sw := newStreamWriter(w)
 	sw.frame(&api.StreamFrame{Canonical: canonical})
-	sw.flush()
 
 	var res *seqrep.QueryResult
 	if seqrep.IsProgressiveQuery(q) {
@@ -154,7 +156,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		sw.frame(&api.StreamFrame{Error: err.Error()})
-		sw.flush()
 		return
 	}
 	// Kinds without a streamed item form arrive materialized on the
@@ -183,5 +184,4 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		trailer.Stats = toAPIStats(res.Stats)
 	}
 	sw.frame(trailer)
-	sw.flush()
 }

@@ -459,3 +459,92 @@ func TestQueryServerBounds(t *testing.T) {
 		t.Fatalf("timed-out query returned %v, want 504", err)
 	}
 }
+
+// flushRecorder is a ResponseWriter that logs each Write (as the first
+// characters of the line) and each Flush, in order.
+type flushRecorder struct {
+	h      http.Header
+	events []string
+}
+
+func (r *flushRecorder) Header() http.Header { return r.h }
+func (r *flushRecorder) WriteHeader(int)     {}
+func (r *flushRecorder) Flush()              { r.events = append(r.events, "FLUSH") }
+func (r *flushRecorder) Write(p []byte) (int, error) {
+	r.events = append(r.events, string(p[:min(len(p), 10)]))
+	return len(p), nil
+}
+
+// TestStreamWriterFlushesFirstMatch pins the flush rule: the header, the
+// first frame carrying a match and the trailer each flush at once, and
+// nothing else does while the flush interval has not elapsed.
+func TestStreamWriterFlushesFirstMatch(t *testing.T) {
+	rec := &flushRecorder{h: make(http.Header)}
+	sw := newStreamWriter(rec)
+	hi := 2.0
+	frames := []*api.StreamFrame{
+		{Canonical: "MATCH DISTANCE LIKE a METRIC l2 EPS 5 WITHIN ERROR 1"},
+		{Refine: &api.RefineFrame{ID: "a", Tier: "sketch", Lo: 0}},
+		{Refine: &api.RefineFrame{ID: "b", Tier: "sketch", Lo: 1, Hi: &hi}},
+		{Refine: &api.RefineFrame{ID: "a", Tier: "exact", Lo: 0, Hi: &hi, Final: true}, Match: &api.Match{ID: "a", Exact: true}},
+		{Match: &api.Match{ID: "b"}},
+		{Refine: &api.RefineFrame{ID: "c", Tier: "exact", Lo: 1, Hi: &hi, Final: true}, Match: &api.Match{ID: "c"}},
+		{Done: true, Kind: "distance", Generation: 3},
+	}
+	for _, f := range frames {
+		if !sw.frame(f) {
+			t.Fatalf("frame %+v refused: %v", f, sw.err)
+		}
+	}
+	want := []string{
+		`{"canonica`, "FLUSH",
+		`{"refine":`, `{"refine":`,
+		`{"match":{`, "FLUSH",
+		`{"match":{`, `{"match":{`,
+		`{"done":tr`, "FLUSH",
+	}
+	if fmt.Sprint(rec.events) != fmt.Sprint(want) {
+		t.Fatalf("writes and flushes:\n got %q\nwant %q", rec.events, want)
+	}
+}
+
+// TestQueryStreamFirstMatchBeforeTrailer checks the flush rule over a
+// real connection: on a database whose cold reads each take 4 ms, a
+// stream's first match reaches the client while the engine is still
+// verifying the rest, not with the trailer. The whole answer (24 short
+// frames, ≈ 50 ms) stays under both the flush interval and the
+// connection's write buffer, so only the first-match flush can deliver
+// it early.
+func TestQueryStreamFirstMatchBeforeTrailer(t *testing.T) {
+	const perRead = 4 * time.Millisecond
+	db, reads := slowPagedDB(t, "w", 24, perRead)
+	_, c := streamServer(t, Config{DB: db})
+
+	qs, err := c.StreamQuery(context.Background(), `MATCH DISTANCE LIKE w-000 METRIC l2 EPS 999999`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qs.Close()
+	start := time.Now()
+	var first time.Duration
+	matches := 0
+	for f, err := range qs.Frames() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Match != nil && matches == 0 {
+			first = time.Since(start)
+		}
+		if f.Match != nil {
+			matches++
+		}
+	}
+	last := time.Since(start)
+	if qs.Trailer() == nil || matches != 24 {
+		t.Fatalf("stream ended with %d matches, trailer %+v", matches, qs.Trailer())
+	}
+	t.Logf("first match after %v, trailer after %v, %d cold reads", first, last, reads.Load())
+	if gap := last - first; gap < 5*perRead {
+		t.Fatalf("first match arrived %v before the trailer, want ≥ %v", gap, 5*perRead)
+	}
+}
