@@ -301,10 +301,11 @@ type DB struct {
 	seed   maphash.Seed
 	shards []*shard
 
-	// imu guards the global query indexes: the sorted id list, the
-	// peak-interval inverted file, and the symbol-string groups. A
-	// sequence enters these indexes only after its record is committed
-	// to its shard, so index readers never observe a half-built record.
+	// imu guards the global query indexes: the sorted id list with each
+	// id's symbol group, the peak-interval inverted file, and the symbol
+	// catalogue (symbols.go). A sequence enters these indexes only after
+	// its record is committed to its shard, so index readers never
+	// observe a half-built record.
 	// findex is the columnar, length-grouped DFT feature store behind
 	// the query planner (nil when Config.IndexCoeffs < 0). Its group
 	// locks are leaf locks: they may be taken while holding imu (link)
@@ -323,20 +324,9 @@ type DB struct {
 
 	imu     sync.RWMutex
 	ids     []string // sorted
+	idGroup []int32  // ids[i]'s symbol group, an ordinal into syms
 	rrIndex *inverted.Index
-	// symIndex groups sequence ids by their symbol string, so pattern
-	// and peak-count queries evaluate each distinct string once no matter
-	// how many sequences share it.
-	symIndex map[string]symGroup
-}
-
-// symGroup is the set of sequences sharing one symbol string. peaks is
-// the peak count every member has: feature.Peaks derives the count from
-// the symbol string alone, so the member that formed the group speaks
-// for all.
-type symGroup struct {
-	ids   []string // sorted
-	peaks int
+	syms    symCatalogue
 }
 
 // New creates a volatile database from cfg (zero value = paper
@@ -371,12 +361,12 @@ func newDB(cfg Config, st storage) (*DB, error) {
 		}
 	}
 	db := &DB{
-		cfg:      c,
-		seed:     maphash.MakeSeed(),
-		shards:   shards,
-		storage:  st,
-		rrIndex:  ix,
-		symIndex: make(map[string]symGroup),
+		cfg:     c,
+		seed:    maphash.MakeSeed(),
+		shards:  shards,
+		storage: st,
+		rrIndex: ix,
+		syms:    newSymCatalogue(),
 	}
 	if c.IndexCoeffs > 0 {
 		db.findex = newFeatIndex(c.IndexCoeffs, c.IndexLeaf)
@@ -491,13 +481,9 @@ func (db *DB) link(rec *Record) error {
 			return fmt.Errorf("core: indexing %q: %w", rec.ID, err)
 		}
 	}
-	db.ids = insertSorted(db.ids, rec.ID)
-	g, ok := db.symIndex[rec.Profile.Symbols]
-	if !ok {
-		g.peaks = len(rec.Profile.Peaks)
-	}
-	g.ids = insertSorted(g.ids, rec.ID)
-	db.symIndex[rec.Profile.Symbols] = g
+	i, _ := slices.BinarySearch(db.ids, rec.ID)
+	db.ids = slices.Insert(db.ids, i, rec.ID)
+	db.idGroup = slices.Insert(db.idGroup, i, db.syms.add(rec.Profile.Symbols, len(rec.Profile.Peaks)))
 	if db.findex != nil {
 		db.findex.add(rec)
 	}
@@ -690,16 +676,12 @@ func (db *DB) Remove(id string) error {
 
 	sh.drop(id)
 	db.imu.Lock()
-	db.ids = removeSorted(db.ids, id)
-	db.rrIndex.RemoveID(id)
-	syms := rec.Profile.Symbols
-	if g, ok := db.symIndex[syms]; ok {
-		if g.ids = removeSorted(g.ids, id); len(g.ids) == 0 {
-			delete(db.symIndex, syms)
-		} else {
-			db.symIndex[syms] = g
-		}
+	if i, ok := slices.BinarySearch(db.ids, id); ok {
+		db.syms.drop(db.idGroup[i])
+		db.ids = slices.Delete(db.ids, i, i+1)
+		db.idGroup = slices.Delete(db.idGroup, i, i+1)
 	}
+	db.rrIndex.RemoveID(id)
 	if db.findex != nil {
 		db.findex.remove(rec)
 	}
@@ -759,7 +741,7 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	db.imu.RLock()
 	st := Stats{
-		SymbolGroups:   len(db.symIndex),
+		SymbolGroups:   db.syms.groups(),
 		IntervalCount:  db.rrIndex.Len(),
 		IntervalBucket: db.rrIndex.Buckets(),
 		Shards:         len(db.shards),
@@ -797,16 +779,4 @@ func (db *DB) snapshotRecords() [][]*Record {
 		out[i] = recs
 	}
 	return out
-}
-
-func insertSorted(ids []string, id string) []string {
-	i, _ := slices.BinarySearch(ids, id)
-	return slices.Insert(ids, i, id)
-}
-
-func removeSorted(ids []string, id string) []string {
-	if i, ok := slices.BinarySearch(ids, id); ok {
-		return slices.Delete(ids, i, i+1)
-	}
-	return ids
 }

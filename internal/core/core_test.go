@@ -284,7 +284,7 @@ func TestSymbolInterning(t *testing.T) {
 	three, _ := synth.ThreePeakFever(97)
 	mustIngest(t, db, "odd", three)
 
-	if got := len(db.symIndex); got != 2 {
+	if got := db.syms.groups(); got != 2 {
 		t.Fatalf("distinct symbol groups = %d, want 2", got)
 	}
 	ids, err := db.MatchPattern("[FD]*(U+F*D[FD]*){2}(U+F*)?")
@@ -310,7 +310,7 @@ func TestSymbolInterning(t *testing.T) {
 	if err := db.Remove("c"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(db.symIndex); got != 1 {
+	if got := db.syms.groups(); got != 1 {
 		t.Errorf("empty groups retained: %d", got)
 	}
 }

@@ -326,3 +326,69 @@ func TestProgressiveQueryAllocs(t *testing.T) {
 		t.Errorf("progressive query allocates %d bytes per op over %d sequences, budget %d", bytes, n, byteBudget)
 	}
 }
+
+// TestFeatureQueryAllocs guards the feature queries against work per
+// record or per symbol group on the heap: they walk the groups and the id
+// column in place. Growing the corpus from 1 000 to 4 000 records that no
+// query hits, each in a group of its own, must leave the allocation count
+// of MatchPattern, and of PeakCount beside its per-match Deviations maps,
+// where it was.
+func TestFeatureQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	db := mustDB(t, Config{})
+	// The hits start with a rise and have at most two peaks; the filler
+	// starts with a descent and has twelve.
+	hitShapes := []string{"U", "UF", "UD", "UFD", "UDUD"}
+	const hits = 20
+	for i := 0; i < hits; i++ {
+		mustIngest(t, db, fmt.Sprintf("h%02d", i), shapeOf(hitShapes[i%len(hitShapes)]).ShiftValue(float64(i)))
+	}
+	fill := func(from, to int) {
+		t.Helper()
+		items := make([]BatchItem, 0, to-from)
+		for j := from; j < to; j++ {
+			syms := "D"
+			for bit := 0; bit < 12; bit++ {
+				syms += map[bool]string{false: "UD", true: "UFD"}[j>>bit&1 == 1]
+			}
+			items = append(items, BatchItem{ID: fmt.Sprintf("f%04d", j), Seq: shapeOf(syms)})
+		}
+		if _, err := db.IngestBatch(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapAllocs := testing.AllocsPerRun(100, func() { verifySink = map[string]float64{"peaks": 1} })
+	measure := func() (pattern, peaks float64) {
+		t.Helper()
+		ids, err := db.MatchPattern("U.*")
+		if err != nil || len(ids) != hits {
+			t.Fatalf("MatchPattern: %d hits, %v; want %d", len(ids), err, hits)
+		}
+		matches, err := db.PeakCount(1, 1)
+		if err != nil || len(matches) != hits {
+			t.Fatalf("PeakCount: %d hits, %v; want %d", len(matches), err, hits)
+		}
+		pattern = testing.AllocsPerRun(20, func() { db.MatchPattern("U.*") })
+		peaks = testing.AllocsPerRun(20, func() { db.PeakCount(1, 1) }) - hits*mapAllocs
+		return pattern, peaks
+	}
+	fill(0, 1000-hits)
+	pattern1k, peaks1k := measure()
+	groups1k := db.Stats().SymbolGroups
+	fill(1000-hits, 4000-hits)
+	pattern4k, peaks4k := measure()
+	if groups := db.Stats().SymbolGroups; groups < 3*groups1k {
+		t.Fatalf("%d symbol groups at 4 000 records, %d at 1 000: the filler shares groups", groups, groups1k)
+	}
+	if pattern4k != pattern1k {
+		t.Errorf("MatchPattern allocates %.0f at 1 000 records, %.0f at 4 000", pattern1k, pattern4k)
+	}
+	// The group deviations, the run ends, the ids and the matches.
+	const peaksBudget = 4
+	if peaks4k != peaks1k || peaks4k > peaksBudget {
+		t.Errorf("PeakCount allocates %.0f beside its maps at 1 000 records, %.0f at 4 000, budget %d", peaks1k, peaks4k, peaksBudget)
+	}
+	t.Logf("MatchPattern %.0f allocs, PeakCount %.0f beside %d maps of %.0f", pattern4k, peaks4k, hits, mapAllocs)
+}

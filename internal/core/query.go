@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -148,21 +147,31 @@ func (db *DB) DistanceQuery(exemplar seq.Sequence, m dist.Metric, eps float64) (
 // the U/F/D alphabet (see package pattern; helpers such as
 // pattern.TwoPeak() build the paper's canned queries). Each distinct
 // symbol string in the database is evaluated once, however many sequences
-// share it.
+// share it, and the ids come out of one pass over the sorted id column.
 func (db *DB) MatchPattern(src string) ([]string, error) {
 	p, err := pattern.Compile(src)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	var out []string
+	c := &db.syms
 	db.imu.RLock()
-	for symbols, g := range db.symIndex {
-		if p.Match(symbols) {
-			out = append(out, g.ids...)
+	defer db.imu.RUnlock()
+	accept := p.MatchEach(c.symbols, make([]bool, 0, len(c.symbols)))
+	n := 0
+	for g, ok := range accept {
+		if ok {
+			n += int(c.members[g])
 		}
 	}
-	db.imu.RUnlock()
-	slices.Sort(out)
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]string, 0, n)
+	for i, g := range db.idGroup {
+		if accept[g] {
+			out = append(out, db.ids[i])
+		}
+	}
 	return out, nil
 }
 
@@ -185,42 +194,43 @@ func (db *DB) SearchPattern(src string) ([]PatternHit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// Each matching symbol string's spans are found once; its members'
-	// ids, sorted together, then emit the hits in (id, segment) order,
-	// since each group's spans are already in segment order.
-	type groupHits struct {
+	// Each symbol string's spans are found once, in segment order. One
+	// pass over the sorted id column then lists the members of matching
+	// groups in id order, so the hits come out in (id, segment) order.
+	type member struct {
+		id      string
 		symbols string
 		spans   [][2]int
 	}
-	type member struct {
-		id    string
-		group int
-	}
-	var (
-		groups  []groupHits
-		members []member
-	)
+	c := &db.syms
 	db.imu.RLock()
-	for symbols, g := range db.symIndex {
-		if spans := p.FindAll(symbols); len(spans) > 0 {
-			// Copy the ids out: insertSorted/removeSorted shift them in
-			// place under the write lock.
-			for _, id := range g.ids {
-				members = append(members, member{id, len(groups)})
-			}
-			groups = append(groups, groupHits{symbols, spans})
+	// Group g's spans are spans[bounds[g]:bounds[g+1]].
+	spans, bounds := p.FindEach(c.symbols, nil, append(make([]int, 0, len(c.symbols)+1), 0))
+	n, hits := 0, 0
+	for g, m := range c.members {
+		if found := bounds[g+1] - bounds[g]; found > 0 {
+			n += int(m)
+			hits += int(m) * found
+		}
+	}
+	if n == 0 {
+		db.imu.RUnlock()
+		return nil, nil
+	}
+	members := make([]member, 0, n)
+	for i, g := range db.idGroup {
+		if lo, hi := bounds[g], bounds[g+1]; hi > lo {
+			members = append(members, member{db.ids[i], c.symbols[g], spans[lo:hi]})
 		}
 	}
 	db.imu.RUnlock()
-	slices.SortFunc(members, func(a, b member) int { return strings.Compare(a.id, b.id) })
-	var out []PatternHit
+	out := make([]PatternHit, 0, hits)
 	for _, m := range members {
-		g := groups[m.group]
 		// The spans index the group's symbol string: a record that no
 		// longer carries it (removed, or removed and re-ingested with
 		// another shape) is skipped.
 		rec, ok := db.Record(m.id)
-		if !ok || rec.Profile.Symbols != g.symbols {
+		if !ok || rec.Profile.Symbols != m.symbols {
 			continue
 		}
 		// The hit spans are mapped to time through the representation,
@@ -233,7 +243,7 @@ func (db *DB) SearchPattern(src string) ([]PatternHit, error) {
 			}
 			continue
 		}
-		for _, span := range g.spans {
+		for _, span := range m.spans {
 			lo, hi := span[0], span[1]
 			out = append(out, PatternHit{
 				ID:     m.id,
@@ -244,13 +254,18 @@ func (db *DB) SearchPattern(src string) ([]PatternHit, error) {
 			})
 		}
 	}
+	if len(out) == 0 {
+		return nil, nil
+	}
 	return out, nil
 }
 
 // PeakCount answers "sequences with exactly k peaks" with a tolerance on
 // the count dimension: matches with |peaks - k| == 0 are exact; deviations
 // up to tol are approximate (§2.2's example of deviating "in the number of
-// peaks" dimension).
+// peaks" dimension). Matches come in the canonical order — exact first,
+// then by deviation, then id — from a counting sort over the symbol
+// groups' stored counts and one pass over the sorted id column.
 func (db *DB) PeakCount(k, tol int) ([]Match, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("core: negative peak count %d", k)
@@ -258,36 +273,66 @@ func (db *DB) PeakCount(k, tol int) ([]Match, error) {
 	if tol < 0 {
 		return nil, fmt.Errorf("core: negative tolerance %d", tol)
 	}
-	type hit struct {
-		dev int
-		id  string
-	}
-	var hits []hit
+	c := &db.syms
 	db.imu.RLock()
-	for _, g := range db.symIndex {
-		dev := g.peaks - k
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev <= tol {
-			for _, id := range g.ids {
-				hits = append(hits, hit{dev, id})
+	// The deviations present span at most the range of peak counts, so
+	// the sort counts from the smallest one within tolerance to the
+	// largest, however large tol or k is.
+	lo, hi := -1, -1
+	for g, n := range c.members {
+		if d := peakDeviation(c.peaks[g], k); n > 0 && d <= tol {
+			if lo < 0 || d < lo {
+				lo = d
 			}
+			hi = max(hi, d)
+		}
+	}
+	if lo < 0 {
+		db.imu.RUnlock()
+		return nil, nil
+	}
+	// ends[d-lo] counts the hits of deviation d, then, summed, where they
+	// end: after the pass below, ends[d-lo] is where they begin.
+	offset := make([]int32, len(c.members)) // the group's deviation - lo, or -1
+	ends := make([]int, hi-lo+1)
+	for g, n := range c.members {
+		offset[g] = -1
+		if d := peakDeviation(c.peaks[g], k); n > 0 && d <= tol {
+			offset[g] = int32(d - lo)
+			ends[d-lo] += int(n)
+		}
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] += ends[i-1]
+	}
+	ids := make([]string, ends[len(ends)-1])
+	// Walking the id column backwards fills each deviation's run from its
+	// end, so every run is in id order.
+	for i := len(db.idGroup) - 1; i >= 0; i-- {
+		if o := offset[db.idGroup[i]]; o >= 0 {
+			ends[o]--
+			ids[ends[o]] = db.ids[i]
 		}
 	}
 	db.imu.RUnlock()
-	// The canonical order: exact first, then by deviation, then id.
-	slices.SortFunc(hits, func(a, b hit) int {
-		if a.dev != b.dev {
-			return cmp.Compare(a.dev, b.dev)
+	out := make([]Match, len(ids))
+	o := 0
+	for i, id := range ids {
+		for o+1 < len(ends) && i >= ends[o+1] {
+			o++
 		}
-		return strings.Compare(a.id, b.id)
-	})
-	var out []Match
-	for _, h := range hits {
-		out = append(out, Match{ID: h.id, Exact: h.dev == 0, Deviations: map[string]float64{"peaks": float64(h.dev)}})
+		dev := lo + o
+		out[i] = Match{ID: id, Exact: dev == 0, Deviations: map[string]float64{"peaks": float64(dev)}}
 	}
 	return out, nil
+}
+
+// peakDeviation is |peaks - k|.
+func peakDeviation(peaks int32, k int) int {
+	if d := int(peaks) - k; d >= 0 {
+		return d
+	}
+	return k - int(peaks)
 }
 
 // IntervalMatch is one result of an interval query: the sequence and the
@@ -317,8 +362,12 @@ func (db *DB) IntervalQuery(n, eps float64) ([]IntervalMatch, error) {
 		if !ok {
 			continue
 		}
+		// The record read now may not be the one the index answered for:
+		// removed and re-ingested meanwhile, it carries other intervals.
+		// A position that no longer holds an interval in the queried
+		// buckets is skipped.
 		pos := int(ref.Pos)
-		if pos < 0 || pos >= len(rec.Profile.Intervals) {
+		if pos < 0 || pos >= len(rec.Profile.Intervals) || !db.rrIndex.Covers(n-eps, n+eps, rec.Profile.Intervals[pos]) {
 			continue
 		}
 		if len(out) == 0 || out[len(out)-1].ID != ref.ID {

@@ -230,47 +230,103 @@ func shapeOf(symbols string) seq.Sequence {
 	return seq.New(v)
 }
 
-// PeakCount answers from the symbol groups' stored peak counts. It must
-// return exactly what a brute force over every record's own profile
-// returns — ids, order and deviations — while churn empties groups and
-// forms them again, and every group's count must be each member's.
+// The feature queries answer from the symbol catalogue: one group per
+// distinct symbol string, holding its stored peak count, and each id's
+// group kept beside it in the sorted id column. MatchPattern,
+// SearchPattern and PeakCount must return exactly what a brute force over
+// every live record's own profile returns — ids, order, deviations and
+// spans — while ingests, removals and shorter re-ingests empty groups,
+// recycle their ordinals and form groups again; and every catalogue row
+// must agree with its members.
 func TestPeakCountMatchesProfiles(t *testing.T) {
 	shapes := []string{"F", "FUF", "UFD", "FUDF", "UDUD", "UFDFUD", "DUDUD", "UDUDUD", "FUDUDUDF", "UDUDUDUD", "UDUDUDUDUD", "UDUDUDUDUDUD"}
+	patterns := []string{pattern.TwoPeak(), pattern.AtLeastPeaks(2), pattern.PeakUnit, "F", "[FD]*", "U.*", "(UD)+", "D"}
 	db := mustDB(t, Config{})
 	rng := rand.New(rand.NewSource(27))
 	live := map[string]bool{}
 	seenGroups, emptied, reformed := map[string]bool{}, map[string]bool{}, 0
+	freed, recycled := map[int32]bool{}, 0
 	for round := 0; round < 12; round++ {
 		for i := 0; i < 40; i++ {
 			id := fmt.Sprintf("s%03d", rng.Intn(60))
-			if live[id] {
-				if err := db.Remove(id); err != nil {
-					t.Fatal(err)
-				}
-				delete(live, id)
+			if !live[id] {
+				mustIngest(t, db, id, shapeOf(shapes[rng.Intn(len(shapes))]).ShiftValue(rng.Float64()))
+				live[id] = true
 				continue
 			}
-			mustIngest(t, db, id, shapeOf(shapes[rng.Intn(len(shapes))]).ShiftValue(rng.Float64()))
-			live[id] = true
+			rec, _ := db.Record(id)
+			if err := db.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, id)
+			// Half the removals re-ingest the id at once with a shorter
+			// symbol string.
+			var shorter []string
+			for _, sh := range shapes {
+				if len(sh) < len(rec.Profile.Symbols) {
+					shorter = append(shorter, sh)
+				}
+			}
+			if len(shorter) > 0 && rng.Intn(2) == 0 {
+				mustIngest(t, db, id, shapeOf(shorter[rng.Intn(len(shorter))]).ShiftValue(rng.Float64()))
+				live[id] = true
+			}
 		}
+
+		c := &db.syms
 		for syms := range seenGroups {
-			if _, ok := db.symIndex[syms]; !ok {
+			if _, ok := c.ordinal[syms]; !ok {
 				emptied[syms] = true
 			}
 		}
-		for syms, g := range db.symIndex {
-			if emptied[syms] {
-				delete(emptied, syms)
-				reformed++
+		if !slices.Equal(db.ids, db.IDs()) || len(db.idGroup) != len(db.ids) || len(db.ids) != len(live) {
+			t.Fatalf("round %d: %d ids, %d group ordinals, %d live", round, len(db.ids), len(db.idGroup), len(live))
+		}
+		members := make([]int32, len(c.members))
+		for i, id := range db.ids {
+			g := db.idGroup[i]
+			members[g]++
+			rec, ok := db.Record(id)
+			if !ok || !live[id] {
+				t.Fatalf("round %d: catalogue lists %q, which is not live", round, id)
 			}
-			seenGroups[syms] = true
-			for _, id := range g.ids {
-				rec, _ := db.Record(id)
-				if rec.Profile.Symbols != syms || len(rec.Profile.Peaks) != g.peaks {
-					t.Fatalf("group %q (%d peaks) holds %q: %q, %d peaks", syms, g.peaks, id, rec.Profile.Symbols, len(rec.Profile.Peaks))
-				}
+			if rec.Profile.Symbols != c.symbols[g] || len(rec.Profile.Peaks) != int(c.peaks[g]) {
+				t.Fatalf("group %d (%q, %d peaks) holds %q: %q, %d peaks", g, c.symbols[g], c.peaks[g], id, rec.Profile.Symbols, len(rec.Profile.Peaks))
 			}
 		}
+		if !slices.Equal(members, c.members) {
+			t.Fatalf("round %d: member counts %v, id column says %v", round, c.members, members)
+		}
+		for g := range c.members {
+			g := int32(g)
+			free := slices.Contains(c.free, g)
+			if free != (c.members[g] == 0) {
+				t.Fatalf("group %d: %d members, on the free list: %v", g, c.members[g], free)
+			}
+			if free {
+				if c.symbols[g] != "" || c.peaks[g] != 0 {
+					t.Fatalf("free group %d keeps %q, %d peaks", g, c.symbols[g], c.peaks[g])
+				}
+				freed[g] = true
+				continue
+			}
+			if freed[g] {
+				delete(freed, g)
+				recycled++
+			}
+			if o, ok := c.ordinal[c.symbols[g]]; !ok || o != g {
+				t.Fatalf("group %d (%q) is found at ordinal %d, %v", g, c.symbols[g], o, ok)
+			}
+			if emptied[c.symbols[g]] {
+				delete(emptied, c.symbols[g])
+				reformed++
+			}
+			seenGroups[c.symbols[g]] = true
+		}
+		if c.groups() != len(c.members)-len(c.free) {
+			t.Fatalf("round %d: %d groups by string, %d ordinals, %d free", round, c.groups(), len(c.members), len(c.free))
+		}
+
 		for k := 0; k <= 6; k++ {
 			for _, tol := range []int{0, 1, 2, 3, 1 << 40} {
 				got, err := db.PeakCount(k, tol)
@@ -290,9 +346,45 @@ func TestPeakCountMatchesProfiles(t *testing.T) {
 				}
 			}
 		}
+		for _, src := range patterns {
+			p := pattern.MustCompile(src)
+			var wantIDs []string
+			var wantHits []PatternHit
+			for _, id := range db.IDs() {
+				rec, _ := db.Record(id)
+				if p.Match(rec.Profile.Symbols) {
+					wantIDs = append(wantIDs, id)
+				}
+				fs, err := db.materialize(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, span := range p.FindAll(rec.Profile.Symbols) {
+					wantHits = append(wantHits, PatternHit{ID: id, SegLo: span[0], SegHi: span[1],
+						TimeLo: fs.Segments[span[0]].StartT, TimeHi: fs.Segments[span[1]-1].EndT})
+				}
+			}
+			gotIDs, err := db.MatchPattern(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotIDs, wantIDs) {
+				t.Fatalf("round %d, MatchPattern(%q):\n got %v\nwant %v", round, src, gotIDs, wantIDs)
+			}
+			gotHits, err := db.SearchPattern(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotHits, wantHits) {
+				t.Fatalf("round %d, SearchPattern(%q):\n got %v\nwant %v", round, src, gotHits, wantHits)
+			}
+		}
 	}
 	if reformed == 0 {
 		t.Error("no symbol group emptied and formed again")
+	}
+	if recycled == 0 {
+		t.Error("no freed group ordinal was reused")
 	}
 }
 
@@ -347,6 +439,74 @@ func TestSearchPatternReingestRace(t *testing.T) {
 		for _, h := range hits {
 			if h.ID != "x" {
 				fillerHits++
+			}
+		}
+		if fillerHits != len(filler) {
+			t.Fatalf("%d filler hits, want %d", fillerHits, len(filler))
+		}
+	}
+}
+
+// IntervalQuery reads each posting's interval from the record that holds
+// the id after the index has answered. A record removed and re-ingested
+// with another shape meanwhile carries other intervals, and a position
+// whose interval now lies outside the queried buckets must be skipped:
+// answering with it put an interval of 20 in the answer to 8 ± 0.5.
+func TestIntervalQueryReingestRace(t *testing.T) {
+	db := mustDB(t, Config{})
+	filler := make([]BatchItem, 3000)
+	for i := range filler {
+		filler[i] = BatchItem{ID: fmt.Sprintf("f%04d", i), Seq: shapeOf("UDUD").ShiftValue(float64(i) * 1e-3)}
+	}
+	if _, err := db.IngestBatch(filler); err != nil {
+		t.Fatal(err)
+	}
+	// One inter-peak interval each: 8 samples, then 20.
+	shapes := []seq.Sequence{shapeOf("UDUD"), shapeOf("UDFFFUD")}
+	mustIngest(t, db, "x", shapes[0])
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			if err := db.Remove("x"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := db.Ingest("x", shapes[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	const n, eps = 8, 0.5
+	w := db.Config().BucketWidth
+	lo, hi := math.Floor((n-eps)/w), math.Floor((n+eps)/w)
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		matches, err := db.IntervalQuery(n, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillerHits := 0
+		for _, m := range matches {
+			if m.ID != "x" {
+				fillerHits++
+			}
+			for _, v := range m.Intervals {
+				if b := math.Floor(v / w); b < lo || b > hi {
+					t.Fatalf("%q answers %g ± %g with interval %g, outside buckets [%g, %g]", m.ID, float64(n), eps, v, lo, hi)
+				}
 			}
 		}
 		if fillerHits != len(filler) {

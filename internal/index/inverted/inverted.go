@@ -119,6 +119,15 @@ func (ix *Index) Query(lo, hi float64) ([]Ref, error) {
 	return dedupe(out), nil
 }
 
+// Covers reports whether Query(lo, hi) reads the bucket value falls in:
+// whether a posting of value would answer that query. It reads only the
+// bucket width, which never changes, so it needs no lock the index's
+// writers take.
+func (ix *Index) Covers(lo, hi, value float64) bool {
+	b := ix.bucket(value)
+	return ix.bucket(lo) <= b && b <= ix.bucket(hi)
+}
+
 // QueryIDs is Query reduced to the distinct sequence IDs, which is what
 // the physician-facing interval query of §5.2 returns ("the set of
 // pointers to the ECG representations which contain those interval

@@ -242,3 +242,34 @@ func TestQueryAgainstReference(t *testing.T) {
 		}
 	}
 }
+
+// Covers says exactly which postings Query returns: a value's posting
+// answers [lo, hi] if and only if Covers(lo, hi, value).
+func TestCoversAgreesWithQuery(t *testing.T) {
+	ix := mustIndex(t, 2.5)
+	rng := rand.New(rand.NewSource(11))
+	values := make([]float64, 400)
+	for i := range values {
+		values[i] = rng.Float64()*100 - 50
+		if err := ix.Add(values[i], Ref{ID: "s", Pos: int32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		lo := rng.Float64()*100 - 50
+		hi := lo + rng.Float64()*10
+		refs, err := ix.Query(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[int32]bool{}
+		for _, r := range refs {
+			got[r.Pos] = true
+		}
+		for i, v := range values {
+			if got[int32(i)] != ix.Covers(lo, hi, v) {
+				t.Fatalf("[%g, %g]: Query returns %g: %v, Covers says %v", lo, hi, v, got[int32(i)], !got[int32(i)])
+			}
+		}
+	}
+}

@@ -705,13 +705,44 @@ func (p *Pattern) Match(input string) bool {
 	return m.longest(input, 0) == len(input)
 }
 
+// MatchEach appends to dst, for each input in turn, whether the pattern
+// matches it whole. It is Match over a column: one matcher serves every
+// input, so the DFA the first inputs build serves the rest.
+func (p *Pattern) MatchEach(inputs []string, dst []bool) []bool {
+	m := p.matchers.Get().(*matcher)
+	defer p.matchers.Put(m)
+	for _, in := range inputs {
+		dst = append(dst, m.longest(in, 0) == len(in))
+	}
+	return dst
+}
+
 // FindAll returns the leftmost-longest non-overlapping matches as
 // [start, end) index pairs over the input. Empty matches are not
 // reported.
 func (p *Pattern) FindAll(input string) [][2]int {
 	m := p.matchers.Get().(*matcher)
 	defer p.matchers.Put(m)
-	var out [][2]int
+	return m.findAll(input, nil)
+}
+
+// FindEach is FindAll over a column, with one matcher for every input. It
+// appends each input's matches to spans and, after each input, len(spans)
+// to ends. Called with no spans and ends = []int{0}, input i's matches are
+// spans[ends[i]:ends[i+1]].
+func (p *Pattern) FindEach(inputs []string, spans [][2]int, ends []int) ([][2]int, []int) {
+	m := p.matchers.Get().(*matcher)
+	defer p.matchers.Put(m)
+	for _, in := range inputs {
+		spans = m.findAll(in, spans)
+		ends = append(ends, len(spans))
+	}
+	return spans, ends
+}
+
+// findAll appends the leftmost-longest non-overlapping non-empty matches
+// in input to dst.
+func (m *matcher) findAll(input string, dst [][2]int) [][2]int {
 	for start := 0; start < len(input); {
 		// Most starts fail on their first symbol: rule those out without
 		// entering the walk.
@@ -720,13 +751,13 @@ func (p *Pattern) FindAll(input string) [][2]int {
 			continue
 		}
 		if end := m.longest(input, start); end > start {
-			out = append(out, [2]int{start, end})
+			dst = append(dst, [2]int{start, end})
 			start = end
 		} else {
 			start++
 		}
 	}
-	return out
+	return dst
 }
 
 // Contains reports whether the pattern matches a non-empty part of the

@@ -311,6 +311,25 @@ func agreesWithNaive(t *testing.T, p *Pattern, ast node, in string) {
 	}
 }
 
+// batchAgreesWithNaive checks MatchEach and FindEach over a column of
+// inputs against the reference matcher, input by input.
+func batchAgreesWithNaive(t *testing.T, p *Pattern, ast node, inputs []string) {
+	t.Helper()
+	matched := p.MatchEach(inputs, nil)
+	spans, ends := p.FindEach(inputs, nil, []int{0})
+	if len(matched) != len(inputs) || len(ends) != len(inputs)+1 {
+		t.Fatalf("pattern %q: %d inputs, MatchEach %d answers, FindEach %d ends", p, len(inputs), len(matched), len(ends))
+	}
+	for i, in := range inputs {
+		if want := naiveMatch(ast, in); matched[i] != want {
+			t.Errorf("pattern %q input %q: MatchEach %v, naive %v", p, in, matched[i], want)
+		}
+		if got, want := spans[ends[i]:ends[i+1]], naiveFindAll(ast, in); !slices.Equal(got, want) {
+			t.Errorf("pattern %q input %q: FindEach %v, naive %v", p, in, got, want)
+		}
+	}
+}
+
 // randomPattern draws a pattern from a small grammar covering every
 // construct: literals, classes, negated classes, '.', groups, '|', '*',
 // '+', '?' and counted repeats.
@@ -355,7 +374,8 @@ func randomInput(rng *rand.Rand, maxLen int) string {
 }
 
 // Property: the lazily built DFA agrees with the naive reference matcher,
-// for Match and for FindAll, on fixed and random patterns and inputs over
+// for Match and FindAll and for their batch forms MatchEach and FindEach,
+// on fixed and random patterns and inputs over
 // the slope alphabet; and nfaSize predicts exactly what Compile builds.
 func TestNFAAgreesWithNaiveMatcher(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -375,9 +395,12 @@ func TestNFAAgreesWithNaiveMatcher(t *testing.T) {
 		if got := nfaSize(ast) + 1; got != len(p.states) {
 			t.Errorf("pattern %q: nfaSize predicts %d states, Compile built %d", src, got, len(p.states))
 		}
-		for trial := 0; trial < 60; trial++ {
-			agreesWithNaive(t, p, ast, randomInput(rng, 9))
+		inputs := make([]string, 60)
+		for trial := range inputs {
+			inputs[trial] = randomInput(rng, 9)
+			agreesWithNaive(t, p, ast, inputs[trial])
 		}
+		batchAgreesWithNaive(t, p, ast, inputs)
 	}
 }
 
@@ -433,7 +456,8 @@ func TestNoCatastrophicBacktracking(t *testing.T) {
 }
 
 // A warmed Pattern matches without allocating: the matcher comes from the
-// pool and every transition the input takes is cached.
+// pool and every transition the input takes is cached. The batch walks
+// allocate nothing beyond the output slices they are handed.
 func TestMatchAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
@@ -444,11 +468,25 @@ func TestMatchAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { p.Match(in) }); allocs != 0 {
 		t.Errorf("Match allocates %.1f per call on a warmed pattern", allocs)
 	}
+
+	column := []string{in, "FUDF", "", "UUDDFUD", in, "DDFUUDDUUDDFF"}
+	matched := p.MatchEach(column, nil)
+	if allocs := testing.AllocsPerRun(100, func() { matched = p.MatchEach(column, matched[:0]) }); allocs != 0 {
+		t.Errorf("MatchEach allocates %.1f per call on a warmed pattern", allocs)
+	}
+	unit := MustCompile(PeakUnit)
+	spans, ends := unit.FindEach(column, nil, []int{0})
+	if allocs := testing.AllocsPerRun(100, func() { spans, ends = unit.FindEach(column, spans[:0], ends[:1]) }); allocs != 0 {
+		t.Errorf("FindEach allocates %.1f per call on a warmed pattern", allocs)
+	}
+	if len(spans) == 0 {
+		t.Fatal("FindEach found no peak in the column")
+	}
 }
 
 // FuzzPattern compiles arbitrary bytes; whatever compiles must match
 // fuzzed slope strings without panicking, and agree with the reference
-// matcher on inputs of at most 10 symbols.
+// matcher on inputs of at most 10 symbols, alone and in a batch walk.
 func FuzzPattern(f *testing.F) {
 	for _, src := range []string{"UF*D", TwoPeak(), AtLeastPeaks(2), "(U*)*D", "[^F]{2,3}", ".*U.{3}", "(UD|DU){1,2}", "(|U)D*", "x[^x]"} {
 		f.Add(src, []byte{0, 1, 2, 0, 2, 1})
@@ -469,7 +507,15 @@ func FuzzPattern(f *testing.F) {
 		if len(in) > 10 || len(p.states) > 256 {
 			return
 		}
-		agreesWithNaive(t, p, parseAST(t, src), string(in))
+		ast := parseAST(t, src)
+		agreesWithNaive(t, p, ast, string(in))
+		// The batch walks see the input among its own prefixes and
+		// suffixes, so one matcher carries DFA states across inputs.
+		column := []string{string(in)}
+		for i := range in {
+			column = append(column, string(in[:i]), string(in[i:]))
+		}
+		batchAgreesWithNaive(t, p, ast, column)
 	})
 }
 
