@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"seqrep"
@@ -71,99 +72,193 @@ func rebootAsserts(t *testing.T, db *seqrep.DB, dir string, acked, lost []string
 	}
 }
 
+// faultArms are the two shapes of write a log fault can hit: a single
+// Ingest, and an IngestBatch whose items share one group commit.
+var faultArms = []struct {
+	name string
+	ids  []string
+}{
+	{"single", []string{"during"}},
+	{"batch", []string{"during-0", "during-1", "during-2", "during-3", "during-4"}},
+}
+
+// ingestDuring writes ids (chaosSeq from seed on) as one Ingest when
+// there is one and as one IngestBatch otherwise, and returns each id's
+// error.
+func ingestDuring(db *seqrep.DB, ids []string, seed int) []error {
+	if len(ids) == 1 {
+		return []error{db.Ingest(ids[0], chaosSeq(seed))}
+	}
+	items := make([]seqrep.BatchItem, len(ids))
+	for i, id := range ids {
+		items[i] = seqrep.BatchItem{ID: id, Seq: chaosSeq(seed + i)}
+	}
+	errs := make([]error, len(ids))
+	_, itemErrs := db.IngestBatchItems(items)
+	for _, ie := range itemErrs {
+		errs[ie.Index] = ie.Err
+	}
+	return errs
+}
+
+// assertInvisible fails when any of ids shows in Record, IDs or a query
+// answer.
+func assertInvisible(t *testing.T, db *seqrep.DB, ids []string) {
+	t.Helper()
+	var answered []string
+	answered = append(answered, db.IDs()...)
+	matched, err := db.MatchPattern("[UDF]*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered = append(answered, matched...)
+	near, err := db.ValueQuery(chaosSeq(0), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range near {
+		answered = append(answered, m.ID)
+	}
+	for _, id := range ids {
+		if _, ok := db.Record(id); ok {
+			t.Fatalf("unacknowledged %q visible in Record", id)
+		}
+		if slices.Contains(answered, id) {
+			t.Fatalf("unacknowledged %q visible in IDs or a query answer", id)
+		}
+	}
+}
+
 // TestWALWriteSiteFaults walks the log's frame-write hook. A write
 // fault means no bytes reached the device, so failed ids must stay gone
-// forever.
+// forever. Each kind runs a single ingest and a batch.
 func TestWALWriteSiteFaults(t *testing.T) {
 	for _, kind := range []Kind{DiskError, NoSpace, SlowWrite} {
 		t.Run(kind.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			db := openChaosDB(t, dir)
-			defer db.Close()
-			var acked, lost []string
-			for i := 0; i < 3; i++ {
-				id := fmt.Sprintf("pre-%d", i)
-				if err := db.Ingest(id, chaosSeq(i)); err != nil {
-					t.Fatal(err)
-				}
-				acked = append(acked, id)
+			for _, arm := range faultArms {
+				t.Run(arm.name, func(t *testing.T) { walWriteSiteFault(t, kind, arm.ids) })
 			}
-
-			f := &Fault{Kind: kind, Count: -1}
-			db.SetWALFault(f.Hook(), nil)
-			err := db.Ingest("during", chaosSeq(9))
-			if kind == SlowWrite {
-				// A slow disk is not a failed disk: the write must succeed
-				// and the database must NOT degrade.
-				if err != nil {
-					t.Fatalf("slow write failed: %v", err)
-				}
-				acked = append(acked, "during")
-				if db.DegradedStatus().Degraded {
-					t.Fatal("slow write degraded the database")
-				}
-			} else {
-				if !errors.Is(err, seqrep.ErrDegraded) {
-					t.Fatalf("ingest under %s = %v, want ErrDegraded", kind, err)
-				}
-				lost = append(lost, "during")
-				st := db.DegradedStatus()
-				if !st.Degraded || st.Transitions != 1 {
-					t.Fatalf("DegradedStatus = %+v", st)
-				}
-				// Reads serve throughout.
-				if _, ok := db.Record("pre-0"); !ok {
-					t.Fatal("read failed while degraded")
-				}
-				// Heal, recover, write again.
-				f.Clear()
-				if err := db.Recover(); err != nil {
-					t.Fatalf("Recover: %v", err)
-				}
-				if err := db.Ingest("after", chaosSeq(10)); err != nil {
-					t.Fatalf("ingest after recovery: %v", err)
-				}
-				acked = append(acked, "after")
-			}
-			if f.Trips() == 0 {
-				t.Fatal("fault never fired")
-			}
-			rebootAsserts(t, db, dir, acked, lost, false)
 		})
 	}
+}
+
+func walWriteSiteFault(t *testing.T, kind Kind, during []string) {
+	dir := t.TempDir()
+	db := openChaosDB(t, dir)
+	defer db.Close()
+	var acked, lost []string
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("pre-%d", i)
+		if err := db.Ingest(id, chaosSeq(i)); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, id)
+	}
+
+	f := &Fault{Kind: kind, Count: -1}
+	db.SetWALFault(f.Hook(), nil)
+	errs := ingestDuring(db, during, 9)
+	if kind == SlowWrite {
+		// A slow disk is not a failed disk: the write must succeed
+		// and the database must NOT degrade.
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("slow write of %s failed: %v", during[i], err)
+			}
+		}
+		acked = append(acked, during...)
+		if db.DegradedStatus().Degraded {
+			t.Fatal("slow write degraded the database")
+		}
+	} else {
+		for i, err := range errs {
+			if !errors.Is(err, seqrep.ErrDegraded) {
+				t.Fatalf("ingest of %s under %s = %v, want ErrDegraded", during[i], kind, err)
+			}
+		}
+		lost = append(lost, during...)
+		st := db.DegradedStatus()
+		if !st.Degraded || st.Transitions != 1 {
+			t.Fatalf("DegradedStatus = %+v", st)
+		}
+		// Reads serve throughout, and show nothing of the failed write.
+		if _, ok := db.Record("pre-0"); !ok {
+			t.Fatal("read failed while degraded")
+		}
+		assertInvisible(t, db, during)
+		// Heal, recover, write again.
+		f.Clear()
+		if err := db.Recover(); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if err := db.Ingest("after", chaosSeq(10)); err != nil {
+			t.Fatalf("ingest after recovery: %v", err)
+		}
+		acked = append(acked, "after")
+		if len(during) > 1 {
+			// The failed batch released its reservations: the same ids
+			// ingest now.
+			for i, err := range ingestDuring(db, during, 9) {
+				if err != nil {
+					t.Fatalf("re-ingest of %s after recovery: %v", during[i], err)
+				}
+			}
+			acked, lost = append(acked, during...), nil
+		}
+	}
+	if f.Trips() == 0 {
+		t.Fatal("fault never fired")
+	}
+	rebootAsserts(t, db, dir, acked, lost, false)
 }
 
 // TestWALSyncSiteFaults walks the log's fsync hook. The fsyncgate
 // semantics: after a failed fsync the page cache is unknowable, so the
 // write is unacknowledged — but its bytes may still be on disk, and may
-// legitimately reappear after recovery.
+// legitimately reappear after recovery. Each kind runs a single ingest
+// and a batch.
 func TestWALSyncSiteFaults(t *testing.T) {
 	for _, kind := range []Kind{DiskError, NoSpace} {
 		t.Run(kind.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			db := openChaosDB(t, dir)
-			defer db.Close()
-			if err := db.Ingest("pre", chaosSeq(1)); err != nil {
-				t.Fatal(err)
+			for _, arm := range faultArms {
+				t.Run(arm.name, func(t *testing.T) { walSyncSiteFault(t, kind, arm.ids) })
 			}
-			f := &Fault{Kind: kind, Count: -1}
-			db.SetWALFault(nil, f.Hook())
-			if err := db.Ingest("during", chaosSeq(2)); !errors.Is(err, seqrep.ErrDegraded) {
-				t.Fatalf("ingest under %s = %v, want ErrDegraded", kind, err)
-			}
-			if _, ok := db.Record("during"); ok {
-				t.Fatal("unacknowledged write visible in memory")
-			}
-			f.Clear()
-			if err := db.Recover(); err != nil {
-				t.Fatalf("Recover: %v", err)
-			}
-			if err := db.Ingest("after", chaosSeq(3)); err != nil {
-				t.Fatalf("ingest after recovery: %v", err)
-			}
-			rebootAsserts(t, db, dir, []string{"pre", "after"}, []string{"during"}, true)
 		})
 	}
+}
+
+func walSyncSiteFault(t *testing.T, kind Kind, during []string) {
+	dir := t.TempDir()
+	db := openChaosDB(t, dir)
+	defer db.Close()
+	if err := db.Ingest("pre", chaosSeq(1)); err != nil {
+		t.Fatal(err)
+	}
+	f := &Fault{Kind: kind, Count: -1}
+	db.SetWALFault(nil, f.Hook())
+	for i, err := range ingestDuring(db, during, 2) {
+		if !errors.Is(err, seqrep.ErrDegraded) {
+			t.Fatalf("ingest of %s under %s = %v, want ErrDegraded", during[i], kind, err)
+		}
+	}
+	assertInvisible(t, db, during)
+	f.Clear()
+	if err := db.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if err := db.Ingest("after", chaosSeq(3)); err != nil {
+		t.Fatalf("ingest after recovery: %v", err)
+	}
+	acked, lost := []string{"pre", "after"}, during
+	if len(during) > 1 {
+		for i, err := range ingestDuring(db, during, 2) {
+			if err != nil {
+				t.Fatalf("re-ingest of %s after recovery: %v", during[i], err)
+			}
+		}
+		acked, lost = append(acked, during...), nil
+	}
+	rebootAsserts(t, db, dir, acked, lost, true)
 }
 
 // TestCheckpointWriterSiteFaults walks the checkpoint's segment writer.

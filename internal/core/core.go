@@ -15,10 +15,11 @@
 // sequences contend only on their shard; the pipeline itself (breaking,
 // fitting, feature extraction) runs outside every lock. The global query
 // indexes (sorted id list, interval inverted file, symbol groups) sit
-// behind one separate RWMutex and are updated only after a record is
-// committed to its shard. IngestBatch fans a workload across a worker
-// pool, and the linear query scans (ValueQuery, ShapeQuery,
-// DistanceQuery) partition the shards across the same number of workers.
+// behind one separate RWMutex; a record is committed to its shard and
+// linked into them under one hold of it. IngestBatch builds its items
+// across a worker pool and logs and links them as one batch, and the
+// linear query scans (ValueQuery, ShapeQuery, DistanceQuery) partition
+// the shards across the same number of workers.
 package core
 
 import (
@@ -27,6 +28,7 @@ import (
 	"hash/maphash"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -469,26 +471,76 @@ func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
 	return rec, nil
 }
 
-// link publishes a committed record to the global query indexes. On an
-// indexing error it removes the partial postings again so the indexes
-// stay coherent.
-func (db *DB) link(rec *Record) error {
+// pending is one batch item on its way through ingest: its built record
+// and log payload, or the error that stopped it.
+type pending struct {
+	rec     *Record
+	payload []byte
+	err     error
+}
+
+// link commits a logged batch to its shards and publishes it to the
+// global query indexes, all under one imu hold, so neither a query nor a
+// concurrent Remove ever sees one of its records committed but unlinked.
+// It takes every item without an error, in batch order; each is counted
+// into the generation and reported to the storage as it goes, and the
+// batch's ids then merge into the sorted id column in one pass. An item
+// whose postings fail is left out (its partial postings removed, its
+// reservation released) with the error in its slot.
+func (db *DB) link(batch []pending) {
+	type entry struct {
+		id    string
+		group int32
+	}
+	add := make([]entry, 0, len(batch))
 	db.imu.Lock()
 	defer db.imu.Unlock()
+	for i := range batch {
+		p := &batch[i]
+		if p.err != nil {
+			continue
+		}
+		rec := p.rec
+		if p.err = db.indexIntervals(rec); p.err != nil {
+			p.rec = nil
+			db.shardOf(rec.ID).abort(rec.ID)
+			continue
+		}
+		db.shardOf(rec.ID).commit(rec)
+		add = append(add, entry{rec.ID, db.syms.add(rec.Profile.Symbols, len(rec.Profile.Peaks))})
+		if db.findex != nil {
+			db.findex.add(rec)
+		}
+		db.gen.Add(1)
+		db.storage.linked(rec)
+	}
+	// Merge from the back: each batch id, largest first, finds its place
+	// among the ids not yet moved, and the run after that place shifts
+	// right by one slot per batch id still to place, in one copy. The
+	// batch's ids are new (each was reserved), so no two compare equal.
+	slices.SortFunc(add, func(a, b entry) int { return strings.Compare(a.id, b.id) })
+	n := len(db.ids)
+	db.ids = slices.Grow(db.ids, len(add))[:n+len(add)]
+	db.idGroup = slices.Grow(db.idGroup, len(add))[:n+len(add)]
+	for j := len(add) - 1; j >= 0; j-- {
+		pos, _ := slices.BinarySearch(db.ids[:n], add[j].id)
+		copy(db.ids[pos+j+1:], db.ids[pos:n])
+		copy(db.idGroup[pos+j+1:], db.idGroup[pos:n])
+		db.ids[pos+j], db.idGroup[pos+j] = add[j].id, add[j].group
+		n = pos
+	}
+}
+
+// indexIntervals posts rec's peak-to-peak intervals to the inverted
+// file, removing the partial postings again on an error. Caller holds
+// imu.
+func (db *DB) indexIntervals(rec *Record) error {
 	for pos, interval := range rec.Profile.Intervals {
 		if err := db.rrIndex.Add(interval, inverted.Ref{ID: rec.ID, Pos: int32(pos)}); err != nil {
 			db.rrIndex.RemoveID(rec.ID)
 			return fmt.Errorf("core: indexing %q: %w", rec.ID, err)
 		}
 	}
-	i, _ := slices.BinarySearch(db.ids, rec.ID)
-	db.ids = slices.Insert(db.ids, i, rec.ID)
-	db.idGroup = slices.Insert(db.idGroup, i, db.syms.add(rec.Profile.Symbols, len(rec.Profile.Peaks)))
-	if db.findex != nil {
-		db.findex.add(rec)
-	}
-	db.gen.Add(1)
-	db.storage.linked(rec)
 	return nil
 }
 
@@ -508,43 +560,90 @@ func (db *DB) Ingest(id string, s seq.Sequence) error {
 // IngestRecord is Ingest returning the committed record, for callers
 // that report on what was stored (the serving layer) without re-reading
 // shared state — a lookup by id after Ingest returns can already observe
-// a concurrent removal or replacement.
+// a concurrent removal or replacement. It is a batch of one.
 func (db *DB) IngestRecord(id string, s seq.Sequence) (*Record, error) {
-	if id == "" {
-		return nil, fmt.Errorf("core: empty sequence id")
+	p := db.ingest([]BatchItem{{ID: id, Seq: s}})[0]
+	return p.rec, p.err
+}
+
+// ingest is the one write path behind Ingest, IngestBatch and boot
+// replay. It returns, per item, the committed record or the error:
+//
+//  1. validate and reserve every item in batch order, so that of two
+//     items under one id the first wins;
+//  2. build the reserved items in parallel, outside every lock, encoding
+//     each one's log payload in the same step;
+//  3. log the built items behind one fsync;
+//  4. commit and link them under one imu hold (link).
+//
+// An item that fails steps 1 or 2 drops out without stopping the
+// others. A log failure fails every surviving item and releases its
+// reservation: nothing is published before it is durable.
+func (db *DB) ingest(items []BatchItem) []pending {
+	out := make([]pending, len(items))
+	// A degraded database cannot make the batch durable: fail it before
+	// the pipeline runs, since spending CPU on it only deepens the
+	// overload that usually accompanies a storage fault.
+	werr := db.storage.writable()
+	for i, it := range items {
+		out[i].err = db.admit(it, werr)
 	}
-	if len(s) == 0 {
-		return nil, fmt.Errorf("core: ingesting empty sequence %q", id)
+	db.forEachClaimed(len(items), func(i int) {
+		p := &out[i]
+		if p.err != nil {
+			return
+		}
+		id, s := items[i].ID, items[i].Seq
+		if p.rec, p.err = db.build(id, s); p.err == nil {
+			p.payload, p.err = db.storage.ingestPayload(id, s)
+		}
+		if p.err != nil {
+			p.rec = nil
+			db.shardOf(id).abort(id)
+		}
+	})
+	logged := make([][]byte, 0, len(items))
+	for _, p := range out {
+		if p.err == nil {
+			logged = append(logged, p.payload)
+		}
 	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("core: ingesting %q: %w", id, err)
+	if len(logged) == 0 {
+		return out
 	}
-	if err := db.storage.writable(); err != nil {
-		// Fail fast before the pipeline runs: a degraded database cannot
-		// make the write durable, so spending CPU on it only deepens the
-		// overload that usually accompanies a storage fault.
-		return nil, err
-	}
-	sh := db.shardOf(id)
-	if !sh.reserve(id) {
-		return nil, fmt.Errorf("core: %w %q", ErrDuplicateID, id)
-	}
-	rec, err := db.build(id, s)
-	if err != nil {
-		sh.abort(id)
-		return nil, err
-	}
-	if err := db.storage.logIngest(id, s); err != nil {
-		sh.abort(id)
-		return nil, err
+	if err := db.storage.logIngest(logged); err != nil {
+		for i, it := range items {
+			if out[i].err == nil {
+				db.shardOf(it.ID).abort(it.ID)
+				out[i] = pending{err: err}
+			}
+		}
+		return out
 	}
 	defer db.storage.endWrite()
-	sh.commit(rec)
-	if err := db.link(rec); err != nil {
-		sh.drop(id)
-		return nil, err
+	db.link(out)
+	return out
+}
+
+// admit validates one batch item and reserves its id; werr is the
+// storage's writable verdict for the whole batch.
+func (db *DB) admit(it BatchItem, werr error) error {
+	switch {
+	case it.ID == "":
+		return fmt.Errorf("core: empty sequence id")
+	case len(it.Seq) == 0:
+		return fmt.Errorf("core: ingesting empty sequence %q", it.ID)
 	}
-	return rec, nil
+	if err := it.Seq.Validate(); err != nil {
+		return fmt.Errorf("core: ingesting %q: %w", it.ID, err)
+	}
+	if werr != nil {
+		return werr
+	}
+	if !db.shardOf(it.ID).reserve(it.ID) {
+		return fmt.Errorf("core: %w %q", ErrDuplicateID, it.ID)
+	}
+	return nil
 }
 
 // BatchItem names one sequence of a batch ingest.
@@ -573,12 +672,14 @@ func (e *ItemError) Error() string {
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *ItemError) Unwrap() error { return e.Err }
 
-// IngestBatch ingests many sequences concurrently through a pool of
-// Config.Workers workers. It returns the number of sequences successfully
-// ingested and an error joining every per-item failure (each a *ItemError,
-// inspectable via errors.As). Items are independent: one failing item does
-// not stop the others. Callers that need the failures individually should
-// use IngestBatchItems.
+// IngestBatch ingests many sequences as one write: every item is built
+// in parallel on up to Config.Workers workers, and the whole batch is
+// made durable behind one fsync and published at once. It returns the
+// number of sequences successfully ingested and an error joining every
+// per-item failure (each a *ItemError, inspectable via errors.As). Items
+// are independent: one failing item does not stop the others, and of two
+// items under one id the first wins. Callers that need the failures
+// individually should use IngestBatchItems.
 func (db *DB) IngestBatch(items []BatchItem) (int, error) {
 	n, itemErrs := db.IngestBatchItems(items)
 	errs := make([]error, len(itemErrs))
@@ -592,25 +693,13 @@ func (db *DB) IngestBatch(items []BatchItem) (int, error) {
 // number of sequences successfully ingested and one *ItemError per failed
 // item, ordered by batch position.
 func (db *DB) IngestBatchItems(items []BatchItem) (int, []*ItemError) {
-	if len(items) == 0 {
-		return 0, nil
-	}
-	var ok atomic.Int64
-	errs := make([]*ItemError, len(items))
-	db.forEachClaimed(len(items), func(i int) {
-		if err := db.Ingest(items[i].ID, items[i].Seq); err != nil {
-			errs[i] = &ItemError{Index: i, ID: items[i].ID, Err: err}
-			return
-		}
-		ok.Add(1)
-	})
-	failed := make([]*ItemError, 0, len(items)-int(ok.Load()))
-	for _, ie := range errs {
-		if ie != nil {
-			failed = append(failed, ie)
+	var failed []*ItemError
+	for i, p := range db.ingest(items) {
+		if p.err != nil {
+			failed = append(failed, &ItemError{Index: i, ID: items[i].ID, Err: p.err})
 		}
 	}
-	return int(ok.Load()), failed
+	return len(items) - len(failed), failed
 }
 
 // forEachClaimed runs fn over the indices [0, n), fanned across up to
@@ -619,8 +708,12 @@ func (db *DB) IngestBatchItems(items []BatchItem) (int, []*ItemError) {
 // parallel query scans.
 func (db *DB) forEachClaimed(n int, fn func(i int)) {
 	workers := min(db.cfg.Workers, n)
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		// One worker (or one index) runs inline: no goroutine to spawn.
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
 	var (
 		next atomic.Int64

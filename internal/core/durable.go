@@ -324,15 +324,20 @@ func (d *dirStore) applyWALRecord(r wal.Record) error {
 
 func (d *dirStore) recoveryStats() RecoveryStats { return d.recovery }
 
-// logIngest is write-ahead: the ingest is fsync-durable before the
-// commit that makes it observable, so an acknowledged ingest can always
-// be replayed.
-func (d *dirStore) logIngest(id string, s seq.Sequence) error {
-	payload, err := encodeWALIngest(id, s)
-	if err != nil {
-		return err
+// ingestPayload encodes an ingest's log record. While replaying there
+// is none to encode: the operation being replayed is already in the log.
+func (d *dirStore) ingestPayload(id string, s seq.Sequence) ([]byte, error) {
+	if d.phase == replaying {
+		return nil, nil
 	}
-	return d.logWrite(walOpIngest, payload)
+	return encodeWALIngest(id, s)
+}
+
+// logIngest is write-ahead: a batch of ingests is fsync-durable before
+// the commit that makes any of it observable, so an acknowledged ingest
+// can always be replayed. The batch is one wal.AppendBatch, one fsync.
+func (d *dirStore) logIngest(payloads [][]byte) error {
+	return d.logWrite(walOpIngest, payloads)
 }
 
 // logRemove mirrors logIngest. The caller keeps the record in its shard
@@ -344,20 +349,20 @@ func (d *dirStore) logRemove(id string) error {
 	if err != nil {
 		return err
 	}
-	return d.logWrite(walOpRemove, payload)
+	return d.logWrite(walOpRemove, [][]byte{payload})
 }
 
-// logWrite appends one operation, stamped with the mutation generation,
-// and waits until it is fsync-durable. It returns holding ckptMu for
+// logWrite appends operations, stamped with the mutation generation, and
+// waits until they are fsync-durable. It returns holding ckptMu for
 // reading until endWrite: a checkpoint may not rotate the log between the
 // append and the publish, or a record could land in a sealed segment
 // while its commit misses the flush, and truncation would lose it.
-func (d *dirStore) logWrite(op byte, payload []byte) error {
+func (d *dirStore) logWrite(op byte, payloads [][]byte) error {
 	d.ckptMu.RLock()
 	if d.phase == replaying {
 		return nil // the operation being replayed is already in the log
 	}
-	if _, err := d.wal.Append(op, d.db.gen.Load(), payload); err != nil {
+	if _, err := d.wal.AppendBatch(op, d.db.gen.Load(), payloads); err != nil {
 		d.ckptMu.RUnlock()
 		// A poisoned log means the device failed (not a per-call problem
 		// like an oversized payload or a racing Close): transition to
@@ -401,11 +406,17 @@ func (d *dirStore) unlinked(rec *Record) {
 	d.markDirty(rec.ID, false)
 }
 
+// encodeWALIngest refuses what one log record cannot carry, so an
+// oversized item fails alone instead of failing its whole batch's append.
 func encodeWALIngest(id string, s seq.Sequence) ([]byte, error) {
 	if len(id) > math.MaxUint16 {
 		return nil, fmt.Errorf("core: id of %d bytes exceeds the wal record limit", len(id))
 	}
-	buf := make([]byte, 0, 2+len(id)+4+16*len(s))
+	size := 2 + len(id) + 4 + 16*len(s)
+	if size > wal.MaxPayload {
+		return nil, fmt.Errorf("core: %q: %d samples exceed the wal record limit", id, len(s))
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
 	buf = append(buf, id...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
@@ -584,6 +595,10 @@ type WALStats struct {
 	Bytes int64
 	// Segments is the retained segment file count.
 	Segments int
+	// Syncs is the number of data fsyncs the log has issued since boot.
+	// Appends over Syncs is the mean group-commit size; a durable
+	// IngestBatch is one group by itself.
+	Syncs uint64
 	// LastCheckpoint is when the last checkpoint completed — at boot,
 	// the loaded manifest's modification time.
 	// Zero when this database has never checkpointed and booted empty.
@@ -608,7 +623,7 @@ func (d *dirStore) walStats() (WALStats, bool) {
 	d.healthMu.Lock()
 	out := d.ckpt
 	d.healthMu.Unlock()
-	out.Records, out.Bytes, out.Segments = st.Records, st.Bytes, st.Segments
+	out.Records, out.Bytes, out.Segments, out.Syncs = st.Records, st.Bytes, st.Segments, st.Syncs
 	return out, true
 }
 

@@ -1,12 +1,15 @@
 package core
 
-// BenchmarkDurableIngest measures the durable write path end-to-end: a
-// concurrent IngestBatch (whose worker-pool appends share fsyncs)
-// against the same records ingested one at a time (each append paying
-// its own fsync). Representation building shares the clock with the
-// fsyncs here, so the batch/serial gap is a lower bound on the
-// group-commit win — internal/wal's BenchmarkWALIngest isolates it at
-// the log layer and enforces the 5x floor.
+// BenchmarkDurableIngest measures the durable write path end-to-end:
+// IngestBatch (built on a worker pool, logged behind one fsync per
+// batch) against the same records ingested one at a time (each append
+// paying its own fsync). Batched runs 64-item batches on 16 workers;
+// Batch2000 runs 2 000-item batches at the default Workers, the shape of
+// a bulk load, and reports the fsyncs each batch cost. Representation
+// building shares the clock with the fsyncs here, so the batch/serial
+// gap is a lower bound on the group-commit win — internal/wal's
+// BenchmarkWALIngest isolates it at the log layer and enforces the 5x
+// floor.
 
 import (
 	"fmt"
@@ -15,10 +18,11 @@ import (
 
 func BenchmarkDurableIngest(b *testing.B) {
 	const (
-		workers = 16 // appenders in flight: the group a single fsync can cover
+		workers = 16 // build workers of the Batched arm
 		batch   = 64
+		bulk    = 2000 // items per batch of the Batch2000 arm
 	)
-	openBench := func(b *testing.B) *DB {
+	openBench := func(b *testing.B, workers int) *DB {
 		b.Helper()
 		db, err := OpenDir(b.TempDir(), Config{Workers: workers})
 		if err != nil {
@@ -30,7 +34,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 	s := durSeq(3)
 
 	b.Run("Batched", func(b *testing.B) {
-		db := openBench(b)
+		db := openBench(b, workers)
 		next := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -46,8 +50,30 @@ func BenchmarkDurableIngest(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/record")
 	})
+	b.Run("Batch2000", func(b *testing.B) {
+		db := openBench(b, 0)
+		before, _ := db.WALStats()
+		next := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			items := make([]BatchItem, bulk)
+			for j := range items {
+				items[j] = BatchItem{ID: fmt.Sprintf("k%08d", next), Seq: durSeq(next)}
+				next++
+			}
+			b.StartTimer()
+			if _, err := db.IngestBatch(items); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		after, _ := db.WALStats()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bulk), "ns/record")
+		b.ReportMetric(float64(after.Syncs-before.Syncs)/float64(b.N), "fsyncs/batch")
+	})
 	b.Run("OneAtATime", func(b *testing.B) {
-		db := openBench(b)
+		db := openBench(b, workers)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := db.Ingest(fmt.Sprintf("s%08d", i), s); err != nil {

@@ -241,62 +241,93 @@ func TestRecoverTornWALTail(t *testing.T) {
 // records whose frames are wholly before the cut, with nothing
 // duplicated and nothing partial. (The exhaustive every-offset sweep
 // lives in internal/wal; this asserts the same property end-to-end
-// through OpenDir.)
+// through OpenDir.) The Batch arm logs one multi-item IngestBatch after
+// records acknowledged one by one and cuts at every byte of the batch's
+// frames: a torn batch must replay as a prefix of itself, in batch
+// order, on top of everything acknowledged before it.
 func TestCrashCutPrefixes(t *testing.T) {
-	src := t.TempDir()
-	db := mustOpenDir(t, src)
-	const n = 3
-	for i := 0; i < n; i++ {
-		mustIngest(t, db, fmt.Sprintf("r%d", i), durSeq(i))
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(src, WALDirName, "wal-*.log"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("wal segments: %v, %v", segs, err)
-	}
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	segName := filepath.Base(segs[0])
-
-	// Walk the frames to find each record's end offset (13-byte segment
-	// header, then crc u32 | blen u32 | body frames).
-	var whole []int
-	off := 13
-	for off < len(data) {
-		blen := int(binary.LittleEndian.Uint32(data[off+4:]))
-		off += 8 + blen
-		whole = append(whole, off)
-	}
-	if len(whole) != n || off != len(data) {
-		t.Fatalf("frame walk found %d records ending at %d (file %d bytes)", len(whole), off, len(data))
-	}
-
-	for cut := 0; cut <= len(data); cut += 11 {
-		dir := t.TempDir()
-		if err := os.MkdirAll(filepath.Join(dir, WALDirName), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, WALDirName, segName), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		dbc := mustOpenDir(t, dir)
-		want := 0
-		for want < n && whole[want] <= cut {
-			want++
-		}
-		if dbc.Len() != want {
-			t.Fatalf("cut %d: Len = %d, want %d", cut, dbc.Len(), want)
-		}
-		for i := 0; i < want; i++ {
-			if _, ok := dbc.Record(fmt.Sprintf("r%d", i)); !ok {
-				t.Fatalf("cut %d: acknowledged r%d lost", cut, i)
+	for _, arm := range []struct {
+		name       string
+		pre, batch int // records ingested one by one, then in one batch
+		seq        func(int) seq.Sequence
+		stride     int // bytes between two cuts
+	}{
+		{"OneByOne", 3, 0, durSeq, 11},
+		{"Batch", 2, 5, func(i int) seq.Sequence { return rampSeq(6, float64(i)) }, 1},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			src := t.TempDir()
+			db := mustOpenDir(t, src)
+			var ids []string
+			for i := 0; i < arm.pre; i++ {
+				ids = append(ids, fmt.Sprintf("r%d", i))
+				mustIngest(t, db, ids[i], arm.seq(i))
 			}
-		}
-		dbc.Close()
+			if arm.batch > 0 {
+				items := make([]BatchItem, arm.batch)
+				for i := range items {
+					items[i] = BatchItem{ID: fmt.Sprintf("b%d", i), Seq: arm.seq(arm.pre + i)}
+					ids = append(ids, items[i].ID)
+				}
+				if _, err := db.IngestBatch(items); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := len(ids)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(filepath.Join(src, WALDirName, "wal-*.log"))
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("wal segments: %v, %v", segs, err)
+			}
+			data, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			segName := filepath.Base(segs[0])
+
+			// Walk the frames to find each record's end offset (13-byte
+			// segment header, then crc u32 | blen u32 | body frames).
+			var whole []int
+			off := 13
+			for off < len(data) {
+				blen := int(binary.LittleEndian.Uint32(data[off+4:]))
+				off += 8 + blen
+				whole = append(whole, off)
+			}
+			if len(whole) != n || off != len(data) {
+				t.Fatalf("frame walk found %d records ending at %d (file %d bytes)", len(whole), off, len(data))
+			}
+
+			first := 0 // the one-by-one arm cuts the whole file
+			if arm.batch > 0 {
+				first = whole[arm.pre-1]
+			}
+			for cut := first; cut <= len(data); cut += arm.stride {
+				dir := t.TempDir()
+				if err := os.MkdirAll(filepath.Join(dir, WALDirName), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, WALDirName, segName), data[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				dbc := mustOpenDir(t, dir)
+				want := 0
+				for want < n && whole[want] <= cut {
+					want++
+				}
+				if got := dbc.IDs(); len(got) != want || dbc.Len() != want {
+					t.Fatalf("cut %d: %d ids (%v), Len %d; want %d", cut, len(got), got, dbc.Len(), want)
+				}
+				for i, id := range ids {
+					if _, ok := dbc.Record(id); ok != (i < want) {
+						t.Fatalf("cut %d: %s present = %v, want the first %d records", cut, id, ok, want)
+					}
+				}
+				dbc.Close()
+			}
+		})
 	}
 }
 

@@ -259,7 +259,7 @@ func loadVector(c *cursor, db *DB, id string) ([]float64, error) {
 
 // adopt installs an already-built representation, rebuilding features and
 // index postings (used by the segment-tier boot). It follows the same
-// reserve → commit → link protocol as Ingest. Stored feature vectors and
+// reserve → link protocol as Ingest. Stored feature vectors and
 // sketches are restored verbatim; with none (a legacy raw-derived
 // directory), they are recomputed from the record's comparison form.
 func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, sk *multires.Sketch) error {
@@ -267,8 +267,7 @@ func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, 
 	if err != nil {
 		return fmt.Errorf("core: adopting %q: %w", id, err)
 	}
-	sh := db.shardOf(id)
-	if !sh.reserve(id) {
+	if !db.shardOf(id).reserve(id) {
 		return fmt.Errorf("core: duplicate id %q in segment tier", id)
 	}
 	rec := &Record{ID: id, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
@@ -285,10 +284,7 @@ func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, 
 			}
 		}
 	}
-	sh.commit(rec)
-	if err := db.link(rec); err != nil {
-		sh.drop(id)
-		return err
-	}
-	return nil
+	batch := []pending{{rec: rec}}
+	db.link(batch)
+	return batch[0].err
 }

@@ -23,15 +23,21 @@ type storage interface {
 	// writable fails fast with ErrDegraded while no write can be made
 	// durable; nil otherwise.
 	writable() error
+	// ingestPayload encodes the log record of one ingest. It runs in the
+	// parallel build step; nil when nothing will be logged.
+	ingestPayload(id string, s seq.Sequence) ([]byte, error)
 	// logIngest and logRemove make a write durable before it is
-	// published. On success the caller publishes it (commit and link, or
-	// unlink) and then calls endWrite: no checkpoint falls between the
-	// two. On error nothing was logged and endWrite is not called.
-	logIngest(id string, s seq.Sequence) error
+	// published: logIngest a whole batch of ingestPayload results behind
+	// one fsync. On success the caller publishes the write (commit and
+	// link, or unlink) and then calls endWrite: no checkpoint falls
+	// between the two. On error nothing was acknowledged and endWrite is
+	// not called.
+	logIngest(payloads [][]byte) error
 	logRemove(id string) error
 	endWrite()
 	// linked and unlinked report a record entering and leaving the
-	// catalogue, inside the window logIngest or logRemove opened.
+	// catalogue, inside the window logIngest or logRemove opened (or,
+	// for linked, during boot adoption).
 	linked(rec *Record)
 	unlinked(rec *Record)
 	// faultIn pages in a representation that is not resident.
@@ -57,12 +63,13 @@ type volatile struct{}
 
 var errNoLog = errors.New("core: database has no write-ahead log (not opened via OpenDir)")
 
-func (volatile) writable() error                      { return nil }
-func (volatile) logIngest(string, seq.Sequence) error { return nil }
-func (volatile) logRemove(string) error               { return nil }
-func (volatile) endWrite()                            {}
-func (volatile) linked(*Record)                       {}
-func (volatile) unlinked(*Record)                     {}
+func (volatile) writable() error                                    { return nil }
+func (volatile) ingestPayload(string, seq.Sequence) ([]byte, error) { return nil, nil }
+func (volatile) logIngest([][]byte) error                           { return nil }
+func (volatile) logRemove(string) error                             { return nil }
+func (volatile) endWrite()                                          {}
+func (volatile) linked(*Record)                                     {}
+func (volatile) unlinked(*Record)                                   {}
 
 // faultIn is unreachable: nothing evicts without a tier to page from.
 func (volatile) faultIn(rec *Record) (*rep.FunctionSeries, error) {

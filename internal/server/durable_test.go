@@ -77,7 +77,7 @@ func TestDurableServerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"seqserved_wal_records", "seqserved_wal_bytes", "seqserved_wal_segments", "seqserved_last_checkpoint_age_seconds"} {
+	for _, want := range []string{"seqserved_wal_records", "seqserved_wal_bytes", "seqserved_wal_segments", "seqserved_wal_syncs_total", "seqserved_last_checkpoint_age_seconds"} {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %s", want)
 		}

@@ -708,6 +708,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "seqserved_wal_records %d\n", st.Records)
 		fmt.Fprintf(&b, "seqserved_wal_bytes %d\n", st.Bytes)
 		fmt.Fprintf(&b, "seqserved_wal_segments %d\n", st.Segments)
+		fmt.Fprintf(&b, "# HELP seqserved_wal_syncs_total Write-ahead-log data fsyncs since boot (appends per fsync is the group-commit size).\n")
+		fmt.Fprintf(&b, "# TYPE seqserved_wal_syncs_total counter\n")
+		fmt.Fprintf(&b, "seqserved_wal_syncs_total %d\n", st.Syncs)
 		fmt.Fprintf(&b, "# HELP seqserved_checkpoint_failures_total Checkpoints that failed since boot.\n")
 		fmt.Fprintf(&b, "# TYPE seqserved_checkpoint_failures_total counter\n")
 		fmt.Fprintf(&b, "seqserved_checkpoint_failures_total %d\n", st.CheckpointFailures)

@@ -7,7 +7,9 @@ package wal
 // buys the durable write path. The benchmark fails itself when group
 // commit is less than 5× faster per record — checked only when both
 // halves ran more than one iteration, so a -benchtime=1x smoke run
-// cannot trip it.
+// cannot trip it. The Batch half logs a whole batch per AppendBatch, one
+// waiter and one fsync per batch, and reports its own ns/record beside
+// the two the floor compares.
 //
 // (internal/core's BenchmarkDurableIngest measures the same two shapes
 // end-to-end through the ingest pipeline, where representation building
@@ -20,7 +22,10 @@ import (
 )
 
 func BenchmarkWALIngest(b *testing.B) {
-	const appenders = 16
+	const (
+		appenders = 16
+		batch     = 64
+	)
 	payload := bytes.Repeat([]byte{0x42}, 256)
 	// ns/record and iteration count of each half's final run.
 	var groupNs, serialNs float64
@@ -52,6 +57,21 @@ func BenchmarkWALIngest(b *testing.B) {
 		b.StopTimer()
 		groupNs, groupN = float64(b.Elapsed().Nanoseconds())/float64(b.N), b.N
 		b.ReportMetric(groupNs, "ns/record")
+	})
+	b.Run("Batch", func(b *testing.B) {
+		w := open(b)
+		payloads := make([][]byte, batch)
+		for i := range payloads {
+			payloads[i] = payload
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.AppendBatch(1, uint64(i), payloads); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/record")
 	})
 	b.Run("PerWriteFsync", func(b *testing.B) {
 		w := open(b)

@@ -40,9 +40,11 @@
 // Appenders serialize frame bytes into a shared buffer under the log
 // mutex, register a waiter, and block. A single background syncer drains
 // all pending waiters at once: one buffer flush, one fsync, then every
-// covered waiter is released. Under concurrency (e.g. a worker-pool
-// IngestBatch) the fsync cost is paid once per group rather than once
-// per record; a lone appender degrades to one fsync per append.
+// covered waiter is released. Under concurrency the fsync cost is paid
+// once per group rather than once per record; a lone appender degrades
+// to one fsync per append. AppendBatch frames many records under one
+// mutex hold and parks one waiter for them all, so a batch is one group
+// by construction, whoever else is appending.
 package wal
 
 import (
@@ -59,6 +61,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -75,6 +78,9 @@ const (
 	// maxBody bounds one record's body so a corrupt length field cannot
 	// drive a multi-gigabyte allocation during replay.
 	maxBody = 1 << 30
+
+	// MaxPayload is the largest payload one record can carry.
+	MaxPayload = maxBody - (1 + 8)
 )
 
 var (
@@ -137,6 +143,10 @@ type WAL struct {
 	// failing. Guarded by mu.
 	hookWrite func() error
 	hookSync  func() error
+
+	// syncs counts the data fsyncs issued since Open: one per group
+	// commit, plus those of rotation, Sync and Close.
+	syncs atomic.Uint64
 
 	// syncPass serializes whole group-commit passes (including the fsync
 	// that runs outside mu) against Reset, which must not clear the poison
@@ -503,58 +513,80 @@ func (w *WAL) segPath(base uint64) string {
 
 // Append logs one record and blocks until it is durable (fsync'd),
 // sharing that fsync with every other append in flight. It returns the
-// record's LSN. A log with segments on disk must be Replayed first.
+// record's LSN. It is AppendBatch with one payload.
 func (w *WAL) Append(op byte, gen uint64, payload []byte) (uint64, error) {
-	if len(payload) > maxBody-(1+8) {
-		return 0, fmt.Errorf("wal: payload of %d bytes exceeds the %d-byte record cap", len(payload), maxBody-(1+8))
+	return w.AppendBatch(op, gen, [][]byte{payload})
+}
+
+// AppendBatch logs payloads as consecutive records, every one under op
+// and gen, and blocks until all of them are durable. The frames are
+// written under one hold of the log mutex and the batch parks one
+// waiter, so a single fsync covers it however many records it holds
+// (shared, like any group, with the appends in flight beside it). It
+// returns the first record's LSN; the rest follow contiguously. A full
+// segment is still rotated between two frames, since records never span
+// segments. On failure no record of the batch is acknowledged. A log
+// with segments on disk must be Replayed first.
+func (w *WAL) AppendBatch(op byte, gen uint64, payloads [][]byte) (uint64, error) {
+	if len(payloads) == 0 {
+		return 0, fmt.Errorf("wal: empty batch")
 	}
-	body := make([]byte, 1+8+len(payload))
-	body[0] = op
-	binary.LittleEndian.PutUint64(body[1:9], gen)
-	copy(body[9:], payload)
-	var head [frameHead]byte
-	binary.LittleEndian.PutUint32(head[:4], crc32.Checksum(body, crcTable))
-	binary.LittleEndian.PutUint32(head[4:], uint32(len(body)))
+	for _, p := range payloads {
+		if len(p) > MaxPayload {
+			return 0, fmt.Errorf("wal: payload of %d bytes exceeds the %d-byte record cap", len(p), MaxPayload)
+		}
+	}
+	// frame is one record's crc | blen | op | gen; the payload follows it.
+	var frame [frameHead + 1 + 8]byte
+	frame[frameHead] = op
+	binary.LittleEndian.PutUint64(frame[frameHead+1:], gen)
+	opGenCRC := crc32.Checksum(frame[frameHead:], crcTable)
 
 	w.mu.Lock()
 	if err := w.appendable(); err != nil {
 		w.mu.Unlock()
 		return 0, err
 	}
-	if w.segSize > w.opts.SegmentBytes && w.segSize > headerSize {
-		// Seal the oversized segment before this record. rotateLocked
-		// flushes, syncs and releases the current waiters itself, so no
-		// acknowledged bytes are left behind in the old file. An empty
-		// segment is never rotated (mirroring Rotate): its successor
-		// would claim the same base LSN.
-		if err := w.rotateLocked(); err != nil {
-			w.mu.Unlock()
-			return 0, err
+	first := w.nextLSN
+	for _, p := range payloads {
+		if w.segSize > w.opts.SegmentBytes && w.segSize > headerSize {
+			// Seal the oversized segment before this record. rotateLocked
+			// flushes, syncs and releases the current waiters itself, so no
+			// acknowledged bytes are left behind in the old file (nor this
+			// batch's earlier frames, which it syncs too). An empty segment
+			// is never rotated (mirroring Rotate): its successor would claim
+			// the same base LSN.
+			if err := w.rotateLocked(); err != nil {
+				w.mu.Unlock()
+				return 0, err
+			}
 		}
-	}
-	if w.hookWrite != nil {
-		if err := w.hookWrite(); err != nil {
+		if w.hookWrite != nil {
+			if err := w.hookWrite(); err != nil {
+				w.fail(err)
+				w.mu.Unlock()
+				return 0, err
+			}
+		}
+		blen := 1 + 8 + len(p)
+		binary.LittleEndian.PutUint32(frame[:4], crc32.Update(opGenCRC, crcTable, p))
+		binary.LittleEndian.PutUint32(frame[4:], uint32(blen))
+		if _, err := w.w.Write(frame[:]); err != nil {
 			w.fail(err)
 			w.mu.Unlock()
 			return 0, err
 		}
+		if _, err := w.w.Write(p); err != nil {
+			w.fail(err)
+			w.mu.Unlock()
+			return 0, err
+		}
+		w.nextLSN++
+		w.segSize += int64(frameHead) + int64(blen)
 	}
-	if _, err := w.w.Write(head[:]); err != nil {
-		w.fail(err)
-		w.mu.Unlock()
-		return 0, err
-	}
-	if _, err := w.w.Write(body); err != nil {
-		w.fail(err)
-		w.mu.Unlock()
-		return 0, err
-	}
-	lsn := w.nextLSN
-	w.nextLSN++
-	w.segSize += int64(frameHead) + int64(len(body))
 	if w.opts.NoSync {
 		w.mu.Unlock()
-		return lsn, nil
+		return first, nil
 	}
 	ch := make(chan error, 1)
 	w.waiters = append(w.waiters, ch)
@@ -563,7 +595,7 @@ func (w *WAL) Append(op byte, gen uint64, payload []byte) (uint64, error) {
 	case w.syncReq <- struct{}{}:
 	default: // syncer already signalled
 	}
-	return lsn, <-ch
+	return first, <-ch
 }
 
 // appendable reports why the log cannot accept writes, if it cannot.
@@ -617,6 +649,7 @@ func (w *WAL) syncLocked() error {
 			return err
 		}
 	}
+	w.syncs.Add(1)
 	return w.f.Sync()
 }
 
@@ -670,6 +703,7 @@ func (w *WAL) syncer() {
 			}
 		}
 		if err == nil {
+			w.syncs.Add(1)
 			if err = f.Sync(); err != nil {
 				w.mu.Lock()
 				if w.segGen != gen {
@@ -822,6 +856,9 @@ type Stats struct {
 	Segments int
 	// NextLSN is the LSN the next append will take.
 	NextLSN uint64
+	// Syncs is the number of data fsyncs since Open. Records appended
+	// over Syncs is the mean group size.
+	Syncs uint64
 }
 
 // Stats returns a point-in-time view of the log's depth.
@@ -832,6 +869,7 @@ func (w *WAL) Stats() Stats {
 		Segments: len(w.sealed) + 1,
 		Bytes:    w.segSize,
 		NextLSN:  w.nextLSN,
+		Syncs:    w.syncs.Load(),
 	}
 	if w.f == nil {
 		st.Segments-- // not yet replayed: no active segment

@@ -442,6 +442,69 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestAppendBatch checks that a batch is one group: its records replay
+// in order with contiguous LSNs, one fsync covers them all, and a
+// segment that fills mid-batch rotates between two frames.
+func TestAppendBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		segmentBytes int64
+	}{{"OneSegment", 0}, {"RotatesMidBatch", 256}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, Options{SegmentBytes: tc.segmentBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Append(1, 0, []byte("before")); err != nil {
+				t.Fatal(err)
+			}
+			payloads := make([][]byte, 40)
+			for i := range payloads {
+				payloads[i] = []byte(fmt.Sprintf("batch record %02d", i))
+			}
+			syncs := w.Stats().Syncs
+			first, err := w.AppendBatch(3, 7, payloads)
+			if err != nil {
+				t.Fatalf("AppendBatch: %v", err)
+			}
+			if first != 2 {
+				t.Fatalf("first LSN = %d, want 2", first)
+			}
+			st := w.Stats()
+			if st.NextLSN != 2+uint64(len(payloads)) {
+				t.Fatalf("NextLSN = %d, want %d", st.NextLSN, 2+len(payloads))
+			}
+			if tc.segmentBytes == 0 && st.Syncs-syncs != 1 {
+				t.Fatalf("batch cost %d fsyncs, want 1", st.Syncs-syncs)
+			}
+			if tc.segmentBytes > 0 && st.Segments < 3 {
+				t.Fatalf("%d segments: the batch never rotated", st.Segments)
+			}
+			if _, err := w.AppendBatch(1, 0, nil); err == nil {
+				t.Fatal("empty batch accepted")
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w2, err := Open(dir, Options{SegmentBytes: tc.segmentBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			recs := collect(t, w2)
+			if len(recs) != 1+len(payloads) {
+				t.Fatalf("replayed %d records, want %d", len(recs), 1+len(payloads))
+			}
+			for i, r := range recs[1:] {
+				if r.Op != 3 || r.Gen != 7 || r.LSN != first+uint64(i) || !bytes.Equal(r.Payload, payloads[i]) {
+					t.Fatalf("record %d = op %d gen %d lsn %d %q", i, r.Op, r.Gen, r.LSN, r.Payload)
+				}
+			}
+		})
+	}
+}
+
 func TestAppendBeforeReplay(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{NoSync: true})

@@ -21,7 +21,8 @@
 // The main entry points:
 //
 //   - DB: the database (New in memory, OpenDir persistent); Ingest,
-//     IngestBatch (concurrent worker-pool ingestion), Remove, Raw,
+//     IngestBatch (built on a worker pool, one write-ahead fsync per
+//     batch), Remove, Raw,
 //     Reconstruct. The DB is sharded internally and safe for fully
 //     concurrent use; Config.Shards and Config.Workers tune the
 //     parallelism.
