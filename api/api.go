@@ -57,8 +57,8 @@ type IntervalMatch struct {
 	Intervals []float64 `json:"intervals,omitempty"`
 }
 
-// QueryStats reports how a planner-routed (or EXPLAIN'ed) statement
-// executed.
+// QueryStats reports how a statement executed: its plan, the work done
+// and the items delivered.
 type QueryStats struct {
 	Query      string `json:"query"`
 	Metric     string `json:"metric,omitempty"`
@@ -118,7 +118,7 @@ type QueryResponse struct {
 	Matches   []Match         `json:"matches,omitempty"`
 	Hits      []PatternHit    `json:"hits,omitempty"`
 	Intervals []IntervalMatch `json:"intervals,omitempty"`
-	// Stats is set for planner-routed statements and every EXPLAIN.
+	// Stats reports how the statement executed (every statement).
 	Stats   *QueryStats `json:"stats,omitempty"`
 	Explain bool        `json:"explain,omitempty"`
 	// Generation is the database mutation generation the answer was
@@ -134,10 +134,10 @@ type QueryResponse struct {
 // stream is: one header frame (Canonical set), zero or more item frames
 // (exactly one of Match, Hit, Interval or ID set), then one trailer
 // frame (Done true, with Kind, Stats and Generation) — or an error frame
-// (Error set) terminating the stream early. Similarity matches stream as
-// the engine verifies them (nearest-first under TOP n BY DISTANCE,
-// discovery order otherwise); other result kinds are framed after the
-// statement completes. Streamed answers bypass the server's result cache.
+// (Error set) terminating the stream early. Items stream as the engine
+// produces them: similarity matches nearest-first under TOP n BY
+// DISTANCE and in discovery order otherwise, the feature kinds in their
+// canonical order. Streamed answers bypass the server's result cache.
 type StreamFrame struct {
 	// Canonical marks the header frame: the statement's canonical form
 	// (the same string /v1/query would use as its cache key).
@@ -161,8 +161,8 @@ type StreamFrame struct {
 	Done bool `json:"done,omitempty"`
 	// Kind names the query family (trailer only).
 	Kind string `json:"kind,omitempty"`
-	// Stats reports the execution plan (trailer; set for planner-routed
-	// and EXPLAIN'ed statements). Stats.Truncated marks a bounded answer.
+	// Stats reports how the statement executed (trailer).
+	// Stats.Truncated marks a bounded answer.
 	Stats *QueryStats `json:"stats,omitempty"`
 	// Generation is the database mutation generation the answer was
 	// computed at (trailer only).

@@ -15,6 +15,7 @@ import (
 	"text/tabwriter"
 
 	"seqrep"
+	"seqrep/internal/querylang"
 )
 
 // cmdGenerate writes a synthetic workload as CSV (time,value per row).
@@ -283,102 +284,62 @@ func cmdQuery(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *q != "" {
-		parsed, err := seqrep.ParseQuery(*q)
-		if err != nil {
-			return err
-		}
-		if seqrep.IsProgressiveQuery(parsed) {
-			err := runProgressiveQuery(ctx, db, seqrep.LimitQuery(parsed, *limit))
-			if err != nil && errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("query: timed out after %s", *timeout)
-			}
-			return err
-		}
-		res, err := seqrep.RunQueryCtx(ctx, db, seqrep.LimitQuery(parsed, *limit))
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("query: timed out after %s", *timeout)
-			}
-			return err
-		}
-		for _, id := range res.IDs {
-			fmt.Println(id)
-		}
-		for _, h := range res.Hits {
-			fmt.Printf("  %s segments [%d,%d) time [%.3g,%.3g]\n", h.ID, h.SegLo, h.SegHi, h.TimeLo, h.TimeHi)
-		}
-		for _, m := range res.Matches {
-			if !m.Exact {
-				fmt.Printf("  %s approximate, deviations %v\n", m.ID, m.Deviations)
-			}
-		}
-		fmt.Printf("%d match(es) [%s]\n", len(res.IDs), res.Kind)
-		reportTruncation(res)
-		if res.Explain && res.Stats != nil {
-			fmt.Println(res.Stats)
-		}
-		return nil
-	}
-	// The direct flag paths materialize their (cheap, fixed-path) answer
-	// and truncate afterwards, reporting exactly how much -limit dropped.
-	capped := func(n int) (int, int) {
-		if *limit > 0 && n > *limit {
-			return *limit, n - *limit
-		}
-		return n, 0
-	}
+	// The shortcut flags state their statement directly, so no pattern
+	// needs quoting into the language.
+	var stmt seqrep.ParsedQuery
 	switch {
+	case *q != "":
+		if stmt, err = seqrep.ParseQuery(*q); err != nil {
+			return err
+		}
 	case *pat != "":
-		ids, err := db.MatchPattern(*pat)
-		if err != nil {
-			return err
-		}
-		keep, dropped := capped(len(ids))
-		for _, id := range ids[:keep] {
-			fmt.Println(id)
-		}
-		fmt.Printf("%d match(es)\n", keep)
-		reportDropped(dropped)
+		stmt = &querylang.MatchPatternQuery{Pattern: *pat}
 	case *search != "":
-		hits, err := db.SearchPattern(*search)
-		if err != nil {
-			return err
-		}
-		keep, dropped := capped(len(hits))
-		for _, h := range hits[:keep] {
-			fmt.Printf("%s segments [%d,%d) time [%.3g,%.3g]\n", h.ID, h.SegLo, h.SegHi, h.TimeLo, h.TimeHi)
-		}
-		fmt.Printf("%d hit(s)\n", keep)
-		reportDropped(dropped)
+		stmt = &querylang.FindPatternQuery{Pattern: *search}
 	case *peaks >= 0:
-		matches, err := db.PeakCount(*peaks, *tol)
-		if err != nil {
-			return err
-		}
-		keep, dropped := capped(len(matches))
-		for _, m := range matches[:keep] {
-			kind := "approx"
-			if m.Exact {
-				kind = "exact"
-			}
-			fmt.Printf("%s (%s, deviation %g)\n", m.ID, kind, m.Deviations["peaks"])
-		}
-		fmt.Printf("%d match(es)\n", keep)
-		reportDropped(dropped)
+		stmt = &querylang.PeaksQuery{Count: *peaks, Tolerance: *tol}
 	case *interval > 0:
-		matches, err := db.IntervalQuery(*interval, *eps)
-		if err != nil {
-			return err
-		}
-		keep, dropped := capped(len(matches))
-		for _, m := range matches[:keep] {
-			fmt.Printf("%s intervals %v at positions %v\n", m.ID, m.Intervals, m.Positions)
-		}
-		fmt.Printf("%d match(es)\n", keep)
-		reportDropped(dropped)
+		stmt = &querylang.IntervalQuery{N: *interval, Eps: *eps}
 	default:
-		return fmt.Errorf("query: one of -pattern, -search, -peaks, -interval is required")
+		return fmt.Errorf("query: one of -q, -pattern, -search, -peaks, -interval is required")
+	}
+	stmt = seqrep.LimitQuery(stmt, *limit)
+	if seqrep.IsProgressiveQuery(stmt) {
+		err = runProgressiveQuery(ctx, db, stmt)
+	} else {
+		err = runQuery(ctx, db, stmt)
+	}
+	if err != nil && errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("query: timed out after %s", *timeout)
+	}
+	return err
+}
+
+// runQuery executes a statement and prints its answer: the ids, then the
+// kind's detail (FIND hits, intervals, approximate matches).
+func runQuery(ctx context.Context, db *seqrep.DB, q seqrep.ParsedQuery) error {
+	res, err := seqrep.RunQueryCtx(ctx, db, q)
+	if err != nil {
+		return err
+	}
+	for _, id := range res.IDs {
+		fmt.Println(id)
+	}
+	for _, h := range res.Hits {
+		fmt.Printf("  %s segments [%d,%d) time [%.3g,%.3g]\n", h.ID, h.SegLo, h.SegHi, h.TimeLo, h.TimeHi)
+	}
+	for _, m := range res.Intervals {
+		fmt.Printf("  %s intervals %v at positions %v\n", m.ID, m.Intervals, m.Positions)
+	}
+	for _, m := range res.Matches {
+		if !m.Exact {
+			fmt.Printf("  %s approximate, deviations %v\n", m.ID, m.Deviations)
+		}
+	}
+	fmt.Printf("%d match(es) [%s]\n", len(res.IDs), res.Kind)
+	reportTruncation(res)
+	if res.Explain {
+		fmt.Println(res.Stats)
 	}
 	return nil
 }
@@ -416,22 +377,10 @@ func runProgressiveQuery(ctx context.Context, db *seqrep.DB, q seqrep.ParsedQuer
 	return nil
 }
 
-// reportDropped notes results a -limit cut from a materialized answer.
-func reportDropped(n int) {
-	if n > 0 {
-		fmt.Printf("(%d result(s) truncated by -limit)\n", n)
-	}
-}
-
-// reportTruncation notes how a bounded statement's answer was cut short:
-// fixed-path statements know exactly how many results the LIMIT dropped;
-// streamed similarity statements stop early instead, so only the fact of
-// truncation is knowable.
+// reportTruncation notes that a bound cut a statement's answer short: the
+// query stops at the bound, so only the fact of truncation is knowable.
 func reportTruncation(res *seqrep.QueryResult) {
-	switch {
-	case res.Dropped > 0:
-		fmt.Printf("(%d result(s) truncated by the limit)\n", res.Dropped)
-	case res.Stats != nil && res.Stats.Truncated:
+	if res.Stats != nil && res.Stats.Truncated {
 		fmt.Println("(results truncated: the bound stopped the query early; more matches may exist)")
 	}
 }

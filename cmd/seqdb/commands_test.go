@@ -55,6 +55,42 @@ func TestGenerateAndIngestFlow(t *testing.T) {
 	}
 }
 
+// TestQueryCommand runs every query form of `seqdb query`: the -q
+// statement and the shortcut flags, which state the same statements and
+// so obey -limit and -timeout alike.
+func TestQueryCommand(t *testing.T) {
+	dir := withDir(t)
+	csvPath := filepath.Join(dir, "fever.csv")
+	dbPath := filepath.Join(dir, "test.db")
+	if err := cmdGenerate([]string{"-kind", "fever", "-out", csvPath}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdIngest([]string{"-db", dbPath, "-id", "f1", "-in", csvPath}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		args    []string
+		wantErr string // "" = succeeds
+	}{
+		{[]string{"-pattern", `U"F*D`}, ""}, // stated directly: a quote needs no escaping into the language
+		{[]string{"-pattern", "[FD]*(U+F*D[FD]*){2}(U+F*)?", "-limit", "1"}, ""},
+		{[]string{"-search", "U+F*D", "-limit", "2"}, ""},
+		{[]string{"-peaks", "2", "-tol", "1"}, ""},
+		{[]string{"-interval", "8", "-eps", "1"}, ""},
+		{[]string{"-q", "EXPLAIN MATCH PEAKS 2 LIMIT 1"}, ""},
+		{[]string{"-search", "U+F*D", "-timeout", "1ns"}, "timed out"},
+		{[]string{"-q", `FIND PATTERN "U+F*D"`, "-timeout", "1ns"}, "timed out"},
+	} {
+		err := cmdQuery(append([]string{"-db", dbPath}, r.args...))
+		switch {
+		case r.wantErr == "" && err != nil:
+			t.Errorf("query %v: %v", r.args, err)
+		case r.wantErr != "" && (err == nil || !strings.Contains(err.Error(), r.wantErr)):
+			t.Errorf("query %v: err = %v, want one naming %q", r.args, err, r.wantErr)
+		}
+	}
+}
+
 func TestGenerateKinds(t *testing.T) {
 	dir := withDir(t)
 	for _, kind := range []string{"fever", "three", "ecg", "seismic", "stock"} {

@@ -261,25 +261,51 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// featureSpecs are one query per feature family that most records of a
+// slowDB (FIND: every one) or a featureCorpus (interval: the fevers and
+// ECGs) answer.
+var featureSpecs = []QuerySpec{
+	{Family: FamilyPattern, Pattern: ".*"},
+	{Family: FamilyFind, Pattern: "F"},
+	{Family: FamilyPeaks, Peaks: 0, PeakTolerance: 1000},
+	{Family: FamilyInterval, Interval: 0, Eps: 1e6},
+}
+
 // TestQueryCancellation is the cancellation-hygiene guard, one row per
-// candidate producer of the one executor: a query cancelled mid-flight
-// returns ctx.Err() promptly — within one verification batch, not after
-// finishing the scan — and leaves zero goroutines behind.
+// producer of the one executor: a query cancelled mid-flight returns
+// ctx.Err() promptly — within one verification batch or one delivery,
+// not after finishing the scan — and leaves zero goroutines behind.
 func TestQueryCancellation(t *testing.T) {
 	const perRead = 2 * time.Millisecond
 	indexed, exemplar := slowDB(t, 400, perRead, 0)
 	scan, _ := slowDB(t, 400, perRead, -1)
 	spec := QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: dist.Euclidean, Eps: math.Inf(1)}
-	rows := []struct {
+	type row struct {
 		name        string
 		db          *DB
 		opts        QueryOptions
 		progressive bool
-	}{
-		{"index", indexed, QueryOptions{}, false},
-		{"scan", scan, QueryOptions{}, false},
-		{"top-k", indexed, QueryOptions{TopK: 300}, false},
-		{"progressive", indexed, QueryOptions{}, true},
+		spec        QuerySpec
+	}
+	rows := []row{
+		{"index", indexed, QueryOptions{}, false, spec},
+		{"scan", scan, QueryOptions{}, false, spec},
+		{"top-k", indexed, QueryOptions{TopK: 300}, false, spec},
+		{"progressive", indexed, QueryOptions{}, true, spec},
+	}
+	// FIND pages every hit record's representation in (400 cold reads in
+	// all, one by one), and cancels at its first hit; the other feature
+	// families read no representation and cancel from their first yield.
+	features := mustDB(t, Config{})
+	if _, err := features.IngestBatch(featureCorpus(t, rand.New(rand.NewSource(35)), 400)); err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range featureSpecs {
+		db := features
+		if fs.Family == FamilyFind {
+			db = indexed
+		}
+		rows = append(rows, row{fs.Family, db, QueryOptions{}, false, fs})
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -294,14 +320,14 @@ func TestQueryCancellation(t *testing.T) {
 			var err error
 			start := time.Now()
 			if r.progressive {
-				_, err = r.db.QueryProgressive(ctx, spec, r.opts, func(pm ProgressiveMatch) bool {
+				_, err = r.db.QueryProgressive(ctx, r.spec, r.opts, func(pm ProgressiveMatch) bool {
 					if pm.Final { // the first exact verdict: mid-verification
 						cancel()
 					}
 					return true
 				})
 			} else {
-				_, err = r.db.Query(ctx, spec, r.opts, func(Match) bool {
+				_, err = r.db.Query(ctx, r.spec, r.opts, func(Match) bool {
 					cancel() // cancel as soon as the first match arrives
 					return true
 				})
@@ -325,6 +351,11 @@ func TestQueryCancellation(t *testing.T) {
 	cancel()
 	if _, _, err := indexed.DistanceQueryCtx(pre, exemplar, dist.Euclidean, 1, QueryOptions{}); err != context.Canceled {
 		t.Fatalf("pre-cancelled query returned %v", err)
+	}
+	for _, fs := range featureSpecs {
+		if _, err := indexed.Query(pre, fs, QueryOptions{}, func(Match) bool { return true }); err != context.Canceled {
+			t.Fatalf("pre-cancelled %s query returned %v", fs.Family, err)
+		}
 	}
 	settleGoroutines(t, baseline)
 }

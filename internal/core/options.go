@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -14,8 +15,8 @@ import (
 // Limit caps the number of matches returned; once the cap is reached the
 // query stops generating and verifying work. Without TopK the retained
 // matches are the first Limit found (scan order is unspecified), so two
-// runs of the same limited query may keep different members of the full
-// match set.
+// runs of the same limited similarity query may keep different members
+// of the full match set; a feature family keeps its canonical prefix.
 //
 // TopK keeps only the K nearest matches, ordered nearest-first (the same
 // exact-first, smallest-deviation, then id order every materialized query
@@ -91,13 +92,16 @@ func (h *matchHeap) Pop() any          { old := *h; n := len(old); m := old[n-1]
 // collector funnels verdicts from the query workers into the caller: it
 // enforces Limit, maintains the TopK heap and its pruning radius,
 // serializes the caller's callback — match-level (yield) or, under
-// progressive delivery, frame-level (frames) — and carries the stop flags
-// and first hard error of a run. One collector lives per query execution.
+// progressive delivery, frame-level (frames) — or collects the matches
+// into out, and carries the stop flags and first hard error of a run. One
+// collector lives per query execution.
 type collector struct {
 	spec *querySpec
-	// Exactly one sink is set; calls are serialized under mu.
+	// At most one sink is set; calls are serialized under mu. With
+	// neither, matches are appended to out.
 	yield  func(Match) bool
 	frames func(ProgressiveMatch) bool
+	out    []Match
 
 	k      int  // TopK heap size (0 = streaming mode)
 	limit  int  // emit cap in streaming mode (0 = unlimited)
@@ -109,15 +113,12 @@ type collector struct {
 	radiusBits atomic.Uint64
 
 	// halted tells producers to stop generating work (limit reached, the
-	// callback returned false, a hard error, or an abort); haltCh unblocks
-	// channel-based producers. aborted flags the involuntary stop: a
-	// producer observed done — the caller's context — closed and bailed,
-	// so runQuery must report ctx.Err().
-	done     <-chan struct{}
-	halted   atomic.Bool
-	haltOnce sync.Once
-	haltCh   chan struct{}
-	aborted  atomic.Bool
+	// callback returned false, a hard error, or an abort). aborted flags
+	// the involuntary stop: a producer observed done — the caller's
+	// context — closed and bailed, so runQuery must report ctx.Err().
+	done    <-chan struct{}
+	halted  atomic.Bool
+	aborted atomic.Bool
 
 	mu        sync.Mutex
 	heap      matchHeap
@@ -134,7 +135,6 @@ func newCollector(done <-chan struct{}, spec *querySpec, opts QueryOptions, yiel
 		limit:  opts.Limit,
 		prunes: spec.prunes && opts.TopK > 0,
 		done:   done,
-		haltCh: make(chan struct{}),
 	}
 	if opts.TopK > 0 {
 		c.k = opts.bound()
@@ -149,10 +149,7 @@ func (c *collector) radius() float64 {
 	return math.Float64frombits(c.radiusBits.Load())
 }
 
-func (c *collector) halt() {
-	c.halted.Store(true)
-	c.haltOnce.Do(func() { close(c.haltCh) })
-}
+func (c *collector) halt() { c.halted.Store(true) }
 
 // chanClosed is the cheap cooperative-cancellation probe: a non-blocking
 // receive on ctx.Done() (nil for background contexts, which never match).
@@ -232,7 +229,27 @@ func (c *collector) found(m Match) {
 		}
 		return
 	}
-	c.delivered(c.yield(m))
+	c.delivered(c.emit(m))
+}
+
+// emit hands one match to the caller: through yield, or into out.
+func (c *collector) emit(m Match) bool {
+	if c.yield == nil {
+		c.out = append(c.out, m)
+		return true
+	}
+	return c.yield(m)
+}
+
+// reserve sizes a collecting run's out for the n matches a feature
+// producer is about to deliver (Limit permitting).
+func (c *collector) reserve(n int) {
+	if c.yield == nil && c.frames == nil {
+		if c.limit > 0 {
+			n = min(n, c.limit)
+		}
+		c.out = slices.Grow(c.out, n)
+	}
 }
 
 // frame delivers one progressive frame; a final frame carrying a Match is
@@ -302,11 +319,10 @@ func (c *collector) drain() {
 	for i := len(c.heap) - 1; i >= 0; i-- {
 		ordered[i] = heap.Pop(&c.heap).(Match)
 	}
-	yield := c.yield
 	c.mu.Unlock()
 	for _, m := range ordered {
 		c.emitted++
-		if !yield(m) {
+		if !c.emit(m) {
 			c.halt()
 			return
 		}

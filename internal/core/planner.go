@@ -24,6 +24,12 @@ const (
 	// sketch bands, then the DFT feature bound, then exact verification
 	// (see progressive.go).
 	PlanProgressive = "progressive"
+	// The feature families' fixed access paths: the symbol catalogue
+	// (pattern, find), the peak-count sort over it (peaks) and the
+	// inverted file of inter-peak intervals (interval).
+	PlanSymbolIndex   = "symbol-index"
+	PlanRecordScan    = "record-scan"
+	PlanInvertedIndex = "inverted-index"
 )
 
 // QueryStats reports how a query was executed: which plan the planner
@@ -33,6 +39,10 @@ const (
 // actually compared — with a vantage-point tree up, that is typically far
 // below the length group's population, the rest having been discarded
 // wholesale by the tree's triangle-inequality pruning.
+//
+// A feature family's plan is its fixed access path: Examined counts the
+// records its index walk covered (for intervals, the postings the
+// inverted file returned) and Candidates the records the walk selected.
 //
 // The progressive plan takes its records from one of two sources and
 // counts accordingly. Index-driven (the metric has an index route: l2,
@@ -44,13 +54,13 @@ const (
 // other counter, and Sketched = Pruned + BandAccepted + Candidates when
 // every record carries a sketch.
 type QueryStats struct {
-	// Query is the query family: FamilyDistance, FamilyValue or
-	// FamilyShape.
+	// Query is the query family (one of the Family constants).
 	Query string
 	// Metric is the distance metric name ("band" for ValueQuery's ±ε
 	// semantics).
 	Metric string
-	// Plan is PlanIndex, PlanScan or PlanProgressive.
+	// Plan is PlanIndex, PlanScan or PlanProgressive for the similarity
+	// families, the family's access path for the feature families.
 	Plan string
 	// Examined counts the records the plan looked at: feature vectors
 	// compared (plus unindexed records) on the index plan and the
@@ -64,7 +74,7 @@ type QueryStats struct {
 	// by the index's feature bound (when it is the source), a sketch band
 	// or a candidate-tier band whose lower edge exceeds the tolerance.
 	Pruned int
-	// Matches counts the results returned.
+	// Matches counts the results returned (for FamilyFind, occurrences).
 	Matches int
 	// Sketched counts the records banded from their sketch at the
 	// progressive sketch tier: the index's survivors when it is the

@@ -10,7 +10,6 @@ import (
 
 	"seqrep/internal/dist"
 	"seqrep/internal/feature"
-	"seqrep/internal/pattern"
 	"seqrep/internal/rep"
 	"seqrep/internal/seq"
 )
@@ -19,10 +18,17 @@ import (
 // sequence set (§2.2 item 4); approximate matches deviate from it along
 // named feature dimensions, each within its tolerance. Deviations maps
 // dimension name to the observed deviation (0 for exact dimensions).
+//
+// The ranked families (distance, value, shape, peaks) set Deviations; the
+// others leave it nil. A FamilyPattern match is the id alone, a FamilyFind
+// match one occurrence (Hit), a FamilyInterval match the record's
+// intervals in range (Interval).
 type Match struct {
 	ID         string
 	Exact      bool
 	Deviations map[string]float64
+	Hit        *PatternHit
+	Interval   *IntervalMatch
 }
 
 // matchCompare orders matches: exact first, then by total deviation, then
@@ -143,36 +149,11 @@ func (db *DB) DistanceQuery(exemplar seq.Sequence, m dist.Metric, eps float64) (
 }
 
 // MatchPattern returns the ids of sequences whose whole slope-sign symbol
-// string matches the pattern — the §4.4 query mechanism. The pattern uses
-// the U/F/D alphabet (see package pattern; helpers such as
-// pattern.TwoPeak() build the paper's canned queries). Each distinct
-// symbol string in the database is evaluated once, however many sequences
-// share it, and the ids come out of one pass over the sorted id column.
+// string matches the pattern — the §4.4 query mechanism — in id order.
+// The pattern uses the U/F/D alphabet (see package pattern; helpers such
+// as pattern.TwoPeak() build the paper's canned queries).
 func (db *DB) MatchPattern(src string) ([]string, error) {
-	p, err := pattern.Compile(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	c := &db.syms
-	db.imu.RLock()
-	defer db.imu.RUnlock()
-	accept := p.MatchEach(c.symbols, make([]bool, 0, len(c.symbols)))
-	n := 0
-	for g, ok := range accept {
-		if ok {
-			n += int(c.members[g])
-		}
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]string, 0, n)
-	for i, g := range db.idGroup {
-		if accept[g] {
-			out = append(out, db.ids[i])
-		}
-	}
-	return out, nil
+	return featureItems(db, QuerySpec{Family: FamilyPattern, Pattern: src}, func(m Match) string { return m.ID })
 }
 
 // PatternHit locates one occurrence of a pattern inside a sequence's
@@ -186,153 +167,18 @@ type PatternHit struct {
 // SearchPattern finds every occurrence of the pattern within each stored
 // symbol string (leftmost-longest, non-overlapping), for queries like the
 // seismic "sudden vigorous activity" that target subsequences rather than
-// whole sequences. Occurrence spans are computed once per distinct symbol
-// string and mapped back to each sharing sequence's own time axis. Hits
-// are ordered by (id, segment).
+// whole sequences. Hits are ordered by (id, segment).
 func (db *DB) SearchPattern(src string) ([]PatternHit, error) {
-	p, err := pattern.Compile(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	// Each symbol string's spans are found once, in segment order. One
-	// pass over the sorted id column then lists the members of matching
-	// groups in id order, so the hits come out in (id, segment) order.
-	type member struct {
-		id      string
-		symbols string
-		spans   [][2]int
-	}
-	c := &db.syms
-	db.imu.RLock()
-	// Group g's spans are spans[bounds[g]:bounds[g+1]].
-	spans, bounds := p.FindEach(c.symbols, nil, append(make([]int, 0, len(c.symbols)+1), 0))
-	n, hits := 0, 0
-	for g, m := range c.members {
-		if found := bounds[g+1] - bounds[g]; found > 0 {
-			n += int(m)
-			hits += int(m) * found
-		}
-	}
-	if n == 0 {
-		db.imu.RUnlock()
-		return nil, nil
-	}
-	members := make([]member, 0, n)
-	for i, g := range db.idGroup {
-		if lo, hi := bounds[g], bounds[g+1]; hi > lo {
-			members = append(members, member{db.ids[i], c.symbols[g], spans[lo:hi]})
-		}
-	}
-	db.imu.RUnlock()
-	out := make([]PatternHit, 0, hits)
-	for _, m := range members {
-		// The spans index the group's symbol string: a record that no
-		// longer carries it (removed, or removed and re-ingested with
-		// another shape) is skipped.
-		rec, ok := db.Record(m.id)
-		if !ok || rec.Profile.Symbols != m.symbols {
-			continue
-		}
-		// The hit spans are mapped to time through the representation,
-		// which may need paging in; a record removed mid-walk is
-		// skipped, a genuine read fault aborts the search.
-		fs, err := db.materialize(rec)
-		if err != nil {
-			if err = db.verifyReadError(rec, err); err != nil {
-				return nil, fmt.Errorf("core: pattern search reading %q: %w", m.id, err)
-			}
-			continue
-		}
-		for _, span := range m.spans {
-			lo, hi := span[0], span[1]
-			out = append(out, PatternHit{
-				ID:     m.id,
-				SegLo:  lo,
-				SegHi:  hi,
-				TimeLo: fs.Segments[lo].StartT,
-				TimeHi: fs.Segments[hi-1].EndT,
-			})
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
+	return featureItems(db, QuerySpec{Family: FamilyFind, Pattern: src}, func(m Match) PatternHit { return *m.Hit })
 }
 
 // PeakCount answers "sequences with exactly k peaks" with a tolerance on
 // the count dimension: matches with |peaks - k| == 0 are exact; deviations
 // up to tol are approximate (§2.2's example of deviating "in the number of
-// peaks" dimension). Matches come in the canonical order — exact first,
-// then by deviation, then id — from a counting sort over the symbol
-// groups' stored counts and one pass over the sorted id column.
+// peaks" dimension). Matches come exact first, then by deviation, then id.
 func (db *DB) PeakCount(k, tol int) ([]Match, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("core: negative peak count %d", k)
-	}
-	if tol < 0 {
-		return nil, fmt.Errorf("core: negative tolerance %d", tol)
-	}
-	c := &db.syms
-	db.imu.RLock()
-	// The deviations present span at most the range of peak counts, so
-	// the sort counts from the smallest one within tolerance to the
-	// largest, however large tol or k is.
-	lo, hi := -1, -1
-	for g, n := range c.members {
-		if d := peakDeviation(c.peaks[g], k); n > 0 && d <= tol {
-			if lo < 0 || d < lo {
-				lo = d
-			}
-			hi = max(hi, d)
-		}
-	}
-	if lo < 0 {
-		db.imu.RUnlock()
-		return nil, nil
-	}
-	// ends[d-lo] counts the hits of deviation d, then, summed, where they
-	// end: after the pass below, ends[d-lo] is where they begin.
-	offset := make([]int32, len(c.members)) // the group's deviation - lo, or -1
-	ends := make([]int, hi-lo+1)
-	for g, n := range c.members {
-		offset[g] = -1
-		if d := peakDeviation(c.peaks[g], k); n > 0 && d <= tol {
-			offset[g] = int32(d - lo)
-			ends[d-lo] += int(n)
-		}
-	}
-	for i := 1; i < len(ends); i++ {
-		ends[i] += ends[i-1]
-	}
-	ids := make([]string, ends[len(ends)-1])
-	// Walking the id column backwards fills each deviation's run from its
-	// end, so every run is in id order.
-	for i := len(db.idGroup) - 1; i >= 0; i-- {
-		if o := offset[db.idGroup[i]]; o >= 0 {
-			ends[o]--
-			ids[ends[o]] = db.ids[i]
-		}
-	}
-	db.imu.RUnlock()
-	out := make([]Match, len(ids))
-	o := 0
-	for i, id := range ids {
-		for o+1 < len(ends) && i >= ends[o+1] {
-			o++
-		}
-		dev := lo + o
-		out[i] = Match{ID: id, Exact: dev == 0, Deviations: map[string]float64{"peaks": float64(dev)}}
-	}
-	return out, nil
-}
-
-// peakDeviation is |peaks - k|.
-func peakDeviation(peaks int32, k int) int {
-	if d := int(peaks) - k; d >= 0 {
-		return d
-	}
-	return k - int(peaks)
+	matches, _, err := db.querySorted(context.Background(), QuerySpec{Family: FamilyPeaks, Peaks: k, PeakTolerance: tol}, QueryOptions{})
+	return matches, err
 }
 
 // IntervalMatch is one result of an interval query: the sequence and the
@@ -347,37 +193,234 @@ type IntervalMatch struct {
 // with an inter-peak interval of n ± eps" through the inverted index
 // (Figure 10). Results are ordered by id.
 func (db *DB) IntervalQuery(n, eps float64) ([]IntervalMatch, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("core: negative tolerance %g", eps)
+	return featureItems(db, QuerySpec{Family: FamilyInterval, Interval: n, Eps: eps}, func(m Match) IntervalMatch { return *m.Interval })
+}
+
+// featureItems runs a feature-family query to completion and lays its
+// matches out as the family's items (nil when there are none).
+func featureItems[T any](db *DB, q QuerySpec, item func(Match) T) ([]T, error) {
+	matches, _, err := db.querySorted(context.Background(), q, QueryOptions{})
+	if err != nil || len(matches) == 0 {
+		return nil, err
 	}
+	out := make([]T, len(matches))
+	for i, m := range matches {
+		out[i] = item(m)
+	}
+	return out, nil
+}
+
+// ---- feature-family producers ----
+//
+// Each reads the global query indexes under one imu read hold that copies
+// out only what delivery needs — no callback runs under imu, as a yield
+// may itself ingest — then delivers in its family's canonical order,
+// polling the collector between items, so a bound, a declining callback
+// or cancellation stops it with a prefix of the unbounded answer.
+
+// producePattern delivers the ids whose group's symbol string matches
+// the pattern, in id order: each distinct string is evaluated once, and
+// one pass over the sorted id column lists the members.
+func producePattern(db *DB, spec *querySpec, col *collector) (examined, candidates int) {
+	c := &db.syms
 	db.imu.RLock()
-	refs, err := db.rrIndex.Query(n-eps, n+eps)
-	db.imu.RUnlock()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	accept := spec.pat.MatchEach(c.symbols, make([]bool, 0, len(c.symbols)))
+	n := 0
+	for g, ok := range accept {
+		if ok {
+			n += int(c.members[g])
+		}
 	}
-	var out []IntervalMatch
-	for _, ref := range refs {
-		rec, ok := db.Record(ref.ID)
-		if !ok {
+	ids := make([]string, 0, n)
+	for i, g := range db.idGroup {
+		if accept[g] {
+			ids = append(ids, db.ids[i])
+		}
+	}
+	examined = len(db.ids)
+	db.imu.RUnlock()
+	col.reserve(len(ids))
+	for _, id := range ids {
+		if col.stopped() {
+			break
+		}
+		col.found(Match{ID: id, Exact: true})
+	}
+	return examined, len(ids)
+}
+
+// produceFind delivers every occurrence of the pattern, in (id, segment)
+// order. Each symbol string's spans are found once, in segment order;
+// they are mapped to time through each member's own representation,
+// which may need paging in — the one feature producer that can touch
+// disk, so it polls the collector before every record and every hit.
+func produceFind(db *DB, spec *querySpec, col *collector) (examined, candidates int) {
+	type member struct {
+		id      string
+		symbols string
+		spans   [][2]int
+	}
+	c := &db.syms
+	db.imu.RLock()
+	// Group g's spans are spans[bounds[g]:bounds[g+1]].
+	spans, bounds := spec.pat.FindEach(c.symbols, nil, append(make([]int, 0, len(c.symbols)+1), 0))
+	n, hits := 0, 0
+	for g, m := range c.members {
+		if found := bounds[g+1] - bounds[g]; found > 0 {
+			n += int(m)
+			hits += int(m) * found
+		}
+	}
+	members := make([]member, 0, n)
+	for i, g := range db.idGroup {
+		if lo, hi := bounds[g], bounds[g+1]; hi > lo {
+			members = append(members, member{db.ids[i], c.symbols[g], spans[lo:hi]})
+		}
+	}
+	examined = len(db.ids)
+	db.imu.RUnlock()
+	col.reserve(hits)
+	for _, m := range members {
+		if col.stopped() {
+			break
+		}
+		// The spans index the group's symbol string: a record that no
+		// longer carries it (removed, or removed and re-ingested with
+		// another shape) is skipped.
+		rec, ok := db.Record(m.id)
+		if !ok || rec.Profile.Symbols != m.symbols {
 			continue
 		}
+		// A record removed mid-walk is skipped, a genuine read fault
+		// aborts the search.
+		fs, err := db.materialize(rec)
+		if err != nil {
+			if err = db.verifyReadError(rec, err); err != nil {
+				col.fail(fmt.Errorf("core: pattern search reading %q: %w", m.id, err))
+				break
+			}
+			continue
+		}
+		occ := make([]PatternHit, len(m.spans)) // one allocation per record
+		for j, span := range m.spans {
+			if col.stopped() {
+				break
+			}
+			lo, hi := span[0], span[1]
+			occ[j] = PatternHit{ID: m.id, SegLo: lo, SegHi: hi, TimeLo: fs.Segments[lo].StartT, TimeHi: fs.Segments[hi-1].EndT}
+			col.found(Match{ID: m.id, Exact: true, Hit: &occ[j]})
+		}
+	}
+	return examined, len(members)
+}
+
+// producePeaks delivers the records within PeakTolerance of Peaks peaks
+// in the canonical order — exact first, then by deviation, then id — from
+// a counting sort over the symbol groups' stored counts and one pass over
+// the sorted id column.
+func producePeaks(db *DB, spec *querySpec, col *collector) (examined, candidates int) {
+	k, tol := spec.q.Peaks, spec.q.PeakTolerance
+	c := &db.syms
+	db.imu.RLock()
+	examined = len(db.ids)
+	// The deviations present span at most the range of peak counts, so
+	// the sort counts from the smallest one within tolerance to the
+	// largest, however large tol or k is.
+	lo, hi := -1, -1
+	for g, n := range c.members {
+		if d := peakDeviation(c.peaks[g], k); n > 0 && d <= tol {
+			if lo < 0 || d < lo {
+				lo = d
+			}
+			hi = max(hi, d)
+		}
+	}
+	if lo < 0 {
+		db.imu.RUnlock()
+		return examined, 0
+	}
+	// ends[d-lo] counts the hits of deviation d, then, summed, where they
+	// end: after the pass below, ends[d-lo] is where they begin.
+	var small [16]int // the usual few deviations stay off the heap
+	ends := append(small[:0], make([]int, hi-lo+1)...)
+	for g, n := range c.members {
+		if d := peakDeviation(c.peaks[g], k); n > 0 && d <= tol {
+			ends[d-lo] += int(n)
+		}
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] += ends[i-1]
+	}
+	ids := make([]string, ends[len(ends)-1])
+	// Walking the id column backwards fills each deviation's run from its
+	// end, so every run is in id order.
+	for i := len(db.idGroup) - 1; i >= 0; i-- {
+		if d := peakDeviation(c.peaks[db.idGroup[i]], k); d <= tol {
+			ends[d-lo]--
+			ids[ends[d-lo]] = db.ids[i]
+		}
+	}
+	db.imu.RUnlock()
+	col.reserve(len(ids))
+	o := 0
+	for i, id := range ids {
+		if col.stopped() {
+			break
+		}
+		for o+1 < len(ends) && i >= ends[o+1] {
+			o++
+		}
+		dev := lo + o
+		col.found(Match{ID: id, Exact: dev == 0, Deviations: map[string]float64{"peaks": float64(dev)}})
+	}
+	return examined, len(ids)
+}
+
+// peakDeviation is |peaks - k|.
+func peakDeviation(peaks int32, k int) int {
+	if d := int(peaks) - k; d >= 0 {
+		return d
+	}
+	return k - int(peaks)
+}
+
+// produceInterval delivers, in id order, one match per record holding an
+// inter-peak interval in Interval ± Eps, carrying every such interval and
+// its position: the inverted file answers for the buckets, and each
+// posting is checked against the record read afterwards.
+func produceInterval(db *DB, spec *querySpec, col *collector) (examined, candidates int) {
+	lo, hi := spec.q.Interval-spec.q.Eps, spec.q.Interval+spec.q.Eps
+	db.imu.RLock()
+	refs, err := db.rrIndex.Query(lo, hi)
+	db.imu.RUnlock()
+	if err != nil {
+		col.fail(fmt.Errorf("core: %w", err))
+		return 0, 0
+	}
+	var cur *IntervalMatch
+	for i, ref := range refs {
 		// The record read now may not be the one the index answered for:
 		// removed and re-ingested meanwhile, it carries other intervals.
 		// A position that no longer holds an interval in the queried
 		// buckets is skipped.
-		pos := int(ref.Pos)
-		if pos < 0 || pos >= len(rec.Profile.Intervals) || !db.rrIndex.Covers(n-eps, n+eps, rec.Profile.Intervals[pos]) {
-			continue
+		rec, ok := db.Record(ref.ID)
+		if pos := int(ref.Pos); ok && pos >= 0 && pos < len(rec.Profile.Intervals) && db.rrIndex.Covers(lo, hi, rec.Profile.Intervals[pos]) {
+			if cur == nil {
+				cur = &IntervalMatch{ID: ref.ID}
+			}
+			cur.Positions = append(cur.Positions, pos)
+			cur.Intervals = append(cur.Intervals, rec.Profile.Intervals[pos])
 		}
-		if len(out) == 0 || out[len(out)-1].ID != ref.ID {
-			out = append(out, IntervalMatch{ID: ref.ID})
+		if cur != nil && (i+1 == len(refs) || refs[i+1].ID != ref.ID) {
+			if col.stopped() {
+				break
+			}
+			candidates++
+			col.found(Match{ID: cur.ID, Exact: true, Interval: cur})
+			cur = nil
 		}
-		m := &out[len(out)-1]
-		m.Positions = append(m.Positions, pos)
-		m.Intervals = append(m.Intervals, rec.Profile.Intervals[pos])
 	}
-	return out, nil
+	return len(refs), candidates
 }
 
 // ShapeTolerance sets the per-dimension error tolerances of a generalized

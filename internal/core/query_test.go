@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -697,5 +698,169 @@ func TestTotalDeviation(t *testing.T) {
 	m := Match{Deviations: map[string]float64{"a": 1, "b": 2.5}}
 	if got := totalDeviation(m); math.Abs(got-3.5) > 1e-12 {
 		t.Errorf("totalDeviation = %g", got)
+	}
+}
+
+// collectQuery runs q through the executor and returns the matches in
+// delivery order.
+func collectQuery(t *testing.T, db *DB, q QuerySpec, opts QueryOptions) ([]Match, QueryStats) {
+	t.Helper()
+	var out []Match
+	stats, err := db.Query(context.Background(), q, opts, func(m Match) bool {
+		out = append(out, m)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("%+v under %+v: %v", q, opts, err)
+	}
+	return out, stats
+}
+
+// featureReference answers a feature-family query by brute force over
+// every live record's own profile (and, for FIND, representation): the
+// answer the executor's producers must deliver, in their canonical order.
+func featureReference(t *testing.T, db *DB, q QuerySpec) []Match {
+	t.Helper()
+	var want []Match
+	w := db.cfg.BucketWidth
+	for _, id := range db.IDs() {
+		rec, _ := db.Record(id)
+		prof := rec.Profile
+		switch q.Family {
+		case FamilyPattern:
+			if pattern.MustCompile(q.Pattern).Match(prof.Symbols) {
+				want = append(want, Match{ID: id, Exact: true})
+			}
+		case FamilyFind:
+			fs, err := db.materialize(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, span := range pattern.MustCompile(q.Pattern).FindAll(prof.Symbols) {
+				want = append(want, Match{ID: id, Exact: true, Hit: &PatternHit{ID: id, SegLo: span[0], SegHi: span[1],
+					TimeLo: fs.Segments[span[0]].StartT, TimeHi: fs.Segments[span[1]-1].EndT}})
+			}
+		case FamilyPeaks:
+			if dev := math.Abs(float64(len(prof.Peaks) - q.Peaks)); dev <= float64(q.PeakTolerance) {
+				want = append(want, Match{ID: id, Exact: dev == 0, Deviations: map[string]float64{"peaks": dev}})
+			}
+		case FamilyInterval:
+			lo, hi := math.Floor((q.Interval-q.Eps)/w), math.Floor((q.Interval+q.Eps)/w)
+			var im *IntervalMatch
+			for pos, iv := range prof.Intervals {
+				if b := math.Floor(iv / w); b >= lo && b <= hi {
+					if im == nil {
+						im = &IntervalMatch{ID: id}
+					}
+					im.Positions = append(im.Positions, pos)
+					im.Intervals = append(im.Intervals, iv)
+				}
+			}
+			if im != nil {
+				want = append(want, Match{ID: id, Exact: true, Interval: im})
+			}
+		}
+	}
+	if q.Family == FamilyPeaks {
+		SortMatches(want)
+	}
+	return want
+}
+
+// Every feature family is a producer of the one executor that delivers in
+// its canonical order. Over a churned corpus (ingests, removals, re-ingests
+// under other shapes), each family's unbounded answer equals the
+// brute-force reference, and its answer under LIMIT n — and, for peaks,
+// under TOP n — is exactly the first n items of the unbounded one.
+func TestFeatureFamiliesBoundedPrefix(t *testing.T) {
+	db := mustDB(t, Config{})
+	rng := rand.New(rand.NewSource(35))
+	corpus := featureCorpus(t, rng, 90)
+	if _, err := db.IngestBatch(corpus); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		it := corpus[rng.Intn(len(corpus))]
+		if err := db.Remove(it.ID); err != nil {
+			continue // already removed
+		}
+		if rng.Intn(2) == 0 {
+			mustIngest(t, db, it.ID, corpus[rng.Intn(len(corpus))].Seq)
+		}
+	}
+	specs := []QuerySpec{
+		{Family: FamilyPattern, Pattern: "F*U+F*D+F*U+F*D+F*"},
+		{Family: FamilyPattern, Pattern: "U.*"},
+		{Family: FamilyFind, Pattern: "U+F*D+"},
+		{Family: FamilyPeaks, Peaks: 2, PeakTolerance: 1},
+		{Family: FamilyPeaks, Peaks: 0, PeakTolerance: 1 << 40},
+		{Family: FamilyInterval, Interval: 150, Eps: 20},
+		{Family: FamilyInterval, Interval: 7, Eps: 3},
+	}
+	for _, q := range specs {
+		full, stats := collectQuery(t, db, q, QueryOptions{})
+		if want := featureReference(t, db, q); !reflect.DeepEqual(full, want) {
+			t.Fatalf("%+v:\n got %v\nwant %v", q, full, want)
+		}
+		if len(full) < 3 {
+			t.Fatalf("%+v: %d matches, too few to bound", q, len(full))
+		}
+		if stats.Matches != len(full) || stats.Truncated {
+			t.Errorf("%+v: stats %+v for %d matches", q, stats, len(full))
+		}
+		for n := 1; n <= len(full)+1; n++ {
+			opts := []QueryOptions{{Limit: n}}
+			if q.Family == FamilyPeaks {
+				opts = append(opts, QueryOptions{TopK: n}, QueryOptions{TopK: n, Limit: n + 1})
+			}
+			for _, o := range opts {
+				got, stats := collectQuery(t, db, q, o)
+				want := full[:min(n, len(full))]
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v under %+v:\n got %v\nwant %v", q, o, got, want)
+				}
+				if n < len(full) && !stats.Truncated {
+					t.Errorf("%+v under %+v: not truncated, stats %+v", q, o, stats)
+				}
+			}
+		}
+	}
+}
+
+// No feature producer calls back under the index lock: a yield that
+// blocks until an Ingest — which links under that lock — completes must
+// not deadlock.
+func TestFeatureYieldMayIngest(t *testing.T) {
+	db := mustDB(t, Config{})
+	if _, err := db.IngestBatch(featureCorpus(t, rand.New(rand.NewSource(36)), 60)); err != nil {
+		t.Fatal(err)
+	}
+	extra, err := synth.Fever(synth.FeverOpts{Samples: 97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range featureSpecs {
+		yields := 0
+		_, err := db.Query(context.Background(), q, QueryOptions{}, func(Match) bool {
+			yields++
+			done := make(chan error, 1)
+			go func() { done <- db.Ingest(fmt.Sprintf("extra-%d-%d", i, yields), extra) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("%s: ingest from the yield: %v", q.Family, err)
+				}
+				return yields < 3
+			case <-time.After(5 * time.Second):
+				t.Errorf("%s: an ingest from the yield blocked: the callback runs under the index lock", q.Family)
+				return false
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", q.Family, err)
+		}
+		if yields == 0 {
+			t.Fatalf("%s: no match to yield", q.Family)
+		}
 	}
 }

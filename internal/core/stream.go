@@ -1,16 +1,18 @@
 package core
 
-// This file is the query executor. Every similarity query — distance,
-// value and shape, match-level or progressive — flows through one
-// internal path, runQuery: a candidate producer (the feature index, the
-// shard scan, or the progressive cascade's sketch and candidate tiers)
-// feeds a verification fan-out whose verdicts pass through a collector
+// This file is the query executor. Every query — the similarity families
+// (distance, value and shape, match-level or progressive) and the paper's
+// feature families (pattern, find, peaks and interval) — flows through one
+// internal path, runQuery: a producer (the feature index, the shard scan,
+// the progressive cascade's sketch and candidate tiers, or a feature
+// family's walk of the global query indexes) delivers through a collector
 // that enforces QueryOptions (Limit, TopK), tightens the top-K pruning
 // radius, and hands results to the caller's callback. Cancellation is
 // cooperative: the caller's context is checked in shard scans, in
-// vantage-point-tree traversal, and before every verification, and the
-// worker pool always drains before runQuery returns — a cancelled query
-// returns ctx.Err() promptly with no goroutine left behind.
+// vantage-point-tree traversal, before every verification and between
+// feature deliveries, and the worker pool always drains before runQuery
+// returns — a cancelled query returns ctx.Err() promptly with no
+// goroutine left behind.
 
 import (
 	"context"
@@ -22,6 +24,7 @@ import (
 
 	"seqrep/internal/dft"
 	"seqrep/internal/dist"
+	"seqrep/internal/pattern"
 	"seqrep/internal/seq"
 )
 
@@ -36,21 +39,37 @@ const (
 	// FamilyShape is the generalized approximate query: the exemplar's
 	// feature profile under the per-dimension Shape tolerances.
 	FamilyShape = "shape"
+	// The paper's feature families (§4.4, §5.2), each delivered in its
+	// canonical order. FamilyPattern: symbol strings matching Pattern
+	// whole, by id. FamilyFind: each occurrence of Pattern, by (id,
+	// segment). FamilyPeaks: Peaks ± PeakTolerance peaks, exact first,
+	// then by deviation, then id. FamilyInterval: an inter-peak interval
+	// in Interval ± Eps, one match per sequence, by id.
+	FamilyPattern  = "pattern"
+	FamilyFind     = "find"
+	FamilyPeaks    = "peaks"
+	FamilyInterval = "interval"
 )
 
-// QuerySpec states one similarity query for DB.Query, DB.QueryProgressive
-// and DB.QuerySeq.
+// QuerySpec states one query for DB.Query, DB.QuerySeq and (similarity
+// families only) DB.QueryProgressive.
 type QuerySpec struct {
 	Family   string
 	Exemplar seq.Sequence
 	// Metric is FamilyDistance's distance kernel.
 	Metric dist.Metric
-	// Eps is the tolerance of FamilyDistance and FamilyValue; math.Inf(1)
-	// is allowed (pure nearest-neighbour search under TopK, band every
-	// length-matching record under progressive delivery).
+	// Eps is the tolerance of FamilyDistance, FamilyValue and
+	// FamilyInterval; math.Inf(1) is allowed for the first two (pure
+	// nearest-neighbour search under TopK, band every length-matching
+	// record under progressive delivery).
 	Eps float64
 	// Shape holds FamilyShape's per-dimension tolerances.
 	Shape ShapeTolerance
+	// Pattern is the U/F/D regular expression of FamilyPattern and
+	// FamilyFind (see package pattern).
+	Pattern              string
+	Peaks, PeakTolerance int     // FamilyPeaks' count and tolerance
+	Interval             float64 // FamilyInterval's centre
 }
 
 // querySpec is a QuerySpec compiled for runQuery: the stats labels, the
@@ -80,31 +99,46 @@ type querySpec struct {
 	prunes bool
 	// verify compares one record's exact samples at the given radius.
 	verify func(rec *Record, radius float64) (Match, bool, error)
+
+	// produce, set for the feature families, replaces candidate
+	// generation and verification: it delivers the answer through col in
+	// the family's canonical order. plan names its access path; q and pat
+	// are its inputs.
+	produce func(db *DB, spec *querySpec, col *collector) (examined, candidates int)
+	plan    string
+	q       QuerySpec
+	pat     *pattern.Pattern
 }
 
 // runQuery executes spec under opts. It is the single execution path of
-// every similarity query, and the one place that knows the run protocol:
-// validate, produce candidates, verify, collect, resolve cancellation
-// into the result.
+// every query, and the one place that knows the run protocol: validate,
+// produce, verify, collect, resolve cancellation into the result.
 //
-// Exactly one of yield (match-level delivery) and frames (progressive
+// At most one of yield (match-level delivery) and frames (progressive
 // delivery, which selects the cascade producer; see progressive.go) is
-// set. Either is called from the query's worker goroutines — never
-// concurrently, but on an unspecified goroutine — and returning false
-// stops the query early (not an error). Without TopK, matches arrive as
-// they are found, in no particular order; with TopK they arrive
-// nearest-first after the search completes. On cancellation runQuery
-// returns ctx.Err(); matches already delivered are valid members of the
-// full answer.
-func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, yield func(Match) bool, frames func(ProgressiveMatch) bool) (QueryStats, error) {
+// set; with neither, the matches are collected into the returned slice.
+// Either callback runs on the query's goroutines — never concurrently,
+// never under a lock a writer takes — and returning false stops the
+// query early (not an error). Matches arrive as Query documents. On
+// cancellation runQuery returns ctx.Err(); matches already delivered
+// are valid members of the full answer.
+func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, yield func(Match) bool, frames func(ProgressiveMatch) bool) ([]Match, QueryStats, error) {
 	if err := opts.validate(); err != nil {
-		return QueryStats{}, err
+		return nil, QueryStats{}, err
 	}
 	if frames != nil && opts.TopK > 0 {
-		return QueryStats{}, fmt.Errorf("core: top-k is incompatible with progressive execution")
+		return nil, QueryStats{}, fmt.Errorf("core: top-k is incompatible with progressive execution")
 	}
 	if frames != nil && spec.devKey == "" {
-		return QueryStats{}, fmt.Errorf("core: %s queries have no progressive form", spec.kind)
+		return nil, QueryStats{}, fmt.Errorf("core: %s queries have no progressive form", spec.kind)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, QueryStats{}, err
+	}
+	if spec.produce != nil && opts.TopK > 0 {
+		// A feature family delivers in its canonical order, nearest-first
+		// for the ranked one (peaks): the first K are the K nearest.
+		opts.Limit, opts.TopK = opts.bound(), 0
 	}
 	stats := QueryStats{Query: spec.kind, Metric: spec.metric}
 	col := newCollector(ctx.Done(), spec, opts, yield, frames)
@@ -113,6 +147,9 @@ func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, 
 	case frames != nil:
 		stats.Plan = PlanProgressive
 		db.produceCascade(spec, opts, indexed, col, &stats)
+	case spec.produce != nil:
+		stats.Plan = spec.plan
+		stats.Examined, stats.Candidates = spec.produce(db, spec, col)
 	case indexed && opts.TopK > 0:
 		stats.Plan = PlanIndex
 		db.produceIndexedTopK(spec, col, &stats)
@@ -124,20 +161,20 @@ func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, 
 		db.produceScan(spec, col, &stats)
 	}
 	if err := col.err(); err != nil {
-		return QueryStats{}, err
+		return nil, QueryStats{}, err
 	}
 	if col.aborted.Load() {
 		if err := ctx.Err(); err != nil {
-			return QueryStats{}, err
+			return nil, QueryStats{}, err
 		}
-		return QueryStats{}, context.Canceled
+		return nil, QueryStats{}, context.Canceled
 	}
 	col.drain()
 	col.mu.Lock()
 	stats.Matches = col.emitted
 	stats.Truncated = col.truncated
 	col.mu.Unlock()
-	return stats, nil
+	return col.out, stats, nil
 }
 
 // produceScan is the shard-parallel full-scan producer: workers claim
@@ -269,14 +306,17 @@ func (db *DB) produceIndexedTopK(spec *querySpec, col *collector, stats *QuerySt
 		}
 		return spec.boundOf(r)
 	}
+	// The workers drain candCh to its close however the run stops, so a
+	// send blocks only until a worker is free.
 	emit := func(rec *Record, _ float64) bool {
+		if col.stopped() {
+			return false
+		}
 		select {
 		case candCh <- rec:
 			return true
 		case <-col.done:
 			col.abort()
-			return false
-		case <-col.haltCh:
 			return false
 		}
 	}
@@ -414,24 +454,52 @@ func (db *DB) compile(q QuerySpec) (*querySpec, error) {
 	case FamilyShape:
 		return db.shapeSpec(q.Exemplar, q.Shape)
 	}
-	return nil, fmt.Errorf("core: unknown query family %q", q.Family)
+	spec := &querySpec{kind: q.Family, initEps: math.Inf(1), q: q}
+	var err error
+	switch q.Family {
+	case FamilyPattern:
+		spec.pat, err = pattern.Compile(q.Pattern)
+		spec.plan, spec.produce = PlanSymbolIndex, producePattern
+	case FamilyFind:
+		spec.pat, err = pattern.Compile(q.Pattern)
+		spec.plan, spec.produce = PlanSymbolIndex, produceFind
+	case FamilyPeaks:
+		if q.Peaks < 0 || q.PeakTolerance < 0 {
+			err = fmt.Errorf("negative peak count %d or tolerance %d", q.Peaks, q.PeakTolerance)
+		}
+		spec.plan, spec.produce = PlanRecordScan, producePeaks
+	case FamilyInterval:
+		if err = checkEps(q.Eps); err != nil {
+			return nil, err
+		}
+		spec.plan, spec.produce = PlanInvertedIndex, produceInterval
+	default:
+		return nil, fmt.Errorf("core: unknown query family %q", q.Family)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return spec, nil
 }
 
-// Query runs one similarity query, streaming its matches through yield as
-// they are verified: calls are serialized but arrive on unspecified
-// goroutines, unordered unless opts.TopK is set (then nearest-first), and
-// returning false stops the query without error. The query also stops at
-// ctx's deadline or cancellation (returning ctx.Err()) and after
-// opts.Limit matches; with opts.TopK it keeps the K nearest, feeding the
-// best-so-far distance back into the index search as a shrinking pruning
-// radius. The returned stats describe the work actually performed,
-// including early termination.
+// Query runs one query, streaming its matches through yield as they are
+// produced: calls are serialized but arrive on unspecified goroutines,
+// and returning false stops the query without error. A similarity
+// family's matches arrive unordered unless opts.TopK is set (then
+// nearest-first); a feature family's arrive in its canonical order, so a
+// bounded feature query keeps a prefix of the unbounded answer. The query
+// also stops at ctx's deadline or cancellation (returning ctx.Err()) and
+// after opts.Limit matches; with opts.TopK it keeps the K nearest,
+// feeding the best-so-far distance back into the index search as a
+// shrinking pruning radius. The returned stats describe the work actually
+// performed, including early termination.
 func (db *DB) Query(ctx context.Context, q QuerySpec, opts QueryOptions, yield func(Match) bool) (QueryStats, error) {
 	spec, err := db.compile(q)
 	if err != nil {
 		return QueryStats{}, err
 	}
-	return db.runQuery(ctx, spec, opts, yield, nil)
+	_, stats, err := db.runQuery(ctx, spec, opts, yield, nil)
+	return stats, err
 }
 
 // QueryProgressive runs a distance or value query as a progressive
@@ -448,7 +516,8 @@ func (db *DB) QueryProgressive(ctx context.Context, q QuerySpec, opts QueryOptio
 	if err != nil {
 		return QueryStats{}, err
 	}
-	return db.runQuery(ctx, spec, opts, nil, yield)
+	_, stats, err := db.runQuery(ctx, spec, opts, nil, yield)
+	return stats, err
 }
 
 // QuerySeq is Query as a Go 1.23 range-over-func iterator whose body runs
@@ -494,23 +563,21 @@ func (db *DB) QuerySeq(ctx context.Context, q QuerySpec, opts QueryOptions) iter
 	}
 }
 
-// collectSorted materializes a streamed query into the classic sorted
-// slice.
+// collectSorted materializes a query in its canonical order, sorting a
+// similarity family's matches.
 func (db *DB) collectSorted(ctx context.Context, spec *querySpec, opts QueryOptions) ([]Match, QueryStats, error) {
-	var out []Match
-	stats, err := db.runQuery(ctx, spec, opts, func(m Match) bool {
-		out = append(out, m)
-		return true
-	}, nil)
+	out, stats, err := db.runQuery(ctx, spec, opts, nil, nil)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	SortMatches(out)
+	if spec.produce == nil {
+		SortMatches(out)
+	}
 	return out, stats, nil
 }
 
 // querySorted is Query materialized in the canonical order — the body of
-// the per-family helpers below.
+// the per-family helpers below and of the feature methods in query.go.
 func (db *DB) querySorted(ctx context.Context, q QuerySpec, opts QueryOptions) ([]Match, QueryStats, error) {
 	spec, err := db.compile(q)
 	if err != nil {

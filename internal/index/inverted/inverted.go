@@ -53,9 +53,18 @@ func New(bucketWidth float64) (*Index, error) {
 	return &Index{bucketWidth: bucketWidth, tree: tr}, nil
 }
 
-// bucket maps a value to its bucket key.
+// bucket maps a value to its bucket key, saturating at the int64 range:
+// a converted out-of-range float is undefined in Go (MinInt64 on amd64),
+// which would collapse or invert the ends of a wide range.
 func (ix *Index) bucket(v float64) int64 {
-	return int64(math.Floor(v / ix.bucketWidth))
+	switch f := math.Floor(v / ix.bucketWidth); {
+	case f >= math.MaxInt64: // float64(MaxInt64) rounds up to 2^63
+		return math.MaxInt64
+	case f <= math.MinInt64:
+		return math.MinInt64
+	default:
+		return int64(f)
+	}
 }
 
 // BucketWidth returns the configured bucket width.

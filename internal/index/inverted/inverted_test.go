@@ -273,3 +273,41 @@ func TestCoversAgreesWithQuery(t *testing.T) {
 		}
 	}
 }
+
+// Bucket keys saturate at the int64 range: a range whose ends divide past
+// it still covers what lies inside, instead of collapsing or inverting.
+func TestHugeBoundsSaturate(t *testing.T) {
+	ix := mustIndex(t, 1)
+	values := []float64{-1e300, -5, 0, 135, 1e19, 1e300}
+	for i, v := range values {
+		if err := ix.Add(v, Ref{ID: "s", Pos: int32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refs, err := ix.Query(-1e300, 1e300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) != len(values) {
+		t.Errorf("Query(-1e300, 1e300) = %v, want all %d postings", refs, len(values))
+	}
+	for _, r := range [][2]float64{{1e300, 1e300}, {0, 2e300}, {-1e19, 1e19}, {20 - 1e19, 20 + 1e19}} {
+		lo, hi := r[0], r[1]
+		refs, err := ix.Query(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[int32]bool{}
+		for _, ref := range refs {
+			got[ref.Pos] = true
+		}
+		for i, v := range values {
+			if in := lo <= v && v <= hi; in && !got[int32(i)] {
+				t.Errorf("Query(%g, %g) misses %g", lo, hi, v)
+			}
+			if got[int32(i)] != ix.Covers(lo, hi, v) {
+				t.Errorf("Query(%g, %g) returns %g: %v, Covers disagrees", lo, hi, v, got[int32(i)])
+			}
+		}
+	}
+}

@@ -115,7 +115,8 @@ func TestExecBounds(t *testing.T) {
 		t.Errorf("TOP 1 without EPS = %v, want [two]", nn.IDs)
 	}
 
-	// Fixed-path kinds: materialize, truncate, count the dropped tail.
+	// Feature kinds stop at the bound too, in their canonical order: the
+	// kept matches are the unbounded answer's prefix.
 	allPeaks, err := Exec(db, `MATCH PEAKS 2 TOLERANCE 1`)
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +128,11 @@ func TestExecBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cut.Matches) != 1 || cut.Dropped != len(allPeaks.IDs)-1 {
-		t.Errorf("peaks LIMIT 1: matches=%d dropped=%d (full %d)", len(cut.Matches), cut.Dropped, len(allPeaks.IDs))
+	if cut.Stats == nil || !cut.Stats.Truncated {
+		t.Errorf("peaks LIMIT 1 stats = %+v, want truncated", cut.Stats)
 	}
-	if !reflect.DeepEqual(cut.Matches[0], allPeaks.Matches[0]) {
-		t.Errorf("peaks LIMIT kept %+v, want first of %+v", cut.Matches[0], allPeaks.Matches[0])
+	if !reflect.DeepEqual(cut.Matches, allPeaks.Matches[:1]) || !reflect.DeepEqual(cut.IDs, allPeaks.IDs[:1]) {
+		t.Errorf("peaks LIMIT 1 kept %+v, want the prefix of %+v", cut.Matches, allPeaks.Matches)
 	}
 }
 
@@ -217,17 +218,26 @@ func TestRunStream(t *testing.T) {
 		t.Errorf("peaks stream: %d yielded, result %+v", len(streamed), res)
 	}
 
-	// ...and kinds without a match form keep their payload on the result.
+	// ...and so do FIND's occurrences, each carrying its hit: the stream
+	// delivers Exec's hits, in order.
 	fq, err := Parse(`FIND PATTERN "U+F*D"`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = RunStream(ctx, db, fq, func(core.Match) bool { return true })
+	var hits []core.PatternHit
+	res, err = RunStream(ctx, db, fq, func(m core.Match) bool {
+		hits = append(hits, *m.Hit)
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Hits) == 0 {
-		t.Errorf("find stream result lost its hits: %+v", res)
+	wantFind, err := Exec(db, `FIND PATTERN "U+F*D"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) == 0 || !reflect.DeepEqual(hits, wantFind.Hits) || len(res.Hits) != 0 {
+		t.Errorf("find stream: streamed %+v, want %+v (result %+v)", hits, wantFind.Hits, res)
 	}
 
 	// EXPLAIN delegates and marks the result.

@@ -12,16 +12,10 @@ import (
 )
 
 // Database is the engine surface the language executes against; *core.DB
-// satisfies it. Defined as an interface so the language can be tested with
-// fakes and reused over facades. The similarity queries are exposed in
-// their spec-taking streaming form — the language's materialized
-// statements collect and sort, its streamed statements pass the caller's
-// callback through.
+// satisfies it. Every statement states one core.QuerySpec and runs through
+// the streaming Query (or QueryProgressive): materialized statements
+// collect, streamed ones pass the caller's callback through.
 type Database interface {
-	MatchPattern(pattern string) ([]string, error)
-	SearchPattern(pattern string) ([]core.PatternHit, error)
-	PeakCount(k, tol int) ([]core.Match, error)
-	IntervalQuery(n, eps float64) ([]core.IntervalMatch, error)
 	Query(ctx context.Context, spec core.QuerySpec, opts core.QueryOptions, yield func(core.Match) bool) (core.QueryStats, error)
 	QueryProgressive(ctx context.Context, spec core.QuerySpec, opts core.QueryOptions, yield func(core.ProgressiveMatch) bool) (core.QueryStats, error)
 	Reconstruct(id string) (seq.Sequence, error)
@@ -38,19 +32,11 @@ type Result struct {
 	Matches   []core.Match         // peaks / value / distance / shape queries
 	Hits      []core.PatternHit    // FIND queries
 	Intervals []core.IntervalMatch // interval queries
-	// Stats reports the execution plan for planner-routed statements
-	// (MATCH VALUE, MATCH DISTANCE, MATCH SHAPE) and for every EXPLAIN'ed
-	// statement. Stats.Truncated marks an answer a LIMIT or TOP bound cut
-	// short.
+	// Stats reports how the statement executed; Stats.Truncated marks an
+	// answer a LIMIT or TOP bound cut short.
 	Stats *core.QueryStats
-	// Explain marks a statement run under EXPLAIN: Stats is then always
-	// set, synthesized for query kinds with a fixed access path.
+	// Explain marks a statement run under EXPLAIN.
 	Explain bool
-	// Dropped counts materialized results a LIMIT clause discarded, when
-	// that number is known exactly (the fixed-path kinds, which compute
-	// the full answer before truncating). Streamed kinds stop early
-	// instead and report Stats.Truncated without a count.
-	Dropped int
 }
 
 // Exec parses and runs src against db in one call, without cancellation
@@ -59,9 +45,8 @@ func Exec(db Database, src string) (*Result, error) {
 	return ExecContext(context.Background(), db, src)
 }
 
-// ExecContext parses and runs one statement under ctx: the similarity
-// statements (MATCH VALUE / DISTANCE / SHAPE) stop at the context's
-// cancellation or deadline and return ctx.Err().
+// ExecContext parses and runs one statement under ctx: every statement
+// stops at the context's cancellation or deadline and returns ctx.Err().
 func ExecContext(ctx context.Context, db Database, src string) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
@@ -86,64 +71,63 @@ func Canonical(src string) (string, error) {
 	return q.String(), nil
 }
 
-// StreamFunc receives one similarity match at a time from a streamed
-// statement. Calls are serialized but may arrive on any goroutine;
-// returning false stops the statement early without error.
+// StreamFunc receives one match at a time from a streamed statement, in
+// delivery order (see core.Match for each kind's fields). Calls are
+// serialized but may arrive on any goroutine; returning false stops the
+// statement early without error.
 type StreamFunc func(m core.Match) bool
 
-// similarity is what the three similarity statements (MATCH VALUE /
-// DISTANCE / SHAPE) contribute to the shared runners below.
-type similarity interface {
+// statement is what every MATCH and FIND body contributes to the shared
+// runners below: itself, stated as an engine query under the bounds opts
+// (the similarity statements load their exemplar).
+type statement interface {
 	Query
-	// spec loads the exemplar and states the statement as an engine query;
-	// Eps is as written (negative = absent, see engineSpec).
-	spec(db Database) (core.QuerySpec, error)
-	// quality returns the WITHIN ERROR bound (negative = absent) and the
-	// APPROX tier ("" = absent); either one present routes the statement
-	// through the progressive cascade.
+	spec(db Database, opts core.QueryOptions) (core.QuerySpec, error)
+}
+
+// qualified is a statement with quality clauses (MATCH VALUE, MATCH
+// DISTANCE): quality returns the WITHIN ERROR bound (negative = absent)
+// and the APPROX tier ("" = absent); either one present routes the
+// statement through the progressive cascade.
+type qualified interface {
 	quality() (maxErr float64, approx string)
 }
 
-// asSimilarity unwraps q — through a BoundedQuery, whose bounds become
-// engine options — to its similarity statement.
-func asSimilarity(q Query) (similarity, core.QueryOptions, bool) {
-	var opts core.QueryOptions
-	if b, ok := q.(*BoundedQuery); ok {
-		q, opts = b.Inner, b.opts()
+func progressive(s statement) bool {
+	q, ok := s.(qualified)
+	if !ok {
+		return false
 	}
-	s, ok := q.(similarity)
-	return s, opts, ok
-}
-
-func progressive(s similarity) bool {
-	maxErr, approx := s.quality()
+	maxErr, approx := q.quality()
 	return maxErr >= 0 || approx != ""
 }
 
-// RunStream executes q with incremental match delivery: similarity
-// statements (bounded or not, under EXPLAIN or not) yield each match as
-// the engine verifies it; all other statements materialize normally, then
-// deliver their matches (if the kind has any) through yield for a uniform
-// consumption model. In both cases the returned Result has Matches and
-// IDs stripped — matches travelled through yield — while kind-specific
-// payloads without a streamed form (pattern ids, FIND hits, interval
-// matches) stay on the Result.
-func RunStream(ctx context.Context, db Database, q Query, yield StreamFunc) (*Result, error) {
+// unwrap takes q apart — EXPLAIN outermost, then the bounds, which become
+// engine options — down to its statement.
+func unwrap(q Query) (s statement, opts core.QueryOptions, explain bool, err error) {
 	if e, ok := q.(*ExplainQuery); ok {
-		res, err := RunStream(ctx, db, e.Inner, yield)
-		if err != nil {
-			return nil, err
-		}
-		return explain(res), nil
+		q, explain = e.Inner, true
 	}
-	if s, opts, ok := asSimilarity(q); ok {
-		return streamMatches(ctx, db, s, opts, yield)
+	if b, ok := q.(*BoundedQuery); ok {
+		q, opts = b.Inner, core.QueryOptions{Limit: b.Limit, TopK: b.TopK}
 	}
-	res, err := q.Run(ctx, db)
+	s, ok := q.(statement)
+	if !ok {
+		return nil, opts, explain, fmt.Errorf("querylang: %q is not an executable statement", q.String())
+	}
+	return s, opts, explain, nil
+}
+
+// RunStream executes q with incremental delivery: every statement
+// (bounded or not, under EXPLAIN or not) yields each match as the engine
+// produces it. The returned Result carries the kind, stats and EXPLAIN
+// flag; the items travelled through yield.
+func RunStream(ctx context.Context, db Database, q Query, yield StreamFunc) (*Result, error) {
+	s, opts, explain, err := unwrap(q)
 	if err != nil {
 		return nil, err
 	}
-	return drainMatches(res, yield), nil
+	return streamMatches(ctx, db, s, opts, explain, yield)
 }
 
 // ProgressiveFunc receives one progressive refinement frame at a time:
@@ -159,39 +143,28 @@ type ProgressiveFunc func(core.ProgressiveMatch) bool
 // MATCH body canonicalize differently, keeping canonical-form caches
 // sound.
 func IsProgressive(q Query) bool {
-	if e, ok := q.(*ExplainQuery); ok {
-		return IsProgressive(e.Inner)
-	}
-	s, _, ok := asSimilarity(q)
-	return ok && progressive(s)
+	s, _, _, err := unwrap(q)
+	return err == nil && progressive(s)
 }
 
-// RunProgressive executes a progressive statement with frame-level
-// delivery: every refinement frame — not just final matches — flows
-// through yield, tagged with its quality tier. Only statements
-// IsProgressive reports true for qualify; everything else errors. The
-// returned Result carries kind, stats and the EXPLAIN flag with Matches
-// and IDs left empty (matches travelled through yield inside their
-// final frames).
+// RunProgressive executes a statement IsProgressive reports true for (and
+// rejects any other) with frame-level delivery: every refinement frame —
+// not just final matches — flows through yield, tagged with its quality
+// tier. The returned Result carries the kind, stats and EXPLAIN flag; the
+// matches travelled through yield inside their final frames.
 func RunProgressive(ctx context.Context, db Database, q Query, yield ProgressiveFunc) (*Result, error) {
-	if e, ok := q.(*ExplainQuery); ok {
-		res, err := RunProgressive(ctx, db, e.Inner, yield)
-		if err != nil {
-			return nil, err
-		}
-		return explain(res), nil
+	s, opts, explain, err := unwrap(q)
+	if err != nil || !progressive(s) {
+		return nil, fmt.Errorf("querylang: statement %q is not progressive (no WITHIN ERROR or APPROX clause)", q.String())
 	}
-	if s, opts, ok := asSimilarity(q); ok && progressive(s) {
-		return streamFrames(ctx, db, s, opts, yield)
-	}
-	return nil, fmt.Errorf("querylang: statement %q is not progressive (no WITHIN ERROR or APPROX clause)", q.String())
+	return streamFrames(ctx, db, s, opts, explain, yield)
 }
 
 // streamFrames runs a progressive similarity statement through the
 // cascade with frame-level delivery.
-func streamFrames(ctx context.Context, db Database, s similarity, opts core.QueryOptions, yield ProgressiveFunc) (*Result, error) {
-	opts = progressiveOpts(opts, s)
-	spec, err := engineSpec(db, s, opts)
+func streamFrames(ctx context.Context, db Database, s statement, opts core.QueryOptions, explain bool, yield ProgressiveFunc) (*Result, error) {
+	opts = progressiveOpts(opts, s.(qualified))
+	spec, err := s.spec(db, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -199,23 +172,23 @@ func streamFrames(ctx context.Context, db Database, s similarity, opts core.Quer
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Kind: spec.Family, Stats: &stats}, nil
+	return &Result{Kind: spec.Family, Stats: &stats, Explain: explain}, nil
 }
 
-// streamMatches runs a similarity statement with match-level delivery.
-// Under a quality clause the cascade's intermediate band frames are
-// dropped and only final accepted matches flow through — the view a
+// streamMatches runs a statement with match-level delivery. Under a
+// quality clause the cascade's intermediate band frames are dropped and
+// only final accepted matches flow through — the view a
 // non-progressive-aware consumer expects.
-func streamMatches(ctx context.Context, db Database, s similarity, opts core.QueryOptions, yield StreamFunc) (*Result, error) {
+func streamMatches(ctx context.Context, db Database, s statement, opts core.QueryOptions, explain bool, yield StreamFunc) (*Result, error) {
 	if progressive(s) {
-		return streamFrames(ctx, db, s, opts, func(pm core.ProgressiveMatch) bool {
+		return streamFrames(ctx, db, s, opts, explain, func(pm core.ProgressiveMatch) bool {
 			if pm.Final && pm.Match != nil {
 				return yield(*pm.Match)
 			}
 			return true
 		})
 	}
-	spec, err := engineSpec(db, s, opts)
+	spec, err := s.spec(db, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -223,66 +196,58 @@ func streamMatches(ctx context.Context, db Database, s similarity, opts core.Que
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Kind: spec.Family, Stats: &stats}, nil
+	return &Result{Kind: spec.Family, Stats: &stats, Explain: explain}, nil
 }
 
-// materialize runs a similarity statement to a complete Result: collect,
-// sort into the canonical order.
-func materialize(ctx context.Context, db Database, s similarity, opts core.QueryOptions) (*Result, error) {
-	var matches []core.Match
-	res, err := streamMatches(ctx, db, s, opts, func(m core.Match) bool {
-		matches = append(matches, m)
+// materialize is every statement's Run: the statement run to a complete
+// Result. The feature kinds' items are laid out as they arrive, in their
+// canonical order; the unordered similarity families are sorted into
+// theirs.
+func materialize(ctx context.Context, db Database, q Query) (*Result, error) {
+	s, opts, explain, err := unwrap(q)
+	if err != nil {
+		return nil, err
+	}
+	var out Result
+	res, err := streamMatches(ctx, db, s, opts, explain, func(m core.Match) bool {
+		if n := len(out.IDs); m.Deviations == nil && (n == 0 || out.IDs[n-1] != m.ID) {
+			out.IDs = append(out.IDs, m.ID) // a FIND id's occurrences are adjacent
+		}
+		switch {
+		case m.Hit != nil:
+			out.Hits = append(out.Hits, *m.Hit)
+		case m.Interval != nil:
+			out.Intervals = append(out.Intervals, *m.Interval)
+		case m.Deviations != nil:
+			out.Matches = append(out.Matches, m)
+		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	core.SortMatches(matches)
-	res.IDs, res.Matches = matchIDs(matches), matches
+	if res.Kind != core.FamilyPeaks {
+		core.SortMatches(out.Matches)
+	}
+	if out.Matches != nil {
+		out.IDs = matchIDs(out.Matches)
+	}
+	res.IDs, res.Matches, res.Hits, res.Intervals = out.IDs, out.Matches, out.Hits, out.Intervals
 	return res, nil
 }
 
 // progressiveOpts folds a statement's quality clauses into the engine
 // options: WITHIN ERROR sets the acceptance band width, APPROX caps the
 // cascade depth.
-func progressiveOpts(opts core.QueryOptions, s similarity) core.QueryOptions {
+func progressiveOpts(opts core.QueryOptions, s qualified) core.QueryOptions {
 	maxErr, approx := s.quality()
 	if maxErr > 0 {
 		opts.MaxError = maxErr
 	}
-	if approx != "" {
-		t, err := core.ParseTier(approx)
-		if err == nil {
-			opts.MaxTier = t
-		}
+	if t, err := core.ParseTier(approx); err == nil { // "" (absent) is no tier
+		opts.MaxTier = t
 	}
 	return opts
-}
-
-// drainMatches pushes a materialized result's matches through yield and
-// strips them (and the ids mirroring them) from the result. The match
-// count is preserved in Stats before the strip — an EXPLAIN wrapper (or
-// the stream trailer) synthesizing stats afterwards would otherwise see
-// an empty result and report matches=0 for frames it just delivered.
-func drainMatches(res *Result, yield StreamFunc) *Result {
-	for _, m := range res.Matches {
-		if !yield(m) {
-			break
-		}
-	}
-	if len(res.Matches) > 0 {
-		if res.Stats == nil {
-			res.Stats = &core.QueryStats{
-				Query:   res.Kind,
-				Plan:    fixedPlans[res.Kind],
-				Matches: len(res.Matches),
-			}
-		} else if res.Stats.Matches == 0 {
-			res.Stats.Matches = len(res.Matches)
-		}
-		res.Matches, res.IDs = nil, nil
-	}
-	return res
 }
 
 // WithLimit caps q's result count at n (a server-side guard rail): a
@@ -322,11 +287,11 @@ func (q *MatchPatternQuery) String() string { return "MATCH PATTERN " + quoteStr
 
 // Run implements Query.
 func (q *MatchPatternQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	ids, err := db.MatchPattern(q.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Kind: "pattern", IDs: ids}, nil
+	return materialize(ctx, db, q)
+}
+
+func (q *MatchPatternQuery) spec(Database, core.QueryOptions) (core.QuerySpec, error) {
+	return core.QuerySpec{Family: core.FamilyPattern, Pattern: q.Pattern}, nil
 }
 
 // FindPatternQuery is FIND PATTERN "...": occurrences anywhere within each
@@ -340,11 +305,11 @@ func (q *FindPatternQuery) String() string { return "FIND PATTERN " + quoteStrin
 
 // Run implements Query.
 func (q *FindPatternQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	hits, err := db.SearchPattern(q.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Kind: "find", IDs: distinctHitIDs(hits), Hits: hits}, nil
+	return materialize(ctx, db, q)
+}
+
+func (q *FindPatternQuery) spec(Database, core.QueryOptions) (core.QuerySpec, error) {
+	return core.QuerySpec{Family: core.FamilyFind, Pattern: q.Pattern}, nil
 }
 
 // PeaksQuery is MATCH PEAKS k [TOLERANCE t].
@@ -363,11 +328,11 @@ func (q *PeaksQuery) String() string {
 
 // Run implements Query.
 func (q *PeaksQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	matches, err := db.PeakCount(q.Count, q.Tolerance)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Kind: "peaks", IDs: matchIDs(matches), Matches: matches}, nil
+	return materialize(ctx, db, q)
+}
+
+func (q *PeaksQuery) spec(Database, core.QueryOptions) (core.QuerySpec, error) {
+	return core.QuerySpec{Family: core.FamilyPeaks, Peaks: q.Count, PeakTolerance: q.Tolerance}, nil
 }
 
 // IntervalQuery is MATCH INTERVAL n [+- eps].
@@ -383,33 +348,25 @@ func (q *IntervalQuery) String() string {
 
 // Run implements Query.
 func (q *IntervalQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	matches, err := db.IntervalQuery(q.N, q.Eps)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, 0, len(matches))
-	for _, m := range matches {
-		ids = append(ids, m.ID)
-	}
-	return &Result{Kind: "interval", IDs: ids, Intervals: matches}, nil
+	return materialize(ctx, db, q)
 }
 
-// engineSpec states s as an engine query under opts, resolving its
-// tolerance: an explicit EPS wins; without one, TOP n BY DISTANCE means
-// pure nearest-neighbour search (unbounded radius) and everything else
-// inherits the database's ε.
-func engineSpec(db Database, s similarity, opts core.QueryOptions) (core.QuerySpec, error) {
-	spec, err := s.spec(db)
-	if err != nil {
-		return spec, err
+func (q *IntervalQuery) spec(Database, core.QueryOptions) (core.QuerySpec, error) {
+	return core.QuerySpec{Family: core.FamilyInterval, Interval: q.N, Eps: q.Eps}, nil
+}
+
+// tolerance resolves the EPS clause of MATCH VALUE and MATCH DISTANCE: as
+// written when present; absent (negative, or NaN), an unbounded radius
+// under TOP n BY DISTANCE — pure nearest-neighbour search — and the
+// database's ε otherwise.
+func tolerance(db Database, eps float64, opts core.QueryOptions) float64 {
+	switch {
+	case eps >= 0:
+		return eps
+	case opts.TopK > 0:
+		return math.Inf(1)
 	}
-	if !(spec.Eps >= 0) { // absent (or NaN)
-		spec.Eps = db.Config().Epsilon
-		if opts.TopK > 0 {
-			spec.Eps = math.Inf(1)
-		}
-	}
-	return spec, nil
+	return db.Config().Epsilon
 }
 
 // appendProgressive renders the canonical progressive clauses: WITHIN
@@ -454,12 +411,12 @@ func (q *ValueQuery) String() string {
 
 // Run implements Query.
 func (q *ValueQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	return materialize(ctx, db, q, core.QueryOptions{})
+	return materialize(ctx, db, q)
 }
 
-func (q *ValueQuery) spec(db Database) (core.QuerySpec, error) {
+func (q *ValueQuery) spec(db Database, opts core.QueryOptions) (core.QuerySpec, error) {
 	exemplar, err := loadExemplar(db, q.ExemplarID)
-	return core.QuerySpec{Family: core.FamilyValue, Exemplar: exemplar, Eps: q.Eps}, err
+	return core.QuerySpec{Family: core.FamilyValue, Exemplar: exemplar, Eps: tolerance(db, q.Eps, opts)}, err
 }
 
 func (q *ValueQuery) quality() (float64, string) { return q.MaxError, q.Approx }
@@ -495,16 +452,16 @@ func (q *DistanceQuery) String() string {
 
 // Run implements Query.
 func (q *DistanceQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	return materialize(ctx, db, q, core.QueryOptions{})
+	return materialize(ctx, db, q)
 }
 
-func (q *DistanceQuery) spec(db Database) (core.QuerySpec, error) {
+func (q *DistanceQuery) spec(db Database, opts core.QueryOptions) (core.QuerySpec, error) {
 	m, err := dist.ByName(q.Metric)
 	if err != nil {
 		return core.QuerySpec{}, fmt.Errorf("querylang: %w", err)
 	}
 	exemplar, err := loadExemplar(db, q.ExemplarID)
-	return core.QuerySpec{Family: core.FamilyDistance, Exemplar: exemplar, Metric: m, Eps: q.Eps}, err
+	return core.QuerySpec{Family: core.FamilyDistance, Exemplar: exemplar, Metric: m, Eps: tolerance(db, q.Eps, opts)}, err
 }
 
 func (q *DistanceQuery) quality() (float64, string) { return q.MaxError, q.Approx }
@@ -536,25 +493,22 @@ func (q *ShapeQuery) String() string {
 
 // Run implements Query.
 func (q *ShapeQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	return materialize(ctx, db, q, core.QueryOptions{})
+	return materialize(ctx, db, q)
 }
 
-func (q *ShapeQuery) spec(db Database) (core.QuerySpec, error) {
+func (q *ShapeQuery) spec(db Database, _ core.QueryOptions) (core.QuerySpec, error) {
 	exemplar, err := loadExemplar(db, q.ExemplarID)
 	tol := core.ShapeTolerance{Peaks: q.PeaksTol, Height: q.HeightTol, Spacing: q.SpacingTol}
 	return core.QuerySpec{Family: core.FamilyShape, Exemplar: exemplar, Shape: tol}, err
 }
 
-// quality: the shape statement has no quality clauses.
-func (q *ShapeQuery) quality() (float64, string) { return -1, "" }
-
 // BoundedQuery wraps a statement with the result bounds of its trailing
 // clauses: TOP n BY DISTANCE (the n nearest matches, nearest-first, with
 // best-so-far pruning pushed into the engine) and LIMIT n (stop after n
-// matches). For the similarity statements the bounds execute inside the
-// engine; for the other match-producing kinds (MATCH PEAKS) the full
-// answer is computed, ordered and truncated. Parse only attaches bounds
-// to statements that support them.
+// items: ids, matches, FIND hits or interval matches). The bounds execute
+// inside the engine, which stops at them; a feature statement keeps the
+// first n items of its unbounded answer. Parse only attaches bounds to
+// statements that support them.
 type BoundedQuery struct {
 	Inner Query
 	// TopK is the TOP n BY DISTANCE clause (0 = absent).
@@ -576,74 +530,14 @@ func (q *BoundedQuery) String() string {
 	return b.String()
 }
 
-func (q *BoundedQuery) opts() core.QueryOptions {
-	return core.QueryOptions{Limit: q.Limit, TopK: q.TopK}
-}
-
 // Run implements Query.
 func (q *BoundedQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	if s, ok := q.Inner.(similarity); ok {
-		return materialize(ctx, db, s, q.opts())
-	}
-	res, err := q.Inner.Run(ctx, db)
-	if err != nil {
-		return nil, err
-	}
-	return q.truncate(res), nil
-}
-
-// truncate applies the bounds to a materialized fixed-path result. The
-// kind's primary item list is cut (matches already arrive in the
-// exact-first, smallest-deviation order, so TOP n is literally the first
-// n) and the id list rebuilt from what remains.
-func (q *BoundedQuery) truncate(res *Result) *Result {
-	keep := q.Limit
-	if q.TopK > 0 && (keep == 0 || q.TopK < keep) {
-		keep = q.TopK
-	}
-	if keep <= 0 {
-		return res
-	}
-	cut := func(have int) int {
-		if have > keep {
-			res.Dropped += have - keep
-			return keep
-		}
-		return have
-	}
-	switch {
-	case res.Matches != nil:
-		res.Matches = res.Matches[:cut(len(res.Matches))]
-		res.IDs = matchIDs(res.Matches)
-	case res.Hits != nil:
-		res.Hits = res.Hits[:cut(len(res.Hits))]
-		res.IDs = distinctHitIDs(res.Hits)
-	case res.Intervals != nil:
-		res.Intervals = res.Intervals[:cut(len(res.Intervals))]
-		ids := make([]string, 0, len(res.Intervals))
-		for _, m := range res.Intervals {
-			ids = append(ids, m.ID)
-		}
-		res.IDs = ids
-	default:
-		res.IDs = res.IDs[:cut(len(res.IDs))]
-	}
-	if res.Dropped > 0 {
-		if res.Stats == nil {
-			res.Stats = &core.QueryStats{
-				Query:   res.Kind,
-				Plan:    fixedPlans[res.Kind],
-				Matches: len(res.IDs),
-			}
-		}
-		res.Stats.Truncated = true
-	}
-	return res
+	return materialize(ctx, db, q)
 }
 
 // ExplainQuery wraps any statement under EXPLAIN: the inner query runs
-// normally and the result additionally carries its execution plan. Query
-// kinds the planner does not route report their fixed access path.
+// normally and the result is marked, its Stats reporting the access path
+// and the work done.
 type ExplainQuery struct {
 	Inner Query
 }
@@ -651,36 +545,9 @@ type ExplainQuery struct {
 // String implements Query.
 func (q *ExplainQuery) String() string { return "EXPLAIN " + q.Inner.String() }
 
-// fixedPlans names the access path of every statement the planner has no
-// routing decision for.
-var fixedPlans = map[string]string{
-	"pattern":  "symbol-index",
-	"find":     "symbol-index",
-	"peaks":    "record-scan",
-	"interval": "inverted-index",
-}
-
-// explain marks a result as EXPLAIN'ed, synthesizing stats for kinds
-// with a fixed access path.
-func explain(res *Result) *Result {
-	res.Explain = true
-	if res.Stats == nil {
-		res.Stats = &core.QueryStats{
-			Query:   res.Kind,
-			Plan:    fixedPlans[res.Kind],
-			Matches: len(res.IDs),
-		}
-	}
-	return res
-}
-
 // Run implements Query.
 func (q *ExplainQuery) Run(ctx context.Context, db Database) (*Result, error) {
-	res, err := q.Inner.Run(ctx, db)
-	if err != nil {
-		return nil, err
-	}
-	return explain(res), nil
+	return materialize(ctx, db, q)
 }
 
 // keywords every statement position may consume; identifiers spelled like
@@ -746,21 +613,9 @@ func loadExemplar(db Database, id string) (seq.Sequence, error) {
 }
 
 func matchIDs(matches []core.Match) []string {
-	ids := make([]string, 0, len(matches))
-	for _, m := range matches {
-		ids = append(ids, m.ID)
-	}
-	return ids
-}
-
-// distinctHitIDs lists each hit's id once. Hits arrive in (id, segment)
-// order, so an id's hits are adjacent.
-func distinctHitIDs(hits []core.PatternHit) []string {
-	var ids []string
-	for i, h := range hits {
-		if i == 0 || h.ID != hits[i-1].ID {
-			ids = append(ids, h.ID)
-		}
+	ids := make([]string, len(matches))
+	for i, m := range matches {
+		ids[i] = m.ID
 	}
 	return ids
 }

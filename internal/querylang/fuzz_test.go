@@ -2,6 +2,7 @@ package querylang
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -45,6 +46,9 @@ var queryLangSeeds = []string{
 	`MATCH VALUE LIKE ecg1 EPS 1000000000000000000000`,
 	`MATCH INTERVAL 0.00001 +- 0.5`,
 	`MATCH DISTANCE LIKE two EPS 1e-05 WITHIN ERROR 2.5E+3`,
+	`MATCH INTERVAL 20 +- 1e19`,
+	`FIND PATTERN "U+" LIMIT 1`,
+	`EXPLAIN MATCH PATTERN "U" LIMIT 2`,
 }
 
 // fuzzDB lazily builds one small database per fuzz process so statements
@@ -77,7 +81,9 @@ var fuzzDB = sync.OnceValue(func() Database {
 // FuzzParseExec feeds arbitrary statements through the full parse → print
 // → reparse → execute path. Invariants: the parser never panics; a
 // statement that parses re-renders to a canonical form that parses to the
-// same canonical form; execution never panics (errors are fine).
+// same canonical form; execution never panics (errors are fine); and a
+// bounded feature statement, which the engine answers in its canonical
+// order, keeps a prefix of its unbounded form's ids.
 func FuzzParseExec(f *testing.F) {
 	for _, seed := range queryLangSeeds {
 		f.Add(seed)
@@ -101,6 +107,31 @@ func FuzzParseExec(f *testing.F) {
 		if got := q2.String(); got != canonical {
 			t.Fatalf("unstable canonical form: %q -> %q -> %q", src, canonical, got)
 		}
-		_, _ = q.Run(context.Background(), fuzzDB()) // must not panic; errors are expected
+		res, err := q.Run(context.Background(), fuzzDB()) // must not panic; errors are expected
+		if e, ok := q.(*ExplainQuery); ok {
+			q = e.Inner
+		}
+		b, ok := q.(*BoundedQuery)
+		if err != nil || !ok || isSimilarity(b.Inner) {
+			return
+		}
+		full, err := b.Inner.Run(context.Background(), fuzzDB())
+		if err != nil {
+			t.Fatalf("%q answers but its unbounded form fails: %v", canonical, err)
+		}
+		if len(res.IDs) > len(full.IDs) || !slices.Equal(res.IDs, full.IDs[:len(res.IDs)]) {
+			t.Fatalf("%q kept ids %v, not a prefix of the unbounded %v", canonical, res.IDs, full.IDs)
+		}
 	})
+}
+
+// isSimilarity reports whether q is a MATCH VALUE, DISTANCE or SHAPE
+// statement, whose bounded answer need not be a prefix of the unbounded
+// one (LIMIT keeps whichever matches verify first).
+func isSimilarity(q Query) bool {
+	switch q.(type) {
+	case *ValueQuery, *DistanceQuery, *ShapeQuery:
+		return true
+	}
+	return false
 }

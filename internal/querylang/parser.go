@@ -9,9 +9,8 @@ import (
 
 // Query is one parsed, executable query.
 type Query interface {
-	// Run executes the query against a database. The similarity
-	// statements honor ctx's cancellation and deadline; the fixed-path
-	// statements complete regardless (they are index lookups, not scans).
+	// Run executes the query against a database, honoring ctx's
+	// cancellation and deadline.
 	Run(ctx context.Context, db Database) (*Result, error)
 	// String renders the query back in canonical language form.
 	String() string

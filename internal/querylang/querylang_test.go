@@ -1,6 +1,7 @@
 package querylang
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -212,6 +213,24 @@ func TestExecInterval(t *testing.T) {
 	if len(res.Intervals) != len(res.IDs) {
 		t.Errorf("Intervals = %d for %d IDs", len(res.Intervals), len(res.IDs))
 	}
+	// A tolerance whose range ends divide past the int64 bucket keys
+	// covers every interval, like one that stays inside them.
+	wide, err := Exec(db, `MATCH INTERVAL 20 +- 1e18`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wide.IDs) != 3 {
+		t.Errorf("MATCH INTERVAL 20 +- 1e18 = %v, want all three records", wide.IDs)
+	}
+	for _, src := range []string{`MATCH INTERVAL 20 +- 1e19`, `MATCH INTERVAL 20 +- 1e300`, `MATCH INTERVAL 1e300 +- 1e300`} {
+		res, err := Exec(db, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Intervals, wide.Intervals) {
+			t.Errorf("%s = %v, want %v", src, res.IDs, wide.IDs)
+		}
+	}
 }
 
 func TestExecValue(t *testing.T) {
@@ -331,7 +350,7 @@ func TestExecExplain(t *testing.T) {
 	if len(res.IDs) != 1 { // EXPLAIN still runs the statement
 		t.Errorf("IDs = %v", res.IDs)
 	}
-	// Fixed-path statements synthesize their access path.
+	// Feature statements report their access path.
 	res, err = Exec(db, `EXPLAIN MATCH PEAKS 2`)
 	if err != nil {
 		t.Fatal(err)

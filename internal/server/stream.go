@@ -12,9 +12,9 @@ import (
 // streamFlushInterval paces flushes while item frames are produced: a
 // frame written this long after the last flush flushes the buffer, so
 // long streams amortize the flush cost. The header, the first frame
-// carrying a match and the terminal frame (trailer or error) flush at
-// once, so a client sees the first answer as soon as the engine has
-// verified it, however short the stream.
+// carrying an item (match, hit, interval or id) and the terminal frame
+// (trailer or error) flush at once, so a client sees the first answer as
+// soon as the engine has produced it, however short the stream.
 const streamFlushInterval = 100 * time.Millisecond
 
 // streamWriter serializes api.StreamFrame lines onto an NDJSON response.
@@ -31,7 +31,7 @@ type streamWriter struct {
 	fl        http.Flusher
 	enc       wireEncoder
 	buf       []byte
-	matched   bool // a frame carrying a match has been written
+	matched   bool // a frame carrying an item has been written
 	lastFlush time.Time
 	err       error
 }
@@ -42,7 +42,7 @@ func newStreamWriter(w http.ResponseWriter) *streamWriter {
 }
 
 // frame writes one NDJSON line and flushes it if it is the header, the
-// first match, a terminal frame, or the flush interval has elapsed. It
+// first item, a terminal frame, or the flush interval has elapsed. It
 // reports whether the stream is still writable.
 func (sw *streamWriter) frame(f *api.StreamFrame) bool {
 	if sw.err != nil {
@@ -61,7 +61,7 @@ func (sw *streamWriter) frame(f *api.StreamFrame) bool {
 		return false
 	}
 	now := f.Canonical != "" || f.Done || f.Error != ""
-	if f.Match != nil && !sw.matched {
+	if item := f.Match != nil || f.Hit != nil || f.Interval != nil || f.ID != ""; item && !sw.matched {
 		sw.matched, now = true, true
 	}
 	if now || time.Since(sw.lastFlush) >= streamFlushInterval {
@@ -106,7 +106,7 @@ func toRefineFrame(pm seqrep.ProgressiveMatch) *api.RefineFrame {
 // handleQueryStream is POST /v1/query/stream: the statement's answer as
 // an NDJSON stream of api.StreamFrame lines — header (canonical form),
 // items as the engine produces them, trailer (kind, stats, generation).
-// Similarity matches stream incrementally, so a LIMIT/TOP-bounded or
+// Every statement streams incrementally, so a LIMIT/TOP-bounded or
 // cancelled statement never materializes the full answer; a client that
 // disconnects mid-stream cancels the query through the request context
 // and the failed write, freeing the handler promptly. Streamed answers
@@ -147,41 +147,33 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			return sw.frame(f)
 		})
 	} else {
-		yield := func(m seqrep.Match) bool {
-			return sw.frame(&api.StreamFrame{
-				Match: &api.Match{ID: m.ID, Exact: m.Exact, Deviations: m.Deviations},
-			})
-		}
-		res, err = seqrep.StreamQuery(ctx, db, seqrep.LimitQuery(q, s.queryLimit), yield)
+		res, err = seqrep.StreamQuery(ctx, db, seqrep.LimitQuery(q, s.queryLimit), func(m seqrep.Match) bool {
+			return sw.frame(itemFrame(m))
+		})
 	}
 	if err != nil {
 		sw.frame(&api.StreamFrame{Error: err.Error()})
 		return
-	}
-	// Kinds without a streamed item form arrive materialized on the
-	// result; frame them now. For FIND and INTERVAL the ids mirror the
-	// richer items, so only the richer form is framed.
-	switch {
-	case len(res.Hits) > 0:
-		for _, h := range res.Hits {
-			sw.frame(&api.StreamFrame{Hit: &api.PatternHit{
-				ID: h.ID, SegLo: h.SegLo, SegHi: h.SegHi, TimeLo: h.TimeLo, TimeHi: h.TimeHi,
-			}})
-		}
-	case len(res.Intervals) > 0:
-		for _, iv := range res.Intervals {
-			sw.frame(&api.StreamFrame{Interval: &api.IntervalMatch{
-				ID: iv.ID, Positions: iv.Positions, Intervals: iv.Intervals,
-			}})
-		}
-	default:
-		for _, id := range res.IDs {
-			sw.frame(&api.StreamFrame{ID: id})
-		}
 	}
 	trailer := &api.StreamFrame{Done: true, Kind: res.Kind, Generation: gen, Explain: res.Explain}
 	if res.Stats != nil {
 		trailer.Stats = toAPIStats(res.Stats)
 	}
 	sw.frame(trailer)
+}
+
+// itemFrame frames one engine match in its kind's item form: a FIND
+// occurrence as a Hit, an interval match as an Interval, a pattern match
+// (the id alone) as an ID, a ranked match as a Match.
+func itemFrame(m seqrep.Match) *api.StreamFrame {
+	switch {
+	case m.Hit != nil:
+		h := m.Hit
+		return &api.StreamFrame{Hit: &api.PatternHit{ID: h.ID, SegLo: h.SegLo, SegHi: h.SegHi, TimeLo: h.TimeLo, TimeHi: h.TimeHi}}
+	case m.Interval != nil:
+		return &api.StreamFrame{Interval: &api.IntervalMatch{ID: m.ID, Positions: m.Interval.Positions, Intervals: m.Interval.Intervals}}
+	case m.Deviations == nil:
+		return &api.StreamFrame{ID: m.ID}
+	}
+	return &api.StreamFrame{Match: &api.Match{ID: m.ID, Exact: m.Exact, Deviations: m.Deviations}}
 }

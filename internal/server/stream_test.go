@@ -426,7 +426,9 @@ func TestQueryStreamDisconnect(t *testing.T) {
 // TestQueryServerBounds covers the seqserved -query-limit / -query-timeout
 // plumbing: the server-wide cap tightens unbounded statements (and the
 // capped answer still caches soundly under the uncapped canonical form),
-// and a statement outrunning the timeout answers 504.
+// and a statement outrunning the timeout — a similarity scan, or a FIND
+// paging every hit record in — answers 504, and the server answers the
+// next statement.
 func TestQueryServerBounds(t *testing.T) {
 	ctx := context.Background()
 	_, c := streamServer(t, Config{QueryLimit: 2})
@@ -453,10 +455,15 @@ func TestQueryServerBounds(t *testing.T) {
 	// Timeout: slow cold reads make the scan outrun a 10ms budget.
 	db, _ := slowPagedDB(t, "t", 200, 2*time.Millisecond)
 	_, slow := streamServer(t, Config{DB: db, QueryTimeout: 10 * time.Millisecond, CacheSize: -1})
-	_, err = slow.Query(ctx, `MATCH DISTANCE LIKE t-000 METRIC l2 EPS 999999`)
-	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("timed-out query returned %v, want 504", err)
+	for _, stmt := range []string{`MATCH DISTANCE LIKE t-000 METRIC l2 EPS 999999`, `FIND PATTERN "[UFD]"`} {
+		_, err = slow.Query(ctx, stmt)
+		apiErr, ok := err.(*client.APIError)
+		if !ok || apiErr.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("timed-out %s returned %v, want 504", stmt, err)
+		}
+		if res, err := slow.Query(ctx, `MATCH PEAKS 0 TOLERANCE 99`); err != nil || len(res.IDs) != 200 {
+			t.Fatalf("after a timed-out %s: %v, %d ids", stmt, err, len(res.IDs))
+		}
 	}
 }
 
@@ -546,5 +553,55 @@ func TestQueryStreamFirstMatchBeforeTrailer(t *testing.T) {
 	t.Logf("first match after %v, trailer after %v, %d cold reads", first, last, reads.Load())
 	if gap := last - first; gap < 5*perRead {
 		t.Fatalf("first match arrived %v before the trailer, want ≥ %v", gap, 5*perRead)
+	}
+}
+
+// TestQueryStreamFindHitBeforeTrailer: a FIND stream frames each
+// occurrence as the engine finds it. On a database whose cold reads each
+// take 4 ms, the first Hit frame reaches the client while the engine is
+// still paging in the other 23 records, not with the trailer.
+func TestQueryStreamFindHitBeforeTrailer(t *testing.T) {
+	const perRead = 4 * time.Millisecond
+	db, _ := slowPagedDB(t, "h", 24, perRead)
+	_, c := streamServer(t, Config{DB: db})
+	want, err := db.SearchPattern("[UFD]")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	qs, err := c.StreamQuery(context.Background(), `FIND PATTERN "[UFD]"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qs.Close()
+	start := time.Now()
+	var first time.Duration
+	var hits []api.PatternHit
+	for f, err := range qs.Frames() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Hit != nil {
+			if len(hits) == 0 {
+				first = time.Since(start)
+			}
+			hits = append(hits, *f.Hit)
+		}
+	}
+	last := time.Since(start)
+	if tr := qs.Trailer(); tr == nil || tr.Kind != "find" || tr.Stats == nil || tr.Stats.Matches != len(want) {
+		t.Fatalf("stream ended with trailer %+v, want %d find matches", qs.Trailer(), len(want))
+	}
+	if len(hits) != len(want) {
+		t.Fatalf("streamed %d hits, want %d", len(hits), len(want))
+	}
+	for i, h := range want {
+		if got := hits[i]; got.ID != h.ID || got.SegLo != h.SegLo || got.SegHi != h.SegHi || got.TimeLo != h.TimeLo || got.TimeHi != h.TimeHi {
+			t.Fatalf("hit %d = %+v, want %+v", i, got, h)
+		}
+	}
+	t.Logf("first hit after %v, trailer after %v", first, last)
+	if gap := last - first; gap < 5*perRead {
+		t.Fatalf("first hit arrived %v before the trailer, want ≥ %v", gap, 5*perRead)
 	}
 }

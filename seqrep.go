@@ -46,12 +46,14 @@
 //     (negative disables it) and Config.IndexLeaf tunes the trees
 //     (negative pins the linear feature scan). See docs/PERFORMANCE.md.
 //   - Bounded, cancellable, streaming queries: one QuerySpec (family,
-//     exemplar, metric, tolerances) runs three ways under a context and
+//     exemplar, metric, pattern, tolerances) runs under a context and
 //     QueryOptions — streamed through a yield callback (DB.Query), as
-//     a Go 1.23 iterator (DB.QuerySeq), or as a progressive cascade of
-//     tightening error bands (DB.QueryProgressive); DistanceQueryCtx,
-//     ValueQueryCtx and ShapeQueryCtx are the materialized per-family
-//     helpers. QueryOptions.Limit stops after
+//     a Go 1.23 iterator (DB.QuerySeq), or, for the similarity
+//     families, as a progressive cascade of tightening error bands
+//     (DB.QueryProgressive); DistanceQueryCtx, ValueQueryCtx and
+//     ShapeQueryCtx are the materialized per-family helpers, and
+//     MatchPattern, SearchPattern, PeakCount and IntervalQuery collect
+//     the feature families the same way. QueryOptions.Limit stops after
 //     N matches; QueryOptions.TopK returns the K nearest, feeding the
 //     best-so-far distance back into the index as a shrinking pruning
 //     radius. Cancelling the context aborts the scan, tree traversal
@@ -114,9 +116,11 @@ type (
 	// counts, and whether a result bound truncated the answer (DB.Query
 	// and its variants, the *Ctx helpers, EXPLAIN statements).
 	QueryStats = core.QueryStats
-	// QuerySpec states one similarity query — family (FamilyDistance,
-	// FamilyValue, FamilyShape), exemplar, metric and tolerances — for
-	// DB.Query, DB.QuerySeq and DB.QueryProgressive.
+	// QuerySpec states one query — family (FamilyDistance, FamilyValue,
+	// FamilyShape, or the paper's feature families FamilyPattern,
+	// FamilyFind, FamilyPeaks, FamilyInterval), exemplar, metric,
+	// pattern, counts and tolerances — for DB.Query, DB.QuerySeq and
+	// (similarity families) DB.QueryProgressive.
 	QuerySpec = core.QuerySpec
 	// QueryOptions bounds a similarity query's answer: Limit stops after
 	// N matches, TopK keeps the K nearest (ordered by distance, with
@@ -258,24 +262,22 @@ type ParsedQuery = querylang.Query
 // ParseQuery compiles one statement without running it.
 func ParseQuery(src string) (ParsedQuery, error) { return querylang.Parse(src) }
 
-// RunQueryCtx executes a compiled statement under ctx: the similarity
-// statements stop at the context's cancellation or deadline and return
-// ctx.Err(); fixed-path statements (pattern, peaks, interval) complete
-// regardless.
+// RunQueryCtx executes a compiled statement under ctx: every statement
+// stops at the context's cancellation or deadline and returns ctx.Err().
 func RunQueryCtx(ctx context.Context, db *DB, q ParsedQuery) (*QueryResult, error) {
 	return q.Run(ctx, db)
 }
 
 // StreamQuery executes a compiled statement with incremental match
-// delivery: similarity statements yield each match as the engine
-// verifies it (nearest-first under TOP n BY DISTANCE, discovery order
+// delivery: every statement yields each match as the engine produces it
+// (nearest-first under TOP n BY DISTANCE, discovery order for the other
+// similarity statements, each feature statement's canonical order
 // otherwise — yield may run on any goroutine, calls are serialized, and
-// returning false stops the query without error); other kinds
-// materialize first and then deliver their matches through yield. The
-// returned result carries the kind, stats and EXPLAIN flag; matches that
-// travelled through yield are stripped from it, while payloads without a
-// streamed form (pattern ids, FIND hits, interval matches) remain. This
-// is the serving layer's engine hook for /v1/query/stream.
+// returning false stops the query without error). A FIND match carries
+// its occurrence in Hit, an interval match its intervals in Interval, a
+// pattern match its id alone. The returned result carries the kind,
+// stats and EXPLAIN flag; the items travelled through yield. This is the
+// serving layer's engine hook for /v1/query/stream.
 func StreamQuery(ctx context.Context, db *DB, q ParsedQuery, yield func(Match) bool) (*QueryResult, error) {
 	return querylang.RunStream(ctx, db, q, querylang.StreamFunc(yield))
 }
@@ -285,6 +287,10 @@ const (
 	FamilyDistance = core.FamilyDistance
 	FamilyValue    = core.FamilyValue
 	FamilyShape    = core.FamilyShape
+	FamilyPattern  = core.FamilyPattern
+	FamilyFind     = core.FamilyFind
+	FamilyPeaks    = core.FamilyPeaks
+	FamilyInterval = core.FamilyInterval
 )
 
 // Progressive cascade tiers, re-exported for switch statements over
