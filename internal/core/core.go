@@ -456,19 +456,30 @@ func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
 	}
 	rec := &Record{ID: id, N: len(s), Profile: profile}
 	rec.setRep(fs)
-	if db.findex != nil || db.cfg.SketchBlock > 0 {
-		// The DFT feature vectors and the progressive sketch are part of
-		// the build so they, too, run outside every lock.
-		if vals, ok := comparisonValues(rec); ok {
-			if db.findex != nil {
-				db.findex.computeFeatures(rec, vals)
-			}
-			if db.cfg.SketchBlock > 0 {
-				rec.sketch = multires.BuildSketch(vals, db.cfg.SketchBlock)
-			}
+	// The DFT feature vectors and the progressive sketch are part of the
+	// build so they, too, run outside every lock.
+	db.derive(rec)
+	return rec, nil
+}
+
+// derive computes the feature vectors and the sketch the database keeps
+// and rec lacks, from rec's comparison form: all of them on a build,
+// none on a boot that restores them, all on a boot of a legacy raw-
+// derived directory.
+func (db *DB) derive(rec *Record) {
+	needFeats := db.findex != nil && rec.feats == nil
+	needSketch := db.cfg.SketchBlock > 0 && rec.sketch == nil
+	if !needFeats && !needSketch {
+		return
+	}
+	if vals, ok := comparisonValues(rec); ok {
+		if needFeats {
+			db.findex.computeFeatures(rec, vals)
+		}
+		if needSketch {
+			rec.sketch = multires.BuildSketch(vals, db.cfg.SketchBlock)
 		}
 	}
-	return rec, nil
 }
 
 // pending is one batch item on its way through ingest: its built record

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +74,11 @@ type dirStore struct {
 	ckptMu   sync.RWMutex
 	ckptRun  sync.Mutex
 	recovery RecoveryStats
+	// replayBatch holds the consecutive logged ingests replay has
+	// collected and not yet run, replayLSNs their log offsets
+	// (flushReplay).
+	replayBatch []BatchItem
+	replayLSNs  []uint64
 
 	// segs is the segment tier checkpoints flush into. dirty is the id set
 	// mutated since the last checkpoint — true for a live upsert, false
@@ -191,7 +197,7 @@ func (d *dirStore) boot(dir string, cfg Config) (*DB, error) {
 	if cfg.MemoryBudget > 0 {
 		// Armed before adoption, so under a budget the eviction sweep
 		// bounds resident bytes while the tier streams in — boot never
-		// materializes more than the budget plus one record.
+		// materializes more than the budget plus one chunk.
 		d.res = resident.New(cfg.MemoryBudget, d.onEvict)
 	}
 
@@ -224,7 +230,11 @@ func (d *dirStore) boot(dir string, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	d.wal = w
-	if err := w.Replay(d.applyWALRecord); err != nil {
+	err = w.Replay(d.applyWALRecord)
+	if err == nil {
+		err = d.flushReplay() // the ingests the log ends with
+	}
+	if err != nil {
 		w.Close()
 		return nil, fmt.Errorf("core: replaying wal: %w", err)
 	}
@@ -271,6 +281,12 @@ func refuseLegacySnapshot(dir string) error {
 // ingest that will overwrite it via the interleaved remove), and a
 // remove of an absent id is skipped likewise. The phase is replaying, so
 // the re-executed operations do not re-append themselves.
+//
+// Consecutive ingests collect into one batch of up to bootChunk items,
+// run before a remove, before an ingest of an id the batch already
+// holds, and when the log ends: every operation then finds the state it
+// would have found replayed alone, and an ingest of a stored id fails
+// its reservation as the duplicate it is.
 func (d *dirStore) applyWALRecord(r wal.Record) error {
 	d.recovery.Replayed++
 	switch r.Op {
@@ -279,29 +295,21 @@ func (d *dirStore) applyWALRecord(r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("core: wal record %d: %w", r.LSN, err)
 		}
-		if _, ok := d.db.Record(id); ok {
-			d.recovery.SkippedDuplicate++
-			return nil
-		}
-		if _, err := d.db.IngestRecord(id, s); err != nil {
-			if errors.Is(err, ErrStorage) {
-				// An archive fault is not deterministic: skipping the record
-				// would leave it out of the dirty set, and the next
-				// checkpoint would truncate its only copy. Refuse boot —
-				// nothing is committed or truncated, and a boot with a
-				// healthy archive replays it.
-				return fmt.Errorf("core: wal record %d: replaying ingest of %q: %w", r.LSN, id, err)
+		if len(d.replayBatch) == bootChunk || slices.ContainsFunc(d.replayBatch, func(it BatchItem) bool { return it.ID == id }) {
+			if err := d.flushReplay(); err != nil {
+				return err
 			}
-			// The same deterministic failure the original caller saw: the
-			// operation was logged but never acknowledged, so skipping it
-			// reproduces the pre-crash state.
-			d.recovery.Failed++
-			return nil
 		}
+		d.replayBatch = append(d.replayBatch, BatchItem{ID: id, Seq: s})
+		d.replayLSNs = append(d.replayLSNs, r.LSN)
+		return nil
 	case walOpRemove:
 		id, err := decodeWALRemove(r.Payload)
 		if err != nil {
 			return fmt.Errorf("core: wal record %d: %w", r.LSN, err)
+		}
+		if err := d.flushReplay(); err != nil {
+			return err
 		}
 		if _, ok := d.db.Record(id); !ok {
 			d.recovery.SkippedMissing++
@@ -315,10 +323,38 @@ func (d *dirStore) applyWALRecord(r wal.Record) error {
 			d.recovery.Failed++
 			return nil
 		}
+		d.recovery.Applied++
+		return nil
 	default:
 		return fmt.Errorf("core: wal record %d: unknown op %d", r.LSN, r.Op)
 	}
-	d.recovery.Applied++
+}
+
+// flushReplay runs the collected ingests as one db.ingest batch: built on
+// the worker pool, linked under one imu hold.
+func (d *dirStore) flushReplay() error {
+	items, lsns := d.replayBatch, d.replayLSNs
+	d.replayBatch, d.replayLSNs = nil, nil
+	for i, p := range d.db.ingest(items) {
+		switch {
+		case p.err == nil:
+			d.recovery.Applied++
+		case errors.Is(p.err, ErrDuplicateID):
+			d.recovery.SkippedDuplicate++
+		case errors.Is(p.err, ErrStorage):
+			// An archive fault is not deterministic: skipping the record
+			// would leave it out of the dirty set, and the next
+			// checkpoint would truncate its only copy. Refuse boot —
+			// nothing is committed or truncated, and a boot with a
+			// healthy archive replays it.
+			return fmt.Errorf("core: wal record %d: replaying ingest of %q: %w", lsns[i], items[i].ID, p.err)
+		default:
+			// The same deterministic failure the original caller saw: the
+			// operation was logged but never acknowledged, so skipping it
+			// reproduces the pre-crash state.
+			d.recovery.Failed++
+		}
+	}
 	return nil
 }
 

@@ -13,6 +13,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -83,4 +85,62 @@ func BenchmarkDurableIngest(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
 	})
+}
+
+// BenchmarkOpenDir measures boot: OpenDir of a 10 000-record directory
+// shaped like the bench/ corpus (60 % 128-sample walks, 25 % 97-sample
+// fevers, 15 % 256-sample ECGs, ingested in five 2 000-item batches and
+// checkpointed), alone and under a 300-record write-ahead-log tail. Boot
+// neither checkpoints nor appends, so every iteration boots the same
+// directory. It reports ms/boot and allocs/record.
+func BenchmarkOpenDir(b *testing.B) {
+	const records, batches = 10000, 5
+	for _, arm := range []struct {
+		name string
+		tail int
+	}{{"Tier", 0}, {"Tail300", 300}} {
+		b.Run(arm.name, func(b *testing.B) {
+			dir := b.TempDir()
+			db, err := OpenDir(dir, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			corpus := featureCorpus(b, rand.New(rand.NewSource(1)), records+arm.tail)
+			for lo := 0; lo < records; lo += records / batches {
+				if _, err := db.IngestBatch(corpus[lo : lo+records/batches]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			for _, it := range corpus[records:] {
+				if err := db.Ingest(it.ID, it.Seq); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db, err := OpenDir(dir, Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if db.Len() != records+arm.tail || db.Recovery().Applied != arm.tail {
+					b.Fatalf("booted %d records, replayed %+v", db.Len(), db.Recovery())
+				}
+				db.Close()
+				b.StartTimer()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/boot")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*(records+arm.tail)), "allocs/record")
+		})
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 
-	"seqrep/internal/feature"
 	"seqrep/internal/multires"
 	"seqrep/internal/rep"
 )
@@ -255,36 +254,4 @@ func loadVector(c *cursor, db *DB, id string) ([]float64, error) {
 		return nil, fmt.Errorf("core: record %q feature vector: %w", id, err)
 	}
 	return vec, nil
-}
-
-// adopt installs an already-built representation, rebuilding features and
-// index postings (used by the segment-tier boot). It follows the same
-// reserve → link protocol as Ingest. Stored feature vectors and
-// sketches are restored verbatim; with none (a legacy raw-derived
-// directory), they are recomputed from the record's comparison form.
-func (db *DB) adopt(id string, fs *rep.FunctionSeries, feats, zfeats []float64, sk *multires.Sketch) error {
-	profile, err := feature.Extract(fs, db.cfg.Delta)
-	if err != nil {
-		return fmt.Errorf("core: adopting %q: %w", id, err)
-	}
-	if !db.shardOf(id).reserve(id) {
-		return fmt.Errorf("core: duplicate id %q in segment tier", id)
-	}
-	rec := &Record{ID: id, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
-	rec.setRep(fs)
-	needFeats := db.findex != nil && rec.feats == nil
-	needSketch := db.cfg.SketchBlock > 0 && rec.sketch == nil
-	if needFeats || needSketch {
-		if vals, ok := comparisonValues(rec); ok {
-			if needFeats {
-				db.findex.computeFeatures(rec, vals)
-			}
-			if needSketch {
-				rec.sketch = multires.BuildSketch(vals, db.cfg.SketchBlock)
-			}
-		}
-	}
-	batch := []pending{{rec: rec}}
-	db.link(batch)
-	return batch[0].err
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"seqrep/internal/feature"
 	"seqrep/internal/segment"
 )
 
@@ -192,24 +193,73 @@ func (d *dirStore) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Recor
 	return entries, flushed, nil
 }
 
-// adoptSegments decodes and adopts every live record of the committed
-// tier (boot phase adopting). Vectors or sketches the manifest says
-// derive from archived raws (featSourceLegacyRaw) are dropped for adopt
-// to rebuild: they would bound a form no query verifies against.
+// bootChunk is how many records boot builds on the worker pool before
+// linking them under one imu hold: tier records read, decoded and
+// profiled, or consecutive logged ingests replayed. A few hundred keeps
+// Config.Workers busy and the link amortized, while a budgeted boot
+// holds at most the budget plus one chunk.
+const bootChunk = 256
+
+// adoptSegments adopts every live record of the committed tier (boot
+// phase adopting), a chunk at a time: the chunk's records are read,
+// decoded and profiled in parallel, reserved in id order and linked
+// together. Under a memory budget the eviction sweep runs as each link
+// admits them.
 func (d *dirStore) adoptSegments(mm manifestMeta) error {
-	return d.segs.Iterate(func(id string, payload []byte) error {
-		fs, feats, zfeats, sk, err := decodeRecordPayload(d.db, id, payload)
-		if err != nil {
-			return err
+	live := d.segs.Live()
+	batch := make([]pending, min(bootChunk, len(live)))
+	for len(live) > 0 {
+		chunk := live[:min(bootChunk, len(live))]
+		live, batch = live[len(chunk):], batch[:len(chunk)]
+		d.db.forEachClaimed(len(chunk), func(i int) {
+			batch[i].rec, batch[i].err = d.adoptRecord(chunk[i], mm)
+		})
+		for _, p := range batch {
+			if p.err != nil {
+				return p.err
+			}
+			if !d.db.shardOf(p.rec.ID).reserve(p.rec.ID) {
+				return fmt.Errorf("core: duplicate id %q in segment tier", p.rec.ID)
+			}
 		}
-		if mm.FeatSource == featSourceLegacyRaw {
-			feats, zfeats = nil, nil
+		d.db.link(batch)
+		for _, p := range batch {
+			if p.err != nil {
+				return p.err
+			}
 		}
-		if mm.SketchSource == featSourceLegacyRaw {
-			sk = nil
-		}
-		return d.db.adopt(id, fs, feats, zfeats, sk)
-	})
+	}
+	return nil
+}
+
+// adoptRecord reads, decodes and profiles one tier record, outside every
+// lock. Stored feature vectors and sketches are restored verbatim, except
+// those the manifest says derive from archived raws
+// (featSourceLegacyRaw): they would bound a form no query verifies
+// against, so they are rebuilt from the comparison form.
+func (d *dirStore) adoptRecord(e segment.LiveEntry, mm manifestMeta) (*Record, error) {
+	payload, err := e.Read()
+	if err != nil {
+		return nil, err
+	}
+	fs, feats, zfeats, sk, err := decodeRecordPayload(d.db, e.ID, payload)
+	if err != nil {
+		return nil, err
+	}
+	if mm.FeatSource == featSourceLegacyRaw {
+		feats, zfeats = nil, nil
+	}
+	if mm.SketchSource == featSourceLegacyRaw {
+		sk = nil
+	}
+	profile, err := feature.Extract(fs, d.db.cfg.Delta)
+	if err != nil {
+		return nil, fmt.Errorf("core: adopting %q: %w", e.ID, err)
+	}
+	rec := &Record{ID: e.ID, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
+	rec.setRep(fs)
+	d.db.derive(rec)
+	return rec, nil
 }
 
 func (d *dirStore) segmentStats() (segment.Stats, bool) { return d.segs.Stats(), true }

@@ -101,104 +101,6 @@ func (fs *FunctionSeries) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads a representation from r, validating structure.
-func Decode(r io.Reader) (*FunctionSeries, error) {
-	return decode(bufio.NewReader(r))
-}
-
-// byteReader is what decode reads from: a bufio.Reader over a stream, or
-// a bytes.Reader over a payload already in memory.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-func decode(br byteReader) (*FunctionSeries, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("rep: decode magic: %w", err)
-	}
-	if magic != codecMagic {
-		return nil, fmt.Errorf("rep: bad magic %q", magic)
-	}
-	version, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("rep: decode version: %w", err)
-	}
-	if version != codecVersion {
-		return nil, fmt.Errorf("rep: unsupported version %d", version)
-	}
-	var u32 [4]byte
-	getU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(u32[:]), nil
-	}
-	var u64 [8]byte
-	getF64 := func() (float64, error) {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(u64[:])), nil
-	}
-	n, err := getU32()
-	if err != nil {
-		return nil, fmt.Errorf("rep: decode n: %w", err)
-	}
-	k, err := getU32()
-	if err != nil {
-		return nil, fmt.Errorf("rep: decode segment count: %w", err)
-	}
-	if k == 0 || k > n {
-		return nil, fmt.Errorf("rep: implausible segment count %d for %d samples", k, n)
-	}
-	// k is untrusted until the segments behind it have actually been
-	// read: reserve for a plausible few and let append follow the stream.
-	fs := &FunctionSeries{N: int(n), Segments: make([]Segment, 0, min(k, 64))}
-	for i := uint32(0); i < k; i++ {
-		var sg Segment
-		lo, err := getU32()
-		if err != nil {
-			return nil, fmt.Errorf("rep: decode segment %d: %w", i, err)
-		}
-		hi, err := getU32()
-		if err != nil {
-			return nil, fmt.Errorf("rep: decode segment %d: %w", i, err)
-		}
-		sg.Lo, sg.Hi = int(lo), int(hi)
-		for _, dst := range []*float64{&sg.StartT, &sg.StartV, &sg.EndT, &sg.EndV} {
-			if *dst, err = getF64(); err != nil {
-				return nil, fmt.Errorf("rep: decode segment %d: %w", i, err)
-			}
-		}
-		kindByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("rep: decode segment %d kind: %w", i, err)
-		}
-		sg.Kind = fit.Kind(kindByte)
-		var u16 [2]byte
-		if _, err := io.ReadFull(br, u16[:]); err != nil {
-			return nil, fmt.Errorf("rep: decode segment %d param count: %w", i, err)
-		}
-		pc := binary.LittleEndian.Uint16(u16[:])
-		if pc > maxParams {
-			return nil, fmt.Errorf("rep: segment %d claims %d params, max %d", i, pc, maxParams)
-		}
-		sg.Params = make([]float64, pc)
-		for j := range sg.Params {
-			if sg.Params[j], err = getF64(); err != nil {
-				return nil, fmt.Errorf("rep: decode segment %d param %d: %w", i, j, err)
-			}
-		}
-		fs.Segments = append(fs.Segments, sg)
-	}
-	if err := fs.Validate(); err != nil {
-		return nil, fmt.Errorf("rep: decoded series invalid: %w", err)
-	}
-	return fs, nil
-}
-
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (fs *FunctionSeries) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
@@ -210,16 +112,75 @@ func (fs *FunctionSeries) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 // data must hold exactly one encoded series: trailing bytes are rejected,
-// so every accepted blob re-encodes to itself.
+// so every accepted blob re-encodes to itself. A first pass checks every
+// length against the bytes there and counts the parameters; the second
+// fills the segments and one parameter array that every segment gets a
+// capacity-clipped window of, so decoding costs the same two
+// allocations however many segments there are, and none for bytes a
+// length only claims.
 func (fs *FunctionSeries) UnmarshalBinary(data []byte) error {
-	br := bytes.NewReader(data)
-	decoded, err := decode(br)
-	if err != nil {
-		return err
+	const (
+		head    = 4 + 1 + 4 + 4       // magic, version, n, k
+		segHead = 4 + 4 + 4*8 + 1 + 2 // lo, hi, endpoints, kind, paramCount
+	)
+	switch {
+	case len(data) < 4:
+		return fmt.Errorf("rep: decode magic: %w", io.ErrUnexpectedEOF)
+	case [4]byte(data[:4]) != codecMagic:
+		return fmt.Errorf("rep: bad magic %q", data[:4])
+	case len(data) < 5:
+		return fmt.Errorf("rep: decode version: %w", io.ErrUnexpectedEOF)
+	case data[4] != codecVersion:
+		return fmt.Errorf("rep: unsupported version %d", data[4])
+	case len(data) < head:
+		return fmt.Errorf("rep: decode header: %w", io.ErrUnexpectedEOF)
 	}
-	if br.Len() > 0 {
+	n, k := binary.LittleEndian.Uint32(data[5:]), binary.LittleEndian.Uint32(data[9:])
+	if k == 0 || k > n {
+		return fmt.Errorf("rep: implausible segment count %d for %d samples", k, n)
+	}
+	off, total := head, 0
+	for i := uint32(0); i < k; i++ {
+		if len(data)-off < segHead {
+			return fmt.Errorf("rep: decode segment %d: %w", i, io.ErrUnexpectedEOF)
+		}
+		pc := int(binary.LittleEndian.Uint16(data[off+segHead-2:]))
+		if pc > maxParams {
+			return fmt.Errorf("rep: segment %d claims %d params, max %d", i, pc, maxParams)
+		}
+		if off += segHead; len(data)-off < 8*pc {
+			return fmt.Errorf("rep: decode segment %d params: %w", i, io.ErrUnexpectedEOF)
+		}
+		off += 8 * pc
+		total += pc
+	}
+	if off != len(data) {
 		return fmt.Errorf("rep: trailing bytes after the encoded series")
 	}
-	*fs = *decoded
+
+	f64 := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+	out := FunctionSeries{N: int(n), Segments: make([]Segment, k)}
+	params := make([]float64, total)
+	off = head
+	for i := range out.Segments {
+		b := data[off : off+segHead]
+		pc := int(binary.LittleEndian.Uint16(b[segHead-2:]))
+		sg := Segment{
+			Lo: int(binary.LittleEndian.Uint32(b)), Hi: int(binary.LittleEndian.Uint32(b[4:])),
+			StartT: f64(b[8:]), StartV: f64(b[16:]), EndT: f64(b[24:]), EndV: f64(b[32:]),
+			Kind: fit.Kind(b[40]), Params: params[:pc:pc],
+		}
+		off += segHead
+		for j := range sg.Params {
+			sg.Params[j] = f64(data[off+8*j:])
+		}
+		off += 8 * pc
+		params = params[pc:]
+		out.Segments[i] = sg
+	}
+	if err := out.Validate(); err != nil {
+		return fmt.Errorf("rep: decoded series invalid: %w", err)
+	}
+	*fs = out
 	return nil
 }

@@ -1,7 +1,6 @@
 package rep
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -9,8 +8,8 @@ import (
 	"seqrep/internal/synth"
 )
 
-// Decode must never panic: random corruptions of a valid blob either decode
-// to a valid series or fail with an error.
+// UnmarshalBinary must never panic: random corruptions of a valid blob
+// either decode to a valid series or fail with an error.
 func TestDecodeRobustToRandomCorruption(t *testing.T) {
 	fever, err := synth.Fever(synth.FeverOpts{Samples: 97})
 	if err != nil {
@@ -36,25 +35,26 @@ func TestDecodeRobustToRandomCorruption(t *testing.T) {
 		for flips := 1 + rng.Intn(4); flips > 0; flips-- {
 			mutated[rng.Intn(len(mutated))] ^= byte(1 + rng.Intn(255))
 		}
-		decoded, err := Decode(bytes.NewReader(mutated))
-		if err != nil {
+		var decoded FunctionSeries
+		if err := decoded.UnmarshalBinary(mutated); err != nil {
 			continue // rejection is fine
 		}
 		// If it decoded, it must satisfy the validator (i.e. mutation hit
 		// payload floats, not structure).
 		if err := decoded.Validate(); err != nil {
-			t.Fatalf("trial %d: Decode returned invalid series: %v", trial, err)
+			t.Fatalf("trial %d: UnmarshalBinary returned invalid series: %v", trial, err)
 		}
 	}
 }
 
-// Decode must also survive entirely random input.
+// UnmarshalBinary must also survive entirely random input.
 func TestDecodeRobustToRandomBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	for trial := 0; trial < 500; trial++ {
 		buf := make([]byte, rng.Intn(256))
 		rng.Read(buf)
-		if fs, err := Decode(bytes.NewReader(buf)); err == nil {
+		var fs FunctionSeries
+		if err := fs.UnmarshalBinary(buf); err == nil {
 			if err := fs.Validate(); err != nil {
 				t.Fatalf("trial %d: random bytes decoded to invalid series", trial)
 			}
@@ -81,7 +81,8 @@ func TestDecodeEveryTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := Decode(bytes.NewReader(blob[:cut])); err == nil {
+		var fs FunctionSeries
+		if err := fs.UnmarshalBinary(blob[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(blob))
 		}
 	}

@@ -238,6 +238,43 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalBinaryAllocs: decoding costs one allocation for the
+// segments and one for every parameter they hold, however many segments
+// the series has (a decoder allocating per segment fails the equality).
+func TestUnmarshalBinaryAllocs(t *testing.T) {
+	lines := func(k int) []byte {
+		fs := &FunctionSeries{N: 3 * k}
+		for i := 0; i < k; i++ {
+			lo := 3 * i
+			fs.Segments = append(fs.Segments, Segment{
+				Lo: lo, Hi: lo + 2, StartT: float64(lo), EndT: float64(lo + 2),
+				Kind: fit.KindLine, Params: []float64{1, float64(i)},
+			})
+		}
+		blob, err := fs.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	var allocs []float64
+	for _, k := range []int{1, 40} {
+		blob := lines(k)
+		var fs FunctionSeries
+		allocs = append(allocs, testing.AllocsPerRun(50, func() {
+			if err := fs.UnmarshalBinary(blob); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if fs.NumSegments() != k {
+			t.Fatalf("decoded %d segments, want %d", fs.NumSegments(), k)
+		}
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 3 {
+		t.Fatalf("allocations per decode: %v for 1 segment, %v for 40; want equal and at most 3", allocs[0], allocs[1])
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	_, fs := buildFever(t, nil)
 	data, err := fs.MarshalBinary()

@@ -219,14 +219,15 @@ func writeFull(w io.Writer, p []byte) error {
 // disk and are read on demand, optionally through a shared Cache. Safe
 // for concurrent use — reads go through (*os.File).ReadAt.
 type Reader struct {
-	path  string
-	f     *os.File
-	size  int64
-	ids   []string
-	flags []byte
-	offs  []int64
-	bloom *bloom
-	cache *Cache
+	path     string
+	f        *os.File
+	size     int64
+	indexOff int64 // where the last entry frame must end
+	ids      []string
+	flags    []byte
+	offs     []int64
+	bloom    *bloom
+	cache    *Cache
 }
 
 // OpenReader validates and opens a segment file. cache may be nil.
@@ -285,13 +286,14 @@ func OpenReader(path string, cache *Cache) (_ *Reader, err error) {
 		return nil, err
 	}
 	r := &Reader{
-		path:  path,
-		f:     f,
-		size:  size,
-		ids:   make([]string, 0, count),
-		flags: make([]byte, 0, count),
-		offs:  make([]int64, 0, count),
-		cache: cache,
+		path:     path,
+		f:        f,
+		size:     size,
+		indexOff: indexOff,
+		ids:      make([]string, 0, count),
+		flags:    make([]byte, 0, count),
+		offs:     make([]int64, 0, count),
+		cache:    cache,
 	}
 	for len(index) > 0 {
 		if len(index) < 3 {
@@ -330,24 +332,23 @@ func OpenReader(path string, cache *Cache) (_ *Reader, err error) {
 }
 
 // readFrameAt reads and CRC-verifies one frame whose head starts at off
-// and whose total length must not exceed limit.
+// and whose total length must not exceed limit, with one pread of limit
+// bytes: every caller knows where the frame's section ends, and limit
+// never reaches past the file.
 func readFrameAt(f *os.File, path string, off, limit int64) ([]byte, error) {
 	if limit < frameHead {
 		return nil, fmt.Errorf("%w: %s: no room for a frame at %d", ErrCorrupt, path, off)
 	}
-	var head [frameHead]byte
-	if _, err := f.ReadAt(head[:], off); err != nil {
+	buf := make([]byte, limit)
+	if _, err := f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("%w: %s frame at %d: %v", ErrCorrupt, path, off, err)
 	}
-	crc := binary.LittleEndian.Uint32(head[:4])
-	blen := binary.LittleEndian.Uint32(head[4:])
+	crc := binary.LittleEndian.Uint32(buf[:4])
+	blen := binary.LittleEndian.Uint32(buf[4:frameHead])
 	if blen > maxBody || int64(blen) > limit-frameHead {
 		return nil, fmt.Errorf("%w: %s frame at %d: implausible body length %d", ErrCorrupt, path, off, blen)
 	}
-	body := make([]byte, blen)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off+frameHead, int64(blen)), body); err != nil {
-		return nil, fmt.Errorf("%w: %s frame at %d: %v", ErrCorrupt, path, off, err)
-	}
+	body := buf[frameHead : frameHead+int64(blen)]
 	if got := crc32.Checksum(body, crcTable); got != crc {
 		return nil, fmt.Errorf("%w: %s frame at %d: crc %08x, computed %08x", ErrCorrupt, path, off, crc, got)
 	}
@@ -406,22 +407,29 @@ func (r *Reader) Get(id string) (payload []byte, tombstone, ok bool, err error) 
 	return p, false, true, nil
 }
 
-// payloadAt reads entry i's payload frame from disk, through the shared
-// cache when one is attached.
+// payloadAt reads entry i's payload, through the shared cache when one
+// is attached.
 func (r *Reader) payloadAt(i int) ([]byte, error) {
 	key := cacheKey{path: r.path, off: r.offs[i]}
 	if p, ok := r.cache.get(key); ok {
 		return p, nil
 	}
-	end := r.size - trailerSize
+	payload, err := r.readEntry(i)
+	if err != nil {
+		return nil, err
+	}
+	r.cache.put(key, payload)
+	return payload, nil
+}
+
+// readEntry reads entry i's frame from disk with one pread and checks it
+// holds the id the index names. Frames are contiguous, so entry i's
+// frame ends where the next begins, or, for the last entry, where the
+// index begins.
+func (r *Reader) readEntry(i int) ([]byte, error) {
+	end := r.indexOff
 	if i+1 < len(r.offs) {
 		end = r.offs[i+1]
-	} else {
-		// Last entry: its frame ends where the index begins. The index
-		// offset was validated at open; recompute it from the trailer is
-		// unnecessary — any offset between frames fails the CRC anyway —
-		// but bound the read to the file.
-		end = r.size
 	}
 	body, err := readFrameAt(r.f, r.path, r.offs[i], end-r.offs[i])
 	if err != nil {
@@ -434,9 +442,7 @@ func (r *Reader) payloadAt(i int) ([]byte, error) {
 	if len(body) < 3+idLen || string(body[3:3+idLen]) != r.ids[i] {
 		return nil, fmt.Errorf("%w: %s: entry %d id does not match its index", ErrCorrupt, r.path, i)
 	}
-	payload := body[3+idLen:]
-	r.cache.put(key, payload)
-	return payload, nil
+	return body[3+idLen:], nil
 }
 
 // Close releases the underlying file.

@@ -2,11 +2,14 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"seqrep/internal/store"
@@ -218,4 +221,167 @@ func TestSegmentEmptyAndSingle(t *testing.T) {
 		}
 		r.Close()
 	}
+}
+
+// TestLastFrameBoundedByIndex: the last entry's frame ends where the
+// index begins, so a length field claiming bytes of the index is an
+// implausible length, refused before any CRC is computed, by the cached
+// lookup and the boot read alike.
+func TestLastFrameBoundedByIndex(t *testing.T) {
+	path, entries := writeTestSegment(t, 5)
+	last := entries[len(entries)-1]
+	if last.Tombstone {
+		t.Fatal("fixture: the last entry must carry a payload")
+	}
+	r, err := OpenReader(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, indexOff := r.offs[len(r.offs)-1], r.indexOff
+	r.Close()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(whole[off+4:], uint32(indexOff-off-frameHead+1))
+	if err := os.WriteFile(path, whole, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err = OpenReader(path, NewCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	_, _, _, gerr := r.Get(last.ID)
+	live := liveEntries([]*Reader{r})
+	_, rerr := live[len(live)-1].Read()
+	for _, err := range []error{gerr, rerr} {
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "implausible body length") {
+			t.Fatalf("last frame reaching into the index: %v, want ErrCorrupt for an implausible length", err)
+		}
+	}
+}
+
+// TestLiveReadBypassesCache: boot reads every live payload once, so the
+// boot read leaves the shared cache as it found it.
+func TestLiveReadBypassesCache(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), -1)
+	flushN(t, s, 0, 20, 1)
+	for _, e := range s.Live() {
+		if _, err := e.Read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats().Cache; st.Entries != 0 || st.Misses != 0 {
+		t.Fatalf("boot reads touched the cache: %+v", st)
+	}
+}
+
+// segmentBoundaries walks a valid segment file and returns the offset at
+// which each field ends: header fields, every frame's head and body
+// fields, and the trailer's.
+func segmentBoundaries(file []byte) []int {
+	var ends []int
+	off := 0
+	field := func(n int) { off += n; ends = append(ends, off) }
+	field(4) // magic
+	count := int(binary.LittleEndian.Uint32(file[off:]))
+	field(4)
+	for f := 0; f < count+2; f++ { // entries, index, bloom
+		blen := int(binary.LittleEndian.Uint32(file[off+4:]))
+		field(4) // crc
+		field(4) // body length
+		if f < count {
+			idLen := int(binary.LittleEndian.Uint16(file[off+1:]))
+			field(1) // flags
+			field(2) // id length
+			field(idLen)
+			field(blen - 3 - idLen) // payload
+			continue
+		}
+		field(blen)
+	}
+	for _, n := range []int{8, 8, 4, 4, 4} { // trailer
+		field(n)
+	}
+	return ends
+}
+
+// allocated reports the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzSegmentFile: a mutated three-entry segment (one entry a
+// tombstone) either fails to open, or serves every entry, through the
+// cached lookup and the boot read, as the written payload or
+// ErrCorrupt. Nothing panics, and no read allocates more than the file
+// holds, whatever its length fields claim.
+func FuzzSegmentFile(f *testing.F) {
+	entries := []Entry{
+		{ID: "alpha", Payload: bytes.Repeat([]byte("a"), 1024)},
+		{ID: "beta", Tombstone: true},
+		{ID: "gamma", Payload: bytes.Repeat([]byte("g"), 1024)},
+	}
+	path := filepath.Join(f.TempDir(), "seg-0000000000000000.sseg")
+	if err := WriteFile(path, entries, nil); err != nil {
+		f.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)
+	for _, end := range segmentBoundaries(whole) {
+		f.Add(whole[:end])
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.sseg")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(path, nil)
+		if err != nil {
+			return
+		}
+		defer r.Close()
+		budget := uint64(len(file))
+		served := func(how string, e Entry, p []byte, err error, alloc uint64) {
+			t.Helper()
+			if alloc > budget {
+				t.Fatalf("%s(%q) allocated %d bytes for a %d-byte file", how, e.ID, alloc, budget)
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s(%q): %v, want ErrCorrupt", how, e.ID, err)
+			}
+			if err == nil && !bytes.Equal(p, e.Payload) {
+				t.Fatalf("%s(%q) served wrong bytes without an error", how, e.ID)
+			}
+		}
+		live := map[string]LiveEntry{}
+		for _, le := range liveEntries([]*Reader{r}) {
+			live[le.ID] = le
+		}
+		for _, e := range entries {
+			var (
+				p         []byte
+				tomb, ok  bool
+				err       error
+				_, listed = live[e.ID]
+			)
+			alloc := allocated(func() { p, tomb, ok, err = r.Get(e.ID) })
+			if err == nil && (!ok || tomb != e.Tombstone) || listed == e.Tombstone {
+				t.Fatalf("%q: found %v, tombstone %v, listed live %v; want tombstone %v", e.ID, ok, tomb, listed, e.Tombstone)
+			}
+			served("Get", e, p, err, alloc)
+			if listed {
+				alloc = allocated(func() { p, err = live[e.ID].Read() })
+				served("Read", e, p, err, alloc)
+			}
+		}
+	})
 }

@@ -6,7 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -288,37 +288,38 @@ func (s *Store) Get(id string) (payload []byte, tombstone, found bool, err error
 	return nil, false, false, nil
 }
 
-// Iterate calls fn for every live record in the overlay (newest-wins,
-// tombstones excluded), in ascending id order. The payload slice is
-// owned by the iteration: callers must copy it to retain it.
-func (s *Store) Iterate(fn func(id string, payload []byte) error) error {
-	s.mu.RLock()
-	readers := make([]*Reader, len(s.readers))
-	copy(readers, s.readers)
-	s.mu.RUnlock()
-	merged, err := mergeEntries(readers, false)
-	if err != nil {
-		return err
-	}
-	for _, e := range merged {
-		if err := fn(e.ID, e.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
+// LiveEntry names one live record of the overlay: the newest entry for
+// its id, which is not a tombstone. It stays readable until the store's
+// next Compact or Close.
+type LiveEntry struct {
+	ID string
+	r  *Reader
+	i  int
 }
 
-// mergeEntries materializes the newest-wins merge of readers in
-// ascending id order. keepTombstones retains deletion markers (used by
-// nothing today — a full merge always drops them — but keeps the merge
-// honest if partial compaction ever arrives).
-func mergeEntries(readers []*Reader, keepTombstones bool) ([]Entry, error) {
-	// Newest-wins by visiting newest readers first and keeping the first
-	// entry seen per id. Segment sizes here are bounded by checkpoint
-	// deltas, so an in-memory merge is fine; a heap-based streaming merge
-	// is the upgrade path if segments ever outgrow RAM.
+// Live lists the overlay's live records (newest-wins, tombstones
+// excluded) in ascending id order, without reading any payload: boot
+// lists them once and reads them with LiveEntry.Read on as many
+// goroutines as it likes.
+func (s *Store) Live() []LiveEntry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return liveEntries(s.readers)
+}
+
+// Read returns the entry's payload: one pread of its whole frame, CRC
+// and id checked, bypassing the cache (what boot reads once, nothing
+// reads through the cache again). Safe for concurrent use.
+func (e LiveEntry) Read() ([]byte, error) { return e.r.readEntry(e.i) }
+
+// liveEntries is the newest-wins merge of readers in ascending id order:
+// newest readers are visited first and the first entry seen per id
+// wins. Segment sizes here are bounded by checkpoint deltas, so an
+// in-memory merge is fine; a heap-based streaming merge is the upgrade
+// path if segments ever outgrow RAM.
+func liveEntries(readers []*Reader) []LiveEntry {
 	seen := make(map[string]bool)
-	var out []Entry
+	var out []LiveEntry
 	for i := len(readers) - 1; i >= 0; i-- {
 		r := readers[i]
 		for j, id := range r.ids {
@@ -326,21 +327,13 @@ func mergeEntries(readers []*Reader, keepTombstones bool) ([]Entry, error) {
 				continue
 			}
 			seen[id] = true
-			if r.flags[j]&flagTombstone != 0 {
-				if keepTombstones {
-					out = append(out, Entry{ID: id, Tombstone: true})
-				}
-				continue
+			if r.flags[j]&flagTombstone == 0 {
+				out = append(out, LiveEntry{ID: id, r: r, i: j})
 			}
-			p, err := r.payloadAt(j)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Entry{ID: id, Payload: p})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out, nil
+	slices.SortFunc(out, func(a, b LiveEntry) int { return strings.Compare(a.ID, b.ID) })
+	return out
 }
 
 // Compact merges all live segments into one, dropping tombstones, when
@@ -353,9 +346,14 @@ func (s *Store) Compact() (bool, error) {
 	if s.compactThreshold <= 0 || len(s.readers) < s.compactThreshold {
 		return false, nil
 	}
-	merged, err := mergeEntries(s.readers, false)
-	if err != nil {
-		return false, err
+	live := liveEntries(s.readers)
+	merged := make([]Entry, len(live))
+	for i, e := range live {
+		p, err := e.r.payloadAt(e.i)
+		if err != nil {
+			return false, err
+		}
+		merged[i] = Entry{ID: e.ID, Payload: p}
 	}
 
 	var newReaders []*Reader

@@ -73,22 +73,28 @@ func TestStoreFlushGetOverlay(t *testing.T) {
 		if string(s.Meta()) != `{"v":1}` {
 			t.Fatalf("%s: Meta = %q", label, s.Meta())
 		}
-		// Iterate must exclude the tombstoned id and apply the overwrite.
+		// The live listing must exclude the tombstoned id, apply the
+		// overwrite and come in id order.
 		seen := map[string]string{}
-		if err := s.Iterate(func(id string, p []byte) error {
-			seen[id] = string(append([]byte(nil), p...))
-			return nil
-		}); err != nil {
-			t.Fatalf("%s: Iterate: %v", label, err)
+		live := s.Live()
+		for i, e := range live {
+			if i > 0 && live[i-1].ID >= e.ID {
+				t.Fatalf("%s: Live out of id order at %q", label, e.ID)
+			}
+			p, err := e.Read()
+			if err != nil {
+				t.Fatalf("%s: Read(%q): %v", label, e.ID, err)
+			}
+			seen[e.ID] = string(p)
 		}
 		if len(seen) != 9 {
-			t.Fatalf("%s: Iterate saw %d live records, want 9", label, len(seen))
+			t.Fatalf("%s: Live listed %d live records, want 9", label, len(seen))
 		}
 		if seen["rec-00003"] != "updated" {
-			t.Fatalf("%s: Iterate served stale rec-00003 %q", label, seen["rec-00003"])
+			t.Fatalf("%s: Live served stale rec-00003 %q", label, seen["rec-00003"])
 		}
 		if _, ok := seen["rec-00005"]; ok {
-			t.Fatalf("%s: Iterate served tombstoned rec-00005", label)
+			t.Fatalf("%s: Live served tombstoned rec-00005", label)
 		}
 	}
 	check(s, "live")
