@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"seqrep/internal/breaking"
+	"seqrep/internal/dist"
 	"seqrep/internal/feature"
 	"seqrep/internal/filter"
 	"seqrep/internal/fit"
@@ -465,22 +466,45 @@ func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
 // derive computes the feature vectors and the sketch the database keeps
 // and rec lacks, from rec's comparison form: all of them on a build,
 // none on a boot that restores them, all on a boot of a legacy raw-
-// derived directory.
+// derived directory. The comparison form is reconstructed once and
+// z-normalized once, into pooled scratch that every derivation reads,
+// so a record allocates only what it keeps. A representation that does
+// not reconstruct leaves the record unindexed (nil features): it is then
+// always a verification candidate, so the planner degrades to the scan
+// for exactly the records the scan would also have trouble reading.
 func (db *DB) derive(rec *Record) {
 	needFeats := db.findex != nil && rec.feats == nil
 	needSketch := db.cfg.SketchBlock > 0 && rec.sketch == nil
-	if !needFeats && !needSketch {
+	// Only called at build/adopt time, when the representation was just
+	// installed: a nil pointer would mean a construction bug.
+	fs := rec.rep.Load()
+	if (!needFeats && !needSketch) || fs == nil {
 		return
 	}
-	if vals, ok := comparisonValues(rec); ok {
-		if needFeats {
-			db.findex.computeFeatures(rec, vals)
-		}
-		if needSketch {
-			rec.sketch = multires.BuildSketch(vals, db.cfg.SketchBlock)
-		}
+	sc := derivePool.Get().(*deriveScratch)
+	defer derivePool.Put(sc)
+	pts, err := fs.AppendReconstruction(sc.pts[:0])
+	if err != nil {
+		return
+	}
+	sc.pts, sc.vals = pts, pts.AppendValues(sc.vals[:0])
+	sc.zvals = dist.ZNormalizeInto(sc.zvals, sc.vals)
+	if needFeats {
+		db.findex.computeFeatures(rec, sc.vals, sc.zvals)
+	}
+	if needSketch {
+		rec.sketch = multires.BuildSketchZ(sc.vals, sc.zvals, db.cfg.SketchBlock)
 	}
 }
+
+// deriveScratch is derive's working set: a record's reconstruction, its
+// values and their z-normalization.
+type deriveScratch struct {
+	pts         seq.Sequence
+	vals, zvals []float64
+}
+
+var derivePool = sync.Pool{New: func() any { return new(deriveScratch) }}
 
 // pending is one batch item on its way through ingest: its built record
 // and log payload, or the error that stopped it.

@@ -5,15 +5,19 @@ package core
 // batch) against the same records ingested one at a time (each append
 // paying its own fsync). Batched runs 64-item batches on 16 workers;
 // Batch2000 runs 2 000-item batches at the default Workers, the shape of
-// a bulk load, and reports the fsyncs each batch cost. Representation
-// building shares the clock with the fsyncs here, so the batch/serial
-// gap is a lower bound on the group-commit win — internal/wal's
+// a bulk load, and reports the fsyncs each batch cost. Corpus2000 runs
+// 2 000-item batches shaped like the bench/ corpus (featureCorpus) and
+// reports ms/batch and allocs/record: the build's derivation cost.
+// Representation building shares the clock with the fsyncs here, so the
+// batch/serial gap is a lower bound on the group-commit win — internal/wal's
 // BenchmarkWALIngest isolates it at the log layer and enforces the 5x
 // floor.
 
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -73,6 +77,32 @@ func BenchmarkDurableIngest(b *testing.B) {
 		after, _ := db.WALStats()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bulk), "ns/record")
 		b.ReportMetric(float64(after.Syncs-before.Syncs)/float64(b.N), "fsyncs/batch")
+	})
+	b.Run("Corpus2000", func(b *testing.B) {
+		db := openBench(b, 0)
+		base := featureCorpus(b, rand.New(rand.NewSource(2)), bulk)
+		var mallocs uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			items := make([]BatchItem, bulk)
+			for j, it := range base {
+				items[j] = BatchItem{ID: fmt.Sprintf("c%05d-%s", i, it.ID), Seq: it.Seq}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.StartTimer()
+			if _, err := db.IngestBatch(items); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+			b.StartTimer()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/batch")
+		b.ReportMetric(float64(mallocs)/float64(b.N*bulk), "allocs/record")
 	})
 	b.Run("OneAtATime", func(b *testing.B) {
 		db := openBench(b, workers)
@@ -143,4 +173,58 @@ func BenchmarkOpenDir(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*(records+arm.tail)), "allocs/record")
 		})
 	}
+}
+
+// BenchmarkCheckpointFull measures a full checkpoint: every record of a
+// 10 000-record directory shaped like the bench/ corpus is dirty (ingested
+// in five 2 000-item batches and never checkpointed), and one Checkpoint
+// encodes them all on the worker pool and writes the first segment. Each
+// iteration boots a fresh copy of the directory outside the clock. It
+// reports ms/ckpt and allocs/record.
+func BenchmarkCheckpointFull(b *testing.B) {
+	const records, batches = 10000, 5
+	src := b.TempDir()
+	db, err := OpenDir(src, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus := featureCorpus(b, rand.New(rand.NewSource(1)), records)
+	for lo := 0; lo < records; lo += records / batches {
+		if _, err := db.IngestBatch(corpus[lo : lo+records/batches]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "ckpt")
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			b.Fatal(err)
+		}
+		db, err := OpenDir(dir, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		if err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		if st, _ := db.SegmentStats(); st.Segments != 1 {
+			b.Fatalf("checkpoint left %d segments, want 1", st.Segments)
+		}
+		db.Close()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/ckpt")
+	b.ReportMetric(float64(mallocs)/float64(b.N*records), "allocs/record")
 }

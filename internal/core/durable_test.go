@@ -717,3 +717,132 @@ func TestBootEqualsLive(t *testing.T) {
 		t.Fatalf("boots differ by worker count: Recovery %+v vs %+v, Generation %d vs %d", stats[0], stats[1], gens[0], gens[1])
 	}
 }
+
+// TestCheckpointWorkersDeterministic: the checkpoint encodes on the
+// worker pool, each payload into its id's slot, so one database state
+// checkpointed at 1 and at 4 workers writes byte-identical segment files
+// — live payloads and tombstones, in id order.
+func TestCheckpointWorkersDeterministic(t *testing.T) {
+	src := t.TempDir()
+	db, err := OpenDir(src, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	corpus := featureCorpus(t, rand.New(rand.NewSource(37)), 600)
+	if _, err := db.IngestBatch(corpus[:300]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// The dirty set the checkpoints below flush: new records, records
+	// removed since the last checkpoint, and one removed and re-ingested.
+	if _, err := db.IngestBatch(corpus[300:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range append(corpus[:1:1], append(corpus[290:300], corpus[590:]...)...) {
+		if err := db.Remove(it.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustIngest(t, db, corpus[0].ID, corpus[1].Seq)
+
+	var want map[string][]byte
+	for _, workers := range []int{1, 4} {
+		dir := filepath.Join(t.TempDir(), "state")
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		booted, err := OpenDir(dir, Config{Workers: workers})
+		if err != nil {
+			t.Fatalf("Workers %d: %v", workers, err)
+		}
+		if err := booted.Checkpoint(); err != nil {
+			t.Fatalf("Workers %d: %v", workers, err)
+		}
+		if err := booted.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte)
+		entries, err := os.ReadDir(filepath.Join(dir, SegmentsDirName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if _, err := os.Stat(filepath.Join(src, SegmentsDirName, e.Name())); err == nil {
+				continue // the manifest, or a segment the source already had
+			}
+			b, err := os.ReadFile(filepath.Join(dir, SegmentsDirName, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = b
+		}
+		if len(files) == 0 {
+			t.Fatalf("Workers %d: the checkpoint wrote no segment file", workers)
+		}
+		if want == nil {
+			want = files
+			continue
+		}
+		if len(files) != len(want) {
+			t.Fatalf("Workers %d: %d segment files, want %d", workers, len(files), len(want))
+		}
+		for name, b := range want {
+			if !bytes.Equal(files[name], b) {
+				t.Errorf("Workers %d: segment file %s differs from the 1-worker checkpoint's", workers, name)
+			}
+		}
+	}
+}
+
+// FuzzWALPayloads: replay's payload decoders never panic on arbitrary
+// bytes, never allocate past a small multiple of their length, and
+// whatever they accept re-encodes to exactly the bytes they were given.
+// Both decoders see every input; the seeds cut a valid ingest and a valid
+// remove payload at every field boundary.
+func FuzzWALPayloads(f *testing.F) {
+	ingest, err := encodeWALIngest("rec-7", durSeq(7)[:3])
+	if err != nil {
+		f.Fatal(err)
+	}
+	remove, err := encodeWALRemove("rec-7")
+	if err != nil {
+		f.Fatal(err)
+	}
+	idEnd := 2 + len("rec-7")
+	for _, end := range []int{0, 1, 2, idEnd, idEnd + 4} {
+		f.Add(ingest[:end])
+	}
+	for end := idEnd + 4 + 8; end <= len(ingest); end += 8 { // every t and v
+		f.Add(ingest[:end])
+	}
+	f.Add(remove)
+	f.Add(append(bytes.Clone(remove), 0))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var (
+			id  string
+			s   seq.Sequence
+			err error
+		)
+		if got := allocated(func() { id, s, err = decodeWALIngest(payload) }); got > allocBudget(len(payload)) {
+			t.Fatalf("ingest decode of %d bytes allocated %d, budget %d", len(payload), got, allocBudget(len(payload)))
+		}
+		if err == nil {
+			again, err := encodeWALIngest(id, s)
+			if err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("accepted ingest payload re-encodes differently (err %v):\n in  %x\n out %x", err, payload, again)
+			}
+		}
+		if got := allocated(func() { id, err = decodeWALRemove(payload) }); got > allocBudget(len(payload)) {
+			t.Fatalf("remove decode of %d bytes allocated %d, budget %d", len(payload), got, allocBudget(len(payload)))
+		}
+		if err == nil {
+			again, err := encodeWALRemove(id)
+			if err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("accepted remove payload re-encodes differently (err %v):\n in  %x\n out %x", err, payload, again)
+			}
+		}
+	})
+}

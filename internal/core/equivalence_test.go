@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"seqrep/internal/breaking"
+	"seqrep/internal/dft"
 	"seqrep/internal/dist"
 	"seqrep/internal/seq"
 	"seqrep/internal/store"
@@ -404,5 +405,98 @@ func TestArchiveDoesNotChangeAnswers(t *testing.T) {
 	}
 	if _, err := archived.Raw("a-00"); err != nil || archive.Stats().Reads != 1 {
 		t.Errorf("Raw through the archive: %v, %d reads", err, archive.Stats().Reads)
+	}
+}
+
+// TestIndexedEqualsScanOnFFTFeatures: a directory stores, for
+// power-of-two lengths, vectors computed by the FFT (dft.Transform).
+// Booted, it must answer every indexed and every progressive query as the
+// scan does, the exact self-match at eps 0 included. Query vectors must
+// therefore come from the same FFT: any other kernel differs by rounding
+// that, on large-valued records, passes lbSlack's fixed whisker and
+// dismisses exact matches.
+func TestIndexedEqualsScanOnFFTFeatures(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.IngestBatch(featureCorpus(t, rand.New(rand.NewSource(5)), 200)); err != nil {
+		t.Fatal(err)
+	}
+	fft := func(vals []float64) []float64 {
+		coeffs := dft.Transform(vals)
+		out := make([]float64, 0, 2*db.findex.k)
+		for _, c := range coeffs[:db.findex.k] {
+			out = append(out, real(c), imag(c))
+		}
+		return out
+	}
+	rewritten := 0
+	for _, id := range db.IDs() {
+		rec, _ := db.Record(id)
+		if rec.N&(rec.N-1) != 0 {
+			continue
+		}
+		s, err := db.Reconstruct(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.feats, rec.zfeats = fft(s.Values()), fft(dist.ZNormalizeValues(s.Values()))
+		rewritten++
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	booted, err := OpenDir(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer booted.Close()
+	if rewritten == 0 {
+		t.Fatal("no power-of-two record to rewrite")
+	}
+	for i, id := range booted.IDs() {
+		if i%3 != 0 {
+			continue
+		}
+		ex, err := booted.Reconstruct(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{0, 1e-9, 0.5} {
+			for _, m := range []dist.Metric{dist.Euclidean, dist.ZEuclidean} {
+				got, st, err := booted.DistanceQueryCtx(context.Background(), ex, m, eps, QueryOptions{})
+				if err != nil || st.Plan != PlanIndex {
+					t.Fatalf("%s %s: plan %s, err %v", id, m.Name(), st.Plan, err)
+				}
+				want, _, _ := booted.distanceScan(ex, m, eps)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s eps %g: indexed %d matches, scan %d", id, m.Name(), eps, len(got), len(want))
+				}
+				var progressive []string
+				if _, err := booted.DistanceQueryProgressive(context.Background(), ex, m, eps, QueryOptions{}, func(pm ProgressiveMatch) bool {
+					if pm.Final && pm.Match != nil {
+						progressive = append(progressive, pm.ID)
+					}
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if len(progressive) != len(want) {
+					t.Fatalf("%s %s eps %g: progressive accepted %v, scan %d matches", id, m.Name(), eps, progressive, len(want))
+				}
+			}
+			got, _, err := booted.ValueQueryCtx(context.Background(), ex, eps, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _, _ := booted.valueScan(ex, eps); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s value eps %g: indexed %d matches, scan %d", id, eps, len(got), len(want))
+			}
+		}
 	}
 }

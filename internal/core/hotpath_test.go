@@ -392,3 +392,35 @@ func TestFeatureQueryAllocs(t *testing.T) {
 	}
 	t.Logf("MatchPattern %.0f allocs, PeakCount %.0f beside %d maps of %.0f", pattern4k, peaks4k, hits, mapAllocs)
 }
+
+// TestDeriveAllocs guards the build's derivation: the comparison form is
+// reconstructed and z-normalized once into pooled scratch that both
+// feature vectors and the sketch read, and the twiddles are cached, so a
+// record of any length allocates only what it keeps — feats, zfeats, the
+// sketch and its two mean slices.
+func TestDeriveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const retained = 5
+	db := mustDB(t, Config{})
+	corpus := featureCorpus(t, rand.New(rand.NewSource(17)), 20)
+	var counts []float64
+	for _, it := range []BatchItem{corpus[0], corpus[12], corpus[17]} { // 128, 97 and 256 samples
+		rec, err := db.build(it.ID, it.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			rec.feats, rec.zfeats, rec.sketch = nil, nil, nil
+			db.derive(rec)
+		})
+		if rec.feats == nil || rec.zfeats == nil || rec.sketch == nil {
+			t.Fatalf("%s: derive left the record unindexed", it.ID)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] || counts[0] > retained {
+		t.Errorf("derive allocates %v for 128, 97 and 256 samples; want one count, at most the %d the record keeps", counts, retained)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"seqrep/internal/dft"
-	"seqrep/internal/dist"
 )
 
 // featIndex is the DB's whole-sequence DFT feature index: per sequence,
@@ -360,35 +359,16 @@ func (ix *featIndex) indexedCount() int {
 }
 
 // computeFeatures derives a record's feature vectors from its comparison
-// form. vals must be the exact samples queries verify the record against.
-func (ix *featIndex) computeFeatures(rec *Record, vals []float64) {
+// form. vals must be the exact samples queries verify the record against,
+// and zvals their dist.ZNormalizeValues.
+func (ix *featIndex) computeFeatures(rec *Record, vals, zvals []float64) {
 	feats, err := dft.Features(vals, ix.k)
 	if err != nil {
 		return // k is validated at construction; defensive only
 	}
-	zfeats, err := dft.Features(dist.ZNormalizeValues(vals), ix.k)
+	zfeats, err := dft.Features(zvals, ix.k)
 	if err != nil {
 		return
 	}
 	rec.feats, rec.zfeats = feats, zfeats
-}
-
-// comparisonValues returns the samples queries verify rec against: the
-// reconstruction of its representation. The bool reports success; on
-// failure the record stays unindexed (nil features) and is always a
-// verification candidate, so the planner's behaviour degrades to the
-// scan's for exactly the records the scan would also have trouble reading.
-func comparisonValues(rec *Record) ([]float64, bool) {
-	// Only called at build/adopt time, when the representation was just
-	// installed — a nil pointer would mean a construction bug, and the
-	// record then simply stays unindexed.
-	fs := rec.rep.Load()
-	if fs == nil {
-		return nil, false
-	}
-	rec2, err := fs.Reconstruct()
-	if err != nil {
-		return nil, false
-	}
-	return rec2.Values(), true
 }

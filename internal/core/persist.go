@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -49,34 +47,34 @@ const (
 // All integers and floats are little-endian. The id is not part of the
 // payload — the segment frame carries it. fs is the record's
 // materialized representation — callers resolve it (hot pointer or
-// fault-in) so encoding itself never touches disk.
+// fault-in) so encoding itself never touches disk. The payload is
+// appended into one buffer sized exactly from the record.
 func encodeRecordPayload(fs *rep.FunctionSeries, rec *Record) ([]byte, error) {
-	blob, err := fs.MarshalBinary()
+	size := 4 + fs.EncodedLen() + 4 + 8*len(rec.feats) + 4 + 8*len(rec.zfeats) + 1
+	if sk := rec.sketch; sk != nil {
+		size += 2*(4+3*8) + 8*(len(sk.Means)+len(sk.ZMeans))
+	}
+	b, err := fs.AppendBinary(make([]byte, 4, size))
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	var u32 [4]byte
-	var f64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(blob)))
-	bw.Write(u32[:])
-	bw.Write(blob)
-	for _, vec := range [][]float64{rec.feats, rec.zfeats} {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(vec)))
-		bw.Write(u32[:])
-		for _, v := range vec {
-			binary.LittleEndian.PutUint64(f64[:], math.Float64bits(v))
-			bw.Write(f64[:])
-		}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	b = appendVector(b, rec.feats)
+	b = appendVector(b, rec.zfeats)
+	return appendSketch(b, rec.sketch), nil
+}
+
+// appendVector appends one length-prefixed float vector.
+func appendVector(b []byte, vec []float64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(vec)))
+	return appendF64s(b, vec...)
+}
+
+func appendF64s(b []byte, vals ...float64) []byte {
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	if err := saveSketch(bw, rec.sketch); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return b
 }
 
 // cursor walks an untrusted payload. Every length prefix is checked
@@ -148,42 +146,17 @@ func decodeRecordPayload(db *DB, id string, payload []byte) (*rep.FunctionSeries
 	return &fs, feats, zfeats, sk, nil
 }
 
-// saveSketch writes one record's sketch payload (a presence byte, then
+// appendSketch appends one record's sketch payload (a presence byte, then
 // both halves of the summary).
-func saveSketch(bw *bufio.Writer, sk *multires.Sketch) error {
+func appendSketch(b []byte, sk *multires.Sketch) []byte {
 	if sk == nil {
-		return bw.WriteByte(0)
+		return append(b, 0)
 	}
-	if err := bw.WriteByte(1); err != nil {
-		return err
-	}
-	var u32 [4]byte
-	var f64 [8]byte
-	for _, half := range []struct {
-		means []float64
-		norms [3]float64
-	}{
-		{sk.Means, [3]float64{sk.R1, sk.R2, sk.Rinf}},
-		{sk.ZMeans, [3]float64{sk.ZR1, sk.ZR2, sk.ZRinf}},
-	} {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(half.means)))
-		if _, err := bw.Write(u32[:]); err != nil {
-			return err
-		}
-		for _, v := range half.means {
-			binary.LittleEndian.PutUint64(f64[:], math.Float64bits(v))
-			if _, err := bw.Write(f64[:]); err != nil {
-				return err
-			}
-		}
-		for _, v := range half.norms {
-			binary.LittleEndian.PutUint64(f64[:], math.Float64bits(v))
-			if _, err := bw.Write(f64[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	b = append(b, 1)
+	b = appendVector(b, sk.Means)
+	b = appendF64s(b, sk.R1, sk.R2, sk.Rinf)
+	b = appendVector(b, sk.ZMeans)
+	return appendF64s(b, sk.ZR1, sk.ZR2, sk.ZRinf)
 }
 
 // loadSketch reads one record's sketch payload, validating the mean

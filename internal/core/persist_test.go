@@ -9,8 +9,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -212,4 +214,55 @@ func FuzzRecordPayload(f *testing.F) {
 			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", payload, again)
 		}
 	})
+}
+
+// TestRecordPayloadGolden pins the record payload layout, and the rep
+// blob inside it, to bytes hashed from the encoder before it became an
+// append: one record of line, polynomial and Bézier segments with feature
+// vectors and a sketch, and one carrying none of them. The payload is
+// appended into a buffer sized exactly from the record.
+func TestRecordPayloadGolden(t *testing.T) {
+	mixed := &rep.FunctionSeries{N: 12, Segments: []rep.Segment{
+		{Lo: 0, Hi: 3, StartT: 0, StartV: 1.5, EndT: 3, EndV: -2.25, Kind: fit.KindLine, Params: []float64{-1.25, 1.5}},
+		{Lo: 4, Hi: 7, StartT: 4, StartV: 0.1, EndT: 7, EndV: 3.3, Kind: fit.KindPoly, Params: []float64{0.1, -0.7, 0.05}},
+		{Lo: 8, Hi: 11, StartT: 8, StartV: -1, EndT: 11, EndV: 2, Kind: fit.KindBezier,
+			Params: []float64{8, -1, 9, 0.5, 10, 1e-300, 11, 2}},
+	}}
+	bare := &rep.FunctionSeries{N: 5, Segments: []rep.Segment{
+		{Lo: 0, Hi: 4, StartT: 0.5, StartV: 2, EndT: 2.5, EndV: -3, Kind: fit.KindPoly, Params: []float64{2, 0.25, -1.0 / 3}},
+	}}
+	sketch := &multires.Sketch{N: 12, Block: 5,
+		Means: []float64{0.25, -1.5, math.Pi}, R1: 4.5, R2: math.Sqrt2, Rinf: 1.75,
+		ZMeans: []float64{-0.5, 0, math.E}, ZR1: 2.25, ZR2: 1.125, ZRinf: math.Copysign(0, -1)}
+	for _, c := range []struct {
+		name        string
+		fs          *rep.FunctionSeries
+		rec         *Record
+		blob, whole string
+	}{
+		{"mixed", mixed, &Record{feats: []float64{1, -2, 0.5, math.MaxFloat64}, zfeats: []float64{-0.125, 3, 1e-17, 7}, sketch: sketch},
+			"e284e059682c4dfcbe011dda93d16a2f4ed462db16a3500e0aad169888a3e22b",
+			"37697b5d0f635c2c6dbc2095a64b9079eff896f4792f0162e512f50d490d0690"},
+		{"none", bare, &Record{},
+			"49c44977c907be4a33e47071baae38ab5f4373a597e3cd8b588a0bb4300ba3b6",
+			"ec0157929600d06b91f46f165ed5a3685fa57379ffd444105ffbea157aeaf629"},
+	} {
+		blob, err := c.fs.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := encodeRecordPayload(c.fs, c.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(payload) != len(payload) {
+			t.Errorf("%s: %d-byte payload in a %d-byte buffer, want it sized exactly", c.name, len(payload), cap(payload))
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != c.blob {
+			t.Errorf("%s: rep blob sha256 %s, want %s", c.name, got, c.blob)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != c.whole {
+			t.Errorf("%s: payload sha256 %s, want %s", c.name, got, c.whole)
+		}
+	}
 }

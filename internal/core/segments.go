@@ -150,7 +150,9 @@ func (d *dirStore) restoreDirty(old map[string]bool) {
 // whose record vanished between the swap and here (removed concurrently)
 // also becomes a tombstone — safe, because the drop only happens after
 // the remove's WAL append fsync'd, so the removal is durable in the log
-// tail this checkpoint leaves behind.
+// tail this checkpoint leaves behind. Payloads are encoded on the worker
+// pool, each into its id's slot, so the entries come out in id order
+// however the pool runs, and a failure reports the lowest failing id.
 //
 // The second return value lists the live records whose payloads went
 // into the entries: once the checkpoint's manifest commits, these are
@@ -162,13 +164,14 @@ func (d *dirStore) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Recor
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	entries := make([]segment.Entry, 0, len(ids))
-	flushed := make([]*Record, 0, len(ids))
-	for _, id := range ids {
-		rec, ok := d.db.Record(id)
+	entries := make([]segment.Entry, len(ids))
+	recs := make([]*Record, len(ids))
+	errs := make([]error, len(ids))
+	d.db.forEachClaimed(len(ids), func(i int) {
+		entries[i] = segment.Entry{ID: ids[i], Tombstone: true}
+		rec, ok := d.db.Record(ids[i])
 		if !ok {
-			entries = append(entries, segment.Entry{ID: id, Tombstone: true})
-			continue
+			return
 		}
 		// A dirty record is pinned resident, so this is a pointer load,
 		// not a fault-in — except the one-time rewrite after a legacy-
@@ -177,18 +180,24 @@ func (d *dirStore) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Recor
 		// the lookup above and here.
 		fs, err := d.db.materialize(rec)
 		if err != nil {
-			if err = d.db.verifyReadError(rec, err); err != nil {
-				return nil, nil, fmt.Errorf("core: encoding %q: %w", id, err)
-			}
-			entries = append(entries, segment.Entry{ID: id, Tombstone: true})
-			continue
+			errs[i] = d.db.verifyReadError(rec, err)
+			return
 		}
 		payload, err := encodeRecordPayload(fs, rec)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: encoding %q: %w", id, err)
+			errs[i] = err
+			return
 		}
-		entries = append(entries, segment.Entry{ID: id, Payload: payload})
-		flushed = append(flushed, rec)
+		entries[i], recs[i] = segment.Entry{ID: ids[i], Payload: payload}, rec
+	})
+	flushed := make([]*Record, 0, len(ids))
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: encoding %q: %w", ids[i], err)
+		}
+		if recs[i] != nil {
+			flushed = append(flushed, recs[i])
+		}
 	}
 	return entries, flushed, nil
 }

@@ -548,7 +548,7 @@ func acrossSourceChange(t *testing.T, legacy, reopens bool, budget int64, check 
 		for id, shift := range shifts {
 			rec, _ := orig.Record(id)
 			raw := fever.ShiftValue(shift).Values()
-			orig.findex.computeFeatures(rec, raw)
+			orig.findex.computeFeatures(rec, raw, dist.ZNormalizeValues(raw))
 			rec.sketch = multires.BuildSketch(raw, orig.cfg.SketchBlock)
 		}
 		mm.FeatSource, mm.SketchSource = featSourceLegacyRaw, featSourceLegacyRaw
@@ -588,7 +588,7 @@ func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
 				}
 				rec, _ := loaded.Record("fever")
 				var want Record
-				loaded.findex.computeFeatures(&want, self.Values())
+				loaded.findex.computeFeatures(&want, self.Values(), dist.ZNormalizeValues(self.Values()))
 				if !reflect.DeepEqual(rec.feats, want.feats) || !reflect.DeepEqual(rec.zfeats, want.zfeats) {
 					t.Error("vectors do not derive from the reconstruction")
 				}

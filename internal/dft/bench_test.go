@@ -1,6 +1,7 @@
 package dft
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -70,4 +71,20 @@ func BenchmarkSubsequenceIncrementalVsRecompute(b *testing.B) {
 	}
 	b.Run("incremental", func(b *testing.B) { run(b, SubsequenceMatch) })
 	b.Run("recompute", func(b *testing.B) { run(b, subsequenceMatchRecompute) })
+}
+
+// BenchmarkFeatures times the feature vector of the bench/ corpus's three
+// lengths with the twiddle cache warm.
+func BenchmarkFeatures(b *testing.B) {
+	for _, n := range []int{97, 128, 256} {
+		vals := randVals(n, 2)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Features(vals, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -164,14 +165,25 @@ func TestFeatures(t *testing.T) {
 	}
 }
 
-// TestFeaturesPrefixBitIdentical: off the FFT path Features computes only
-// the coefficients it keeps, and each must equal the full transform's bit
-// for bit — stored feature vectors must not notice the shortcut.
+// TestFeaturesPrefixBitIdentical: Features computes only the
+// coefficients it keeps, and each must equal Transform's bit for bit on
+// every length, power of two (the FFT) or not (the direct transform) —
+// stored feature vectors must not notice the shortcut, nor which build
+// wrote them. The last length's rows exceed twiddleCap at k = 8, so it
+// runs without a table and caches nothing, and must agree all the same.
 func TestFeaturesPrefixBitIdentical(t *testing.T) {
-	for _, n := range []int{1, 7, 97, 100} {
+	big := twiddleCap/(16*8) + 1
+	for _, n := range []int{1, 7, 8, 64, 97, 100, 128, 256, big} {
 		vals := randVals(n, 15)
-		full := DFT(vals)
-		for _, k := range []int{1, 8, n, n + 3} {
+		ks := []int{1, 8, n, n + 3}
+		var full []complex128
+		if n == big {
+			ks = []int{8, 1}
+			full = dftPrefix(nil, vals, 8, nil) // the prefix DFT runs; the whole O(n²) transform would take minutes
+		} else {
+			full = Transform(vals)
+		}
+		for _, k := range ks {
 			want := make([]float64, 2*k) // k > n pads with zeros
 			for i := 0; i < min(k, n); i++ {
 				want[2*i], want[2*i+1] = real(full[i]), imag(full[i])
@@ -185,8 +197,89 @@ func TestFeaturesPrefixBitIdentical(t *testing.T) {
 					t.Fatalf("n=%d k=%d entry %d: %v != %v", n, k, i, got[i], want[i])
 				}
 			}
+			if n == big && k == 8 {
+				twiddles.mu.RLock()
+				cached := len(twiddles.rows[n])
+				twiddles.mu.RUnlock()
+				if cached >= 8*n {
+					t.Fatalf("n=%d: %d twiddles cached past the %d-byte cap", n, cached, twiddleCap)
+				}
+			}
+		}
+		checkTwiddleBytes(t)
+	}
+}
+
+// TestFeaturesPastCapAllocates: a length whose twiddle rows the cache
+// cannot hold allocates no table — only the vector and the coefficients
+// dftPrefix returns — so a long series costs no more memory than before
+// the cache existed.
+func TestFeaturesPastCapAllocates(t *testing.T) {
+	vals := randVals(twiddleCap/(16*8)+1, 3)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Features(vals, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Features past the cap allocates %v times per call, want at most 2", allocs)
+	}
+}
+
+// checkTwiddleBytes asserts the cache's byte count is what its tables
+// hold and never passes twiddleCap.
+func checkTwiddleBytes(t *testing.T) {
+	t.Helper()
+	twiddles.mu.RLock()
+	defer twiddles.mu.RUnlock()
+	held := 0
+	for _, rows := range twiddles.rows {
+		held += 16 * len(rows)
+	}
+	if held != twiddles.bytes || held > twiddleCap {
+		t.Fatalf("twiddle cache holds %d bytes, counts %d, cap %d", held, twiddles.bytes, twiddleCap)
+	}
+}
+
+// TestFeaturesConcurrent: goroutines filling and growing the twiddle
+// cache for several lengths at once all get the serial answers (run under
+// -race), and the cache stays within its cap.
+func TestFeaturesConcurrent(t *testing.T) {
+	lengths := []int{5, 97, 100, 128, 256, 300}
+	ks := []int{1, 8, 40}
+	want := make(map[[2]int][]float64)
+	for _, n := range lengths {
+		for _, k := range ks {
+			want[[2]int{n, k}], _ = Features(randVals(n, int64(n)), k)
 		}
 	}
+	twiddles.mu.Lock()
+	twiddles.rows, twiddles.bytes = make(map[int][]complex128), 0
+	twiddles.mu.Unlock()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 3 * len(lengths) * len(ks) {
+				n, k := lengths[(i+g)%len(lengths)], ks[(i/len(lengths)+g)%len(ks)]
+				got, err := Features(randVals(n, int64(n)), k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, v := range want[[2]int{n, k}] {
+					if math.Float64bits(got[j]) != math.Float64bits(v) {
+						t.Errorf("n=%d k=%d entry %d: %v != %v", n, k, j, got[j], v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkTwiddleBytes(t)
 }
 
 func TestFeatureDistanceLowerBound(t *testing.T) {

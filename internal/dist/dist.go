@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"seqrep/internal/seq"
 )
@@ -221,15 +222,18 @@ func meanStdValues(vals []float64) (mean, std float64) {
 // the original sequences. This is the transform behind the z-normalized
 // lower bound of the core feature index.
 func ZNormalizeValues(vals []float64) []float64 {
-	out := make([]float64, len(vals))
-	if len(vals) == 0 {
-		return out
-	}
+	return ZNormalizeInto(make([]float64, len(vals)), vals)
+}
+
+// ZNormalizeInto is ZNormalizeValues into dst, grown only when it holds
+// fewer than len(vals) values: it returns dst[:len(vals)].
+func ZNormalizeInto(dst, vals []float64) []float64 {
+	dst = slices.Grow(dst[:0], len(vals))[:len(vals)]
 	mean, std := meanStdValues(vals)
 	for i, v := range vals {
-		out[i] = znorm(v, mean, std)
+		dst[i] = znorm(v, mean, std)
 	}
-	return out
+	return dst
 }
 
 func znorm(v, mean, std float64) float64 {

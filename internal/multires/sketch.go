@@ -46,12 +46,18 @@ func NumBlocks(n, block int) int {
 // It returns nil when vals is empty or block is not positive — callers
 // treat a nil sketch as "no information" (an unbounded band).
 func BuildSketch(vals []float64, block int) *Sketch {
+	return BuildSketchZ(vals, dist.ZNormalizeValues(vals), block)
+}
+
+// BuildSketchZ is BuildSketch given zvals = dist.ZNormalizeValues(vals)
+// as well, for a caller that already holds it. Neither slice is retained.
+func BuildSketchZ(vals, zvals []float64, block int) *Sketch {
 	if len(vals) == 0 || block <= 0 {
 		return nil
 	}
 	s := &Sketch{N: len(vals), Block: block}
 	s.Means, s.R1, s.R2, s.Rinf = blockSummary(vals, block)
-	s.ZMeans, s.ZR1, s.ZR2, s.ZRinf = blockSummary(dist.ZNormalizeValues(vals), block)
+	s.ZMeans, s.ZR1, s.ZR2, s.ZRinf = blockSummary(zvals, block)
 	return s
 }
 

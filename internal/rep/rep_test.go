@@ -313,41 +313,22 @@ func TestDecodeRejectsBadKind(t *testing.T) {
 	mangled.Segments = make([]Segment, len(fs.Segments))
 	copy(mangled.Segments, fs.Segments)
 	mangled.Segments[0].Kind = fit.Kind(200)
-	// Encode refuses invalid series.
-	var buf bytes.Buffer
-	if err := mangled.Encode(&buf); err == nil {
-		t.Error("encode accepted invalid kind")
+	tooMany := *fs
+	tooMany.Segments = []Segment{fs.Segments[0]}
+	tooMany.N = fs.Segments[0].Hi + 1
+	tooMany.Segments[0].Kind, tooMany.Segments[0].Params = fit.KindPoly, make([]float64, maxParams+1)
+	// The encoder refuses invalid series, and series it cannot decode,
+	// before it appends a byte.
+	for name, bad := range map[string]*FunctionSeries{"invalid kind": &mangled, "params past maxParams": &tooMany} {
+		if blob, err := bad.MarshalBinary(); err == nil || blob != nil {
+			t.Errorf("%s: marshal accepted (%d bytes, err %v)", name, len(blob), err)
+		}
+		prefix := []byte("keep")
+		if got, err := bad.AppendBinary(prefix); err == nil || !bytes.Equal(got, prefix) {
+			t.Errorf("%s: append accepted or wrote (%q, err %v)", name, got, err)
+		}
 	}
 }
-
-func TestEncodeToFailingWriter(t *testing.T) {
-	_, fs := buildFever(t, nil)
-	// bufio batches small writes, so fail from the very first Write call
-	// (which happens at Flush for a representation this small).
-	w := &failingWriter{failAfter: 0}
-	if err := fs.Encode(w); err == nil {
-		t.Error("write failure not propagated")
-	}
-}
-
-type failingWriter struct {
-	n         int
-	failAfter int
-}
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	w.n++
-	if w.n > w.failAfter {
-		return 0, errWrite
-	}
-	return len(p), nil
-}
-
-var errWrite = &writeError{}
-
-type writeError struct{}
-
-func (*writeError) Error() string { return "synthetic write failure" }
 
 func clone(b []byte) []byte {
 	c := make([]byte, len(b))
