@@ -6,7 +6,11 @@
 //
 // Usage:
 //
-//	seqserved -addr :8080 -data-dir ./data -archive ./raws
+//	seqserved -addr :8080 -data-dir ./data
+//
+// The server keeps the representation, not the raw samples: every query
+// reads the stored representation, and archiving the originals is the
+// client's concern.
 //
 // With -data-dir, the database is durable: boot recovers the directory's
 // on-disk segment tier plus the write-ahead-log tail to the exact
@@ -70,7 +74,6 @@ func run() error {
 		compact  = flag.Int("compact-threshold", 0, "segment count at which a checkpoint compacts the on-disk tier (0 = default 8, negative disables compaction)")
 		segCach  = flag.Int64("segment-cache", 0, "segment payload LRU cache bytes (0 = default 32MiB, negative disables)")
 		memBudg  = flag.Int64("memory-budget", 0, "resident record-payload byte budget for -data-dir servers: cold payloads are evicted to the segment tier and paged back in on demand (<= 0 keeps every record fully resident)")
-		archive  = flag.String("archive", "", "directory for a file-backed archive of the ingested originals (empty = none); no query reads it")
 		epsilon  = flag.Float64("epsilon", 0, "breaking tolerance for a new database (0 = default 0.5)")
 		delta    = flag.Float64("delta", 0, "slope threshold for a new database (0 = default 0.25)")
 		bucket   = flag.Float64("bucket", 0, "interval-index bucket width for a new database (0 = default 1)")
@@ -111,13 +114,6 @@ func run() error {
 		SegmentCacheBytes:     *segCach,
 		MemoryBudget:          *memBudg,
 		RecoveryProbeInterval: *probeIvl,
-	}
-	if *archive != "" {
-		arch, err := seqrep.NewFileArchive(*archive)
-		if err != nil {
-			return err
-		}
-		cfg.Archive = arch
 	}
 
 	var (

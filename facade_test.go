@@ -76,7 +76,7 @@ func TestFacadeMelody(t *testing.T) {
 	}
 }
 
-func TestFacadePatternsAndArchive(t *testing.T) {
+func TestFacadePatterns(t *testing.T) {
 	if !strings.Contains(seqrep.ExactlyPeaksPattern(3), "{") &&
 		seqrep.ExactlyPeaksPattern(3) == seqrep.ExactlyPeaksPattern(2) {
 		t.Error("ExactlyPeaksPattern ignores k")
@@ -86,29 +86,6 @@ func TestFacadePatternsAndArchive(t *testing.T) {
 	}
 	if seqrep.PeakUnitPattern != "U+F*D" {
 		t.Errorf("PeakUnitPattern = %q", seqrep.PeakUnitPattern)
-	}
-
-	arch, err := seqrep.NewFileArchive(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := seqrep.New(seqrep.Config{Archive: arch, Epsilon: 10, Delta: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecg, _, err := seqrep.GenerateECG(nil, seqrep.ECGOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Ingest("e", ecg); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := db.Raw("e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != len(ecg) {
-		t.Errorf("file-archived raw: %d samples", len(raw))
 	}
 }
 

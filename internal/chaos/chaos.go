@@ -1,9 +1,8 @@
 // Package chaos is the systematic fault plan behind the reliability
 // suite (docs/RELIABILITY.md). The storage stack exposes narrow
 // injection hooks — the write-ahead log's write/fsync hooks
-// (DB.SetWALFault), the checkpoint segment writer
-// (DB.WrapCheckpointWriter), and the archive's temp-file writer
-// (store.FileArchive.WrapWriter) — and this package gives them one
+// (DB.SetWALFault) and the checkpoint segment writer
+// (DB.WrapCheckpointWriter) — and this package gives them one
 // vocabulary: a fault Kind (disk error, no space, slow write, torn
 // write), a Fault trigger that arms at call site N for M failures, and
 // writer/hook adapters that express each kind at each site. The tests
@@ -146,8 +145,8 @@ func (f *Fault) Hook() func() error {
 }
 
 // WrapWriter adapts the fault to the writer-decorator shape shared by
-// DB.WrapCheckpointWriter, segment.Store.SetWrapWriter and
-// store.FileArchive.WrapWriter. The fault triggers per Write call.
+// DB.WrapCheckpointWriter and segment.Store.SetWrapWriter. The fault
+// triggers per Write call.
 func (f *Fault) WrapWriter() func(io.Writer) io.Writer {
 	return func(w io.Writer) io.Writer { return &faultWriter{f: f, w: w} }
 }

@@ -1,17 +1,19 @@
 package chaos
 
 // The fault plan: every write site in the storage stack — the
-// write-ahead log's frame write and its fsync, the checkpoint's segment
-// writer, the archive's put — crossed with every failure kind the site
-// can express. Each cell asserts the same three invariants:
+// write-ahead log's frame write and its fsync and the checkpoint's
+// segment writer — plus the cold-read site, crossed with every failure
+// kind the site can express. Each cell asserts the same three
+// invariants:
 //
 //  1. No acknowledged write is ever lost: after the fault (and a
 //     reboot), every id that was acknowledged is present and every id
 //     that errored is absent or explicitly unacknowledged.
 //  2. Faults map to honest error classes: log faults degrade the
-//     database (ErrDegraded, the 503 family), data-layer faults are
-//     storage errors (ErrStorage, 500) or plain checkpoint failures —
-//     never a silent success, never a corrupted read.
+//     database (ErrDegraded, the 503 family), cold-read faults are
+//     storage errors (ErrStorage, 500) and segment-writer faults plain
+//     checkpoint failures — never a silent success, never a corrupted
+//     read.
 //  3. The state machine tells the truth: DegradedStatus reflects
 //     exactly the episodes that happened, and service recovers once
 //     the fault clears.
@@ -303,59 +305,6 @@ func TestCheckpointWriterSiteFaults(t *testing.T) {
 				t.Fatalf("checkpoint after fault cleared: %v", err)
 			}
 			rebootAsserts(t, db, dir, acked, nil, false)
-		})
-	}
-}
-
-// TestArchivePutSiteFaults walks the raw-sequence archive's put. An
-// archive fault is a data-layer storage error (the 500 family), fails
-// the ingest before anything is logged or committed, and must not
-// degrade the log.
-func TestArchivePutSiteFaults(t *testing.T) {
-	for _, kind := range []Kind{DiskError, NoSpace, TornWrite, SlowWrite} {
-		t.Run(kind.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			arch, err := seqrep.NewFileArchive(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			db, err := seqrep.OpenDir(dir, seqrep.Config{RecoveryProbeInterval: -1, Archive: arch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			if err := db.Ingest("pre", chaosSeq(1)); err != nil {
-				t.Fatal(err)
-			}
-			f := &Fault{Kind: kind, Count: -1}
-			arch.WrapWriter = f.WrapWriter()
-			err = db.Ingest("during", chaosSeq(2))
-			var acked, lost []string
-			acked = append(acked, "pre")
-			if kind == SlowWrite {
-				if err != nil {
-					t.Fatalf("slow archive put failed ingest: %v", err)
-				}
-				acked = append(acked, "during")
-			} else {
-				if !errors.Is(err, seqrep.ErrStorage) {
-					t.Fatalf("ingest under archive %s = %v, want ErrStorage", kind, err)
-				}
-				if _, ok := db.Record("during"); ok {
-					t.Fatal("failed ingest visible in memory")
-				}
-				lost = append(lost, "during")
-			}
-			if db.DegradedStatus().Degraded {
-				t.Fatal("archive fault degraded the database: the log is fine")
-			}
-			f.Clear()
-			arch.WrapWriter = nil
-			if err := db.Ingest("after", chaosSeq(3)); err != nil {
-				t.Fatalf("ingest after fault cleared: %v", err)
-			}
-			acked = append(acked, "after")
-			rebootAsserts(t, db, dir, acked, lost, false)
 		})
 	}
 }

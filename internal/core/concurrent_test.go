@@ -10,7 +10,6 @@ import (
 
 	"seqrep/internal/dist"
 	"seqrep/internal/pattern"
-	"seqrep/internal/store"
 	"seqrep/internal/synth"
 )
 
@@ -103,7 +102,7 @@ func TestIngestBatchEmpty(t *testing.T) {
 // family running at once. Run under -race this validates the sharded
 // locking protocol end to end.
 func TestConcurrentIngestQueryRemove(t *testing.T) {
-	db := mustDB(t, Config{Shards: 8, Workers: 4, Archive: store.NewMemArchive()})
+	db := mustDB(t, Config{Shards: 8, Workers: 4})
 	items := feverBatch(t, 48)
 	exemplar := items[0].Seq
 

@@ -7,8 +7,8 @@
 // normalization), breaking into meaningful subsequences, fitting a
 // representing function per subsequence, slope-sign symbolization, peak
 // extraction, and inverted-file indexing of peak-to-peak intervals. Raw
-// sequences are relegated to archival storage, consulted only by
-// value-based queries that need full resolution.
+// sequences are not kept: every query reads the stored representation,
+// and the originals are the caller's to archive (§2.3).
 //
 // Concurrency design (see docs/ARCHITECTURE.md): records live in
 // lock-striped shards keyed by sequence id, so ingests of different
@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -42,13 +43,12 @@ import (
 	"seqrep/internal/multires"
 	"seqrep/internal/rep"
 	"seqrep/internal/seq"
-	"seqrep/internal/store"
 )
 
 // Config parameterizes a DB. The zero value is usable: it yields the
 // paper's defaults (interpolation breaking, byproduct representation,
-// ε = 0.5, δ = 0.25, unit interval buckets, no preprocessing, no archive,
-// 16 record shards, GOMAXPROCS workers).
+// ε = 0.5, δ = 0.25, unit interval buckets, no preprocessing, 16 record
+// shards, GOMAXPROCS workers).
 type Config struct {
 	// Epsilon is the breaking tolerance ε (default 0.5; the paper used
 	// 0.5 for temperature curves and 10 for ECGs).
@@ -68,10 +68,6 @@ type Config struct {
 	Representer fit.Fitter
 	// Preprocess is an optional pipeline applied before breaking (§7).
 	Preprocess *filter.Chain
-	// Archive optionally keeps the raw sequences for Raw(id). It is
-	// slow storage for originals (§2.3): no query, feature vector or
-	// sketch ever reads it, so setting it changes no answer.
-	Archive store.Archive
 	// Shards is the number of lock-striped record shards (default 16).
 	// More shards reduce contention between concurrent ingests and
 	// record lookups at a small fixed memory cost.
@@ -165,12 +161,11 @@ var (
 	// ErrUnknownID reports an operation on an id the database does not
 	// hold.
 	ErrUnknownID = errors.New("unknown sequence id")
-	// ErrStorage reports a server-side storage fault: the comparison
-	// form of a *stored* record could not be read while answering a query
+	// ErrStorage reports a server-side storage fault met while answering
+	// a query: the comparison form of a *stored* record could not be read
 	// (a cold payload that fails to page in or decode, a reconstruction
-	// failure) or a raw sequence could not be written to or removed from
-	// the archive. A lost or stale archive breaks Raw(id) only.
-	// The request was fine; the data layer was not.
+	// failure). No write produces it. The request was fine; the data
+	// layer was not.
 	ErrStorage = errors.New("storage fault")
 	// ErrDegraded reports a write rejected because the database is in
 	// storage-fault read-only mode: its write-ahead log took an append or
@@ -340,11 +335,13 @@ func New(cfg Config) (*DB, error) { return newDB(cfg, volatile{}) }
 // newDB validates cfg and builds an empty catalogue over st.
 func newDB(cfg Config, st storage) (*DB, error) {
 	c := cfg.withDefaults()
-	if c.Epsilon < 0 {
-		return nil, fmt.Errorf("core: negative epsilon %g", c.Epsilon)
+	// A non-finite scalar would pass every build and then fail every
+	// checkpoint (the manifest cannot encode it), so refuse it here.
+	if c.Epsilon < 0 || math.IsNaN(c.Epsilon) || math.IsInf(c.Epsilon, 0) {
+		return nil, fmt.Errorf("core: epsilon %g is not a finite non-negative number", c.Epsilon)
 	}
-	if c.Delta < 0 {
-		return nil, fmt.Errorf("core: negative delta %g", c.Delta)
+	if c.Delta < 0 || math.IsNaN(c.Delta) || math.IsInf(c.Delta, 0) {
+		return nil, fmt.Errorf("core: delta %g is not a finite non-negative number", c.Delta)
 	}
 	if c.Shards < 0 {
 		return nil, fmt.Errorf("core: negative shard count %d", c.Shards)
@@ -419,18 +416,9 @@ func (db *DB) Record(id string) (*Record, bool) {
 	return r, ok
 }
 
-// build runs the ingestion pipeline (archive, preprocess, break,
-// represent, extract) without touching any lock.
+// build runs the ingestion pipeline (preprocess, break, represent,
+// extract) without touching any lock.
 func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
-	if db.cfg.Archive != nil {
-		if err := db.cfg.Archive.Put(id, s); err != nil {
-			// The request was fine; the archive medium was not. The
-			// ErrStorage wrap classifies it server-side as a 500, never a
-			// client fault.
-			return nil, fmt.Errorf("core: archiving %q: %w: %w", id, ErrStorage, err)
-		}
-	}
-
 	work := s
 	if db.cfg.Preprocess != nil {
 		pre, err := db.cfg.Preprocess.Run(s)
@@ -580,9 +568,9 @@ func (db *DB) indexIntervals(rec *Record) error {
 }
 
 // Ingest runs the full pipeline on s and stores the result under id. The
-// raw sequence goes to the archive (when configured) before preprocessing,
-// so full resolution is never lost. Duplicate ids are rejected; Remove
-// first to replace.
+// raw sequence itself is not kept: callers that need full resolution
+// archive it themselves. Duplicate ids are rejected; Remove first to
+// replace. An error means nothing was committed.
 //
 // The pipeline runs outside every lock: concurrent ingests of different
 // sequences proceed in parallel, serializing only on the brief shard and
@@ -770,11 +758,11 @@ func (db *DB) forEachClaimed(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Remove deletes a sequence from the database, its interval postings, and
-// the archive (when configured). While the unlink is in flight the id is
-// held in its shard's pending set, so a concurrent Ingest of the same id
-// fails with the duplicate error rather than interleaving with the
-// removal; once Remove returns, the id is free to reuse.
+// Remove deletes a sequence from the database and its interval postings;
+// an error means nothing was committed. While the unlink is in flight the
+// id is held in its shard's pending set, so a concurrent Ingest of the
+// same id fails with the duplicate error rather than interleaving with
+// the removal; once Remove returns, the id is free to reuse.
 func (db *DB) Remove(id string) error {
 	if err := db.storage.writable(); err != nil {
 		return err
@@ -816,27 +804,12 @@ func (db *DB) Remove(id string) error {
 	db.gen.Add(1)
 	db.imu.Unlock()
 	db.storage.unlinked(rec)
-
-	if db.cfg.Archive != nil {
-		if err := db.cfg.Archive.Delete(id); err != nil {
-			return fmt.Errorf("core: removing %q from archive: %w: %w", id, ErrStorage, err)
-		}
-	}
 	return nil
 }
 
-// Raw retrieves the full-resolution sequence from the archive. It fails
-// when the database was built without one.
-func (db *DB) Raw(id string) (seq.Sequence, error) {
-	if db.cfg.Archive == nil {
-		return nil, fmt.Errorf("core: no archive configured")
-	}
-	return db.cfg.Archive.Get(id)
-}
-
 // Reconstruct evaluates the stored representation of id at its original
-// sample positions — the approximate stand-in for Raw that needs no
-// archive access.
+// sample positions — the approximate stand-in for the raw sequence,
+// which the database does not keep.
 func (db *DB) Reconstruct(id string) (seq.Sequence, error) {
 	rec, ok := db.Record(id)
 	if !ok {

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"seqrep/internal/filter"
 	"seqrep/internal/seq"
-	"seqrep/internal/store"
 	"seqrep/internal/synth"
 )
 
@@ -94,6 +94,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNonFiniteScalars: a NaN or infinite ε or δ would build
+// and ingest, then fail every checkpoint (the manifest cannot encode it),
+// so the log would never truncate. New and OpenDir must refuse it.
+func TestNewRefusesNonFiniteScalars(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for name, cfg := range map[string]Config{"epsilon": {Epsilon: v}, "delta": {Delta: v}} {
+			if _, err := New(cfg); err == nil {
+				t.Errorf("New accepted %s %g", name, v)
+			}
+			if db, err := OpenDir(t.TempDir(), cfg); err == nil {
+				db.Close()
+				t.Errorf("OpenDir accepted %s %g", name, v)
+			}
+		}
+	}
+}
+
 func TestIngestValidation(t *testing.T) {
 	db := mustDB(t, Config{})
 	fever, _ := synth.Fever(synth.FeverOpts{})
@@ -160,36 +177,6 @@ func TestRemove(t *testing.T) {
 		if m.ID == "three-peaks" {
 			t.Error("removed id still indexed")
 		}
-	}
-}
-
-func TestIngestWithArchiveAndRaw(t *testing.T) {
-	arch := store.NewMemArchive()
-	db := mustDB(t, Config{Archive: arch})
-	fever, _ := synth.Fever(synth.FeverOpts{})
-	mustIngest(t, db, "f", fever)
-	raw, err := db.Raw("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != len(fever) {
-		t.Errorf("raw %d samples", len(raw))
-	}
-	for i := range fever {
-		if raw[i] != fever[i] {
-			t.Fatal("archive lost fidelity")
-		}
-	}
-	if err := db.Remove("f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Raw("f"); err == nil {
-		t.Error("archived raw survived removal")
-	}
-	noArch := mustDB(t, Config{})
-	mustIngest(t, noArch, "f", fever)
-	if _, err := noArch.Raw("f"); err == nil {
-		t.Error("Raw without archive accepted")
 	}
 }
 

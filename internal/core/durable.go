@@ -17,7 +17,6 @@ import (
 	"seqrep/internal/resident"
 	"seqrep/internal/segment"
 	"seqrep/internal/seq"
-	"seqrep/internal/store"
 	"seqrep/internal/wal"
 )
 
@@ -75,10 +74,8 @@ type dirStore struct {
 	ckptRun  sync.Mutex
 	recovery RecoveryStats
 	// replayBatch holds the consecutive logged ingests replay has
-	// collected and not yet run, replayLSNs their log offsets
-	// (flushReplay).
+	// collected and not yet run (flushReplay).
 	replayBatch []BatchItem
-	replayLSNs  []uint64
 
 	// segs is the segment tier checkpoints flush into. dirty is the id set
 	// mutated since the last checkpoint — true for a live upsert, false
@@ -136,16 +133,13 @@ type RecoveryStats struct {
 // truncating a torn final record, skipping records the segments already
 // cover — then reclaims any sealed log segments the manifest's LSN shows
 // are covered (the stranded leftovers of a checkpoint that died between
-// its rotation and its truncation). A storage fault while replaying an
-// ingest refuses boot instead of skipping the record. The caller owns the
-// returned database and must Close it to release the log and the segment
-// files.
+// its rotation and its truncation). The caller owns the returned
+// database and must Close it to release the log and the segment files.
 //
 // cfg contributes the code components (breaker, representer,
-// preprocessing, archive); when a manifest exists its stored scalar
-// parameters (ε, δ, bucket width, index coefficients, sketch block) win.
-// Raw sequences are not part of the directory: they live in cfg.Archive,
-// which boot never reads.
+// preprocessing); when a manifest exists its stored scalar parameters
+// (ε, δ, bucket width, index coefficients, sketch block) win. Raw
+// sequences are not part of the directory: the caller archives them.
 func OpenDir(dir string, cfg Config) (*DB, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("core: empty data directory")
@@ -301,7 +295,6 @@ func (d *dirStore) applyWALRecord(r wal.Record) error {
 			}
 		}
 		d.replayBatch = append(d.replayBatch, BatchItem{ID: id, Seq: s})
-		d.replayLSNs = append(d.replayLSNs, r.LSN)
 		return nil
 	case walOpRemove:
 		id, err := decodeWALRemove(r.Payload)
@@ -315,11 +308,7 @@ func (d *dirStore) applyWALRecord(r wal.Record) error {
 			d.recovery.SkippedMissing++
 			return nil
 		}
-		if err := d.db.Remove(id); err != nil && !errors.Is(err, store.ErrNotFound) {
-			// The in-memory removal succeeded (the id was present above);
-			// only an archive fault can land here. A missing raw is the
-			// expected replay overlap — the original remove already
-			// deleted it — anything else is a real storage fault.
+		if err := d.db.Remove(id); err != nil {
 			d.recovery.Failed++
 			return nil
 		}
@@ -333,21 +322,14 @@ func (d *dirStore) applyWALRecord(r wal.Record) error {
 // flushReplay runs the collected ingests as one db.ingest batch: built on
 // the worker pool, linked under one imu hold.
 func (d *dirStore) flushReplay() error {
-	items, lsns := d.replayBatch, d.replayLSNs
-	d.replayBatch, d.replayLSNs = nil, nil
-	for i, p := range d.db.ingest(items) {
+	items := d.replayBatch
+	d.replayBatch = nil
+	for _, p := range d.db.ingest(items) {
 		switch {
 		case p.err == nil:
 			d.recovery.Applied++
 		case errors.Is(p.err, ErrDuplicateID):
 			d.recovery.SkippedDuplicate++
-		case errors.Is(p.err, ErrStorage):
-			// An archive fault is not deterministic: skipping the record
-			// would leave it out of the dirty set, and the next
-			// checkpoint would truncate its only copy. Refuse boot —
-			// nothing is committed or truncated, and a boot with a
-			// healthy archive replays it.
-			return fmt.Errorf("core: wal record %d: replaying ingest of %q: %w", lsns[i], items[i].ID, p.err)
 		default:
 			// The same deterministic failure the original caller saw: the
 			// operation was logged but never acknowledged, so skipping it

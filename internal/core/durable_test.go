@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -495,47 +494,6 @@ func TestDurableValidation(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// failPutArchive is an archive whose medium refuses every write.
-type failPutArchive struct{ store.Archive }
-
-func (failPutArchive) Put(string, seq.Sequence) error { return errors.New("archive medium offline") }
-
-// TestReplayArchiveFaultRefusesBoot: an archive fault while replaying an
-// acknowledged ingest is not the deterministic pipeline failure Failed
-// counts. Skipping it would leave the record out of the dirty set, and
-// the next checkpoint would truncate its only copy. Boot must refuse,
-// naming the record, and a later boot with a healthy archive replays it.
-func TestReplayArchiveFaultRefusesBoot(t *testing.T) {
-	dir := t.TempDir()
-	archive := store.NewMemArchive()
-	db, err := OpenDir(dir, Config{Archive: archive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustIngest(t, db, "acked", durSeq(1))
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if bad, err := OpenDir(dir, Config{Archive: failPutArchive{archive}}); err == nil {
-		bad.Close()
-		t.Fatalf("boot with a failing archive succeeded (Recovery %+v)", bad.Recovery())
-	} else if !errors.Is(err, ErrStorage) || !strings.Contains(err.Error(), `"acked"`) || !strings.Contains(err.Error(), "wal record 1") {
-		t.Fatalf("boot error %q: want ErrStorage naming wal record 1 and \"acked\"", err)
-	}
-
-	db2, err := OpenDir(dir, Config{Archive: archive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs := db2.Recovery(); rs.Applied != 1 || rs.Failed != 0 {
-		t.Fatalf("healthy reboot Recovery = %+v, want the ingest applied", rs)
-	}
-	if _, ok := reopen(t, db2, dir, Config{Archive: archive}).Record("acked"); !ok {
-		t.Fatal("acknowledged ingest lost across the refused boot and a checkpoint")
 	}
 }
 

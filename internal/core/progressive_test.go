@@ -23,7 +23,6 @@ import (
 	"seqrep/internal/dft"
 	"seqrep/internal/dist"
 	"seqrep/internal/seq"
-	"seqrep/internal/store"
 	"seqrep/internal/synth"
 )
 
@@ -258,14 +257,13 @@ func TestProgressiveGuarantees(t *testing.T) {
 	}
 	for _, b := range breakers {
 		for _, indexed := range []bool{true, false} {
-			for _, storage := range []string{"archive", "paged"} {
+			for _, storage := range []string{"resident", "paged"} {
 				cfg := Config{Breaker: b.br}
 				if !indexed {
 					cfg.IndexCoeffs = -1
 				}
 				var db *DB
-				if storage == "archive" { // resident, and the archive must change nothing
-					cfg.Archive = store.NewMemArchive()
+				if storage == "resident" {
 					db = cascadeDB(t, cfg, corpus)
 				} else {
 					// Paged: durable database, 1-byte residency budget.
@@ -375,11 +373,10 @@ func assertTreeState(t *testing.T, db *DB, treeRows int) {
 // paged — and checks the index-driven cascade against the linear one
 // (IndexCoeffs -1) bit for bit at MaxError 0.
 func TestProgressiveGuaranteesTree(t *testing.T) {
-	for _, storage := range []string{"archive", "paged"} {
+	for _, storage := range []string{"resident", "paged"} {
 		t.Run(storage, func(t *testing.T) {
 			open := func(cfg Config) (*DB, map[string]seq.Sequence) {
-				if storage == "archive" { // resident, and the archive must change nothing
-					cfg.Archive = store.NewMemArchive()
+				if storage == "resident" {
 					db := mustDB(t, cfg)
 					return db, reconCorpus(t, db, treeStateDB(t, db))
 				}

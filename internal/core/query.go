@@ -96,8 +96,7 @@ var reconPool = sync.Pool{New: func() any { return new(seq.Sequence) }}
 
 // storedSequence reads the comparison form of a record into *buf (reused
 // and grown as needed, and left holding the result): the reconstruction
-// of its stored representation, in every configuration (the archive keeps
-// originals for Raw and answers no query). Under a memory budget the
+// of its stored representation, in every configuration. Under a memory budget the
 // representation may be cold — materialize pages it back in from the
 // segment tier, so this is the one place the query verification fan-out
 // touches disk. A failure here is a storage fault, not a bad query — the

@@ -383,8 +383,7 @@ func progressiveAccepts(t *testing.T, db *DB, exemplar seq.Sequence, eps float64
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	archive := store.NewMemArchive()
-	db, dir := openTemp(t, Config{Archive: archive})
+	db, dir := openTemp(t, Config{})
 	fillFever(t, db)
 	before, err := db.MatchPattern(pattern.TwoPeak())
 	if err != nil {
@@ -397,7 +396,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 	// The manifest's scalars win over whatever the reopening process asks
 	// for: stored representations were broken under them.
-	loaded := reopen(t, db, dir, Config{Archive: archive, Epsilon: 9, Delta: 9, BucketWidth: 9})
+	loaded := reopen(t, db, dir, Config{Epsilon: 9, Delta: 9, BucketWidth: 9})
 	if loaded.Len() != db.Len() {
 		t.Fatalf("reopened with %d records, want %d", loaded.Len(), db.Len())
 	}
@@ -511,17 +510,17 @@ func TestSaveLoadRestoresSketches(t *testing.T) {
 // run with an archive left behind — payloads derived from the archived
 // raws, manifest sources 1: restoring those verbatim would prune against
 // one form and verify against another (a false dismissal), so boot must
-// discard and rebuild both, archive configured or not (the dropped row's
-// 1-byte memory budget makes its rewrite page cold records). An archive
-// added to this binary's own directory changes nothing. No boot reads it.
+// discard and rebuild both, resident or paged (the paged row's 1-byte
+// memory budget makes its rewrite page cold records). This binary's own
+// directory (current) restores them verbatim.
 var sourceChanges = []struct {
-	name            string
-	legacy, reopens bool // raw-derived directory / archive configured at reboot
-	budget          int64
+	name   string
+	legacy bool // raw-derived directory
+	budget int64
 }{
-	{"archive kept", true, true, 0},
-	{"archive dropped", true, false, 1},
-	{"archive added", false, true, 0},
+	{"legacy/resident", true, 0},
+	{"legacy/paged", true, 1},
+	{"current", false, 0},
 }
 
 // acrossSourceChange checkpoints two fevers on one side of a source
@@ -530,17 +529,10 @@ var sourceChanges = []struct {
 // closes, boots again and re-runs check: every checkpoint writes this
 // binary's sources into the manifest, so the first must rewrite the legacy
 // payloads in the same commit or the second boot restores them verbatim.
-func acrossSourceChange(t *testing.T, legacy, reopens bool, budget int64, check func(t *testing.T, orig, loaded *DB)) {
+func acrossSourceChange(t *testing.T, legacy bool, budget int64, check func(t *testing.T, orig, loaded *DB)) {
 	t.Helper()
-	archive := store.NewCountingArchive(store.NewMemArchive())
-	first, second := Config{}, Config{MemoryBudget: budget}
-	if legacy {
-		first.Archive = archive
-	}
-	if reopens {
-		second.Archive = archive
-	}
-	orig, dir := openTemp(t, first)
+	second := Config{MemoryBudget: budget}
+	orig, dir := openTemp(t, Config{})
 	shifts := map[string]float64{"fever": 0, "far": 50}
 	fever := ingestFevers(t, orig, shifts)
 	mm := dirOf(orig).manifestMeta()
@@ -563,22 +555,18 @@ func acrossSourceChange(t *testing.T, legacy, reopens bool, budget int64, check 
 	if err := orig.Close(); err != nil {
 		t.Fatal(err)
 	}
-	archive.ResetStats()
 	loaded, err := OpenDir(dir, second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(t, orig, loaded)
 	check(t, orig, reopen(t, loaded, dir, second))
-	if reads := archive.Stats().Reads; reads != 0 {
-		t.Errorf("the boots and their queries read the archive %d times", reads)
-	}
 }
 
 func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
 	for _, sc := range sourceChanges {
 		t.Run(sc.name, func(t *testing.T) {
-			acrossSourceChange(t, sc.legacy, sc.reopens, sc.budget, func(t *testing.T, orig, loaded *DB) {
+			acrossSourceChange(t, sc.legacy, sc.budget, func(t *testing.T, orig, loaded *DB) {
 				if got := loaded.Stats().FeatureIndexed; got != 2 {
 					t.Errorf("FeatureIndexed = %d, want 2", got)
 				}
@@ -618,7 +606,7 @@ func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
 func TestLoadRebuildsSketchesOnSourceChange(t *testing.T) {
 	for _, sc := range sourceChanges {
 		t.Run(sc.name, func(t *testing.T) {
-			acrossSourceChange(t, sc.legacy, sc.reopens, sc.budget, func(t *testing.T, orig, loaded *DB) {
+			acrossSourceChange(t, sc.legacy, sc.budget, func(t *testing.T, orig, loaded *DB) {
 				rebuilt := 0
 				for _, id := range loaded.IDs() {
 					rec, _ := loaded.Record(id)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"seqrep/internal/core"
-	"seqrep/internal/store"
 	"seqrep/internal/synth"
 )
 
@@ -54,7 +53,7 @@ var queryLangSeeds = []string{
 // fuzzDB lazily builds one small database per fuzz process so statements
 // that parse can also execute.
 var fuzzDB = sync.OnceValue(func() Database {
-	db, err := core.New(core.Config{Archive: store.NewMemArchive(), IndexCoeffs: 4})
+	db, err := core.New(core.Config{IndexCoeffs: 4})
 	if err != nil {
 		panic(err)
 	}

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"seqrep/internal/core"
-	"seqrep/internal/store"
 	"seqrep/internal/synth"
 )
 
 // testDB builds a small database with the fever family.
 func testDB(t *testing.T) *core.DB {
 	t.Helper()
-	db, err := core.New(core.Config{Archive: store.NewMemArchive()})
+	db, err := core.New(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +275,8 @@ func TestExecShape(t *testing.T) {
 	}
 }
 
-// With or without an archive the exemplar loads from the representation.
+// The database keeps no raw originals: a shape query's exemplar loads
+// from the representation alone, even on a one-record database.
 func TestExecShapeWithoutArchive(t *testing.T) {
 	db, err := core.New(core.Config{})
 	if err != nil {

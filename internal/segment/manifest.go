@@ -89,24 +89,37 @@ func loadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: reading manifest: %w", err)
 	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, path)
+	}
+	return m, nil
+}
+
+// parseManifest decodes and validates a manifest file's bytes (the
+// layout writeManifest produces). Every refusal wraps ErrCorrupt. A
+// parsed manifest names only distinct segment files in the seg-<seq>.sseg
+// form segName writes, so no name can reach outside the directory or
+// alias the manifest itself.
+func parseManifest(data []byte) (*Manifest, error) {
 	if len(data) < 8 || string(data[:4]) != manifestMagic {
-		return nil, fmt.Errorf("%w: %s: not a segment manifest", ErrCorrupt, path)
+		return nil, fmt.Errorf("%w: not a segment manifest", ErrCorrupt)
 	}
 	body := data[8:]
 	if got, want := binary.LittleEndian.Uint32(data[4:8]), crc32.Checksum(body, crcTable); got != want {
-		return nil, fmt.Errorf("%w: %s: manifest crc %08x, computed %08x", ErrCorrupt, path, got, want)
+		return nil, fmt.Errorf("%w: manifest crc %08x, computed %08x", ErrCorrupt, got, want)
 	}
 	var m Manifest
 	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("%w: %s: manifest body: %v", ErrCorrupt, path, err)
+		return nil, fmt.Errorf("%w: manifest body: %v", ErrCorrupt, err)
 	}
 	seen := make(map[string]bool, len(m.Segments))
 	for _, name := range m.Segments {
-		if name == "" || name != filepath.Base(name) {
-			return nil, fmt.Errorf("%w: %s: invalid segment name %q", ErrCorrupt, path, name)
+		if _, ok := segSeq(name); !ok {
+			return nil, fmt.Errorf("%w: invalid segment name %q", ErrCorrupt, name)
 		}
 		if seen[name] {
-			return nil, fmt.Errorf("%w: %s: duplicate segment name %q", ErrCorrupt, path, name)
+			return nil, fmt.Errorf("%w: duplicate segment name %q", ErrCorrupt, name)
 		}
 		seen[name] = true
 	}

@@ -86,7 +86,7 @@ type Entry struct {
 // an immutable segment at path: temp file in the same directory, full
 // fsync, atomic rename, directory sync. wrap, when non-nil, decorates
 // the data writer — the fault-injection hook (compare
-// store.FileArchive.WrapWriter); production callers pass nil.
+// store.FailAfterWriter); production callers pass nil.
 func WriteFile(path string, entries []Entry, wrap func(io.Writer) io.Writer) (err error) {
 	for i, e := range entries {
 		if e.ID == "" {

@@ -49,7 +49,7 @@ type Store struct {
 	compactions      uint64
 
 	// wrapWriter, when set, decorates segment data writers — the fault
-	// injection hook for tests (compare store.FileArchive.WrapWriter).
+	// injection hook for tests (compare store.FailAfterWriter).
 	// Manifest writes are not wrapped: they are tiny and the interesting
 	// failures (torn manifest) are exercised by crash-cut tests instead.
 	wrapWriter func(io.Writer) io.Writer

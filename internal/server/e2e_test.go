@@ -16,7 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"seqrep"
 	"seqrep/api"
 	"seqrep/client"
 )
@@ -31,13 +30,7 @@ func TestEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
-	// The archive keeps the originals on disk alongside the data
-	// directory; every answer below comes from the data directory alone.
-	arch, err := seqrep.NewFileArchive(filepath.Join(dir, "raws"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := &DirSnapshotter{Dir: filepath.Join(dir, "data"), Config: seqrep.Config{Archive: arch}}
+	snap := &DirSnapshotter{Dir: filepath.Join(dir, "data")}
 	db, err := snap.Open()
 	if err != nil {
 		t.Fatal(err)

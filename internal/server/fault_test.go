@@ -1,9 +1,8 @@
 package server
 
 // Fault injection on the checkpoint path: /v1/snapshot/save runs against
-// a segment writer that dies mid-stream (store.FailAfterWriter, the
-// write-side sibling of CountingArchive) while ingest traffic is in
-// flight. The save must fail loudly (500) — and nothing else: the server
+// a segment writer that dies mid-stream (store.FailAfterWriter) while
+// ingest traffic is in flight. The save must fail loudly (500) — and nothing else: the server
 // keeps serving, the committed segment tier is byte-identical, no temp
 // litter remains, and a reboot still recovers every acknowledged write.
 
@@ -18,7 +17,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"seqrep"
 	"seqrep/internal/store"
 )
 
@@ -144,55 +142,5 @@ func TestSnapshotFaultInjectionUnderLoad(t *testing.T) {
 	defer restored.Close()
 	if _, ok := restored.Record("late"); !ok || restored.Len() != 5 {
 		t.Fatalf("reboot holds %d sequences (late present: %v), want all 5", restored.Len(), ok)
-	}
-}
-
-// TestStorageFaultAnswers500 pins what a lost or stale archive (here: a
-// raw deleted behind the database's back, as an older backup would leave
-// it) can and cannot break. Queries read the stored representation only,
-// so they keep answering 200 with every record; Raw reports the loss;
-// Remove's archive delete unlinks the record and answers 500, not 4xx.
-// The 500 for an unreadable comparison form (a cold payload that fails to
-// page in) is TestResidencyColdReadFaultAnswers500.
-func TestStorageFaultAnswers500(t *testing.T) {
-	ctx := context.Background()
-	arch := seqrep.NewMemArchive()
-	db, err := seqrep.New(seqrep.Config{Archive: arch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, c := testServer(t, Config{DB: db})
-
-	for _, id := range []string{"keep", "victim"} {
-		if _, err := c.Ingest(ctx, feverItem(t, id, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := arch.Delete("victim"); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, stmt := range []string{`MATCH VALUE LIKE keep EPS 1000`, `MATCH DISTANCE LIKE victim METRIC l2 EPS 1000`} {
-		if res, err := c.Query(ctx, stmt); err != nil || len(res.IDs) != 2 {
-			t.Fatalf("%s over a raw-less record = %+v, %v, want both records", stmt, res, err)
-		}
-	}
-	if _, err := db.Raw("victim"); err == nil {
-		t.Fatal("Raw hid the lost original")
-	}
-	// The remove unlinks the record but errors on the already-gone raw —
-	// the record must be gone regardless, and the id reusable.
-	_, err = c.Remove(ctx, "victim")
-	if ae := apiErr(t, err); ae.StatusCode != 500 || !strings.Contains(ae.Message, "storage fault") {
-		t.Fatalf("removing a raw-less record = %v, want a 500 storage fault", err)
-	}
-	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
-		t.Fatalf("health after storage fault = %+v, %v", h, err)
-	}
-	if _, err := c.Record(ctx, "victim"); !apiErr(t, err).IsNotFound() {
-		t.Fatal("failed archive delete left the record linked")
-	}
-	if _, err := c.Ingest(ctx, feverItem(t, "victim", 0)); err != nil {
-		t.Fatalf("re-ingest after heal: %v", err)
 	}
 }

@@ -31,7 +31,7 @@ import (
 
 func TestSoakConcurrentClients(t *testing.T) {
 	ctx := context.Background()
-	db, err := seqrep.New(seqrep.Config{Archive: seqrep.NewMemArchive(), IndexCoeffs: 4})
+	db, err := seqrep.New(seqrep.Config{IndexCoeffs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

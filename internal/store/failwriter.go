@@ -11,10 +11,9 @@ import (
 var ErrInjectedWrite = fmt.Errorf("store: injected write failure")
 
 // FailAfterWriter wraps an io.Writer and fails every write after a byte
-// budget is spent — the write-side sibling of CountingArchive, used to
-// prove that multi-stage writers (segment flush, archive spill) leave
-// existing data intact when the medium dies mid-stream. Safe for
-// concurrent use.
+// budget is spent, used to prove that multi-stage writers (segment
+// flush, checkpoint) leave existing data intact when the medium dies
+// mid-stream. Safe for concurrent use.
 type FailAfterWriter struct {
 	// Inner receives the bytes that fit the budget.
 	Inner io.Writer

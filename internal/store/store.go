@@ -1,12 +1,16 @@
-// Package store provides archival storage for raw sequences. The paper's
-// motivating observation (§1) is that raw sequence data lives on very slow
-// media — "obtaining raw seismic data can take several days" — while the
-// compact function representation can be kept local; raw data is consulted
-// only when finer resolution is required.
+// Package store holds storage helpers shared by the durable tiers and the
+// experiments. The paper's motivating observation (§1) is that raw
+// sequence data lives on very slow media — "obtaining raw seismic data can
+// take several days" — while the compact function representation can be
+// kept local; raw data is consulted only when finer resolution is
+// required. The database keeps only the representation, so archiving the
+// originals is the caller's concern: MemArchive, an in-memory archive with
+// injectable latency, lets experiments reproduce the slow-archive/fast-
+// representation trade-off deterministically beside it.
 //
-// The package offers an in-memory archive with injectable latency (so
-// experiments can reproduce the slow-archive/fast-representation trade-off
-// deterministically) and a file-backed archive with the same interface.
+// The package also provides SyncDir, the directory fsync behind the
+// segment tier's renames, and FailAfterWriter, a dying-medium writer for
+// fault tests.
 package store
 
 import (
@@ -21,20 +25,6 @@ import (
 // ErrNotFound is returned when a sequence id is absent from an archive.
 var ErrNotFound = fmt.Errorf("store: sequence not found")
 
-// Archive stores raw sequences by id. Implementations are safe for
-// concurrent use.
-type Archive interface {
-	// Put stores s under id, replacing any previous contents.
-	Put(id string, s seq.Sequence) error
-	// Get retrieves the sequence stored under id; errors.Is(err,
-	// ErrNotFound) reports absence.
-	Get(id string) (seq.Sequence, error)
-	// Delete removes the sequence; deleting an absent id is an error.
-	Delete(id string) error
-	// List returns all stored ids in sorted order.
-	List() ([]string, error)
-}
-
 // Stats counts archive traffic, the measure the latency experiments report.
 type Stats struct {
 	Reads        int64
@@ -43,8 +33,9 @@ type Stats struct {
 	BytesWritten int64
 }
 
-// MemArchive is an in-memory archive with optional simulated access
-// latency, standing in for the paper's magnetic-tape archive.
+// MemArchive is an in-memory archive of raw sequences by id, with
+// optional simulated access latency, standing in for the paper's
+// magnetic-tape archive. It is safe for concurrent use.
 type MemArchive struct {
 	// ReadLatency is added to every Get, simulating slow archival media.
 	ReadLatency time.Duration
@@ -65,7 +56,7 @@ func NewMemArchive() *MemArchive {
 // per sample.
 func bytesOf(s seq.Sequence) int64 { return int64(len(s)) * 16 }
 
-// Put implements Archive.
+// Put stores a copy of s under id, replacing any previous contents.
 func (a *MemArchive) Put(id string, s seq.Sequence) error {
 	if id == "" {
 		return fmt.Errorf("store: empty sequence id")
@@ -81,7 +72,8 @@ func (a *MemArchive) Put(id string, s seq.Sequence) error {
 	return nil
 }
 
-// Get implements Archive.
+// Get returns a copy of the sequence stored under id; errors.Is(err,
+// ErrNotFound) reports absence.
 func (a *MemArchive) Get(id string) (seq.Sequence, error) {
 	if a.ReadLatency > 0 {
 		time.Sleep(a.ReadLatency)
@@ -97,7 +89,7 @@ func (a *MemArchive) Get(id string) (seq.Sequence, error) {
 	return s.Clone(), nil
 }
 
-// Delete implements Archive.
+// Delete removes the sequence; deleting an absent id is an error.
 func (a *MemArchive) Delete(id string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -108,7 +100,7 @@ func (a *MemArchive) Delete(id string) error {
 	return nil
 }
 
-// List implements Archive.
+// List returns all stored ids in sorted order.
 func (a *MemArchive) List() ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

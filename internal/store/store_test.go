@@ -2,19 +2,15 @@ package store
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"seqrep/internal/seq"
 	"seqrep/internal/synth"
 )
 
-// archiveContract runs the behaviour shared by all Archive implementations.
-func archiveContract(t *testing.T, a Archive) {
-	t.Helper()
+func TestMemArchiveContract(t *testing.T) {
+	a := NewMemArchive()
 	s1 := synth.Sine(50, 2, 10, 0)
 	s2 := synth.Line(30, 1, 5)
 
@@ -79,18 +75,6 @@ func archiveContract(t *testing.T, a Archive) {
 	if err := a.Put("", s1); err == nil {
 		t.Error("empty id accepted")
 	}
-}
-
-func TestMemArchiveContract(t *testing.T) {
-	archiveContract(t, NewMemArchive())
-}
-
-func TestFileArchiveContract(t *testing.T) {
-	a, err := NewFileArchive(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	archiveContract(t, a)
 }
 
 func TestMemArchiveIsolation(t *testing.T) {
@@ -179,118 +163,5 @@ func TestMemArchiveConcurrent(t *testing.T) {
 	ids, err := a.List()
 	if err != nil || len(ids) != 8 {
 		t.Errorf("List after concurrency: %v %v", ids, err)
-	}
-}
-
-func TestFileArchivePersistsAcrossOpens(t *testing.T) {
-	dir := t.TempDir()
-	a1, err := NewFileArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := synth.Sine(64, 3, 16, 0.5)
-	if err := a1.Put("persisted", s); err != nil {
-		t.Fatal(err)
-	}
-	a2, err := NewFileArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a2.Get("persisted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s {
-		if got[i] != s[i] {
-			t.Fatalf("sample %d: %v vs %v", i, got[i], s[i])
-		}
-	}
-}
-
-func TestFileArchiveRejectsTraversal(t *testing.T) {
-	a, err := NewFileArchive(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"../escape", "a/b", "a\\b", ".", ".."} {
-		if err := a.Put(id, synth.Const(2, 0)); err == nil {
-			t.Errorf("id %q accepted", id)
-		}
-	}
-}
-
-func TestFileArchiveCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	a, err := NewFileArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "bad.sraw"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Get("bad"); err == nil {
-		t.Error("corrupt file accepted")
-	}
-	// Truncated but valid header.
-	if err := a.Put("trunc", synth.Const(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	p := filepath.Join(dir, "trunc.sraw")
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Get("trunc"); err == nil {
-		t.Error("truncated file accepted")
-	}
-}
-
-func TestFileArchiveListIgnoresStrangers(t *testing.T) {
-	dir := t.TempDir()
-	a, err := NewFileArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(filepath.Join(dir, "subdir.sraw"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Put("real", synth.Const(2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := a.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || ids[0] != "real" {
-		t.Errorf("List = %v", ids)
-	}
-}
-
-func TestNewFileArchiveValidation(t *testing.T) {
-	if _, err := NewFileArchive(""); err == nil {
-		t.Error("empty dir accepted")
-	}
-}
-
-func TestRawRoundTripEmptySequence(t *testing.T) {
-	a, err := NewFileArchive(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Put("empty", seq.Sequence{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.Get("empty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("empty round trip: %v", got)
 	}
 }

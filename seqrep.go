@@ -22,18 +22,17 @@
 //
 //   - DB: the database (New in memory, OpenDir persistent); Ingest,
 //     IngestBatch (built on a worker pool, one write-ahead fsync per
-//     batch), Remove, Raw,
-//     Reconstruct. The DB is sharded internally and safe for fully
-//     concurrent use; Config.Shards and Config.Workers tune the
-//     parallelism.
+//     batch), Remove, Reconstruct. The DB is sharded internally and
+//     safe for fully concurrent use; Config.Shards and Config.Workers
+//     tune the parallelism.
 //   - Queries: ValueQuery (prior-art ±ε matching), DistanceQuery (any
 //     named distance metric), MatchPattern / SearchPattern (slope-sign
 //     regular expressions), PeakCount, IntervalQuery (inverted-index
 //     interval search), ShapeQuery (generalized approximate query with
 //     per-dimension tolerances). Every query reads the stored
 //     representation only: ValueQuery and DistanceQuery compare against
-//     its reconstruction, in every configuration. Config.Archive keeps
-//     the originals for Raw(id) and answers nothing. ValueQuery and
+//     its reconstruction, in every configuration; raw originals are the
+//     caller's to keep (§2.3). ValueQuery and
 //     DistanceQuery are routed through a query planner: metrics with a
 //     DFT feature-space lower
 //     bound (l2, zl2, the ±ε band) generate candidates through a
@@ -83,7 +82,6 @@ import (
 	"seqrep/internal/resident"
 	"seqrep/internal/segment"
 	"seqrep/internal/seq"
-	"seqrep/internal/store"
 )
 
 // Core data types, aliased from the internal packages so downstream code
@@ -161,8 +159,6 @@ type (
 	Curve = fit.Curve
 	// PreprocessChain is an ordered preprocessing pipeline.
 	PreprocessChain = filter.Chain
-	// Archive keeps raw sequences for DB.Raw; no query reads it.
-	Archive = store.Archive
 )
 
 // Sentinel errors re-exported for errors.Is branching.
@@ -171,9 +167,9 @@ var (
 	ErrDuplicateID = core.ErrDuplicateID
 	// ErrUnknownID reports an operation on an id the database lacks.
 	ErrUnknownID = core.ErrUnknownID
-	// ErrStorage reports a server-side storage fault: a stored record's
-	// representation could not be paged in or reconstructed for a query,
-	// or an archive write or delete failed.
+	// ErrStorage reports a server-side storage fault met by a query: a
+	// stored record's representation could not be paged in or
+	// reconstructed. No write produces it.
 	ErrStorage = core.ErrStorage
 	// ErrDegraded reports a write rejected because the database is in
 	// storage-fault read-only mode (DB.DegradedStatus, DB.Recover).
@@ -182,8 +178,8 @@ var (
 
 // New creates a database. A zero Config reproduces the paper's setup:
 // interpolation breaking with ε = 0.5, slope threshold δ = 0.25, unit
-// interval buckets, no preprocessing, no archive. The database lives in
-// memory only; OpenDir is the persistent form.
+// interval buckets, no preprocessing. The database lives in memory only;
+// OpenDir is the persistent form.
 func New(cfg Config) (*DB, error) { return core.New(cfg) }
 
 // OpenDir opens (creating if needed) a durable database rooted at a data
@@ -198,8 +194,8 @@ func New(cfg Config) (*DB, error) { return core.New(cfg) }
 // at Config.CompactThreshold; release the log and segment files with
 // DB.Close. When the directory already holds a checkpoint, its stored
 // scalar parameters (ε, δ, bucket width, index and sketch sizes) win
-// over cfg's; breaker, representer, preprocessing and archive always
-// come from cfg. See docs/DURABILITY.md and docs/STORAGE.md.
+// over cfg's; breaker, representer and preprocessing always come from
+// cfg. See docs/DURABILITY.md and docs/STORAGE.md.
 func OpenDir(dir string, cfg Config) (*DB, error) { return core.OpenDir(dir, cfg) }
 
 // WALStats describes a durable database's write-ahead-log depth
@@ -417,15 +413,6 @@ func ChebyshevMetric() Metric { return dist.Chebyshev }
 // ZEuclideanMetric is the z-normalized Euclidean distance, invariant to
 // amplitude shift and scaling.
 func ZEuclideanMetric() Metric { return dist.ZEuclidean }
-
-// ---- archives ----
-
-// NewMemArchive returns an in-memory raw-sequence archive. Latency fields
-// on the returned value simulate slow archival media.
-func NewMemArchive() *store.MemArchive { return store.NewMemArchive() }
-
-// NewFileArchive returns a directory-backed raw-sequence archive.
-func NewFileArchive(dir string) (*store.FileArchive, error) { return store.NewFileArchive(dir) }
 
 // ---- preprocessing ----
 

@@ -12,7 +12,7 @@ import (
 // checkpoint and reopen.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	cfg := seqrep.Config{Archive: seqrep.NewMemArchive()}
+	cfg := seqrep.Config{}
 	db, err := seqrep.OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func TestSoakMixedCorpus(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	cfg := seqrep.Config{Epsilon: 0.5, Delta: 0.25, Archive: seqrep.NewMemArchive()}
+	cfg := seqrep.Config{Epsilon: 0.5, Delta: 0.25}
 	db, err := seqrep.OpenDir(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
