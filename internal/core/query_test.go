@@ -516,6 +516,102 @@ func TestIntervalQueryReingestRace(t *testing.T) {
 	}
 }
 
+// IntervalQuery through the inverted file answers exactly what a scan of
+// every live record's intervals answers under the bucket rule
+// floor(lo/w) ≤ floor(v/w) ≤ floor(hi/w): the same ids in order, each with
+// the same positions and intervals. It holds across removals and
+// re-ingests under another item's sequence, at fine, default and coarse
+// widths, and after the boot that rebuilds the file.
+func TestIntervalQueryEqualsScan(t *testing.T) {
+	for _, w := range []float64{1, 0.25, 10} {
+		t.Run(fmt.Sprint(w), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(w * 100)))
+			items := featureCorpus(t, rng, 600)
+			cfg := Config{BucketWidth: w}
+			dir := t.TempDir()
+			db, err := OpenDir(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if db != nil {
+					db.Close()
+				}
+			}()
+			if _, err := db.IngestBatch(items); err != nil {
+				t.Fatal(err)
+			}
+			check := func(step string) {
+				t.Helper()
+				for range 20 {
+					n := rng.Float64() * 200
+					eps := []float64{0, 0.5, 2, 10}[rng.Intn(4)]
+					got, err := db.IntervalQuery(n, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := scanIntervals(db, w, n-eps, n+eps); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: IntervalQuery(%g, %g) = %+v, scan = %+v", step, n, eps, got, want)
+					}
+				}
+			}
+			check("ingest")
+			var removed []string
+			for step := range 60 {
+				if len(removed) > 0 && rng.Intn(3) == 0 {
+					k := rng.Intn(len(removed))
+					id := removed[k]
+					removed = slices.Delete(removed, k, k+1)
+					mustIngest(t, db, id, items[rng.Intn(len(items))].Seq)
+				} else {
+					id := items[rng.Intn(len(items))].ID
+					if _, ok := db.Record(id); !ok {
+						continue
+					}
+					if err := db.Remove(id); err != nil {
+						t.Fatal(err)
+					}
+					removed = append(removed, id)
+				}
+				check(fmt.Sprint("step ", step))
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = OpenDir(dir, cfg); err != nil {
+				t.Fatal(err)
+			}
+			check("boot")
+		})
+	}
+}
+
+// scanIntervals is IntervalQuery by brute force: every live record's
+// intervals whose bucket lies within [lo, hi]'s, in id order.
+func scanIntervals(db *DB, w, lo, hi float64) []IntervalMatch {
+	blo, bhi := math.Floor(lo/w), math.Floor(hi/w)
+	ids := db.IDs()
+	slices.Sort(ids)
+	var out []IntervalMatch
+	for _, id := range ids {
+		rec, _ := db.Record(id)
+		var m *IntervalMatch
+		for pos, v := range rec.Profile.Intervals {
+			if b := math.Floor(v / w); blo <= b && b <= bhi {
+				if m == nil {
+					m = &IntervalMatch{ID: id}
+				}
+				m.Positions = append(m.Positions, pos)
+				m.Intervals = append(m.Intervals, v)
+			}
+		}
+		if m != nil {
+			out = append(out, *m)
+		}
+	}
+	return out
+}
+
 // The ECG inverted-index query of §5.2 / Figure 10.
 func TestIntervalQueryECG(t *testing.T) {
 	db := mustDB(t, Config{Epsilon: 10, Delta: 1})

@@ -1,22 +1,32 @@
 // Package inverted implements the inverted-file index of the paper's
-// Figure 10: a B-tree over bucketed feature values (R-R interval lengths
-// for the cardiology application) pointing to postings — the sets of
-// sequence representations containing those values. A query of the form
-// "interval = n ± ε" becomes a range scan of the B-tree followed by a walk
-// of the matching postings.
+// Figure 10: bucketed feature values (R-R interval lengths for the
+// cardiology application) pointing to postings — the sets of sequence
+// representations containing those values. A query of the form
+// "interval = n ± ε" becomes a range of buckets followed by a walk of
+// their postings.
 //
-// The paper notes such an index is reasonable because the indexed quantity
-// is physically bounded ("the interval can not exceed a certain integer and
-// can not go below some threshold for any living patient"), so there is a
-// limited number of bucket values.
+// The paper puts a B-tree over the buckets because its postings file lives
+// on disk pages. Here the file is in memory and rebuilt at every boot, so
+// the buckets are one slice sorted by key: a lookup is one binary search
+// and a range query a contiguous walk. That suffices for the paper's own
+// reason the index is reasonable at all: the indexed quantity is physically
+// bounded ("the interval can not exceed a certain integer and can not go
+// below some threshold for any living patient"), so there are few bucket
+// values.
+//
+// The trade is that a posting in a new bucket shifts the buckets above it,
+// O(buckets) — the same trade the database's sorted id list makes for each
+// record. At width 1, where about 145 buckets hold 11 600 intervals, those
+// adds take about 3 ms, as they did under the B-tree this slice replaced.
+// At width 1e-6, where every interval gets a bucket of its own, they take
+// about 33 ms against the B-tree's 7 ms (2-core Xeon, Go 1.24).
 package inverted
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-
-	"seqrep/internal/index/btree"
+	"slices"
 )
 
 // Ref is one posting: the sequence that contains the feature value and the
@@ -26,17 +36,19 @@ type Ref struct {
 	Pos int32
 }
 
-// postings is a bucket of the postings file: all references filed under
+// bucket is one entry of the postings file: all references filed under
 // one bucket key, kept sorted by (ID, Pos).
-type postings struct {
+type bucket struct {
+	key  int64
 	refs []Ref
 }
 
-// Index is the inverted file: bucketed float keys → postings.
+// Index is the inverted file: bucketed float keys → postings. Its buckets
+// are sorted by key, and none is empty.
 type Index struct {
-	bucketWidth float64
-	tree        *btree.Tree[int64, *postings]
-	count       int
+	width   float64
+	buckets []bucket
+	count   int
 }
 
 // New creates an index whose keys are bucketed to the given width: values
@@ -46,18 +58,14 @@ func New(bucketWidth float64) (*Index, error) {
 	if bucketWidth <= 0 || math.IsNaN(bucketWidth) || math.IsInf(bucketWidth, 0) {
 		return nil, fmt.Errorf("inverted: bucket width must be positive and finite, got %g", bucketWidth)
 	}
-	tr, err := btree.New[int64, *postings](btree.DefaultOrder)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{bucketWidth: bucketWidth, tree: tr}, nil
+	return &Index{width: bucketWidth}, nil
 }
 
-// bucket maps a value to its bucket key, saturating at the int64 range:
-// a converted out-of-range float is undefined in Go (MinInt64 on amd64),
+// key maps a value to its bucket key, saturating at the int64 range: a
+// converted out-of-range float is undefined in Go (MinInt64 on amd64),
 // which would collapse or invert the ends of a wide range.
-func (ix *Index) bucket(v float64) int64 {
-	switch f := math.Floor(v / ix.bucketWidth); {
+func (ix *Index) key(v float64) int64 {
+	switch f := math.Floor(v / ix.width); {
 	case f >= math.MaxInt64: // float64(MaxInt64) rounds up to 2^63
 		return math.MaxInt64
 	case f <= math.MinInt64:
@@ -67,14 +75,24 @@ func (ix *Index) bucket(v float64) int64 {
 	}
 }
 
-// BucketWidth returns the configured bucket width.
-func (ix *Index) BucketWidth() float64 { return ix.bucketWidth }
+// find returns the index of the first bucket whose key is at least key,
+// and whether its key is key.
+func (ix *Index) find(key int64) (int, bool) {
+	return slices.BinarySearchFunc(ix.buckets, key, func(b bucket, k int64) int { return cmp.Compare(b.key, k) })
+}
+
+func compareRefs(a, b Ref) int {
+	if c := cmp.Compare(a.ID, b.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Pos, b.Pos)
+}
 
 // Len returns the total number of postings stored.
 func (ix *Index) Len() int { return ix.count }
 
 // Buckets returns the number of distinct occupied buckets.
-func (ix *Index) Buckets() int { return ix.tree.Len() }
+func (ix *Index) Buckets() int { return len(ix.buckets) }
 
 // Add files ref under the bucket of value. Duplicate (value-bucket, ref)
 // pairs are ignored. It returns an error for non-finite values.
@@ -82,31 +100,25 @@ func (ix *Index) Add(value float64, ref Ref) error {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("inverted: non-finite value")
 	}
-	key := ix.bucket(value)
-	p, ok := ix.tree.Get(key)
+	key := ix.key(value)
+	i, ok := ix.find(key)
 	if !ok {
-		p = &postings{}
-		ix.tree.Put(key, p)
+		ix.buckets = slices.Insert(ix.buckets, i, bucket{key: key})
 	}
-	i := sort.Search(len(p.refs), func(i int) bool {
-		if p.refs[i].ID != ref.ID {
-			return p.refs[i].ID > ref.ID
-		}
-		return p.refs[i].Pos >= ref.Pos
-	})
-	if i < len(p.refs) && p.refs[i] == ref {
-		return nil // duplicate
+	b := &ix.buckets[i]
+	j, dup := slices.BinarySearchFunc(b.refs, ref, compareRefs)
+	if dup {
+		return nil
 	}
-	p.refs = append(p.refs, Ref{})
-	copy(p.refs[i+1:], p.refs[i:])
-	p.refs[i] = ref
+	b.refs = slices.Insert(b.refs, j, ref)
 	ix.count++
 	return nil
 }
 
 // Query returns all postings whose bucketed value falls within [lo, hi]
 // (the paper's "n ± ε" range query: pass lo = n-ε, hi = n+ε). Results are
-// deduplicated by reference and ordered by (ID, Pos).
+// deduplicated by reference and ordered by (ID, Pos). The slice is the
+// caller's own: a later Add never writes into it.
 func (ix *Index) Query(lo, hi float64) ([]Ref, error) {
 	if math.IsNaN(lo) || math.IsNaN(hi) {
 		return nil, fmt.Errorf("inverted: NaN query bound")
@@ -114,18 +126,21 @@ func (ix *Index) Query(lo, hi float64) ([]Ref, error) {
 	if hi < lo {
 		return nil, fmt.Errorf("inverted: inverted range [%g,%g]", lo, hi)
 	}
-	var out []Ref
-	ix.tree.Range(ix.bucket(lo), ix.bucket(hi), func(_ int64, p *postings) bool {
-		out = append(out, p.refs...)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].Pos < out[j].Pos
-	})
-	return dedupe(out), nil
+	i, _ := ix.find(ix.key(lo))
+	j, found := ix.find(ix.key(hi))
+	if found {
+		j++
+	}
+	n := 0
+	for _, b := range ix.buckets[i:j] {
+		n += len(b.refs)
+	}
+	out := make([]Ref, 0, n)
+	for _, b := range ix.buckets[i:j] {
+		out = append(out, b.refs...)
+	}
+	slices.SortFunc(out, compareRefs)
+	return slices.Compact(out), nil
 }
 
 // Covers reports whether Query(lo, hi) reads the bucket value falls in:
@@ -133,65 +148,27 @@ func (ix *Index) Query(lo, hi float64) ([]Ref, error) {
 // bucket width, which never changes, so it needs no lock the index's
 // writers take.
 func (ix *Index) Covers(lo, hi, value float64) bool {
-	b := ix.bucket(value)
-	return ix.bucket(lo) <= b && b <= ix.bucket(hi)
+	k := ix.key(value)
+	return ix.key(lo) <= k && k <= ix.key(hi)
 }
 
-// QueryIDs is Query reduced to the distinct sequence IDs, which is what
-// the physician-facing interval query of §5.2 returns ("the set of
-// pointers to the ECG representations which contain those interval
-// lengths").
-func (ix *Index) QueryIDs(lo, hi float64) ([]string, error) {
-	refs, err := ix.Query(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	for _, r := range refs {
-		if len(ids) == 0 || ids[len(ids)-1] != r.ID {
-			ids = append(ids, r.ID)
-		}
-	}
-	return ids, nil
-}
-
-// RemoveID drops every posting belonging to the sequence. It returns the
-// number of postings removed. The scan is linear in the number of buckets,
-// acceptable because re-ingestion is rare compared to queries.
+// RemoveID drops every posting belonging to the sequence, and every bucket
+// it leaves empty. It returns the number of postings removed. The pass is
+// linear in the number of postings, acceptable because removal is rare
+// compared to queries.
 func (ix *Index) RemoveID(id string) int {
 	removed := 0
-	var emptied []int64
-	ix.tree.Ascend(func(key int64, p *postings) bool {
-		kept := p.refs[:0]
-		for _, r := range p.refs {
-			if r.ID == id {
-				removed++
-				continue
-			}
-			kept = append(kept, r)
+	kept := ix.buckets[:0]
+	for _, b := range ix.buckets {
+		n := len(b.refs)
+		b.refs = slices.DeleteFunc(b.refs, func(r Ref) bool { return r.ID == id })
+		removed += n - len(b.refs)
+		if len(b.refs) > 0 {
+			kept = append(kept, b)
 		}
-		p.refs = kept
-		if len(p.refs) == 0 {
-			emptied = append(emptied, key)
-		}
-		return true
-	})
-	for _, key := range emptied {
-		ix.tree.Delete(key)
 	}
+	clear(ix.buckets[len(kept):])
+	ix.buckets = kept
 	ix.count -= removed
 	return removed
-}
-
-func dedupe(refs []Ref) []Ref {
-	if len(refs) < 2 {
-		return refs
-	}
-	out := refs[:1]
-	for _, r := range refs[1:] {
-		if r != out[len(out)-1] {
-			out = append(out, r)
-		}
-	}
-	return out
 }

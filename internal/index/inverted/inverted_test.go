@@ -3,7 +3,7 @@ package inverted
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -14,6 +14,22 @@ func mustIndex(t *testing.T, width float64) *Index {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// queryIDs is Query reduced to its distinct ids, in order.
+func queryIDs(t *testing.T, ix *Index, lo, hi float64) []string {
+	t.Helper()
+	refs, err := ix.Query(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, r := range refs {
+		if len(ids) == 0 || ids[len(ids)-1] != r.ID {
+			ids = append(ids, r.ID)
+		}
+	}
+	return ids
 }
 
 func TestNewValidation(t *testing.T) {
@@ -42,29 +58,17 @@ func TestAddQueryRoundTrip(t *testing.T) {
 	}
 
 	// The paper's query: interval 135 ± 2 finds only ecg2.
-	ids, err := ix.QueryIDs(133, 137)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || ids[0] != "ecg2" {
-		t.Errorf("QueryIDs(133,137) = %v, want [ecg2]", ids)
+	if ids := queryIDs(t, ix, 133, 137); len(ids) != 1 || ids[0] != "ecg2" {
+		t.Errorf("Query(133,137) ids = %v, want [ecg2]", ids)
 	}
 
 	// Wide range finds both, each once.
-	ids, err = ix.QueryIDs(100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != "ecg1" || ids[1] != "ecg2" {
-		t.Errorf("QueryIDs(100,200) = %v", ids)
+	if ids := queryIDs(t, ix, 100, 200); len(ids) != 2 || ids[0] != "ecg1" || ids[1] != "ecg2" {
+		t.Errorf("Query(100,200) ids = %v", ids)
 	}
 
 	// Empty range.
-	ids, err = ix.QueryIDs(300, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 0 {
+	if ids := queryIDs(t, ix, 300, 400); len(ids) != 0 {
 		t.Errorf("empty range returned %v", ids)
 	}
 }
@@ -134,23 +138,15 @@ func TestBucketing(t *testing.T) {
 		t.Errorf("Buckets = %d, want 2", ix.Buckets())
 	}
 	// Querying 10..19 hits the first bucket only.
-	ids, err := ix.QueryIDs(10, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 {
+	if ids := queryIDs(t, ix, 10, 19); len(ids) != 2 {
 		t.Errorf("bucket query = %v", ids)
-	}
-	if ix.BucketWidth() != 10 {
-		t.Error("BucketWidth")
 	}
 	// Negative values bucket consistently (floor semantics).
 	if err := ix.Add(-5, Ref{"neg", 0}); err != nil {
 		t.Fatal(err)
 	}
-	ids, err = ix.QueryIDs(-10, -1)
-	if err != nil || len(ids) != 1 || ids[0] != "neg" {
-		t.Errorf("negative bucket query = %v, %v", ids, err)
+	if ids := queryIDs(t, ix, -10, -1); len(ids) != 1 || ids[0] != "neg" {
+		t.Errorf("negative bucket query = %v", ids)
 	}
 }
 
@@ -173,11 +169,7 @@ func TestRemoveID(t *testing.T) {
 	if ix.Len() != 5 {
 		t.Errorf("Len = %d", ix.Len())
 	}
-	ids, err := ix.QueryIDs(0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || ids[0] != "keep" {
+	if ids := queryIDs(t, ix, 0, 1000); len(ids) != 1 || ids[0] != "keep" {
 		t.Errorf("after removal: %v", ids)
 	}
 }
@@ -193,52 +185,78 @@ func TestRemoveIDDropsEmptyBuckets(t *testing.T) {
 	}
 }
 
-// Differential test against a brute-force reference.
+// Differential test against a brute-force model under a seeded schedule
+// of adds, duplicate adds, removals and re-adds: after each step Query,
+// Len and Buckets agree with the model, and the buckets stay sorted by
+// key with none empty.
 func TestQueryAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	ix := mustIndex(t, 2.5)
+	const width = 2.5
+	ix := mustIndex(t, width)
 	type entry struct {
 		v float64
 		r Ref
 	}
-	var all []entry
-	for i := 0; i < 500; i++ {
-		v := rng.Float64() * 300
-		r := Ref{ID: string(rune('a' + rng.Intn(20))), Pos: int32(rng.Intn(10))}
-		if err := ix.Add(v, r); err != nil {
-			t.Fatal(err)
+	var all []entry // the model: one entry per live (bucket, ref) posting
+	key := func(v float64) int64 { return int64(math.Floor(v / width)) }
+	posted := func(e entry) bool { // whether an earlier entry files the same posting
+		for _, f := range all {
+			if f.r == e.r && key(f.v) == key(e.v) {
+				return true
+			}
 		}
-		all = append(all, entry{v, r})
+		return false
 	}
-	bucket := func(v float64) int64 { return int64(math.Floor(v / 2.5)) }
-	for trial := 0; trial < 40; trial++ {
-		lo := rng.Float64() * 300
+	for step := 0; step < 1500; step++ {
+		switch op := rng.Intn(10); {
+		case op < 8 || len(all) == 0: // add, re-add a removed id, or add a live posting again
+			e := entry{rng.Float64() * 300, Ref{ID: string(rune('a' + rng.Intn(20))), Pos: int32(rng.Intn(10))}}
+			if op >= 6 && len(all) > 0 {
+				e = all[rng.Intn(len(all))]
+				e.v = math.Nextafter(e.v, math.Floor(e.v/width)*width) // the same bucket
+			}
+			if err := ix.Add(e.v, e.r); err != nil {
+				t.Fatal(err)
+			}
+			if !posted(e) {
+				all = append(all, e)
+			}
+		default:
+			id := all[rng.Intn(len(all))].r.ID
+			n := len(all)
+			all = slices.DeleteFunc(all, func(e entry) bool { return e.r.ID == id })
+			if got := ix.RemoveID(id); got != n-len(all) {
+				t.Fatalf("step %d: RemoveID(%q) = %d, want %d", step, id, got, n-len(all))
+			}
+		}
+		keys := map[int64]bool{}
+		for _, e := range all {
+			keys[key(e.v)] = true
+		}
+		if ix.Len() != len(all) || ix.Buckets() != len(keys) {
+			t.Fatalf("step %d: Len, Buckets = %d, %d, want %d, %d", step, ix.Len(), ix.Buckets(), len(all), len(keys))
+		}
+		for i, b := range ix.buckets {
+			if len(b.refs) == 0 || i > 0 && ix.buckets[i-1].key >= b.key {
+				t.Fatalf("step %d: bucket %d (key %d, %d refs) empty or out of order", step, i, b.key, len(b.refs))
+			}
+		}
+		lo := rng.Float64()*320 - 10
 		hi := lo + rng.Float64()*50
 		got, err := ix.Query(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[Ref]bool{}
 		var want []Ref
 		for _, e := range all {
-			if bucket(e.v) >= bucket(lo) && bucket(e.v) <= bucket(hi) && !seen[e.r] {
-				seen[e.r] = true
+			if key(e.v) >= key(lo) && key(e.v) <= key(hi) {
 				want = append(want, e.r)
 			}
 		}
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].ID != want[j].ID {
-				return want[i].ID < want[j].ID
-			}
-			return want[i].Pos < want[j].Pos
-		})
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d refs, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d ref %d: %v vs %v", trial, i, got[i], want[i])
-			}
+		slices.SortFunc(want, compareRefs)
+		want = slices.Compact(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: Query(%g, %g) = %v, want %v", step, lo, hi, got, want)
 		}
 	}
 }
