@@ -10,6 +10,7 @@ package seqrep_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sync"
@@ -439,6 +440,61 @@ func BenchmarkDistanceQuery10k(b *testing.B) {
 		b.ReportMetric(speedup, "speedup")
 		if speedup < 3 {
 			b.Fatalf("indexed speedup %.1fx is below the 3x floor", speedup)
+		}
+	}
+}
+
+// BenchmarkDistanceQueryMetrics10k runs one exact DistanceQuery per
+// built-in metric on BenchmarkDistanceQuery10k's corpus: each metric's
+// feature bound is the L2 feature distance under its own scale, so every
+// one must take the index route. Each tolerance is that metric's distance
+// from the exemplar to a copy of it shifted by 2/√n per sample — the
+// L2 benchmark's radius of 2 spread evenly — so the metrics face
+// comparable queries (zl2, blind to a shift, keeps the L2 radius of 2).
+// The bound is as tight as l2's for linf and norml2 (verified at most 10x
+// l2's candidates) and √n looser for l1 and norml1 (fewer than the whole
+// length group); the benchmark fails otherwise.
+func BenchmarkDistanceQueryMetrics10k(b *testing.B) {
+	indexed, _, exemplar := queryBenchDBs(b)
+	shifted := exemplar.ShiftValue(2 / math.Sqrt(float64(len(exemplar))))
+	cands := map[string]int{}
+	for _, name := range []string{"l1", "l2", "linf", "norml1", "norml2", "zl2"} {
+		metric, err := seqrep.MetricByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eps := 2.0
+		if name != "zl2" {
+			if eps, err = metric.Distance(exemplar, shifted); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			var stats seqrep.QueryStats
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, stats, err = indexed.DistanceQueryCtx(context.Background(), exemplar, metric, eps, seqrep.QueryOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if stats.Plan != "index" {
+				b.Fatalf("%s: plan = %q, want index", name, stats.Plan)
+			}
+			b.ReportMetric(float64(stats.Candidates), "candidates/op")
+			b.ReportMetric(float64(stats.Pruned), "pruned/op")
+			cands[name] = stats.Candidates
+		})
+	}
+	if l2, ok := cands["l2"]; ok {
+		for _, name := range []string{"linf", "norml2"} {
+			if c, ok := cands[name]; ok && c > 10*max(l2, 1) {
+				b.Fatalf("%s verified %d candidates, more than 10x l2's %d", name, c, l2)
+			}
+		}
+	}
+	for _, name := range []string{"l1", "norml1"} { // every corpus record has the exemplar's length
+		if c, ok := cands[name]; ok && c >= queryBenchN {
+			b.Fatalf("%s verified %d candidates, the whole length group of %d", name, c, queryBenchN)
 		}
 	}
 }

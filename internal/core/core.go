@@ -560,7 +560,7 @@ func (db *DB) link(batch []pending) {
 func (db *DB) indexIntervals(rec *Record) error {
 	for pos, interval := range rec.Profile.Intervals {
 		if err := db.rrIndex.Add(interval, inverted.Ref{ID: rec.ID, Pos: int32(pos)}); err != nil {
-			db.rrIndex.RemoveID(rec.ID)
+			db.rrIndex.RemoveID(rec.ID, rec.Profile.Intervals[:pos])
 			return fmt.Errorf("core: indexing %q: %w", rec.ID, err)
 		}
 	}
@@ -797,7 +797,7 @@ func (db *DB) Remove(id string) error {
 		db.ids = slices.Delete(db.ids, i, i+1)
 		db.idGroup = slices.Delete(db.idGroup, i, i+1)
 	}
-	db.rrIndex.RemoveID(id)
+	db.rrIndex.RemoveID(id, rec.Profile.Intervals)
 	if db.findex != nil {
 		db.findex.remove(rec)
 	}

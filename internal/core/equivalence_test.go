@@ -202,20 +202,13 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 							if !reflect.DeepEqual(indexed, scanned) {
 								t.Errorf("%s eps=%g: indexed %+v != scan %+v", m.Name(), eps, indexed, scanned)
 							}
-							switch m.Name() {
-							case "l2", "zl2":
-								if istats.Plan != PlanIndex {
-									t.Errorf("%s: plan = %q, want index", m.Name(), istats.Plan)
-								}
-								if istats.Candidates+istats.Pruned != istats.Examined {
-									t.Errorf("%s: stats don't add up: %+v", m.Name(), istats)
-								}
-								totalPruned += istats.Pruned
-							default:
-								if istats.Plan != PlanScan {
-									t.Errorf("%s: plan = %q, want scan", m.Name(), istats.Plan)
-								}
+							if istats.Plan != PlanIndex {
+								t.Errorf("%s: plan = %q, want index", m.Name(), istats.Plan)
 							}
+							if istats.Candidates+istats.Pruned != istats.Examined {
+								t.Errorf("%s: stats don't add up: %+v", m.Name(), istats)
+							}
+							totalPruned += istats.Pruned
 						}
 					}
 
@@ -468,8 +461,8 @@ func TestArchiveDoesNotChangeAnswers(t *testing.T) {
 
 // TestIndexedEqualsScanOnFFTFeatures: a directory stores, for
 // power-of-two lengths, vectors computed by the FFT (dft.Transform).
-// Booted, it must answer every indexed and every progressive query as the
-// scan does, the exact self-match at eps 0 included. Query vectors must
+// Booted, it must answer every indexed and every progressive query, under
+// every metric, as the scan does, the exact self-match at eps 0 included. Query vectors must
 // therefore come from the same FFT: any other kernel differs by rounding
 // that, on large-valued records, passes lbSlack's fixed whisker and
 // dismisses exact matches.
@@ -526,7 +519,7 @@ func TestIndexedEqualsScanOnFFTFeatures(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{0, 1e-9, 0.5} {
-			for _, m := range []dist.Metric{dist.Euclidean, dist.ZEuclidean} {
+			for _, m := range dist.Metrics() {
 				got, st, err := booted.DistanceQueryCtx(context.Background(), ex, m, eps, QueryOptions{})
 				if err != nil || st.Plan != PlanIndex {
 					t.Fatalf("%s %s: plan %s, err %v", id, m.Name(), st.Plan, err)
@@ -554,6 +547,58 @@ func TestIndexedEqualsScanOnFFTFeatures(t *testing.T) {
 			}
 			if want, _, _ := booted.valueScan(ex, eps); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s value eps %g: indexed %d matches, scan %d", id, eps, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestIndexedEqualsScanPastSquareOverflow: constant records at ±1e155 and
+// ±1e200, whose feature differences square past the float range while
+// l1, linf, norml1 and the value band stay finite. An overflowed feature
+// distance would exceed every finite threshold and prune the far record;
+// every metric and the value band must answer as the scan does, indexed
+// and progressive, at a tolerance above every finite distance.
+func TestIndexedEqualsScanPastSquareOverflow(t *testing.T) {
+	for _, v := range []float64{1e155, 1e200} {
+		db := mustDB(t, Config{})
+		up, down := make([]float64, 64), make([]float64, 64)
+		for i := range up {
+			up[i], down[i] = v, -v
+		}
+		mustIngest(t, db, "up", seq.New(up))
+		mustIngest(t, db, "down", seq.New(down))
+		exemplar, err := db.Reconstruct("up")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range progressiveRunners() {
+			spec := r.spec(exemplar, 1e305)
+			indexed, st, err := db.querySorted(context.Background(), spec, QueryOptions{})
+			if err != nil || st.Plan != PlanIndex {
+				t.Fatalf("%g %s: plan %s, err %v", v, r.name, st.Plan, err)
+			}
+			scanned, _, err := db.scanPlan(db.compile(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(indexed, scanned) {
+				t.Errorf("%g %s: indexed %+v != scan %+v", v, r.name, indexed, scanned)
+			}
+			frames, _ := collectFrames(t, db, spec, QueryOptions{})
+			accepted := acceptedOf(frames)
+			if len(accepted) != len(scanned) {
+				t.Errorf("%g %s: progressive accepted %v, scan %+v", v, r.name, accepted, scanned)
+			}
+			for _, m := range scanned {
+				if _, ok := accepted[m.ID]; !ok {
+					t.Errorf("%g %s: progressive dismissed %q", v, r.name, m.ID)
+				}
+			}
+			switch r.name {
+			case "l1", "linf", "norml1", "value":
+				if len(scanned) != 2 {
+					t.Errorf("%g %s: scan matched %d records, want both", v, r.name, len(scanned))
+				}
 			}
 		}
 	}

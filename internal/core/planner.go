@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"seqrep/internal/dft"
@@ -17,12 +18,13 @@ const (
 	// vantage-point tree when the length group is large enough), exact
 	// verification of the survivors only.
 	PlanIndex = "index"
-	// PlanScan is the shard-parallel full scan.
+	// PlanScan is the shard-parallel full scan: a custom metric, or a
+	// database without the index.
 	PlanScan = "scan"
 	// PlanProgressive is the coarse-to-fine cascade over the feature
-	// index's candidates (or, without an index route, over every record):
-	// sketch bands, then the DFT feature bound, then exact verification
-	// (see progressive.go).
+	// index's candidates (or, for a custom metric or without the index,
+	// over every record): sketch bands, then the DFT feature bound, then
+	// exact verification (see progressive.go).
 	PlanProgressive = "progressive"
 	// The feature families' fixed access paths: the symbol catalogue
 	// (pattern, find), the peak-count sort over it (peaks) and the
@@ -45,14 +47,14 @@ const (
 // inverted file returned) and Candidates the records the walk selected.
 //
 // The progressive plan takes its records from one of two sources and
-// counts accordingly. Index-driven (the metric has an index route: l2,
-// zl2, value) it examines exactly what the index plan would, and every
-// examined record is accounted for: Examined = Pruned + BandAccepted +
-// Candidates on a run that neither Limit nor the caller cut short.
-// Linear (any other metric, or no index) it visits every record like the
-// scan plan; the records of other lengths are in Examined and in no
-// other counter, and Sketched = Pruned + BandAccepted + Candidates when
-// every record carries a sketch.
+// counts accordingly. Index-driven (the query has a featureScale entry:
+// every built-in metric and the value band) it examines exactly what the
+// index plan would, and every examined record is accounted for: Examined
+// = Pruned + BandAccepted + Candidates on a run that neither Limit nor
+// the caller cut short. Linear (a custom metric, or no index) it visits
+// every record like the scan plan; the records of other lengths are in
+// Examined and in no other counter, and Sketched = Pruned + BandAccepted
+// + Candidates when every record carries a sketch.
 type QueryStats struct {
 	// Query is the query family (one of the Family constants).
 	Query string
@@ -111,13 +113,18 @@ func (st QueryStats) String() string {
 }
 
 // lowerBound is one metric's pruning rule on the feature index: the query
-// feature vector and whether it compares against the z-normalized rows of
-// the columnar store. The feature-space threshold comes from the query's
-// boundOf at the current verification radius.
+// feature vector, whether it compares against the z-normalized rows of
+// the columnar store, and the metric's featureScale entry.
 type lowerBound struct {
-	qf []float64
-	z  bool
+	qf    []float64
+	z     bool
+	scale float64
 }
+
+// at maps a verification radius onto the feature-space bound: a record
+// within radius has scale·fd ≤ d ≤ radius. Top-K searches call it again
+// as the radius tightens mid-flight.
+func (lb *lowerBound) at(radius float64) float64 { return lbSlack(radius / lb.scale) }
 
 // lbSlack widens a lower-bound threshold by a whisker of floating-point
 // headroom: the no-false-dismissal guarantee is exact in real arithmetic,
@@ -125,38 +132,55 @@ type lowerBound struct {
 // turning it into a dismissal.
 func lbSlack(bound float64) float64 { return bound*(1+1e-9) + 1e-12 }
 
-// distanceLowerBound returns the feature-space pruning rule for metric m
-// on this exemplar — plus the mapping from a verification radius onto
-// the feature-space bound (top-K searches tighten the radius
-// mid-flight) — or ok=false when m admits no valid lower bound from the
-// stored features and the planner must scan.
+// featureScale is the one table of feature bounds: the factor mapping the
+// DFT feature distance F (a Euclidean lower bound by Parseval) onto a
+// lower bound of the named metric over n samples, and whether the
+// z-normalized vectors are the right ones. A zero scale means the metric
+// admits no sound feature bound. The metric is recognized by its
+// canonical name, and each entry is sound for the built-in semantics
+// bearing that name ("band" is the value family's ±ε semantics):
 //
-// The metric is recognized by its canonical name, and the rule is sound
-// for the built-in semantics bearing that name:
-//
-//   - "l2": feature distance lower-bounds Euclidean distance (Parseval).
-//   - "zl2": the same bound over the z-normalized feature vectors.
-//
-// L1 and L∞ fall through — the feature distance lower-bounds L2, which
-// neither bounds L∞ from below nor is worth routing for L1 — as do the
-// length-normalized variants and any custom metric.
-func (db *DB) distanceLowerBound(exemplar seq.Sequence, m dist.Metric) (*lowerBound, func(float64) float64, bool) {
-	k := db.findex.k
-	switch m.Name() {
-	case dist.Euclidean.Name():
-		qf, err := dft.Features(exemplar.Values(), k)
-		if err != nil {
-			return nil, nil, false
-		}
-		return &lowerBound{qf: qf}, lbSlack, true
-	case dist.ZEuclidean.Name():
-		qf, err := dft.Features(dist.ZNormalizeValues(exemplar.Values()), k)
-		if err != nil {
-			return nil, nil, false
-		}
-		return &lowerBound{qf: qf, z: true}, lbSlack, true
+//	l1:          L1 ≥ L2 ≥ F
+//	l2, zl2:     L2 ≥ F
+//	linf, band:  L∞ ≥ L2/√n ≥ F/√n
+//	norml2:      L2/√n ≥ F/√n
+//	norml1:      L1/n ≥ L2/n ≥ F/n
+func featureScale(metric string, n int) (scale float64, useZ bool) {
+	fn := float64(n)
+	switch metric {
+	case "l1", "l2":
+		return 1, false
+	case "zl2":
+		return 1, true
+	case "linf", "band", "norml2":
+		return 1 / math.Sqrt(fn), false
+	case "norml1":
+		return 1 / fn, false
+	default:
+		return 0, false
 	}
-	return nil, nil, false
+}
+
+// lowerBoundOf returns the feature-space pruning rule for the named
+// metric on this exemplar, or nil — the planner then scans — when the
+// index is off or featureScale has no entry for the metric.
+func (db *DB) lowerBoundOf(metric string, exemplar seq.Sequence) *lowerBound {
+	if db.findex == nil {
+		return nil
+	}
+	scale, z := featureScale(metric, len(exemplar))
+	if scale == 0 {
+		return nil
+	}
+	vals := exemplar.Values()
+	if z {
+		vals = dist.ZNormalizeValues(vals)
+	}
+	qf, err := dft.Features(vals, db.findex.k)
+	if err != nil {
+		return nil
+	}
+	return &lowerBound{qf: qf, z: z, scale: scale}
 }
 
 // verifyReadError classifies a storedSequence failure during query

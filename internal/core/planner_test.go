@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"seqrep/internal/dft"
 	"seqrep/internal/dist"
+	"seqrep/internal/seq"
 	"seqrep/internal/synth"
 )
 
@@ -41,10 +45,10 @@ func TestPlannerRouting(t *testing.T) {
 	}{
 		{dist.Euclidean, PlanIndex},
 		{dist.ZEuclidean, PlanIndex},
-		{dist.Manhattan, PlanScan},
-		{dist.Chebyshev, PlanScan},
-		{dist.MeanAbs, PlanScan},
-		{dist.RMS, PlanScan},
+		{dist.Manhattan, PlanIndex},
+		{dist.Chebyshev, PlanIndex},
+		{dist.MeanAbs, PlanIndex},
+		{dist.RMS, PlanIndex},
 	}
 	for _, c := range cases {
 		_, stats, err := db.DistanceQueryCtx(context.Background(), fever, c.metric, 1, QueryOptions{})
@@ -64,6 +68,78 @@ func TestPlannerRouting(t *testing.T) {
 	}
 	if stats.Plan != PlanIndex || stats.Query != "value" || stats.Metric != "band" {
 		t.Errorf("value stats = %+v", stats)
+	}
+}
+
+// TestFeatureScaleLowerBounds is the soundness property of featureScale,
+// the one table every index route reads: for every built-in metric and
+// the value band, on random pairs at an FFT length (64) and a direct-DFT
+// length (97), the index never prunes a record the metric admits —
+// FeatureDist(F(q), F(r)) ≤ lb.at(d(q, r)), which is scale·F ≤ d through
+// lbSlack. Pairs run from identical and near-duplicate, where the slack
+// decides, to unrelated, at magnitudes from 1e-4 to 1e8. A custom metric
+// has no entry and no bound.
+func TestFeatureScaleLowerBounds(t *testing.T) {
+	db := mustDB(t, Config{})
+	rng := rand.New(rand.NewSource(18))
+	metrics := map[string]func(a, b seq.Sequence) (float64, error){"band": dist.LInf}
+	for _, m := range dist.Metrics() {
+		metrics[m.Name()] = m.Distance
+	}
+	walk := func(n int, mag float64) []float64 {
+		vals := make([]float64, n)
+		level := mag * rng.NormFloat64()
+		for i := range vals {
+			level += mag * rng.NormFloat64()
+			vals[i] = level
+		}
+		return vals
+	}
+	for _, n := range []int{64, 97} {
+		for trial := range 300 {
+			mag := math.Pow(10, float64(rng.Intn(13)-4))
+			qv := walk(n, mag)
+			rv := make([]float64, n)
+			switch trial % 4 {
+			case 0: // identical
+				copy(rv, qv)
+			case 1: // near-duplicate
+				for i, v := range qv {
+					rv[i] = v + 1e-9*mag*rng.NormFloat64()
+				}
+			case 2: // jittered
+				for i, v := range qv {
+					rv[i] = v + 0.1*mag*rng.NormFloat64()
+				}
+			default: // unrelated
+				rv = walk(n, mag)
+			}
+			q, r := seq.New(qv), seq.New(rv)
+			for name, d := range metrics {
+				lb := db.lowerBoundOf(name, q)
+				if lb == nil {
+					t.Fatalf("%s: no feature bound", name)
+				}
+				vals := r.Values()
+				if lb.z {
+					vals = dist.ZNormalizeValues(vals)
+				}
+				rf, err := dft.Features(vals, db.findex.k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dv, err := d(q, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fd := dft.FeatureDist(lb.qf, rf); fd > lb.at(dv) {
+					t.Fatalf("n=%d trial %d %s: feature distance %g·%g = %g exceeds the distance %g", n, trial, name, fd, lb.scale, fd*lb.scale, dv)
+				}
+			}
+		}
+	}
+	if lb := db.lowerBoundOf("custom", seq.New(walk(64, 1))); lb != nil {
+		t.Errorf("a custom metric got a feature bound: %+v", lb)
 	}
 }
 
@@ -114,8 +190,9 @@ func TestPlannerPrunesAndCounts(t *testing.T) {
 // TestProgressiveCounts pins what the cascade's counters mean under each
 // record source. Index-driven (l2): Examined is the feature vectors the
 // index compared, and every one of them is pruned (by the index or a
-// band), band-accepted or verified. Linear (l1): Examined is every record
-// the sketch pass visited, the off-length one included.
+// band), band-accepted or verified. Linear (the same query on a database
+// without the index): Examined is every record the sketch pass visited,
+// the off-length one included.
 func TestProgressiveCounts(t *testing.T) {
 	db := plannerDB(t, Config{})
 	fever, _ := db.Reconstruct("fever")
@@ -146,8 +223,7 @@ func TestProgressiveCounts(t *testing.T) {
 		}
 	}
 
-	spec.Metric = dist.Manhattan
-	_, stats := collectFrames(t, db, spec, QueryOptions{})
+	_, stats := collectFrames(t, plannerDB(t, Config{IndexCoeffs: -1}), spec, QueryOptions{})
 	if stats.Examined != 5 || stats.Sketched != 4 {
 		t.Errorf("linear source: Examined = %d, Sketched = %d, want 5 visited and 4 banded", stats.Examined, stats.Sketched)
 	}

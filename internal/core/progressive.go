@@ -3,7 +3,7 @@ package core
 // This file is the progressive query cascade: the coarse-to-fine
 // candidate producer runQuery selects under progressive delivery. A
 // similarity query takes its records from the source the exact plan uses
-// — the feature index's candidates when the metric has an index route,
+// — the feature index's candidates when featureScale bounds the metric,
 // every record otherwise — answers first from their compact per-record
 // sketches with a guaranteed two-sided error band, then tightens the
 // survivors' bands with the DFT feature distance, and finally hands what
@@ -33,7 +33,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"seqrep/internal/dft"
 	"seqrep/internal/multires"
 )
 
@@ -118,20 +117,6 @@ type ProgressiveMatch struct {
 	Match *Match
 }
 
-// cascade is the query-side state of the coarse tiers: the exemplar's
-// sketch and its feature vector with the lower-bound scaling.
-type cascade struct {
-	// qsk is the exemplar's sketch; nil when sketches are disabled.
-	qsk *multires.Sketch
-	// qf is the exemplar's DFT feature vector (z-normalized when useZ)
-	// and fscale maps feature distance onto a lower bound of the query
-	// metric. They are set together: fscale 0 means no vector and no
-	// tightening at the candidate tier.
-	qf     []float64
-	fscale float64
-	useZ   bool
-}
-
 // bandFloor shrinks a mathematically sound lower bound by the same
 // floating-point whisker the band math uses, so summation-order rounding
 // can never raise it above the true distance.
@@ -141,59 +126,6 @@ func bandFloor(x float64) float64 {
 		return 0
 	}
 	return x
-}
-
-// featureScale returns the factor mapping the DFT feature distance (a
-// Euclidean lower bound by Parseval) onto a lower bound of the named
-// metric, and whether the z-normalized vectors are the right ones. A
-// zero scale means the metric admits no sound feature bound.
-//
-//	l1:          L1 ≥ L2 ≥ F
-//	l2, zl2:     L2 ≥ F
-//	linf, band:  L∞ ≥ L2/√n ≥ F/√n
-//	norml2:      L2/√n ≥ F/√n
-//	norml1:      L1/n ≥ L2/n ≥ F/n
-func featureScale(metric string, n int) (scale float64, useZ bool) {
-	fn := float64(n)
-	switch metric {
-	case "l1", "l2":
-		return 1, false
-	case "zl2":
-		return 1, true
-	case "linf", "band", "norml2":
-		return 1 / math.Sqrt(fn), false
-	case "norml1":
-		return 1 / fn, false
-	default:
-		return 0, false
-	}
-}
-
-// cascadeOf computes the exemplar-side sketch and feature vector of one
-// cascade run. A query the feature index serves already carries its
-// feature vector (spec.lb.qf, the one the tree search prunes with), so
-// only the metrics the index cannot route — whose feature bound needs a
-// different scaling, never a different vector — compute one here.
-func (db *DB) cascadeOf(spec *querySpec) cascade {
-	var cs cascade
-	vals := spec.exemplar.Values()
-	if db.cfg.SketchBlock > 0 {
-		cs.qsk = multires.BuildSketch(vals, db.cfg.SketchBlock)
-	}
-	if db.findex == nil {
-		return cs
-	}
-	scale, useZ := featureScale(spec.metric, len(vals))
-	switch {
-	case scale == 0:
-	case spec.lb != nil:
-		cs.qf, cs.fscale, cs.useZ = spec.lb.qf, scale, spec.lb.z
-	case !useZ:
-		if qf, err := dft.Features(vals, db.findex.k); err == nil {
-			cs.qf, cs.fscale = qf, scale
-		}
-	}
-	return cs
 }
 
 // finalizeAt reports whether the cascade stops refining a record at the
@@ -220,10 +152,11 @@ func bandMatch(id string, devKey string, band Band) *Match {
 	return &Match{ID: id, Exact: band.Hi == 0, Deviations: map[string]float64{devKey: dev}}
 }
 
-// cascadeRun is one execution of the coarse tiers: the query-side state,
+// cascadeRun is one execution of the coarse tiers: the exemplar's sketch,
 // the run's parameters and its counters.
 type cascadeRun struct {
-	cascade
+	// qsk is the exemplar's sketch; nil when sketches are disabled.
+	qsk      *multires.Sketch
 	spec     *querySpec
 	col      *collector
 	maxTier  Tier
@@ -279,24 +212,16 @@ func (cr *cascadeRun) sketchStep(c *candidate, t *cascadeTally) bool {
 }
 
 // candidateStep is tier 2 for one record: lift the band's lower edge to
-// the scaled DFT feature distance — the one the index computed while
-// generating the candidate, or computed here on the linear source — then
-// settle. A record without feature vectors, or any record when the
-// metric admits no feature bound, keeps its negative fd, which floors to
-// zero and lifts nothing: it is settled on its sketch band, so a cap at
-// this tier still gives it its final frame.
+// the scaled DFT feature distance the index computed while generating the
+// candidate, then settle. An unindexed record keeps its negative fd, which
+// floors to zero and lifts nothing, as does every record on the linear
+// source (no spec.lb): it is settled on its sketch band, so a cap at this
+// tier still gives it its final frame.
 func (cr *cascadeRun) candidateStep(c *candidate, t *cascadeTally) bool {
-	if c.fd < 0 && cr.fscale > 0 {
-		feats := c.rec.feats
-		if cr.useZ {
-			feats = c.rec.zfeats
+	if lb := cr.spec.lb; lb != nil {
+		if flo := bandFloor(c.fd * lb.scale); flo > c.band.Lo {
+			c.band.Lo = min(flo, c.band.Hi) // both edges are slacked; never invert the band
 		}
-		if feats != nil {
-			c.fd = dft.FeatureDist(cr.qf, feats)
-		}
-	}
-	if flo := bandFloor(c.fd * cr.fscale); flo > c.band.Lo {
-		c.band.Lo = min(flo, c.band.Hi) // both edges are slacked; never invert the band
 	}
 	return cr.settle(c, TierCandidate, t)
 }
@@ -331,9 +256,9 @@ func (db *DB) refine(cr *cascadeRun, items []candidate, step func(*candidate, *c
 // sketchPass is the linear candidate source: every shard is snapshotted
 // and every length-matching record banded at the sketch tier. It is what
 // the cascade runs on when the feature index cannot generate the
-// candidates — a metric without an index route (l1, linf, norml1,
-// norml2) or a database without the index. examined counts every record
-// visited, of any length, as on the scan plan.
+// candidates — a database without the index, or a custom metric, which
+// has no featureScale entry. examined counts every record visited, of
+// any length, as on the scan plan.
 func (db *DB) sketchPass(cr *cascadeRun) (items []candidate, examined int) {
 	shardRecs := db.snapshotRecords()
 	surv := make([][]candidate, len(shardRecs))
@@ -372,23 +297,25 @@ func (db *DB) sketchPass(cr *cascadeRun) (items []candidate, examined int) {
 // its final exact-tier frame.
 //
 // The records come from the same source the exact plan uses. When the
-// query is indexed (it carries a feature lower bound and the index is up)
-// the feature index generates them (collectIndexed, shared with
+// query carries a feature lower bound (spec.lb) the feature index
+// generates them (collectIndexed, shared with
 // produceIndexed): the tree search's dismissals are a sound lower bound,
 // so they are silent pre-first-frame dismissals like the sketch tier's
 // own, and the tiers run over the index's survivors only. Otherwise the
 // linear sketch pass bands every record. The source follows from what
 // the spec carries, never from an option.
-func (db *DB) produceCascade(spec *querySpec, opts QueryOptions, indexed bool, col *collector, stats *QueryStats) {
-	cr := &cascadeRun{cascade: db.cascadeOf(spec), spec: spec, col: col,
-		maxTier: opts.MaxTier, maxError: opts.MaxError}
+func (db *DB) produceCascade(spec *querySpec, opts QueryOptions, col *collector, stats *QueryStats) {
+	cr := &cascadeRun{spec: spec, col: col, maxTier: opts.MaxTier, maxError: opts.MaxError}
+	if db.cfg.SketchBlock > 0 {
+		cr.qsk = multires.BuildSketch(spec.exemplar.Values(), db.cfg.SketchBlock)
+	}
 	if cr.maxTier == TierNone {
 		cr.maxTier = TierExact
 	}
 
 	// Tier 1 — sketch, over the source's records.
 	var items []candidate
-	if indexed {
+	if spec.lb != nil {
 		scratch := db.collectIndexed(spec, col, stats)
 		defer releaseCands(scratch)
 		items = db.refine(cr, *scratch, cr.sketchStep)
@@ -396,11 +323,10 @@ func (db *DB) produceCascade(spec *querySpec, opts QueryOptions, indexed bool, c
 		items, stats.Examined = db.sketchPass(cr)
 	}
 
-	// Tier 2 — candidate. Runs when the feature index is up and the metric
-	// admits a sound scaling — and when it cannot but the caller capped
-	// refinement here, to finalize on the sketch bands, the best
-	// information such a configuration has.
-	if cr.fscale > 0 || cr.maxTier == TierCandidate {
+	// Tier 2 — candidate. Runs when the index was the source — and when it
+	// was not but the caller capped refinement here, to finalize on the
+	// sketch bands, the best information such a configuration has.
+	if spec.lb != nil || cr.maxTier == TierCandidate {
 		items = db.refine(cr, items, cr.candidateStep)
 	}
 	stats.Sketched = int(cr.sketched.Load())

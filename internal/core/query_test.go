@@ -520,8 +520,9 @@ func TestIntervalQueryReingestRace(t *testing.T) {
 // every live record's intervals answers under the bucket rule
 // floor(lo/w) ≤ floor(v/w) ≤ floor(hi/w): the same ids in order, each with
 // the same positions and intervals. It holds across removals and
-// re-ingests under another item's sequence, at fine, default and coarse
-// widths, and after the boot that rebuilds the file.
+// re-ingests under another item's sequence (one pinned to a record whose
+// intervals change), at fine, default and coarse widths, and after the
+// boot that rebuilds the file.
 func TestIntervalQueryEqualsScan(t *testing.T) {
 	for _, w := range []float64{1, 0.25, 10} {
 		t.Run(fmt.Sprint(w), func(t *testing.T) {
@@ -541,18 +542,33 @@ func TestIntervalQueryEqualsScan(t *testing.T) {
 			if _, err := db.IngestBatch(items); err != nil {
 				t.Fatal(err)
 			}
+			checkAt := func(step string, n, eps float64) {
+				t.Helper()
+				got, err := db.IntervalQuery(n, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := scanIntervals(db, w, n-eps, n+eps); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: IntervalQuery(%g, %g) = %+v, scan = %+v", step, n, eps, got, want)
+				}
+			}
 			check := func(step string) {
 				t.Helper()
+				// Answers cannot show a stale posting (a query re-checks each
+				// against its record), so count the file against the records.
+				postings, keys := 0, map[float64]bool{}
+				for _, id := range db.IDs() {
+					rec, _ := db.Record(id)
+					postings += len(rec.Profile.Intervals)
+					for _, v := range rec.Profile.Intervals {
+						keys[math.Floor(v/w)] = true
+					}
+				}
+				if st := db.Stats(); st.IntervalCount != postings || st.IntervalBucket != len(keys) {
+					t.Fatalf("%s: %d postings in %d buckets, records hold %d in %d", step, st.IntervalCount, st.IntervalBucket, postings, len(keys))
+				}
 				for range 20 {
-					n := rng.Float64() * 200
-					eps := []float64{0, 0.5, 2, 10}[rng.Intn(4)]
-					got, err := db.IntervalQuery(n, eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := scanIntervals(db, w, n-eps, n+eps); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: IntervalQuery(%g, %g) = %+v, scan = %+v", step, n, eps, got, want)
-					}
+					checkAt(step, rng.Float64()*200, []float64{0, 0.5, 2, 10}[rng.Intn(4)])
 				}
 			}
 			check("ingest")
@@ -575,6 +591,38 @@ func TestIntervalQueryEqualsScan(t *testing.T) {
 				}
 				check(fmt.Sprint("step ", step))
 			}
+
+			// A record removed and re-ingested under a sequence with other
+			// intervals, then removed again: each removal drops exactly the
+			// postings its own record filed, at both records' intervals.
+			var live []BatchItem
+			for _, it := range items {
+				if rec, ok := db.Record(it.ID); ok && len(rec.Profile.Intervals) > 0 {
+					live = append(live, it)
+				}
+			}
+			id := live[0].ID
+			before, _ := db.Record(id)
+			if err := db.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			mustIngest(t, db, id, live[1].Seq)
+			after, _ := db.Record(id)
+			if reflect.DeepEqual(after.Profile.Intervals, before.Profile.Intervals) {
+				t.Fatalf("%s re-ingested with the same intervals %v", id, before.Profile.Intervals)
+			}
+			checkAll := func(step string) {
+				t.Helper()
+				for _, v := range append(slices.Clone(before.Profile.Intervals), after.Profile.Intervals...) {
+					checkAt(step, v, 0)
+				}
+				check(step)
+			}
+			checkAll("re-ingest with other intervals")
+			if err := db.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			checkAll("remove the re-ingested record")
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"seqrep/internal/dft"
 	"seqrep/internal/dist"
 	"seqrep/internal/pattern"
 	"seqrep/internal/seq"
@@ -89,9 +88,6 @@ type querySpec struct {
 	devKey string
 	// lb is the feature-space pruning rule; nil forces the scan plan.
 	lb *lowerBound
-	// boundOf maps a verification radius onto the feature-space bound —
-	// consulted mid-traversal when top-K shrinks the radius.
-	boundOf func(radius float64) float64
 	// initEps is the starting verification radius (+Inf = unbounded).
 	initEps float64
 	// prunes marks query kinds whose match deviation equals the distance
@@ -142,18 +138,17 @@ func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, 
 	}
 	stats := QueryStats{Query: spec.kind, Metric: spec.metric}
 	col := newCollector(ctx.Done(), spec, opts, yield, frames)
-	indexed := db.findex != nil && spec.lb != nil
 	switch {
 	case frames != nil:
 		stats.Plan = PlanProgressive
-		db.produceCascade(spec, opts, indexed, col, &stats)
+		db.produceCascade(spec, opts, col, &stats)
 	case spec.produce != nil:
 		stats.Plan = spec.plan
 		stats.Examined, stats.Candidates = spec.produce(db, spec, col)
-	case indexed && opts.TopK > 0:
+	case spec.lb != nil && opts.TopK > 0:
 		stats.Plan = PlanIndex
 		db.produceIndexedTopK(spec, col, &stats)
-	case indexed:
+	case spec.lb != nil:
 		stats.Plan = PlanIndex
 		db.produceIndexed(spec, col, &stats)
 	default:
@@ -236,7 +231,7 @@ func (db *DB) verifyAll(col *collector, cands []candidate) {
 func (db *DB) collectIndexed(spec *querySpec, col *collector, stats *QueryStats) *[]candidate {
 	scratch := candPool.Get().(*[]candidate)
 	cands := (*scratch)[:0]
-	fixed := spec.boundOf(spec.initEps)
+	fixed := spec.lb.at(spec.initEps)
 	bound := func() float64 {
 		if col.stopped() {
 			return -1
@@ -304,7 +299,7 @@ func (db *DB) produceIndexedTopK(spec *querySpec, col *collector, stats *QuerySt
 		if r < spec.initEps {
 			shrunk.Store(true)
 		}
-		return spec.boundOf(r)
+		return spec.lb.at(r)
 	}
 	// The workers drain candCh to its close however the run stops, so a
 	// send blocks only until a worker is free.
@@ -364,20 +359,16 @@ func (db *DB) distanceSpec(exemplar seq.Sequence, m dist.Metric, eps float64) (*
 		devKey:   m.Name(),
 		initEps:  eps,
 		prunes:   true,
+		lb:       db.lowerBoundOf(m.Name(), exemplar),
 		verify: func(rec *Record, radius float64) (Match, bool, error) {
 			return db.distanceVerify(rec, exemplar, m, radius)
 		},
 	}
-	if db.findex != nil {
-		if lb, boundOf, ok := db.distanceLowerBound(exemplar, m); ok {
-			spec.lb, spec.boundOf = lb, boundOf
-		}
-	}
 	return spec, nil
 }
 
-// valueSpec compiles a ValueQuery (±eps band semantics; the L2 detour
-// eps·√n admits the feature bound).
+// valueSpec compiles a ValueQuery (±eps band semantics, which featureScale
+// bounds as "band").
 func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) {
 	if len(exemplar) == 0 {
 		return nil, fmt.Errorf("core: empty exemplar")
@@ -393,17 +384,10 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 		devKey:   "value",
 		initEps:  eps,
 		prunes:   true,
+		lb:       db.lowerBoundOf("band", exemplar),
 		verify: func(rec *Record, radius float64) (Match, bool, error) {
 			return db.valueVerify(rec, exemplar, radius)
 		},
-	}
-	if db.findex != nil {
-		if qf, err := dft.Features(exemplar.Values(), db.findex.k); err == nil {
-			scale := math.Sqrt(float64(len(exemplar)))
-			boundOf := func(r float64) float64 { return lbSlack(r * scale) }
-			spec.lb = &lowerBound{qf: qf}
-			spec.boundOf = boundOf
-		}
 	}
 	return spec, nil
 }
@@ -587,11 +571,12 @@ func (db *DB) querySorted(ctx context.Context, q QuerySpec, opts QueryOptions) (
 }
 
 // DistanceQueryCtx is DistanceQuery with a context, result bounds and
-// execution statistics (see Query). The planner routes metrics with a
-// feature-space lower bound (l2, zl2) through the index — pruning
-// candidates whose feature distance already exceeds the tolerance, then
-// verifying survivors exactly — and falls back to the shard-parallel scan
-// for everything else; both plans return byte-identical match sets.
+// execution statistics (see Query). The planner routes every metric with
+// a featureScale entry (all the built-in ones) through the index —
+// pruning candidates whose scaled feature distance already exceeds the
+// tolerance, then verifying survivors exactly — and falls back to the
+// shard-parallel scan for a custom metric or a database without the
+// index; both plans return byte-identical match sets.
 func (db *DB) DistanceQueryCtx(ctx context.Context, exemplar seq.Sequence, m dist.Metric, eps float64, opts QueryOptions) ([]Match, QueryStats, error) {
 	return db.querySorted(ctx, QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: m, Eps: eps}, opts)
 }
@@ -599,9 +584,9 @@ func (db *DB) DistanceQueryCtx(ctx context.Context, exemplar seq.Sequence, m dis
 // ValueQueryCtx is ValueQuery with a context, result bounds and execution
 // statistics (see Query). The ±ε band semantics admit an L2 detour: a
 // sequence inside the band satisfies L∞ ≤ ε, hence L2 ≤ ε·√n, hence
-// feature distance ≤ ε·√n — so the index prunes with the scaled bound and
-// verifies survivors with the same early-abandoning band kernel as the
-// scan.
+// feature distance ≤ ε·√n (featureScale's "band" entry) — so the index
+// prunes with the scaled bound and verifies survivors with the same
+// early-abandoning band kernel as the scan.
 func (db *DB) ValueQueryCtx(ctx context.Context, exemplar seq.Sequence, eps float64, opts QueryOptions) ([]Match, QueryStats, error) {
 	return db.querySorted(ctx, QuerySpec{Family: FamilyValue, Exemplar: exemplar, Eps: eps}, opts)
 }

@@ -235,20 +235,14 @@ func FeatureDistance(a, b []float64) (float64, error) {
 	if len(a) != len(b) {
 		return 0, fmt.Errorf("dft: feature vectors differ in length: %d vs %d", len(a), len(b))
 	}
-	sum := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum), nil
+	return pointDist(a, b), nil
 }
 
 // FeatureDist returns the Euclidean distance between two feature vectors
 // of pre-validated equal width — the hot-loop form of FeatureDistance for
 // columnar stores whose row stride is fixed by construction, so the
-// per-comparison length check is hoisted out of the scan entirely. It
-// shares FeatureDistance's accumulation order exactly (pruning decisions
-// agree bit-for-bit).
+// per-comparison length check is hoisted out of the scan entirely. Both
+// run pointDist, so pruning decisions agree bit-for-bit.
 func FeatureDist(a, b []float64) float64 { return pointDist(a, b) }
 
 // MainFrequency returns the dominant non-DC frequency bin of vals and its

@@ -315,6 +315,46 @@ func TestFeatureDistanceLowerBound(t *testing.T) {
 	}
 }
 
+// TestFeatureDistancePastSquareOverflow: differences whose squares
+// overflow (past ~1e154) still give the finite distance, scaled the way
+// BLAS dnrm2 does; only a difference that itself overflows gives +Inf.
+// Below the overflow the kernel is the plain sum of squares, bit for bit.
+func TestFeatureDistancePastSquareOverflow(t *testing.T) {
+	for _, c := range []struct {
+		a, b []float64
+		want float64
+	}{
+		{[]float64{1e155, 0}, []float64{-1e155, 0}, 2e155},
+		{[]float64{3e200, 4e200}, []float64{0, 0}, 5e200},
+		{[]float64{1e300, 1e300, 1e300, 1e300}, []float64{0, 0, 0, 0}, 2e300},
+		{[]float64{math.MaxFloat64, 0}, []float64{-math.MaxFloat64, 0}, math.Inf(1)},
+	} {
+		fd, err := FeatureDistance(c.a, c.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FeatureDist(c.a, c.b); got != fd {
+			t.Errorf("FeatureDist %g != FeatureDistance %g", got, fd)
+		}
+		if math.IsInf(c.want, 1) != math.IsInf(fd, 1) || math.Abs(fd-c.want) > 1e-15*c.want {
+			t.Errorf("FeatureDistance(%v, %v) = %g, want %g", c.a, c.b, fd, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(16))
+	for range 100 {
+		a, b := make([]float64, 8), make([]float64, 8)
+		sum := 0.0
+		for i := range a {
+			a[i], b[i] = 1e150*rng.NormFloat64(), 1e150*rng.NormFloat64()
+			d := a[i] - b[i]
+			sum += d * d
+		}
+		if fd, _ := FeatureDistance(a, b); fd != math.Sqrt(sum) {
+			t.Fatalf("finite sum changed: %g, want %g", fd, math.Sqrt(sum))
+		}
+	}
+}
+
 func TestMainFrequency(t *testing.T) {
 	// Pure sine of period 16 over 128 samples lands in bin 128/16 = 8.
 	s := synth.Sine(128, 3, 16, 0)

@@ -92,16 +92,40 @@ func (t *VPTree) row(o int32) []float64 {
 }
 
 // pointDist is the tree's metric: Euclidean distance between two rows of
-// equal, pre-validated width — the same accumulation order as
-// FeatureDistance, so tree and linear-scan candidate sets agree
-// bit-for-bit.
+// equal, pre-validated width — the one kernel behind FeatureDistance,
+// FeatureDist and the tree, so tree and linear-scan candidate sets agree
+// bit-for-bit. Squares overflow once differences pass ~1e154, so a sum
+// that reaches +Inf is recomputed scaled by the largest difference, the
+// way BLAS dnrm2 does; a finite sum is returned as accumulated.
 func pointDist(a, b []float64) float64 {
 	sum := 0.0
 	for i := range a {
 		d := a[i] - b[i]
 		sum += d * d
 	}
+	if math.IsInf(sum, 1) {
+		return scaledDist(a, b)
+	}
 	return math.Sqrt(sum)
+}
+
+// scaledDist is pointDist's overflow path: s·√Σ(dᵢ/s)² with s = max|dᵢ|.
+// A difference that itself overflows is a distance past the float range,
+// for which +Inf is the correctly rounded answer.
+func scaledDist(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s = max(s, math.Abs(a[i]-b[i]))
+	}
+	if math.IsInf(s, 1) {
+		return s
+	}
+	sum := 0.0
+	for i := range a {
+		d := (a[i] - b[i]) / s
+		sum += d * d
+	}
+	return s * math.Sqrt(sum)
 }
 
 // vpSplit pairs ordinals with their distance to the current vantage for

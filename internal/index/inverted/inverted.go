@@ -152,23 +152,34 @@ func (ix *Index) Covers(lo, hi, value float64) bool {
 	return ix.key(lo) <= k && k <= ix.key(hi)
 }
 
-// RemoveID drops every posting belonging to the sequence, and every bucket
-// it leaves empty. It returns the number of postings removed. The pass is
-// linear in the number of postings, acceptable because removal is rare
-// compared to queries.
-func (ix *Index) RemoveID(id string) int {
+// RemoveID drops the sequence's postings filed under values — the values
+// it was added with — and every bucket that leaves empty. It visits only
+// the buckets those values key to, each found by binary search, where the
+// sequence's postings are one run of the (ID, Pos) order; values Add
+// refuses (non-finite) are skipped. It returns the number of postings
+// removed.
+func (ix *Index) RemoveID(id string, values []float64) int {
 	removed := 0
-	kept := ix.buckets[:0]
-	for _, b := range ix.buckets {
-		n := len(b.refs)
-		b.refs = slices.DeleteFunc(b.refs, func(r Ref) bool { return r.ID == id })
-		removed += n - len(b.refs)
-		if len(b.refs) > 0 {
-			kept = append(kept, b)
+	for _, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		i, ok := ix.find(ix.key(v))
+		if !ok {
+			continue
+		}
+		b := &ix.buckets[i]
+		lo, _ := slices.BinarySearchFunc(b.refs, id, func(r Ref, id string) int { return cmp.Compare(r.ID, id) })
+		hi := lo
+		for hi < len(b.refs) && b.refs[hi].ID == id {
+			hi++
+		}
+		b.refs = slices.Delete(b.refs, lo, hi)
+		removed += hi - lo
+		if len(b.refs) == 0 {
+			ix.buckets = slices.Delete(ix.buckets, i, i+1)
 		}
 	}
-	clear(ix.buckets[len(kept):])
-	ix.buckets = kept
 	ix.count -= removed
 	return removed
 }

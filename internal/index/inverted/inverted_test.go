@@ -152,18 +152,21 @@ func TestBucketing(t *testing.T) {
 
 func TestRemoveID(t *testing.T) {
 	ix := mustIndex(t, 1)
+	var values []float64
 	for i := 0; i < 5; i++ {
-		if err := ix.Add(float64(100+i), Ref{ID: "keep", Pos: int32(i)}); err != nil {
+		v := float64(100 + i)
+		values = append(values, v)
+		if err := ix.Add(v, Ref{ID: "keep", Pos: int32(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ix.Add(float64(100+i), Ref{ID: "drop", Pos: int32(i)}); err != nil {
+		if err := ix.Add(v, Ref{ID: "drop", Pos: int32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := ix.RemoveID("drop"); got != 5 {
+	if got := ix.RemoveID("drop", values); got != 5 {
 		t.Errorf("RemoveID removed %d", got)
 	}
-	if got := ix.RemoveID("drop"); got != 0 {
+	if got := ix.RemoveID("drop", values); got != 0 {
 		t.Errorf("second RemoveID removed %d", got)
 	}
 	if ix.Len() != 5 {
@@ -172,6 +175,27 @@ func TestRemoveID(t *testing.T) {
 	if ids := queryIDs(t, ix, 0, 1000); len(ids) != 1 || ids[0] != "keep" {
 		t.Errorf("after removal: %v", ids)
 	}
+
+	// Re-added under other values, the id's new postings are untouched by
+	// a removal keyed on its old ones and dropped by one keyed on its new.
+	readded := []float64{200, 201.5, 201.7, math.NaN()}
+	for i, v := range readded[:3] {
+		if err := ix.Add(v, Ref{ID: "drop", Pos: int32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids := queryIDs(t, ix, 200, 210); len(ids) != 1 || ids[0] != "drop" {
+		t.Errorf("re-added: %v", ids)
+	}
+	if got := ix.RemoveID("drop", values); got != 0 || ix.Len() != 8 {
+		t.Errorf("RemoveID on the old values removed %d, Len = %d", got, ix.Len())
+	}
+	if got := ix.RemoveID("drop", readded); got != 3 || ix.Len() != 5 || ix.Buckets() != 5 {
+		t.Errorf("RemoveID on the new values removed %d, Len = %d, Buckets = %d", got, ix.Len(), ix.Buckets())
+	}
+	if ids := queryIDs(t, ix, 0, 1000); len(ids) != 1 || ids[0] != "keep" {
+		t.Errorf("after the second removal: %v", ids)
+	}
 }
 
 func TestRemoveIDDropsEmptyBuckets(t *testing.T) {
@@ -179,14 +203,15 @@ func TestRemoveIDDropsEmptyBuckets(t *testing.T) {
 	if err := ix.Add(42, Ref{"only", 0}); err != nil {
 		t.Fatal(err)
 	}
-	ix.RemoveID("only")
+	ix.RemoveID("only", []float64{42.5})
 	if ix.Buckets() != 0 {
 		t.Errorf("empty bucket retained: %d", ix.Buckets())
 	}
 }
 
 // Differential test against a brute-force model under a seeded schedule
-// of adds, duplicate adds, removals and re-adds: after each step Query,
+// of adds, duplicate adds, removals keyed on some or all of an id's values
+// and re-adds: after each step Query,
 // Len and Buckets agree with the model, and the buckets stay sorted by
 // key with none empty.
 func TestQueryAgainstReference(t *testing.T) {
@@ -221,12 +246,23 @@ func TestQueryAgainstReference(t *testing.T) {
 			if !posted(e) {
 				all = append(all, e)
 			}
-		default:
+		default: // remove an id keyed on the values of some or all of its postings
 			id := all[rng.Intn(len(all))].r.ID
+			var values []float64
+			for _, e := range all {
+				if e.r.ID == id {
+					values = append(values, e.v)
+				}
+			}
+			values = values[:1+rng.Intn(len(values))]
+			keyed := map[int64]bool{}
+			for _, v := range values {
+				keyed[key(v)] = true
+			}
 			n := len(all)
-			all = slices.DeleteFunc(all, func(e entry) bool { return e.r.ID == id })
-			if got := ix.RemoveID(id); got != n-len(all) {
-				t.Fatalf("step %d: RemoveID(%q) = %d, want %d", step, id, got, n-len(all))
+			all = slices.DeleteFunc(all, func(e entry) bool { return e.r.ID == id && keyed[key(e.v)] })
+			if got := ix.RemoveID(id, values); got != n-len(all) {
+				t.Fatalf("step %d: RemoveID(%q, %v) = %d, want %d", step, id, values, got, n-len(all))
 			}
 		}
 		keys := map[int64]bool{}

@@ -319,13 +319,13 @@ func TestExecDistance(t *testing.T) {
 	if len(res.IDs) != 2 {
 		t.Errorf("zl2 IDs = %v", res.IDs)
 	}
-	// Scan-only metric still answers, with the scan plan.
+	// L∞ takes the index too, its feature bound scaled by 1/√n.
 	res, err = Exec(db, `MATCH DISTANCE LIKE two METRIC linf EPS 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats == nil || res.Stats.Plan != "scan" {
-		t.Errorf("linf Stats = %+v, want scan plan", res.Stats)
+	if res.Stats == nil || res.Stats.Plan != "index" {
+		t.Errorf("linf Stats = %+v, want index plan", res.Stats)
 	}
 	if _, err := Exec(db, `MATCH DISTANCE LIKE two METRIC bogus`); err == nil {
 		t.Error("unknown metric accepted")

@@ -33,13 +33,15 @@
 //     representation only: ValueQuery and DistanceQuery compare against
 //     its reconstruction, in every configuration; raw originals are the
 //     caller's to keep (§2.3). ValueQuery and
-//     DistanceQuery are routed through a query planner: metrics with a
-//     DFT feature-space lower
-//     bound (l2, zl2, the ±ε band) generate candidates through a
-//     columnar feature store searched by vantage-point trees — sub-linear
-//     in the stored population, with guaranteed zero false dismissals —
-//     before exact early-abandoning verification; everything else runs
-//     as a shard-parallel scan. The *Ctx variants (ValueQueryCtx,
+//     DistanceQuery are routed through a query planner: every built-in
+//     metric and the ±ε band is lower-bounded by the DFT feature
+//     distance under its own scale (1 for l1, l2 and zl2, 1/√n for linf,
+//     norml2 and the band, 1/n for norml1), so each generates candidates
+//     through a columnar feature store searched by vantage-point trees —
+//     sub-linear in the stored population, with guaranteed zero false
+//     dismissals — before exact early-abandoning verification; a custom
+//     metric, or a database with the index disabled, runs as a
+//     shard-parallel scan. The *Ctx variants (ValueQueryCtx,
 //     DistanceQueryCtx) also report the chosen plan and its examined/
 //     candidate/pruned counts; Config.IndexCoeffs sizes the index
 //     (negative disables it) and Config.IndexLeaf tunes the trees
