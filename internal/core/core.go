@@ -202,6 +202,11 @@ type Record struct {
 	repSegments int
 	repFloats   int
 	repBytes    int64
+	// repSpan and repBase are the representation's time span and
+	// baseline (its lowest segment boundary value), cached likewise:
+	// with the profile's peaks they are all a shape query reads.
+	repSpan float64
+	repBase float64
 	// hot is the CLOCK reference bit shared with the residency tracker:
 	// every materialize sets it, the eviction sweep clears it, and its
 	// address doubles as the record's identity token in the tracker.
@@ -231,6 +236,7 @@ func (r *Record) setRep(fs *rep.FunctionSeries) {
 	// The residency cost estimate: stored floats, per-segment struct
 	// overhead, and the record's own fixed overhead.
 	r.repBytes = int64(r.repFloats)*8 + int64(r.repSegments)*48 + 64
+	r.repSpan, r.repBase = spanOf(fs), baselineOf(fs)
 	r.rep.Store(fs)
 }
 

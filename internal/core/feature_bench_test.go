@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,12 +13,15 @@ import (
 // resident 4 000-record corpus shaped like the end-to-end benchmark's: 60 %
 // random walks, 25 % two- and three-peak fevers and 15 % ECGs, whose
 // inter-peak intervals the interval family asks for. Each family is one
-// sub-benchmark, with allocations reported.
+// sub-benchmark, with allocations reported; shape and find-limit200 are
+// the end-to-end benchmark's own SHAPE and FIND statements.
 func BenchmarkFeatureQueries(b *testing.B) {
 	db := mustDB(b, Config{})
-	if _, err := db.IngestBatch(featureCorpus(b, rand.New(rand.NewSource(33)), 4000)); err != nil {
+	corpus := featureCorpus(b, rand.New(rand.NewSource(33)), 4000)
+	if _, err := db.IngestBatch(corpus); err != nil {
 		b.Fatal(err)
 	}
+	fever := corpus[len(corpus)*60/100].Seq
 	run := func(name string, query func() (int, error)) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -39,6 +43,14 @@ func BenchmarkFeatureQueries(b *testing.B) {
 	run("find", func() (int, error) {
 		hits, err := db.SearchPattern("U+F*D+U+")
 		return len(hits), err
+	})
+	run("find-limit200", func() (int, error) {
+		_, stats, err := db.querySorted(context.Background(), QuerySpec{Family: FamilyFind, Pattern: "U+F*D+U+"}, QueryOptions{Limit: 200})
+		return stats.Matches, err
+	})
+	run("shape", func() (int, error) {
+		matches, err := db.ShapeQuery(fever, ShapeTolerance{Height: 0.25, Spacing: 0.3})
+		return len(matches), err
 	})
 	run("peaks", func() (int, error) {
 		matches, err := db.PeakCount(2, 1)

@@ -360,7 +360,16 @@ func TestFeatureQueryAllocs(t *testing.T) {
 		}
 	}
 	mapAllocs := testing.AllocsPerRun(100, func() { verifySink = map[string]float64{"peaks": 1} })
-	measure := func() (pattern, peaks float64) {
+	// The exemplar has one peak, so the filler's twelve fail on the count
+	// alone. The find pattern's first hit is the first filler record, so
+	// a walk that stops at the limit never sees the rest.
+	exemplar := shapeOf("UFD")
+	shapeTol := ShapeTolerance{Peaks: 1, Height: 1, Spacing: 1}
+	findFirst := func() ([]Match, QueryStats, error) {
+		return db.querySorted(context.Background(), QuerySpec{Family: FamilyFind, Pattern: "U+F*D+"}, QueryOptions{Limit: 1})
+	}
+	type allocs struct{ pattern, peaks, shape, find float64 }
+	measure := func() allocs {
 		t.Helper()
 		ids, err := db.MatchPattern("U.*")
 		if err != nil || len(ids) != hits {
@@ -370,27 +379,44 @@ func TestFeatureQueryAllocs(t *testing.T) {
 		if err != nil || len(matches) != hits {
 			t.Fatalf("PeakCount: %d hits, %v; want %d", len(matches), err, hits)
 		}
-		pattern = testing.AllocsPerRun(20, func() { db.MatchPattern("U.*") })
-		peaks = testing.AllocsPerRun(20, func() { db.PeakCount(1, 1) }) - hits*mapAllocs
-		return pattern, peaks
+		// U and UF have no peak to normalize; UD, UFD and UDUD match.
+		const shapeHits = hits * 3 / 5
+		if matches, err := db.ShapeQuery(exemplar, shapeTol); err != nil || len(matches) != shapeHits {
+			t.Fatalf("ShapeQuery: %d hits, %v; want %d", len(matches), err, shapeHits)
+		}
+		if found, stats, err := findFirst(); err != nil || len(found) != 1 || found[0].ID != "f0000" || stats.Examined != 1 {
+			t.Fatalf("FIND LIMIT 1: %v, stats %+v, %v; want f0000's first hit after one id", found, stats, err)
+		}
+		return allocs{
+			pattern: testing.AllocsPerRun(20, func() { db.MatchPattern("U.*") }),
+			peaks:   testing.AllocsPerRun(20, func() { db.PeakCount(1, 1) }) - hits*mapAllocs,
+			shape:   testing.AllocsPerRun(20, func() { db.ShapeQuery(exemplar, shapeTol) }),
+			find:    testing.AllocsPerRun(20, func() { findFirst() }),
+		}
 	}
 	fill(0, 1000-hits)
-	pattern1k, peaks1k := measure()
+	at1k := measure()
 	groups1k := db.Stats().SymbolGroups
 	fill(1000-hits, 4000-hits)
-	pattern4k, peaks4k := measure()
+	at4k := measure()
 	if groups := db.Stats().SymbolGroups; groups < 3*groups1k {
 		t.Fatalf("%d symbol groups at 4 000 records, %d at 1 000: the filler shares groups", groups, groups1k)
 	}
-	if pattern4k != pattern1k {
-		t.Errorf("MatchPattern allocates %.0f at 1 000 records, %.0f at 4 000", pattern1k, pattern4k)
+	if at4k.pattern != at1k.pattern {
+		t.Errorf("MatchPattern allocates %.0f at 1 000 records, %.0f at 4 000", at1k.pattern, at4k.pattern)
 	}
 	// The group deviations, the run ends, the ids and the matches.
 	const peaksBudget = 4
-	if peaks4k != peaks1k || peaks4k > peaksBudget {
-		t.Errorf("PeakCount allocates %.0f beside its maps at 1 000 records, %.0f at 4 000, budget %d", peaks1k, peaks4k, peaksBudget)
+	if at4k.peaks != at1k.peaks || at4k.peaks > peaksBudget {
+		t.Errorf("PeakCount allocates %.0f beside its maps at 1 000 records, %.0f at 4 000, budget %d", at1k.peaks, at4k.peaks, peaksBudget)
 	}
-	t.Logf("MatchPattern %.0f allocs, PeakCount %.0f beside %d maps of %.0f", pattern4k, peaks4k, hits, mapAllocs)
+	if at4k.shape != at1k.shape {
+		t.Errorf("ShapeQuery allocates %.0f at 1 000 records, %.0f at 4 000: the filler costs allocations", at1k.shape, at4k.shape)
+	}
+	if at4k.find != at1k.find {
+		t.Errorf("FIND LIMIT 1 allocates %.0f at 1 000 records, %.0f at 4 000: the walk goes past the limit", at1k.find, at4k.find)
+	}
+	t.Logf("MatchPattern %.0f allocs, PeakCount %.0f beside %d maps of %.0f, ShapeQuery %.0f, FIND LIMIT 1 %.0f", at4k.pattern, at4k.peaks, hits, mapAllocs, at4k.shape, at4k.find)
 }
 
 // TestDeriveAllocs guards the build's derivation: the comparison form is

@@ -67,9 +67,15 @@ type QueryStats struct {
 	// Examined counts the records the plan looked at: feature vectors
 	// compared (plus unindexed records) on the index plan and the
 	// index-driven progressive plan, all records on the scan plan and the
-	// linear progressive plan.
+	// linear progressive plan. A feature family counts the ids its walk
+	// covered — FamilyFind's walk stops at the record holding its
+	// Limit-th hit — and FamilyInterval the postings the inverted file
+	// returned.
 	Examined int
-	// Candidates counts the records whose exact samples were compared.
+	// Candidates counts the records whose exact samples were compared
+	// (FamilyShape: the records scored from their resident features). A
+	// feature family counts the records it selected; FamilyFind counts
+	// the members whose hits delivery visited.
 	Candidates int
 	// Pruned counts the records eliminated without reading their samples:
 	// by the feature lower bound on the index plan; on the progressive plan

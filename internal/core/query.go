@@ -211,9 +211,10 @@ func featureItems[T any](db *DB, q QuerySpec, item func(Match) T) ([]T, error) {
 
 // ---- feature-family producers ----
 //
-// Each reads the global query indexes under one imu read hold that copies
+// Each reads the global query indexes under an imu read hold that copies
 // out only what delivery needs — no callback runs under imu, as a yield
-// may itself ingest — then delivers in its family's canonical order,
+// may itself ingest — then delivers in its family's canonical order
+// (find may take a further hold to walk on; see produceFind),
 // polling the collector between items, so a bound, a declining callback
 // or cancellation stops it with a prefix of the unbounded answer.
 
@@ -249,68 +250,108 @@ func producePattern(db *DB, spec *querySpec, col *collector) (examined, candidat
 }
 
 // produceFind delivers every occurrence of the pattern, in (id, segment)
-// order. Each symbol string's spans are found once, in segment order;
-// they are mapped to time through each member's own representation,
-// which may need paging in — the one feature producer that can touch
-// disk, so it polls the collector before every record and every hit.
+// order. It walks the sorted id column under one imu read hold, finding a
+// group's spans the first time the walk meets one of its members, and
+// stops the walk once the hits it holds reach what the collector still
+// takes: FIND … LIMIT n walks only as far as its n-th hit. After the
+// hold the spans are mapped to time through each member's own
+// representation, which may need paging in — the one feature producer
+// that can touch disk, so it polls the collector before every record and
+// every hit. When delivery skips a member (removed, or re-ingested with
+// another shape), the hits fall short of the limit, and the walk resumes
+// past the last id it reached, in a fresh hold: group ordinals, and so
+// the memo of found spans, are good for one hold only.
 func produceFind(db *DB, spec *querySpec, col *collector) (examined, candidates int) {
 	type member struct {
-		id      string
-		symbols string
+		id, symbols string
+		lo, hi      int32 // its spans are spans[lo:hi]
+	}
+	var (
 		spans   [][2]int
-	}
+		members []member
+		// memo[g] is {lo, hi+1} once group g's spans are spans[lo:hi];
+		// zero while the group is unseen in this hold.
+		memo      [][2]int32
+		delivered int
+		// after is the last id walked; a resumed walk starts past it.
+		after   string
+		resumed bool
+	)
 	c := &db.syms
-	db.imu.RLock()
-	// Group g's spans are spans[bounds[g]:bounds[g+1]].
-	spans, bounds := spec.pat.FindEach(c.symbols, nil, append(make([]int, 0, len(c.symbols)+1), 0))
-	n, hits := 0, 0
-	for g, m := range c.members {
-		if found := bounds[g+1] - bounds[g]; found > 0 {
-			n += int(m)
-			hits += int(m) * found
+	for {
+		want := math.MaxInt
+		if col.limit > 0 {
+			want = col.limit - delivered
 		}
-	}
-	members := make([]member, 0, n)
-	for i, g := range db.idGroup {
-		if lo, hi := bounds[g], bounds[g+1]; hi > lo {
-			members = append(members, member{db.ids[i], c.symbols[g], spans[lo:hi]})
-		}
-	}
-	examined = len(db.ids)
-	db.imu.RUnlock()
-	col.reserve(hits)
-	for _, m := range members {
-		if col.stopped() {
-			break
-		}
-		// The spans index the group's symbol string: a record that no
-		// longer carries it (removed, or removed and re-ingested with
-		// another shape) is skipped.
-		rec, ok := db.Record(m.id)
-		if !ok || rec.Profile.Symbols != m.symbols {
-			continue
-		}
-		// A record removed mid-walk is skipped, a genuine read fault
-		// aborts the search.
-		fs, err := db.materialize(rec)
-		if err != nil {
-			if err = db.verifyReadError(rec, err); err != nil {
-				col.fail(fmt.Errorf("core: pattern search reading %q: %w", m.id, err))
-				break
+		spans, members = spans[:0], members[:0]
+		hits := 0
+		db.imu.RLock()
+		memo = slices.Grow(memo[:0], len(c.symbols))[:len(c.symbols)]
+		clear(memo)
+		start := 0
+		if resumed {
+			var found bool
+			if start, found = slices.BinarySearch(db.ids, after); found {
+				start++
 			}
-			continue
 		}
-		occ := make([]PatternHit, len(m.spans)) // one allocation per record
-		for j, span := range m.spans {
+		i := start
+		for ; i < len(db.ids) && hits < want; i++ {
+			g := db.idGroup[i]
+			if memo[g][1] == 0 {
+				lo := len(spans)
+				spans = spec.pat.AppendFindAll(spans, c.symbols[g])
+				memo[g] = [2]int32{int32(lo), int32(len(spans)) + 1}
+			}
+			if lo, hi := memo[g][0], memo[g][1]-1; hi > lo {
+				members = append(members, member{db.ids[i], c.symbols[g], lo, hi})
+				hits += int(hi - lo)
+			}
+		}
+		examined += i - start
+		walked := i == len(db.ids)
+		if !walked {
+			after, resumed = db.ids[i-1], true
+		}
+		db.imu.RUnlock()
+		col.reserve(hits)
+		for _, m := range members {
 			if col.stopped() {
 				break
 			}
-			lo, hi := span[0], span[1]
-			occ[j] = PatternHit{ID: m.id, SegLo: lo, SegHi: hi, TimeLo: fs.Segments[lo].StartT, TimeHi: fs.Segments[hi-1].EndT}
-			col.found(Match{ID: m.id, Exact: true, Hit: &occ[j]})
+			candidates++
+			// The spans index the group's symbol string: a record that no
+			// longer carries it (removed, or removed and re-ingested with
+			// another shape) is skipped.
+			rec, ok := db.Record(m.id)
+			if !ok || rec.Profile.Symbols != m.symbols {
+				continue
+			}
+			// A record removed mid-walk is skipped, a genuine read fault
+			// aborts the search.
+			fs, err := db.materialize(rec)
+			if err != nil {
+				if err = db.verifyReadError(rec, err); err != nil {
+					col.fail(fmt.Errorf("core: pattern search reading %q: %w", m.id, err))
+					break
+				}
+				continue
+			}
+			occ := make([]PatternHit, m.hi-m.lo) // one allocation per record
+			for j, span := range spans[m.lo:m.hi] {
+				if col.stopped() {
+					break
+				}
+				lo, hi := span[0], span[1]
+				occ[j] = PatternHit{ID: m.id, SegLo: lo, SegHi: hi, TimeLo: fs.Segments[lo].StartT, TimeHi: fs.Segments[hi-1].EndT}
+				col.found(Match{ID: m.id, Exact: true, Hit: &occ[j]})
+				delivered++
+			}
+		}
+		if walked || col.stopped() {
+			return examined, candidates
 		}
 	}
-	return examined, len(members)
 }
 
 // producePeaks delivers the records within PeakTolerance of Peaks peaks
@@ -450,28 +491,84 @@ func (db *DB) ShapeQuery(exemplar seq.Sequence, tol ShapeTolerance) ([]Match, er
 	return matches, err
 }
 
-// shapeVerify compares one record's feature signature against the
-// exemplar's — ShapeQuery's verification kernel. fs is the record's
-// materialized representation (span and baseline read segment
-// boundaries, which are not part of the resident profile).
-func shapeVerify(rec *Record, fs *rep.FunctionSeries, qSig sig, tol ShapeTolerance) (Match, bool, error) {
-	span := fs.Segments[len(fs.Segments)-1].EndT - fs.Segments[0].StartT
-	base := baselineOf(fs)
-	rSig, err := shapeSignature(peakPoints(rec.Profile), span, base)
-	if err != nil {
-		return Match{}, false, nil // featureless sequence cannot match a shaped exemplar
-	}
+// shapeSig is the exemplar's transformation-invariant signature: peak
+// heights above the baseline normalized by the tallest peak (invariant to
+// amplitude shift and scaling), and peak spacing as fractions of the time
+// span (invariant to time shift and dilation).
+type shapeSig struct {
+	heights []float64
+	spacing []float64
+}
 
-	devPeaks := math.Abs(float64(len(rSig.spacing)+1) - float64(len(qSig.spacing)+1))
+// shapeSignatureOf runs the exemplar through the ingestion pipeline
+// (without storing it) and normalizes its peaks.
+func (db *DB) shapeSignatureOf(exemplar seq.Sequence) (shapeSig, error) {
+	if len(exemplar) == 0 {
+		return shapeSig{}, fmt.Errorf("core: empty exemplar")
+	}
+	work := exemplar
+	if db.cfg.Preprocess != nil {
+		pre, err := db.cfg.Preprocess.Run(exemplar)
+		if err != nil {
+			return shapeSig{}, fmt.Errorf("core: preprocessing exemplar: %w", err)
+		}
+		work = pre
+	}
+	segs, err := db.cfg.Breaker.Break(work)
+	if err != nil {
+		return shapeSig{}, fmt.Errorf("core: breaking exemplar: %w", err)
+	}
+	fs, err := rep.Build(work, segs, db.cfg.Representer)
+	if err != nil {
+		return shapeSig{}, fmt.Errorf("core: representing exemplar: %w", err)
+	}
+	profile, err := feature.Extract(fs, db.cfg.Delta)
+	if err != nil {
+		return shapeSig{}, fmt.Errorf("core: extracting exemplar features: %w", err)
+	}
+	peaks, span, base := profile.Peaks, spanOf(fs), baselineOf(fs)
+	tallest, ok := peakScale(peaks, span, base)
+	if !ok {
+		return shapeSig{}, fmt.Errorf("core: exemplar: no peak above the baseline over a positive time span")
+	}
+	q := shapeSig{heights: make([]float64, len(peaks)), spacing: make([]float64, len(peaks)-1)}
+	for i := range peaks {
+		q.heights[i] = (peaks[i].Value - base) / tallest
+		if i > 0 {
+			q.spacing[i-1] = (peaks[i].Time - peaks[i-1].Time) / span
+		}
+	}
+	return q, nil
+}
+
+// score compares one record's peaks against the signature — ShapeQuery's
+// verification kernel. It reads only what stays resident (the profile's
+// peaks and the span and baseline setRep cached), so no payload is paged
+// in, and it allocates only a match's Deviations.
+func (q *shapeSig) score(rec *Record, tol ShapeTolerance) (Match, bool) {
+	peaks, span, base := rec.Profile.Peaks, rec.repSpan, rec.repBase
+	devPeaks := math.Abs(float64(len(peaks)) - float64(len(q.heights)))
 	if devPeaks > float64(tol.Peaks) {
-		return Match{}, false, nil
+		return Match{}, false
+	}
+	tallest, ok := peakScale(peaks, span, base)
+	if !ok {
+		return Match{}, false // featureless sequence cannot match a shaped exemplar
 	}
 	devHeight, devSpacing := 0.0, 0.0
 	if devPeaks == 0 {
-		devHeight = relDeviation(qSig.heights, rSig.heights)
-		devSpacing = relDeviation(qSig.spacing, rSig.spacing)
+		for i := range peaks {
+			if d := math.Abs(q.heights[i] - (peaks[i].Value-base)/tallest); d > devHeight {
+				devHeight = d
+			}
+		}
+		for i := 1; i < len(peaks); i++ {
+			if d := math.Abs(q.spacing[i-1] - (peaks[i].Time-peaks[i-1].Time)/span); d > devSpacing {
+				devSpacing = d
+			}
+		}
 		if devHeight > tol.Height+1e-12 || devSpacing > tol.Spacing+1e-12 {
-			return Match{}, false, nil
+			return Match{}, false
 		}
 	}
 	const exactSlack = 1e-9
@@ -483,109 +580,31 @@ func shapeVerify(rec *Record, fs *rep.FunctionSeries, qSig sig, tol ShapeToleran
 			"height":  devHeight,
 			"spacing": devSpacing,
 		},
-	}, true, nil
+	}, true
 }
 
-// queryProfile carries the exemplar's extracted features.
-type queryProfile struct {
-	peaks []peakPoint
-	span  float64
-	base  float64
-}
-
-type peakPoint struct {
-	t, v float64
-}
-
-// profileOf runs the exemplar through the ingestion pipeline (without
-// storing it) and extracts peak features.
-func (db *DB) profileOf(exemplar seq.Sequence) (*queryProfile, error) {
-	if len(exemplar) == 0 {
-		return nil, fmt.Errorf("core: empty exemplar")
+// peakScale returns the tallest peak's height above base, and whether the
+// peaks can be normalized at all: at least one of them, over a positive
+// time span, standing above the baseline.
+func peakScale(peaks []feature.Peak, span, base float64) (float64, bool) {
+	if len(peaks) == 0 || span <= 0 {
+		return 0, false
 	}
-	work := exemplar
-	if db.cfg.Preprocess != nil {
-		pre, err := db.cfg.Preprocess.Run(exemplar)
-		if err != nil {
-			return nil, fmt.Errorf("core: preprocessing exemplar: %w", err)
-		}
-		work = pre
-	}
-	segs, err := db.cfg.Breaker.Break(work)
-	if err != nil {
-		return nil, fmt.Errorf("core: breaking exemplar: %w", err)
-	}
-	fs, err := rep.Build(work, segs, db.cfg.Representer)
-	if err != nil {
-		return nil, fmt.Errorf("core: representing exemplar: %w", err)
-	}
-	profile, err := feature.Extract(fs, db.cfg.Delta)
-	if err != nil {
-		return nil, fmt.Errorf("core: extracting exemplar features: %w", err)
-	}
-	span := fs.Segments[len(fs.Segments)-1].EndT - fs.Segments[0].StartT
-	return &queryProfile{peaks: peakPoints(profile), span: span, base: baselineOf(fs)}, nil
-}
-
-// shapeSignature normalizes peaks into transformation-invariant vectors:
-// spacing as fractions of the time span (invariant to time shift and
-// dilation) and heights above baseline normalized by the tallest peak
-// (invariant to amplitude shift and scaling).
-type sig struct {
-	spacing []float64
-	heights []float64
-}
-
-func shapeSignature(peaks []peakPoint, span, base float64) (sig, error) {
-	if len(peaks) == 0 {
-		return sig{}, fmt.Errorf("no peaks")
-	}
-	if span <= 0 {
-		return sig{}, fmt.Errorf("empty time span")
-	}
-	s := sig{heights: make([]float64, len(peaks))}
 	tallest := 0.0
-	for i, p := range peaks {
-		h := p.v - base
-		s.heights[i] = h
-		if h > tallest {
+	for i := range peaks {
+		if h := peaks[i].Value - base; h > tallest {
 			tallest = h
 		}
 	}
-	if tallest <= 0 {
-		return sig{}, fmt.Errorf("peaks not above baseline")
-	}
-	for i := range s.heights {
-		s.heights[i] /= tallest
-	}
-	for i := 1; i < len(peaks); i++ {
-		s.spacing = append(s.spacing, (peaks[i].t-peaks[i-1].t)/span)
-	}
-	return s, nil
+	return tallest, tallest > 0
 }
 
-// relDeviation returns the largest absolute difference between paired
-// entries, as a fraction relative to a unit-normalized signature.
-func relDeviation(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// spanOf is the time span a representation covers.
+func spanOf(fs *rep.FunctionSeries) float64 {
+	if len(fs.Segments) == 0 {
+		return 0
 	}
-	worst := 0.0
-	for i := 0; i < n; i++ {
-		if d := math.Abs(a[i] - b[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-func peakPoints(p *feature.Profile) []peakPoint {
-	out := make([]peakPoint, 0, len(p.Peaks))
-	for _, pk := range p.Peaks {
-		out = append(out, peakPoint{t: pk.Time, v: pk.Value})
-	}
-	return out
+	return fs.Segments[len(fs.Segments)-1].EndT - fs.Segments[0].StartT
 }
 
 // baselineOf estimates a sequence's resting level from its representation:

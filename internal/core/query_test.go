@@ -784,6 +784,13 @@ func TestShapeQueryValidation(t *testing.T) {
 	if _, err := db.ShapeQuery(exemplar, ShapeTolerance{Peaks: -1}); err == nil {
 		t.Error("negative tolerance accepted")
 	}
+	// Every comparison with NaN is false, so a NaN tolerance would accept
+	// any deviation.
+	for _, tol := range []ShapeTolerance{{Height: math.NaN(), Spacing: math.NaN()}, {Height: math.NaN()}, {Spacing: math.NaN()}} {
+		if _, err := db.ShapeQuery(exemplar, tol); err == nil {
+			t.Errorf("NaN tolerance %+v accepted", tol)
+		}
+	}
 	// A featureless exemplar (no peaks) cannot anchor a shape query.
 	flat := synth.Const(30, 5)
 	if _, err := db.ShapeQuery(flat, ShapeTolerance{}); err == nil {

@@ -394,34 +394,22 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 
 // shapeSpec compiles a ShapeQuery: a full scan with fixed per-dimension
 // tolerances (no distance radius, so top-K bounds memory and output but
-// cannot feed pruning back).
+// cannot feed pruning back). Every record is scored from its resident
+// features; none is paged in.
 func (db *DB) shapeSpec(exemplar seq.Sequence, tol ShapeTolerance) (*querySpec, error) {
-	if tol.Peaks < 0 || tol.Height < 0 || tol.Spacing < 0 {
-		return nil, fmt.Errorf("core: negative shape tolerance %+v", tol)
+	if tol.Peaks < 0 || tol.Height < 0 || tol.Spacing < 0 || math.IsNaN(tol.Height) || math.IsNaN(tol.Spacing) {
+		return nil, fmt.Errorf("core: negative or NaN shape tolerance %+v", tol)
 	}
-	qf, err := db.profileOf(exemplar)
+	q, err := db.shapeSignatureOf(exemplar)
 	if err != nil {
 		return nil, err
-	}
-	qSig, err := shapeSignature(qf.peaks, qf.span, qf.base)
-	if err != nil {
-		return nil, fmt.Errorf("core: exemplar: %w", err)
 	}
 	return &querySpec{
 		kind:    FamilyShape,
 		initEps: math.Inf(1),
 		verify: func(rec *Record, _ float64) (Match, bool, error) {
-			// Shape verification reads segment boundaries, so the
-			// representation must be resident; a record removed mid-scan
-			// is skipped like every other verification path.
-			fs, err := db.materialize(rec)
-			if err != nil {
-				if err = db.verifyReadError(rec, err); err != nil {
-					return Match{}, false, fmt.Errorf("core: shape query reading %q: %w", rec.ID, err)
-				}
-				return Match{}, false, nil
-			}
-			return shapeVerify(rec, fs, qSig, tol)
+			m, ok := q.score(rec, tol)
+			return m, ok, nil
 		},
 	}, nil
 }

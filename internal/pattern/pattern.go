@@ -721,23 +721,16 @@ func (p *Pattern) MatchEach(inputs []string, dst []bool) []bool {
 // [start, end) index pairs over the input. Empty matches are not
 // reported.
 func (p *Pattern) FindAll(input string) [][2]int {
-	m := p.matchers.Get().(*matcher)
-	defer p.matchers.Put(m)
-	return m.findAll(input, nil)
+	return p.AppendFindAll(nil, input)
 }
 
-// FindEach is FindAll over a column, with one matcher for every input. It
-// appends each input's matches to spans and, after each input, len(spans)
-// to ends. Called with no spans and ends = []int{0}, input i's matches are
-// spans[ends[i]:ends[i+1]].
-func (p *Pattern) FindEach(inputs []string, spans [][2]int, ends []int) ([][2]int, []int) {
+// AppendFindAll is FindAll appending into dst: called over many inputs
+// with one growing dst, a warmed pattern allocates nothing beyond what
+// dst needs to grow.
+func (p *Pattern) AppendFindAll(dst [][2]int, input string) [][2]int {
 	m := p.matchers.Get().(*matcher)
 	defer p.matchers.Put(m)
-	for _, in := range inputs {
-		spans = m.findAll(in, spans)
-		ends = append(ends, len(spans))
-	}
-	return spans, ends
+	return m.findAll(input, dst)
 }
 
 // findAll appends the leftmost-longest non-overlapping non-empty matches

@@ -311,21 +311,24 @@ func agreesWithNaive(t *testing.T, p *Pattern, ast node, in string) {
 	}
 }
 
-// batchAgreesWithNaive checks MatchEach and FindEach over a column of
-// inputs against the reference matcher, input by input.
+// batchAgreesWithNaive checks MatchEach, and AppendFindAll into one
+// growing slice, over a column of inputs against the reference matcher,
+// input by input.
 func batchAgreesWithNaive(t *testing.T, p *Pattern, ast node, inputs []string) {
 	t.Helper()
 	matched := p.MatchEach(inputs, nil)
-	spans, ends := p.FindEach(inputs, nil, []int{0})
-	if len(matched) != len(inputs) || len(ends) != len(inputs)+1 {
-		t.Fatalf("pattern %q: %d inputs, MatchEach %d answers, FindEach %d ends", p, len(inputs), len(matched), len(ends))
+	if len(matched) != len(inputs) {
+		t.Fatalf("pattern %q: %d inputs, MatchEach %d answers", p, len(inputs), len(matched))
 	}
+	var spans [][2]int
 	for i, in := range inputs {
 		if want := naiveMatch(ast, in); matched[i] != want {
 			t.Errorf("pattern %q input %q: MatchEach %v, naive %v", p, in, matched[i], want)
 		}
-		if got, want := spans[ends[i]:ends[i+1]], naiveFindAll(ast, in); !slices.Equal(got, want) {
-			t.Errorf("pattern %q input %q: FindEach %v, naive %v", p, in, got, want)
+		lo := len(spans)
+		spans = p.AppendFindAll(spans, in)
+		if got, want := spans[lo:], naiveFindAll(ast, in); !slices.Equal(got, want) {
+			t.Errorf("pattern %q input %q: AppendFindAll %v, naive %v", p, in, got, want)
 		}
 	}
 }
@@ -374,7 +377,7 @@ func randomInput(rng *rand.Rand, maxLen int) string {
 }
 
 // Property: the lazily built DFA agrees with the naive reference matcher,
-// for Match and FindAll and for their batch forms MatchEach and FindEach,
+// for Match and FindAll and for MatchEach and AppendFindAll over a column,
 // on fixed and random patterns and inputs over
 // the slope alphabet; and nfaSize predicts exactly what Compile builds.
 func TestNFAAgreesWithNaiveMatcher(t *testing.T) {
@@ -475,12 +478,19 @@ func TestMatchAllocatesNothing(t *testing.T) {
 		t.Errorf("MatchEach allocates %.1f per call on a warmed pattern", allocs)
 	}
 	unit := MustCompile(PeakUnit)
-	spans, ends := unit.FindEach(column, nil, []int{0})
-	if allocs := testing.AllocsPerRun(100, func() { spans, ends = unit.FindEach(column, spans[:0], ends[:1]) }); allocs != 0 {
-		t.Errorf("FindEach allocates %.1f per call on a warmed pattern", allocs)
+	var spans [][2]int
+	findColumn := func() {
+		spans = spans[:0]
+		for _, in := range column {
+			spans = unit.AppendFindAll(spans, in)
+		}
+	}
+	findColumn()
+	if allocs := testing.AllocsPerRun(100, findColumn); allocs != 0 {
+		t.Errorf("AppendFindAll allocates %.1f per column on a warmed pattern", allocs)
 	}
 	if len(spans) == 0 {
-		t.Fatal("FindEach found no peak in the column")
+		t.Fatal("AppendFindAll found no peak in the column")
 	}
 }
 
