@@ -196,12 +196,13 @@ type Record struct {
 	// (cold). Use DB.materialize to read it — never assume it is
 	// resident. The series itself is immutable; only the pointer moves.
 	rep atomic.Pointer[rep.FunctionSeries]
-	// repSegments/repFloats/repBytes cache the representation's
-	// dimensions at build time so Stats and the residency accounting
-	// work while the payload is cold.
-	repSegments int
-	repFloats   int
-	repBytes    int64
+	// repSegments/repFloats cache the representation's dimensions at
+	// build time so Stats and the residency accounting work while the
+	// payload is cold. The payload's 32-bit length prefix bounds both, so
+	// they share one word, which keeps the struct in the 128-byte size
+	// class.
+	repSegments int32
+	repFloats   int32
 	// repSpan and repBase are the representation's time span and
 	// baseline (its lowest segment boundary value), cached likewise:
 	// with the profile's peaks they are all a shape query reads.
@@ -231,11 +232,8 @@ type Record struct {
 // setRep installs the representation and caches its dimensions. Called
 // once at build/adopt/decode time, before the record is published.
 func (r *Record) setRep(fs *rep.FunctionSeries) {
-	r.repSegments = fs.NumSegments()
-	r.repFloats = fs.StoredFloats()
-	// The residency cost estimate: stored floats, per-segment struct
-	// overhead, and the record's own fixed overhead.
-	r.repBytes = int64(r.repFloats)*8 + int64(r.repSegments)*48 + 64
+	r.repSegments = int32(fs.NumSegments())
+	r.repFloats = int32(fs.StoredFloats())
 	r.repSpan, r.repBase = spanOf(fs), baselineOf(fs)
 	r.rep.Store(fs)
 }
@@ -243,11 +241,18 @@ func (r *Record) setRep(fs *rep.FunctionSeries) {
 // NumSegments reports how many function segments represent the sequence.
 // It reads a build-time cache, so it works whether or not the
 // representation is resident.
-func (r *Record) NumSegments() int { return r.repSegments }
+func (r *Record) NumSegments() int { return int(r.repSegments) }
 
 // StoredFloats reports how many floats the representation stores,
 // cached at build time like NumSegments.
-func (r *Record) StoredFloats() int { return r.repFloats }
+func (r *Record) StoredFloats() int { return int(r.repFloats) }
+
+// residentBytes is the residency tier's cost estimate for the payload:
+// stored floats, per-segment struct overhead, and the record's own fixed
+// overhead.
+func (r *Record) residentBytes() int64 {
+	return int64(r.repFloats)*8 + int64(r.repSegments)*48 + 64
+}
 
 // shard is one lock stripe of the record store. pending holds ids whose
 // ingestion pipeline is in flight: the id is reserved (duplicate ingests

@@ -408,7 +408,7 @@ func (d *dirStore) endWrite() { d.ckptMu.RUnlock() }
 // them).
 func (d *dirStore) linked(rec *Record) {
 	dirty := d.phase != adopting
-	d.res.Admit(rec.ID, rec.repBytes, &rec.hot, dirty)
+	d.res.Admit(rec.ID, rec.residentBytes(), &rec.hot, dirty)
 	if dirty {
 		d.markDirty(rec.ID, true)
 	}

@@ -22,22 +22,39 @@ import (
 	"seqrep/internal/seq"
 )
 
-// valueScan and distanceScan pin the full-scan plan regardless of the
-// index configuration: the reference the planner's answer must equal.
-func (db *DB) valueScan(exemplar seq.Sequence, eps float64) ([]Match, QueryStats, error) {
-	return db.scanPlan(db.valueSpec(exemplar, eps))
+// valueScan and distanceScan are the brute-force reference the planner's
+// answer must equal: every length-matching record verified at the
+// query's tolerance, outside the executor, so no source, tier or bound
+// the code under test runs is shared with it.
+func (db *DB) valueScan(exemplar seq.Sequence, eps float64) ([]Match, error) {
+	return db.bruteForce(db.valueSpec(exemplar, eps))
 }
 
-func (db *DB) distanceScan(exemplar seq.Sequence, m dist.Metric, eps float64) ([]Match, QueryStats, error) {
-	return db.scanPlan(db.distanceSpec(exemplar, m, eps))
+func (db *DB) distanceScan(exemplar seq.Sequence, m dist.Metric, eps float64) ([]Match, error) {
+	return db.bruteForce(db.distanceSpec(exemplar, m, eps))
 }
 
-func (db *DB) scanPlan(spec *querySpec, err error) ([]Match, QueryStats, error) {
+func (db *DB) bruteForce(spec *querySpec, err error) ([]Match, error) {
 	if err != nil {
-		return nil, QueryStats{}, err
+		return nil, err
 	}
-	spec.lb = nil
-	return db.collectSorted(context.Background(), spec, QueryOptions{})
+	var out []Match
+	for _, recs := range db.snapshotRecords() {
+		for _, rec := range recs {
+			if rec.N != spec.n {
+				continue
+			}
+			m, ok, err := spec.verify(rec, spec.initEps)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, m)
+			}
+		}
+	}
+	SortMatches(out)
+	return out, nil
 }
 
 // smoothWalk builds a random but breaker-friendly sequence: a random walk
@@ -190,12 +207,16 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 					}
 
 					for _, m := range dist.Metrics() {
-						for _, eps := range epsCands {
+						all, err := db.distanceScan(exemplar, m, math.Inf(1))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, eps := range append(atDistances(all, m.Name()), epsCands...) {
 							indexed, istats, err := db.DistanceQueryCtx(context.Background(), exemplar, m, eps, QueryOptions{})
 							if err != nil {
 								t.Fatalf("indexed %s eps=%g: %v", m.Name(), eps, err)
 							}
-							scanned, _, err := db.distanceScan(exemplar, m, eps)
+							scanned, err := db.distanceScan(exemplar, m, eps)
 							if err != nil {
 								t.Fatalf("scan %s eps=%g: %v", m.Name(), eps, err)
 							}
@@ -212,12 +233,16 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 						}
 					}
 
-					for _, eps := range epsCands {
+					all, err := db.valueScan(exemplar, math.Inf(1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, eps := range append(atDistances(all, "value"), epsCands...) {
 						indexed, istats, err := db.ValueQueryCtx(context.Background(), exemplar, eps, QueryOptions{})
 						if err != nil {
 							t.Fatalf("indexed value eps=%g: %v", eps, err)
 						}
-						scanned, _, err := db.valueScan(exemplar, eps)
+						scanned, err := db.valueScan(exemplar, eps)
 						if err != nil {
 							t.Fatalf("scan value eps=%g: %v", eps, err)
 						}
@@ -236,6 +261,17 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 	if totalPruned == 0 {
 		t.Error("no query ever pruned a candidate: the suite is not exercising the index")
 	}
+}
+
+// atDistances returns tolerances equal to the exact distances of the
+// middle and the farthest of all (a query's every match, sorted): at such
+// an ε the record lies on the boundary, where only the slack of the
+// sketch band and of the feature bound keeps it from being dismissed.
+func atDistances(all []Match, devKey string) []float64 {
+	if len(all) == 0 {
+		return nil
+	}
+	return []float64{all[len(all)/2].Deviations[devKey], all[len(all)-1].Deviations[devKey]}
 }
 
 // TestIndexedQueryEquivalenceConcurrentChurn interleaves the equivalence
@@ -328,7 +364,7 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 		if err != nil {
 			t.Fatalf("indexed: %v", err)
 		}
-		scanned, _, err := db.distanceScan(exemplar, dist.Euclidean, eps)
+		scanned, err := db.distanceScan(exemplar, dist.Euclidean, eps)
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
@@ -339,7 +375,7 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 		if err != nil {
 			t.Fatalf("indexed value: %v", err)
 		}
-		vScanned, _, err := db.valueScan(exemplar, eps)
+		vScanned, err := db.valueScan(exemplar, eps)
 		if err != nil {
 			t.Fatalf("scan value: %v", err)
 		}
@@ -356,7 +392,7 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanned, _, err := db.distanceScan(exemplar, dist.ZEuclidean, eps)
+		scanned, err := db.distanceScan(exemplar, dist.ZEuclidean, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,7 +560,7 @@ func TestIndexedEqualsScanOnFFTFeatures(t *testing.T) {
 				if err != nil || st.Plan != PlanIndex {
 					t.Fatalf("%s %s: plan %s, err %v", id, m.Name(), st.Plan, err)
 				}
-				want, _, _ := booted.distanceScan(ex, m, eps)
+				want, _ := booted.distanceScan(ex, m, eps)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %s eps %g: indexed %d matches, scan %d", id, m.Name(), eps, len(got), len(want))
 				}
@@ -545,7 +581,7 @@ func TestIndexedEqualsScanOnFFTFeatures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, _, _ := booted.valueScan(ex, eps); !reflect.DeepEqual(got, want) {
+			if want, _ := booted.valueScan(ex, eps); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s value eps %g: indexed %d matches, scan %d", id, eps, len(got), len(want))
 			}
 		}
@@ -577,7 +613,7 @@ func TestIndexedEqualsScanPastSquareOverflow(t *testing.T) {
 			if err != nil || st.Plan != PlanIndex {
 				t.Fatalf("%g %s: plan %s, err %v", v, r.name, st.Plan, err)
 			}
-			scanned, _, err := db.scanPlan(db.compile(spec))
+			scanned, err := db.bruteForce(db.compile(spec))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -274,15 +274,15 @@ func (g *featGroup) lockSearchable(ix *featIndex, lb lowerBound) (tree *dft.VPTr
 // caller tightens (top-K's best-so-far K-th distance) prunes subtrees
 // mid-flight; a caller without feedback returns a fixed bound. A negative
 // bound aborts the collection — the cooperative-cancellation hook — as
-// does emit returning false. examined
-// counts feature vectors actually compared; pruned those compared and
-// discarded — candidates the caller never has to read; cands those
-// emitted. Runs under the group's read lock for its whole duration —
-// concurrent queries proceed, mutations of this length group wait.
-func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit func(rec *Record, fd float64) bool) (examined, pruned, cands int) {
+// does emit returning false. examined counts feature vectors actually
+// compared; pruned those compared and discarded — candidates the caller
+// never has to read. Runs under the group's read lock for its whole
+// duration — concurrent queries proceed, mutations of this length group
+// wait.
+func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit func(rec *Record, fd float64) bool) (examined, pruned int) {
 	g := ix.group(n, false)
 	if g == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	tree, pts := g.lockSearchable(ix, lb)
 	defer g.mu.RUnlock()
@@ -302,9 +302,8 @@ func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit fu
 			live++
 		})
 		pruned += examined - live
-		cands += live
 		if aborted {
-			return examined, pruned, cands
+			return examined, pruned
 		}
 		linearFrom = g.treeN
 	}
@@ -315,7 +314,7 @@ func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit fu
 		// through candidates that verification then rejects.
 		if (o-linearFrom)%64 == 0 {
 			if b = bound(); b < 0 {
-				return examined, pruned, cands
+				return examined, pruned
 			}
 		}
 		if g.dead[o] {
@@ -328,21 +327,19 @@ func (ix *featIndex) collect(n int, lb lowerBound, bound func() float64, emit fu
 			continue
 		}
 		if !emit(g.recs[o], fd) {
-			return examined, pruned, cands
+			return examined, pruned
 		}
-		cands++
 	}
 	for _, rec := range g.unindexed {
 		if bound() < 0 {
-			return examined, pruned, cands
+			return examined, pruned
 		}
 		examined++
 		if !emit(rec, -1) {
-			return examined, pruned, cands
+			return examined, pruned
 		}
-		cands++
 	}
-	return examined, pruned, cands
+	return examined, pruned
 }
 
 // indexedCount reports how many records carry feature vectors.

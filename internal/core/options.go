@@ -133,7 +133,7 @@ func newCollector(done <-chan struct{}, spec *querySpec, opts QueryOptions, yiel
 		yield:  yield,
 		frames: frames,
 		limit:  opts.Limit,
-		prunes: spec.prunes && opts.TopK > 0,
+		prunes: spec.devKey != "" && opts.TopK > 0,
 		done:   done,
 	}
 	if opts.TopK > 0 {

@@ -8,23 +8,24 @@ import (
 
 	"seqrep/internal/dft"
 	"seqrep/internal/dist"
+	"seqrep/internal/multires"
 	"seqrep/internal/seq"
 )
 
 // Plan names for QueryStats.Plan.
 const (
-	// PlanIndex is the feature-index route: lower-bound candidate
-	// generation over the columnar DFT feature store (through its
-	// vantage-point tree when the length group is large enough), exact
+	// PlanIndex is exact delivery from the feature-index source:
+	// lower-bound candidate generation over the columnar DFT feature store
+	// (through its vantage-point tree when the length group is large
+	// enough), then the sketch and feature-bound tiers, then exact
 	// verification of the survivors only.
 	PlanIndex = "index"
-	// PlanScan is the shard-parallel full scan: a custom metric, or a
-	// database without the index.
+	// PlanScan is exact delivery from the linear source, a shard-parallel
+	// walk of every record (a custom metric, a database without the
+	// index, or a shape query), with the same tiers behind it.
 	PlanScan = "scan"
-	// PlanProgressive is the coarse-to-fine cascade over the feature
-	// index's candidates (or, for a custom metric or without the index,
-	// over every record): sketch bands, then the DFT feature bound, then
-	// exact verification (see progressive.go).
+	// PlanProgressive is progressive delivery from either source: the
+	// same pipeline with its band frames on (see progressive.go).
 	PlanProgressive = "progressive"
 	// The feature families' fixed access paths: the symbol catalogue
 	// (pattern, find), the peak-count sort over it (peaks) and the
@@ -34,40 +35,42 @@ const (
 	PlanInvertedIndex = "inverted-index"
 )
 
-// QueryStats reports how a query was executed: which plan the planner
-// chose and how much work each stage did. Candidates + Pruned = Examined
-// on the index plan; the scan plan verifies every length-matching record
-// (Pruned stays 0). On the index plan Examined counts feature vectors
-// actually compared — with a vantage-point tree up, that is typically far
-// below the length group's population, the rest having been discarded
-// wholesale by the tree's triangle-inequality pruning.
+// QueryStats reports how a query was executed: which source the
+// similarity pipeline took (or which access path a feature family
+// walked) and how much work each stage did. A similarity query's
+// counters mean the same under exact and progressive delivery, which run
+// one pipeline: with MaxError 0 and no tier cap the two report equal
+// Examined, Pruned, Sketched and Candidates.
+//
+// On the index source (PlanIndex, and PlanProgressive over a metric with
+// a featureScale entry: every built-in metric and the value band)
+// Examined counts feature vectors actually compared — with a
+// vantage-point tree up, typically far below the length group's
+// population, the rest discarded wholesale by the tree's
+// triangle-inequality pruning — and every examined record is accounted
+// for: Examined = Pruned + BandAccepted + Candidates on a run that
+// neither Limit nor the caller cut short. On the linear source (PlanScan,
+// and PlanProgressive over a custom metric or without the index) Examined
+// counts every record visited; the records of other lengths are in no
+// other counter, and the rest are pruned by a band, band-accepted or
+// verified, so the scan plan prunes too.
 //
 // A feature family's plan is its fixed access path: Examined counts the
 // records its index walk covered (for intervals, the postings the
 // inverted file returned) and Candidates the records the walk selected.
-//
-// The progressive plan takes its records from one of two sources and
-// counts accordingly. Index-driven (the query has a featureScale entry:
-// every built-in metric and the value band) it examines exactly what the
-// index plan would, and every examined record is accounted for: Examined
-// = Pruned + BandAccepted + Candidates on a run that neither Limit nor
-// the caller cut short. Linear (a custom metric, or no index) it visits
-// every record like the scan plan; the records of other lengths are in
-// Examined and in no other counter, and Sketched = Pruned + BandAccepted
-// + Candidates when every record carries a sketch.
 type QueryStats struct {
 	// Query is the query family (one of the Family constants).
 	Query string
 	// Metric is the distance metric name ("band" for ValueQuery's ±ε
 	// semantics).
 	Metric string
-	// Plan is PlanIndex, PlanScan or PlanProgressive for the similarity
-	// families, the family's access path for the feature families.
+	// Plan names the similarity families' source under exact delivery
+	// (PlanIndex or PlanScan) or progressive delivery (PlanProgressive),
+	// and the family's access path for the feature families.
 	Plan string
 	// Examined counts the records the plan looked at: feature vectors
-	// compared (plus unindexed records) on the index plan and the
-	// index-driven progressive plan, all records on the scan plan and the
-	// linear progressive plan. A feature family counts the ids its walk
+	// compared (plus unindexed records) on the index source, all records
+	// on the linear source. A feature family counts the ids its walk
 	// covered — FamilyFind's walk stops at the record holding its
 	// Limit-th hit — and FamilyInterval the postings the inverted file
 	// returned.
@@ -78,16 +81,16 @@ type QueryStats struct {
 	// the members whose hits delivery visited.
 	Candidates int
 	// Pruned counts the records eliminated without reading their samples:
-	// by the feature lower bound on the index plan; on the progressive plan
 	// by the index's feature bound (when it is the source), a sketch band
-	// or a candidate-tier band whose lower edge exceeds the tolerance.
+	// or a candidate-tier band whose lower edge exceeds the tolerance
+	// (under TopK, the shrinking radius).
 	Pruned int
 	// Matches counts the results returned (for FamilyFind, occurrences).
 	Matches int
-	// Sketched counts the records banded from their sketch at the
-	// progressive sketch tier: the index's survivors when it is the
-	// source, every length-matching record on the linear source (0 on
-	// non-progressive plans and when sketches are disabled).
+	// Sketched counts the records banded from their sketch at the sketch
+	// tier: the index's survivors when it is the source, every
+	// length-matching record on the linear source (0 for FamilyShape and
+	// when sketches are disabled).
 	Sketched int
 	// BandAccepted counts matches accepted on their error band alone —
 	// finalized at a non-exact tier without reading samples.
@@ -167,26 +170,33 @@ func featureScale(metric string, n int) (scale float64, useZ bool) {
 	}
 }
 
-// lowerBoundOf returns the feature-space pruning rule for the named
-// metric on this exemplar, or nil — the planner then scans — when the
-// index is off or featureScale has no entry for the metric.
-func (db *DB) lowerBoundOf(metric string, exemplar seq.Sequence) *lowerBound {
-	if db.findex == nil {
-		return nil
+// prefilters derives a similarity query's two sample-free filters from
+// one pooled copy of the exemplar's values: the feature-space pruning
+// rule (nil — the source is then the linear walk — when the index is off
+// or featureScale has no entry for the metric) and the sketch the band
+// tier compares against (nil when sketches are off or the sketch bands
+// nothing under the metric, as for a custom one).
+func (db *DB) prefilters(metric string, exemplar seq.Sequence) (lb *lowerBound, qsk *multires.Sketch) {
+	sc := derivePool.Get().(*deriveScratch)
+	defer derivePool.Put(sc)
+	sc.vals = exemplar.AppendValues(sc.vals[:0])
+	sc.zvals = dist.ZNormalizeInto(sc.zvals, sc.vals)
+	if scale, z := featureScale(metric, len(exemplar)); db.findex != nil && scale != 0 {
+		vals := sc.vals
+		if z {
+			vals = sc.zvals
+		}
+		if qf, err := dft.Features(vals, db.findex.k); err == nil {
+			lb = &lowerBound{qf: qf, z: z, scale: scale}
+		}
 	}
-	scale, z := featureScale(metric, len(exemplar))
-	if scale == 0 {
-		return nil
+	if db.cfg.SketchBlock > 0 {
+		qsk = multires.BuildSketchZ(sc.vals, sc.zvals, db.cfg.SketchBlock)
+		if _, _, ok := multires.DistanceBand(qsk, qsk, metric); !ok {
+			qsk = nil
+		}
 	}
-	vals := exemplar.Values()
-	if z {
-		vals = dist.ZNormalizeValues(vals)
-	}
-	qf, err := dft.Features(vals, db.findex.k)
-	if err != nil {
-		return nil
-	}
-	return &lowerBound{qf: qf, z: z, scale: scale}
+	return lb, qsk
 }
 
 // verifyReadError classifies a storedSequence failure during query

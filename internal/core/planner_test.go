@@ -116,7 +116,7 @@ func TestFeatureScaleLowerBounds(t *testing.T) {
 			}
 			q, r := seq.New(qv), seq.New(rv)
 			for name, d := range metrics {
-				lb := db.lowerBoundOf(name, q)
+				lb, _ := db.prefilters(name, q)
 				if lb == nil {
 					t.Fatalf("%s: no feature bound", name)
 				}
@@ -138,8 +138,8 @@ func TestFeatureScaleLowerBounds(t *testing.T) {
 			}
 		}
 	}
-	if lb := db.lowerBoundOf("custom", seq.New(walk(64, 1))); lb != nil {
-		t.Errorf("a custom metric got a feature bound: %+v", lb)
+	if lb, qsk := db.prefilters("custom", seq.New(walk(64, 1))); lb != nil || qsk != nil {
+		t.Errorf("a custom metric got a feature bound %+v or a sketch %+v", lb, qsk)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestProgressiveCounts(t *testing.T) {
 		if stats.Examined != stats.Pruned+stats.BandAccepted+stats.Candidates {
 			t.Errorf("%+v: stats don't add up: %+v", opts, stats)
 		}
-		if stats.Sketched != exact.Candidates {
-			t.Errorf("%+v: Sketched = %d, want the index's %d survivors", opts, stats.Sketched, exact.Candidates)
+		if stats.Sketched != exact.Sketched {
+			t.Errorf("%+v: Sketched = %d, want the exact plan's %d (the index's survivors)", opts, stats.Sketched, exact.Sketched)
 		}
 		if opts.MaxTier != TierNone && (stats.Candidates != 0 || stats.BandAccepted != len(frames)) {
 			t.Errorf("%+v: capped run verified or dropped records: %+v, %d framed", opts, stats, len(frames))

@@ -1,16 +1,16 @@
 package core
 
-// This file is the progressive query cascade: the coarse-to-fine
-// candidate producer runQuery selects under progressive delivery. A
-// similarity query takes its records from the source the exact plan uses
-// — the feature index's candidates when featureScale bounds the metric,
-// every record otherwise — answers first from their compact per-record
-// sketches with a guaranteed two-sided error band, then tightens the
-// survivors' bands with the DFT feature distance, and finally hands what
-// remains to the executor's verification fan-out against exact samples —
-// the Lernaean-Hydra-style δ-ε progressive contract, in which the exact
-// query is the MaxError = 0 mode of the same procedure and the
-// approximate mode is a cheaper traversal of the same index.
+// This file is the similarity families' one candidate pipeline, which
+// runQuery runs under both deliveries. A source hands over records — the
+// feature index's candidates when featureScale bounds the metric, every
+// record otherwise — and the tiers answer first from their compact
+// per-record sketches with a guaranteed two-sided error band, then
+// tighten the survivors' bands with the DFT feature distance, and finally
+// hand what remains to the executor's verification fan-out against exact
+// samples: the Lernaean-Hydra-style δ-ε progressive contract, in which
+// the exact query is the MaxError = 0 mode of the same procedure with its
+// frames off, and the approximate mode is a cheaper traversal of the
+// same index.
 //
 // The guarantee, relied on by the property suite and the serving layer:
 //
@@ -31,6 +31,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"seqrep/internal/multires"
@@ -152,78 +153,109 @@ func bandMatch(id string, devKey string, band Band) *Match {
 	return &Match{ID: id, Exact: band.Hi == 0, Deviations: map[string]float64{devKey: dev}}
 }
 
-// cascadeRun is one execution of the coarse tiers: the exemplar's sketch,
-// the run's parameters and its counters.
+// cascadeRun is one run of the candidate pipeline's tiers: the tiers in
+// order, the run's parameters and its counters.
 type cascadeRun struct {
-	// qsk is the exemplar's sketch; nil when sketches are disabled.
-	qsk      *multires.Sketch
 	spec     *querySpec
 	col      *collector
+	tiers    []Tier // in order, backed by tierBuf
+	tierBuf  [2]Tier
 	maxTier  Tier
 	maxError float64
 
-	sketched, pruned, bandAccepted atomic.Int64
+	sketched, pruned, bandAccepted, visited, verified atomic.Int64
 }
 
 // cascadeTally is one worker's share of a run's counters, merged once
 // per chunk of records so the tiers' inner loops touch no shared word.
-type cascadeTally struct{ sketched, pruned, bandAccepted int64 }
+// visited and verified count the records a streaming source walked and
+// those it verified record by record; truncated notes a dismissal at a radius top-K shrank
+// below the query's tolerance.
+type cascadeTally struct {
+	sketched, pruned, bandAccepted, visited, verified int64
+	truncated                                         bool
+}
 
 func (cr *cascadeRun) merge(t cascadeTally) {
 	cr.sketched.Add(t.sketched)
 	cr.pruned.Add(t.pruned)
 	cr.bandAccepted.Add(t.bandAccepted)
+	cr.visited.Add(t.visited)
+	cr.verified.Add(t.verified)
+	if t.truncated {
+		cr.col.noteTruncated()
+	}
 }
 
 // settle delivers tier's verdict on c's band and reports whether the
 // record goes on to the next tier: a band whose lower edge already
-// exceeds the tolerance dismisses it (silently at the sketch tier, where
-// the record has no frame yet; with its final reject frame after), a
-// decisive band finalizes it as a band accept, and anything else is
-// announced with a non-final frame and refined further.
+// exceeds the verification radius dismisses it (silently at the sketch
+// tier, where the record has no frame yet; with its final reject frame
+// after), a decisive band finalizes it as a band accept, and anything
+// else is announced with a non-final frame and refined further. The
+// radius is the query's tolerance, shrunk under top-K to the K-th best
+// distance; a dismissal below the tolerance might have been an unbounded
+// match, so it marks the answer truncated, as collector.verify does.
 func (cr *cascadeRun) settle(c *candidate, tier Tier, t *cascadeTally) bool {
-	pm := ProgressiveMatch{ID: c.rec.ID, Tier: tier, Band: c.band}
+	radius := cr.col.radius()
+	var final bool
+	var match *Match
 	switch {
-	case c.band.Lo > cr.spec.initEps:
+	case c.band.Lo > radius:
 		t.pruned++
+		t.truncated = t.truncated || radius < cr.spec.initEps
 		if tier == TierSketch {
 			return false
 		}
-		pm.Final = true
+		final = true
 	case finalizeAt(tier, cr.maxTier, c.band, cr.maxError):
 		t.bandAccepted++
-		pm.Final, pm.Match = true, bandMatch(c.rec.ID, cr.spec.devKey, c.band)
+		final, match = true, bandMatch(c.rec.ID, cr.spec.devKey, c.band)
 	}
-	cr.col.frame(pm)
-	return !pm.Final
+	if cr.col.frames != nil {
+		cr.col.frame(ProgressiveMatch{ID: c.rec.ID, Tier: tier, Band: c.band, Final: final, Match: match})
+	}
+	return !final
 }
 
-// sketchStep is tier 1 for one record: band it against the exemplar's
-// sketch (unbounded when either side has none), then settle.
-func (cr *cascadeRun) sketchStep(c *candidate, t *cascadeTally) bool {
-	c.band = Band{Lo: 0, Hi: math.Inf(1)}
-	if cr.qsk != nil && c.rec.sketch != nil {
-		if lo, hi, ok := multires.DistanceBand(cr.qsk, c.rec.sketch, cr.spec.metric); ok && !math.IsNaN(lo) && !math.IsNaN(hi) {
-			c.band = Band{Lo: lo, Hi: hi}
-			t.sketched++
+// step runs one tier on one record, then settles it. The sketch tier
+// bands the record against the exemplar's sketch (unbounded when either
+// side has none). The candidate tier lifts the band's lower edge to the
+// scaled DFT feature distance the index computed while generating the
+// candidate; an unindexed record keeps its negative fd, which floors to
+// zero and lifts nothing, as does every record on the linear source (no
+// spec.lb): it is settled on its sketch band, so a cap at this tier
+// still gives it its final frame.
+func (cr *cascadeRun) step(tier Tier, c *candidate, t *cascadeTally) bool {
+	switch tier {
+	case TierSketch:
+		c.band = Band{Lo: 0, Hi: math.Inf(1)}
+		if qsk := cr.spec.qsk; qsk != nil && c.rec.sketch != nil {
+			if lo, hi, ok := multires.DistanceBand(qsk, c.rec.sketch, cr.spec.metric); ok && !math.IsNaN(lo) && !math.IsNaN(hi) {
+				c.band = Band{Lo: lo, Hi: hi}
+				t.sketched++
+			}
+		}
+	case TierCandidate:
+		if lb := cr.spec.lb; lb != nil {
+			if flo := bandFloor(c.fd * lb.scale); flo > c.band.Lo {
+				c.band.Lo = min(flo, c.band.Hi) // both edges are slacked; never invert the band
+			}
 		}
 	}
-	return cr.settle(c, TierSketch, t)
+	return cr.settle(c, tier, t)
 }
 
-// candidateStep is tier 2 for one record: lift the band's lower edge to
-// the scaled DFT feature distance the index computed while generating the
-// candidate, then settle. An unindexed record keeps its negative fd, which
-// floors to zero and lifts nothing, as does every record on the linear
-// source (no spec.lb): it is settled on its sketch band, so a cap at this
-// tier still gives it its final frame.
-func (cr *cascadeRun) candidateStep(c *candidate, t *cascadeTally) bool {
-	if lb := cr.spec.lb; lb != nil {
-		if flo := bandFloor(c.fd * lb.scale); flo > c.band.Lo {
-			c.band.Lo = min(flo, c.band.Hi) // both edges are slacked; never invert the band
+// run takes one record through the whole chain: every tier, then, if
+// none settled it, exact verification.
+func (cr *cascadeRun) run(c *candidate, t *cascadeTally) {
+	for _, tier := range cr.tiers {
+		if !cr.step(tier, c, t) {
+			return
 		}
 	}
-	return cr.settle(c, TierCandidate, t)
+	t.verified++
+	cr.col.verify(c.rec, c.band)
 }
 
 // cascadeChunk is how many records a worker claims at a time in a tier
@@ -231,14 +263,14 @@ func (cr *cascadeRun) candidateStep(c *candidate, t *cascadeTally) bool {
 // query's few dozen survivors run on one goroutine.
 const cascadeChunk = 64
 
-// refine runs one tier's step over items across the worker pool and
-// compacts the records that go on in place.
-func (db *DB) refine(cr *cascadeRun, items []candidate, step func(*candidate, *cascadeTally) bool) []candidate {
+// refine runs one tier over items across the worker pool and compacts
+// the records that go on in place.
+func (db *DB) refine(cr *cascadeRun, items []candidate, tier Tier) []candidate {
 	db.forEachClaimed((len(items)+cascadeChunk-1)/cascadeChunk, func(ci int) {
 		var t cascadeTally
 		part := items[ci*cascadeChunk : min((ci+1)*cascadeChunk, len(items))]
 		for i := range part {
-			if cr.col.stopped() || !step(&part[i], &t) {
+			if cr.col.stopped() || !cr.step(tier, &part[i], &t) {
 				part[i].rec = nil
 			}
 		}
@@ -253,91 +285,171 @@ func (db *DB) refine(cr *cascadeRun, items []candidate, step func(*candidate, *c
 	return kept
 }
 
-// sketchPass is the linear candidate source: every shard is snapshotted
-// and every length-matching record banded at the sketch tier. It is what
-// the cascade runs on when the feature index cannot generate the
-// candidates — a database without the index, or a custom metric, which
-// has no featureScale entry. examined counts every record visited, of
-// any length, as on the scan plan.
-func (db *DB) sketchPass(cr *cascadeRun) (items []candidate, examined int) {
-	shardRecs := db.snapshotRecords()
-	surv := make([][]candidate, len(shardRecs))
-	var visited atomic.Int64
-	db.forEachClaimed(len(shardRecs), func(i int) {
-		var out []candidate
-		var t cascadeTally
-		var ex int64
-		for _, rec := range shardRecs[i] {
-			if cr.col.stopped() {
-				break
-			}
-			ex++
-			if cr.spec.n > 0 && rec.N != cr.spec.n {
-				continue
-			}
-			c := candidate{rec: rec, fd: -1}
-			if cr.sketchStep(&c, &t) {
-				out = append(out, c)
-			}
+// produceSimilarity is the one candidate pipeline of the distance, value
+// and shape families: a source hands over records, the tiers (sketch
+// band, then feature bound) dismiss, finalize or pass each on, and the
+// survivors go to exact verification. Without a frame sink the tiers
+// emit no frame, and with maxError 0 and no tier cap they never accept
+// on a band, so exact delivery gets every dismissal progressive delivery
+// makes and nothing else. The spec picks the source, never an option:
+// the feature index when the query carries a lower bound (spec.lb), at
+// its fixed bound or, under top-K, streaming; otherwise a linear walk.
+func (db *DB) produceSimilarity(spec *querySpec, opts QueryOptions, col *collector, stats *QueryStats) {
+	cr := &cascadeRun{spec: spec, col: col, maxTier: TierExact}
+	cr.tiers = cr.tierBuf[:0]
+	if col.frames != nil {
+		cr.maxError = opts.MaxError
+		if opts.MaxTier != TierNone {
+			cr.maxTier = opts.MaxTier
 		}
-		surv[i] = out
-		visited.Add(ex)
-		cr.merge(t)
-	})
-	for _, s := range surv {
-		items = append(items, s...)
 	}
-	return items, int(visited.Load())
-}
-
-// produceCascade is the progressive candidate producer: the sketch and
-// candidate tiers emit band frames through the collector — in tier order
-// per record — and dismiss, finalize or pass on each record; the
-// survivors go to the executor's verification fan-out, which gives each
-// its final exact-tier frame.
-//
-// The records come from the same source the exact plan uses. When the
-// query carries a feature lower bound (spec.lb) the feature index
-// generates them (collectIndexed, shared with
-// produceIndexed): the tree search's dismissals are a sound lower bound,
-// so they are silent pre-first-frame dismissals like the sketch tier's
-// own, and the tiers run over the index's survivors only. Otherwise the
-// linear sketch pass bands every record. The source follows from what
-// the spec carries, never from an option.
-func (db *DB) produceCascade(spec *querySpec, opts QueryOptions, col *collector, stats *QueryStats) {
-	cr := &cascadeRun{spec: spec, col: col, maxTier: opts.MaxTier, maxError: opts.MaxError}
-	if db.cfg.SketchBlock > 0 {
-		cr.qsk = multires.BuildSketch(spec.exemplar.Values(), db.cfg.SketchBlock)
+	// A tier that can dismiss nothing runs only to give progressive
+	// delivery its frames: the sketch tier without a sketch, and the
+	// candidate tier without the index's distance, unless a cap at it
+	// finalizes the records there.
+	if spec.qsk != nil || col.frames != nil {
+		cr.tiers = append(cr.tiers, TierSketch)
 	}
-	if cr.maxTier == TierNone {
-		cr.maxTier = TierExact
-	}
-
-	// Tier 1 — sketch, over the source's records.
-	var items []candidate
-	if spec.lb != nil {
-		scratch := db.collectIndexed(spec, col, stats)
-		defer releaseCands(scratch)
-		items = db.refine(cr, *scratch, cr.sketchStep)
-	} else {
-		items, stats.Examined = db.sketchPass(cr)
-	}
-
-	// Tier 2 — candidate. Runs when the index was the source — and when it
-	// was not but the caller capped refinement here, to finalize on the
-	// sketch bands, the best information such a configuration has.
 	if spec.lb != nil || cr.maxTier == TierCandidate {
-		items = db.refine(cr, items, cr.candidateStep)
+		cr.tiers = append(cr.tiers, TierCandidate)
+	}
+
+	stats.Plan = PlanIndex
+	switch {
+	case spec.lb == nil:
+		stats.Plan = PlanScan
+		db.walkRecords(cr, stats)
+	case opts.TopK > 0:
+		db.streamIndexed(cr, stats)
+	default:
+		db.collectIndexed(cr, stats)
+	}
+	if col.frames != nil {
+		stats.Plan = PlanProgressive
 	}
 	stats.Sketched = int(cr.sketched.Load())
 	stats.Pruned += int(cr.pruned.Load())
 	stats.BandAccepted = int(cr.bandAccepted.Load())
-	if cr.maxTier != TierExact {
-		return
-	}
+}
 
-	// Tier 3 — exact: every remaining survivor is verified against its
-	// exact samples through the query's verification kernel.
+// collectIndexed is the index source at the query's fixed bound, with
+// no radius feedback: the tree search collects the candidates into
+// pooled scratch, and the tiers, each a breadth-first pass, and
+// verification run over them afterwards. The length group's read lock is
+// held only inside the search, so nothing done with the candidates —
+// band tiers, frame delivery, verification — can stall a mutation of the
+// group.
+func (db *DB) collectIndexed(cr *cascadeRun, stats *QueryStats) {
+	spec, col := cr.spec, cr.col
+	scratch := candPool.Get().(*[]candidate)
+	items := (*scratch)[:0]
+	fixed := spec.lb.at(spec.initEps)
+	bound := func() float64 {
+		if col.stopped() {
+			return -1
+		}
+		return fixed
+	}
+	stats.Examined, stats.Pruned = db.findex.collect(spec.n, *spec.lb, bound, func(rec *Record, fd float64) bool {
+		items = append(items, candidate{rec: rec, fd: fd})
+		return true
+	})
+	*scratch = items // refine compacts in place: the scratch keeps every pointer to clear
+	for _, tier := range cr.tiers {
+		items = db.refine(cr, items, tier)
+	}
 	stats.Candidates = len(items)
 	db.verifyAll(col, items)
+	clear(*scratch) // drop record pointers before pooling the scratch
+	*scratch = (*scratch)[:0]
+	candPool.Put(scratch)
+}
+
+// walkRecords is the linear source: every shard is snapshotted, and
+// each length-matching record runs the whole chain inside the walk — the
+// tiers, then exact verification — so the walk builds no candidate slice
+// however little the tiers dismiss, and under progressive delivery a
+// record's frames arrive together. Examined counts every record visited,
+// of any length.
+func (db *DB) walkRecords(cr *cascadeRun, stats *QueryStats) {
+	shardRecs := db.snapshotRecords()
+	db.forEachClaimed(len(shardRecs), func(i int) {
+		var t cascadeTally
+		for _, rec := range shardRecs[i] {
+			if cr.col.stopped() {
+				break
+			}
+			t.visited++
+			if cr.spec.n > 0 && rec.N != cr.spec.n {
+				continue
+			}
+			cr.run(&candidate{rec: rec, fd: -1}, &t)
+		}
+		cr.merge(t)
+	})
+	stats.Examined = int(cr.visited.Load())
+	stats.Candidates = int(cr.verified.Load())
+}
+
+// streamIndexed is the index source behind top-K: candidate generation
+// streams records to a fan-out, each worker running the tiers and then
+// exact verification on one record at a time, while the vantage-point-tree
+// traversal re-reads the pruning bound at every node — so the best K
+// verified so far shrink the search mid-flight, and the search examines
+// strictly fewer vectors than the equivalent unbounded query whenever
+// the K-th best distance drops below the tolerance.
+func (db *DB) streamIndexed(cr *cascadeRun, stats *QueryStats) {
+	spec, col := cr.spec, cr.col
+	workers := max(db.cfg.Workers, 1)
+	candCh := make(chan candidate, 4*workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			var t cascadeTally
+			for c := range candCh {
+				if !col.stopped() { // else drain
+					cr.run(&c, &t)
+				}
+			}
+			cr.merge(t)
+		}()
+	}
+	var shrunk atomic.Bool
+	bound := func() float64 {
+		if col.stopped() {
+			return -1
+		}
+		r := col.radius()
+		if r < spec.initEps {
+			shrunk.Store(true)
+		}
+		return spec.lb.at(r)
+	}
+	// The workers drain candCh to its close however the run stops, so a
+	// send blocks only until a worker is free.
+	emit := func(rec *Record, fd float64) bool {
+		if col.stopped() {
+			return false
+		}
+		select {
+		case candCh <- candidate{rec: rec, fd: fd}:
+			return true
+		case <-col.done:
+			col.abort()
+			return false
+		}
+	}
+	stats.Examined, stats.Pruned = db.findex.collect(spec.n, *spec.lb, bound, emit)
+	close(candCh)
+	wg.Wait()
+	stats.Candidates = int(cr.verified.Load())
+	// A feature-pruned row under a tightened bound may have been an
+	// unbounded match (by Parseval a true match's feature distance never
+	// exceeds its real distance, so only a shrunken bound can prune one):
+	// the answer is then possibly short of the unbounded one.
+	if shrunk.Load() && stats.Pruned > 0 {
+		col.noteTruncated()
+	}
 }

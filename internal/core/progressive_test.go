@@ -557,6 +557,114 @@ func TestProgressiveRejectsTopK(t *testing.T) {
 	}
 }
 
+// TestOnePipelineOneCount pins that exact and progressive delivery run
+// one pipeline: for every metric and the value family, on the index
+// source and on the linear one (no index), the exact query and the fully
+// refined progressive run (MaxError 0) accept the same matches and report
+// the same work — Examined, Pruned, Sketched and Candidates — and a top-K
+// answer is still the unbounded answer's sorted prefix. A custom metric,
+// which neither the index nor the sketch can bound, takes the linear
+// walk and verifies every record of the exemplar's length in it.
+func TestOnePipelineOneCount(t *testing.T) {
+	custom := progressiveRunner{name: "custom", devKey: "custom-l2",
+		spec: func(exemplar seq.Sequence, eps float64) QuerySpec {
+			return QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: renamedL2{}, Eps: eps}
+		}}
+	for _, src := range []struct {
+		name string
+		cfg  Config
+		plan string
+	}{{"index", Config{}, PlanIndex}, {"linear", Config{IndexCoeffs: -1}, PlanScan}} {
+		db, items := clusteredDB(t, src.cfg, 600, 64)
+		exemplar := items[3].Seq
+		for _, r := range append(progressiveRunners(), custom) {
+			t.Run(src.name+"/"+r.name, func(t *testing.T) {
+				all, _, err := db.querySorted(context.Background(), r.spec(exemplar, math.Inf(1)), QueryOptions{})
+				if err != nil || len(all) < 30 {
+					t.Fatalf("unbounded: %d matches, %v", len(all), err)
+				}
+				spec := r.spec(exemplar, all[29].Deviations[r.devKey]) // the 30th-nearest distance
+				exact, exactStats, err := db.querySorted(context.Background(), spec, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames, stats := collectFrames(t, db, spec, QueryOptions{})
+				wantPlan := src.plan
+				if r.name == "custom" {
+					wantPlan = PlanScan
+				}
+				if exactStats.Plan != wantPlan || stats.Plan != PlanProgressive {
+					t.Errorf("plans %q and %q, want %q and progressive", exactStats.Plan, stats.Plan, wantPlan)
+				}
+				accepted := acceptedOf(frames)
+				if len(accepted) != len(exact) || len(exact) < 30 {
+					t.Fatalf("progressive accepted %d, exact matched %d", len(accepted), len(exact))
+				}
+				for _, m := range exact {
+					if got, ok := accepted[m.ID]; !ok || !reflect.DeepEqual(got, m) {
+						t.Errorf("%s: progressive %+v, exact %+v", m.ID, got, m)
+					}
+				}
+				if stats.Examined != exactStats.Examined || stats.Pruned != exactStats.Pruned ||
+					stats.Sketched != exactStats.Sketched || stats.Candidates != exactStats.Candidates || stats.BandAccepted != 0 {
+					t.Errorf("progressive %v, exact %v: one pipeline must do the same work", stats, exactStats)
+				}
+				if r.name == "custom" {
+					if exactStats.Sketched != 0 || exactStats.Candidates != len(items) {
+						t.Errorf("exact %v: want nothing sketched and all %d records verified", exactStats, len(items))
+					}
+				} else if exactStats.Sketched == 0 {
+					t.Errorf("exact %v: the sketch tier did not run", exactStats)
+				}
+				top, _, err := db.querySorted(context.Background(), spec, QueryOptions{TopK: 5})
+				if err != nil || !reflect.DeepEqual(top, exact[:5]) {
+					t.Errorf("top-5 %+v (%v), want the sorted prefix %+v", top, err, exact[:5])
+				}
+			})
+		}
+	}
+}
+
+// renamedL2 is a custom metric: L2 under a name featureScale and the
+// sketch bands do not know.
+type renamedL2 struct{}
+
+func (renamedL2) Name() string                                { return "custom-l2" }
+func (renamedL2) Distance(a, b seq.Sequence) (float64, error) { return dist.L2(a, b) }
+
+// TestExactL1PrunesPastTheIndex: on walks whose L2 feature bound is loose
+// under l1, the sketch tier dismisses index survivors, and the exact
+// query now gets those dismissals too — it verifies fewer records than
+// the index hands over (at 6 000 walks of 128 samples, with ε at the
+// 30th-nearest distance, the index passes 120 and the sketch keeps
+// 60).
+func TestExactL1PrunesPastTheIndex(t *testing.T) {
+	db, items := clusteredDB(t, Config{}, 6000, 128)
+	exemplar := items[3].Seq
+	all, err := db.DistanceQuery(exemplar, dist.Manhattan, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := db.distanceSpec(exemplar, dist.Manhattan, all[29].Deviations["l1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors := 0
+	db.findex.collect(compiled.n, *compiled.lb, func() float64 { return compiled.lb.at(compiled.initEps) },
+		func(*Record, float64) bool { survivors++; return true })
+	matches, stats, err := db.collectSorted(context.Background(), compiled, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) < 30 || stats.Plan != PlanIndex {
+		t.Fatalf("plan %q, %d matches, want index and at least 30", stats.Plan, len(matches))
+	}
+	if stats.Candidates >= survivors {
+		t.Errorf("exact l1 verified %d records, the index handed over %d: the sketch tier dismissed none (%v)", stats.Candidates, survivors, stats)
+	}
+	t.Logf("exact l1 verified %d of the index's %d survivors", stats.Candidates, survivors)
+}
+
 // TestProgressiveLimit pins Limit semantics on the cascade: the run
 // stops after Limit final accepts and reports truncation — also at
 // exactly Limit accepts, where nothing was cut (see TestQueryLimit).

@@ -87,7 +87,7 @@ func (d *dirStore) faultIn(rec *Record) (*rep.FunctionSeries, error) {
 		rec.rep.Store(fs)
 	}
 	d.res.ColdHit()
-	d.res.Admit(rec.ID, rec.repBytes, &rec.hot, false)
+	d.res.Admit(rec.ID, rec.residentBytes(), &rec.hot, false)
 	// A Remove racing this admit may have issued its Drop before the
 	// entry existed; re-check liveness and withdraw so a removed record
 	// cannot strand a tracker entry.

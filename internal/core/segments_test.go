@@ -590,7 +590,7 @@ func TestLoadRebuildsVectorsOnComparisonSourceChange(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					scanned, _, err := loaded.distanceScan(self, dist.Euclidean, eps)
+					scanned, err := loaded.distanceScan(self, dist.Euclidean, eps)
 					if err != nil {
 						t.Fatal(err)
 					}

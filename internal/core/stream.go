@@ -3,26 +3,25 @@ package core
 // This file is the query executor. Every query — the similarity families
 // (distance, value and shape, match-level or progressive) and the paper's
 // feature families (pattern, find, peaks and interval) — flows through one
-// internal path, runQuery: a producer (the feature index, the shard scan,
-// the progressive cascade's sketch and candidate tiers, or a feature
-// family's walk of the global query indexes) delivers through a collector
-// that enforces QueryOptions (Limit, TopK), tightens the top-K pruning
-// radius, and hands results to the caller's callback. Cancellation is
-// cooperative: the caller's context is checked in shard scans, in
-// vantage-point-tree traversal, before every verification and between
-// feature deliveries, and the worker pool always drains before runQuery
-// returns — a cancelled query returns ctx.Err() promptly with no
-// goroutine left behind.
+// internal path, runQuery: a producer (the similarity families' one
+// candidate pipeline of a source, band tiers and exact verification, see
+// progressive.go; or a feature family's walk of the global query indexes)
+// delivers through a collector that enforces QueryOptions (Limit, TopK),
+// tightens the top-K pruning radius, and hands results to the caller's
+// callback. Cancellation is cooperative: the caller's context is checked
+// in shard walks and tier passes, in vantage-point-tree traversal, before
+// every verification and between feature deliveries, and the worker pool
+// always drains before runQuery returns — a cancelled query returns
+// ctx.Err() promptly with no goroutine left behind.
 
 import (
 	"context"
 	"fmt"
 	"iter"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"seqrep/internal/dist"
+	"seqrep/internal/multires"
 	"seqrep/internal/pattern"
 	"seqrep/internal/seq"
 )
@@ -84,15 +83,16 @@ type querySpec struct {
 	n        int
 	// devKey is the Match.Deviations key holding the distance the radius
 	// bounds ("value", or the metric name); empty for families without one,
-	// which therefore have no progressive form.
+	// which therefore have no progressive form and no top-K radius
+	// feedback.
 	devKey string
-	// lb is the feature-space pruning rule; nil forces the scan plan.
-	lb *lowerBound
+	// lb is the feature-space pruning rule; nil forces the linear source.
+	// qsk is the exemplar's sketch for the band tier; nil when no record
+	// could be banded against it.
+	lb  *lowerBound
+	qsk *multires.Sketch
 	// initEps is the starting verification radius (+Inf = unbounded).
 	initEps float64
-	// prunes marks query kinds whose match deviation equals the distance
-	// the radius bounds, so the top-K best-so-far feedback is sound.
-	prunes bool
 	// verify compares one record's exact samples at the given radius.
 	verify func(rec *Record, radius float64) (Match, bool, error)
 
@@ -111,13 +111,13 @@ type querySpec struct {
 // produce, verify, collect, resolve cancellation into the result.
 //
 // At most one of yield (match-level delivery) and frames (progressive
-// delivery, which selects the cascade producer; see progressive.go) is
-// set; with neither, the matches are collected into the returned slice.
-// Either callback runs on the query's goroutines — never concurrently,
-// never under a lock a writer takes — and returning false stops the
-// query early (not an error). Matches arrive as Query documents. On
-// cancellation runQuery returns ctx.Err(); matches already delivered
-// are valid members of the full answer.
+// delivery, which turns on the pipeline's band frames; see
+// progressive.go) is set; with neither, the matches are collected into
+// the returned slice. Either callback runs on the query's goroutines —
+// never concurrently, never under a lock a writer takes — and returning
+// false stops the query early (not an error). Matches arrive as Query
+// documents. On cancellation runQuery returns ctx.Err(); matches already
+// delivered are valid members of the full answer.
 func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, yield func(Match) bool, frames func(ProgressiveMatch) bool) ([]Match, QueryStats, error) {
 	if err := opts.validate(); err != nil {
 		return nil, QueryStats{}, err
@@ -138,22 +138,11 @@ func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, 
 	}
 	stats := QueryStats{Query: spec.kind, Metric: spec.metric}
 	col := newCollector(ctx.Done(), spec, opts, yield, frames)
-	switch {
-	case frames != nil:
-		stats.Plan = PlanProgressive
-		db.produceCascade(spec, opts, col, &stats)
-	case spec.produce != nil:
+	if spec.produce != nil {
 		stats.Plan = spec.plan
 		stats.Examined, stats.Candidates = spec.produce(db, spec, col)
-	case spec.lb != nil && opts.TopK > 0:
-		stats.Plan = PlanIndex
-		db.produceIndexedTopK(spec, col, &stats)
-	case spec.lb != nil:
-		stats.Plan = PlanIndex
-		db.produceIndexed(spec, col, &stats)
-	default:
-		stats.Plan = PlanScan
-		db.produceScan(spec, col, &stats)
+	} else {
+		db.produceSimilarity(spec, opts, col, &stats)
 	}
 	if err := col.err(); err != nil {
 		return nil, QueryStats{}, err
@@ -172,41 +161,15 @@ func (db *DB) runQuery(ctx context.Context, spec *querySpec, opts QueryOptions, 
 	return col.out, stats, nil
 }
 
-// produceScan is the shard-parallel full-scan producer: workers claim
-// whole shard snapshots and verify every length-matching record, checking
-// the stop conditions between records.
-func (db *DB) produceScan(spec *querySpec, col *collector, stats *QueryStats) {
-	shardRecs := db.snapshotRecords()
-	var examined, candidates atomic.Int64
-	db.forEachClaimed(len(shardRecs), func(i int) {
-		var ex, cand int64
-		for _, rec := range shardRecs[i] {
-			if col.stopped() {
-				break
-			}
-			ex++
-			if spec.n > 0 && rec.N != spec.n {
-				continue
-			}
-			cand++
-			col.verify(rec, Band{})
-		}
-		examined.Add(ex)
-		candidates.Add(cand)
-	})
-	stats.Examined = int(examined.Load())
-	stats.Candidates = int(candidates.Load())
-}
-
-// candidate is one record on its way from a producer to verification.
+// candidate is one record on its way from a source to verification.
 type candidate struct {
 	rec *Record
 	// fd is the feature distance to the exemplar that the index computed
 	// while generating the candidate; negative when nothing did (an
-	// unindexed record, or the cascade's linear source).
+	// unindexed record, or the linear source).
 	fd float64
-	// band is the band the cascade has refined the record to; zero outside
-	// progressive delivery.
+	// band is the band the tiers have refined the record to; zero when no
+	// tier ran.
 	band Band
 }
 
@@ -214,117 +177,15 @@ type candidate struct {
 // across the worker pool, outside every lock (it is the part that
 // reconstructs, and under a memory budget pages in, representations).
 func (db *DB) verifyAll(col *collector, cands []candidate) {
+	if len(cands) == 0 {
+		return
+	}
 	db.forEachClaimed(len(cands), func(i int) {
 		if col.stopped() {
 			return
 		}
 		col.verify(cands[i].rec, cands[i].band)
 	})
-}
-
-// collectIndexed generates the feature index's candidates at the query's
-// fixed bound — no radius feedback — into pooled scratch, and records the
-// traversal's Examined and Pruned. The length group's read lock is held
-// only inside: whatever the caller then does with the candidates (band
-// tiers, frame delivery, verification) cannot stall a mutation of the
-// group. The caller hands the scratch back with releaseCands.
-func (db *DB) collectIndexed(spec *querySpec, col *collector, stats *QueryStats) *[]candidate {
-	scratch := candPool.Get().(*[]candidate)
-	cands := (*scratch)[:0]
-	fixed := spec.lb.at(spec.initEps)
-	bound := func() float64 {
-		if col.stopped() {
-			return -1
-		}
-		return fixed
-	}
-	stats.Examined, stats.Pruned, _ = db.findex.collect(spec.n, *spec.lb, bound, func(rec *Record, fd float64) bool {
-		cands = append(cands, candidate{rec: rec, fd: fd})
-		return true
-	})
-	*scratch = cands
-	return scratch
-}
-
-// releaseCands returns collectIndexed's scratch to the pool. It clears
-// the slice at the length collectIndexed left it, so callers may compact
-// it in place but not grow it.
-func releaseCands(scratch *[]candidate) {
-	clear(*scratch) // drop record pointers before pooling the scratch
-	*scratch = (*scratch)[:0]
-	candPool.Put(scratch)
-}
-
-// produceIndexed is the two-phase index producer used when no radius
-// feedback is possible: candidates are generated under the length group's
-// read lock into pooled scratch at the query's fixed bound, then verified
-// by the worker pool.
-func (db *DB) produceIndexed(spec *querySpec, col *collector, stats *QueryStats) {
-	scratch := db.collectIndexed(spec, col, stats)
-	stats.Candidates = len(*scratch)
-	db.verifyAll(col, *scratch)
-	releaseCands(scratch)
-}
-
-// produceIndexedTopK is the interleaved index producer behind top-K:
-// candidate generation streams rows to a verification fan-out while the
-// vantage-point-tree traversal re-reads the pruning bound at every node,
-// so the best K verified so far shrink the search mid-flight — the
-// search examines strictly fewer vectors than the equivalent unbounded
-// query whenever the K-th best distance drops below the tolerance.
-func (db *DB) produceIndexedTopK(spec *querySpec, col *collector, stats *QueryStats) {
-	workers := db.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	candCh := make(chan *Record, 4*workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for rec := range candCh {
-				if !col.stopped() { // else drain
-					col.verify(rec, Band{})
-				}
-			}
-		}()
-	}
-	var shrunk atomic.Bool
-	bound := func() float64 {
-		if col.stopped() {
-			return -1
-		}
-		r := col.radius()
-		if r < spec.initEps {
-			shrunk.Store(true)
-		}
-		return spec.lb.at(r)
-	}
-	// The workers drain candCh to its close however the run stops, so a
-	// send blocks only until a worker is free.
-	emit := func(rec *Record, _ float64) bool {
-		if col.stopped() {
-			return false
-		}
-		select {
-		case candCh <- rec:
-			return true
-		case <-col.done:
-			col.abort()
-			return false
-		}
-	}
-	stats.Examined, stats.Pruned, stats.Candidates = db.findex.collect(spec.n, *spec.lb, bound, emit)
-	close(candCh)
-	wg.Wait()
-	// A feature-pruned row under a tightened bound may have been an
-	// unbounded match (by Parseval a true match's feature distance never
-	// exceeds its real distance, so only a shrunken bound can prune one):
-	// the answer is then possibly short of the unbounded one.
-	if shrunk.Load() && stats.Pruned > 0 {
-		col.noteTruncated()
-	}
 }
 
 // ---- spec builders ----
@@ -358,12 +219,11 @@ func (db *DB) distanceSpec(exemplar seq.Sequence, m dist.Metric, eps float64) (*
 		n:        len(exemplar),
 		devKey:   m.Name(),
 		initEps:  eps,
-		prunes:   true,
-		lb:       db.lowerBoundOf(m.Name(), exemplar),
 		verify: func(rec *Record, radius float64) (Match, bool, error) {
 			return db.distanceVerify(rec, exemplar, m, radius)
 		},
 	}
+	spec.lb, spec.qsk = db.prefilters(m.Name(), exemplar)
 	return spec, nil
 }
 
@@ -383,12 +243,11 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 		n:        len(exemplar),
 		devKey:   "value",
 		initEps:  eps,
-		prunes:   true,
-		lb:       db.lowerBoundOf("band", exemplar),
 		verify: func(rec *Record, radius float64) (Match, bool, error) {
 			return db.valueVerify(rec, exemplar, radius)
 		},
 	}
+	spec.lb, spec.qsk = db.prefilters("band", exemplar)
 	return spec, nil
 }
 

@@ -66,22 +66,25 @@ func BuildSketchZ(vals, zvals []float64, block int) *Sketch {
 func blockSummary(vals []float64, block int) (means []float64, r1, r2, rinf float64) {
 	nb := NumBlocks(len(vals), block)
 	means = make([]float64, 0, nb)
+	ss := 0.0
+	// One block at a time: its mean, then its residuals, which the norms
+	// take in sample order.
 	for lo := 0; lo < len(vals); lo += block {
-		hi := min(lo+block, len(vals))
+		part := vals[lo:min(lo+block, len(vals))]
 		sum := 0.0
-		for _, v := range vals[lo:hi] {
+		for _, v := range part {
 			sum += v
 		}
-		means = append(means, sum/float64(hi-lo))
-	}
-	ss := 0.0
-	for i, v := range vals {
-		r := v - means[i/block]
-		a := math.Abs(r)
-		r1 += a
-		ss += r * r
-		if a > rinf {
-			rinf = a
+		mean := sum / float64(len(part))
+		means = append(means, mean)
+		for _, v := range part {
+			r := v - mean
+			a := math.Abs(r)
+			r1 += a
+			ss += r * r
+			if a > rinf {
+				rinf = a
+			}
 		}
 	}
 	r2 = math.Sqrt(ss)
