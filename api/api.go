@@ -67,8 +67,8 @@ type QueryStats struct {
 	Candidates int    `json:"candidates"`
 	Pruned     int    `json:"pruned"`
 	Matches    int    `json:"matches"`
-	// Sketched counts the records banded at the progressive sketch tier
-	// (progressive plan only).
+	// Sketched counts the records whose band came from their sketch (a
+	// similarity statement's band tier runs under every plan).
 	Sketched int `json:"sketched,omitempty"`
 	// BandAccepted counts matches accepted on their error band alone,
 	// without exact verification (progressive plan only).
@@ -82,8 +82,10 @@ type QueryStats struct {
 // RefineFrame is one progressive refinement notice inside a
 // /v1/query/stream response to a statement carrying WITHIN ERROR /
 // APPROX. Each frame reports the current two-sided error band around
-// one record's true distance at the quality tier that produced it
-// ("sketch", "candidate" or "exact"). Bands for a record only ever
+// one record's true distance at the quality tier that produced it:
+// "candidate", the band tier (the record's sketch band, its lower edge
+// lifted by the feature distance), or "exact". A record gets at most one
+// band frame before its final frame. Bands for a record only ever
 // tighten as the stream progresses, and the true distance always lies
 // inside them. Final frames (Final true) are the record's verdict:
 // accepted records additionally carry the item frame's Match in the
@@ -92,8 +94,8 @@ type QueryStats struct {
 type RefineFrame struct {
 	// ID is the record the band describes.
 	ID string `json:"id"`
-	// Tier is the cascade level that produced this band: "sketch",
-	// "candidate" or "exact".
+	// Tier is the cascade level that produced this band: "candidate"
+	// or "exact".
 	Tier string `json:"tier"`
 	// Lo is the band's lower edge: the true distance is ≥ Lo.
 	Lo float64 `json:"lo"`

@@ -708,11 +708,11 @@ func BenchmarkReconstruct(b *testing.B) {
 
 // BenchmarkProgressiveQuery runs the progressive cascade on the 10k
 // corpus beside the exact indexed query for the same statement: the
-// sketch-capped first answer (APPROX sketch), the fully refined run
+// band-capped first answer (APPROX candidate), the fully refined run
 // (WITHIN ERROR 0) and the exact plan. Before timing anything it checks
 // what must hold on every run, deterministically: the band-accepted
 // answer has full recall — the per-record band guarantee means an exact
-// match can never be dismissed at any tier (the property suite in
+// match can never be dismissed on its band (the property suite in
 // core/progressive_test.go proves this bit-level; here it gates the
 // benchmark too) — and the cascade examines exactly the feature vectors
 // the exact plan examines and bands only the index's survivors.
@@ -723,7 +723,7 @@ func BenchmarkProgressiveQuery(b *testing.B) {
 	const eps = 2.0
 	metric := seqrep.EuclideanMetric()
 	ctx := context.Background()
-	sketchOpts := seqrep.QueryOptions{MaxTier: seqrep.TierSketch}
+	bandOpts := seqrep.QueryOptions{MaxTier: seqrep.TierCandidate}
 
 	exact, _, err := scan.DistanceQueryCtx(ctx, exemplar, metric, eps, seqrep.QueryOptions{})
 	if err != nil {
@@ -734,7 +734,7 @@ func BenchmarkProgressiveQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	accepted := make(map[string]bool)
-	stats, err := indexed.DistanceQueryProgressive(ctx, exemplar, metric, eps, sketchOpts, func(pm seqrep.ProgressiveMatch) bool {
+	stats, err := indexed.DistanceQueryProgressive(ctx, exemplar, metric, eps, bandOpts, func(pm seqrep.ProgressiveMatch) bool {
 		if pm.Final && pm.Match != nil {
 			accepted[pm.ID] = true
 		}
@@ -745,7 +745,7 @@ func BenchmarkProgressiveQuery(b *testing.B) {
 	}
 	for _, m := range exact {
 		if !accepted[m.ID] {
-			b.Fatalf("sketch tier dismissed exact match %q — the band guarantee is broken", m.ID)
+			b.Fatalf("band tier dismissed exact match %q — the band guarantee is broken", m.ID)
 		}
 	}
 	if stats.Plan != "progressive" || stats.Examined != exactStats.Examined || stats.Sketched != exactStats.Sketched {
@@ -768,7 +768,7 @@ func BenchmarkProgressiveQuery(b *testing.B) {
 			b.ReportMetric(float64(stats.BandAccepted), "band_accepted/op")
 		}
 	}
-	b.Run("sketch", progressive(sketchOpts))
+	b.Run("candidate", progressive(bandOpts))
 	b.Run("refined", progressive(seqrep.QueryOptions{}))
 	b.Run("exact/index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

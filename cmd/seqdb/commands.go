@@ -346,8 +346,9 @@ func runQuery(ctx context.Context, db *seqrep.DB, q seqrep.ParsedQuery) error {
 
 // runProgressiveQuery executes a WITHIN ERROR / APPROX statement with
 // frame-level printing: every refinement frame appears as it is
-// produced, tagged with its quality tier, so the terminal shows the
-// coarse sketch bands first and watches them tighten toward verdicts.
+// produced, tagged with its quality tier, so the terminal shows each
+// record's band ([candidate]) and then, unless the band settled it, its
+// exact verdict ([exact]).
 func runProgressiveQuery(ctx context.Context, db *seqrep.DB, q seqrep.ParsedQuery) error {
 	accepted := 0
 	res, err := seqrep.StreamQueryProgressive(ctx, db, q, func(pm seqrep.ProgressiveMatch) bool {

@@ -92,8 +92,8 @@ type Config struct {
 	IndexLeaf int
 	// SketchBlock is the block size of the per-record multiresolution
 	// sketch behind progressive queries (default 16 samples per block;
-	// negative disables sketches, pinning the progressive sketch tier to
-	// uninformative bands). Smaller blocks band tighter at the cost of
+	// negative disables sketches, leaving the band tier only the feature
+	// bound's lower edge). Smaller blocks band tighter at the cost of
 	// more stored means per record.
 	SketchBlock int
 	// CompactThreshold is the on-disk segment count at which a checkpoint
@@ -110,7 +110,7 @@ type Config struct {
 	// resident in RAM (OpenDir databases only; <= 0 keeps every
 	// representation resident — the pre-residency behavior). Under a
 	// budget, ids, feature vectors and sketches stay resident (candidate
-	// generation and the progressive sketch tier never touch disk) while
+	// generation and the band tier never touch disk) while
 	// cold representation payloads are evicted and paged back in from
 	// the segment tier on demand; dirty records (WAL-covered, not yet
 	// checkpointed) are pinned resident until a checkpoint commits them.
@@ -152,6 +152,26 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
+// MaxMagnitude caps |v| for every sample a write stores. Every distance
+// kernel sums at most n squared differences, so it stays finite while
+// 4n·v² ≤ MaxFloat64: up to |v| ≈ 1e150 at a million samples. The cap
+// sits fifty orders of magnitude lower, which leaves a stored record's
+// reconstruction room to overshoot its samples. A query exemplar may
+// reach twice the cap, so any stored record's reconstruction serves as
+// one.
+const MaxMagnitude = 1e100
+
+// checkMagnitude refuses a sequence holding a sample above limit in
+// magnitude. NaN passes: seq.Validate names it.
+func checkMagnitude(s seq.Sequence, limit float64) error {
+	for i, p := range s {
+		if math.Abs(p.V) > limit {
+			return fmt.Errorf("%w: sample %d is %g, cap %g", ErrMagnitude, i, p.V, limit)
+		}
+	}
+	return nil
+}
+
 // Sentinel errors callers (the serving layer, CLIs) branch on with
 // errors.Is; the wrapping message carries the offending id.
 var (
@@ -161,6 +181,9 @@ var (
 	// ErrUnknownID reports an operation on an id the database does not
 	// hold.
 	ErrUnknownID = errors.New("unknown sequence id")
+	// ErrMagnitude reports a sample whose magnitude exceeds MaxMagnitude
+	// in a write, or twice that in a query exemplar.
+	ErrMagnitude = errors.New("sample magnitude above the cap")
 	// ErrStorage reports a server-side storage fault met while answering
 	// a query: the comparison form of a *stored* record could not be read
 	// (a cold payload that fails to page in or decode, a reconstruction
@@ -596,7 +619,7 @@ func (db *DB) Ingest(id string, s seq.Sequence) error {
 // shared state — a lookup by id after Ingest returns can already observe
 // a concurrent removal or replacement. It is a batch of one.
 func (db *DB) IngestRecord(id string, s seq.Sequence) (*Record, error) {
-	p := db.ingest([]BatchItem{{ID: id, Seq: s}})[0]
+	p := db.ingest([]BatchItem{{ID: id, Seq: s}}, true)[0]
 	return p.rec, p.err
 }
 
@@ -612,15 +635,17 @@ func (db *DB) IngestRecord(id string, s seq.Sequence) (*Record, error) {
 //
 // An item that fails steps 1 or 2 drops out without stopping the
 // others. A log failure fails every surviving item and releases its
-// reservation: nothing is published before it is durable.
-func (db *DB) ingest(items []BatchItem) []pending {
+// reservation: nothing is published before it is durable. capped
+// refuses samples above MaxMagnitude in step 1; replay passes false, so
+// that a log an older binary acknowledged still replays.
+func (db *DB) ingest(items []BatchItem, capped bool) []pending {
 	out := make([]pending, len(items))
 	// A degraded database cannot make the batch durable: fail it before
 	// the pipeline runs, since spending CPU on it only deepens the
 	// overload that usually accompanies a storage fault.
 	werr := db.storage.writable()
 	for i, it := range items {
-		out[i].err = db.admit(it, werr)
+		out[i].err = db.admit(it, werr, capped)
 	}
 	db.forEachClaimed(len(items), func(i int) {
 		p := &out[i]
@@ -661,7 +686,7 @@ func (db *DB) ingest(items []BatchItem) []pending {
 
 // admit validates one batch item and reserves its id; werr is the
 // storage's writable verdict for the whole batch.
-func (db *DB) admit(it BatchItem, werr error) error {
+func (db *DB) admit(it BatchItem, werr error, capped bool) error {
 	switch {
 	case it.ID == "":
 		return fmt.Errorf("core: empty sequence id")
@@ -670,6 +695,11 @@ func (db *DB) admit(it BatchItem, werr error) error {
 	}
 	if err := it.Seq.Validate(); err != nil {
 		return fmt.Errorf("core: ingesting %q: %w", it.ID, err)
+	}
+	if capped {
+		if err := checkMagnitude(it.Seq, MaxMagnitude); err != nil {
+			return fmt.Errorf("core: ingesting %q: %w", it.ID, err)
+		}
 	}
 	if werr != nil {
 		return werr
@@ -728,7 +758,7 @@ func (db *DB) IngestBatch(items []BatchItem) (int, error) {
 // item, ordered by batch position.
 func (db *DB) IngestBatchItems(items []BatchItem) (int, []*ItemError) {
 	var failed []*ItemError
-	for i, p := range db.ingest(items) {
+	for i, p := range db.ingest(items, true) {
 		if p.err != nil {
 			failed = append(failed, &ItemError{Index: i, ID: items[i].ID, Err: p.err})
 		}

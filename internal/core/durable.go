@@ -324,7 +324,7 @@ func (d *dirStore) applyWALRecord(r wal.Record) error {
 func (d *dirStore) flushReplay() error {
 	items := d.replayBatch
 	d.replayBatch = nil
-	for _, p := range d.db.ingest(items) {
+	for _, p := range d.db.ingest(items, false) {
 		switch {
 		case p.err == nil:
 			d.recovery.Applied++

@@ -455,7 +455,7 @@ func TestArchiveDoesNotChangeAnswers(t *testing.T) {
 		rows = append(rows,
 			row{r.name, spec, QueryOptions{}, false},
 			row{r.name + "/progressive", spec, QueryOptions{MaxError: 2}, true},
-			row{r.name + "/sketch", spec, QueryOptions{MaxTier: TierSketch}, true})
+			row{r.name + "/sketch", spec, QueryOptions{MaxTier: TierCandidate}, true}) // APPROX sketch: the band cap
 	}
 	answer := func(t *testing.T, db *DB, r row) (any, QueryStats) {
 		if r.progressive {
@@ -589,24 +589,26 @@ func TestIndexedEqualsScanOnFFTFeatures(t *testing.T) {
 }
 
 // TestIndexedEqualsScanPastSquareOverflow: constant records at ±1e155 and
-// ±1e200, whose feature differences square past the float range while
-// l1, linf, norml1 and the value band stay finite. An overflowed feature
-// distance would exceed every finite threshold and prune the far record;
-// every metric and the value band must answer as the scan does, indexed
-// and progressive, at a tolerance above every finite distance.
+// ±1e200, past MaxMagnitude, as a log written before the cap replays
+// them, and an exemplar at the cap. Their feature differences square
+// past the float range while l1, linf, norml1 and the value band stay
+// finite. An overflowed feature distance would exceed every finite
+// threshold and prune the far record; every metric and the value band
+// must answer as the scan does, indexed and progressive, at a tolerance
+// above every finite distance.
 func TestIndexedEqualsScanPastSquareOverflow(t *testing.T) {
 	for _, v := range []float64{1e155, 1e200} {
 		db := mustDB(t, Config{})
-		up, down := make([]float64, 64), make([]float64, 64)
+		up, down, ex := make([]float64, 64), make([]float64, 64), make([]float64, 64)
 		for i := range up {
-			up[i], down[i] = v, -v
+			up[i], down[i], ex[i] = v, -v, MaxMagnitude
 		}
-		mustIngest(t, db, "up", seq.New(up))
-		mustIngest(t, db, "down", seq.New(down))
-		exemplar, err := db.Reconstruct("up")
-		if err != nil {
-			t.Fatal(err)
+		for _, p := range db.ingest([]BatchItem{{ID: "up", Seq: seq.New(up)}, {ID: "down", Seq: seq.New(down)}}, false) {
+			if p.err != nil {
+				t.Fatal(p.err)
+			}
 		}
+		exemplar := seq.New(ex)
 		for _, r := range progressiveRunners() {
 			spec := r.spec(exemplar, 1e305)
 			indexed, st, err := db.querySorted(context.Background(), spec, QueryOptions{})

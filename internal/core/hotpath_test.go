@@ -296,7 +296,7 @@ func TestProgressiveSubLinear(t *testing.T) {
 }
 
 // TestProgressiveQueryAllocs is TestIndexedQueryAllocs for the cascade:
-// the exemplar's sketch, the pooled candidate scratch, three fan-outs and
+// the exemplar's sketch, the pooled candidate scratch, one fan-out and
 // a frame trail per survivor — nothing proportional to N, in count or in
 // bytes (a per-query snapshot of the shards is few allocations but 8 N
 // bytes).

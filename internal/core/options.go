@@ -44,8 +44,8 @@ type QueryOptions struct {
 	// exemplar. 0 demands exact answers (the progressive run then returns
 	// exactly the exact query's matches).
 	MaxError float64
-	// MaxTier caps how deep the progressive cascade refines: TierSketch
-	// or TierCandidate answer from bands alone, TierExact (or 0) refines
+	// MaxTier caps how deep the progressive cascade refines:
+	// TierCandidate answers from bands alone, TierExact (or 0) refines
 	// all the way to exact verification.
 	MaxTier Tier
 }

@@ -201,7 +201,7 @@ func TestProgressiveCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []QueryOptions{{}, {MaxError: 0.3}, {MaxTier: TierSketch}, {MaxTier: TierCandidate}} {
+	for _, opts := range []QueryOptions{{}, {MaxError: 0.3}, {MaxTier: TierCandidate}} {
 		frames, stats := collectFrames(t, db, spec, opts)
 		if stats.Examined != exact.Examined || stats.Examined != 4 {
 			t.Errorf("%+v: Examined = %d, want the exact plan's %d (the length group)", opts, stats.Examined, exact.Examined)

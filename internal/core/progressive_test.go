@@ -146,12 +146,16 @@ func trueDistances(t testing.TB, corpus map[string]seq.Sequence, exemplar seq.Se
 }
 
 // checkFrameContract asserts the per-record frame invariants on one
-// run's frames: exactly one final frame and it is last, tiers never
-// regress, bands only tighten, and (when the record's true distance is
-// known) every band contains it.
+// run's frames: exactly one final frame and it is last, at most one
+// non-final (band) frame before it, tiers never regress, bands only
+// tighten, and (when the record's true distance is known) every band
+// contains it.
 func checkFrameContract(t *testing.T, frames map[string][]ProgressiveMatch, truth map[string]float64) {
 	t.Helper()
 	for id, fs := range frames {
+		if len(fs) > 2 {
+			t.Errorf("%s: %d frames, want one band frame at most before the final one: %+v", id, len(fs), fs)
+		}
 		for i, f := range fs {
 			if f.Final != (i == len(fs)-1) {
 				t.Fatalf("%s: frame %d/%d finality wrong: %+v", id, i, len(fs), f)
@@ -408,9 +412,13 @@ func TestProgressiveGuaranteesTree(t *testing.T) {
 						if a, b := acceptedOf(got), acceptedOf(want); len(a) == 0 || !reflect.DeepEqual(a, b) {
 							t.Errorf("eps=%v: index-driven cascade accepted %d, linear %d, or they differ", eps, len(a), len(b))
 						}
-						for id, fs := range got { // same bands wherever both sources framed the record
-							if ws, ok := want[id]; ok && fs[0].Tier == TierSketch && fs[0].Band != ws[0].Band {
-								t.Errorf("%s: sketch band %+v, linear %+v", id, fs[0].Band, ws[0].Band)
+						// Wherever both sources framed the record, the band tier
+						// gave it the same sketch band, the index's feature
+						// distance lifting at most its lower edge.
+						for id, fs := range got {
+							if ws, ok := want[id]; ok && fs[0].Tier == TierCandidate &&
+								(fs[0].Band.Hi != ws[0].Band.Hi || fs[0].Band.Lo < ws[0].Band.Lo) {
+								t.Errorf("%s: band %+v, linear %+v", id, fs[0].Band, ws[0].Band)
 							}
 						}
 						if len(got) > len(want) {
@@ -524,23 +532,20 @@ func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence
 		}
 	}
 
-	// Property 4 — tier caps: capping at sketch or candidate finalizes
-	// every surviving record at (or before) the cap, with bands still
-	// containing the truth and exact matches never dismissed.
-	for _, tierCap := range []Tier{TierSketch, TierCandidate} {
-		frames, _ = collectFrames(t, db, r.spec(exemplar, eps), QueryOptions{MaxTier: tierCap})
-		checkFrameContract(t, frames, truth)
-		accepted = acceptedOf(frames)
-		for id, fs := range frames {
-			last := fs[len(fs)-1]
-			if last.Tier > tierCap {
-				t.Errorf("%s: tier %v beyond cap %v", id, last.Tier, tierCap)
-			}
+	// Property 4 — the tier cap: capping at the band tier finalizes
+	// every surviving record on its band, with bands still containing the
+	// truth and exact matches never dismissed.
+	frames, _ = collectFrames(t, db, r.spec(exemplar, eps), QueryOptions{MaxTier: TierCandidate})
+	checkFrameContract(t, frames, truth)
+	accepted = acceptedOf(frames)
+	for id, fs := range frames {
+		if last := fs[len(fs)-1]; len(fs) != 1 || last.Tier != TierCandidate {
+			t.Errorf("%s: capped at the band tier, got %d frames ending at tier %v", id, len(fs), last.Tier)
 		}
-		for _, em := range exact {
-			if _, ok := accepted[em.ID]; !ok {
-				t.Errorf("cap=%v: exact match %q missing (false dismissal)", tierCap, em.ID)
-			}
+	}
+	for _, em := range exact {
+		if _, ok := accepted[em.ID]; !ok {
+			t.Errorf("band cap: exact match %q missing (false dismissal)", em.ID)
 		}
 	}
 }
@@ -614,7 +619,7 @@ func TestOnePipelineOneCount(t *testing.T) {
 						t.Errorf("exact %v: want nothing sketched and all %d records verified", exactStats, len(items))
 					}
 				} else if exactStats.Sketched == 0 {
-					t.Errorf("exact %v: the sketch tier did not run", exactStats)
+					t.Errorf("exact %v: no record was banded on its sketch", exactStats)
 				}
 				top, _, err := db.querySorted(context.Background(), spec, QueryOptions{TopK: 5})
 				if err != nil || !reflect.DeepEqual(top, exact[:5]) {
@@ -632,37 +637,61 @@ type renamedL2 struct{}
 func (renamedL2) Name() string                                { return "custom-l2" }
 func (renamedL2) Distance(a, b seq.Sequence) (float64, error) { return dist.L2(a, b) }
 
-// TestExactL1PrunesPastTheIndex: on walks whose L2 feature bound is loose
-// under l1, the sketch tier dismisses index survivors, and the exact
-// query now gets those dismissals too — it verifies fewer records than
-// the index hands over (at 6 000 walks of 128 samples, with ε at the
-// 30th-nearest distance, the index passes 120 and the sketch keeps
-// 60).
-func TestExactL1PrunesPastTheIndex(t *testing.T) {
-	db, items := clusteredDB(t, Config{}, 6000, 128)
-	exemplar := items[3].Seq
-	all, err := db.DistanceQuery(exemplar, dist.Manhattan, math.Inf(1))
-	if err != nil {
+// TestExactPrunesPastTheIndex pins what the band tier's sketch earns:
+// on walks, where the DFT feature bound is loose, the band dismisses
+// index survivors, and exact delivery gets those dismissals, so it
+// verifies strictly fewer records than the index hands over, with the
+// answer still the brute-force one. ε is the exemplar's 30th-nearest
+// distance. (At 6 000 walks of 128 samples an exact l1 verifies 60 of
+// the index's 120 survivors.)
+func TestExactPrunesPastTheIndex(t *testing.T) {
+	clustered, clusteredItems := clusteredDB(t, Config{}, 6000, 128)
+	feature := mustDB(t, Config{})
+	featureItems := featureCorpus(t, rand.New(rand.NewSource(5)), 4000)
+	if _, err := feature.IngestBatch(featureItems); err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := db.distanceSpec(exemplar, dist.Manhattan, all[29].Deviations["l1"])
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		corpus string
+		db     *DB
+		items  []BatchItem
+		metric dist.Metric
+	}{
+		{"clustered", clustered, clusteredItems, dist.Manhattan},
+		{"clustered", clustered, clusteredItems, dist.ZEuclidean},
+		{"feature", feature, featureItems, dist.Euclidean},
+		{"feature", feature, featureItems, dist.ZEuclidean},
+		{"feature", feature, featureItems, dist.Manhattan},
+	} {
+		t.Run(row.corpus+"/"+row.metric.Name(), func(t *testing.T) {
+			db, exemplar := row.db, row.items[3].Seq
+			all, err := db.DistanceQuery(exemplar, row.metric, math.Inf(1))
+			if err != nil || len(all) < 30 {
+				t.Fatalf("unbounded: %d matches, %v", len(all), err)
+			}
+			compiled, err := db.distanceSpec(exemplar, row.metric, all[29].Deviations[row.metric.Name()])
+			if err != nil {
+				t.Fatal(err)
+			}
+			survivors := 0
+			db.findex.collect(compiled.n, *compiled.lb, func() float64 { return compiled.lb.at(compiled.initEps) },
+				func(*Record, float64) bool { survivors++; return true })
+			matches, stats, err := db.collectSorted(context.Background(), compiled, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(matches) < 30 || stats.Plan != PlanIndex {
+				t.Fatalf("plan %q, %d matches, want index and at least 30", stats.Plan, len(matches))
+			}
+			if want, err := db.bruteForce(compiled, nil); err != nil || !reflect.DeepEqual(matches, want) {
+				t.Errorf("exact answer (%d) differs from brute force (%d, %v)", len(matches), len(want), err)
+			}
+			if stats.Candidates >= survivors {
+				t.Errorf("exact verified %d records, the index handed over %d: the band dismissed none (%v)", stats.Candidates, survivors, stats)
+			}
+			t.Logf("exact %s verified %d of the index's %d survivors", row.metric.Name(), stats.Candidates, survivors)
+		})
 	}
-	survivors := 0
-	db.findex.collect(compiled.n, *compiled.lb, func() float64 { return compiled.lb.at(compiled.initEps) },
-		func(*Record, float64) bool { survivors++; return true })
-	matches, stats, err := db.collectSorted(context.Background(), compiled, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) < 30 || stats.Plan != PlanIndex {
-		t.Fatalf("plan %q, %d matches, want index and at least 30", stats.Plan, len(matches))
-	}
-	if stats.Candidates >= survivors {
-		t.Errorf("exact l1 verified %d records, the index handed over %d: the sketch tier dismissed none (%v)", stats.Candidates, survivors, stats)
-	}
-	t.Logf("exact l1 verified %d of the index's %d survivors", stats.Candidates, survivors)
 }
 
 // TestProgressiveLimit pins Limit semantics on the cascade: the run

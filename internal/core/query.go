@@ -288,6 +288,23 @@ func produceFind(db *DB, spec *querySpec, col *collector) (examined, candidates 
 		db.imu.RLock()
 		memo = slices.Grow(memo[:0], len(c.symbols))[:len(c.symbols)]
 		clear(memo)
+		if col.limit == 0 {
+			// Unbounded, the walk meets every member: every live group's
+			// spans are found up front, which sizes members exactly.
+			n := 0
+			for g, count := range c.members {
+				if count == 0 {
+					continue
+				}
+				lo := len(spans)
+				spans = spec.pat.AppendFindAll(spans, c.symbols[g])
+				memo[g] = [2]int32{int32(lo), int32(len(spans)) + 1}
+				if len(spans) > lo {
+					n += int(count)
+				}
+			}
+			members = slices.Grow(members, n)
+		}
 		start := 0
 		if resumed {
 			var found bool
@@ -503,9 +520,6 @@ type shapeSig struct {
 // shapeSignatureOf runs the exemplar through the ingestion pipeline
 // (without storing it) and normalizes its peaks.
 func (db *DB) shapeSignatureOf(exemplar seq.Sequence) (shapeSig, error) {
-	if len(exemplar) == 0 {
-		return shapeSig{}, fmt.Errorf("core: empty exemplar")
-	}
 	work := exemplar
 	if db.cfg.Preprocess != nil {
 		pre, err := db.cfg.Preprocess.Run(exemplar)

@@ -637,9 +637,9 @@ func TestLoadRebuildsSketchesOnSourceChange(t *testing.T) {
 }
 
 // TestSaveLoadSketchesDisabled pins the disabled configurations: a
-// directory checkpointed with the sketch tier or the feature index off
+// directory checkpointed with sketches or the feature index off
 // reopens with it still off — whatever the reopening process asks for —
-// and queries degrade gracefully (uninformative sketch tier, scan plan)
+// and queries degrade gracefully (sketchless bands, scan plan)
 // to the same exact answers.
 func TestSaveLoadSketchesDisabled(t *testing.T) {
 	for _, tc := range []struct {

@@ -168,27 +168,21 @@ type candidate struct {
 	// while generating the candidate; negative when nothing did (an
 	// unindexed record, or the linear source).
 	fd float64
-	// band is the band the tiers have refined the record to; zero when no
-	// tier ran.
-	band Band
-}
-
-// verifyAll fans the exact verification of a materialized candidate set
-// across the worker pool, outside every lock (it is the part that
-// reconstructs, and under a memory budget pages in, representations).
-func (db *DB) verifyAll(col *collector, cands []candidate) {
-	if len(cands) == 0 {
-		return
-	}
-	db.forEachClaimed(len(cands), func(i int) {
-		if col.stopped() {
-			return
-		}
-		col.verify(cands[i].rec, cands[i].band)
-	})
 }
 
 // ---- spec builders ----
+
+// checkExemplar refuses an empty exemplar and one whose samples exceed
+// twice MaxMagnitude (see there).
+func checkExemplar(exemplar seq.Sequence) error {
+	if len(exemplar) == 0 {
+		return fmt.Errorf("core: empty exemplar")
+	}
+	if err := checkMagnitude(exemplar, 2*MaxMagnitude); err != nil {
+		return fmt.Errorf("core: exemplar: %w", err)
+	}
+	return nil
+}
 
 func checkEps(eps float64) error {
 	if math.IsNaN(eps) {
@@ -203,8 +197,8 @@ func checkEps(eps float64) error {
 // distanceSpec compiles a DistanceQuery. eps may be +Inf (pure nearest-
 // neighbour search under TopK).
 func (db *DB) distanceSpec(exemplar seq.Sequence, m dist.Metric, eps float64) (*querySpec, error) {
-	if len(exemplar) == 0 {
-		return nil, fmt.Errorf("core: empty exemplar")
+	if err := checkExemplar(exemplar); err != nil {
+		return nil, err
 	}
 	if m == nil {
 		return nil, fmt.Errorf("core: nil metric")
@@ -230,8 +224,8 @@ func (db *DB) distanceSpec(exemplar seq.Sequence, m dist.Metric, eps float64) (*
 // valueSpec compiles a ValueQuery (±eps band semantics, which featureScale
 // bounds as "band").
 func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) {
-	if len(exemplar) == 0 {
-		return nil, fmt.Errorf("core: empty exemplar")
+	if err := checkExemplar(exemplar); err != nil {
+		return nil, err
 	}
 	if err := checkEps(eps); err != nil {
 		return nil, err
@@ -258,6 +252,9 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 func (db *DB) shapeSpec(exemplar seq.Sequence, tol ShapeTolerance) (*querySpec, error) {
 	if tol.Peaks < 0 || tol.Height < 0 || tol.Spacing < 0 || math.IsNaN(tol.Height) || math.IsNaN(tol.Spacing) {
 		return nil, fmt.Errorf("core: negative or NaN shape tolerance %+v", tol)
+	}
+	if err := checkExemplar(exemplar); err != nil {
+		return nil, err
 	}
 	q, err := db.shapeSignatureOf(exemplar)
 	if err != nil {
@@ -335,13 +332,13 @@ func (db *DB) Query(ctx context.Context, q QuerySpec, opts QueryOptions, yield f
 
 // QueryProgressive runs a distance or value query as a progressive
 // cascade: frames stream through yield (under Query's callback contract)
-// with per-record error bands that tighten from the sketch tier through
-// candidate pruning to exact verification — see ProgressiveMatch for the
-// frame contract and progressive.go for the guarantee. opts.MaxError and
-// opts.MaxTier control how early answers may finalize; opts.TopK and
-// shape queries are rejected. For value queries the bands bound the
-// maximum per-sample deviation, the "value" deviation exact verification
-// reports.
+// with per-record error bands that tighten from the band tier (sketch
+// band and feature bound) to exact verification — see ProgressiveMatch
+// for the frame contract and progressive.go for the guarantee.
+// opts.MaxError and opts.MaxTier control how early answers may finalize;
+// opts.TopK and shape queries are rejected. For value queries the bands
+// bound the maximum per-sample deviation, the "value" deviation exact
+// verification reports.
 func (db *DB) QueryProgressive(ctx context.Context, q QuerySpec, opts QueryOptions, yield func(ProgressiveMatch) bool) (QueryStats, error) {
 	spec, err := db.compile(q)
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 // ladder this package builds as a Pyramid) plus the norms of the residual
 // — what the block means fail to capture. The block means of a query and
 // a record bound their true distance from both sides without touching a
-// single sample (see DistanceBand), which is what lets the sketch tier
-// answer first with a guaranteed error band.
+// single sample (see DistanceBand), which is what lets the engine's band
+// tier answer first with a guaranteed error band.
 //
 // The z-normalized fields carry the same summary over the z-normalized
 // values, so the zl2 metric gets bands through identical machinery.
@@ -154,7 +154,7 @@ func DistanceBand(q, r *Sketch, metric string) (lo, hi float64, ok bool) {
 
 // lastWeight is the sample count of the final (possibly short) block; all
 // earlier blocks weigh Block samples. The weighted loops below are the
-// per-record hot path of the sketch tier, so they stay closure- and
+// per-record hot path of the band tier, so they stay closure- and
 // allocation-free.
 func lastWeight(s *Sketch) float64 {
 	return float64(s.N - s.Block*(len(s.Means)-1))

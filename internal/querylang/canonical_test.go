@@ -19,6 +19,8 @@ func TestCanonical(t *testing.T) {
 		{`MATCH DISTANCE LIKE ecg1 TOP 3 BY DISTANCE`, `match distance like ecg1 top 3 by distance`},
 		{`MATCH PEAKS 2 TOP 3 BY DISTANCE LIMIT 5`, `MATCH PEAKS 2 LIMIT 5 TOP 3 BY DISTANCE`},
 		{`explain match value like ecg1 limit 5`, `EXPLAIN MATCH VALUE LIKE ecg1 LIMIT 5`},
+		// One band tier: APPROX sketch is APPROX candidate.
+		{`MATCH DISTANCE LIKE ecg1 EPS 3 APPROX candidate`, `MATCH DISTANCE LIKE ecg1 EPS 3 APPROX sketch`, `match distance like ecg1 eps 3 approx SKETCH`},
 	}
 	for _, group := range equivalent {
 		first, err := Canonical(group[0])

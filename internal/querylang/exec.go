@@ -393,8 +393,8 @@ type ValueQuery struct {
 	// MaxError is the WITHIN ERROR bound (-1 = clause absent): accept a
 	// record once its error band is at most this wide.
 	MaxError float64
-	// Approx caps the cascade depth ("" = absent): "sketch", "candidate"
-	// or "exact".
+	// Approx caps the cascade depth ("" = absent): "candidate", the band
+	// tier (APPROX sketch parses to it), or "exact".
 	Approx string
 }
 
@@ -434,8 +434,8 @@ type DistanceQuery struct {
 	// MaxError is the WITHIN ERROR bound (-1 = clause absent); see
 	// ValueQuery.MaxError for the zero-value caveat.
 	MaxError float64
-	// Approx caps the cascade depth ("" = absent): "sketch", "candidate"
-	// or "exact".
+	// Approx caps the cascade depth ("" = absent): "candidate", the band
+	// tier (APPROX sketch parses to it), or "exact".
 	Approx string
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"seqrep/internal/core"
 )
 
 // Query is one parsed, executable query.
@@ -278,7 +280,8 @@ func (p *parser) parseMatchBody() (Query, error) {
 // WITHIN ERROR e and APPROX tier, in either order, each at most once —
 // into the query's MaxError (-1 stays "absent") and Approx ("" stays
 // "absent") fields. The canonical rendering orders WITHIN ERROR before
-// APPROX.
+// APPROX, and names the tier as core does, so APPROX sketch and APPROX
+// candidate are one statement.
 func (p *parser) parseProgressive(maxErr *float64, approx *string) error {
 	for {
 		switch {
@@ -307,12 +310,11 @@ func (p *parser) parseProgressive(maxErr *float64, approx *string) error {
 				return err
 			}
 			name = strings.ToLower(name)
-			switch name {
-			case "sketch", "candidate", "exact":
-			default:
+			tier, err := core.ParseTier(name)
+			if err != nil {
 				return fmt.Errorf("querylang: unknown APPROX tier %q at position %d (want sketch, candidate or exact)", name, t.pos)
 			}
-			*approx = name
+			*approx = tier.String() // "sketch" is the band tier's older name
 		default:
 			return nil
 		}

@@ -2,7 +2,7 @@
 // datasets larger than RAM: a byte-budgeted CLOCK tracker over record
 // representation payloads. The engine keeps every record's id, feature
 // vector and multiresolution sketch resident (candidate generation and
-// the progressive sketch tier never touch disk) and registers the heavy
+// the band tier never touch disk) and registers the heavy
 // representation payload here; when the tracked bytes exceed the budget
 // the tracker sweeps its CLOCK ring and asks the engine — through the
 // onEvict callback — to drop cold, clean payloads, which page back in

@@ -295,10 +295,10 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// statusOf maps a database error onto an HTTP status: unknown ids are
-// 404, duplicates 409, storage faults (a stored record whose comparison
-// form cannot be read — the request was fine, the data layer was not)
-// 500, a query that outran the server's -query-timeout 504, a request
+// statusOf maps a database error onto an HTTP status: a sample above
+// the magnitude cap is 400, unknown ids are 404, duplicates 409,
+// storage faults (a stored record whose comparison form cannot be read —
+// the request was fine, the data layer was not) 500, a query that outran the server's -query-timeout 504, a request
 // whose client hung up mid-query 499 (the nginx convention — nobody
 // receives the response, but the metrics should not call it a client or
 // server fault), everything else a client-side 422 (the request was
@@ -316,6 +316,8 @@ func statusOf(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request
+	case errors.Is(err, seqrep.ErrMagnitude):
+		return http.StatusBadRequest
 	case errors.Is(err, seqrep.ErrUnknownID):
 		return http.StatusNotFound
 	case errors.Is(err, seqrep.ErrDuplicateID):

@@ -210,6 +210,29 @@ func TestBatchStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestIngestMagnitudeCap: a sample above seqrep.MaxMagnitude, whose
+// squares would overflow the distance kernels, is refused with 400, alone
+// or as one item of a batch.
+func TestIngestMagnitudeCap(t *testing.T) {
+	ctx := context.Background()
+	_, c := testServer(t, Config{})
+	big := make([]float64, 64)
+	for i := range big {
+		big[i] = 1e155 * float64(1-2*(i%2))
+	}
+	_, err := c.Ingest(ctx, api.IngestRequest{ID: "big", Values: big})
+	if ae := apiErr(t, err); ae.StatusCode != 400 {
+		t.Fatalf("over-cap ingest status = %d, want 400", ae.StatusCode)
+	}
+	res, err := c.IngestBatch(ctx, []api.IngestRequest{feverItem(t, "ok", 0), {ID: "big", Values: big}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ingested != 1 || len(res.Failed) != 1 || res.Failed[0].Index != 1 {
+		t.Fatalf("batch = %+v, want item 1 refused", res)
+	}
+}
+
 func TestQueryErrorMapping(t *testing.T) {
 	ctx := context.Background()
 	_, c := testServer(t, Config{})
@@ -237,13 +260,27 @@ func TestQueryErrorMapping(t *testing.T) {
 // JSON cannot represent (here a distance that overflowed to +Inf):
 // /v1/query answers 500 with the encoder's message and caches nothing,
 // and /v1/query/stream ends with an error frame instead of just stopping.
+// The write cap sees samples before preprocessing, so a scaling stage
+// stores b at -1e200, whose squared distance to a at 1e100 overflows.
 func TestUnencodableAnswerIsAnError(t *testing.T) {
 	ctx := context.Background()
-	srv, c := testServer(t, Config{})
+	scale := &seqrep.PreprocessChain{}
+	scale.Add("scale", func(s seqrep.Sequence) (seqrep.Sequence, error) {
+		out := s.Clone()
+		for i := range out {
+			out[i].V *= 1e200
+		}
+		return out, nil
+	})
+	db, err := seqrep.New(seqrep.Config{Preprocess: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, c := testServer(t, Config{DB: db})
 	for _, it := range []struct {
 		id string
 		v  float64
-	}{{"a", 1e200}, {"b", -1e200}} {
+	}{{"a", 1e-100}, {"b", -1}} {
 		vals := make([]float64, 64)
 		for i := range vals {
 			vals[i] = it.v

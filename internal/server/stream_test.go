@@ -225,7 +225,7 @@ func TestQueryStreamProgressive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qs.Close()
-	tierRank := map[string]int{"sketch": 1, "candidate": 2, "exact": 3}
+	tierRank := map[string]int{"candidate": 1, "exact": 2}
 	type state struct {
 		tier  int
 		width float64
@@ -297,7 +297,8 @@ func TestQueryStreamProgressive(t *testing.T) {
 		t.Errorf("progressive accepts %v != exact matches %v", accepted, want)
 	}
 
-	// A sketch-tier cap still finalizes every record (earlier, wider).
+	// A band-tier cap finalizes every record on its band; APPROX sketch
+	// is the cap's older spelling.
 	qs2, err := c.StreamQuery(ctx, `MATCH DISTANCE LIKE f-000 METRIC l2 EPS 2 APPROX sketch`)
 	if err != nil {
 		t.Fatal(err)
@@ -311,8 +312,8 @@ func TestQueryStreamProgressive(t *testing.T) {
 		if f.Refine == nil {
 			t.Fatalf("frame lacks refine: %+v", f)
 		}
-		if f.Refine.Tier != "sketch" {
-			t.Errorf("APPROX sketch streamed tier %q", f.Refine.Tier)
+		if f.Refine.Tier != "candidate" || !f.Refine.Final {
+			t.Errorf("APPROX sketch streamed %+v, want final candidate-tier frames only", f.Refine)
 		}
 		if f.Refine.Final {
 			finals++
@@ -328,7 +329,7 @@ func TestQueryStreamProgressive(t *testing.T) {
 // back as +Inf.
 func TestRefineFrameHiEncoding(t *testing.T) {
 	open := toRefineFrame(seqrep.ProgressiveMatch{
-		ID: "r", Tier: seqrep.TierSketch,
+		ID: "r", Tier: seqrep.TierCandidate,
 		Band: seqrep.Band{Lo: 1, Hi: math.Inf(1)},
 	})
 	if open.Hi != nil {
@@ -491,8 +492,8 @@ func TestStreamWriterFlushesFirstMatch(t *testing.T) {
 	hi := 2.0
 	frames := []*api.StreamFrame{
 		{Canonical: "MATCH DISTANCE LIKE a METRIC l2 EPS 5 WITHIN ERROR 1"},
-		{Refine: &api.RefineFrame{ID: "a", Tier: "sketch", Lo: 0}},
-		{Refine: &api.RefineFrame{ID: "b", Tier: "sketch", Lo: 1, Hi: &hi}},
+		{Refine: &api.RefineFrame{ID: "a", Tier: "candidate", Lo: 0}},
+		{Refine: &api.RefineFrame{ID: "b", Tier: "candidate", Lo: 1, Hi: &hi}},
 		{Refine: &api.RefineFrame{ID: "a", Tier: "exact", Lo: 0, Hi: &hi, Final: true}, Match: &api.Match{ID: "a", Exact: true}},
 		{Match: &api.Match{ID: "b"}},
 		{Refine: &api.RefineFrame{ID: "c", Tier: "exact", Lo: 1, Hi: &hi, Final: true}, Match: &api.Match{ID: "c"}},

@@ -127,8 +127,8 @@ type (
 	// best-so-far pruning fed back into the index search). Accepted by
 	// DB.Query, DB.QuerySeq, DB.QueryProgressive and the *Ctx helpers.
 	QueryOptions = core.QueryOptions
-	// Tier names one quality level of the progressive cascade: TierSketch,
-	// TierCandidate, TierExact (TierNone = no cap).
+	// Tier names one quality level of the progressive cascade: the band
+	// tier TierCandidate, then TierExact (TierNone = no cap).
 	Tier = core.Tier
 	// Band is a two-sided error interval around a record's true distance;
 	// progressive refinement only ever tightens it.
@@ -169,6 +169,9 @@ var (
 	ErrDuplicateID = core.ErrDuplicateID
 	// ErrUnknownID reports an operation on an id the database lacks.
 	ErrUnknownID = core.ErrUnknownID
+	// ErrMagnitude reports a sample above MaxMagnitude in a write, or
+	// above twice that in a query exemplar.
+	ErrMagnitude = core.ErrMagnitude
 	// ErrStorage reports a server-side storage fault met by a query: a
 	// stored record's representation could not be paged in or
 	// reconstructed. No write produces it.
@@ -241,7 +244,7 @@ type QueryResult = querylang.Result
 //	MATCH VALUE LIKE ecg1 EPS 0.5
 //	MATCH DISTANCE LIKE ecg1 METRIC zl2 EPS 3
 //	MATCH DISTANCE LIKE ecg1 EPS 3 WITHIN ERROR 0.5
-//	MATCH VALUE LIKE ecg1 EPS 0.5 APPROX sketch
+//	MATCH VALUE LIKE ecg1 EPS 0.5 APPROX candidate
 //	MATCH DISTANCE LIKE ecg1 TOP 10 BY DISTANCE
 //	MATCH SHAPE LIKE exemplar HEIGHT 0.25 SPACING 0.3
 //	MATCH PEAKS 2 LIMIT 5
@@ -291,11 +294,16 @@ const (
 	FamilyInterval = core.FamilyInterval
 )
 
+// MaxMagnitude caps |v| for every sample a write stores; a query
+// exemplar may reach twice it. Larger samples are refused with
+// ErrMagnitude. The distance kernels stay finite up to about 1e150 at a
+// million samples, so the cap leaves a reconstruction room to overshoot.
+const MaxMagnitude = core.MaxMagnitude
+
 // Progressive cascade tiers, re-exported for switch statements over
 // ProgressiveMatch.Tier and QueryOptions.MaxTier.
 const (
 	TierNone      = core.TierNone
-	TierSketch    = core.TierSketch
 	TierCandidate = core.TierCandidate
 	TierExact     = core.TierExact
 )
