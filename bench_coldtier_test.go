@@ -106,6 +106,26 @@ func BenchmarkColdTier(b *testing.B) {
 		}
 	})
 
+	// Re-reads: the ids of a window five times the budget are swept twice
+	// in a row (the default configuration, as above), so each second read
+	// is cold again to the residency tracker although its payload was read
+	// one window earlier: the reads a payload cache inside the segment
+	// tier would serve, and the OS page cache serves instead. The window
+	// is the second half of the ids, which a short coldhit run above
+	// leaves cold.
+	b.Run("coldhit/resweep", func(b *testing.B) {
+		w := n / 2
+		before, _ := paged.ResidencyStats()
+		for i := 0; i < b.N; i++ {
+			if _, err := paged.Representation(ids[w+i%(2*w)%w]); err != nil {
+				b.Fatal(err)
+			}
+			trackMax()
+		}
+		after, _ := paged.ResidencyStats()
+		b.ReportMetric(float64(after.ColdHits-before.ColdHits)/float64(b.N), "cold_hits/op")
+	})
+
 	// Query time: the planner's indexed distance query; candidate
 	// verification reads through the residency layer.
 	exemplar, err := seqrep.GenerateFever(seqrep.FeverOpts{Samples: 97})

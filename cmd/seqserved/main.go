@@ -72,7 +72,7 @@ func run() error {
 		dataDir  = flag.String("data-dir", "", "durable data directory (on-disk segments + write-ahead log): recovered at boot, WAL-appended on every write, checkpointed on the timer, on /v1/snapshot/save and at shutdown (empty = in-memory only)")
 		ckptIvl  = flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint period for -data-dir (0 disables the timer; checkpoints still run on /v1/snapshot/save and shutdown)")
 		compact  = flag.Int("compact-threshold", 0, "segment count at which a checkpoint compacts the on-disk tier (0 = default 8, negative disables compaction)")
-		segCach  = flag.Int64("segment-cache", 0, "segment payload LRU cache bytes (0 = default 32MiB, negative disables)")
+		_        = flag.Int64("segment-cache", 0, "ignored: the segment tier keeps no payload cache, and -memory-budget bounds the one payload cache")
 		memBudg  = flag.Int64("memory-budget", 0, "resident record-payload byte budget for -data-dir servers: cold payloads are evicted to the segment tier and paged back in on demand (<= 0 keeps every record fully resident)")
 		epsilon  = flag.Float64("epsilon", 0, "breaking tolerance for a new database (0 = default 0.5)")
 		delta    = flag.Float64("delta", 0, "slope threshold for a new database (0 = default 0.25)")
@@ -111,7 +111,6 @@ func run() error {
 		IndexCoeffs:           *coeffs,
 		IndexLeaf:             *leaf,
 		CompactThreshold:      *compact,
-		SegmentCacheBytes:     *segCach,
 		MemoryBudget:          *memBudg,
 		RecoveryProbeInterval: *probeIvl,
 	}

@@ -101,10 +101,12 @@ type Config struct {
 	// databases only; default segment.DefaultCompactThreshold, negative
 	// disables compaction — segments then accumulate one per checkpoint).
 	CompactThreshold int
-	// SegmentCacheBytes bounds the shared LRU through which record
-	// payloads are read from on-disk segments (OpenDir databases only;
-	// default 32 MiB, negative disables caching so every segment read
-	// goes to disk).
+	// SegmentCacheBytes is ignored: OpenDir attaches no payload cache to
+	// the segment tier, whose cold reads go through MemoryBudget's
+	// residency tracker and the OS page cache.
+	//
+	// Deprecated: set MemoryBudget instead. The field is kept only so
+	// existing configurations still compile.
 	SegmentCacheBytes int64
 	// MemoryBudget bounds the bytes of record representations held
 	// resident in RAM (OpenDir databases only; <= 0 keeps every
@@ -186,9 +188,8 @@ var (
 	ErrMagnitude = errors.New("sample magnitude above the cap")
 	// ErrStorage reports a server-side storage fault met while answering
 	// a query: the comparison form of a *stored* record could not be read
-	// (a cold payload that fails to page in or decode, a reconstruction
-	// failure). No write produces it. The request was fine; the data
-	// layer was not.
+	// (a cold payload that fails to page in or decode). No write
+	// produces it. The request was fine; the data layer was not.
 	ErrStorage = errors.New("storage fault")
 	// ErrDegraded reports a write rejected because the database is in
 	// storage-fault read-only mode: its write-ahead log took an append or
@@ -451,8 +452,11 @@ func (db *DB) Record(id string) (*Record, bool) {
 }
 
 // build runs the ingestion pipeline (preprocess, break, represent,
-// extract) without touching any lock.
-func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
+// extract) without touching any lock. capped refuses a preprocessed
+// sample above MaxMagnitude, as admit refuses a raw one: a live write
+// stores neither, and replay, which passes false, stores what the log
+// acknowledged.
+func (db *DB) build(id string, s seq.Sequence, capped bool) (*Record, error) {
 	work := s
 	if db.cfg.Preprocess != nil {
 		pre, err := db.cfg.Preprocess.Run(s)
@@ -461,6 +465,11 @@ func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
 		}
 		if err := pre.Validate(); err != nil {
 			return nil, fmt.Errorf("core: preprocessing %q produced invalid sequence: %w", id, err)
+		}
+		if capped {
+			if err := checkMagnitude(pre, MaxMagnitude); err != nil {
+				return nil, fmt.Errorf("core: preprocessing %q: %w", id, err)
+			}
 		}
 		work = pre
 	}
@@ -473,6 +482,15 @@ func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: representing %q: %w", id, err)
 	}
+	// The one validation of a series this database creates: every later
+	// reader (query verification, a fault-in's decode) trusts it, so the
+	// build reconstructs it through the validating entry point, once,
+	// into the scratch derive reads.
+	sc := derivePool.Get().(*deriveScratch)
+	defer derivePool.Put(sc)
+	if sc.pts, err = fs.AppendReconstruction(sc.pts[:0]); err != nil {
+		return nil, fmt.Errorf("core: representing %q: %w", id, err)
+	}
 	profile, err := feature.Extract(fs, db.cfg.Delta)
 	if err != nil {
 		return nil, fmt.Errorf("core: extracting features of %q: %w", id, err)
@@ -481,46 +499,37 @@ func (db *DB) build(id string, s seq.Sequence) (*Record, error) {
 	rec.setRep(fs)
 	// The DFT feature vectors and the progressive sketch are part of the
 	// build so they, too, run outside every lock.
-	db.derive(rec)
+	db.derive(rec, sc)
 	return rec, nil
 }
 
+// underived reports whether rec lacks a feature vector or a sketch the
+// database keeps: all of them on a build, none on a boot that restores
+// them, all on a boot of a legacy raw-derived directory.
+func (db *DB) underived(rec *Record) bool {
+	return db.findex != nil && rec.feats == nil || db.cfg.SketchBlock > 0 && rec.sketch == nil
+}
+
 // derive computes the feature vectors and the sketch the database keeps
-// and rec lacks, from rec's comparison form: all of them on a build,
-// none on a boot that restores them, all on a boot of a legacy raw-
-// derived directory. The comparison form is reconstructed once and
-// z-normalized once, into pooled scratch that every derivation reads,
-// so a record allocates only what it keeps. A representation that does
-// not reconstruct leaves the record unindexed (nil features): it is then
-// always a verification candidate, so the planner degrades to the scan
-// for exactly the records the scan would also have trouble reading.
-func (db *DB) derive(rec *Record) {
-	needFeats := db.findex != nil && rec.feats == nil
-	needSketch := db.cfg.SketchBlock > 0 && rec.sketch == nil
-	// Only called at build/adopt time, when the representation was just
-	// installed: a nil pointer would mean a construction bug.
-	fs := rec.rep.Load()
-	if (!needFeats && !needSketch) || fs == nil {
+// and rec lacks from sc.pts, rec's comparison form (its reconstruction).
+// The values are z-normalized once, into the scratch every derivation
+// reads, so a record allocates only what it keeps.
+func (db *DB) derive(rec *Record, sc *deriveScratch) {
+	if !db.underived(rec) {
 		return
 	}
-	sc := derivePool.Get().(*deriveScratch)
-	defer derivePool.Put(sc)
-	pts, err := fs.AppendReconstruction(sc.pts[:0])
-	if err != nil {
-		return
-	}
-	sc.pts, sc.vals = pts, pts.AppendValues(sc.vals[:0])
+	sc.vals = sc.pts.AppendValues(sc.vals[:0])
 	sc.zvals = dist.ZNormalizeInto(sc.zvals, sc.vals)
-	if needFeats {
+	if db.findex != nil && rec.feats == nil {
 		db.findex.computeFeatures(rec, sc.vals, sc.zvals)
 	}
-	if needSketch {
+	if db.cfg.SketchBlock > 0 && rec.sketch == nil {
 		rec.sketch = multires.BuildSketchZ(sc.vals, sc.zvals, db.cfg.SketchBlock)
 	}
 }
 
-// deriveScratch is derive's working set: a record's reconstruction, its
-// values and their z-normalization.
+// deriveScratch is the working set of build and derive: a record's
+// reconstruction, its values and their z-normalization.
 type deriveScratch struct {
 	pts         seq.Sequence
 	vals, zvals []float64
@@ -636,8 +645,9 @@ func (db *DB) IngestRecord(id string, s seq.Sequence) (*Record, error) {
 // An item that fails steps 1 or 2 drops out without stopping the
 // others. A log failure fails every surviving item and releases its
 // reservation: nothing is published before it is durable. capped
-// refuses samples above MaxMagnitude in step 1; replay passes false, so
-// that a log an older binary acknowledged still replays.
+// refuses samples above MaxMagnitude, raw in step 1 and preprocessed in
+// step 2; replay passes false, so that a log an older binary
+// acknowledged still replays.
 func (db *DB) ingest(items []BatchItem, capped bool) []pending {
 	out := make([]pending, len(items))
 	// A degraded database cannot make the batch durable: fail it before
@@ -653,7 +663,7 @@ func (db *DB) ingest(items []BatchItem, capped bool) []pending {
 			return
 		}
 		id, s := items[i].ID, items[i].Seq
-		if p.rec, p.err = db.build(id, s); p.err == nil {
+		if p.rec, p.err = db.build(id, s, capped); p.err == nil {
 			p.payload, p.err = db.storage.ingestPayload(id, s)
 		}
 		if p.err != nil {
@@ -860,7 +870,7 @@ func (db *DB) Reconstruct(id string) (seq.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fs.Reconstruct()
+	return fs.AppendReconstructionUnchecked(nil), nil
 }
 
 // Stats summarizes the database for monitoring and the CLI.

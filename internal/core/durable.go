@@ -150,11 +150,10 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating data dir: %w", err)
 	}
-	cacheBytes := cfg.SegmentCacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = 32 << 20 // negative disables the cache
-	}
-	segs, err := segment.Open(filepath.Join(dir, SegmentsDirName), segment.NewCache(cacheBytes), cfg.CompactThreshold)
+	// No payload cache in the tier: the residency tracker is the one
+	// cache of decoded payloads, under the one budget, with the OS page
+	// cache beneath it (residency.go).
+	segs, err := segment.Open(filepath.Join(dir, SegmentsDirName), nil, cfg.CompactThreshold)
 	if err != nil {
 		return nil, err
 	}

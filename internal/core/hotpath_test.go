@@ -434,13 +434,16 @@ func TestDeriveAllocs(t *testing.T) {
 	corpus := featureCorpus(t, rand.New(rand.NewSource(17)), 20)
 	var counts []float64
 	for _, it := range []BatchItem{corpus[0], corpus[12], corpus[17]} { // 128, 97 and 256 samples
-		rec, err := db.build(it.ID, it.Seq)
+		rec, err := db.build(it.ID, it.Seq, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			rec.feats, rec.zfeats, rec.sketch = nil, nil, nil
-			db.derive(rec)
+			sc := derivePool.Get().(*deriveScratch)
+			sc.pts = rec.rep.Load().AppendReconstructionUnchecked(sc.pts[:0])
+			db.derive(rec, sc)
+			derivePool.Put(sc)
 		})
 		if rec.feats == nil || rec.zfeats == nil || rec.sketch == nil {
 			t.Fatalf("%s: derive left the record unindexed", it.ID)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"seqrep/internal/dist"
+	"seqrep/internal/filter"
 	"seqrep/internal/seq"
 )
 
@@ -81,6 +82,35 @@ func TestMagnitudeCapReplays(t *testing.T) {
 	defer db2.Close()
 	if _, ok := db2.Record("big"); !ok || db2.Recovery().Failed != 0 {
 		t.Fatalf("replay dropped the over-cap record: %+v", db2.Recovery())
+	}
+}
+
+// TestMagnitudeCapPreprocessed: the cap applies to what a write stores,
+// so a preprocessing stage that scales in-cap samples past it is refused
+// with ErrMagnitude by Ingest and IngestBatch, and nothing is committed.
+// Replay stays uncapped for the preprocessed form too.
+func TestMagnitudeCapPreprocessed(t *testing.T) {
+	scale := &filter.Chain{}
+	scale.Add("scale", func(s seq.Sequence) (seq.Sequence, error) {
+		out := s.Clone()
+		for i := range out {
+			out[i].V *= 1e200
+		}
+		return out, nil
+	})
+	db := mustDB(t, Config{Preprocess: scale})
+	if err := db.Ingest("a", alternating(64, 1)); !errors.Is(err, ErrMagnitude) {
+		t.Fatalf("Ingest scaled to 1e200: %v, want ErrMagnitude", err)
+	}
+	n, err := db.IngestBatch([]BatchItem{{ID: "b", Seq: alternating(64, -1)}, {ID: "ok", Seq: alternating(64, 1e-150)}})
+	if n != 1 || !errors.Is(err, ErrMagnitude) {
+		t.Fatalf("IngestBatch: %d ingested, %v; want only b refused with ErrMagnitude", n, err)
+	}
+	if _, ok := db.Record("ok"); !ok || db.Len() != 1 {
+		t.Fatalf("want only the in-cap item stored, have %d records", db.Len())
+	}
+	if p := db.ingest([]BatchItem{{ID: "replayed", Seq: alternating(64, 1)}}, false)[0]; p.err != nil {
+		t.Fatalf("uncapped ingest of a preprocessed 1e200: %v", p.err)
 	}
 }
 

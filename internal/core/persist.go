@@ -80,8 +80,12 @@ func appendF64s(b []byte, vals ...float64) []byte {
 // cursor walks an untrusted payload. Every length prefix is checked
 // against the bytes that remain before anything is allocated for it, so
 // a corrupt or hostile payload costs at most a small multiple of its own
-// size — never what its prefixes claim.
-type cursor struct{ b []byte }
+// size — never what its prefixes claim. A skipping cursor checks the
+// same lengths but copies no floats out (f64s returns nil).
+type cursor struct {
+	b    []byte
+	skip bool
+}
 
 // take consumes the next n bytes (aliasing the payload, not copying).
 func (c *cursor) take(n uint64) ([]byte, error) {
@@ -103,7 +107,7 @@ func (c *cursor) u32() (uint32, error) {
 
 func (c *cursor) f64s(n uint32) ([]float64, error) {
 	b, err := c.take(8 * uint64(n))
-	if err != nil {
+	if err != nil || c.skip {
 		return nil, err
 	}
 	out := make([]float64, n)
@@ -113,9 +117,25 @@ func (c *cursor) f64s(n uint32) ([]float64, error) {
 	return out, nil
 }
 
+// payloadMode selects what decodeRecordPayload copies out of a payload.
+// Both modes walk every field with the same cursor and run every check
+// on it, so they accept exactly the same payloads and return the same
+// representation.
+type payloadMode bool
+
+const (
+	// withDerived also returns the feature vectors and the sketch: a
+	// boot adopting the record restores them.
+	withDerived payloadMode = false
+	// repOnly returns the representation alone, leaving the feature
+	// vectors and the sketch uncopied (nil): a fault-in's record holds
+	// them resident already.
+	repOnly payloadMode = true
+)
+
 // decodeRecordPayload parses a body written by encodeRecordPayload.
-func decodeRecordPayload(db *DB, id string, payload []byte) (*rep.FunctionSeries, []float64, []float64, *multires.Sketch, error) {
-	c := &cursor{payload}
+func decodeRecordPayload(db *DB, id string, payload []byte, mode payloadMode) (*rep.FunctionSeries, []float64, []float64, *multires.Sketch, error) {
+	c := &cursor{b: payload, skip: bool(mode)}
 	blobLen, err := c.u32()
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("core: record %q blob length: %w", id, err)
@@ -162,7 +182,8 @@ func appendSketch(b []byte, sk *multires.Sketch) []byte {
 // loadSketch reads one record's sketch payload, validating the mean
 // counts against the record's length and the database's block size. n
 // comes from the same untrusted bytes, so a count that matches it is
-// still bounded by what the payload actually holds (cursor.f64s).
+// still bounded by what the payload actually holds (cursor.f64s). A
+// skipping cursor runs the same checks and returns a nil sketch.
 func loadSketch(c *cursor, id string, n, block int) (*multires.Sketch, error) {
 	marker, err := c.take(1)
 	if err != nil {
@@ -178,7 +199,10 @@ func loadSketch(c *cursor, id string, n, block int) (*multires.Sketch, error) {
 	if block > 0 {
 		want = multires.NumBlocks(n, block)
 	}
-	sk := &multires.Sketch{N: n, Block: block}
+	var sk *multires.Sketch
+	if !c.skip {
+		sk = &multires.Sketch{N: n, Block: block}
+	}
 	for half := 0; half < 2; half++ {
 		got, err := c.u32()
 		if err != nil {
@@ -195,6 +219,9 @@ func loadSketch(c *cursor, id string, n, block int) (*multires.Sketch, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: record %q sketch norms: %w", id, err)
 		}
+		if sk == nil {
+			continue
+		}
 		if half == 0 {
 			sk.Means, sk.R1, sk.R2, sk.Rinf = means, norms[0], norms[1], norms[2]
 		} else {
@@ -206,7 +233,8 @@ func loadSketch(c *cursor, id string, n, block int) (*multires.Sketch, error) {
 
 // loadVector reads one length-prefixed feature vector, validating its
 // width against the database's coefficient count (real vectors are always
-// 2·IndexCoeffs wide; 0 marks an absent vector).
+// 2·IndexCoeffs wide; 0 marks an absent vector). A skipping cursor runs
+// the same checks and returns nil.
 func loadVector(c *cursor, db *DB, id string) ([]float64, error) {
 	n, err := c.u32()
 	if err != nil {

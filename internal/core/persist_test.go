@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -90,10 +91,32 @@ func allocated(fn func()) uint64 {
 // plus the decoder's fixed buffers.
 func allocBudget(n int) uint64 { return 16*uint64(n) + 64<<10 }
 
+// sameVerdict decodes payload in both modes and fails t unless they
+// agree: both reject, or both accept with the same representation, and
+// the representation-only mode copies nothing else out. It returns the
+// full decode.
+func sameVerdict(t testing.TB, db *DB, id string, payload []byte) (*rep.FunctionSeries, []float64, []float64, *multires.Sketch, error) {
+	t.Helper()
+	fs, feats, zfeats, sk, err := decodeRecordPayload(db, id, payload, withDerived)
+	only, oFeats, oZfeats, oSk, oErr := decodeRecordPayload(db, id, payload, repOnly)
+	switch {
+	case (err == nil) != (oErr == nil):
+		t.Fatalf("%s: full decode says %v, representation-only decode says %v", id, err, oErr)
+	case err != nil:
+	case oFeats != nil || oZfeats != nil || oSk != nil:
+		t.Fatalf("%s: representation-only decode copied derived fields out", id)
+	case !reflect.DeepEqual(fs, only):
+		t.Fatalf("%s: the two modes decode different series:\n full %+v\n rep  %+v", id, fs, only)
+	}
+	return fs, feats, zfeats, sk, err
+}
+
+// TestLoadRejectsCorruption runs valid payloads and a table of corrupt
+// ones through both decode modes: they must agree on every verdict.
 func TestLoadRejectsCorruption(t *testing.T) {
 	db, full, bare := payloadFixture(t)
 	for _, p := range [][]byte{full, bare} {
-		fs, feats, zfeats, sk, err := decodeRecordPayload(db, "ok", p)
+		fs, feats, zfeats, sk, err := sameVerdict(t, db, "ok", p)
 		if err != nil {
 			t.Fatalf("valid payload rejected: %v", err)
 		}
@@ -131,16 +154,17 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		cases[fmt.Sprintf("truncated at byte %d", cut)] = full[:cut]
 	}
 	for name, p := range cases {
-		if _, _, _, _, err := decodeRecordPayload(db, "bad", p); err == nil {
+		if _, _, _, _, err := sameVerdict(t, db, name, p); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// TestLoadHugeCountRejected feeds the decoder length prefixes that claim
-// far more than the payload holds. Each must be refused before anything
-// is allocated for it: the sketch mean count is the subtle one, because
-// it is validated only against a sample count read from the same bytes.
+// TestLoadHugeCountRejected feeds the decoder, in both modes, length
+// prefixes that claim far more than the payload holds. Each must be
+// refused before anything is allocated for it: the sketch mean count is
+// the subtle one, because it is validated only against a sample count
+// read from the same bytes.
 func TestLoadHugeCountRejected(t *testing.T) {
 	db, full, _ := payloadFixture(t)
 	ends := fieldBoundaries(full)
@@ -170,13 +194,15 @@ func TestLoadHugeCountRejected(t *testing.T) {
 		"sketch mean count 4 Gi": join(full[:ends[6]], u32(1<<32-1)),
 	}
 	for name, p := range cases {
-		var err error
-		got := allocated(func() { _, _, _, _, err = decodeRecordPayload(db, "huge", p) })
-		if err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-		if budget := allocBudget(len(p)); got > budget {
-			t.Errorf("%s: decoding %d bytes allocated %d, budget %d", name, len(p), got, budget)
+		for _, mode := range []payloadMode{withDerived, repOnly} {
+			var err error
+			got := allocated(func() { _, _, _, _, err = decodeRecordPayload(db, "huge", p, mode) })
+			if err == nil {
+				t.Errorf("%s (repOnly %v): accepted", name, mode)
+			}
+			if budget := allocBudget(len(p)); got > budget {
+				t.Errorf("%s (repOnly %v): decoding %d bytes allocated %d, budget %d", name, mode, len(p), got, budget)
+			}
 		}
 	}
 }
@@ -184,7 +210,9 @@ func TestLoadHugeCountRejected(t *testing.T) {
 // FuzzRecordPayload: arbitrary bytes never panic the decoder, never make
 // it allocate past a small multiple of their own length, and whatever it
 // accepts re-encodes to exactly the bytes it was given (the codec has one
-// spelling per record, so a checkpoint rewrites what boot read).
+// spelling per record, so a checkpoint rewrites what boot read). The
+// representation-only mode a fault-in decodes with accepts exactly what
+// the full decode accepts, and returns the same series.
 func FuzzRecordPayload(f *testing.F) {
 	db, full, bare := payloadFixture(f)
 	f.Add(full)
@@ -193,16 +221,13 @@ func FuzzRecordPayload(f *testing.F) {
 		f.Add(full[:end])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var (
-			fs            *rep.FunctionSeries
-			feats, zfeats []float64
-			sk            *multires.Sketch
-			err           error
-		)
-		got := allocated(func() { fs, feats, zfeats, sk, err = decodeRecordPayload(db, "fuzz", payload) })
-		if budget := allocBudget(len(payload)); got > budget {
-			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(payload), got, budget)
+		for _, mode := range []payloadMode{withDerived, repOnly} {
+			got := allocated(func() { decodeRecordPayload(db, "fuzz", payload, mode) })
+			if budget := allocBudget(len(payload)); got > budget {
+				t.Fatalf("decoding %d bytes (repOnly %v) allocated %d, budget %d", len(payload), mode, got, budget)
+			}
 		}
+		fs, feats, zfeats, sk, err := sameVerdict(t, db, "fuzz", payload)
 		if err != nil {
 			return
 		}

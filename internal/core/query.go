@@ -101,20 +101,18 @@ var reconPool = sync.Pool{New: func() any { return new(seq.Sequence) }}
 // segment tier, so this is the one place the query verification fan-out
 // touches disk. A failure here is a storage fault, not a bad query — the
 // record is committed but its comparison form is unreadable — so the
-// error wraps ErrStorage for callers (the serving layer) to classify; a
-// record removed mid-scan surfaces the fault-in's ErrUnknownID, which
-// verifyReadError turns into a skip.
+// fault-in's error wraps ErrStorage for callers (the serving layer) to
+// classify; a record removed mid-scan surfaces the fault-in's
+// ErrUnknownID, which verifyReadError turns into a skip. The series was
+// validated where it was created (build, or the decode a fault-in runs),
+// so it reconstructs without being checked again.
 func (db *DB) storedSequence(rec *Record, buf *seq.Sequence) (seq.Sequence, error) {
 	fs, err := db.materialize(rec)
 	if err != nil {
 		return nil, err
 	}
-	s, err := fs.AppendReconstruction((*buf)[:0])
-	if err != nil {
-		return nil, fmt.Errorf("core: %w: %w", ErrStorage, err)
-	}
-	*buf = s
-	return s, nil
+	*buf = fs.AppendReconstructionUnchecked((*buf)[:0])
+	return *buf, nil
 }
 
 // ValueQuery implements the prior-art semantics the paper generalizes away

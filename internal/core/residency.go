@@ -50,11 +50,15 @@ func (d *dirStore) onEvict(id string, ref *atomic.Bool) bool {
 	return true
 }
 
-// faultIn resolves a cold representation: segment-tier point lookup
-// (bloom filters + payload LRU), payload decode, then admission to the
-// hot set. The admit happens strictly after a successful read+decode —
-// a failed pread surfaces as an error for this caller only and leaves
-// the resident set untouched.
+// faultIn resolves a cold representation: one segment-tier point lookup
+// (bloom filters, then one pread with its CRC and id check), a decode of
+// the representation alone — the feature vectors and the sketch are
+// resident, so the decoder checks their bytes without copying them —
+// then admission to the hot set. The tracker is the only payload cache:
+// there is none in the tier, so a cold hit costs one read and one
+// decode. The admit happens strictly after a successful read+decode — a
+// failed pread surfaces as an error for this caller only and leaves the
+// resident set untouched.
 func (d *dirStore) faultIn(rec *Record) (*rep.FunctionSeries, error) {
 	payload, tomb, found, err := d.segs.Get(rec.ID)
 	if err != nil {
@@ -72,7 +76,7 @@ func (d *dirStore) faultIn(rec *Record) (*rep.FunctionSeries, error) {
 		// durable invariant broke somewhere — never skip silently.
 		return nil, fmt.Errorf("core: paging %q: payload missing from segment tier: %w", rec.ID, ErrStorage)
 	}
-	fs, _, _, _, err := decodeRecordPayload(d.db, rec.ID, payload)
+	fs, _, _, _, err := decodeRecordPayload(d.db, rec.ID, payload, repOnly)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding paged payload of %q: %w: %w", rec.ID, ErrStorage, err)
 	}

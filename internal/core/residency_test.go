@@ -7,12 +7,19 @@ package core
 // resident set.
 
 import (
+	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"seqrep/internal/chaos"
+	"seqrep/internal/dist"
 )
 
 // TestResidencyLifecycle walks a record population through the full
@@ -228,5 +235,120 @@ func TestResidencyResidentReadsSkipDisk(t *testing.T) {
 	}
 	if f.Calls() != 0 {
 		t.Fatalf("resident reads reached the segment tier %d times, want 0", f.Calls())
+	}
+}
+
+// TestFaultInAllocs pins what a cold hit allocates: the pread buffer, the
+// series with its segment and parameter arrays, and the tracker entry.
+// The segment tier keeps no payload cache to copy into, and the decode
+// copies neither the feature vectors nor the sketch, which the record
+// holds resident. A one-byte budget evicts the record again after every
+// admit, so each Representation below is a cold hit.
+func TestFaultInAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const runs, budget = 50, 5
+	db, err := OpenDir(t.TempDir(), Config{MemoryBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustIngest(t, db, "walk", smoothWalk(rand.New(rand.NewSource(3)), 128))
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := db.ResidencyStats()
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := db.Representation("walk"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after, _ := db.ResidencyStats()
+	if hits := after.ColdHits - before.ColdHits; hits != runs+1 {
+		t.Fatalf("%d cold hits in %d reads: the record stayed resident", hits, runs+1)
+	}
+	if allocs > budget {
+		t.Errorf("a cold hit allocates %.0f times, budget %d", allocs, budget)
+	}
+	t.Logf("a cold hit allocates %.0f times", allocs)
+}
+
+// TestPagedQueryCounts pins what paging does over a fixed grid of exact
+// and WITHIN ERROR l2 queries under a budget of a tenth of the corpus:
+// the cold hits, the evictions, and a hash of every answer (ids and
+// deviation bits). The figures were read at the build whose segment tier
+// still kept a payload cache and whose fault-in decoded the whole
+// payload; a fault-in that reads and decodes less must page exactly as
+// often and answer exactly the same. One worker keeps the paging order,
+// and so the counts, deterministic.
+func TestPagedQueryCounts(t *testing.T) {
+	const (
+		families, perFamily, ln = 12, 25, 64
+		wantColdHits            = 1437
+		wantEvictions           = 1707
+		wantAnswers             = "2b9cdb0cee6fb1f51d05cc0794416dafe66c0c08a991e7463be6ade2619b5c35"
+	)
+	rng := rand.New(rand.NewSource(46))
+	var items []BatchItem
+	for f := 0; f < families; f++ {
+		base := smoothWalk(rng, ln)
+		for j := 0; j < perFamily; j++ {
+			items = append(items, BatchItem{ID: fmt.Sprintf("f%02d-%02d", f, j), Seq: jitter(rng, base, 2)})
+		}
+	}
+	dir := t.TempDir()
+	cfg := Config{Workers: 1}
+	db, err := OpenDir(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.IngestBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	cfg.MemoryBudget = (int64(st.StoredFloats)*8 + int64(st.Segments)*48 + 64*int64(st.Sequences)) / 10
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = OpenDir(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	h, answered := sha256.New(), 0
+	write := func(id string, dev float64) {
+		fmt.Fprintf(h, "%s:%x;", id, math.Float64bits(dev))
+		answered++
+	}
+	for q := 0; q < 6; q++ {
+		spec := QuerySpec{Family: FamilyDistance, Exemplar: items[q*53].Seq, Metric: dist.Euclidean}
+		for _, eps := range []float64{2, 4, 8} {
+			spec.Eps = eps
+			matches, _, err := db.querySorted(context.Background(), spec, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range matches {
+				write(m.ID, m.Deviations["l2"])
+			}
+			h.Write([]byte{'|'})
+			frames, _ := collectFrames(t, db, spec, QueryOptions{MaxError: eps / 4})
+			accepted := acceptedOf(frames)
+			for _, id := range slices.Sorted(maps.Keys(accepted)) {
+				write(id, accepted[id].Deviations["l2"])
+			}
+			h.Write([]byte{'|'})
+		}
+	}
+	rs, _ := db.ResidencyStats()
+	t.Logf("%d answers, %d cold hits, %d evictions", answered, rs.ColdHits, rs.Evictions)
+	answers := fmt.Sprintf("%x", h.Sum(nil))
+	if rs.ColdHits != wantColdHits || rs.Evictions != wantEvictions || answers != wantAnswers {
+		t.Errorf("cold hits %d, evictions %d, answers %s; want %d, %d, %s",
+			rs.ColdHits, rs.Evictions, answers, wantColdHits, wantEvictions, wantAnswers)
 	}
 }

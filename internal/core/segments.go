@@ -251,7 +251,7 @@ func (d *dirStore) adoptRecord(e segment.LiveEntry, mm manifestMeta) (*Record, e
 	if err != nil {
 		return nil, err
 	}
-	fs, feats, zfeats, sk, err := decodeRecordPayload(d.db, e.ID, payload)
+	fs, feats, zfeats, sk, err := decodeRecordPayload(d.db, e.ID, payload, withDerived)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +267,12 @@ func (d *dirStore) adoptRecord(e segment.LiveEntry, mm manifestMeta) (*Record, e
 	}
 	rec := &Record{ID: e.ID, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
 	rec.setRep(fs)
-	d.db.derive(rec)
+	if d.db.underived(rec) {
+		sc := derivePool.Get().(*deriveScratch)
+		sc.pts = fs.AppendReconstructionUnchecked(sc.pts[:0]) // UnmarshalBinary validated fs
+		d.db.derive(rec, sc)
+		derivePool.Put(sc)
+	}
 	return rec, nil
 }
 

@@ -139,12 +139,22 @@ func (fs *FunctionSeries) Reconstruct() (seq.Sequence, error) {
 // AppendReconstruction appends the Reconstruct samples to dst and returns
 // the extended slice, allocating only when dst lacks room for N more
 // points. It validates the representation on every call; on an error dst
-// is returned unchanged. The query path reconstructs every candidate
-// into reused scratch through it.
+// is returned unchanged. It is the entry point for a series of unknown
+// provenance.
 func (fs *FunctionSeries) AppendReconstruction(dst seq.Sequence) (seq.Sequence, error) {
 	if err := fs.Validate(); err != nil {
 		return dst, err
 	}
+	return fs.AppendReconstructionUnchecked(dst), nil
+}
+
+// AppendReconstructionUnchecked is AppendReconstruction without the
+// validation, for a series already known valid and not modified since:
+// one UnmarshalBinary returned, or one its creator checked with Validate
+// (or with AppendReconstruction). A database validates each series once,
+// where it is created, and verifies query candidates through this. On a
+// series that would fail Validate it may panic.
+func (fs *FunctionSeries) AppendReconstructionUnchecked(dst seq.Sequence) seq.Sequence {
 	dst = slices.Grow(dst, fs.N)
 	for i := range fs.Segments {
 		sg := &fs.Segments[i]
@@ -159,7 +169,7 @@ func (fs *FunctionSeries) AppendReconstruction(dst seq.Sequence) (seq.Sequence, 
 			dst = appendSegment(dst, sg, fit.BezierFromParams(sg.Params))
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // appendSegment appends one segment's samples, evaluated on curve at

@@ -375,7 +375,8 @@ func spiky(n int) seq.Sequence {
 // TestAppendReconstructionBitIdentical pins that the allocation-free
 // reconstruction, appended into nil or into a dirty reused buffer, is
 // bit-identical to evaluating each segment through the fit.Curve
-// interface, and that Reconstruct is too — for every breaker and every
+// interface, and that Reconstruct and AppendReconstructionUnchecked are
+// too — for every breaker and every
 // curve family the representation stores.
 func TestAppendReconstructionBitIdentical(t *testing.T) {
 	breakers := map[string]func() breaking.Breaker{
@@ -441,7 +442,8 @@ func TestAppendReconstructionBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !same(fromNil, want) || !same(reused, want) || !same(whole, want) {
+				unchecked := fs.AppendReconstructionUnchecked(nil)
+				if !same(fromNil, want) || !same(reused, want) || !same(whole, want) || !same(unchecked, want) {
 					t.Fatalf("%s/%s n=%d: reconstruction differs from the fit.Curve evaluation", bname, rname, n)
 				}
 			}

@@ -730,9 +730,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# HELP seqserved_segment_compactions_total Segment-tier compactions since boot.\n")
 		fmt.Fprintf(&b, "# TYPE seqserved_segment_compactions_total counter\n")
 		fmt.Fprintf(&b, "seqserved_segment_compactions_total %d\n", st.Compactions)
-		fmt.Fprintf(&b, "seqserved_segment_cache_hits_total %d\n", st.Cache.Hits)
-		fmt.Fprintf(&b, "seqserved_segment_cache_misses_total %d\n", st.Cache.Misses)
-		fmt.Fprintf(&b, "seqserved_segment_cache_bytes %d\n", st.Cache.Bytes)
 	}
 	if st, ok := db.ResidencyStats(); ok {
 		fmt.Fprintf(&b, "# HELP seqserved_resident_records Record payloads currently resident in RAM.\n")

@@ -9,17 +9,22 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"seqrep"
 	"seqrep/api"
 	"seqrep/client"
+	"seqrep/internal/core"
 	"seqrep/internal/seq"
+	"seqrep/internal/wal"
 )
 
 // testServer spins a server over cfg and returns a typed client wired to
@@ -40,6 +45,31 @@ func testServer(t testing.TB, cfg Config) (*Server, *client.Client) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, client.New(ts.URL)
+}
+
+// logIngest writes one ingest of n samples at value v under id straight
+// into the write-ahead log in walDir, in the log's ingest layout (op 1:
+// idLen u16 | id | n u32 | (t f64, v f64) × n), as a server that
+// acknowledged it and crashed would leave it.
+func logIngest(t testing.TB, walDir, id string, v float64, n int) {
+	t.Helper()
+	w, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint16(nil, uint16(len(id)))
+	payload = append(payload, id...)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(n))
+	for i := 0; i < n; i++ {
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(float64(i)))
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
+	}
+	if _, err := w.Append(1, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // feverItem renders a deterministic two-peak fever curve as a wire item;
@@ -260,34 +290,25 @@ func TestQueryErrorMapping(t *testing.T) {
 // JSON cannot represent (here a distance that overflowed to +Inf):
 // /v1/query answers 500 with the encoder's message and caches nothing,
 // and /v1/query/stream ends with an error frame instead of just stopping.
-// The write cap sees samples before preprocessing, so a scaling stage
-// stores b at -1e200, whose squared distance to a at 1e100 overflows.
+// A write refuses samples past the cap, but replay stores what the log
+// holds: b at -1e200 enters through a logged ingest replayed at boot, so
+// its squared distance to a at 1e100 overflows.
 func TestUnencodableAnswerIsAnError(t *testing.T) {
 	ctx := context.Background()
-	scale := &seqrep.PreprocessChain{}
-	scale.Add("scale", func(s seqrep.Sequence) (seqrep.Sequence, error) {
-		out := s.Clone()
-		for i := range out {
-			out[i].V *= 1e200
-		}
-		return out, nil
-	})
-	db, err := seqrep.New(seqrep.Config{Preprocess: scale})
+	dir := t.TempDir()
+	logIngest(t, filepath.Join(dir, core.WALDirName), "b", -1e200, 64)
+	db, err := seqrep.OpenDir(dir, seqrep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	srv, c := testServer(t, Config{DB: db})
-	for _, it := range []struct {
-		id string
-		v  float64
-	}{{"a", 1e-100}, {"b", -1}} {
-		vals := make([]float64, 64)
-		for i := range vals {
-			vals[i] = it.v
-		}
-		if _, err := c.Ingest(ctx, api.IngestRequest{ID: it.id, Values: vals}); err != nil {
-			t.Fatal(err)
-		}
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = core.MaxMagnitude
+	}
+	if _, err := c.Ingest(ctx, api.IngestRequest{ID: "a", Values: vals}); err != nil {
+		t.Fatal(err)
 	}
 	const stmt = `MATCH DISTANCE LIKE a METRIC l2 TOP 2 BY DISTANCE`
 	for i := 0; i < 2; i++ { // the second request must not find a cached empty answer

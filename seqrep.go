@@ -210,8 +210,9 @@ func OpenDir(dir string, cfg Config) (*DB, error) { return core.OpenDir(dir, cfg
 type WALStats = core.WALStats
 
 // SegmentStats describes a durable database's on-disk segment tier
-// (DB.SegmentStats): segment/entry/tombstone counts, byte footprint,
-// compactions run, and the payload cache's occupancy and hit rates.
+// (DB.SegmentStats): segment/entry/tombstone counts, byte footprint and
+// compactions run. Its Cache field stays zero: a database attaches no
+// payload cache to the tier (see Config.MemoryBudget).
 type SegmentStats = segment.Stats
 
 // ResidencyStats reports the residency subsystem's paging counters
