@@ -19,12 +19,21 @@ import (
 	"seqrep/internal/dist"
 )
 
-// clusteredDB ingests n sequences of length ln in 50 well-separated
-// amplitude families and returns an exemplar inside family 3.
+// clusteredDB ingests clusteredItems(n, ln) into a new database.
 func clusteredDB(t testing.TB, cfg Config, n, ln int) (*DB, []BatchItem) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(97))
 	db := mustDB(t, cfg)
+	items := clusteredItems(n, ln)
+	if got, err := db.IngestBatch(items); err != nil || got != n {
+		t.Fatalf("ingest: %d/%d, %v", got, n, err)
+	}
+	return db, items
+}
+
+// clusteredItems returns n sequences of length ln in 50 well-separated
+// amplitude families.
+func clusteredItems(n, ln int) []BatchItem {
+	rng := rand.New(rand.NewSource(97))
 	items := make([]BatchItem, 0, n)
 	for i := 0; i < n; i++ {
 		s := smoothWalk(rng, ln)
@@ -34,10 +43,7 @@ func clusteredDB(t testing.TB, cfg Config, n, ln int) (*DB, []BatchItem) {
 		}
 		items = append(items, BatchItem{ID: fmt.Sprintf("c-%05d", i), Seq: s})
 	}
-	if got, err := db.IngestBatch(items); err != nil || got != n {
-		t.Fatalf("ingest: %d/%d, %v", got, n, err)
-	}
-	return db, items
+	return items
 }
 
 // TestFeatureStoreChurnRebuild drives one length group through every
