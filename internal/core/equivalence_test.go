@@ -498,10 +498,12 @@ func TestArchiveDoesNotChangeAnswers(t *testing.T) {
 // TestIndexedEqualsScanOnFFTFeatures: a directory stores, for
 // power-of-two lengths, vectors computed by the FFT (dft.Transform).
 // Booted, it must answer every indexed and every progressive query, under
-// every metric, as the scan does, the exact self-match at eps 0 included. Query vectors must
-// therefore come from the same FFT: any other kernel differs by rounding
-// that, on large-valued records, passes lbSlack's fixed whisker and
-// dismisses exact matches.
+// every metric, as the scan does, the exact self-match at eps 0 included.
+// A stored vector and a query vector from another kernel differ by
+// rounding of order u·‖q‖, which grows with the values' magnitude; at
+// eps 0 only the rounding contract's absolute term (dist.Slack, scaled
+// by the query's norm) keeps that difference from dismissing the exact
+// match.
 func TestIndexedEqualsScanOnFFTFeatures(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDir(dir, Config{})

@@ -123,23 +123,25 @@ func (st QueryStats) String() string {
 
 // lowerBound is one metric's pruning rule on the feature index: the query
 // feature vector, whether it compares against the z-normalized rows of
-// the columnar store, and the metric's featureScale entry.
+// the columnar store, the metric's featureScale entry, and the rounding
+// contract of the values the query's features came from.
 type lowerBound struct {
 	qf    []float64
 	z     bool
 	scale float64
+	slack dist.Slack
 }
 
 // at maps a verification radius onto the feature-space bound: a record
-// within radius has scale·fd ≤ d ≤ radius. Top-K searches call it again
-// as the radius tightens mid-flight.
-func (lb *lowerBound) at(radius float64) float64 { return lbSlack(radius / lb.scale) }
+// within radius has scale·fd ≤ d ≤ radius, and the slack keeps the
+// rounding of both feature vectors from turning that into a dismissal.
+// Top-K searches call it again as the radius tightens mid-flight.
+func (lb *lowerBound) at(radius float64) float64 { return lb.slack.Hi(radius / lb.scale) }
 
-// lbSlack widens a lower-bound threshold by a whisker of floating-point
-// headroom: the no-false-dismissal guarantee is exact in real arithmetic,
-// and the slack keeps DFT rounding at the decision boundary from ever
-// turning it into a dismissal.
-func lbSlack(bound float64) float64 { return bound*(1+1e-9) + 1e-12 }
+// floor maps a feature distance onto a lower edge of the metric's
+// distance: the inverse of at, for the band tier's lift. A negative fd (an
+// unindexed record) floors to 0.
+func (lb *lowerBound) floor(fd float64) float64 { return lb.slack.Lo(fd) * lb.scale }
 
 // featureScale is the one table of feature bounds: the factor mapping the
 // DFT feature distance F (a Euclidean lower bound by Parseval) onto a
@@ -187,7 +189,7 @@ func (db *DB) prefilters(metric string, exemplar seq.Sequence) (lb *lowerBound, 
 			vals = sc.zvals
 		}
 		if qf, err := dft.Features(vals, db.findex.k); err == nil {
-			lb = &lowerBound{qf: qf, z: z, scale: scale}
+			lb = &lowerBound{qf: qf, z: z, scale: scale, slack: dist.QuerySlack(len(vals), dist.Norm(vals))}
 		}
 	}
 	if db.cfg.SketchBlock > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -76,9 +77,13 @@ func TestPlannerRouting(t *testing.T) {
 // the value band, on random pairs at an FFT length (64) and a direct-DFT
 // length (97), the index never prunes a record the metric admits —
 // FeatureDist(F(q), F(r)) ≤ lb.at(d(q, r)), which is scale·F ≤ d through
-// lbSlack. Pairs run from identical and near-duplicate, where the slack
-// decides, to unrelated, at magnitudes from 1e-4 to 1e8. A custom metric
-// has no entry and no bound.
+// the rounding contract — and the band's lift never exceeds the distance,
+// lb.floor(F) ≤ d. Pairs run from identical and near-duplicate, where the
+// slack decides, to unrelated, at magnitudes from 1e-4 to 1e8. Offset
+// pairs are a walk on a level from 1e4 to 1e9 and the same walk shifted by
+// a near-constant 100–1 000 ulps of the level: their distance does not
+// grow with the level, while the rounding of a DC coefficient does. A
+// custom metric has no entry and no bound.
 func TestFeatureScaleLowerBounds(t *testing.T) {
 	db := mustDB(t, Config{})
 	rng := rand.New(rand.NewSource(18))
@@ -94,6 +99,35 @@ func TestFeatureScaleLowerBounds(t *testing.T) {
 			vals[i] = level
 		}
 		return vals
+	}
+	check := func(pair string, qv, rv []float64) {
+		t.Helper()
+		q, r := seq.New(qv), seq.New(rv)
+		for name, d := range metrics {
+			lb, _ := db.prefilters(name, q)
+			if lb == nil {
+				t.Fatalf("%s: no feature bound", name)
+			}
+			vals := r.Values()
+			if lb.z {
+				vals = dist.ZNormalizeValues(vals)
+			}
+			rf, err := dft.Features(vals, db.findex.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dv, err := d(q, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fd := dft.FeatureDist(lb.qf, rf)
+			if fd > lb.at(dv) {
+				t.Fatalf("%s %s: feature distance %g·%g = %g exceeds the distance %g", pair, name, fd, lb.scale, fd*lb.scale, dv)
+			}
+			if lo := lb.floor(fd); lo > dv {
+				t.Fatalf("%s %s: band lift %g exceeds the distance %g", pair, name, lo, dv)
+			}
+		}
 	}
 	for _, n := range []int{64, 97} {
 		for trial := range 300 {
@@ -114,28 +148,21 @@ func TestFeatureScaleLowerBounds(t *testing.T) {
 			default: // unrelated
 				rv = walk(n, mag)
 			}
-			q, r := seq.New(qv), seq.New(rv)
-			for name, d := range metrics {
-				lb, _ := db.prefilters(name, q)
-				if lb == nil {
-					t.Fatalf("%s: no feature bound", name)
-				}
-				vals := r.Values()
-				if lb.z {
-					vals = dist.ZNormalizeValues(vals)
-				}
-				rf, err := dft.Features(vals, db.findex.k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dv, err := d(q, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fd := dft.FeatureDist(lb.qf, rf); fd > lb.at(dv) {
-					t.Fatalf("n=%d trial %d %s: feature distance %g·%g = %g exceeds the distance %g", n, trial, name, fd, lb.scale, fd*lb.scale, dv)
-				}
+			check(fmt.Sprintf("n=%d trial %d", n, trial), qv, rv)
+		}
+		for trial := range 120 {
+			level := math.Pow(10, 4+5*rng.Float64())
+			ulp := math.Nextafter(level, math.Inf(1)) - level
+			delta := ulp * math.Pow(10, 2+rng.Float64())
+			qv, rv := walk(n, 1), make([]float64, n)
+			for i := range qv {
+				qv[i] += level
+				rv[i] = qv[i] + delta*(1+0.1*rng.Float64())
 			}
+			if trial%2 == 1 {
+				qv, rv = rv, qv
+			}
+			check(fmt.Sprintf("n=%d offset %g δ %g", n, level, delta), qv, rv)
 		}
 	}
 	if lb, qsk := db.prefilters("custom", seq.New(walk(64, 1))); lb != nil || qsk != nil {

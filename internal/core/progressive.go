@@ -113,17 +113,6 @@ type ProgressiveMatch struct {
 	Match *Match
 }
 
-// bandFloor shrinks a mathematically sound lower bound by the same
-// floating-point whisker the band math uses, so summation-order rounding
-// can never raise it above the true distance.
-func bandFloor(x float64) float64 {
-	x = x*(1-1e-9) - 1e-12
-	if x < 0 {
-		return 0
-	}
-	return x
-}
-
 // bandMatch builds the Match for a record accepted on its band alone.
 // The deviation reported is the band's upper edge (the sound upper bound
 // on the true distance); with an unbounded band — a tier cap over a
@@ -178,13 +167,13 @@ func (cr *cascadeRun) merge(t cascadeTally) {
 func (cr *cascadeRun) band(c candidate, t *cascadeTally) Band {
 	b := Band{Lo: 0, Hi: math.Inf(1)}
 	if qsk := cr.spec.qsk; qsk != nil && c.rec.sketch != nil {
-		if lo, hi, ok := multires.DistanceBand(qsk, c.rec.sketch, cr.spec.metric); ok && !math.IsNaN(lo) && !math.IsNaN(hi) {
+		if lo, hi, ok := multires.DistanceBand(qsk, c.rec.sketch, cr.spec.metric); ok && !math.IsNaN(hi) {
 			b = Band{Lo: lo, Hi: hi}
 			t.sketched++
 		}
 	}
 	if lb := cr.spec.lb; lb != nil {
-		if flo := bandFloor(c.fd * lb.scale); flo > b.Lo {
+		if flo := lb.floor(c.fd); flo > b.Lo {
 			b.Lo = min(flo, b.Hi) // both edges are slacked; never invert the band
 		}
 	}

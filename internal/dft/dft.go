@@ -154,8 +154,8 @@ func Transform(vals []float64) []complex128 {
 // available coefficients; k must be >= 1. Only the coefficients kept are
 // computed, in pooled scratch: by the FFT's butterflies for a power-of-two
 // length, else by the direct sum over cached twiddle rows. Each must stay
-// bit-identical to Transform's, as stored vectors are compared with query
-// vectors under a fixed rounding whisker.
+// bit-identical to Transform's, so that a directory's stored vectors do
+// not depend on the binary that wrote them.
 func Features(vals []float64, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("dft: feature count %d must be >= 1", k)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"seqrep/internal/dist"
 )
 
 // VPTree is a vantage-point tree (Yianilos 1993) over a columnar set of
@@ -180,13 +182,6 @@ func (t *VPTree) build(ords []int32, dscratch []float64, leaf int) int32 {
 	return idx
 }
 
-// vpTraverseSlack widens the triangle-inequality descent tests by a
-// floating-point whisker so accumulated rounding in the node distances can
-// never skip a subtree holding a boundary point. It widens traversal only:
-// whether a visited point becomes a result is still decided by the exact
-// d <= eps comparison, so the reported set matches a linear scan's.
-func vpTraverseSlack(x float64) float64 { return x*(1+1e-9) + 1e-12 }
-
 // Search visits every indexed point whose Euclidean distance to q is at
 // most eps, invoking found(ordinal, distance) for each (in deterministic
 // tree order, not sorted by distance). It returns the number of distance
@@ -211,14 +206,21 @@ func (t *VPTree) Search(q []float64, eps float64, found func(ord int32, d float6
 // best-so-far loop — prunes subtrees the initial radius would have
 // visited. A negative radius aborts the traversal immediately, which
 // doubles as the cooperative-cancellation hook.
+//
+// The triangle-inequality descent tests are widened by dist.Slack, the
+// rounding contract, for ‖q‖ (taken once per search), so accumulated
+// rounding in the node distances can never skip a subtree holding a
+// boundary point. The slack widens traversal only: whether a visited
+// point becomes a result is still decided by the exact d <= eps
+// comparison, so the reported set matches a linear scan's.
 func (t *VPTree) SearchShrink(q []float64, radius func() float64, found func(ord int32, d float64)) (examined int) {
 	if t.root < 0 || len(q) != t.dim {
 		return 0
 	}
-	return t.searchShrink(t.root, q, radius, found)
+	return t.searchShrink(t.root, q, dist.QuerySlack(len(q), dist.Norm(q)), radius, found)
 }
 
-func (t *VPTree) searchShrink(ni int32, q []float64, radius func() float64, found func(int32, float64)) int {
+func (t *VPTree) searchShrink(ni int32, q []float64, slack dist.Slack, radius func() float64, found func(int32, float64)) int {
 	eps := radius()
 	if eps < 0 {
 		return 0
@@ -246,11 +248,11 @@ func (t *VPTree) searchShrink(ni int32, q []float64, radius func() float64, foun
 			return examined
 		}
 	}
-	if node.inside >= 0 && !(d > vpTraverseSlack(node.inR+eps)) {
-		examined += t.searchShrink(node.inside, q, radius, found)
+	if node.inside >= 0 && !(d > slack.Hi(node.inR+eps)) {
+		examined += t.searchShrink(node.inside, q, slack, radius, found)
 	}
-	if node.outside >= 0 && !(vpTraverseSlack(d+eps) < node.outR) {
-		examined += t.searchShrink(node.outside, q, radius, found)
+	if node.outside >= 0 && !(slack.Hi(d+eps) < node.outR) {
+		examined += t.searchShrink(node.outside, q, slack, radius, found)
 	}
 	return examined
 }

@@ -98,20 +98,6 @@ func (s *Sketch) Compatible(o *Sketch) bool {
 		len(s.Means) == len(o.Means) && len(s.ZMeans) == len(o.ZMeans)
 }
 
-// Floating-point soundness slack: the band inequalities are exact in real
-// arithmetic; the slack absorbs summation-order rounding so a band always
-// contains the exactly-computed distance even at the bit level. Mirrors
-// the lower-bound slack of the core query planner.
-func soundLo(x float64) float64 {
-	x = x*(1-1e-9) - 1e-12
-	if x < 0 {
-		return 0
-	}
-	return x
-}
-
-func soundHi(x float64) float64 { return x*(1+1e-9) + 1e-12 }
-
 // DistanceBand bounds the distance between the two summarized value
 // vectors under the named metric from both sides: lo <= d(q, r) <= hi for
 // the true distance d. ok is false — with an uninformative [0, +Inf)
@@ -123,33 +109,37 @@ func soundHi(x float64) float64 { return x*(1+1e-9) + 1e-12 }
 // residual. For L2 the projection is orthogonal, giving the exact
 // decomposition ||q−r||² = m² + ||q⊥−r⊥||² with m the block-mean
 // distance; for L1/L∞ the triangle inequality brackets the residual term.
-// Both sides are widened by a whisker of floating-point slack so the
-// guarantee survives rounding.
+// Both sides are widened by dist.Slack, the rounding contract, for the
+// query q (the first argument): each band loop also sums q's squared
+// norm, Σ wⱼ·meanⱼ² + R2² over the compared values (exact by the
+// orthogonality above), so the contract costs one multiply-add per block.
 func DistanceBand(q, r *Sketch, metric string) (lo, hi float64, ok bool) {
 	if !q.Compatible(r) {
 		return 0, math.Inf(1), false
 	}
 	n := float64(q.N)
+	var qss float64
 	switch metric {
 	case "l2":
-		lo, hi = l2Band(q, r)
+		lo, hi, qss = l2Band(q, r)
 	case "norml2":
-		lo, hi = l2Band(q, r)
+		lo, hi, qss = l2Band(q, r)
 		rt := math.Sqrt(n)
 		lo, hi = lo/rt, hi/rt
 	case "l1":
-		lo, hi = l1Band(q, r)
+		lo, hi, qss = l1Band(q, r)
 	case "norml1":
-		lo, hi = l1Band(q, r)
+		lo, hi, qss = l1Band(q, r)
 		lo, hi = lo/n, hi/n
 	case "linf", "band":
-		lo, hi = linfBand(q, r)
+		lo, hi, qss = linfBand(q, r)
 	case "zl2":
-		lo, hi = zl2Band(q, r)
+		lo, hi, qss = zl2Band(q, r)
 	default:
 		return 0, math.Inf(1), false
 	}
-	return soundLo(lo), soundHi(hi), true
+	s := dist.QuerySlack(q.N, math.Sqrt(qss))
+	return s.Lo(lo), s.Hi(hi), true
 }
 
 // lastWeight is the sample count of the final (possibly short) block; all
@@ -160,55 +150,69 @@ func lastWeight(s *Sketch) float64 {
 	return float64(s.N - s.Block*(len(s.Means)-1))
 }
 
-func l2BandOf(qm, rm []float64, q *Sketch, qr2, rr2 float64) (lo, hi float64) {
+func l2BandOf(qm, rm []float64, q *Sketch, qr2, rr2 float64) (lo, hi, qss float64) {
 	full := float64(q.Block)
 	m2sq := 0.0
 	nb := len(qm)
 	for j := 0; j < nb-1; j++ {
 		d := qm[j] - rm[j]
 		m2sq += d * d
+		qss += qm[j] * qm[j]
 	}
 	m2sq *= full
 	d := qm[nb-1] - rm[nb-1]
 	m2sq += lastWeight(q) * d * d
+	qss = full*qss + lastWeight(q)*qm[nb-1]*qm[nb-1] + qr2*qr2
 	rd := qr2 - rr2
 	lo = math.Sqrt(m2sq + rd*rd)
 	sum := qr2 + rr2
 	hi = math.Sqrt(m2sq + sum*sum)
-	return lo, hi
+	return lo, hi, qss
 }
 
-func l2Band(q, r *Sketch) (lo, hi float64)  { return l2BandOf(q.Means, r.Means, q, q.R2, r.R2) }
-func zl2Band(q, r *Sketch) (lo, hi float64) { return l2BandOf(q.ZMeans, r.ZMeans, q, q.ZR2, r.ZR2) }
+func l2Band(q, r *Sketch) (lo, hi, qss float64) { return l2BandOf(q.Means, r.Means, q, q.R2, r.R2) }
+func zl2Band(q, r *Sketch) (lo, hi, qss float64) {
+	return l2BandOf(q.ZMeans, r.ZMeans, q, q.ZR2, r.ZR2)
+}
 
-func l1Band(q, r *Sketch) (lo, hi float64) {
+func l1Band(q, r *Sketch) (lo, hi, qss float64) {
 	full := float64(q.Block)
 	m1 := 0.0
 	nb := len(q.Means)
 	for j := 0; j < nb-1; j++ {
 		m1 += math.Abs(q.Means[j] - r.Means[j])
+		qss += q.Means[j] * q.Means[j]
 	}
 	m1 *= full
-	m1 += lastWeight(q) * math.Abs(q.Means[nb-1]-r.Means[nb-1])
+	last := q.Means[nb-1]
+	m1 += lastWeight(q) * math.Abs(last-r.Means[nb-1])
+	qss = full*qss + lastWeight(q)*last*last + q.R2*q.R2
 	resid := q.R1 + r.R1
 	lo = math.Max(m1-resid, math.Abs(q.R1-r.R1)-m1)
 	if lo < 0 {
 		lo = 0
 	}
-	return lo, m1 + resid
+	return lo, m1 + resid, qss
 }
 
-func linfBand(q, r *Sketch) (lo, hi float64) {
+func linfBand(q, r *Sketch) (lo, hi, qss float64) {
 	minf := 0.0
-	for j := range q.Means {
+	nb := len(q.Means)
+	for j := 0; j < nb-1; j++ {
 		if d := math.Abs(q.Means[j] - r.Means[j]); d > minf {
 			minf = d
 		}
+		qss += q.Means[j] * q.Means[j]
 	}
+	last := q.Means[nb-1]
+	if d := math.Abs(last - r.Means[nb-1]); d > minf {
+		minf = d
+	}
+	qss = float64(q.Block)*qss + lastWeight(q)*last*last + q.R2*q.R2
 	resid := q.Rinf + r.Rinf
 	lo = math.Max(minf-resid, math.Abs(q.Rinf-r.Rinf)-minf)
 	if lo < 0 {
 		lo = 0
 	}
-	return lo, minf + resid
+	return lo, minf + resid, qss
 }

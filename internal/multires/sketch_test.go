@@ -7,6 +7,7 @@ package multires
 // inputs — progressive queries must survive.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -121,7 +122,11 @@ func bandMetrics() map[string]func(a, b []float64) float64 {
 
 // TestDistanceBandSoundness is the sketch's core property: for generator
 // pairs across lengths, block sizes and metrics, the band brackets the
-// exactly computed distance — bit-level, thanks to the built-in slack.
+// exactly computed distance — bit-level, thanks to the rounding contract.
+// The offset generator pairs a walk on a level from 1e4 to 1e9 with the
+// same walk shifted by a near-constant 100–1 000 ulps of the level: the
+// distance stays tiny while the rounding of the block means grows with
+// the level.
 func TestDistanceBandSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	type gen func() []float64
@@ -145,32 +150,56 @@ func TestDistanceBandSoundness(t *testing.T) {
 			func() []float64 { return synth.Const(n, 36.8).Values() },
 		}
 	}
+	// offset returns a near-duplicate pair far from zero.
+	offset := func(n int) (a, b []float64) {
+		level := math.Pow(10, 4+5*rng.Float64())
+		delta := (math.Nextafter(level, math.Inf(1)) - level) * math.Pow(10, 2+rng.Float64())
+		w, err := synth.RandomWalk(rng, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b = w.Values(), make([]float64, n)
+		for i := range a {
+			a[i] += level
+			b[i] = a[i] + delta*(1+0.1*rng.Float64())
+		}
+		return a, b
+	}
 	metrics := bandMetrics()
+	check := func(pair string, block int, a, b []float64) {
+		t.Helper()
+		qs, rs := BuildSketch(a, block), BuildSketch(b, block)
+		for name, kernel := range metrics {
+			lo, hi, ok := DistanceBand(qs, rs, name)
+			if !ok {
+				t.Fatalf("n=%d block=%d %s: band not ok", len(a), block, name)
+			}
+			d := kernel(a, b)
+			if math.IsNaN(d) {
+				continue // z-normalizing a constant: kernel refuses
+			}
+			if lo > d || d > hi {
+				t.Errorf("n=%d block=%d %s %s: band [%v, %v] excludes d=%v", len(a), block, pair, name, lo, hi, d)
+			}
+			if lo < 0 || hi < lo {
+				t.Errorf("%s: malformed band [%v, %v]", name, lo, hi)
+			}
+		}
+	}
 	for _, n := range []int{5, 49, 97, 128} {
 		for _, block := range []int{1, 7, 16, 200} {
 			gens := mkSeqs(n)
 			for gi, ga := range gens {
 				for gj, gb := range gens {
-					a, b := ga(), gb()
-					qs, rs := BuildSketch(a, block), BuildSketch(b, block)
-					for name, kernel := range metrics {
-						lo, hi, ok := DistanceBand(qs, rs, name)
-						if !ok {
-							t.Fatalf("n=%d block=%d %s: band not ok", n, block, name)
-						}
-						d := kernel(a, b)
-						if math.IsNaN(d) {
-							continue // z-normalizing a constant: kernel refuses
-						}
-						if lo > d || d > hi {
-							t.Errorf("n=%d block=%d pair(%d,%d) %s: band [%v, %v] excludes d=%v",
-								n, block, gi, gj, name, lo, hi, d)
-						}
-						if lo < 0 || hi < lo {
-							t.Errorf("%s: malformed band [%v, %v]", name, lo, hi)
-						}
-					}
+					check(fmt.Sprintf("pair(%d,%d)", gi, gj), block, ga(), gb())
 				}
+			}
+			for i := range 20 {
+				a, b := offset(n)
+				if i%2 == 1 {
+					a, b = b, a
+				}
+				check(fmt.Sprintf("offset %d", i), block, a, b)
 			}
 		}
 	}
