@@ -56,15 +56,15 @@ func expFig9(out io.Writer) error {
 		fmt.Fprintln(w, "segment\tsamples\tline\trole")
 		for i := range fs.Segments {
 			sg := &fs.Segments[i]
-			c, err := sg.Curve()
+			c, err := fs.Curve(i)
 			if err != nil {
 				return err
 			}
 			role := ""
 			switch {
-			case sg.Slope() > 10:
+			case fs.Slope(i) > 10:
 				role = "R rising flank"
-			case sg.Slope() < -10:
+			case fs.Slope(i) < -10:
 				role = "R descending flank"
 			}
 			fmt.Fprintf(w, "%d\t[%d,%d]\t%s\t%s\n", i+1, sg.Lo, sg.Hi, c, role)

@@ -121,12 +121,12 @@ func expFig6(out io.Writer) error {
 	fmt.Fprintln(w, "segment\tsamples\ttime span (h)\tregression line\tslope symbol (δ=0.25)")
 	for i := range fs.Segments {
 		sg := &fs.Segments[i]
-		c, err := sg.Curve()
+		c, err := fs.Curve(i)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%d\t[%d,%d]\t[%.1f,%.1f]\t%s\t%s\n",
-			i+1, sg.Lo, sg.Hi, sg.StartT, sg.EndT, c, feature.Classify(sg.Slope(), 0.25).PaperString())
+			i+1, sg.Lo, sg.Hi, sg.StartT, sg.EndT, c, feature.Classify(fs.Slope(i), 0.25).PaperString())
 	}
 	if err := w.Flush(); err != nil {
 		return err

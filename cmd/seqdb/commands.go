@@ -229,12 +229,12 @@ func cmdSegments(args []string) error {
 	fmt.Fprintln(w, "segment\tsamples\ttime span\tfunction\tslope")
 	for i := range series.Segments {
 		sg := &series.Segments[i]
-		c, err := sg.Curve()
+		c, err := series.Curve(i)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%d\t[%d,%d]\t[%.3g,%.3g]\t%s\t%.3g\n",
-			i+1, sg.Lo, sg.Hi, sg.StartT, sg.EndT, c, sg.Slope())
+			i+1, sg.Lo, sg.Hi, sg.StartT, sg.EndT, c, series.Slope(i))
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -503,29 +503,43 @@ func (db *DB) build(id string, s seq.Sequence, capped bool) (*Record, error) {
 	return rec, nil
 }
 
-// underived reports whether rec lacks a feature vector or a sketch the
-// database keeps: all of them on a build, none on a boot that restores
-// them, all on a boot of a legacy raw-derived directory.
-func (db *DB) underived(rec *Record) bool {
-	return db.findex != nil && rec.feats == nil || db.cfg.SketchBlock > 0 && rec.sketch == nil
+// lacks reports whether rec lacks the feature vectors and the sketch the
+// database keeps: both on a build, neither on a boot that restores them,
+// both on a boot of a legacy raw-derived directory.
+func (db *DB) lacks(rec *Record) (feats, sketch bool) {
+	return db.findex != nil && rec.feats == nil, db.cfg.SketchBlock > 0 && rec.sketch == nil
 }
 
 // derive computes the feature vectors and the sketch the database keeps
 // and rec lacks from sc.pts, rec's comparison form (its reconstruction).
 // The values are z-normalized once, into the scratch every derivation
-// reads, so a record allocates only what it keeps.
+// reads, and every derived float lands in one block the record keeps:
+// its feature vectors and sketch means are windows of it.
 func (db *DB) derive(rec *Record, sc *deriveScratch) {
-	if !db.underived(rec) {
+	feats, sketch := db.lacks(rec)
+	if !feats && !sketch {
 		return
 	}
 	sc.vals = sc.pts.AppendValues(sc.vals[:0])
 	sc.zvals = dist.ZNormalizeInto(sc.zvals, sc.vals)
-	if db.findex != nil && rec.feats == nil {
-		db.findex.computeFeatures(rec, sc.vals, sc.zvals)
+	block := make([]float64, 0, db.derivedFloats(len(sc.vals), feats, sketch))
+	if feats {
+		block = db.findex.computeFeatures(rec, block, sc.vals, sc.zvals)
 	}
-	if db.cfg.SketchBlock > 0 && rec.sketch == nil {
-		rec.sketch = multires.BuildSketchZ(sc.vals, sc.zvals, db.cfg.SketchBlock)
+	if sketch {
+		rec.sketch = multires.BuildSketchZ(block, sc.vals, sc.zvals, db.cfg.SketchBlock)
 	}
+}
+
+// derivedFloats counts the floats of a length-n record's feature vectors and sketch.
+func (db *DB) derivedFloats(n int, feats, sketch bool) (size int) {
+	if feats {
+		size += 4 * db.findex.k
+	}
+	if sketch {
+		size += 2 * multires.NumBlocks(n, db.cfg.SketchBlock)
+	}
+	return size
 }
 
 // deriveScratch is the working set of build and derive: a record's

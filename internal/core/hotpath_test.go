@@ -429,13 +429,14 @@ func TestFeatureQueryAllocs(t *testing.T) {
 // TestDeriveAllocs guards the build's derivation: the comparison form is
 // reconstructed and z-normalized once into pooled scratch that both
 // feature vectors and the sketch read, and the twiddles are cached, so a
-// record of any length allocates only what it keeps — feats, zfeats, the
-// sketch and its two mean slices.
+// record of any length allocates only what it keeps — one block of
+// floats (feats, zfeats and the sketch's two mean slices are windows of
+// it) and the sketch.
 func TestDeriveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const retained = 5
+	const retained = 2
 	db := mustDB(t, Config{})
 	corpus := featureCorpus(t, rand.New(rand.NewSource(17)), 20)
 	var counts []float64

@@ -356,16 +356,14 @@ func (ix *featIndex) indexedCount() int {
 }
 
 // computeFeatures derives a record's feature vectors from its comparison
-// form. vals must be the exact samples queries verify the record against,
-// and zvals their dist.ZNormalizeValues.
-func (ix *featIndex) computeFeatures(rec *Record, vals, zvals []float64) {
-	feats, err := dft.Features(vals, ix.k)
-	if err != nil {
-		return // k is validated at construction; defensive only
-	}
-	zfeats, err := dft.Features(zvals, ix.k)
-	if err != nil {
-		return
-	}
-	rec.feats, rec.zfeats = feats, zfeats
+// form, appending both to block (windows of it become rec's vectors) and
+// returning the extended slice. vals must be the exact samples queries
+// verify the record against, and zvals their dist.ZNormalizeValues.
+func (ix *featIndex) computeFeatures(rec *Record, block, vals, zvals []float64) []float64 {
+	start := len(block)
+	block, _ = dft.AppendFeatures(block, vals, ix.k) // k >= 1, validated at construction
+	mid := len(block)
+	block, _ = dft.AppendFeatures(block, zvals, ix.k)
+	rec.feats, rec.zfeats = block[start:mid:mid], block[mid:len(block):len(block)]
+	return block
 }

@@ -81,10 +81,12 @@ func appendF64s(b []byte, vals ...float64) []byte {
 // against the bytes that remain before anything is allocated for it, so
 // a corrupt or hostile payload costs at most a small multiple of its own
 // size — never what its prefixes claim. A skipping cursor checks the
-// same lengths but copies no floats out (f64s returns nil).
+// same lengths but copies no floats out (f64s returns nil); any other
+// decodes every vector into floats, whose windows it returns.
 type cursor struct {
-	b    []byte
-	skip bool
+	b      []byte
+	skip   bool
+	floats []float64
 }
 
 // take consumes the next n bytes (aliasing the payload, not copying).
@@ -110,12 +112,14 @@ func (c *cursor) f64s(n uint32) ([]float64, error) {
 	if err != nil || c.skip {
 		return nil, err
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	start := len(c.floats)
+	for i := range int(n) {
+		c.floats = append(c.floats, f64le(b[8*i:]))
 	}
-	return out, nil
+	return c.floats[start:len(c.floats):len(c.floats)], nil
 }
+
+func f64le(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // payloadMode selects what decodeRecordPayload copies out of a payload.
 // Both modes walk every field with the same cursor and run every check
@@ -147,6 +151,9 @@ func decodeRecordPayload(db *DB, id string, payload []byte, mode payloadMode) (*
 	var fs rep.FunctionSeries
 	if err := fs.UnmarshalBinary(blob); err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("core: record %q: %w", id, err)
+	}
+	if !c.skip { // one block for every vector, no larger than the configuration admits or the bytes hold
+		c.floats = make([]float64, 0, min(db.derivedFloats(fs.N, db.findex != nil, true), len(c.b)/8))
 	}
 	feats, err := loadVector(c, db, id)
 	if err != nil {
@@ -215,17 +222,18 @@ func loadSketch(c *cursor, id string, n, block int) (*multires.Sketch, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: record %q sketch means: %w", id, err)
 		}
-		norms, err := c.f64s(3)
+		norms, err := c.take(3 * 8)
 		if err != nil {
 			return nil, fmt.Errorf("core: record %q sketch norms: %w", id, err)
 		}
 		if sk == nil {
 			continue
 		}
+		r1, r2, rinf := f64le(norms), f64le(norms[8:]), f64le(norms[16:])
 		if half == 0 {
-			sk.Means, sk.R1, sk.R2, sk.Rinf = means, norms[0], norms[1], norms[2]
+			sk.Means, sk.R1, sk.R2, sk.Rinf = means, r1, r2, rinf
 		} else {
-			sk.ZMeans, sk.ZR1, sk.ZR2, sk.ZRinf = means, norms[0], norms[1], norms[2]
+			sk.ZMeans, sk.ZR1, sk.ZR2, sk.ZRinf = means, r1, r2, rinf
 		}
 	}
 	return sk, nil

@@ -173,9 +173,8 @@ func TestLoadHugeCountRejected(t *testing.T) {
 	// A valid one-segment representation claiming 2²⁷ samples: its sketch
 	// legitimately has 2²⁷/block means, which a short payload cannot hold.
 	const hugeN = 1 << 27
-	giant := rep.FunctionSeries{N: hugeN, Segments: []rep.Segment{{
-		Lo: 0, Hi: hugeN - 1, StartT: 0, EndT: hugeN - 1, Kind: fit.KindLine, Params: []float64{0, 0},
-	}}}
+	giant := rep.FunctionSeries{N: hugeN}
+	giant.AppendSegment(rep.Segment{Lo: 0, Hi: hugeN - 1, StartT: 0, EndT: hugeN - 1, Kind: fit.KindLine}, 0, 0)
 	giantBlob, err := giant.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -247,15 +246,13 @@ func FuzzRecordPayload(f *testing.F) {
 // vectors and a sketch, and one carrying none of them. The payload is
 // appended into a buffer sized exactly from the record.
 func TestRecordPayloadGolden(t *testing.T) {
-	mixed := &rep.FunctionSeries{N: 12, Segments: []rep.Segment{
-		{Lo: 0, Hi: 3, StartT: 0, StartV: 1.5, EndT: 3, EndV: -2.25, Kind: fit.KindLine, Params: []float64{-1.25, 1.5}},
-		{Lo: 4, Hi: 7, StartT: 4, StartV: 0.1, EndT: 7, EndV: 3.3, Kind: fit.KindPoly, Params: []float64{0.1, -0.7, 0.05}},
-		{Lo: 8, Hi: 11, StartT: 8, StartV: -1, EndT: 11, EndV: 2, Kind: fit.KindBezier,
-			Params: []float64{8, -1, 9, 0.5, 10, 1e-300, 11, 2}},
-	}}
-	bare := &rep.FunctionSeries{N: 5, Segments: []rep.Segment{
-		{Lo: 0, Hi: 4, StartT: 0.5, StartV: 2, EndT: 2.5, EndV: -3, Kind: fit.KindPoly, Params: []float64{2, 0.25, -1.0 / 3}},
-	}}
+	mixed := &rep.FunctionSeries{N: 12}
+	mixed.AppendSegment(rep.Segment{Lo: 0, Hi: 3, StartT: 0, StartV: 1.5, EndT: 3, EndV: -2.25, Kind: fit.KindLine}, -1.25, 1.5)
+	mixed.AppendSegment(rep.Segment{Lo: 4, Hi: 7, StartT: 4, StartV: 0.1, EndT: 7, EndV: 3.3, Kind: fit.KindPoly}, 0.1, -0.7, 0.05)
+	mixed.AppendSegment(rep.Segment{Lo: 8, Hi: 11, StartT: 8, StartV: -1, EndT: 11, EndV: 2, Kind: fit.KindBezier},
+		8, -1, 9, 0.5, 10, 1e-300, 11, 2)
+	bare := &rep.FunctionSeries{N: 5}
+	bare.AppendSegment(rep.Segment{Lo: 0, Hi: 4, StartT: 0.5, StartV: 2, EndT: 2.5, EndV: -3, Kind: fit.KindPoly}, 2, 0.25, -1.0/3)
 	sketch := &multires.Sketch{N: 12, Block: 5,
 		Means: []float64{0.25, -1.5, math.Pi}, R1: 4.5, R2: math.Sqrt2, Rinf: 1.75,
 		ZMeans: []float64{-0.5, 0, math.E}, ZR1: 2.25, ZR2: 1.125, ZRinf: math.Copysign(0, -1)}

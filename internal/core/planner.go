@@ -193,7 +193,7 @@ func (db *DB) prefilters(metric string, exemplar seq.Sequence) (lb *lowerBound, 
 		}
 	}
 	if db.cfg.SketchBlock > 0 {
-		qsk = multires.BuildSketchZ(sc.vals, sc.zvals, db.cfg.SketchBlock)
+		qsk = multires.BuildSketchZ(nil, sc.vals, sc.zvals, db.cfg.SketchBlock)
 		if _, _, ok := multires.DistanceBand(qsk, qsk, metric); !ok {
 			qsk = nil
 		}

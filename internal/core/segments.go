@@ -267,7 +267,7 @@ func (d *dirStore) adoptRecord(e segment.LiveEntry, mm manifestMeta) (*Record, e
 	}
 	rec := &Record{ID: e.ID, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
 	rec.setRep(fs)
-	if d.db.underived(rec) {
+	if feats, sketch := d.db.lacks(rec); feats || sketch {
 		sc := derivePool.Get().(*deriveScratch)
 		sc.pts = fs.AppendReconstructionUnchecked(sc.pts[:0]) // UnmarshalBinary validated fs
 		d.db.derive(rec, sc)

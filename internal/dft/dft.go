@@ -156,9 +156,14 @@ func Transform(vals []float64) []complex128 {
 // length, else by the direct sum over cached twiddle rows. Each must stay
 // bit-identical to Transform's, so that a directory's stored vectors do
 // not depend on the binary that wrote them.
-func Features(vals []float64, k int) ([]float64, error) {
+func Features(vals []float64, k int) ([]float64, error) { return AppendFeatures(nil, vals, k) }
+
+// AppendFeatures appends the Features vector to dst and returns the
+// extended slice, allocating only when dst lacks room for 2k more floats.
+// On an error dst is returned unchanged.
+func AppendFeatures(dst, vals []float64, k int) ([]float64, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("dft: feature count %d must be >= 1", k)
+		return dst, fmt.Errorf("dft: feature count %d must be >= 1", k)
 	}
 	sc := coeffScratch.Get().(*[]complex128)
 	defer coeffScratch.Put(sc)
@@ -169,15 +174,15 @@ func Features(vals []float64, k int) ([]float64, error) {
 		*sc = dftPrefix(*sc, vals, m, twiddleRows(n, m))
 	}
 	coeffs := *sc
-	out := make([]float64, 0, 2*k)
+	dst = slices.Grow(dst, 2*k)
 	for i := 0; i < k; i++ {
 		var c complex128
 		if i < len(coeffs) {
 			c = coeffs[i]
 		}
-		out = append(out, real(c), imag(c))
+		dst = append(dst, real(c), imag(c))
 	}
-	return out, nil
+	return dst, nil
 }
 
 var coeffScratch = sync.Pool{New: func() any { return new([]complex128) }}

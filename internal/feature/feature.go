@@ -70,8 +70,9 @@ func Symbolize(fs *rep.FunctionSeries, delta float64) (string, error) {
 		return "", fmt.Errorf("feature: empty representation")
 	}
 	var b strings.Builder
-	for _, slope := range fs.Slopes() {
-		b.WriteByte(byte(Classify(slope, delta)))
+	b.Grow(len(fs.Segments))
+	for i := range fs.Segments {
+		b.WriteByte(byte(Classify(fs.Slope(i), delta)))
 	}
 	return b.String(), nil
 }
@@ -199,12 +200,12 @@ type Steepness struct {
 // MeasureSteepness computes slope statistics over the representation.
 func MeasureSteepness(fs *rep.FunctionSeries) Steepness {
 	var st Steepness
-	slopes := fs.Slopes()
-	if len(slopes) == 0 {
+	if len(fs.Segments) == 0 {
 		return st
 	}
 	sum := 0.0
-	for _, s := range slopes {
+	for i := range fs.Segments {
+		s := fs.Slope(i)
 		if s > st.MaxRise {
 			st.MaxRise = s
 		}
@@ -217,6 +218,6 @@ func MeasureSteepness(fs *rep.FunctionSeries) Steepness {
 			sum += s
 		}
 	}
-	st.MeanAbs = sum / float64(len(slopes))
+	st.MeanAbs = sum / float64(len(fs.Segments))
 	return st
 }

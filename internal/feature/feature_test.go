@@ -180,11 +180,10 @@ func TestPeakPositionUsesHigherBoundary(t *testing.T) {
 	// Build a representation by hand: rising segment ends at value 10,
 	// descending starts at value 12 (a flat in between rose slightly within
 	// tolerance) — peak must sit at DStart.
-	fs := &rep.FunctionSeries{N: 9, Segments: []rep.Segment{
-		{Lo: 0, Hi: 2, StartT: 0, StartV: 0, EndT: 2, EndV: 10, Kind: fit.KindLine, Params: []float64{5, 0}},
-		{Lo: 3, Hi: 5, StartT: 3, StartV: 11, EndT: 5, EndV: 12, Kind: fit.KindLine, Params: []float64{0.2, 10.4}},
-		{Lo: 6, Hi: 8, StartT: 6, StartV: 12, EndT: 8, EndV: 0, Kind: fit.KindLine, Params: []float64{-6, 48}},
-	}}
+	fs := &rep.FunctionSeries{N: 9}
+	fs.AppendSegment(rep.Segment{Lo: 0, Hi: 2, StartT: 0, StartV: 0, EndT: 2, EndV: 10, Kind: fit.KindLine}, 5, 0)
+	fs.AppendSegment(rep.Segment{Lo: 3, Hi: 5, StartT: 3, StartV: 11, EndT: 5, EndV: 12, Kind: fit.KindLine}, 0.2, 10.4)
+	fs.AppendSegment(rep.Segment{Lo: 6, Hi: 8, StartT: 6, StartV: 12, EndT: 8, EndV: 0, Kind: fit.KindLine}, -6, 48)
 	peaks, err := Peaks(fs, 0.25)
 	if err != nil {
 		t.Fatal(err)

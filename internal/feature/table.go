@@ -20,11 +20,11 @@ func PeakTable(fs *rep.FunctionSeries, peaks []Peak) (string, error) {
 			p.DescendingSeg < 0 || p.DescendingSeg >= len(fs.Segments) {
 			return "", fmt.Errorf("feature: peak %d references segment out of range", i)
 		}
-		rc, err := fs.Segments[p.RisingSeg].Curve()
+		rc, err := fs.Curve(p.RisingSeg)
 		if err != nil {
 			return "", fmt.Errorf("feature: peak %d rising curve: %w", i, err)
 		}
-		dc, err := fs.Segments[p.DescendingSeg].Curve()
+		dc, err := fs.Curve(p.DescendingSeg)
 		if err != nil {
 			return "", fmt.Errorf("feature: peak %d descending curve: %w", i, err)
 		}

@@ -104,13 +104,13 @@ func (bz Bezier) Eval(t float64) float64 {
 // Kind returns KindBezier.
 func (bz Bezier) Kind() Kind { return KindBezier }
 
-// Params returns the 8 control-point coordinates [x0,y0,...,x3,y3].
-func (bz Bezier) Params() []float64 {
-	out := make([]float64, 0, 8)
+// AppendParams appends the 8 control-point coordinates
+// [x0,y0,...,x3,y3] to dst.
+func (bz Bezier) AppendParams(dst []float64) []float64 {
 	for _, p := range bz.P {
-		out = append(out, p.X, p.Y)
+		dst = append(dst, p.X, p.Y)
 	}
-	return out
+	return dst
 }
 
 // String renders the control polygon compactly.

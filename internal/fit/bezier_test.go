@@ -99,8 +99,8 @@ func TestBezierFitterInterface(t *testing.T) {
 	if c.Kind() != KindBezier {
 		t.Error("Kind")
 	}
-	if len(c.Params()) != 8 {
-		t.Errorf("Params len = %d", len(c.Params()))
+	if len(c.AppendParams(nil)) != 8 {
+		t.Errorf("Params len = %d", len(c.AppendParams(nil)))
 	}
 	// Singleton degenerates to a constant curve.
 	single, err := f.Fit(pts(7))

@@ -50,9 +50,10 @@ type Curve interface {
 	Eval(t float64) float64
 	// Kind identifies the curve family for persistence and indexing.
 	Kind() Kind
-	// Params returns the family-specific parameter vector; together with
-	// Kind it fully determines the curve (see Decode).
-	Params() []float64
+	// AppendParams appends the family-specific parameter vector to dst
+	// and returns the extended slice; together with Kind the vector fully
+	// determines the curve (see Decode).
+	AppendParams(dst []float64) []float64
 	// String renders the curve the way the paper annotates its figures,
 	// e.g. ".94x+97.66".
 	String() string
@@ -127,13 +128,13 @@ func CheckParams(k Kind, params []float64) error {
 	return nil
 }
 
-// LineFromParams builds the line whose Params are params, which must have
-// passed CheckParams(KindLine, params).
+// LineFromParams builds the line whose parameter vector is params, which
+// must have passed CheckParams(KindLine, params).
 func LineFromParams(params []float64) Line {
 	return Line{Slope: params[0], Intercept: params[1]}
 }
 
-// PolynomialFromParams builds the polynomial whose Params are params,
+// PolynomialFromParams builds the polynomial whose parameter vector is params,
 // which must have passed CheckParams(KindPoly, params). Its Coeffs alias
 // params[1:] rather than copying them, so the curve is only valid while
 // params is left unchanged.
@@ -141,8 +142,8 @@ func PolynomialFromParams(params []float64) Polynomial {
 	return Polynomial{Origin: params[0], Coeffs: params[1:]}
 }
 
-// BezierFromParams builds the Bézier curve whose Params are params, which
-// must have passed CheckParams(KindBezier, params).
+// BezierFromParams builds the Bézier curve whose parameter vector is
+// params, which must have passed CheckParams(KindBezier, params).
 func BezierFromParams(params []float64) Bezier {
 	var b Bezier
 	for i := 0; i < 4; i++ {
@@ -152,8 +153,8 @@ func BezierFromParams(params []float64) Bezier {
 }
 
 // Decode reconstructs a curve from its persisted Kind and parameter
-// vector. It is the inverse of (Kind, Params) and is used by the
-// representation codec. The returned curve owns its parameters.
+// vector, the inverse of (Kind, AppendParams), as a boxed Curve for
+// rendering. The returned curve owns its parameters.
 func Decode(k Kind, params []float64) (Curve, error) {
 	if err := CheckParams(k, params); err != nil {
 		return nil, err

@@ -41,9 +41,9 @@ func TestLineBasics(t *testing.T) {
 	if l.Kind() != KindLine {
 		t.Error("Kind")
 	}
-	p := l.Params()
+	p := l.AppendParams(nil)
 	if len(p) != 2 || p[0] != 2 || p[1] != -3 {
-		t.Errorf("Params = %v", p)
+		t.Errorf("AppendParams(nil) = %v", p)
 	}
 	if got := l.String(); got != "2x-3" {
 		t.Errorf("String = %q", got)
@@ -280,7 +280,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		Bezier{P: [4]vec2{{0, 0}, {1, 2}, {2, -1}, {3, 0}}},
 	}
 	for _, c := range curves {
-		back, err := Decode(c.Kind(), c.Params())
+		back, err := Decode(c.Kind(), c.AppendParams(nil))
 		if err != nil {
 			t.Fatalf("%v: %v", c.Kind(), err)
 		}

@@ -99,7 +99,7 @@ func TestFittersNaNContainment(t *testing.T) {
 			continue
 		}
 		finite := true
-		for _, p := range c.Params() {
+		for _, p := range c.AppendParams(nil) {
 			if math.IsNaN(p) || math.IsInf(p, 0) {
 				finite = false
 			}

@@ -21,8 +21,8 @@ func (l Line) Eval(t float64) float64 { return l.Slope*t + l.Intercept }
 // Kind returns KindLine.
 func (l Line) Kind() Kind { return KindLine }
 
-// Params returns [slope, intercept].
-func (l Line) Params() []float64 { return []float64{l.Slope, l.Intercept} }
+// AppendParams appends [slope, intercept] to dst.
+func (l Line) AppendParams(dst []float64) []float64 { return append(dst, l.Slope, l.Intercept) }
 
 // String renders like the paper's annotations: ".94x+97.66".
 func (l Line) String() string {

@@ -31,11 +31,9 @@ func (p Polynomial) Eval(t float64) float64 {
 // Kind returns KindPoly.
 func (p Polynomial) Kind() Kind { return KindPoly }
 
-// Params returns [origin, c0, c1, ...].
-func (p Polynomial) Params() []float64 {
-	out := make([]float64, 0, len(p.Coeffs)+1)
-	out = append(out, p.Origin)
-	return append(out, p.Coeffs...)
+// AppendParams appends [origin, c0, c1, ...] to dst.
+func (p Polynomial) AppendParams(dst []float64) []float64 {
+	return append(append(dst, p.Origin), p.Coeffs...)
 }
 
 // Degree returns the polynomial degree (len(Coeffs)-1), or 0 when empty.

@@ -2,6 +2,7 @@ package multires
 
 import (
 	"math"
+	"slices"
 
 	"seqrep/internal/dist"
 )
@@ -46,27 +47,30 @@ func NumBlocks(n, block int) int {
 // It returns nil when vals is empty or block is not positive — callers
 // treat a nil sketch as "no information" (an unbounded band).
 func BuildSketch(vals []float64, block int) *Sketch {
-	return BuildSketchZ(vals, dist.ZNormalizeValues(vals), block)
+	return BuildSketchZ(nil, vals, dist.ZNormalizeValues(vals), block)
 }
 
 // BuildSketchZ is BuildSketch given zvals = dist.ZNormalizeValues(vals)
-// as well, for a caller that already holds it. Neither slice is retained.
-func BuildSketchZ(vals, zvals []float64, block int) *Sketch {
+// as well. Means and ZMeans are appended to buf, windows of buf's own
+// array when it has room for 2·NumBlocks more. vals and zvals are not kept.
+func BuildSketchZ(buf, vals, zvals []float64, block int) *Sketch {
 	if len(vals) == 0 || block <= 0 {
 		return nil
 	}
 	s := &Sketch{N: len(vals), Block: block}
-	s.Means, s.R1, s.R2, s.Rinf = blockSummary(vals, block)
-	s.ZMeans, s.ZR1, s.ZR2, s.ZRinf = blockSummary(zvals, block)
+	nb, start := NumBlocks(len(vals), block), len(buf)
+	buf = slices.Grow(buf, 2*nb)
+	buf, s.R1, s.R2, s.Rinf = blockSummary(buf, vals, block)
+	buf, s.ZR1, s.ZR2, s.ZRinf = blockSummary(buf, zvals, block)
+	s.Means, s.ZMeans = buf[start:start+nb:start+nb], buf[start+nb:start+2*nb:start+2*nb]
 	return s
 }
 
-// blockSummary computes per-block means and the residual norms in one
-// layout shared by the plain and z-normalized halves of a sketch.
-func blockSummary(vals []float64, block int) (means []float64, r1, r2, rinf float64) {
-	nb := NumBlocks(len(vals), block)
-	means = make([]float64, 0, nb)
-	ss := 0.0
+// blockSummary appends per-block means to means and computes the
+// residual norms, in one layout shared by the plain and z-normalized
+// halves of a sketch.
+func blockSummary(means, vals []float64, block int) ([]float64, float64, float64, float64) {
+	var r1, ss, rinf float64
 	// One block at a time: its mean, then its residuals, which the norms
 	// take in sample order.
 	for lo := 0; lo < len(vals); lo += block {
@@ -87,8 +91,7 @@ func blockSummary(vals []float64, block int) (means []float64, r1, r2, rinf floa
 			}
 		}
 	}
-	r2 = math.Sqrt(ss)
-	return means, r1, r2, rinf
+	return means, r1, math.Sqrt(ss), rinf
 }
 
 // Compatible reports whether two sketches summarize the same layout and

@@ -42,11 +42,7 @@ const (
 
 // EncodedLen returns the length of the series' binary encoding.
 func (fs *FunctionSeries) EncodedLen() int {
-	n := codecHead + codecSegHead*len(fs.Segments)
-	for i := range fs.Segments {
-		n += 8 * len(fs.Segments[i].Params)
-	}
-	return n
+	return codecHead + codecSegHead*len(fs.Segments) + 8*len(fs.Params)
 }
 
 // AppendBinary implements encoding.BinaryAppender: it appends the binary
@@ -58,7 +54,7 @@ func (fs *FunctionSeries) AppendBinary(b []byte) ([]byte, error) {
 		return b, fmt.Errorf("rep: refusing to encode invalid series: %w", err)
 	}
 	for i := range fs.Segments {
-		if pc := len(fs.Segments[i].Params); pc > maxParams {
+		if pc := fs.Segments[i].NParams; pc > maxParams {
 			return b, fmt.Errorf("rep: segment %d has %d params, max %d", i, pc, maxParams)
 		}
 	}
@@ -76,8 +72,8 @@ func (fs *FunctionSeries) AppendBinary(b []byte) ([]byte, error) {
 			b = le.AppendUint64(b, math.Float64bits(v))
 		}
 		b = append(b, byte(sg.Kind))
-		b = le.AppendUint16(b, uint16(len(sg.Params)))
-		for _, v := range sg.Params {
+		b = le.AppendUint16(b, sg.NParams)
+		for _, v := range fs.SegmentParams(i) {
 			b = le.AppendUint64(b, math.Float64bits(v))
 		}
 	}
@@ -91,10 +87,9 @@ func (fs *FunctionSeries) MarshalBinary() ([]byte, error) { return fs.AppendBina
 // data must hold exactly one encoded series: trailing bytes are rejected,
 // so every accepted blob re-encodes to itself. A first pass checks every
 // length against the bytes there and counts the parameters; the second
-// fills the segments and one parameter array that every segment gets a
-// capacity-clipped window of, so decoding costs the same two
-// allocations however many segments there are, and none for bytes a
-// length only claims.
+// fills the segments and the one parameter array, so decoding costs the
+// same two allocations however many segments there are, and none for
+// bytes a length only claims.
 func (fs *FunctionSeries) UnmarshalBinary(data []byte) error {
 	switch {
 	case len(data) < 4:
@@ -132,24 +127,20 @@ func (fs *FunctionSeries) UnmarshalBinary(data []byte) error {
 	}
 
 	f64 := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-	out := FunctionSeries{N: int(n), Segments: make([]Segment, k)}
-	params := make([]float64, total)
+	out := FunctionSeries{N: int(n), Segments: make([]Segment, k), Params: make([]float64, 0, total)}
 	off = codecHead
 	for i := range out.Segments {
 		b := data[off : off+codecSegHead]
-		pc := int(binary.LittleEndian.Uint16(b[codecSegHead-2:]))
-		sg := Segment{
+		pc := binary.LittleEndian.Uint16(b[codecSegHead-2:])
+		out.Segments[i] = Segment{
 			Lo: int(binary.LittleEndian.Uint32(b)), Hi: int(binary.LittleEndian.Uint32(b[4:])),
 			StartT: f64(b[8:]), StartV: f64(b[16:]), EndT: f64(b[24:]), EndV: f64(b[32:]),
-			Kind: fit.Kind(b[40]), Params: params[:pc:pc],
+			Off: uint32(len(out.Params)), NParams: pc, Kind: fit.Kind(b[40]),
 		}
-		off += codecSegHead
-		for j := range sg.Params {
-			sg.Params[j] = f64(data[off+8*j:])
+		for off += codecSegHead; pc > 0; pc-- {
+			out.Params = append(out.Params, f64(data[off:]))
+			off += 8
 		}
-		off += 8 * pc
-		params = params[pc:]
-		out.Segments[i] = sg
 	}
 	if err := out.Validate(); err != nil {
 		return fmt.Errorf("rep: decoded series invalid: %w", err)

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
+	"sync"
 
 	"seqrep/internal/breaking"
 	"seqrep/internal/fit"
@@ -21,29 +23,56 @@ import (
 
 // Segment is one represented subsequence: its sample range, its boundary
 // points (the paper keeps start/end points with any representation — they
-// feed the peak table of their Table 1), and the fitted function.
+// feed the peak table of their Table 1), and where its fitted function's
+// parameters sit in the series' Params. It holds no pointer for the GC.
 type Segment struct {
 	Lo, Hi         int     // inclusive sample index range in the original sequence
 	StartT, StartV float64 // first sample of the subsequence
 	EndT, EndV     float64 // last sample of the subsequence
+	Off            uint32  // first parameter's index in FunctionSeries.Params
+	NParams        uint16  // parameter count, at most maxParams
 	Kind           fit.Kind
-	Params         []float64
-}
-
-// Curve reconstructs the segment's fitted function.
-func (sg *Segment) Curve() (fit.Curve, error) {
-	return fit.Decode(sg.Kind, sg.Params)
 }
 
 // Len returns the number of samples the segment covers.
 func (sg *Segment) Len() int { return sg.Hi - sg.Lo + 1 }
 
-// Slope returns the segment's characteristic slope: the line slope for
-// line segments, and the chord slope (ΔV/ΔT between the boundary points)
-// for other families. A zero-duration segment has slope 0.
-func (sg *Segment) Slope() float64 {
-	if sg.Kind == fit.KindLine && len(sg.Params) == 2 {
-		return sg.Params[0]
+// FunctionSeries is the compact representation of one sequence: an ordered
+// list of represented subsequences covering all N original samples, and
+// all their parameters, in segment order, in one array.
+type FunctionSeries struct {
+	N        int // original sample count
+	Segments []Segment
+	Params   []float64
+}
+
+// SegmentParams returns segment i's parameter vector, a window of Params.
+func (fs *FunctionSeries) SegmentParams(i int) []float64 {
+	sg := &fs.Segments[i]
+	end := int(sg.Off) + int(sg.NParams)
+	return fs.Params[sg.Off:end:end]
+}
+
+// AppendSegment appends sg with params, setting its Off and NParams.
+func (fs *FunctionSeries) AppendSegment(sg Segment, params ...float64) {
+	sg.Off, sg.NParams = uint32(len(fs.Params)), uint16(len(params))
+	fs.Params = append(fs.Params, params...)
+	fs.Segments = append(fs.Segments, sg)
+}
+
+// Curve reconstructs segment i's fitted function as a boxed fit.Curve, for
+// rendering; the series' own evaluations go through appendSegments.
+func (fs *FunctionSeries) Curve(i int) (fit.Curve, error) {
+	return fit.Decode(fs.Segments[i].Kind, fs.SegmentParams(i))
+}
+
+// Slope returns segment i's characteristic slope: the line slope for line
+// segments, and the chord slope (ΔV/ΔT between the boundary points) for
+// other families. A zero-duration segment has slope 0.
+func (fs *FunctionSeries) Slope(i int) float64 {
+	sg := &fs.Segments[i]
+	if sg.Kind == fit.KindLine && sg.NParams == 2 {
+		return fs.Params[sg.Off]
 	}
 	if sg.EndT == sg.StartT {
 		return 0
@@ -51,12 +80,9 @@ func (sg *Segment) Slope() float64 {
 	return (sg.EndV - sg.StartV) / (sg.EndT - sg.StartT)
 }
 
-// FunctionSeries is the compact representation of one sequence: an ordered
-// list of represented subsequences covering all N original samples.
-type FunctionSeries struct {
-	N        int // original sample count
-	Segments []Segment
-}
+// buildParams is Build's scratch: the curves append into it and the series
+// keeps one exact copy, whatever the segment count.
+var buildParams = sync.Pool{New: func() any { return new([]float64) }}
 
 // Build constructs the representation from a segmentation. When representer
 // is nil each segment keeps the breaking algorithm's byproduct curve; the
@@ -66,6 +92,9 @@ func Build(s seq.Sequence, segs []breaking.Segment, representer fit.Fitter) (*Fu
 	if err := breaking.Validate(segs, len(s)); err != nil {
 		return nil, fmt.Errorf("rep: %w", err)
 	}
+	sc := buildParams.Get().(*[]float64)
+	defer buildParams.Put(sc)
+	params := (*sc)[:0]
 	fs := &FunctionSeries{N: len(s), Segments: make([]Segment, 0, len(segs))}
 	for _, g := range segs {
 		curve := g.Curve
@@ -76,24 +105,27 @@ func Build(s seq.Sequence, segs []breaking.Segment, representer fit.Fitter) (*Fu
 			}
 			curve = refit
 		}
+		off := len(params)
+		params = curve.AppendParams(params)
 		first, last := s[g.Lo], s[g.Hi]
-		params := curve.Params()
-		cp := make([]float64, len(params))
-		copy(cp, params)
 		fs.Segments = append(fs.Segments, Segment{
 			Lo: g.Lo, Hi: g.Hi,
 			StartT: first.T, StartV: first.V,
 			EndT: last.T, EndV: last.V,
-			Kind: curve.Kind(), Params: cp,
+			Off: uint32(off), NParams: uint16(len(params) - off), Kind: curve.Kind(),
 		})
 	}
+	fs.Params = slices.Clone(params)
+	*sc = params
 	return fs, nil
 }
 
 // NumSegments returns the number of represented subsequences.
 func (fs *FunctionSeries) NumSegments() int { return len(fs.Segments) }
 
-// Validate checks structural invariants of the representation.
+// Validate checks structural invariants of the representation: the
+// segments tile [0, N) in time order, and their parameter ranges tile
+// Params in segment order, each a valid vector for its kind.
 func (fs *FunctionSeries) Validate() error {
 	if fs.N <= 0 {
 		return fmt.Errorf("rep: non-positive sample count %d", fs.N)
@@ -101,7 +133,7 @@ func (fs *FunctionSeries) Validate() error {
 	if len(fs.Segments) == 0 {
 		return fmt.Errorf("rep: no segments")
 	}
-	prev := -1
+	prev, off := -1, 0
 	for i := range fs.Segments {
 		sg := &fs.Segments[i]
 		if sg.Lo != prev+1 {
@@ -113,13 +145,19 @@ func (fs *FunctionSeries) Validate() error {
 		if sg.Lo > 0 && sg.StartT <= fs.Segments[i-1].EndT {
 			return fmt.Errorf("rep: segment %d starts at time %g, not after %g", i, sg.StartT, fs.Segments[i-1].EndT)
 		}
-		if err := fit.CheckParams(sg.Kind, sg.Params); err != nil {
+		if int(sg.Off) != off || off+int(sg.NParams) > len(fs.Params) {
+			return fmt.Errorf("rep: segment %d params [%d,+%d) not at %d within %d", i, sg.Off, sg.NParams, off, len(fs.Params))
+		}
+		if err := fit.CheckParams(sg.Kind, fs.SegmentParams(i)); err != nil {
 			return fmt.Errorf("rep: segment %d: %w", i, err)
 		}
-		prev = sg.Hi
+		prev, off = sg.Hi, off+int(sg.NParams)
 	}
 	if prev != fs.N-1 {
 		return fmt.Errorf("rep: segments end at %d, want %d", prev, fs.N-1)
+	}
+	if off != len(fs.Params) {
+		return fmt.Errorf("rep: segments use %d of %d params", off, len(fs.Params))
 	}
 	return nil
 }
@@ -155,26 +193,42 @@ func (fs *FunctionSeries) AppendReconstruction(dst seq.Sequence) (seq.Sequence, 
 // where it is created, and verifies query candidates through this. On a
 // series that would fail Validate it may panic.
 func (fs *FunctionSeries) AppendReconstructionUnchecked(dst seq.Sequence) seq.Sequence {
-	dst = slices.Grow(dst, fs.N)
-	for i := range fs.Segments {
+	return fs.appendSegments(slices.Grow(dst, fs.N), 0, len(fs.Segments), nil)
+}
+
+// appendSegments appends segments [from, to) evaluated at their uniform
+// sample times, or at the times of at, each segment taking as many as it
+// covers samples (or what remains). It is every evaluation's one dispatch
+// on Kind, to concrete curves: nothing is boxed, and each Eval is the
+// arithmetic the fit.Curve interface would run. fs must be valid.
+func (fs *FunctionSeries) appendSegments(dst seq.Sequence, from, to int, at seq.Sequence) seq.Sequence {
+	params := fs.Params
+	for i := from; i < to; i++ {
 		sg := &fs.Segments[i]
-		// Concrete curves, not the fit.Curve interface: nothing is boxed,
-		// and each Eval is the same arithmetic the interface would run.
+		var times seq.Sequence
+		if at != nil {
+			k := min(sg.Len(), len(at))
+			times, at = at[:k], at[k:]
+		}
+		p := params[sg.Off:][:sg.NParams]
 		switch sg.Kind {
 		case fit.KindLine:
-			dst = appendSegment(dst, sg, fit.LineFromParams(sg.Params))
+			dst = appendCurve(dst, sg, times, fit.LineFromParams(p))
 		case fit.KindPoly:
-			dst = appendSegment(dst, sg, fit.PolynomialFromParams(sg.Params))
-		case fit.KindBezier:
-			dst = appendSegment(dst, sg, fit.BezierFromParams(sg.Params))
+			dst = appendCurve(dst, sg, times, fit.PolynomialFromParams(p))
+		default: // KindBezier: Validate refused every other kind
+			dst = appendCurve(dst, sg, times, fit.BezierFromParams(p))
 		}
 	}
 	return dst
 }
 
-// appendSegment appends one segment's samples, evaluated on curve at
-// uniformly spaced times between its boundary points.
-func appendSegment[C interface{ Eval(float64) float64 }](dst seq.Sequence, sg *Segment, curve C) seq.Sequence {
+// appendCurve appends one segment's samples of curve: at the times of
+// at, or at the segment's uniform sample times when at is nil.
+func appendCurve[C interface{ Eval(float64) float64 }](dst seq.Sequence, sg *Segment, at seq.Sequence, curve C) seq.Sequence {
+	if at != nil {
+		return appendAt(dst, at, curve)
+	}
 	n := sg.Len()
 	for j := 0; j < n; j++ {
 		t := sg.StartT
@@ -186,52 +240,32 @@ func appendSegment[C interface{ Eval(float64) float64 }](dst seq.Sequence, sg *S
 	return dst
 }
 
+// appendAt is appendCurve at given times, apart from the uniform loop that verification runs hot.
+func appendAt[C interface{ Eval(float64) float64 }](dst, at seq.Sequence, curve C) seq.Sequence {
+	for _, q := range at {
+		dst = append(dst, seq.Point{T: q.T, V: curve.Eval(q.T)})
+	}
+	return dst
+}
+
 // ValueAt evaluates the representation at an arbitrary time, choosing the
 // segment whose [StartT, EndT] span contains t (predicting unsampled
-// points). Times outside the represented span clamp to the span's ends;
-// the curves are never extrapolated.
+// points), or in a gap the segment after it. Times outside the
+// represented span clamp to the span's ends; the curves are never
+// extrapolated.
 func (fs *FunctionSeries) ValueAt(t float64) (float64, error) {
-	if len(fs.Segments) == 0 {
-		return 0, fmt.Errorf("rep: empty representation")
-	}
-	lo, hi := 0, len(fs.Segments)-1
-	if first := &fs.Segments[0]; t <= first.EndT {
-		if t < first.StartT {
-			t = first.StartT
-		}
-		c, err := first.Curve()
-		if err != nil {
-			return 0, err
-		}
-		return c.Eval(t), nil
-	}
-	if last := &fs.Segments[hi]; t >= last.StartT {
-		if t > last.EndT {
-			t = last.EndT
-		}
-		c, err := last.Curve()
-		if err != nil {
-			return 0, err
-		}
-		return c.Eval(t), nil
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if fs.Segments[mid].StartT <= t {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	pick := lo
-	if t > fs.Segments[lo].EndT {
-		pick = hi
-	}
-	c, err := fs.Segments[pick].Curve()
-	if err != nil {
+	if err := fs.Validate(); err != nil {
 		return 0, err
 	}
-	return c.Eval(t), nil
+	segs := fs.Segments
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].EndT >= t })
+	if i == len(segs) {
+		i, t = i-1, segs[i-1].EndT
+	}
+	if i == 0 {
+		t = max(t, segs[0].StartT)
+	}
+	return fs.appendSegments(nil, i, i+1, seq.Sequence{{T: t}})[0].V, nil
 }
 
 // ErrorAgainst returns the RMSE and maximum absolute vertical error of the
@@ -240,44 +274,29 @@ func (fs *FunctionSeries) ErrorAgainst(s seq.Sequence) (rmse, linf float64, err 
 	if len(s) != fs.N {
 		return 0, 0, fmt.Errorf("rep: sequence has %d samples, representation built from %d", len(s), fs.N)
 	}
+	if err := fs.Validate(); err != nil {
+		return 0, 0, err
+	}
+	at := fs.appendSegments(make(seq.Sequence, 0, fs.N), 0, len(fs.Segments), s)
 	var sse float64
-	for i := range fs.Segments {
-		sg := &fs.Segments[i]
-		curve, err := sg.Curve()
-		if err != nil {
-			return 0, 0, err
+	for i, p := range s {
+		d := math.Abs(p.V - at[i].V)
+		if d > linf {
+			linf = d
 		}
-		for _, p := range s[sg.Lo : sg.Hi+1] {
-			d := math.Abs(p.V - curve.Eval(p.T))
-			if d > linf {
-				linf = d
-			}
-			sse += d * d
-		}
+		sse += d * d
 	}
 	return math.Sqrt(sse / float64(fs.N)), linf, nil
 }
 
 // StoredFloats counts every float64 the representation stores: the four
-// boundary coordinates plus the function parameters, per segment.
-func (fs *FunctionSeries) StoredFloats() int {
-	total := 0
-	for i := range fs.Segments {
-		total += 4 + len(fs.Segments[i].Params)
-	}
-	return total
-}
+// boundary coordinates per segment plus the function parameters.
+func (fs *FunctionSeries) StoredFloats() int { return 4*len(fs.Segments) + len(fs.Params) }
 
 // ParamFloats counts floats under the paper's accounting — "each
 // representation requires 4 parameters (such as function coefficients and
 // breakpoints)" — i.e. function coefficients plus the two boundary times.
-func (fs *FunctionSeries) ParamFloats() int {
-	total := 0
-	for i := range fs.Segments {
-		total += 2 + len(fs.Segments[i].Params)
-	}
-	return total
-}
+func (fs *FunctionSeries) ParamFloats() int { return 2*len(fs.Segments) + len(fs.Params) }
 
 // CompressionRatio is original samples per stored float (full accounting).
 func (fs *FunctionSeries) CompressionRatio() float64 {
@@ -294,14 +313,4 @@ func (fs *FunctionSeries) PaperCompressionRatio() float64 {
 		return float64(fs.N) / float64(pf)
 	}
 	return 0
-}
-
-// Slopes returns every segment's characteristic slope in order, the raw
-// material for the slope-sign indexing of §4.4.
-func (fs *FunctionSeries) Slopes() []float64 {
-	out := make([]float64, len(fs.Segments))
-	for i := range fs.Segments {
-		out[i] = fs.Segments[i].Slope()
-	}
-	return out
 }

@@ -3,8 +3,11 @@ package rep
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"seqrep/internal/breaking"
 	"seqrep/internal/fit"
@@ -43,7 +46,7 @@ func TestBuildKeepsByproductCurves(t *testing.T) {
 	// Byproduct interpolation lines pass through segment boundary points.
 	for i := range fs.Segments {
 		sg := &fs.Segments[i]
-		c, err := sg.Curve()
+		c, err := fs.Curve(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +138,29 @@ func TestValueAt(t *testing.T) {
 	if _, err := empty.ValueAt(0); err == nil {
 		t.Error("empty representation accepted")
 	}
+
+	// ValueAt and the reconstruction take one dispatch on the curve kind:
+	// at every reconstructed sample time they agree bit for bit.
+	s := spiky(200)
+	for _, representer := range []fit.Fitter{fit.RegressionFitter{}, fit.PolynomialFitter{Degree: 3}, fit.BezierFitter{}} {
+		segs, err := breaking.Interpolation(0.5).Break(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := Build(s, segs, representer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range fs.AppendReconstructionUnchecked(nil) {
+			got, err := fs.ValueAt(p.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(p.V) {
+				t.Fatalf("%s: ValueAt(%g) = %g, reconstruction %g", representer.Name(), p.T, got, p.V)
+			}
+		}
+	}
 }
 
 func TestErrorAgainstLengthMismatch(t *testing.T) {
@@ -188,23 +214,20 @@ func TestECGCompressionShape(t *testing.T) {
 
 func TestSlopes(t *testing.T) {
 	_, fs := buildFever(t, nil)
-	slopes := fs.Slopes()
-	if len(slopes) != fs.NumSegments() {
-		t.Fatalf("slope count %d", len(slopes))
-	}
 	// The fever curve rises to the first peak: first segment slope > 0.
-	if slopes[0] <= 0 {
-		t.Errorf("first slope = %g, want rising", slopes[0])
+	if got := fs.Slope(0); got <= 0 {
+		t.Errorf("first slope = %g, want rising", got)
 	}
 }
 
 func TestSegmentSlopeFallback(t *testing.T) {
-	sg := Segment{StartT: 0, StartV: 0, EndT: 2, EndV: 6, Kind: fit.KindBezier, Params: make([]float64, 8)}
-	if got := sg.Slope(); got != 3 {
+	var fs FunctionSeries
+	fs.AppendSegment(Segment{StartT: 0, StartV: 0, EndT: 2, EndV: 6, Kind: fit.KindBezier}, make([]float64, 8)...)
+	fs.AppendSegment(Segment{StartT: 1, EndT: 1, Kind: fit.KindBezier})
+	if got := fs.Slope(0); got != 3 {
 		t.Errorf("chord slope = %g, want 3", got)
 	}
-	zero := Segment{StartT: 1, EndT: 1, Kind: fit.KindBezier}
-	if got := zero.Slope(); got != 0 {
+	if got := fs.Slope(1); got != 0 {
 		t.Errorf("zero-span slope = %g", got)
 	}
 }
@@ -230,10 +253,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		if a.StartT != b.StartT || a.StartV != b.StartV || a.EndT != b.EndT || a.EndV != b.EndV {
 			t.Errorf("segment %d boundary mismatch", i)
 		}
-		for j := range a.Params {
-			if a.Params[j] != b.Params[j] {
-				t.Errorf("segment %d param %d mismatch", i, j)
-			}
+		if !slices.Equal(fs.SegmentParams(i), back.SegmentParams(i)) {
+			t.Errorf("segment %d params mismatch", i)
 		}
 	}
 }
@@ -246,10 +267,7 @@ func TestUnmarshalBinaryAllocs(t *testing.T) {
 		fs := &FunctionSeries{N: 3 * k}
 		for i := 0; i < k; i++ {
 			lo := 3 * i
-			fs.Segments = append(fs.Segments, Segment{
-				Lo: lo, Hi: lo + 2, StartT: float64(lo), EndT: float64(lo + 2),
-				Kind: fit.KindLine, Params: []float64{1, float64(i)},
-			})
+			fs.AppendSegment(Segment{Lo: lo, Hi: lo + 2, StartT: float64(lo), EndT: float64(lo + 2), Kind: fit.KindLine}, 1, float64(i))
 		}
 		blob, err := fs.MarshalBinary()
 		if err != nil {
@@ -313,10 +331,10 @@ func TestDecodeRejectsBadKind(t *testing.T) {
 	mangled.Segments = make([]Segment, len(fs.Segments))
 	copy(mangled.Segments, fs.Segments)
 	mangled.Segments[0].Kind = fit.Kind(200)
-	tooMany := *fs
-	tooMany.Segments = []Segment{fs.Segments[0]}
-	tooMany.N = fs.Segments[0].Hi + 1
-	tooMany.Segments[0].Kind, tooMany.Segments[0].Params = fit.KindPoly, make([]float64, maxParams+1)
+	first := fs.Segments[0]
+	first.Kind = fit.KindPoly
+	tooMany := FunctionSeries{N: first.Hi + 1}
+	tooMany.AppendSegment(first, make([]float64, maxParams+1)...)
 	// The encoder refuses invalid series, and series it cannot decode,
 	// before it appends a byte.
 	for name, bad := range map[string]*FunctionSeries{"invalid kind": &mangled, "params past maxParams": &tooMany} {
@@ -343,7 +361,7 @@ func referenceReconstruct(t *testing.T, fs *FunctionSeries) seq.Sequence {
 	var out seq.Sequence
 	for i := range fs.Segments {
 		sg := &fs.Segments[i]
-		curve, err := sg.Curve()
+		curve, err := fs.Curve(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +473,8 @@ func TestAppendReconstructionBitIdentical(t *testing.T) {
 
 	// An invalid series fails validation on every call and leaves dst as
 	// it was.
-	bad := &FunctionSeries{N: 2, Segments: []Segment{{Lo: 0, Hi: 1, EndT: 1, Kind: fit.KindPoly, Params: []float64{0}}}}
+	bad := &FunctionSeries{N: 2}
+	bad.AppendSegment(Segment{Lo: 0, Hi: 1, EndT: 1, Kind: fit.KindPoly}, 0)
 	prefix := seq.Sequence{{T: 7, V: 7}}
 	for i := 0; i < 2; i++ {
 		got, err := bad.AppendReconstruction(prefix)
@@ -466,11 +485,96 @@ func TestAppendReconstructionBitIdentical(t *testing.T) {
 }
 
 func TestValidateCatchesTimeOverlap(t *testing.T) {
-	fs := &FunctionSeries{N: 4, Segments: []Segment{
-		{Lo: 0, Hi: 1, StartT: 0, EndT: 5, Kind: fit.KindLine, Params: []float64{1, 0}},
-		{Lo: 2, Hi: 3, StartT: 4, EndT: 9, Kind: fit.KindLine, Params: []float64{1, 0}},
-	}}
+	fs := &FunctionSeries{N: 4}
+	fs.AppendSegment(Segment{Lo: 0, Hi: 1, StartT: 0, EndT: 5, Kind: fit.KindLine}, 1, 0)
+	fs.AppendSegment(Segment{Lo: 2, Hi: 3, StartT: 4, EndT: 9, Kind: fit.KindLine}, 1, 0)
 	if err := fs.Validate(); err == nil || !strings.Contains(err.Error(), "not after") {
 		t.Errorf("time overlap not caught: %v", err)
+	}
+}
+
+// TestSegmentLayout pins the segment at 56 bytes with no pointer in it,
+// so a series' segment array is one block the GC never scans.
+func TestSegmentLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Segment{}); size != 56 {
+		t.Errorf("Segment is %d bytes, want 56", size)
+	}
+	typ := reflect.TypeOf(Segment{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Float64:
+		default:
+			t.Errorf("Segment.%s is a %s; a segment holds only scalars", f.Name, f.Type)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector, whose
+// sync.Pool drops items at random.
+var raceEnabled bool
+
+// TestBuildAllocs: a build allocates the series, its segment array and
+// its one parameter array, however many segments and curve kinds it has.
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	curves := []fit.Curve{
+		fit.Line{Slope: 1, Intercept: 2},
+		fit.Polynomial{Origin: 1, Coeffs: []float64{1, 2, 3}},
+		fit.Bezier{},
+	}
+	var allocs []float64
+	for _, k := range []int{1, 40} {
+		s := seq.New(make([]float64, 3*k))
+		segs := make([]breaking.Segment, k)
+		for i := range segs {
+			segs[i] = breaking.Segment{Lo: 3 * i, Hi: 3*i + 2, Curve: curves[i%len(curves)]}
+		}
+		allocs = append(allocs, testing.AllocsPerRun(50, func() {
+			if _, err := Build(s, segs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 3 {
+		t.Fatalf("allocations per build: %v for 1 segment, %v for 40; want equal and at most 3", allocs[0], allocs[1])
+	}
+}
+
+// TestValidateParamRanges: the segments' parameter ranges must tile
+// Params in order. AppendReconstructionUnchecked trusts that, so each
+// broken tiling fails Validate, and the validating entry points refuse it
+// without panicking.
+func TestValidateParamRanges(t *testing.T) {
+	valid := func() *FunctionSeries {
+		fs := &FunctionSeries{N: 6}
+		fs.AppendSegment(Segment{Lo: 0, Hi: 1, StartT: 0, EndT: 1, Kind: fit.KindLine}, 1, 0)
+		fs.AppendSegment(Segment{Lo: 2, Hi: 3, StartT: 2, EndT: 3, Kind: fit.KindPoly}, 2, 1, 0.5)
+		fs.AppendSegment(Segment{Lo: 4, Hi: 5, StartT: 4, EndT: 5, Kind: fit.KindLine}, -1, 9)
+		return fs
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(fs *FunctionSeries){
+		"offset gap":      func(fs *FunctionSeries) { fs.Segments[1].Off++; fs.Params = append(fs.Params, 0) },
+		"overlap":         func(fs *FunctionSeries) { fs.Segments[1].Off-- },
+		"range past end":  func(fs *FunctionSeries) { fs.Params = fs.Params[:len(fs.Params)-1] },
+		"count past end":  func(fs *FunctionSeries) { fs.Segments[2].NParams = 200 },
+		"unused trailing": func(fs *FunctionSeries) { fs.Params = append(fs.Params, 0) },
+	}
+	for name, mangle := range cases {
+		fs := valid()
+		mangle(fs)
+		if err := fs.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
+		if _, err := fs.AppendReconstruction(nil); err == nil {
+			t.Errorf("%s: AppendReconstruction accepted", name)
+		}
+		if _, err := fs.MarshalBinary(); err == nil {
+			t.Errorf("%s: MarshalBinary accepted", name)
+		}
 	}
 }

@@ -27,6 +27,10 @@ func sortedIDs(ids []string) []string {
 }
 
 func TestEndToEnd(t *testing.T) {
+	// Registered first, so it runs last: after both servers and both
+	// databases are closed, nothing the test started may be left.
+	base := leakBaseline()
+	t.Cleanup(func() { checkNoLeaks(t, base) })
 	ctx := context.Background()
 	dir := t.TempDir()
 

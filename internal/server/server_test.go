@@ -15,9 +15,13 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"seqrep"
 	"seqrep/api"
@@ -28,9 +32,19 @@ import (
 )
 
 // testServer spins a server over cfg and returns a typed client wired to
-// it. cfg.DB may be nil (a fresh default database is made).
+// it. cfg.DB may be nil (a fresh default database is made). Its cleanup
+// closes the server and then the database (Close is idempotent). After
+// the last of a test's servers is closed, the test fails if a goroutine
+// or a file descriptor opened since its first testServer call is left.
 func testServer(t testing.TB, cfg Config) (*Server, *client.Client) {
 	t.Helper()
+	if _, checked := leakChecked.LoadOrStore(t, true); !checked {
+		base := leakBaseline()
+		t.Cleanup(func() {
+			leakChecked.Delete(t)
+			checkNoLeaks(t, base)
+		})
+	}
 	if cfg.DB == nil {
 		db, err := seqrep.New(seqrep.Config{})
 		if err != nil {
@@ -43,8 +57,48 @@ func testServer(t testing.TB, cfg Config) (*Server, *client.Client) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		cfg.DB.Close()
+	})
 	return srv, client.New(ts.URL)
+}
+
+// leakChecked holds the tests whose first testServer call registered the
+// leak check.
+var leakChecked sync.Map
+
+// leaks is the process's goroutine count and open file descriptors (the
+// entries of /proc/self/fd, or -1 where that directory is absent). No
+// server test runs in parallel, so process-wide counts are usable.
+type leaks struct{ goroutines, fds int }
+
+func leakBaseline() leaks {
+	fds := -1
+	if ents, err := os.ReadDir("/proc/self/fd"); err == nil {
+		fds = len(ents)
+	}
+	return leaks{runtime.NumGoroutine(), fds}
+}
+
+// checkNoLeaks polls until the goroutine count and the open descriptors
+// are back to base, and fails with every goroutine's stack if they are
+// not within 5 s.
+func checkNoLeaks(t testing.TB, base leaks) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		now := leakBaseline()
+		if now.goroutines <= base.goroutines && now.fds <= base.fds {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("leak after teardown: %d goroutines (baseline %d), %d open fds (baseline %d)\n%s",
+				now.goroutines, base.goroutines, now.fds, base.fds, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // logIngest writes one ingest of n samples at value v under id straight

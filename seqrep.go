@@ -143,9 +143,11 @@ type (
 	PatternHit = core.PatternHit
 	// ShapeTolerance holds per-dimension tolerances for ShapeQuery.
 	ShapeTolerance = core.ShapeTolerance
-	// FunctionSeries is the compact representation of one sequence.
+	// FunctionSeries is the compact representation of one sequence: its
+	// segments and, in one Params array, every segment's parameters.
 	FunctionSeries = rep.FunctionSeries
-	// RepSegment is one represented subsequence.
+	// RepSegment is one represented subsequence; its parameters are
+	// FunctionSeries.SegmentParams(i), addressed by its Off and NParams.
 	RepSegment = rep.Segment
 	// Peak is one detected peak with its Table 1 bookkeeping.
 	Peak = feature.Peak
