@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -25,11 +26,12 @@ import (
 	"seqrep/client"
 )
 
-// buildServer compiles the seqserved binary once per test run.
-func buildServer(t *testing.T) string {
+// buildServer compiles the seqserved binary once per test run, with the
+// given build tags.
+func buildServer(t *testing.T, tags ...string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "seqserved")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
+	cmd := exec.Command("go", "build", "-tags", strings.Join(tags, ","), "-o", bin, ".")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("building seqserved: %v\n%s", err, out)
 	}
@@ -172,18 +174,19 @@ func TestKillNineLosesNoAcknowledgedWrite(t *testing.T) {
 
 // TestSIGKILLWhileDegradedLosesNoAcknowledgedWrite is the kill-9 test's
 // evil twin: the server's disk "fails" mid-service (an injected WAL
-// sync fault armed by the chaos flags), the database degrades to
-// read-only — and THEN the process is SIGKILLed, mid-episode, with no
-// drain. The reboot, on a healthy disk, must hold every write the
-// degraded server acknowledged before the fault and must be fully
-// healthy. Writes rejected during the window may reappear (a failed
-// fsync leaves the page cache unknowable — docs/RELIABILITY.md) but
-// none of them was ever acknowledged, so nothing acknowledged is lost.
+// sync fault armed by the flags of a -tags chaos build), the database
+// degrades to read-only — and THEN the process is SIGKILLed,
+// mid-episode, with no drain. The reboot, on a healthy disk, must hold
+// every write the degraded server acknowledged before the fault and must
+// be fully healthy. Writes rejected during the window may reappear (a
+// failed fsync leaves the page cache unknowable — docs/RELIABILITY.md)
+// but none of them was ever acknowledged, so nothing acknowledged is
+// lost.
 func TestSIGKILLWhileDegradedLosesNoAcknowledgedWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and SIGKILLs a real server process")
 	}
-	bin := buildServer(t)
+	bin := buildServer(t, "chaos")
 	dataDir := t.TempDir()
 	addr := freeAddr(t)
 

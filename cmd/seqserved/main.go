@@ -55,9 +55,12 @@ import (
 	"time"
 
 	"seqrep"
-	"seqrep/internal/chaos"
 	"seqrep/internal/server"
 )
+
+// armFaults arms the injected storage faults the chaos flags ask for. It
+// is nil unless the binary is built with -tags chaos (chaos.go).
+var armFaults func(*seqrep.DB)
 
 func main() {
 	if err := run(); err != nil {
@@ -93,12 +96,6 @@ func run() error {
 		admitQ   = flag.Int("admission-queue", 0, "bounded admission wait-queue weight beyond the concurrency budget (0 = default 256, negative disables queuing)")
 		ckptFail = flag.Int("checkpoint-fail-limit", 0, "consecutive checkpoint failures at which /healthz reports unhealthy with 503 (0 = default 3, negative disables)")
 		probeIvl = flag.Duration("probe-interval", 0, "storage-recovery probe period while degraded: each tick tests the write path and restores write service when the disk recovers (0 = default 2s, negative disables)")
-
-		// Chaos flags for the reliability e2e suite only: arm a one-shot
-		// fsync fault window in the write-ahead log so a test can observe
-		// a real process degrade and recover (or be killed mid-episode).
-		chaosAfter = flag.Int64("chaos-wal-fail-after", 0, "TESTING ONLY: number of WAL syncs that succeed before injected failures begin (with -chaos-wal-fail-count)")
-		chaosCount = flag.Int64("chaos-wal-fail-count", 0, "TESTING ONLY: number of injected WAL sync failures; after the window the fault heals (negative = fail forever)")
 	)
 	flag.Parse()
 
@@ -137,10 +134,8 @@ func run() error {
 	}
 	defer db.Close()
 
-	if *chaosCount != 0 {
-		f := &chaos.Fault{Kind: chaos.DiskError, After: *chaosAfter, Count: *chaosCount}
-		db.SetWALFault(nil, f.Hook())
-		log.Printf("CHAOS: wal sync faults armed after %d syncs for %d failures", *chaosAfter, *chaosCount)
+	if armFaults != nil {
+		armFaults(db)
 	}
 
 	srvCfg := server.Config{

@@ -210,10 +210,14 @@ func TestFeaturesPrefixBitIdentical(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds, where sync.Pool
+// drops items at random and so pooled scratch can allocate.
+var raceEnabled bool
+
 // TestFeaturesPastCapAllocates: a length whose twiddle rows the cache
 // cannot hold allocates no table — only the vector and the coefficients
 // dftPrefix returns — so a long series costs no more memory than before
-// the cache existed.
+// the cache existed. The bound is not checked under -race.
 func TestFeaturesPastCapAllocates(t *testing.T) {
 	vals := randVals(twiddleCap/(16*8)+1, 3)
 	allocs := testing.AllocsPerRun(3, func() {
@@ -221,7 +225,7 @@ func TestFeaturesPastCapAllocates(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
+	if !raceEnabled && allocs > 2 {
 		t.Errorf("Features past the cap allocates %v times per call, want at most 2", allocs)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"seqrep"
@@ -99,8 +98,8 @@ type Config struct {
 type Server struct {
 	db           *seqrep.DB // fixed for the server's life
 	snap         Snapshotter
-	cache        *resultCache // nil when disabled
-	metrics      *metricsRegistry
+	cache        *resultCache    // nil when disabled
+	routes       []*routeMetrics // one cell per route, in registration order
 	mux          *http.ServeMux
 	bodyLimit    int64 // 0 = unlimited
 	queryTimeout time.Duration
@@ -128,7 +127,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		db:           cfg.DB,
 		snap:         cfg.Snapshotter,
-		metrics:      newMetricsRegistry(),
 		mux:          http.NewServeMux(),
 		bodyLimit:    limit,
 		queryTimeout: cfg.QueryTimeout,
@@ -185,14 +183,16 @@ func (s *Server) Snapshot() error {
 }
 
 // route mounts handler under pattern with the admission and metrics
-// middleware, labeling observations by the route pattern so cardinality
-// stays bounded. weight is the request's admission cost; 0 bypasses
-// admission control entirely (health and metrics must answer even — and
-// especially — while the server is saturated).
+// middleware, counting its requests in the pattern's own cell. weight is
+// the request's admission cost; 0 bypasses admission control entirely
+// (health and metrics must answer even — and especially — while the
+// server is saturated).
 func (s *Server) route(pattern string, weight int, handler http.HandlerFunc) {
+	m := &routeMetrics{label: "endpoint=" + strconv.Quote(pattern)}
+	s.routes = append(s.routes, m)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		if s.bodyLimit > 0 && r.Body != nil {
 			r.Body = http.MaxBytesReader(rec, r.Body, s.bodyLimit)
 		}
@@ -215,10 +215,7 @@ func (s *Server) route(pattern string, weight int, handler http.HandlerFunc) {
 		} else {
 			handler(rec, r)
 		}
-		if rec.code == 0 {
-			rec.code = http.StatusOK
-		}
-		s.metrics.observe(pattern, rec.code, time.Since(start))
+		m.observe(rec.code, time.Since(start))
 	})
 }
 
@@ -586,76 +583,82 @@ func (s *Server) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 
 // ---- health + metrics ----
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+// status reads every source /healthz and /metrics report, once.
+func (s *Server) status() status {
 	db := s.DB()
-	resp := api.HealthResponse{
-		Status:     "ok",
-		Sequences:  db.Len(),
-		Generation: db.Generation(),
+	st := status{
+		health: api.HealthResponse{Status: "ok", Sequences: db.Len(), Generation: db.Generation()},
+		code:   http.StatusOK,
+		routes: s.routes,
 	}
-	code := http.StatusOK
-	if st, ok := db.WALStats(); ok {
-		resp.Durable = true
-		resp.WALRecords = st.Records
-		resp.WALBytes = st.Bytes
-		resp.WALSegments = st.Segments
-		resp.CheckpointFailures = st.CheckpointFailures
-		resp.CheckpointFailStreak = st.CheckpointFailStreak
-		resp.LastCheckpointError = st.LastCheckpointError
-		if !st.LastCheckpoint.IsZero() {
-			age := checkpointAge(st.LastCheckpoint)
-			resp.LastCheckpointAgeSeconds = &age
+	h := &st.health
+	if w, ok := db.WALStats(); ok {
+		h.Durable, h.WALRecords, h.WALBytes, h.WALSegments = true, w.Records, w.Bytes, w.Segments
+		h.CheckpointFailures, h.CheckpointFailStreak = w.CheckpointFailures, w.CheckpointFailStreak
+		h.LastCheckpointError, st.walSyncs = w.LastCheckpointError, w.Syncs
+		if !w.LastCheckpoint.IsZero() {
+			age := checkpointAge(w.LastCheckpoint)
+			h.LastCheckpointAgeSeconds = &age
 		}
 		// A checkpoint-failure streak means the log is no longer being
 		// truncated: the node still serves, but it must stop reporting
 		// healthy before the disk fills.
-		if s.ckptFailMax > 0 && st.CheckpointFailStreak >= s.ckptFailMax {
-			resp.Status = "unhealthy"
-			code = http.StatusServiceUnavailable
+		if s.ckptFailMax > 0 && w.CheckpointFailStreak >= s.ckptFailMax {
+			h.Status = "unhealthy"
+			st.code = http.StatusServiceUnavailable
 		}
 	}
 	deg := db.DegradedStatus()
-	resp.Recoveries = deg.Recoveries
+	h.Recoveries = deg.Recoveries
+	st.transitions = deg.Transitions
 	if deg.Degraded {
-		resp.Status = "degraded"
-		resp.Degraded = true
-		resp.DegradedCause = deg.Cause
+		h.Status, h.Degraded, h.DegradedCause = "degraded", true, deg.Cause
 		if !deg.Since.IsZero() {
 			since := checkpointAge(deg.Since)
-			resp.DegradedSince = &since
+			h.DegradedSince = &since
 		}
-		code = http.StatusServiceUnavailable
+		st.code = http.StatusServiceUnavailable
 	}
 	if s.admit != nil {
-		st := s.admit.stats()
-		resp.Admission = &st
+		a := s.admit.stats()
+		h.Admission = &a
 	}
-	if st, ok := db.SegmentStats(); ok {
-		resp.SegmentCount = st.Segments
-		resp.SegmentEntries = st.Entries
-		resp.SegmentTombstones = st.Tombstones
-		resp.SegmentBytes = st.Bytes
-		resp.Compactions = st.Compactions
+	if seg, ok := db.SegmentStats(); ok {
+		h.SegmentCount, h.SegmentEntries, h.SegmentTombstones = seg.Segments, seg.Entries, seg.Tombstones
+		h.SegmentBytes, h.Compactions = seg.Bytes, seg.Compactions
 	}
-	if st, ok := db.ResidencyStats(); ok {
-		resp.MemoryBudget = st.MemoryBudget
-		resp.ResidentRecords = st.ResidentRecords
-		resp.ResidentBytes = st.ResidentBytes
-		resp.ResidentPinned = st.Pinned
-		resp.Evictions = st.Evictions
-		resp.ColdHits = st.ColdHits
+	if r, ok := db.ResidencyStats(); ok {
+		h.MemoryBudget, h.ResidentRecords, h.ResidentBytes = r.MemoryBudget, r.ResidentRecords, r.ResidentBytes
+		h.ResidentPinned, h.Evictions, h.ColdHits = r.Pinned, r.Evictions, r.ColdHits
 	}
-	// Load balancers and probes read the status code; humans and tests
-	// read the body — both are always present.
-	writeJSON(w, code, resp)
+	if s.cache != nil {
+		c := s.cache.stats()
+		st.cache = &c
+	}
+	return st
 }
 
-// boolGauge renders a boolean as a 0/1 Prometheus gauge value.
-func boolGauge(b bool) int {
-	if b {
-		return 1
+// handleHealth answers the status read as JSON. Load balancers and
+// probes read the status code; humans and tests read the body — both
+// are always present.
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	st := s.status()
+	writeJSON(w, st.code, st.health)
+}
+
+// handleMetrics answers the status read in the Prometheus text format:
+// every present family, under its # HELP and # TYPE.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	st := s.status()
+	var b []byte
+	for _, f := range families {
+		if f.present == nil || f.present(&st) {
+			b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+			b = f.samples(b, f.name, &st)
+		}
 	}
-	return 0
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = w.Write(b)
 }
 
 // checkpointAge is time.Since clamped at zero: boot stamps the last
@@ -668,83 +671,4 @@ func checkpointAge(t time.Time) float64 {
 		return 0
 	}
 	return age
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	db := s.DB()
-	var b strings.Builder
-	s.metrics.render(&b)
-	if s.cache != nil {
-		st := s.cache.stats()
-		fmt.Fprintf(&b, "# HELP seqserved_cache_hits_total Result cache hits.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_cache_hits_total counter\n")
-		fmt.Fprintf(&b, "seqserved_cache_hits_total %d\n", st.hits)
-		fmt.Fprintf(&b, "seqserved_cache_misses_total %d\n", st.misses)
-		fmt.Fprintf(&b, "seqserved_cache_invalidations_total %d\n", st.invalidations)
-		fmt.Fprintf(&b, "seqserved_cache_entries %d\n", st.entries)
-	}
-	fmt.Fprintf(&b, "seqserved_generation %d\n", db.Generation())
-	fmt.Fprintf(&b, "seqserved_sequences %d\n", db.Len())
-	if s.admit != nil {
-		st := s.admit.stats()
-		fmt.Fprintf(&b, "# HELP seqserved_admission_inflight Weighted work currently admitted.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_admission_inflight gauge\n")
-		fmt.Fprintf(&b, "seqserved_admission_inflight %d\n", st.Inflight)
-		fmt.Fprintf(&b, "seqserved_admission_limit %d\n", st.Limit)
-		fmt.Fprintf(&b, "# HELP seqserved_admission_queued Weighted work waiting for admission.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_admission_queued gauge\n")
-		fmt.Fprintf(&b, "seqserved_admission_queued %d\n", st.Queued)
-		fmt.Fprintf(&b, "# HELP seqserved_admission_rejected_total Requests shed with 429 since boot.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_admission_rejected_total counter\n")
-		fmt.Fprintf(&b, "seqserved_admission_rejected_total %d\n", st.Rejected)
-	}
-	deg := db.DegradedStatus()
-	fmt.Fprintf(&b, "# HELP seqserved_degraded Storage-fault read-only mode (1 while writes are disabled).\n")
-	fmt.Fprintf(&b, "# TYPE seqserved_degraded gauge\n")
-	fmt.Fprintf(&b, "seqserved_degraded %d\n", boolGauge(deg.Degraded))
-	fmt.Fprintf(&b, "seqserved_degraded_transitions_total %d\n", deg.Transitions)
-	fmt.Fprintf(&b, "seqserved_degraded_recoveries_total %d\n", deg.Recoveries)
-	if st, ok := db.WALStats(); ok {
-		fmt.Fprintf(&b, "# HELP seqserved_wal_records Write-ahead-log records a crash would replay.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_wal_records gauge\n")
-		fmt.Fprintf(&b, "seqserved_wal_records %d\n", st.Records)
-		fmt.Fprintf(&b, "seqserved_wal_bytes %d\n", st.Bytes)
-		fmt.Fprintf(&b, "seqserved_wal_segments %d\n", st.Segments)
-		fmt.Fprintf(&b, "# HELP seqserved_wal_syncs_total Write-ahead-log data fsyncs since boot (appends per fsync is the group-commit size).\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_wal_syncs_total counter\n")
-		fmt.Fprintf(&b, "seqserved_wal_syncs_total %d\n", st.Syncs)
-		fmt.Fprintf(&b, "# HELP seqserved_checkpoint_failures_total Checkpoints that failed since boot.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_checkpoint_failures_total counter\n")
-		fmt.Fprintf(&b, "seqserved_checkpoint_failures_total %d\n", st.CheckpointFailures)
-		if !st.LastCheckpoint.IsZero() {
-			fmt.Fprintf(&b, "seqserved_last_checkpoint_age_seconds %g\n", checkpointAge(st.LastCheckpoint))
-		}
-	}
-	if st, ok := db.SegmentStats(); ok {
-		fmt.Fprintf(&b, "# HELP seqserved_segment_count On-disk segment files in the checkpoint tier.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_segment_count gauge\n")
-		fmt.Fprintf(&b, "seqserved_segment_count %d\n", st.Segments)
-		fmt.Fprintf(&b, "seqserved_segment_entries %d\n", st.Entries)
-		fmt.Fprintf(&b, "seqserved_segment_tombstones %d\n", st.Tombstones)
-		fmt.Fprintf(&b, "seqserved_segment_bytes %d\n", st.Bytes)
-		fmt.Fprintf(&b, "# HELP seqserved_segment_compactions_total Segment-tier compactions since boot.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_segment_compactions_total counter\n")
-		fmt.Fprintf(&b, "seqserved_segment_compactions_total %d\n", st.Compactions)
-	}
-	if st, ok := db.ResidencyStats(); ok {
-		fmt.Fprintf(&b, "# HELP seqserved_resident_records Record payloads currently resident in RAM.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_resident_records gauge\n")
-		fmt.Fprintf(&b, "seqserved_resident_records %d\n", st.ResidentRecords)
-		fmt.Fprintf(&b, "seqserved_resident_bytes %d\n", st.ResidentBytes)
-		fmt.Fprintf(&b, "seqserved_memory_budget_bytes %d\n", st.MemoryBudget)
-		fmt.Fprintf(&b, "seqserved_resident_pinned %d\n", st.Pinned)
-		fmt.Fprintf(&b, "# HELP seqserved_evictions_total Payloads paged out to the segment tier since boot.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_evictions_total counter\n")
-		fmt.Fprintf(&b, "seqserved_evictions_total %d\n", st.Evictions)
-		fmt.Fprintf(&b, "# HELP seqserved_cold_hits_total Reads that paged a payload back in from the segment tier.\n")
-		fmt.Fprintf(&b, "# TYPE seqserved_cold_hits_total counter\n")
-		fmt.Fprintf(&b, "seqserved_cold_hits_total %d\n", st.ColdHits)
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
 }
