@@ -190,7 +190,8 @@ func (d *dirStore) boot(dir string, cfg Config) (*DB, error) {
 	if cfg.MemoryBudget > 0 {
 		// Armed before adoption, so under a budget the eviction sweep
 		// bounds resident bytes while the tier streams in — boot never
-		// materializes more than the budget plus one chunk.
+		// materializes more than the budget plus two chunks: one
+		// linking, the next decoding.
 		d.res = resident.New(cfg.MemoryBudget, d.onEvict)
 	}
 

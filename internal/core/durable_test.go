@@ -583,10 +583,11 @@ func TestRemoveInvisibleUntilDurable(t *testing.T) {
 }
 
 // TestBootEqualsLive: a directory built by batches, removes, a re-ingest
-// under a removed id and checkpoints (several segments), with a log tail
-// holding batched ingests, ingest a → remove a → ingest a, and operations
-// the tier already reflects, boots into the database that wrote it,
-// whatever the worker count: the same catalogue, byte-identical
+// under a removed id and checkpoints (several segments, more than three
+// boot chunks), with a log tail holding batched ingests, ingest a →
+// remove a → ingest a, and operations the tier already reflects, boots
+// into the database that wrote it, whatever the worker count and with a
+// memory budget or without: the same catalogue, byte-identical
 // representations, and the recovery counts of replaying one record at a
 // time.
 func TestBootEqualsLive(t *testing.T) {
@@ -596,8 +597,8 @@ func TestBootEqualsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	corpus := featureCorpus(t, rand.New(rand.NewSource(36)), 1000)
-	for _, batch := range [][]BatchItem{corpus[:250], corpus[250:500], corpus[500:700]} {
+	corpus := featureCorpus(t, rand.New(rand.NewSource(36)), 1300)
+	for _, batch := range [][]BatchItem{corpus[:350], corpus[350:700], corpus[700:1000]} {
 		if _, err := db.IngestBatch(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -619,12 +620,12 @@ func TestBootEqualsLive(t *testing.T) {
 
 	// The tail. Its first two operations also reach the tier, as after a
 	// checkpoint that died before truncating the log.
-	mustIngest(t, db, "tail-dup", corpus[700].Seq)
+	mustIngest(t, db, "tail-dup", corpus[1000].Seq)
 	if err := db.Remove(corpus[300].ID); err != nil {
 		t.Fatal(err)
 	}
 	crashWindowFlush(t, db)
-	if _, err := db.IngestBatch(corpus[701:1000]); err != nil { // more than one bootChunk
+	if _, err := db.IngestBatch(corpus[1001:1300]); err != nil { // more than one bootChunk
 		t.Fatal(err)
 	}
 	mustIngest(t, db, "tail-a", corpus[2].Seq)
@@ -636,18 +637,22 @@ func TestBootEqualsLive(t *testing.T) {
 	want := RecoveryStats{Replayed: 304, Applied: 302, SkippedDuplicate: 1, SkippedMissing: 1}
 	var stats []RecoveryStats
 	var gens []uint64
-	for _, workers := range []int{1, 4} {
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 4}, {Workers: 1, MemoryBudget: 1 << 20}, {Workers: 4, MemoryBudget: 1 << 20}} {
+		workers := cfg.Workers
 		dir := filepath.Join(t.TempDir(), "crash")
 		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 			t.Fatal(err)
 		}
-		booted, err := OpenDir(dir, Config{Workers: workers})
+		booted, err := OpenDir(dir, cfg)
 		if err != nil {
-			t.Fatalf("Workers %d: %v", workers, err)
+			t.Fatalf("Workers %d, budget %d: %v", workers, cfg.MemoryBudget, err)
 		}
 		defer booted.Close()
-		if st, _ := booted.SegmentStats(); st.Segments < 3 {
-			t.Fatalf("Workers %d: %d segments, want at least 3", workers, st.Segments)
+		if st, _ := booted.SegmentStats(); st.Segments < 3 || len(dirOf(booted).segs.Live()) <= 3*bootChunk {
+			t.Fatalf("Workers %d: %d segments, %d live in the tier; want at least 3 segments and more than 3 boot chunks", workers, st.Segments, len(dirOf(booted).segs.Live()))
+		}
+		if rs, _ := booted.ResidencyStats(); cfg.MemoryBudget > 0 && rs.Evictions == 0 {
+			t.Fatalf("Workers %d: a boot under a %d-byte budget evicted nothing", workers, cfg.MemoryBudget)
 		}
 		assertSameCatalogue(t, booted, db)
 		for _, id := range db.IDs() {
@@ -671,8 +676,10 @@ func TestBootEqualsLive(t *testing.T) {
 		stats = append(stats, booted.Recovery())
 		gens = append(gens, booted.Generation())
 	}
-	if stats[0] != stats[1] || gens[0] != gens[1] {
-		t.Fatalf("boots differ by worker count: Recovery %+v vs %+v, Generation %d vs %d", stats[0], stats[1], gens[0], gens[1])
+	for i := range stats {
+		if stats[i] != stats[0] || gens[i] != gens[0] {
+			t.Fatalf("boots differ by worker count or budget: Recovery %+v vs %+v, Generation %d vs %d", stats[i], stats[0], gens[i], gens[0])
+		}
 	}
 }
 

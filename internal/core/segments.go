@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"seqrep/internal/feature"
 	"seqrep/internal/segment"
@@ -205,53 +206,92 @@ func (d *dirStore) encodeDirty(dirty map[string]bool) ([]segment.Entry, []*Recor
 // bootChunk is how many records boot builds on the worker pool before
 // linking them under one imu hold: tier records read, decoded and
 // profiled, or consecutive logged ingests replayed. A few hundred keeps
-// Config.Workers busy and the link amortized, while a budgeted boot
-// holds at most the budget plus one chunk.
+// Config.Workers busy and the link amortized. The tier's chunks are
+// pipelined, one linking while the next decodes, so a budgeted boot
+// holds at most the budget plus two chunks of decoded representations.
 const bootChunk = 256
 
 // adoptSegments adopts every live record of the committed tier (boot
-// phase adopting), a chunk at a time: the chunk's records are read,
-// decoded and profiled in parallel, reserved in id order and linked
-// together. Under a memory budget the eviction sweep runs as each link
-// admits them.
+// phase adopting), a chunk at a time, as a two-stage pipeline: while one
+// goroutine reserves chunk k in id order and links it, this one reads
+// chunk k+1 (one read per run of adjacent frames, into one reused
+// buffer) and the worker pool decodes and profiles its records. Chunks
+// link in id order, one at a time, as they did unpipelined. Under a
+// memory budget the eviction sweep runs as each link admits them.
+//
+// Every return joins the linking goroutine, and the first error in
+// chunk order wins: a failed link of chunk k before a failed read or
+// decode of chunk k+1.
 func (d *dirStore) adoptSegments(mm manifestMeta) error {
 	live := d.segs.Live()
-	batch := make([]pending, min(bootChunk, len(live)))
-	for len(live) > 0 {
+	n := min(bootChunk, len(live))
+	var (
+		buf      []byte
+		payloads = make([][]byte, n)
+		// Chunk k decodes into one batch while chunk k-1 links from the other.
+		batches = [2][]pending{make([]pending, n), make([]pending, n)}
+		linking sync.WaitGroup
+		linkErr error // the linked chunk's error, read after linking.Wait
+	)
+	joinLink := func() error {
+		linking.Wait()
+		return linkErr
+	}
+	for k := 0; len(live) > 0; k++ {
 		chunk := live[:min(bootChunk, len(live))]
-		live, batch = live[len(chunk):], batch[:len(chunk)]
-		d.db.forEachClaimed(len(chunk), func(i int) {
-			batch[i].rec, batch[i].err = d.adoptRecord(chunk[i], mm)
-		})
+		live = live[len(chunk):]
+		batch := batches[k%2][:len(chunk)]
+		var rerr error
+		if buf, rerr = segment.ReadLive(buf, chunk, payloads[:len(chunk)]); rerr == nil {
+			d.db.forEachClaimed(len(chunk), func(i int) {
+				batch[i].rec, batch[i].err = d.adoptRecord(chunk[i].ID, payloads[i], mm)
+			})
+		}
+		if err := joinLink(); err != nil {
+			return err
+		}
+		if rerr != nil {
+			return rerr
+		}
 		for _, p := range batch {
 			if p.err != nil {
 				return p.err
-			}
-			if !d.db.shardOf(p.rec.ID).reserve(p.rec.ID) {
-				return fmt.Errorf("core: duplicate id %q in segment tier", p.rec.ID)
 			}
 		}
-		d.db.link(batch)
-		for _, p := range batch {
-			if p.err != nil {
-				return p.err
-			}
+		linking.Add(1)
+		go func() {
+			defer linking.Done()
+			linkErr = d.linkAdopted(batch)
+		}()
+	}
+	return joinLink()
+}
+
+// linkAdopted reserves a decoded chunk's ids in id order and links the
+// chunk under one imu hold.
+func (d *dirStore) linkAdopted(batch []pending) error {
+	for _, p := range batch {
+		if !d.db.shardOf(p.rec.ID).reserve(p.rec.ID) {
+			return fmt.Errorf("core: duplicate id %q in segment tier", p.rec.ID)
+		}
+	}
+	d.db.link(batch)
+	for _, p := range batch {
+		if p.err != nil {
+			return p.err
 		}
 	}
 	return nil
 }
 
-// adoptRecord reads, decodes and profiles one tier record, outside every
-// lock. Stored feature vectors and sketches are restored verbatim, except
-// those the manifest says derive from archived raws
+// adoptRecord decodes and profiles one tier record, outside every lock;
+// payload is a view of the boot read's buffer, which the decode copies
+// out of. Stored feature vectors and sketches are restored verbatim,
+// except those the manifest says derive from archived raws
 // (featSourceLegacyRaw): they would bound a form no query verifies
 // against, so they are rebuilt from the comparison form.
-func (d *dirStore) adoptRecord(e segment.LiveEntry, mm manifestMeta) (*Record, error) {
-	payload, err := e.Read()
-	if err != nil {
-		return nil, err
-	}
-	fs, feats, zfeats, sk, err := decodeRecordPayload(d.db, e.ID, payload, withDerived)
+func (d *dirStore) adoptRecord(id string, payload []byte, mm manifestMeta) (*Record, error) {
+	fs, feats, zfeats, sk, err := decodeRecordPayload(d.db, id, payload, withDerived)
 	if err != nil {
 		return nil, err
 	}
@@ -263,9 +303,9 @@ func (d *dirStore) adoptRecord(e segment.LiveEntry, mm manifestMeta) (*Record, e
 	}
 	profile, err := feature.Extract(fs, d.db.cfg.Delta)
 	if err != nil {
-		return nil, fmt.Errorf("core: adopting %q: %w", e.ID, err)
+		return nil, fmt.Errorf("core: adopting %q: %w", id, err)
 	}
-	rec := &Record{ID: e.ID, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
+	rec := &Record{ID: id, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
 	rec.setRep(fs)
 	if feats, sketch := d.db.lacks(rec); feats || sketch {
 		sc := derivePool.Get().(*deriveScratch)

@@ -11,17 +11,21 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"seqrep/internal/dist"
 	"seqrep/internal/multires"
@@ -315,6 +319,126 @@ func TestOpenDirBootErrorMatrix(t *testing.T) {
 			t.Fatal("invalid record materialized from replay")
 		}
 	})
+
+	// Boot reads and decodes chunk k+1 while chunk k links. A failure in
+	// either stage refuses the boot with the first error in chunk order,
+	// and leaves no goroutine of the pipeline behind.
+	t.Run("corrupt frame in the third chunk", func(t *testing.T) {
+		dir, path, offs := chunkedTier(t, 4*bootChunk)
+		bad := offs[2*bootChunk+bootChunk/2]
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file[bad+frameBodyAt+8] ^= 0xff // the frame's length holds; its CRC fails
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		db, err := OpenDir(dir, Config{Workers: 4})
+		if err == nil {
+			db.Close()
+			t.Fatal("OpenDir booted over a corrupt frame")
+		}
+		if !errors.Is(err, segment.ErrCorrupt) || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), fmt.Sprintf("frame at %d:", bad)) {
+			t.Fatalf("boot over a corrupt frame: %v; want ErrCorrupt naming %s and offset %d", err, path, bad)
+		}
+		awaitGoroutines(t, base)
+	})
+
+	t.Run("duplicate id at link", func(t *testing.T) {
+		dir, _, _ := chunkedTier(t, 4*bootChunk)
+		segs, err := segment.Open(filepath.Join(dir, SegmentsDirName), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer segs.Close()
+		mm, err := readManifestMeta(segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := applyManifestMeta(Config{Workers: 4}, mm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &dirStore{segs: segs, dirty: make(map[string]bool), probeStop: make(chan struct{})}
+		if d.db, err = newDB(cfg, d); err != nil {
+			t.Fatal(err)
+		}
+		// An id of the third chunk already held: its link fails while the
+		// fourth chunk decodes.
+		dup := segs.Live()[2*bootChunk+bootChunk/2].ID
+		d.db.shardOf(dup).reserve(dup)
+		base := runtime.NumGoroutine()
+		if err := d.adoptSegments(mm); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("duplicate id %q", dup)) {
+			t.Fatalf("adopting a tier over a held id: %v; want the duplicate %q refused", err, dup)
+		}
+		awaitGoroutines(t, base)
+		if n := d.db.Len(); n != 2*bootChunk {
+			t.Fatalf("%d records linked, want the two chunks before the duplicate's (%d)", n, 2*bootChunk)
+		}
+	})
+}
+
+// frameBodyAt is where a segment frame's body starts: after its CRC and
+// its body length.
+const frameBodyAt = 8
+
+// chunkedTier writes a directory whose tier is one segment of n records,
+// checkpointed and closed, and returns the segment's path and its frame
+// offsets in id order, read from the file's index.
+func chunkedTier(t *testing.T, n int) (dir, path string, offs []int64) {
+	t.Helper()
+	dir = t.TempDir()
+	db, err := OpenDir(dir, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.IngestBatch(featureCorpus(t, rand.New(rand.NewSource(52)), n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, SegmentsDirName, "seg-*.sseg"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("tier holds segments %v (%v), want one", paths, err)
+	}
+	file, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The trailer (indexOff u64 | bloomOff u64 | count u32 | crc u32 |
+	// magic) names the index frame, whose body lists per entry flags u8 |
+	// idLen u16 | id | offset u64.
+	tr := file[len(file)-28:]
+	index := file[binary.LittleEndian.Uint64(tr[0:])+frameBodyAt : binary.LittleEndian.Uint64(tr[8:])]
+	for len(index) > 0 {
+		idLen := int(binary.LittleEndian.Uint16(index[1:]))
+		offs = append(offs, int64(binary.LittleEndian.Uint64(index[3+idLen:])))
+		index = index[3+idLen+8:]
+	}
+	if len(offs) != n {
+		t.Fatalf("segment index lists %d frames, want %d", len(offs), n)
+	}
+	return dir, paths[0], offs
+}
+
+// awaitGoroutines waits up to 5 s for the goroutine count to return to
+// base, and fails t with every stack if it does not.
+func awaitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, %d before the boot\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // ---- the persistence round trip ----

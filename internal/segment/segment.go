@@ -8,10 +8,12 @@
 //
 // Payloads are opaque to this package — the database layer
 // (internal/core) encodes them. Payload bytes are not resident: a
-// segment keeps only its id index and Bloom filter in memory, and reads
-// payload frames from disk on demand through a shared byte-bounded LRU
-// (Cache), so memory for the stored payload tier is bounded by the cache
-// size rather than the database size.
+// segment keeps only its id index and Bloom filter in memory. A point
+// lookup (Store.Get) reads its one frame from disk, through a Cache only
+// when one is attached (the database attaches none: its residency tier
+// is the cache of decoded payloads, with the OS page cache beneath it).
+// Boot reads the live records a run at a time (ReadLive): entries that
+// are adjacent in one segment are one byte range and one read.
 //
 // # Segment file format
 //
@@ -215,9 +217,10 @@ func writeFull(w io.Writer, p []byte) error {
 }
 
 // Reader serves one immutable segment. It keeps the id index (ids,
-// flags, frame offsets) and the Bloom filter resident; payloads stay on
-// disk and are read on demand, optionally through a shared Cache. Safe
-// for concurrent use — reads go through (*os.File).ReadAt.
+// flags, frame offsets, strictly ascending) and the Bloom filter
+// resident; payloads stay on disk and are read on demand, one pread per
+// lookup, through a Cache only when one is attached. Safe for concurrent
+// use — reads go through (*os.File).ReadAt.
 type Reader struct {
 	path     string
 	f        *os.File
@@ -312,6 +315,11 @@ func OpenReader(path string, cache *Cache) (_ *Reader, err error) {
 		if n := len(r.ids); n > 0 && r.ids[n-1] >= id {
 			return nil, fmt.Errorf("%w: %s: index ids not strictly ascending at %q", ErrCorrupt, path, id)
 		}
+		// Frames follow in id order, so offsets ascend with the ids: a
+		// run of adjacent entries is then one byte range (ReadLive).
+		if n := len(r.offs); n > 0 && r.offs[n-1] >= off {
+			return nil, fmt.Errorf("%w: %s: index offsets not strictly ascending at %q (offset %d)", ErrCorrupt, path, id, off)
+		}
 		r.ids = append(r.ids, id)
 		r.flags = append(r.flags, flags)
 		r.offs = append(r.offs, off)
@@ -343,12 +351,21 @@ func readFrameAt(f *os.File, path string, off, limit int64) ([]byte, error) {
 	if _, err := f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("%w: %s frame at %d: %v", ErrCorrupt, path, off, err)
 	}
+	return checkFrame(path, off, buf)
+}
+
+// checkFrame CRC-verifies the frame read from off into buf, which runs to
+// where the frame's section ends, and returns its body, a view of buf.
+func checkFrame(path string, off int64, buf []byte) ([]byte, error) {
+	if len(buf) < frameHead {
+		return nil, fmt.Errorf("%w: %s: no room for a frame at %d", ErrCorrupt, path, off)
+	}
 	crc := binary.LittleEndian.Uint32(buf[:4])
 	blen := binary.LittleEndian.Uint32(buf[4:frameHead])
-	if blen > maxBody || int64(blen) > limit-frameHead {
+	if blen > maxBody || int(blen) > len(buf)-frameHead {
 		return nil, fmt.Errorf("%w: %s frame at %d: implausible body length %d", ErrCorrupt, path, off, blen)
 	}
-	body := buf[frameHead : frameHead+int64(blen)]
+	body := buf[frameHead : frameHead+int(blen)]
 	if got := crc32.Checksum(body, crcTable); got != crc {
 		return nil, fmt.Errorf("%w: %s frame at %d: crc %08x, computed %08x", ErrCorrupt, path, off, crc, got)
 	}
@@ -422,19 +439,29 @@ func (r *Reader) payloadAt(i int) ([]byte, error) {
 	return payload, nil
 }
 
-// readEntry reads entry i's frame from disk with one pread and checks it
-// holds the id the index names. Frames are contiguous, so entry i's
-// frame ends where the next begins, or, for the last entry, where the
-// index begins.
-func (r *Reader) readEntry(i int) ([]byte, error) {
-	end := r.indexOff
+// frameEnd is where entry i's frame must end. Frames are contiguous, so
+// it ends where the next begins, or, for the last entry, where the index
+// begins.
+func (r *Reader) frameEnd(i int) int64 {
 	if i+1 < len(r.offs) {
-		end = r.offs[i+1]
+		return r.offs[i+1]
 	}
-	body, err := readFrameAt(r.f, r.path, r.offs[i], end-r.offs[i])
+	return r.indexOff
+}
+
+// readEntry reads entry i's frame from disk with one pread and returns
+// its payload.
+func (r *Reader) readEntry(i int) ([]byte, error) {
+	body, err := readFrameAt(r.f, r.path, r.offs[i], r.frameEnd(i)-r.offs[i])
 	if err != nil {
 		return nil, err
 	}
+	return r.entryPayload(i, body)
+}
+
+// entryPayload returns the payload of entry i's CRC-checked frame body,
+// after checking that the body holds the id the index names.
+func (r *Reader) entryPayload(i int, body []byte) ([]byte, error) {
 	if len(body) < 3 {
 		return nil, fmt.Errorf("%w: %s: entry %d body too short", ErrCorrupt, r.path, i)
 	}

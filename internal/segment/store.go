@@ -267,7 +267,8 @@ func (s *Store) Flush(entries []Entry, lsn uint64, meta json.RawMessage) error {
 // Get resolves id across the segment overlay, newest segment first.
 // found reports whether any segment holds an entry for id; tombstone
 // marks the newest entry as a deletion. The payload is the caller's to
-// keep: cache hits are defensive copies (see Cache).
+// keep: it is read from disk into a buffer of its own (the database
+// attaches no Cache; where one is attached, a hit is a defensive copy).
 func (s *Store) Get(id string) (payload []byte, tombstone, found bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -299,41 +300,92 @@ type LiveEntry struct {
 
 // Live lists the overlay's live records (newest-wins, tombstones
 // excluded) in ascending id order, without reading any payload: boot
-// lists them once and reads them with LiveEntry.Read on as many
-// goroutines as it likes.
+// lists them once and reads them with ReadLive, a window at a time.
 func (s *Store) Live() []LiveEntry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return liveEntries(s.readers)
 }
 
-// Read returns the entry's payload: one pread of its whole frame, CRC
-// and id checked, bypassing the cache (what boot reads once, nothing
-// reads through the cache again). Safe for concurrent use.
-func (e LiveEntry) Read() ([]byte, error) { return e.r.readEntry(e.i) }
-
-// liveEntries is the newest-wins merge of readers in ascending id order:
-// newest readers are visited first and the first entry seen per id
-// wins. Segment sizes here are bounded by checkpoint deltas, so an
-// in-memory merge is fine; a heap-based streaming merge is the upgrade
-// path if segments ever outgrow RAM.
-func liveEntries(readers []*Reader) []LiveEntry {
-	seen := make(map[string]bool)
-	var out []LiveEntry
-	for i := len(readers) - 1; i >= 0; i-- {
-		r := readers[i]
-		for j, id := range r.ids {
-			if seen[id] {
-				continue
+// ReadLive reads the payloads of entries, a window of one Live listing,
+// into buf with one ReadAt per run: entries adjacent in one segment have
+// contiguous frames, so a run is one byte range. Every frame's CRC and
+// id are checked as Get checks them, and the cache is bypassed (what
+// boot reads once, nothing reads through the cache again). payloads[i]
+// receives entries[i]'s payload, a view of the returned buffer, valid
+// until that buffer is passed in again; buf is grown, never zeroed.
+// Safe for concurrent use with distinct buffers.
+func ReadLive(buf []byte, entries []LiveEntry, payloads [][]byte) ([]byte, error) {
+	size := 0
+	for lo, hi := 0, 0; lo < len(entries); lo = hi {
+		hi = runEnd(entries, lo)
+		r := entries[lo].r
+		size += int(r.frameEnd(entries[hi-1].i) - r.offs[entries[lo].i])
+	}
+	buf = slices.Grow(buf[:0], size)[:size]
+	at := 0
+	for lo, hi := 0, 0; lo < len(entries); lo = hi {
+		hi = runEnd(entries, lo)
+		r, start := entries[lo].r, entries[lo].r.offs[entries[lo].i]
+		run := buf[at : at+int(r.frameEnd(entries[hi-1].i)-start)]
+		if _, err := r.f.ReadAt(run, start); err != nil {
+			return buf, fmt.Errorf("%w: %s frame at %d: %v", ErrCorrupt, r.path, start, err)
+		}
+		for k := lo; k < hi; k++ {
+			i := entries[k].i
+			body, err := checkFrame(r.path, r.offs[i], run[r.offs[i]-start:r.frameEnd(i)-start])
+			if err != nil {
+				return buf, err
 			}
-			seen[id] = true
-			if r.flags[j]&flagTombstone == 0 {
-				out = append(out, LiveEntry{ID: id, r: r, i: j})
+			if payloads[k], err = r.entryPayload(i, body); err != nil {
+				return buf, err
+			}
+		}
+		at += len(run)
+	}
+	return buf, nil
+}
+
+// runEnd returns the end of the run of entries that starts at lo: the
+// entries after it that follow their predecessor in the same segment.
+func runEnd(entries []LiveEntry, lo int) int {
+	hi := lo + 1
+	for hi < len(entries) && entries[hi].r == entries[lo].r && entries[hi].i == entries[hi-1].i+1 {
+		hi++
+	}
+	return hi
+}
+
+// liveEntries is the newest-wins merge of readers in ascending id order.
+// Each reader's ids already ascend, so one pass over the readers' heads
+// takes the smallest id, from the newest reader holding it, and steps
+// every reader holding it past it: no set of seen ids, no sort.
+func liveEntries(readers []*Reader) []LiveEntry {
+	heads := make([]int, len(readers))
+	size := 0
+	for _, r := range readers {
+		size += len(r.ids)
+	}
+	out := make([]LiveEntry, 0, size)
+	for {
+		win, id := -1, ""
+		for k := len(readers) - 1; k >= 0; k-- { // newest first: ties keep it
+			if h := heads[k]; h < len(readers[k].ids) && (win < 0 || readers[k].ids[h] < id) {
+				win, id = k, readers[k].ids[h]
+			}
+		}
+		if win < 0 {
+			return out
+		}
+		if r, i := readers[win], heads[win]; r.flags[i]&flagTombstone == 0 {
+			out = append(out, LiveEntry{ID: id, r: r, i: i})
+		}
+		for k, r := range readers {
+			if h := heads[k]; h < len(r.ids) && r.ids[h] == id {
+				heads[k]++
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b LiveEntry) int { return strings.Compare(a.ID, b.ID) })
-	return out
 }
 
 // Compact merges all live segments into one, dropping tombstones, when

@@ -15,6 +15,15 @@ import (
 // holds the rest.
 var latencyBounds = [...]float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
+// latencyLabels are latencyBounds as `le` label values, formatted once:
+// a scrape writes every one of them for every route.
+var latencyLabels = func() (ls [len(latencyBounds)]string) {
+	for i, bound := range latencyBounds {
+		ls[i] = strconv.FormatFloat(bound, 'g', -1, 64)
+	}
+	return ls
+}()
+
 // routeMetrics counts one endpoint's requests: responses by status code
 // and a latency histogram. route creates it once per pattern, so
 // recording a request takes this cell's lock and nothing shared. (A lock
@@ -135,9 +144,9 @@ func latencySamples(b []byte, name string, st *status) []byte {
 	for _, r := range st.routes {
 		r.mu.Lock()
 		var count uint64
-		for i, bound := range latencyBounds {
+		for i, le := range latencyLabels {
 			count += r.buckets[i]
-			b = sample(b, float64(count), name, "_bucket{", r.label, `,le="`, strconv.FormatFloat(bound, 'g', -1, 64), `"}`)
+			b = sample(b, float64(count), name, "_bucket{", r.label, `,le="`, le, `"}`)
 		}
 		count += r.buckets[len(latencyBounds)]
 		b = sample(b, float64(count), name, "_bucket{", r.label, `,le="+Inf"}`)
@@ -150,10 +159,16 @@ func latencySamples(b []byte, name string, st *status) []byte {
 
 // sample writes one sample line: its series, given in parts, and v.
 func sample(b []byte, v float64, series ...string) []byte {
-	for _, part := range series {
+	b = appendStrings(b, series...)
+	return append(strconv.AppendFloat(append(b, ' '), v, 'f', -1, 64), '\n')
+}
+
+// appendStrings appends every part to b.
+func appendStrings(b []byte, parts ...string) []byte {
+	for _, part := range parts {
 		b = append(b, part...)
 	}
-	return append(strconv.AppendFloat(append(b, ' '), v, 'f', -1, 64), '\n')
+	return b
 }
 
 // statusRecorder captures the status code a handler writes, for the

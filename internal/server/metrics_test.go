@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -309,6 +310,41 @@ func TestHealthMetricsAgree(t *testing.T) {
 	}
 	if h.WALRecords != 1 || h.SegmentCount == 0 || h.Evictions == 0 || h.ColdHits == 0 {
 		t.Errorf("the scenario left nothing to compare: %+v", h)
+	}
+}
+
+// TestMetricsScrapeAllocs: a scrape of a durable, paged server with a
+// result cache and admission control, every route's histogram written,
+// stays within 100 allocations: the `le` labels are formatted once, not
+// once per route and scrape.
+func TestMetricsScrapeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ctx := context.Background()
+	snap := &DirSnapshotter{Dir: t.TempDir(), Config: seqrep.Config{MemoryBudget: 1000}}
+	db, err := snap.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, cl := testServer(t, Config{DB: db, Snapshotter: snap})
+	for i, id := range []string{"a", "b", "c"} {
+		if _, err := cl.Ingest(ctx, feverItem(t, id, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Query(ctx, "MATCH PEAKS 2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.SaveSnapshot(ctx); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	w := &discardWriter{http.Header{}}
+	n := testing.AllocsPerRun(50, func() { srv.handleMetrics(w, req) })
+	t.Logf("%v allocations per scrape", n)
+	if n > 100 {
+		t.Errorf("a /metrics scrape allocates %v times, want at most 100", n)
 	}
 }
 

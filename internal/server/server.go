@@ -653,7 +653,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b []byte
 	for _, f := range families {
 		if f.present == nil || f.present(&st) {
-			b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+			b = appendStrings(b, "# HELP ", f.name, " ", f.help, "\n# TYPE ", f.name, " ", f.kind, "\n")
 			b = f.samples(b, f.name, &st)
 		}
 	}
