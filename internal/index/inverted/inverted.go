@@ -106,17 +106,11 @@ func (ix *Index) Add(value float64, ref Ref) error {
 		ix.buckets = slices.Insert(ix.buckets, i, bucket{key: key})
 	}
 	b := &ix.buckets[i]
-	if n := len(b.refs); n == 0 || compareRefs(b.refs[n-1], ref) < 0 {
-		// Past the bucket's last ref, as every ref is when records are
-		// added in id order (boot): no search, no shift.
-		b.refs = append(b.refs, ref)
-	} else {
-		j, dup := slices.BinarySearchFunc(b.refs, ref, compareRefs)
-		if dup {
-			return nil
-		}
-		b.refs = slices.Insert(b.refs, j, ref)
+	j, dup := slices.BinarySearchFunc(b.refs, ref, compareRefs)
+	if dup {
+		return nil
 	}
+	b.refs = slices.Insert(b.refs, j, ref)
 	ix.count++
 	return nil
 }

@@ -1,7 +1,6 @@
 package inverted
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -363,32 +362,6 @@ func TestHugeBoundsSaturate(t *testing.T) {
 			if got[int32(i)] != ix.Covers(lo, hi, v) {
 				t.Errorf("Query(%g, %g) returns %g: %v, Covers disagrees", lo, hi, v, got[int32(i)])
 			}
-		}
-	}
-}
-
-// TestAddInIDOrder: postings added in ascending ref order, as boot adds
-// them, append at their bucket's tail; re-adding a bucket's last ref is
-// still a duplicate, and a ref below the tail still lands in order.
-func TestAddInIDOrder(t *testing.T) {
-	ix := mustIndex(t, 1)
-	for i := range 99 {
-		if err := ix.Add(float64(i%3), Ref{ID: fmt.Sprintf("r%03d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ix.Add(2, Ref{ID: "r098"}); err != nil { // bucket 2's last ref
-		t.Fatal(err)
-	}
-	if err := ix.Add(0, Ref{ID: "r000", Pos: 1}); err != nil { // below bucket 0's tail
-		t.Fatal(err)
-	}
-	if ix.Len() != 100 || ix.Buckets() != 3 {
-		t.Fatalf("Len, Buckets = %d, %d, want 100, 3", ix.Len(), ix.Buckets())
-	}
-	for _, b := range ix.buckets {
-		if !slices.IsSortedFunc(b.refs, compareRefs) || len(slices.CompactFunc(slices.Clone(b.refs), func(a, b Ref) bool { return a == b })) != len(b.refs) {
-			t.Fatalf("bucket %d: refs %v not strictly ascending", b.key, b.refs)
 		}
 	}
 }
