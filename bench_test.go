@@ -468,7 +468,7 @@ func BenchmarkDistanceQueryMetrics10k(b *testing.B) {
 		}
 		eps := 2.0
 		if name != "zl2" {
-			if eps, err = metric.Distance(exemplar, shifted); err != nil {
+			if eps, err = metric.Distance(exemplar.Values(), shifted.Values()); err != nil {
 				b.Fatal(err)
 			}
 		}

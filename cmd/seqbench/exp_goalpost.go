@@ -67,15 +67,11 @@ func expFig1(out io.Writer) error {
 		name string
 		s    seq.Sequence
 	}{{"exemplar itself", exemplar}, {"pointwise wiggle (σ=0.1)", inside}, {"shifted by +1.5", outside}} {
-		d, err := dist.LInf(exemplar, c.s)
+		d, err := dist.LInf(exemplar.Values(), c.s.Values())
 		if err != nil {
 			return err
 		}
-		ok, err := dist.WithinBand(exemplar, c.s, 0.5)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s\t%.3f\t%v\n", c.name, d, ok)
+		fmt.Fprintf(w, "%s\t%.3f\t%v\n", c.name, d, d <= 0.5)
 	}
 	return w.Flush()
 }
@@ -92,7 +88,7 @@ func expFig5(out io.Writer) error {
 	fmt.Fprintln(w, "sequence\tL∞ vs exemplar\twithin ε=0.5\tpeaks (from representation)")
 	for _, id := range db.IDs() {
 		s := all[id]
-		d, err := dist.LInf(exemplar, s)
+		d, err := dist.LInf(exemplar.Values(), s.Values())
 		if err != nil {
 			return err
 		}

@@ -303,7 +303,7 @@ func TestValueQueryMatchesLInfScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := dist.LInf(exemplar, stored)
+		d, err := dist.LInf(exemplar.Values(), stored.Values())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -483,12 +483,8 @@ func (db *DB) build(id string, s seq.Sequence, capped bool) (*Record, error) {
 		return nil, fmt.Errorf("core: representing %q: %w", id, err)
 	}
 	// The one validation of a series this database creates: every later
-	// reader (query verification, a fault-in's decode) trusts it, so the
-	// build reconstructs it through the validating entry point, once,
-	// into the scratch derive reads.
-	sc := derivePool.Get().(*deriveScratch)
-	defer derivePool.Put(sc)
-	if sc.pts, err = fs.AppendReconstruction(sc.pts[:0]); err != nil {
+	// reader (derive, query verification, a fault-in's decode) trusts it.
+	if err := fs.Validate(); err != nil {
 		return nil, fmt.Errorf("core: representing %q: %w", id, err)
 	}
 	profile, err := feature.Extract(fs, db.cfg.Delta)
@@ -499,7 +495,7 @@ func (db *DB) build(id string, s seq.Sequence, capped bool) (*Record, error) {
 	rec.setRep(fs)
 	// The DFT feature vectors and the progressive sketch are part of the
 	// build so they, too, run outside every lock.
-	db.derive(rec, sc)
+	db.derive(rec, fs)
 	return rec, nil
 }
 
@@ -511,16 +507,19 @@ func (db *DB) lacks(rec *Record) (feats, sketch bool) {
 }
 
 // derive computes the feature vectors and the sketch the database keeps
-// and rec lacks from sc.pts, rec's comparison form (its reconstruction).
-// The values are z-normalized once, into the scratch every derivation
-// reads, and every derived float lands in one block the record keeps:
-// its feature vectors and sketch means are windows of it.
-func (db *DB) derive(rec *Record, sc *deriveScratch) {
+// and rec lacks from the values of fs, rec's valid representation: its
+// comparison form. The values are reconstructed and z-normalized once,
+// into pooled scratch every derivation reads, and every derived float
+// lands in one block the record keeps: its feature vectors and sketch
+// means are windows of it.
+func (db *DB) derive(rec *Record, fs *rep.FunctionSeries) {
 	feats, sketch := db.lacks(rec)
 	if !feats && !sketch {
 		return
 	}
-	sc.vals = sc.pts.AppendValues(sc.vals[:0])
+	sc := derivePool.Get().(*deriveScratch)
+	defer derivePool.Put(sc)
+	sc.vals = fs.AppendValuesUnchecked(sc.vals[:0])
 	sc.zvals = dist.ZNormalizeInto(sc.zvals, sc.vals)
 	block := make([]float64, 0, db.derivedFloats(len(sc.vals), feats, sketch))
 	if feats {
@@ -542,10 +541,9 @@ func (db *DB) derivedFloats(n int, feats, sketch bool) (size int) {
 	return size
 }
 
-// deriveScratch is the working set of build and derive: a record's
-// reconstruction, its values and their z-normalization.
+// deriveScratch is the working set of derive and of a query's
+// prefilters: a sequence's values and their z-normalization.
 type deriveScratch struct {
-	pts         seq.Sequence
 	vals, zvals []float64
 }
 

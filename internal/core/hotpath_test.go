@@ -250,12 +250,20 @@ func TestVerifyAllocs(t *testing.T) {
 			t.Errorf("%s allocates %.0f per candidate, budget %.0f", what, allocs, budget)
 		}
 	}
-	for _, m := range dist.Metrics() {
-		check(m.Name()+" reject", 0, func() (Match, bool, error) { return db.distanceVerify(rec, far, m, 1e-3) }, false)
-		check(m.Name()+" accept", mapAllocs, func() (Match, bool, error) { return db.distanceVerify(rec, near, m, 1) }, true)
+	// Each verifies through its compiled spec, at the spec's own radius.
+	verify := func(spec *querySpec, err error) func() (Match, bool, error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() (Match, bool, error) { return spec.verify(rec, spec.initEps) }
 	}
-	check("value reject", 0, func() (Match, bool, error) { return db.valueVerify(rec, far, 1e-3) }, false)
-	check("value accept", mapAllocs, func() (Match, bool, error) { return db.valueVerify(rec, near, 1) }, true)
+	for _, m := range dist.Metrics() {
+		check(m.Name()+" reject", 0, verify(db.distanceSpec(far, m, 1e-3)), false)
+		check(m.Name()+" accept", mapAllocs, verify(db.distanceSpec(near, m, 1)), true)
+	}
+	check("value reject", 0, verify(db.valueSpec(far, 1e-3)), false)
+	check("value accept", mapAllocs, verify(db.valueSpec(near, 1)), true)
 }
 
 // TestProgressiveSubLinear is the same property for the cascade: a
@@ -447,10 +455,7 @@ func TestDeriveAllocs(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			rec.feats, rec.zfeats, rec.sketch = nil, nil, nil
-			sc := derivePool.Get().(*deriveScratch)
-			sc.pts = rec.rep.Load().AppendReconstructionUnchecked(sc.pts[:0])
-			db.derive(rec, sc)
-			derivePool.Put(sc)
+			db.derive(rec, rec.rep.Load())
 		})
 		if rec.feats == nil || rec.zfeats == nil || rec.sketch == nil {
 			t.Fatalf("%s: derive left the record unindexed", it.ID)

@@ -118,14 +118,14 @@ func ledgerExemplars(items []BatchItem) []seq.Sequence {
 // ledgerEps is an exemplar's 30th-nearest distance under the given
 // kernel, among the corpus's raw items of its length: a tolerance that
 // admits about 30 records, derived without the engine.
-func ledgerEps(t *testing.T, items []BatchItem, ex seq.Sequence, d func(a, b seq.Sequence) (float64, error)) float64 {
+func ledgerEps(t *testing.T, items []BatchItem, ex seq.Sequence, d func(a, b []float64) (float64, error)) float64 {
 	t.Helper()
 	var ds []float64
 	for _, it := range items {
 		if len(it.Seq) != len(ex) {
 			continue
 		}
-		v, err := d(ex, it.Seq)
+		v, err := d(ex.Values(), it.Seq.Values())
 		if err != nil {
 			t.Fatal(err)
 		}

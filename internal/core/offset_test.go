@@ -65,7 +65,7 @@ func TestNearDuplicateOnOffset(t *testing.T) {
 					ex[j].V += delta * (1 + 0.1*rng.Float64())
 				}
 				for _, r := range progressiveRunners() {
-					d, err := r.truth.Distance(ex, own)
+					d, err := r.truth.Distance(ex.Values(), own.Values())
 					if err != nil || d <= 0 {
 						t.Fatalf("%s: exact distance %g, %v", r.name, d, err)
 					}
@@ -113,7 +113,7 @@ func checkOffsetAnswers(t *testing.T, name string, db *DB, spec QuerySpec, ex se
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := r.truth.Distance(ex, s)
+		d, err := r.truth.Distance(ex.Values(), s.Values())
 		if err != nil {
 			t.Fatal(err)
 		}

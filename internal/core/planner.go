@@ -9,7 +9,6 @@ import (
 	"seqrep/internal/dft"
 	"seqrep/internal/dist"
 	"seqrep/internal/multires"
-	"seqrep/internal/seq"
 )
 
 // Plan names for QueryStats.Plan.
@@ -124,7 +123,8 @@ func (st QueryStats) String() string {
 // lowerBound is one metric's pruning rule on the feature index: the query
 // feature vector, whether it compares against the z-normalized rows of
 // the columnar store, the metric's featureScale entry, and the rounding
-// contract of the values the query's features came from.
+// contract of the values the query's features came from. Its zero value,
+// with no feature vector, is the rule of a query the index cannot prune.
 type lowerBound struct {
 	qf    []float64
 	z     bool
@@ -142,6 +142,9 @@ func (lb *lowerBound) at(radius float64) float64 { return lb.slack.Hi(radius / l
 // distance: the inverse of at, for the band tier's lift. A negative fd (an
 // unindexed record) floors to 0.
 func (lb *lowerBound) floor(fd float64) float64 { return lb.slack.Lo(fd) * lb.scale }
+
+// prunes reports whether the rule holds a feature vector to prune with.
+func (lb *lowerBound) prunes() bool { return lb.qf != nil }
 
 // featureScale is the one table of feature bounds: the factor mapping the
 // DFT feature distance F (a Euclidean lower bound by Parseval) onto a
@@ -173,27 +176,27 @@ func featureScale(metric string, n int) (scale float64, useZ bool) {
 }
 
 // prefilters derives a similarity query's two sample-free filters from
-// one pooled copy of the exemplar's values: the feature-space pruning
-// rule (nil — the source is then the linear walk — when the index is off
-// or featureScale has no entry for the metric) and the sketch the band
-// tier compares against (nil when sketches are off or the sketch bands
-// nothing under the metric, as for a custom one).
-func (db *DB) prefilters(metric string, exemplar seq.Sequence) (lb *lowerBound, qsk *multires.Sketch) {
+// the exemplar's values: the feature-space pruning rule (its zero value —
+// the source is then the linear walk — when the index is off or
+// featureScale has no entry for the metric) and the sketch the band tier
+// compares against (nil when sketches are off or the sketch bands nothing
+// under the metric, as for a custom one). The z-normalized values are
+// pooled scratch.
+func (db *DB) prefilters(metric string, vals []float64) (lb lowerBound, qsk *multires.Sketch) {
 	sc := derivePool.Get().(*deriveScratch)
 	defer derivePool.Put(sc)
-	sc.vals = exemplar.AppendValues(sc.vals[:0])
-	sc.zvals = dist.ZNormalizeInto(sc.zvals, sc.vals)
-	if scale, z := featureScale(metric, len(exemplar)); db.findex != nil && scale != 0 {
-		vals := sc.vals
+	sc.zvals = dist.ZNormalizeInto(sc.zvals, vals)
+	if scale, z := featureScale(metric, len(vals)); db.findex != nil && scale != 0 {
+		fv := vals
 		if z {
-			vals = sc.zvals
+			fv = sc.zvals
 		}
-		if qf, err := dft.Features(vals, db.findex.k); err == nil {
-			lb = &lowerBound{qf: qf, z: z, scale: scale, slack: dist.QuerySlack(len(vals), dist.Norm(vals))}
+		if qf, err := dft.Features(fv, db.findex.k); err == nil {
+			lb = lowerBound{qf: qf, z: z, scale: scale, slack: dist.QuerySlack(len(fv), dist.Norm(fv))}
 		}
 	}
 	if db.cfg.SketchBlock > 0 {
-		qsk = multires.BuildSketchZ(nil, sc.vals, sc.zvals, db.cfg.SketchBlock)
+		qsk = multires.BuildSketchZ(nil, vals, sc.zvals, db.cfg.SketchBlock)
 		if _, _, ok := multires.DistanceBand(qsk, qsk, metric); !ok {
 			qsk = nil
 		}
@@ -201,7 +204,7 @@ func (db *DB) prefilters(metric string, exemplar seq.Sequence) (lb *lowerBound, 
 	return lb, qsk
 }
 
-// verifyReadError classifies a storedSequence failure during query
+// verifyReadError classifies a storedValues failure during query
 // verification: when the record has since been removed (or replaced) the
 // miss is just the scan's point-in-time snapshot outliving a concurrent
 // Remove — the record is skipped, not an error. A read failure for a
@@ -214,29 +217,30 @@ func (db *DB) verifyReadError(rec *Record, err error) error {
 	return err
 }
 
-// distanceVerify compares one record's exact samples against the
-// exemplar under m — the shared verification step of both plans. The
-// comparison runs through the metric's early-abandoning threshold kernel
-// (squared-space accumulation, mid-loop bail; see dist.DistanceWithin),
-// which returns the same decisions and distances as a full evaluation.
-// The record is reconstructed into pooled scratch, so a reject allocates
-// nothing and an accept only its Deviations map.
-func (db *DB) distanceVerify(rec *Record, exemplar seq.Sequence, m dist.Metric, eps float64) (Match, bool, error) {
-	buf := reconPool.Get().(*seq.Sequence)
-	defer reconPool.Put(buf)
-	stored, err := db.storedSequence(rec, buf)
+// distanceVerify compares one record's stored values against the
+// exemplar's under m at the given radius — the exact tier of every
+// distance and value query, whatever the plan; the ±ε band is Chebyshev's
+// kernel. The comparison runs through the metric's early-abandoning
+// threshold kernel (squared-space accumulation, mid-loop bail; see
+// dist.Within), which returns the same decisions and distances as a full
+// evaluation. The record is reconstructed into pooled scratch, so a
+// reject allocates nothing and an accept only its Deviations map.
+func (db *DB) distanceVerify(rec *Record, spec *querySpec, m dist.Metric, radius float64) (Match, bool, error) {
+	buf := valuesPool.Get().(*[]float64)
+	defer valuesPool.Put(buf)
+	stored, err := db.storedValues(rec, buf)
 	if err != nil {
 		if err = db.verifyReadError(rec, err); err != nil {
-			return Match{}, false, fmt.Errorf("core: distance query reading %q: %w", rec.ID, err)
+			return Match{}, false, fmt.Errorf("core: %s query reading %q: %w", spec.kind, rec.ID, err)
 		}
 		return Match{}, false, nil // removed mid-scan; skip
 	}
-	d, within, err := dist.DistanceWithin(m, exemplar, stored, eps)
+	d, within, err := dist.Within(m, spec.values, stored, radius)
 	if err != nil {
 		if errors.Is(err, dist.ErrLengthMismatch) {
 			return Match{}, false, nil // reconstruction drifted in length; incomparable
 		}
-		return Match{}, false, fmt.Errorf("core: distance query %q under %s: %w", rec.ID, m.Name(), err)
+		return Match{}, false, fmt.Errorf("core: %s query %q under %s: %w", spec.kind, rec.ID, m.Name(), err)
 	}
 	if !within {
 		return Match{}, false, nil
@@ -244,31 +248,7 @@ func (db *DB) distanceVerify(rec *Record, exemplar seq.Sequence, m dist.Metric, 
 	return Match{
 		ID:         rec.ID,
 		Exact:      d == 0,
-		Deviations: map[string]float64{m.Name(): d},
-	}, true, nil
-}
-
-// valueVerify runs the early-abandoning ±eps band check on one record —
-// the shared verification step of both ValueQuery plans, on pooled
-// scratch like distanceVerify.
-func (db *DB) valueVerify(rec *Record, exemplar seq.Sequence, eps float64) (Match, bool, error) {
-	buf := reconPool.Get().(*seq.Sequence)
-	defer reconPool.Put(buf)
-	stored, err := db.storedSequence(rec, buf)
-	if err != nil {
-		if err = db.verifyReadError(rec, err); err != nil {
-			return Match{}, false, fmt.Errorf("core: value query reading %q: %w", rec.ID, err)
-		}
-		return Match{}, false, nil // removed mid-scan; skip
-	}
-	d, within, err := dist.BandDistance(exemplar, stored, eps)
-	if err != nil || !within {
-		return Match{}, false, nil // incomparable lengths or outside the band
-	}
-	return Match{
-		ID:         rec.ID,
-		Exact:      d == 0,
-		Deviations: map[string]float64{"value": d},
+		Deviations: map[string]float64{spec.devKey: d},
 	}, true, nil
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"seqrep/internal/dft"
 	"seqrep/internal/dist"
-	"seqrep/internal/seq"
 	"seqrep/internal/synth"
 )
 
@@ -87,7 +86,7 @@ func TestPlannerRouting(t *testing.T) {
 func TestFeatureScaleLowerBounds(t *testing.T) {
 	db := mustDB(t, Config{})
 	rng := rand.New(rand.NewSource(18))
-	metrics := map[string]func(a, b seq.Sequence) (float64, error){"band": dist.LInf}
+	metrics := map[string]func(a, b []float64) (float64, error){"band": dist.LInf}
 	for _, m := range dist.Metrics() {
 		metrics[m.Name()] = m.Distance
 	}
@@ -102,13 +101,12 @@ func TestFeatureScaleLowerBounds(t *testing.T) {
 	}
 	check := func(pair string, qv, rv []float64) {
 		t.Helper()
-		q, r := seq.New(qv), seq.New(rv)
 		for name, d := range metrics {
-			lb, _ := db.prefilters(name, q)
-			if lb == nil {
+			lb, _ := db.prefilters(name, qv)
+			if !lb.prunes() {
 				t.Fatalf("%s: no feature bound", name)
 			}
-			vals := r.Values()
+			vals := rv
 			if lb.z {
 				vals = dist.ZNormalizeValues(vals)
 			}
@@ -116,7 +114,7 @@ func TestFeatureScaleLowerBounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dv, err := d(q, r)
+			dv, err := d(qv, rv)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +163,7 @@ func TestFeatureScaleLowerBounds(t *testing.T) {
 			check(fmt.Sprintf("n=%d offset %g δ %g", n, level, delta), qv, rv)
 		}
 	}
-	if lb, qsk := db.prefilters("custom", seq.New(walk(64, 1))); lb != nil || qsk != nil {
+	if lb, qsk := db.prefilters("custom", walk(64, 1)); lb.prunes() || qsk != nil {
 		t.Errorf("a custom metric got a feature bound %+v or a sketch %+v", lb, qsk)
 	}
 }

@@ -172,7 +172,7 @@ func (cr *cascadeRun) band(c candidate, t *cascadeTally) Band {
 			t.sketched++
 		}
 	}
-	if lb := cr.spec.lb; lb != nil {
+	if lb := &cr.spec.lb; lb.prunes() {
 		if flo := lb.floor(c.fd); flo > b.Lo {
 			b.Lo = min(flo, b.Hi) // both edges are slacked; never invert the band
 		}
@@ -241,7 +241,7 @@ func (db *DB) produceSimilarity(spec *querySpec, opts QueryOptions, col *collect
 
 	stats.Plan = PlanIndex
 	switch {
-	case spec.lb == nil:
+	case !spec.lb.prunes():
 		stats.Plan = PlanScan
 		db.walkRecords(cr, stats)
 	case opts.TopK > 0:
@@ -275,7 +275,7 @@ func (db *DB) collectIndexed(cr *cascadeRun, stats *QueryStats) {
 		}
 		return fixed
 	}
-	stats.Examined, stats.Pruned = db.findex.collect(spec.n, *spec.lb, bound, func(rec *Record, fd float64) bool {
+	stats.Examined, stats.Pruned = db.findex.collect(spec.n, spec.lb, bound, func(rec *Record, fd float64) bool {
 		items = append(items, candidate{rec: rec, fd: fd})
 		return true
 	})
@@ -365,7 +365,7 @@ func (db *DB) streamIndexed(cr *cascadeRun, stats *QueryStats) {
 			return false
 		}
 	}
-	stats.Examined, stats.Pruned = db.findex.collect(spec.n, *spec.lb, bound, emit)
+	stats.Examined, stats.Pruned = db.findex.collect(spec.n, spec.lb, bound, emit)
 	close(candCh)
 	wg.Wait()
 	// A feature-pruned row under a tightened bound may have been an

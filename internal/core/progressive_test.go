@@ -136,7 +136,7 @@ func trueDistances(t testing.TB, corpus map[string]seq.Sequence, exemplar seq.Se
 		if len(s) != len(exemplar) {
 			continue
 		}
-		d, err := m.Distance(exemplar, s)
+		d, err := m.Distance(exemplar.Values(), s.Values())
 		if err != nil {
 			t.Fatalf("distance to %q: %v", id, err)
 		}
@@ -634,8 +634,8 @@ func TestOnePipelineOneCount(t *testing.T) {
 // sketch bands do not know.
 type renamedL2 struct{}
 
-func (renamedL2) Name() string                                { return "custom-l2" }
-func (renamedL2) Distance(a, b seq.Sequence) (float64, error) { return dist.L2(a, b) }
+func (renamedL2) Name() string                             { return "custom-l2" }
+func (renamedL2) Distance(a, b []float64) (float64, error) { return dist.L2(a, b) }
 
 // TestExactPrunesPastTheIndex pins what the band tier's sketch earns:
 // on walks, where the DFT feature bound is loose, the band dismisses
@@ -674,7 +674,7 @@ func TestExactPrunesPastTheIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			survivors := 0
-			db.findex.collect(compiled.n, *compiled.lb, func() float64 { return compiled.lb.at(compiled.initEps) },
+			db.findex.collect(compiled.n, compiled.lb, func() float64 { return compiled.lb.at(compiled.initEps) },
 				func(*Record, float64) bool { survivors++; return true })
 			matches, stats, err := db.collectSorted(context.Background(), compiled, QueryOptions{})
 			if err != nil {

@@ -87,31 +87,32 @@ func SortMatches(matches []Match) {
 	}
 }
 
-// reconPool recycles the verification tiers' reconstruction buffers: a
-// candidate is reconstructed into pooled scratch, compared, and the
-// buffer goes back, so steady-state verification allocates nothing per
-// candidate. Nothing a verification returns may alias the buffer — which
-// is why dist.Metric implementations must not retain their arguments.
-var reconPool = sync.Pool{New: func() any { return new(seq.Sequence) }}
+// valuesPool recycles the exact tier's buffers: a candidate's values are
+// reconstructed into pooled scratch, compared, and the buffer goes back,
+// so steady-state verification allocates nothing per candidate. Nothing a
+// verification returns may alias the buffer — which is why dist.Metric
+// implementations must not retain their arguments.
+var valuesPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// storedSequence reads the comparison form of a record into *buf (reused
-// and grown as needed, and left holding the result): the reconstruction
-// of its stored representation, in every configuration. Under a memory budget the
-// representation may be cold — materialize pages it back in from the
-// segment tier, so this is the one place the query verification fan-out
-// touches disk. A failure here is a storage fault, not a bad query — the
-// record is committed but its comparison form is unreadable — so the
-// fault-in's error wraps ErrStorage for callers (the serving layer) to
-// classify; a record removed mid-scan surfaces the fault-in's
-// ErrUnknownID, which verifyReadError turns into a skip. The series was
-// validated where it was created (build, or the decode a fault-in runs),
-// so it reconstructs without being checked again.
-func (db *DB) storedSequence(rec *Record, buf *seq.Sequence) (seq.Sequence, error) {
+// storedValues reads the comparison form of a record into *buf (reused
+// and grown as needed, and left holding the result): the values of its
+// stored representation at its sample times, in every configuration.
+// Under a memory budget the representation may be cold — materialize
+// pages it back in from the segment tier, so this is the one place the
+// query verification fan-out touches disk. A failure here is a storage
+// fault, not a bad query — the record is committed but its comparison
+// form is unreadable — so the fault-in's error wraps ErrStorage for
+// callers (the serving layer) to classify; a record removed mid-scan
+// surfaces the fault-in's ErrUnknownID, which verifyReadError turns into
+// a skip. The series was validated where it was created (build, or the
+// decode a fault-in runs), so it reconstructs without being checked
+// again.
+func (db *DB) storedValues(rec *Record, buf *[]float64) ([]float64, error) {
 	fs, err := db.materialize(rec)
 	if err != nil {
 		return nil, err
 	}
-	*buf = fs.AppendReconstructionUnchecked((*buf)[:0])
+	*buf = fs.AppendValuesUnchecked((*buf)[:0])
 	return *buf, nil
 }
 

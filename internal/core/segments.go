@@ -307,12 +307,7 @@ func (d *dirStore) adoptRecord(id string, payload []byte, mm manifestMeta) (*Rec
 	}
 	rec := &Record{ID: id, N: fs.N, Profile: profile, feats: feats, zfeats: zfeats, sketch: sk}
 	rec.setRep(fs)
-	if feats, sketch := d.db.lacks(rec); feats || sketch {
-		sc := derivePool.Get().(*deriveScratch)
-		sc.pts = fs.AppendReconstructionUnchecked(sc.pts[:0]) // UnmarshalBinary validated fs
-		d.db.derive(rec, sc)
-		derivePool.Put(sc)
-	}
+	d.db.derive(rec, fs) // UnmarshalBinary validated fs
 	return rec, nil
 }
 

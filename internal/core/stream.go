@@ -76,20 +76,20 @@ type QuerySpec struct {
 type querySpec struct {
 	kind   string
 	metric string
-	// exemplar is the query sequence; n is its length, and > 0 restricts
-	// candidates to records of that length (and selects the feature-index
-	// group).
-	exemplar seq.Sequence
-	n        int
+	// values is the exemplar's comparison form, taken once per query; n
+	// is its length, and > 0 restricts candidates to records of that
+	// length (and selects the feature-index group).
+	values []float64
+	n      int
 	// devKey is the Match.Deviations key holding the distance the radius
 	// bounds ("value", or the metric name); empty for families without one,
 	// which therefore have no progressive form and no top-K radius
 	// feedback.
 	devKey string
-	// lb is the feature-space pruning rule; nil forces the linear source.
-	// qsk is the exemplar's sketch for the band tier; nil when no record
-	// could be banded against it.
-	lb  *lowerBound
+	// lb is the feature-space pruning rule; its zero value forces the
+	// linear source. qsk is the exemplar's sketch for the band tier; nil
+	// when no record could be banded against it.
+	lb  lowerBound
 	qsk *multires.Sketch
 	// initEps is the starting verification radius (+Inf = unbounded).
 	initEps float64
@@ -197,33 +197,22 @@ func checkEps(eps float64) error {
 // distanceSpec compiles a DistanceQuery. eps may be +Inf (pure nearest-
 // neighbour search under TopK).
 func (db *DB) distanceSpec(exemplar seq.Sequence, m dist.Metric, eps float64) (*querySpec, error) {
-	if err := checkExemplar(exemplar); err != nil {
-		return nil, err
-	}
 	if m == nil {
 		return nil, fmt.Errorf("core: nil metric")
 	}
-	if err := checkEps(eps); err != nil {
-		return nil, err
-	}
-	spec := &querySpec{
-		kind:     FamilyDistance,
-		metric:   m.Name(),
-		exemplar: exemplar,
-		n:        len(exemplar),
-		devKey:   m.Name(),
-		initEps:  eps,
-		verify: func(rec *Record, radius float64) (Match, bool, error) {
-			return db.distanceVerify(rec, exemplar, m, radius)
-		},
-	}
-	spec.lb, spec.qsk = db.prefilters(m.Name(), exemplar)
-	return spec, nil
+	return db.exactSpec(FamilyDistance, m.Name(), m.Name(), m, exemplar, eps)
 }
 
-// valueSpec compiles a ValueQuery (±eps band semantics, which featureScale
-// bounds as "band").
+// valueSpec compiles a ValueQuery: the ±eps band is Chebyshev's kernel,
+// reported under "value" and bounded by featureScale as "band".
 func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) {
+	return db.exactSpec(FamilyValue, "band", "value", dist.Chebyshev, exemplar, eps)
+}
+
+// exactSpec compiles a similarity query whose exact tier is m's kernel
+// over the exemplar's values: the stats label metric, the Deviations key
+// devKey, and the prefilters metric bounds.
+func (db *DB) exactSpec(kind, metric, devKey string, m dist.Metric, exemplar seq.Sequence, eps float64) (*querySpec, error) {
 	if err := checkExemplar(exemplar); err != nil {
 		return nil, err
 	}
@@ -231,17 +220,17 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 		return nil, err
 	}
 	spec := &querySpec{
-		kind:     FamilyValue,
-		metric:   "band",
-		exemplar: exemplar,
-		n:        len(exemplar),
-		devKey:   "value",
-		initEps:  eps,
-		verify: func(rec *Record, radius float64) (Match, bool, error) {
-			return db.valueVerify(rec, exemplar, radius)
-		},
+		kind:    kind,
+		metric:  metric,
+		values:  exemplar.Values(),
+		n:       len(exemplar),
+		devKey:  devKey,
+		initEps: eps,
 	}
-	spec.lb, spec.qsk = db.prefilters("band", exemplar)
+	spec.verify = func(rec *Record, radius float64) (Match, bool, error) {
+		return db.distanceVerify(rec, spec, m, radius)
+	}
+	spec.lb, spec.qsk = db.prefilters(metric, spec.values)
 	return spec, nil
 }
 

@@ -161,7 +161,7 @@ func SubsequenceMatch(id string, stored, q seq.Sequence, k int, eps float64) ([]
 		// so poisoned stretches degrade to per-window verification
 		// instead of silently dismissing clean windows.
 		if !(sdft.featureDistSq(qf) > bailSq) {
-			d, within, err := dist.L2ValuesWithin(sv[off:off+w], qv, eps)
+			d, within, err := dist.Within(dist.Euclidean, sv[off:off+w], qv, eps)
 			if err != nil {
 				return nil, err
 			}

@@ -32,7 +32,7 @@ func subsequenceMatchRecompute(id string, stored, q seq.Sequence, k int, eps flo
 		if FeatureDist(qf, wf) > eps {
 			continue
 		}
-		d, err := dist.L2Values(buf, qv)
+		d, err := dist.L2(buf, qv)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"seqrep/internal/dist"
-	"seqrep/internal/seq"
 	"seqrep/internal/synth"
 )
 
@@ -102,7 +101,7 @@ func TestCompatible(t *testing.T) {
 func bandMetrics() map[string]func(a, b []float64) float64 {
 	d := func(m dist.Metric) func(a, b []float64) float64 {
 		return func(a, b []float64) float64 {
-			v, err := m.Distance(seq.New(a), seq.New(b))
+			v, err := m.Distance(a, b)
 			if err != nil {
 				return math.NaN()
 			}

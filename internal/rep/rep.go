@@ -61,7 +61,7 @@ func (fs *FunctionSeries) AppendSegment(sg Segment, params ...float64) {
 }
 
 // Curve reconstructs segment i's fitted function as a boxed fit.Curve, for
-// rendering; the series' own evaluations go through appendSegments.
+// rendering; the series' own evaluations go through appendValues.
 func (fs *FunctionSeries) Curve(i int) (fit.Curve, error) {
 	return fit.Decode(fs.Segments[i].Kind, fs.SegmentParams(i))
 }
@@ -189,63 +189,94 @@ func (fs *FunctionSeries) AppendReconstruction(dst seq.Sequence) (seq.Sequence, 
 // AppendReconstructionUnchecked is AppendReconstruction without the
 // validation, for a series already known valid and not modified since:
 // one UnmarshalBinary returned, or one its creator checked with Validate
-// (or with AppendReconstruction). A database validates each series once,
-// where it is created, and verifies query candidates through this. On a
-// series that would fail Validate it may panic.
+// (or with AppendReconstruction). On a series that would fail Validate it
+// may panic. The sample times come first; the values are the series'
+// one evaluation, appendValues, at those times.
 func (fs *FunctionSeries) AppendReconstructionUnchecked(dst seq.Sequence) seq.Sequence {
-	return fs.appendSegments(slices.Grow(dst, fs.N), 0, len(fs.Segments), nil)
+	lo := len(dst)
+	dst = slices.Grow(dst, fs.N)
+	for i := range fs.Segments {
+		sg := &fs.Segments[i]
+		for j, n := 0, sg.Len(); j < n; j++ {
+			dst = append(dst, seq.Point{T: sg.sampleTime(j, n, nil)})
+		}
+	}
+	vals := reconValues.Get().(*[]float64)
+	*vals = fs.appendValues((*vals)[:0], 0, len(fs.Segments), dst[lo:])
+	for i, v := range *vals {
+		dst[lo+i].V = v
+	}
+	reconValues.Put(vals)
+	return dst
 }
 
-// appendSegments appends segments [from, to) evaluated at their uniform
+// reconValues is AppendReconstructionUnchecked's scratch for the values
+// it pairs with the sample times.
+var reconValues = sync.Pool{New: func() any { return new([]float64) }}
+
+// AppendValuesUnchecked appends the values of the Reconstruct samples to
+// dst and returns the extended slice, allocating only when dst lacks room
+// for N more values. Each value is bit-identical to the V of the matching
+// AppendReconstructionUnchecked point. It is the comparison form: a
+// database validates each series once, where it is created, and both
+// derives its features and verifies query candidates through this. Like
+// AppendReconstructionUnchecked it trusts the series to be valid.
+func (fs *FunctionSeries) AppendValuesUnchecked(dst []float64) []float64 {
+	return fs.appendValues(slices.Grow(dst, fs.N), 0, len(fs.Segments), nil)
+}
+
+// appendValues appends segments [from, to) evaluated at their uniform
 // sample times, or at the times of at, each segment taking as many as it
 // covers samples (or what remains). It is every evaluation's one dispatch
-// on Kind, to concrete curves: nothing is boxed, and each Eval is the
-// arithmetic the fit.Curve interface would run. fs must be valid.
-func (fs *FunctionSeries) appendSegments(dst seq.Sequence, from, to int, at seq.Sequence) seq.Sequence {
-	params := fs.Params
+// on Kind, to concrete curves with a loop per kind: nothing is boxed, and
+// each Eval, the arithmetic the fit.Curve interface would run, inlines
+// into its loop. fs must be valid.
+func (fs *FunctionSeries) appendValues(dst []float64, from, to int, at seq.Sequence) []float64 {
 	for i := from; i < to; i++ {
 		sg := &fs.Segments[i]
+		n := sg.Len()
 		var times seq.Sequence
 		if at != nil {
-			k := min(sg.Len(), len(at))
+			k := min(n, len(at))
 			times, at = at[:k], at[k:]
+			n = k
 		}
-		p := params[sg.Off:][:sg.NParams]
+		lo := len(dst)
+		dst = slices.Grow(dst, n)[:lo+n]
+		out := dst[lo:]
+		p := fs.Params[sg.Off:][:sg.NParams]
 		switch sg.Kind {
 		case fit.KindLine:
-			dst = appendCurve(dst, sg, times, fit.LineFromParams(p))
+			line := fit.LineFromParams(p)
+			for j := range out {
+				out[j] = line.Eval(sg.sampleTime(j, n, times))
+			}
 		case fit.KindPoly:
-			dst = appendCurve(dst, sg, times, fit.PolynomialFromParams(p))
+			poly := fit.PolynomialFromParams(p)
+			for j := range out {
+				out[j] = poly.Eval(sg.sampleTime(j, n, times))
+			}
 		default: // KindBezier: Validate refused every other kind
-			dst = appendCurve(dst, sg, times, fit.BezierFromParams(p))
+			bz := fit.BezierFromParams(p)
+			for j := range out {
+				out[j] = bz.Eval(sg.sampleTime(j, n, times))
+			}
 		}
 	}
 	return dst
 }
 
-// appendCurve appends one segment's samples of curve: at the times of
-// at, or at the segment's uniform sample times when at is nil.
-func appendCurve[C interface{ Eval(float64) float64 }](dst seq.Sequence, sg *Segment, at seq.Sequence, curve C) seq.Sequence {
+// sampleTime is the time of the j-th of the segment's n samples: at's,
+// or when at is nil the uniform one between its boundary times.
+func (sg *Segment) sampleTime(j, n int, at seq.Sequence) float64 {
 	if at != nil {
-		return appendAt(dst, at, curve)
+		return at[j].T
 	}
-	n := sg.Len()
-	for j := 0; j < n; j++ {
-		t := sg.StartT
-		if n > 1 {
-			t += (sg.EndT - sg.StartT) * float64(j) / float64(n-1)
-		}
-		dst = append(dst, seq.Point{T: t, V: curve.Eval(t)})
+	t := sg.StartT
+	if n > 1 {
+		t += (sg.EndT - sg.StartT) * float64(j) / float64(n-1)
 	}
-	return dst
-}
-
-// appendAt is appendCurve at given times, apart from the uniform loop that verification runs hot.
-func appendAt[C interface{ Eval(float64) float64 }](dst, at seq.Sequence, curve C) seq.Sequence {
-	for _, q := range at {
-		dst = append(dst, seq.Point{T: q.T, V: curve.Eval(q.T)})
-	}
-	return dst
+	return t
 }
 
 // ValueAt evaluates the representation at an arbitrary time, choosing the
@@ -265,7 +296,7 @@ func (fs *FunctionSeries) ValueAt(t float64) (float64, error) {
 	if i == 0 {
 		t = max(t, segs[0].StartT)
 	}
-	return fs.appendSegments(nil, i, i+1, seq.Sequence{{T: t}})[0].V, nil
+	return fs.appendValues(nil, i, i+1, seq.Sequence{{T: t}})[0], nil
 }
 
 // ErrorAgainst returns the RMSE and maximum absolute vertical error of the
@@ -277,10 +308,10 @@ func (fs *FunctionSeries) ErrorAgainst(s seq.Sequence) (rmse, linf float64, err 
 	if err := fs.Validate(); err != nil {
 		return 0, 0, err
 	}
-	at := fs.appendSegments(make(seq.Sequence, 0, fs.N), 0, len(fs.Segments), s)
+	at := fs.appendValues(make([]float64, 0, fs.N), 0, len(fs.Segments), s)
 	var sse float64
 	for i, p := range s {
-		d := math.Abs(p.V - at[i].V)
+		d := math.Abs(p.V - at[i])
 		if d > linf {
 			linf = d
 		}

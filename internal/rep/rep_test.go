@@ -393,9 +393,9 @@ func spiky(n int) seq.Sequence {
 // TestAppendReconstructionBitIdentical pins that the allocation-free
 // reconstruction, appended into nil or into a dirty reused buffer, is
 // bit-identical to evaluating each segment through the fit.Curve
-// interface, and that Reconstruct and AppendReconstructionUnchecked are
-// too — for every breaker and every
-// curve family the representation stores.
+// interface, that Reconstruct and AppendReconstructionUnchecked are too,
+// and that AppendValuesUnchecked is their V — for every breaker, every
+// curve family the representation stores and 1-sample segments.
 func TestAppendReconstructionBitIdentical(t *testing.T) {
 	breakers := map[string]func() breaking.Breaker{
 		"interpolation": func() breaking.Breaker { return breaking.Interpolation(0.5) },
@@ -423,8 +423,21 @@ func TestAppendReconstructionBitIdentical(t *testing.T) {
 		}
 		return true
 	}
+	sameValues := func(vals []float64, pts seq.Sequence) bool {
+		if len(vals) != len(pts) {
+			return false
+		}
+		for i, v := range vals {
+			if math.Float64bits(v) != math.Float64bits(pts[i].V) {
+				return false
+			}
+		}
+		return true
+	}
 	dirty := make(seq.Sequence, 0, 64)
+	var dirtyVals []float64
 	singles := 0
+	kinds := map[fit.Kind]bool{}
 	for bname, mk := range breakers {
 		for n := 1; n <= 300; n++ {
 			s := spiky(n)
@@ -464,11 +477,24 @@ func TestAppendReconstructionBitIdentical(t *testing.T) {
 				if !same(fromNil, want) || !same(reused, want) || !same(whole, want) || !same(unchecked, want) {
 					t.Fatalf("%s/%s n=%d: reconstruction differs from the fit.Curve evaluation", bname, rname, n)
 				}
+				// The values form, into nil and into a dirty reused buffer
+				// behind a prefix it must keep, is the points' V bit for bit.
+				dirtyVals = append(append(dirtyVals[:0], -1), s.Values()...)
+				dirtyVals = fs.AppendValuesUnchecked(dirtyVals[:1])
+				if dirtyVals[0] != -1 || !sameValues(dirtyVals[1:], want) || !sameValues(fs.AppendValuesUnchecked(nil), want) {
+					t.Fatalf("%s/%s n=%d: values differ from the reconstruction's", bname, rname, n)
+				}
+				for i := range fs.Segments {
+					kinds[fs.Segments[i].Kind] = true
+				}
 			}
 		}
 	}
 	if singles == 0 {
 		t.Fatal("no 1-sample segment was exercised")
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("exercised segment kinds %v, want line, polynomial and Bézier", kinds)
 	}
 
 	// An invalid series fails validation on every call and leaves dst as

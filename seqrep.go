@@ -61,7 +61,8 @@
 //     and verification fan-out promptly with no goroutine leaks.
 //   - Distance kernels: Metric, MetricByName, and the EuclideanMetric /
 //     ManhattanMetric / ChebyshevMetric / ZEuclideanMetric constructors
-//     over the internal/dist kernel layer.
+//     over internal/dist's one kernel layer, which compares []float64
+//     value vectors: a custom Metric implements Distance over values.
 //   - Breaking algorithms: NewInterpolationBreaker (the paper's preferred
 //     variant, breaks at extrema), NewRegressionBreaker, NewBezierBreaker,
 //     NewDPBreaker (O(n²) optimal), NewOnlineBreaker (streaming).
@@ -107,7 +108,9 @@ type (
 	// (DB.IngestBatchItems; the joined error of DB.IngestBatch unwraps to
 	// these via errors.As).
 	ItemError = core.ItemError
-	// Metric is a named distance kernel usable with DB.DistanceQuery.
+	// Metric is a named distance kernel over value vectors, usable with
+	// DB.DistanceQuery: verification compares the exemplar's values with
+	// each candidate's reconstructed values.
 	Metric = dist.Metric
 	// Match is one query result with per-dimension deviations.
 	Match = core.Match
