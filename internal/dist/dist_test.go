@@ -278,6 +278,38 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 	}
 }
 
+// TestL2ValuesWithin checks the l2 threshold kernel against its full
+// counterpart on a boundary-heavy workload over bare value vectors.
+func TestL2ValuesWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(64)
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		want, err := L2(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{0, want, math.Nextafter(want, 0), want * 2} {
+			d, within, err := Within(Euclidean, a, b, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if within != (want <= eps) {
+				t.Fatalf("n=%d eps=%v: within=%v, want %v", n, eps, within, want <= eps)
+			}
+			if within && d != want {
+				t.Fatalf("n=%d eps=%v: d=%v != %v", n, eps, d, want)
+			}
+		}
+	}
+	if _, _, err := Within(Euclidean, []float64{1}, []float64{1, 2}, 1); err == nil {
+		t.Error("length mismatch accepted")
+	}
+}
+
 // raceEnabled is set by race_test.go under the race detector, whose
 // sync.Pool drops items at random, so a pooled buffer allocates anew.
 var raceEnabled bool
