@@ -208,7 +208,7 @@ func expGoalpost(out io.Writer) error {
 			if m.Exact {
 				shapeCell = "exact"
 			} else {
-				shapeCell = fmt.Sprintf("approx (spacing %.2f)", m.Deviations["spacing"])
+				shapeCell = fmt.Sprintf("approx (spacing %.2f)", m.Shape.Spacing)
 			}
 		}
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\n", id, rec.Profile.Symbols,

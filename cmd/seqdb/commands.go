@@ -333,7 +333,7 @@ func runQuery(ctx context.Context, db *seqrep.DB, q seqrep.ParsedQuery) error {
 	}
 	for _, m := range res.Matches {
 		if !m.Exact {
-			fmt.Printf("  %s approximate, deviations %v\n", m.ID, m.Deviations)
+			fmt.Printf("  %s approximate, deviations %v\n", m.ID, m.Deviations())
 		}
 	}
 	fmt.Printf("%d match(es) [%s]\n", len(res.IDs), res.Kind)

@@ -97,7 +97,7 @@ func run() error {
 			} else {
 				shapeCell = "approx"
 			}
-			devCell = fmt.Sprintf("%.3f", m.Deviations["spacing"])
+			devCell = fmt.Sprintf("%.3f", m.Shape.Spacing)
 		}
 		fmt.Fprintf(w, "%s\t%v\t%v\t%s\t%s\n", id, yes(inValue[id]), yes(inPattern[id]), shapeCell, devCell)
 	}

@@ -296,7 +296,7 @@ func TestValueQueryMatchesLInfScan(t *testing.T) {
 	}
 	got := map[string]float64{}
 	for _, m := range matches {
-		got[m.ID] = m.Deviations["value"]
+		got[m.ID] = m.Dev
 	}
 	for _, id := range db.IDs() {
 		stored, err := db.Reconstruct(id)
@@ -339,8 +339,8 @@ func TestDistanceQueryMetrics(t *testing.T) {
 	if len(matches) != len(items) {
 		t.Fatalf("matched %d of %d", len(matches), len(items))
 	}
-	if _, ok := matches[0].Deviations["l2"]; !ok {
-		t.Errorf("deviations not keyed by metric name: %v", matches[0].Deviations)
+	if matches[0].Key != "l2" {
+		t.Errorf("deviation not keyed by metric name: %q", matches[0].Key)
 	}
 	// The variants differ only by a value shift, which z-normalization
 	// cancels: under ZEuclidean every distance collapses to ~0.

@@ -211,7 +211,7 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, eps := range append(atDistances(all, m.Name()), epsCands...) {
+						for _, eps := range append(atDistances(all), epsCands...) {
 							indexed, istats, err := db.DistanceQueryCtx(context.Background(), exemplar, m, eps, QueryOptions{})
 							if err != nil {
 								t.Fatalf("indexed %s eps=%g: %v", m.Name(), eps, err)
@@ -237,7 +237,7 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, eps := range append(atDistances(all, "value"), epsCands...) {
+					for _, eps := range append(atDistances(all), epsCands...) {
 						indexed, istats, err := db.ValueQueryCtx(context.Background(), exemplar, eps, QueryOptions{})
 						if err != nil {
 							t.Fatalf("indexed value eps=%g: %v", eps, err)
@@ -267,11 +267,11 @@ func TestIndexedQueryEquivalence(t *testing.T) {
 // middle and the farthest of all (a query's every match, sorted): at such
 // an ε the record lies on the boundary, where only the slack of the
 // sketch band and of the feature bound keeps it from being dismissed.
-func atDistances(all []Match, devKey string) []float64 {
+func atDistances(all []Match) []float64 {
 	if len(all) == 0 {
 		return nil
 	}
-	return []float64{all[len(all)/2].Deviations[devKey], all[len(all)-1].Deviations[devKey]}
+	return []float64{all[len(all)/2].Dev, all[len(all)-1].Dev}
 }
 
 // TestIndexedQueryEquivalenceConcurrentChurn interleaves the equivalence

@@ -178,7 +178,8 @@ func shapeReference(t *testing.T, db *DB, exemplar seq.Sequence, tol ShapeTolera
 			}
 		}
 		want = append(want, Match{ID: id, Exact: devPeaks == 0 && devHeight <= 1e-9 && devSpacing <= 1e-9,
-			Deviations: map[string]float64{"peaks": devPeaks, "height": devHeight, "spacing": devSpacing}})
+			Key: "shape", Dev: devPeaks + devHeight + devSpacing,
+			Shape: &ShapeTolerance{Peaks: int(devPeaks), Height: devHeight, Spacing: devSpacing}})
 	}
 	SortMatches(want)
 	return want
@@ -194,7 +195,7 @@ var shapeTolerances = []ShapeTolerance{
 
 // checkShapeAgainstReference runs every tolerance for a few of the
 // corpus's fevers and ECGs as exemplars, and demands the reference's
-// answer bit for bit: ids, order, Exact and Deviations.
+// answer bit for bit: ids, order, Exact and deviations.
 func checkShapeAgainstReference(t *testing.T, db *DB, corpus []BatchItem, label string) {
 	t.Helper()
 	total := 0

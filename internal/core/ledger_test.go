@@ -243,8 +243,9 @@ func hashMatch(h interface{ Write([]byte) (int, error) }, m Match, computed bool
 		fmt.Fprintf(h, ":%v", *m.Interval)
 	}
 	if computed {
-		for _, k := range slices.Sorted(maps.Keys(m.Deviations)) {
-			fmt.Fprintf(h, ":%s=%x", k, math.Float64bits(m.Deviations[k]))
+		devs := m.Deviations()
+		for _, k := range slices.Sorted(maps.Keys(devs)) {
+			fmt.Fprintf(h, ":%s=%x", k, math.Float64bits(devs[k]))
 		}
 	}
 	fmt.Fprint(h, ";")

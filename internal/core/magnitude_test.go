@@ -61,7 +61,7 @@ func TestMagnitudeCapRefusesOverflow(t *testing.T) {
 		if err != nil || len(matches) != 2 {
 			t.Fatalf("%+v: l2 at EPS 1e305 answered %v (%v), want both records", opts, matches, err)
 		}
-		if d := matches[1].Deviations["l2"]; math.IsInf(d, 0) || math.IsNaN(d) {
+		if d := matches[1].Dev; math.IsInf(d, 0) || math.IsNaN(d) {
 			t.Errorf("%+v: distance %v", opts, d)
 		}
 	}
@@ -152,7 +152,7 @@ func TestFiniteInFiniteOut(t *testing.T) {
 				if err != nil || len(all) != len(items) {
 					t.Fatalf("unbounded: %d of %d, %v", len(all), len(items), err)
 				}
-				for _, eps := range []float64{0, all[len(all)/8].Deviations[r.devKey], all[len(all)/2].Deviations[r.devKey]} {
+				for _, eps := range []float64{0, all[len(all)/8].Dev, all[len(all)/2].Dev} {
 					spec := r.spec(exemplar, eps)
 					compiled, err := db.compile(spec)
 					if err != nil {
@@ -174,7 +174,7 @@ func TestFiniteInFiniteOut(t *testing.T) {
 						t.Errorf("eps=%g: top-3 %v (%v), want the sorted prefix", eps, top, err)
 					}
 					for _, m := range got {
-						if d := m.Deviations[r.devKey]; !finite(d) {
+						if d := m.Dev; !finite(d) {
 							t.Errorf("eps=%g: %s deviation %v", eps, m.ID, d)
 						}
 					}
@@ -182,7 +182,7 @@ func TestFiniteInFiniteOut(t *testing.T) {
 						frames, _ := collectFrames(t, db, spec, opts)
 						for id, fs := range frames {
 							for _, f := range fs {
-								if !finite(f.Band.Lo) || !finite(f.Band.Hi) || f.Match != nil && !finite(f.Match.Deviations[r.devKey]) {
+								if !finite(f.Band.Lo) || !finite(f.Band.Hi) || f.Match != nil && !finite(f.Match.Dev) {
 									t.Errorf("eps=%g %+v: %s frame %+v", eps, opts, id, f)
 								}
 							}

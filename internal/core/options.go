@@ -225,7 +225,7 @@ func (c *collector) found(m Match) {
 			return
 		}
 		if len(c.heap) == c.k && c.prunes {
-			c.radiusBits.Store(math.Float64bits(totalDeviation(c.heap[0])))
+			c.radiusBits.Store(math.Float64bits(c.heap[0].Dev))
 		}
 		return
 	}
@@ -295,8 +295,7 @@ func (c *collector) verify(rec *Record, band Band) {
 		pm := ProgressiveMatch{ID: rec.ID, Tier: TierExact, Band: band, Final: true}
 		if ok {
 			accepted := m // copied so only accepted frames put a Match on the heap
-			d := m.Deviations[c.spec.devKey]
-			pm.Band, pm.Match = Band{Lo: d, Hi: d}, &accepted
+			pm.Band, pm.Match = Band{Lo: m.Dev, Hi: m.Dev}, &accepted
 		}
 		c.frame(pm)
 	case ok:

@@ -224,7 +224,7 @@ func (db *DB) verifyReadError(rec *Record, err error) error {
 // threshold kernel (squared-space accumulation, mid-loop bail; see
 // dist.Within), which returns the same decisions and distances as a full
 // evaluation. The record is reconstructed into pooled scratch, so a
-// reject allocates nothing and an accept only its Deviations map.
+// candidate allocates nothing, accepted or rejected.
 func (db *DB) distanceVerify(rec *Record, spec *querySpec, m dist.Metric, radius float64) (Match, bool, error) {
 	buf := valuesPool.Get().(*[]float64)
 	defer valuesPool.Put(buf)
@@ -245,11 +245,7 @@ func (db *DB) distanceVerify(rec *Record, spec *querySpec, m dist.Metric, radius
 	if !within {
 		return Match{}, false, nil
 	}
-	return Match{
-		ID:         rec.ID,
-		Exact:      d == 0,
-		Deviations: map[string]float64{spec.devKey: d},
-	}, true, nil
+	return Match{ID: rec.ID, Exact: d == 0, Key: spec.devKey, Dev: d}, true, nil
 }
 
 // candPool recycles the planner's candidate scratch so steady-state

@@ -123,7 +123,7 @@ func bandMatch(id string, devKey string, band Band) *Match {
 	if math.IsInf(dev, 1) {
 		dev = band.Lo
 	}
-	return &Match{ID: id, Exact: band.Hi == 0, Deviations: map[string]float64{devKey: dev}}
+	return &Match{ID: id, Exact: band.Hi == 0, Key: devKey, Dev: dev}
 }
 
 // cascadeRun is one run of the candidate pipeline: its parameters and its

@@ -218,7 +218,7 @@ type progressiveRunner struct {
 	// pointwise deviation — Chebyshev — for value queries).
 	truth dist.Metric
 	spec  func(exemplar seq.Sequence, eps float64) QuerySpec
-	// devKey is the Deviations key exact verification reports under.
+	// devKey is the Match.Key exact verification reports under.
 	devKey string
 }
 
@@ -500,8 +500,8 @@ func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence
 			t.Errorf("eps=%v: exact match %q missing from progressive answer (false dismissal)", eps, em.ID)
 			continue
 		}
-		if pm.Deviations[r.devKey] != em.Deviations[r.devKey] {
-			t.Errorf("%q: progressive deviation %v != exact %v", em.ID, pm.Deviations[r.devKey], em.Deviations[r.devKey])
+		if pm.Key != r.devKey || pm.Key != em.Key || pm.Dev != em.Dev {
+			t.Errorf("%q: progressive deviation %s=%v != exact %s=%v", em.ID, pm.Key, pm.Dev, em.Key, em.Dev)
 		}
 	}
 
@@ -588,7 +588,7 @@ func TestOnePipelineOneCount(t *testing.T) {
 				if err != nil || len(all) < 30 {
 					t.Fatalf("unbounded: %d matches, %v", len(all), err)
 				}
-				spec := r.spec(exemplar, all[29].Deviations[r.devKey]) // the 30th-nearest distance
+				spec := r.spec(exemplar, all[29].Dev) // the 30th-nearest distance
 				exact, exactStats, err := db.querySorted(context.Background(), spec, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
@@ -669,7 +669,7 @@ func TestExactPrunesPastTheIndex(t *testing.T) {
 			if err != nil || len(all) < 30 {
 				t.Fatalf("unbounded: %d matches, %v", len(all), err)
 			}
-			compiled, err := db.distanceSpec(exemplar, row.metric, all[29].Deviations[row.metric.Name()])
+			compiled, err := db.distanceSpec(exemplar, row.metric, all[29].Dev)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,75 +16,65 @@ import (
 
 // Match is one query result. Exact matches are members of the query's
 // sequence set (§2.2 item 4); approximate matches deviate from it along
-// named feature dimensions, each within its tolerance. Deviations maps
-// dimension name to the observed deviation (0 for exact dimensions).
+// named feature dimensions, each within its tolerance.
 //
-// The ranked families (distance, value, shape, peaks) set Deviations; the
-// others leave it nil. A FamilyPattern match is the id alone, a FamilyFind
-// match one occurrence (Hit), a FamilyInterval match the record's
-// intervals in range (Interval).
+// The ranked families (distance, value, shape, peaks) report one
+// deviation, Dev, named by Key: the distance under the query's metric
+// (Key is the metric name, or "value" for the ±ε band) or |peaks - k|
+// ("peaks"). A shape match (Key "shape") also carries its three observed
+// deviations in Shape, in the tolerance's own units, and Dev is their sum
+// Peaks + Height + Spacing. Deviations builds the per-dimension map the
+// wire and the CLI print. The other families leave Key empty: a
+// FamilyPattern match is the id alone, a FamilyFind match one occurrence
+// (Hit), a FamilyInterval match the record's intervals in range
+// (Interval).
 type Match struct {
-	ID         string
-	Exact      bool
-	Deviations map[string]float64
-	Hit        *PatternHit
-	Interval   *IntervalMatch
+	ID       string
+	Exact    bool
+	Key      string
+	Dev      float64
+	Shape    *ShapeTolerance
+	Hit      *PatternHit
+	Interval *IntervalMatch
 }
 
-// matchCompare orders matches: exact first, then by total deviation, then
-// id.
+// Deviations maps each dimension a ranked match deviates along to the
+// observed deviation (0 for exact dimensions): {Key: Dev}, or shape's
+// "peaks", "height" and "spacing". It is nil for the unranked families,
+// and a fresh map on every call.
+func (m Match) Deviations() map[string]float64 {
+	switch {
+	case m.Key == "":
+		return nil
+	case m.Shape != nil:
+		return map[string]float64{"peaks": float64(m.Shape.Peaks), "height": m.Shape.Height, "spacing": m.Shape.Spacing}
+	}
+	return map[string]float64{m.Key: m.Dev}
+}
+
+// matchCompare orders matches: exact first, then by deviation, then id.
 func matchCompare(a, b Match) int {
-	return keyedCompare(keyedMatch{a, totalDeviation(a)}, keyedMatch{b, totalDeviation(b)})
-}
-
-func totalDeviation(m Match) float64 {
-	t := 0.0
-	for _, d := range m.Deviations {
-		t += d
-	}
-	return t
-}
-
-// keyedMatch is a match with its total deviation computed once, so a sort
-// does not range over two Deviations maps per comparison.
-type keyedMatch struct {
-	m   Match
-	dev float64
-}
-
-// keyedCompare is matchCompare on precomputed total deviations.
-func keyedCompare(a, b keyedMatch) int {
-	if a.m.Exact != b.m.Exact {
-		if a.m.Exact {
+	if a.Exact != b.Exact {
+		if a.Exact {
 			return -1
 		}
 		return 1
 	}
-	if a.dev != b.dev {
-		if a.dev < b.dev {
+	if a.Dev != b.Dev {
+		if a.Dev < b.Dev {
 			return -1
 		}
 		return 1
 	}
-	return strings.Compare(a.m.ID, b.m.ID)
+	return strings.Compare(a.ID, b.ID)
 }
 
 // SortMatches orders matches the way every materialized query returns
-// them: exact matches first, then by total deviation, ties broken by id.
+// them: exact matches first, then by deviation, ties broken by id.
 // Callers of the streaming query forms (which yield in discovery order
 // unless TopK is set) use it to restore the canonical order.
 func SortMatches(matches []Match) {
-	if len(matches) < 2 {
-		return
-	}
-	keyed := make([]keyedMatch, len(matches))
-	for i, m := range matches {
-		keyed[i] = keyedMatch{m, totalDeviation(m)}
-	}
-	slices.SortFunc(keyed, keyedCompare)
-	for i := range keyed {
-		matches[i] = keyed[i].m
-	}
+	slices.SortFunc(matches, matchCompare)
 }
 
 // valuesPool recycles the exact tier's buffers: a candidate's values are
@@ -427,7 +417,7 @@ func producePeaks(db *DB, spec *querySpec, col *collector) (examined, candidates
 			o++
 		}
 		dev := lo + o
-		col.found(Match{ID: id, Exact: dev == 0, Deviations: map[string]float64{"peaks": float64(dev)}})
+		col.found(Match{ID: id, Exact: dev == 0, Key: "peaks", Dev: float64(dev)})
 	}
 	return examined, len(ids)
 }
@@ -557,7 +547,7 @@ func (db *DB) shapeSignatureOf(exemplar seq.Sequence) (shapeSig, error) {
 // score compares one record's peaks against the signature — ShapeQuery's
 // verification kernel. It reads only what stays resident (the profile's
 // peaks and the span and baseline setRep cached), so no payload is paged
-// in, and it allocates only a match's Deviations.
+// in, and it allocates only a match's Shape.
 func (q *shapeSig) score(rec *Record, tol ShapeTolerance) (Match, bool) {
 	peaks, span, base := rec.Profile.Peaks, rec.repSpan, rec.repBase
 	devPeaks := math.Abs(float64(len(peaks)) - float64(len(q.heights)))
@@ -588,11 +578,9 @@ func (q *shapeSig) score(rec *Record, tol ShapeTolerance) (Match, bool) {
 	return Match{
 		ID:    rec.ID,
 		Exact: devPeaks == 0 && devHeight <= exactSlack && devSpacing <= exactSlack,
-		Deviations: map[string]float64{
-			"peaks":   devPeaks,
-			"height":  devHeight,
-			"spacing": devSpacing,
-		},
+		Key:   "shape",
+		Dev:   devPeaks + devHeight + devSpacing,
+		Shape: &ShapeTolerance{Peaks: int(devPeaks), Height: devHeight, Spacing: devSpacing},
 	}, true
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"seqrep/internal/dist"
 	"seqrep/internal/pattern"
 	"seqrep/internal/seq"
 	"seqrep/internal/synth"
@@ -88,8 +91,8 @@ func TestValueQueryExactFlag(t *testing.T) {
 		if m.Exact {
 			t.Errorf("%q claimed exact", m.ID)
 		}
-		if m.Deviations["value"] <= 0 {
-			t.Errorf("%q deviation %g", m.ID, m.Deviations["value"])
+		if m.Key != "value" || m.Dev <= 0 {
+			t.Errorf("%q deviation %s=%g", m.ID, m.Key, m.Dev)
 		}
 	}
 }
@@ -182,7 +185,7 @@ func TestPeakCount(t *testing.T) {
 		t.Errorf("exact two-peak matches = %d: %+v", len(exact), exact)
 	}
 	for _, m := range exact {
-		if !m.Exact || m.Deviations["peaks"] != 0 {
+		if !m.Exact || m.Key != "peaks" || m.Dev != 0 {
 			t.Errorf("match %+v not exact", m)
 		}
 	}
@@ -195,7 +198,7 @@ func TestPeakCount(t *testing.T) {
 	for _, m := range loose {
 		if m.ID == "three-peaks" {
 			foundThree = true
-			if m.Exact || m.Deviations["peaks"] != 1 {
+			if m.Exact || m.Key != "peaks" || m.Dev != 1 {
 				t.Errorf("three-peaks match %+v", m)
 			}
 		}
@@ -338,7 +341,7 @@ func TestPeakCountMatchesProfiles(t *testing.T) {
 				for _, id := range db.IDs() {
 					rec, _ := db.Record(id)
 					if dev := math.Abs(float64(len(rec.Profile.Peaks) - k)); dev <= float64(tol) {
-						want = append(want, Match{ID: id, Exact: dev == 0, Deviations: map[string]float64{"peaks": dev}})
+						want = append(want, Match{ID: id, Exact: dev == 0, Key: "peaks", Dev: dev})
 					}
 				}
 				SortMatches(want)
@@ -744,12 +747,12 @@ func TestShapeQueryFindsTransformedFamily(t *testing.T) {
 		t.Error("exemplar not exact")
 	}
 	if !got["amplitude-shift"].Exact {
-		t.Errorf("amplitude shift deviations: %v", got["amplitude-shift"].Deviations)
+		t.Errorf("amplitude shift deviations: %+v", got["amplitude-shift"].Shape)
 	}
 	if got["contraction"].Exact {
 		t.Error("contraction should be approximate (different relative spacing)")
 	}
-	if dev := got["contraction"].Deviations["spacing"]; dev <= 0 {
+	if dev := got["contraction"].Shape.Spacing; dev <= 0 {
 		t.Errorf("contraction spacing deviation = %g", dev)
 	}
 }
@@ -799,56 +802,88 @@ func TestShapeQueryValidation(t *testing.T) {
 }
 
 func TestMatchOrdering(t *testing.T) {
-	a := Match{ID: "b", Exact: true, Deviations: map[string]float64{"x": 0}}
-	b := Match{ID: "a", Exact: false, Deviations: map[string]float64{"x": 1}}
+	a := Match{ID: "b", Exact: true, Key: "x", Dev: 0}
+	b := Match{ID: "a", Exact: false, Key: "x", Dev: 1}
 	if matchCompare(a, b) >= 0 {
 		t.Error("exact should sort first")
 	}
-	c := Match{ID: "c", Deviations: map[string]float64{"x": 0.5}}
-	d := Match{ID: "d", Deviations: map[string]float64{"x": 0.9}}
+	c := Match{ID: "c", Key: "x", Dev: 0.5}
+	d := Match{ID: "d", Key: "x", Dev: 0.9}
 	if matchCompare(c, d) >= 0 || matchCompare(d, c) <= 0 {
 		t.Error("deviation ordering")
 	}
-	e := Match{ID: "e", Deviations: map[string]float64{"x": 0.5}}
+	e := Match{ID: "e", Key: "x", Dev: 0.5}
 	if matchCompare(c, e) >= 0 {
 		t.Error("id tiebreak")
 	}
-}
-
-// TestSortMatchesAgreesWithMatchCompare pins that SortMatches, which
-// computes each total deviation once, orders exactly as sorting by
-// matchCompare does: over random matches with exact flags, multi-key
-// deviations and many ties on (exact, total deviation) that the id
-// breaks. Deviations are multiples of 1/4, so a total is the same in any
-// map iteration order.
-func TestSortMatchesAgreesWithMatchCompare(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	keys := []string{"l2", "peaks", "height", "spacing"}
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(48)
-		ids := rng.Perm(1000)
-		ms := make([]Match, n)
-		for i := range ms {
-			devs := map[string]float64{}
-			for _, k := range keys[:1+rng.Intn(len(keys))] {
-				devs[k] = float64(rng.Intn(5)) / 4
-			}
-			ms[i] = Match{ID: fmt.Sprintf("m-%03d", ids[i]), Exact: rng.Intn(3) == 0, Deviations: devs}
+	// Two shape matches whose totals, summed peaks + height + spacing,
+	// are one ulp apart: 1 + 0.7 + 0.1 = 1.8, while 1 + 0.8 - 1 ulp is
+	// the 1.7999999999999998 that 0.1 + 0.7 + 1 also sums to. Their order
+	// is the same on every call, against the ids' order.
+	shape := func(id string, dev ShapeTolerance) Match {
+		return Match{ID: id, Key: "shape", Dev: float64(dev.Peaks) + dev.Height + dev.Spacing, Shape: &dev}
+	}
+	far := shape("a", ShapeTolerance{Peaks: 1, Height: 0.7, Spacing: 0.1})
+	near := shape("b", ShapeTolerance{Peaks: 1, Height: math.Nextafter(0.8, 0)})
+	if math.Nextafter(near.Dev, 2) != far.Dev {
+		t.Fatalf("totals %v and %v are not one ulp apart", near.Dev, far.Dev)
+	}
+	for range 2000 {
+		if matchCompare(near, far) >= 0 || matchCompare(far, near) <= 0 {
+			t.Fatal("near-tied shape matches change order between calls")
 		}
-		want := slices.Clone(ms)
-		slices.SortFunc(want, matchCompare)
-		got := slices.Clone(ms)
-		SortMatches(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: SortMatches\n%+v\nmatchCompare order\n%+v", trial, got, want)
-		}
+	}
+	ms := []Match{far, near}
+	SortMatches(ms)
+	if ms[0].ID != "b" {
+		t.Errorf("SortMatches put %q first, want the nearer b", ms[0].ID)
 	}
 }
 
-func TestTotalDeviation(t *testing.T) {
-	m := Match{Deviations: map[string]float64{"a": 1, "b": 2.5}}
-	if got := totalDeviation(m); math.Abs(got-3.5) > 1e-12 {
-		t.Errorf("totalDeviation = %g", got)
+// TestMatchDeviations pins the per-dimension map each family's matches
+// build for the wire and the CLI: its keys, and its values bit for bit,
+// hashed in id order over feverDB's answers. The unranked families build
+// none.
+func TestMatchDeviations(t *testing.T) {
+	db := feverDB(t)
+	exemplar, _ := synth.Fever(synth.FeverOpts{Samples: 97})
+	for _, c := range []struct {
+		q    QuerySpec
+		keys []string // nil: Deviations is nil
+		hash uint64
+	}{
+		{QuerySpec{Family: FamilyDistance, Exemplar: exemplar, Metric: dist.Euclidean, Eps: 60}, []string{"l2"}, 0x439977368b6c9c2f},
+		{QuerySpec{Family: FamilyValue, Exemplar: exemplar, Eps: 2}, []string{"value"}, 0xb8ac35d16f1d69eb},
+		{QuerySpec{Family: FamilyPeaks, Peaks: 2, PeakTolerance: 1}, []string{"peaks"}, 0x2468cd25b0305fbd},
+		{QuerySpec{Family: FamilyShape, Exemplar: exemplar, Shape: ShapeTolerance{Peaks: 1, Height: 0.5, Spacing: 0.5}}, []string{"height", "peaks", "spacing"}, 0x765a0be676c49935},
+		{QuerySpec{Family: FamilyPattern, Pattern: pattern.TwoPeak()}, nil, 0},
+		{QuerySpec{Family: FamilyFind, Pattern: "U+F*D+"}, nil, 0},
+		{QuerySpec{Family: FamilyInterval, Interval: 20, Eps: 15}, nil, 0},
+	} {
+		matches, _ := collectQuery(t, db, c.q, QueryOptions{})
+		if len(matches) < 2 {
+			t.Fatalf("%s: %d matches, too few to pin", c.q.Family, len(matches))
+		}
+		slices.SortStableFunc(matches, func(a, b Match) int { return strings.Compare(a.ID, b.ID) })
+		h := fnv.New64a()
+		for _, m := range matches {
+			devs := m.Deviations()
+			if keys := slices.Sorted(maps.Keys(devs)); (devs == nil) != (c.keys == nil) || !slices.Equal(keys, c.keys) {
+				t.Fatalf("%s: %s deviations %v, want keys %q", c.q.Family, m.ID, devs, c.keys)
+			}
+			for _, k := range c.keys {
+				fmt.Fprintf(h, "%s:%s=%x;", m.ID, k, math.Float64bits(devs[k]))
+			}
+			if devs != nil {
+				devs[c.keys[0]]++ // a fresh map: the match is unchanged
+				if again := m.Deviations(); again[c.keys[0]] == devs[c.keys[0]] {
+					t.Errorf("%s: Deviations shares its map between calls", c.q.Family)
+				}
+			}
+		}
+		if c.keys != nil && h.Sum64() != c.hash {
+			t.Errorf("%s: deviations hash %#x, want %#x", c.q.Family, h.Sum64(), c.hash)
+		}
 	}
 }
 
@@ -893,7 +928,7 @@ func featureReference(t *testing.T, db *DB, q QuerySpec) []Match {
 			}
 		case FamilyPeaks:
 			if dev := math.Abs(float64(len(prof.Peaks) - q.Peaks)); dev <= float64(q.PeakTolerance) {
-				want = append(want, Match{ID: id, Exact: dev == 0, Deviations: map[string]float64{"peaks": dev}})
+				want = append(want, Match{ID: id, Exact: dev == 0, Key: "peaks", Dev: dev})
 			}
 		case FamilyInterval:
 			lo, hi := math.Floor((q.Interval-q.Eps)/w), math.Floor((q.Interval+q.Eps)/w)

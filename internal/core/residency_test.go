@@ -333,13 +333,13 @@ func TestPagedQueryCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range matches {
-				write(m.ID, m.Deviations["l2"])
+				write(m.ID, m.Dev)
 			}
 			h.Write([]byte{'|'})
 			frames, _ := collectFrames(t, db, spec, QueryOptions{MaxError: eps / 4})
 			accepted := acceptedOf(frames)
 			for _, id := range slices.Sorted(maps.Keys(accepted)) {
-				write(id, accepted[id].Deviations["l2"])
+				write(id, accepted[id].Dev)
 			}
 			h.Write([]byte{'|'})
 		}

@@ -81,10 +81,9 @@ type querySpec struct {
 	// length (and selects the feature-index group).
 	values []float64
 	n      int
-	// devKey is the Match.Deviations key holding the distance the radius
-	// bounds ("value", or the metric name); empty for families without one,
-	// which therefore have no progressive form and no top-K radius
-	// feedback.
+	// devKey is the Match.Key of the distance the radius bounds ("value",
+	// or the metric name); empty for families without one, which
+	// therefore have no progressive form and no top-K radius feedback.
 	devKey string
 	// lb is the feature-space pruning rule; its zero value forces the
 	// linear source. qsk is the exemplar's sketch for the band tier; nil
@@ -210,7 +209,7 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 }
 
 // exactSpec compiles a similarity query whose exact tier is m's kernel
-// over the exemplar's values: the stats label metric, the Deviations key
+// over the exemplar's values: the stats label metric, the Match.Key
 // devKey, and the prefilters metric bounds.
 func (db *DB) exactSpec(kind, metric, devKey string, m dist.Metric, exemplar seq.Sequence, eps float64) (*querySpec, error) {
 	if err := checkExemplar(exemplar); err != nil {

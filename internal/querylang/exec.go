@@ -210,7 +210,7 @@ func materialize(ctx context.Context, db Database, q Query) (*Result, error) {
 	}
 	var out Result
 	res, err := streamMatches(ctx, db, s, opts, explain, func(m core.Match) bool {
-		if n := len(out.IDs); m.Deviations == nil && (n == 0 || out.IDs[n-1] != m.ID) {
+		if n := len(out.IDs); m.Key == "" && (n == 0 || out.IDs[n-1] != m.ID) {
 			out.IDs = append(out.IDs, m.ID) // a FIND id's occurrences are adjacent
 		}
 		switch {
@@ -218,7 +218,7 @@ func materialize(ctx context.Context, db Database, q Query) (*Result, error) {
 			out.Hits = append(out.Hits, *m.Hit)
 		case m.Interval != nil:
 			out.Intervals = append(out.Intervals, *m.Interval)
-		case m.Deviations != nil:
+		case m.Key != "":
 			out.Matches = append(out.Matches, m)
 		}
 		return true

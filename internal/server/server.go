@@ -405,7 +405,7 @@ func toQueryResponse(res *seqrep.QueryResult, canonical string, gen uint64) *api
 	}
 	resp.Matches = slices.Grow(resp.Matches, len(res.Matches))
 	for _, m := range res.Matches {
-		resp.Matches = append(resp.Matches, api.Match{ID: m.ID, Exact: m.Exact, Deviations: m.Deviations})
+		resp.Matches = append(resp.Matches, api.Match{ID: m.ID, Exact: m.Exact, Deviations: m.Deviations()})
 	}
 	resp.Hits = slices.Grow(resp.Hits, len(res.Hits))
 	for _, h := range res.Hits {

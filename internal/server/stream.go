@@ -142,7 +142,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		res, err = seqrep.StreamQueryProgressive(ctx, db, seqrep.LimitQuery(q, s.queryLimit), func(pm seqrep.ProgressiveMatch) bool {
 			f := &api.StreamFrame{Refine: toRefineFrame(pm)}
 			if pm.Final && pm.Match != nil {
-				f.Match = &api.Match{ID: pm.Match.ID, Exact: pm.Match.Exact, Deviations: pm.Match.Deviations}
+				f.Match = &api.Match{ID: pm.Match.ID, Exact: pm.Match.Exact, Deviations: pm.Match.Deviations()}
 			}
 			return sw.frame(f)
 		})
@@ -172,8 +172,8 @@ func itemFrame(m seqrep.Match) *api.StreamFrame {
 		return &api.StreamFrame{Hit: &api.PatternHit{ID: h.ID, SegLo: h.SegLo, SegHi: h.SegHi, TimeLo: h.TimeLo, TimeHi: h.TimeHi}}
 	case m.Interval != nil:
 		return &api.StreamFrame{Interval: &api.IntervalMatch{ID: m.ID, Positions: m.Interval.Positions, Intervals: m.Interval.Intervals}}
-	case m.Deviations == nil:
+	case m.Key == "":
 		return &api.StreamFrame{ID: m.ID}
 	}
-	return &api.StreamFrame{Match: &api.Match{ID: m.ID, Exact: m.Exact, Deviations: m.Deviations}}
+	return &api.StreamFrame{Match: &api.Match{ID: m.ID, Exact: m.Exact, Deviations: m.Deviations()}}
 }

@@ -112,7 +112,9 @@ type (
 	// DB.DistanceQuery: verification compares the exemplar's values with
 	// each candidate's reconstructed values.
 	Metric = dist.Metric
-	// Match is one query result with per-dimension deviations.
+	// Match is one query result: a ranked match's one deviation (Key,
+	// Dev), a shape match's three in Shape, and Match.Deviations for the
+	// per-dimension map the wire carries.
 	Match = core.Match
 	// QueryStats reports how a planner-routed query executed: the chosen
 	// plan (index, scan or progressive), its examined/candidate/pruned
